@@ -298,7 +298,10 @@ def _float_list(sections, section, key, count, default=None):
     try:
         nums = [float(p) for p in parts]
     except ValueError:
-        raise ConfigError("line %d: %s.%s must be numbers, got %r" % (line_no, section, key, value)) from None
+        raise ConfigError(
+            "line %d: %s.%s must be comma-separated numbers (e.g. '64, 64'), got %r"
+            % (line_no, section, key, value)
+        ) from None
     if len(nums) == 1:
         nums = nums * count
     if len(nums) != count:

@@ -13,8 +13,8 @@ on a box with no-flux boundaries.  Design points that the tests lean on:
 * w is integrated exactly per cell, w <- w exp(-z dt), and the attractant
   source reuses the very mass w lost, so the cell sum of v + w is conserved
   to solver tolerance regardless of dt.
-* v and z solve symmetric positive-definite Helmholtz systems
-  (semi-implicit, the default) or step explicitly for cross checks.
+* v and z solve (s I - dt Lap) x = b exactly in the Neumann eigenbasis, the
+  DCT-II (semi-implicit, the default), or step explicitly for cross checks.
 """
 
 from __future__ import annotations
@@ -24,9 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .model import Field, Grid, ModelParams, StateQuad, logistic_growth
 from . import diagnostics
@@ -190,39 +187,34 @@ def _lap_apply(values: np.ndarray, h: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _sparse_neumann_lap(grid: Grid):
-    """Sparse Neumann Laplacian on the flattened (row-major) grid, 2D path."""
-
-    def lap1(n, h):
-        main = np.full(n, -2.0)
-        main[0] = main[-1] = -1.0
-        off = np.ones(n - 1)
-        return scipy.sparse.diags([off, main, off], [-1, 0, 1]) / (h * h)
-
-    h = grid.h
-    if grid.dim == 1:
-        return lap1(grid.cells[0], h).tocsr()
-    nx, ny = grid.cells
-    ix = scipy.sparse.identity(nx)
-    iy = scipy.sparse.identity(ny)
-    return (scipy.sparse.kron(lap1(nx, h), iy) + scipy.sparse.kron(ix, lap1(ny, h))).tocsr()
+def _neumann_eigenbasis(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal DCT-II matrix (row k: k-th Neumann eigenvector on n cells)
+    and the eigenvalues of -Lap; read-only, since the cache shares them.
+    """
+    k = np.arange(n)
+    c = np.sqrt(2.0 / n) * np.cos(np.pi * np.outer(k, k + 0.5) / n)
+    c[0] = np.sqrt(1.0 / n)
+    lam = (2.0 - 2.0 * np.cos(np.pi * k / n)) / (h * h)
+    c.flags.writeable = lam.flags.writeable = False
+    return c, lam
 
 
 def _helmholtz_solve(grid: Grid, shift: float, dt: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (shift I - dt Lap) x = rhs; SPD, direct factorization."""
-    h = grid.h
+    """Solve (shift I - dt Lap) x = rhs exactly in the Neumann eigenbasis.
+
+    The mean is solved apart as mean/shift and mode 0 of the rest is zeroed,
+    which keeps uniform data and the cell sum exact to rounding.
+    """
+    mean = float(np.mean(rhs))
+    cx, lam_x = _neumann_eigenbasis(grid.cells[0], grid.h)
     if grid.dim == 1:
-        n = grid.cells[0]
-        lam = dt / (h * h)
-        ab = np.zeros((2, n))
-        ab[1, :] = shift + 2.0 * lam
-        ab[1, 0] = ab[1, -1] = shift + lam
-        ab[0, 1:] = -lam
-        return scipy.linalg.solveh_banded(ab, rhs, lower=False)
-    lap = _sparse_neumann_lap(grid)
-    a = shift * scipy.sparse.identity(grid.n_cells, format="csr") - dt * lap
-    x = scipy.sparse.linalg.spsolve(a.tocsc(), rhs.ravel())
-    return x.reshape(grid.cells)
+        coef = cx @ (rhs - mean)
+        coef[0] = 0.0
+        return mean / shift + cx.T @ (coef / (shift + dt * lam_x))
+    cy, lam_y = _neumann_eigenbasis(grid.cells[1], grid.h)
+    coef = cx @ (rhs - mean) @ cy.T
+    coef[0, 0] = 0.0
+    return mean / shift + cx.T @ (coef / (shift + dt * (lam_x[:, None] + lam_y))) @ cy
 
 
 def step(state: StateQuad, params: ModelParams, config: SolverConfig, dt_cap: float | None = None):
@@ -268,6 +260,13 @@ def step(state: StateQuad, params: ModelParams, config: SolverConfig, dt_cap: fl
     if config.v_z_stepper == "semi-implicit":
         v_new = _helmholtz_solve(grid, 1.0, dt, v + transferred)
         z_new = _helmholtz_solve(grid, 1.0 + dt, dt, z + dt * u)
+        # the exact solves are >= 0 (M-matrix, rhs >= 0): drop rounding-level negatives only
+        for name, x in (("v", v_new), ("z", z_new)):
+            low = float(np.min(x))
+            if low < 0.0:
+                if low < -1e-12 * float(np.max(x)):  # equivalent to low < -1e-12 max|x|
+                    raise SimulationError("field %s went negative (%r) at t=%r" % (name, low, state.t + dt))
+                np.maximum(x, 0.0, out=x)
     else:
         v_new = v + dt * _lap_apply(v, h) + transferred
         z_new = z + dt * (_lap_apply(z, h) - z + u)

@@ -160,6 +160,11 @@ class TestParseErrors:
         with pytest.raises(ConfigError, match=fragment):
             parse_config(mangle(MINIMAL))
 
+    def test_space_separated_grid_list_names_the_comma_form(self):
+        text = MINIMAL.replace("dim = 1", "dim = 2").replace("cells = 16", "cells = 64 64")
+        with pytest.raises(ConfigError, match=r"grid\.cells must be comma-separated numbers \(e\.g\. '64, 64'\), got '64 64'"):
+            parse_config(text)
+
     def test_errors_carry_line_numbers(self):
         text = MINIMAL.replace("dim = 1", "dim = one")
         line = next(i for i, ln in enumerate(text.splitlines(), start=1) if "dim" in ln)

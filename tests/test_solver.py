@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import chemofront
+from chemofront import solver
 from chemofront.model import (
     ConstantSensitivity,
     Field,
@@ -112,6 +119,39 @@ class TestFluxes:
         assert np.all(chemotactic_flux(s2, p0)[0] == 0.0)
 
 
+def dense_neumann_lap(cells, h):
+    """Cell-centred Neumann Laplacian as a dense matrix on the row-major grid."""
+
+    def lap1(n):
+        lap = np.diag(np.full(n, -2.0)) + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
+        lap[0, 0] = lap[-1, -1] = -1.0
+        return lap / (h * h)
+
+    if len(cells) == 1:
+        return lap1(cells[0])
+    nx, ny = cells
+    return np.kron(lap1(nx), np.eye(ny)) + np.kron(np.eye(nx), lap1(ny))
+
+
+class TestHelmholtzSolve:
+    @pytest.mark.parametrize("cells", [(4,), (40,), (8, 8), (6, 10)])
+    @pytest.mark.parametrize("shift, dt", [(1.0, 1e-3), (1.5, 0.3)])
+    def test_matches_dense_solve(self, cells, shift, dt):
+        g = Grid(cells, tuple(0.25 * c for c in cells), (0.0,) * len(cells))
+        rhs = np.random.default_rng(len(cells) * 100 + cells[0]).uniform(0.0, 1.0, cells)
+        a = shift * np.eye(g.n_cells) - dt * dense_neumann_lap(cells, g.h)
+        exact = np.linalg.solve(a, rhs.ravel()).reshape(cells)
+        x = solver._helmholtz_solve(g, shift, dt, rhs)
+        assert x.shape == cells
+        assert np.max(np.abs(x - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize("cells", [(64,), (12, 20)])
+    def test_uniform_rhs_returns_rhs_over_shift(self, cells):
+        g = Grid(cells, tuple(0.1 * c for c in cells), (0.0,) * len(cells))
+        x = solver._helmholtz_solve(g, 1.25, 0.01, np.full(cells, 0.7))
+        assert np.max(np.abs(x - 0.7 / 1.25)) <= 4 * np.spacing(0.7 / 1.25)
+
+
 class TestStep:
     def test_steady_state_is_fixed_point(self):
         s = uniform_state(64, u=1.0, v=0.7, w=0.0, z=1.0)
@@ -208,6 +248,25 @@ class TestStep:
         with pytest.raises(SimulationError):
             step(s, ModelParams(m=2.0), SolverConfig(t_end=1.0), dt_cap=0.0)
 
+    @pytest.mark.parametrize("depth", [1e-6, 1e-16])
+    def test_negative_helmholtz_output_is_refused_unless_rounding(self, monkeypatch, depth):
+        s = uniform_state(16, u=0.5, v=0.3, w=0.2, z=0.1)
+        real_solve = solver._helmholtz_solve
+
+        def bad_v_solve(grid, shift, dt, rhs):
+            x = real_solve(grid, shift, dt, rhs)
+            if shift == 1.0:  # the v solve; z uses 1 + dt
+                x[3] = -depth * np.max(np.abs(x))
+            return x
+
+        monkeypatch.setattr(solver, "_helmholtz_solve", bad_v_solve)
+        if depth > 1e-12:
+            with pytest.raises(SimulationError, match="field v"):
+                step(s, ModelParams(m=2.0), SolverConfig(t_end=1.0))
+        else:
+            out, _ = step(s, ModelParams(m=2.0), SolverConfig(t_end=1.0))
+            assert out.v.values[3] == 0.0
+
     def test_2d_step_conserves_and_stays_nonnegative(self):
         g = Grid((16, 16), (2.0, 2.0), (-1.0, -1.0))
         u0 = bump_field(g, (0.0, 0.0), 0.4, 0.5)
@@ -298,3 +357,13 @@ def test_gradient_and_laplacian_probes():
     assert max_abs_laplacian(flat) == 0.0
     ramp = Field(g, 2.0 * g.axis_centers(0))
     assert max_abs_gradient(ramp) == pytest.approx(2.0)
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(chemofront.__file__).resolve().parents[1])
+    code = "import sys, chemofront.cli; print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
