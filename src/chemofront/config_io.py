@@ -2,7 +2,14 @@
 
 Config files are line oriented, `key = value` entries under bracketed
 section headers, with `#` comments.  Unknown sections or keys are errors,
-as are malformed values; error messages carry the line number.
+as are malformed values; error messages carry the line number.  Every
+number must be finite.
+
+The keys of [model], [solver], [oracles] and [lattice] are the fields of
+ModelParams, SolverConfig, OracleToggles and LatticeConfig, with those
+records' defaults; a field's type (float, int, bool, str) says how its
+value is read and written.  [grid], [initial], [output], [sweep] and the
+phi rule of [model] are parsed and written by hand.
 
 Snapshots are a 6-line ASCII header (magic, dim, cells per axis, extent per
 axis, time, field order) followed by the four fields as raw little-endian
@@ -13,13 +20,16 @@ otherwise the origin defaults to zero.
 
 from __future__ import annotations
 
+import dataclasses
 import io
+import math
 import os
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .diagnostics import HISTORY_COLUMNS, FrontHistory
+from .lattice import LatticeConfig
 from .model import (
     ConstantSensitivity,
     Field,
@@ -115,37 +125,6 @@ class OracleToggles:
     check_upper: bool = True
 
 
-@dataclass(frozen=True)
-class LatticeConfig:
-    sites: int
-    u_max: int
-    particles: int
-    t_end: float
-    alpha: float = 1.0
-    beta: float = 0.0
-    kernel: str = "pushing"
-    seeds: int = 1
-    cells_per_bin: int = 1
-    leap_fraction: float = 0.5
-    extent: float = 1.0
-    origin: float = 0.0
-    compare_pde: bool = False
-
-    def __post_init__(self):
-        if self.sites < 2 or self.u_max < 1 or self.particles < 1:
-            raise ValueError("lattice sites, u_max and particles must be positive")
-        if not (self.t_end > 0):
-            raise ValueError("lattice t_end must be positive")
-        if self.seeds < 1:
-            raise ValueError("lattice needs at least one seed")
-        if self.sites % self.cells_per_bin != 0:
-            raise ValueError("cells_per_bin must divide sites")
-        if not (0 < self.leap_fraction <= 1):
-            raise ValueError("leap_fraction must lie in (0, 1]")
-        if not (self.extent > 0):
-            raise ValueError("lattice extent must be positive")
-
-
 @dataclass
 class RunConfig:
     model: ModelParams
@@ -163,50 +142,37 @@ class RunConfig:
 
 _BOOL_WORDS = {"on": True, "true": True, "yes": True, "off": False, "false": False, "no": False}
 
+# the sections whose keys are the fields of a record
+_RECORDS = {
+    "model": ModelParams,
+    "solver": SolverConfig,
+    "oracles": OracleToggles,
+    "lattice": LatticeConfig,
+}
+
+# field types a config value converts to; a field of any other type (phi) is parsed by hand
+_SCALAR_TYPES = ("float", "float | None", "int", "bool", "str")
+
+
+def _scalar_fields(record_type) -> list:
+    return [f for f in dataclasses.fields(record_type) if f.type in _SCALAR_TYPES]
+
+
 # sweeps vary numeric knobs only; rules like phi need a separate config file
 _SWEEPABLE = {
-    "model.m",
-    "model.delta",
-    "model.mu",
-    "model.r",
-    "model.eps_reg",
-    "solver.t_end",
-    "solver.cfl_safety",
-    "solver.dt_max",
+    "%s.%s" % (name, f.name)
+    for name in ("model", "solver")
+    for f in _scalar_fields(_RECORDS[name])
+    if f.type.startswith("float")
 }
 
 _SECTIONS = ("model", "grid", "solver", "initial", "output", "oracles", "sweep", "lattice")
 
 _KEYS = {
-    "model": {"m", "delta", "mu", "r", "eps_reg", "phi"},
     "grid": {"dim", "cells", "extent", "origin"},
-    "solver": {
-        "t_end",
-        "cfl_safety",
-        "output_stride",
-        "clip_negative",
-        "chemo_upwind",
-        "v_z_stepper",
-        "dt_max",
-    },
     "initial": {"u", "v", "w", "z"},
     "output": {"dir", "seed"},
-    "oracles": {"check_lower", "check_upper"},
-    "lattice": {
-        "sites",
-        "u_max",
-        "particles",
-        "t_end",
-        "alpha",
-        "beta",
-        "kernel",
-        "seeds",
-        "cells_per_bin",
-        "leap_fraction",
-        "extent",
-        "origin",
-        "compare_pde",
-    },
+    **{name: {f.name for f in dataclasses.fields(record)} for name, record in _RECORDS.items()},
 }
 
 
@@ -241,73 +207,70 @@ def _tokenize(text: str):
     return sections
 
 
-def _want_float(sections, section, key, default=None):
-    item = sections.get(section, {}).get(key)
-    if item is None:
-        if default is None:
-            raise ConfigError("missing required key %r in section [%s]" % (key, section))
-        return default
-    value, line_no = item
+def _convert(kind: str, text: str, line_no: int, where: str, expected: str | None = None):
+    """Read `text` as a value of field type `kind`; every number read must be finite.
+
+    `where` names the value in error messages, and `expected` overrides the
+    wording of what a number that does not parse should have been.
+    """
+    if kind == "str":
+        return text
+    if kind == "bool":
+        word = text.strip().lower()
+        if word not in _BOOL_WORDS:
+            raise ConfigError("line %d: %s must be on/off, got %r" % (line_no, where, text))
+        return _BOOL_WORDS[word]
     try:
-        return float(value)
+        value = int(text) if kind == "int" else float(text)
     except ValueError:
-        raise ConfigError("line %d: %s.%s must be a number, got %r" % (line_no, section, key, value)) from None
+        expected = expected or ("an integer" if kind == "int" else "a number")
+        raise ConfigError("line %d: %s must be %s, got %r" % (line_no, where, expected, text)) from None
+    if not math.isfinite(value):
+        raise ConfigError("line %d: %s must be a finite number, got %r" % (line_no, where, text))
+    return value
 
 
-def _want_int(sections, section, key, default=None):
+def _entry(sections, section, key):
+    """The (raw_value, line_no) of a key that must be present."""
     item = sections.get(section, {}).get(key)
     if item is None:
-        if default is None:
-            raise ConfigError("missing required key %r in section [%s]" % (key, section))
+        raise ConfigError("missing required key %r in section [%s]" % (key, section))
+    return item
+
+
+def _get(sections, section, key, kind, default=dataclasses.MISSING):
+    """section.key read as field type `kind`, or `default` when the key is absent."""
+    if default is not dataclasses.MISSING and key not in sections.get(section, {}):
         return default
-    value, line_no = item
+    value, line_no = _entry(sections, section, key)
+    return _convert(kind, value, line_no, "%s.%s" % (section, key))
+
+
+def _record(sections, name, **given):
+    """The record of section [name]: its scalar fields read or defaulted, plus `given`."""
+    record_type = _RECORDS[name]
+    for f in _scalar_fields(record_type):
+        given[f.name] = _get(sections, name, f.name, f.type, f.default)
     try:
-        return int(value)
-    except ValueError:
-        raise ConfigError("line %d: %s.%s must be an integer, got %r" % (line_no, section, key, value)) from None
+        return record_type(**given)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
-def _want_bool(sections, section, key, default):
-    item = sections.get(section, {}).get(key)
-    if item is None:
-        return default
-    value, line_no = item
-    word = value.strip().lower()
-    if word not in _BOOL_WORDS:
-        raise ConfigError("line %d: %s.%s must be on/off, got %r" % (line_no, section, key, value))
-    return _BOOL_WORDS[word]
+def _numbers(value: str, line_no: int, where: str, expected: str) -> list:
+    """The comma-separated numbers of a config value; empty items are skipped."""
+    return [_convert("float", p, line_no, where, expected) for p in (s.strip() for s in value.split(",")) if p]
 
 
-def _want_str(sections, section, key, default=None):
-    item = sections.get(section, {}).get(key)
-    if item is None:
-        if default is None:
-            raise ConfigError("missing required key %r in section [%s]" % (key, section))
-        return default
-    return item[0]
-
-
-def _float_list(sections, section, key, count, default=None):
-    item = sections.get(section, {}).get(key)
-    if item is None:
-        if default is None:
-            raise ConfigError("missing required key %r in section [%s]" % (key, section))
-        return default
-    value, line_no = item
-    parts = [p for p in (s.strip() for s in value.split(",")) if p]
-    try:
-        nums = [float(p) for p in parts]
-    except ValueError:
-        raise ConfigError(
-            "line %d: %s.%s must be comma-separated numbers (e.g. '64, 64'), got %r"
-            % (line_no, section, key, value)
-        ) from None
+def _float_list(sections, key, count):
+    value, line_no = _entry(sections, "grid", key)
+    nums = _numbers(value, line_no, "grid." + key, "comma-separated numbers (e.g. '64, 64')")
     if len(nums) == 1:
         nums = nums * count
     if len(nums) != count:
         raise ConfigError(
-            "line %d: %s.%s needs %d comma-separated values, got %d"
-            % (line_no, section, key, count, len(nums))
+            "line %d: grid.%s needs %d comma-separated values, got %d"
+            % (line_no, key, count, len(nums))
         )
     return nums
 
@@ -316,16 +279,16 @@ def _parse_phi(value: str, line_no: int):
     parts = value.split()
     try:
         if parts[0] == "constant":
-            return ConstantSensitivity(float(parts[1]))
+            return ConstantSensitivity(_convert("float", parts[1], line_no, "model.phi"))
         if parts[0] == "linear_switch":
-            return LinearSwitchSensitivity(float(parts[1]))
+            return LinearSwitchSensitivity(_convert("float", parts[1], line_no, "model.phi"))
         if parts[0] == "table":
             pairs = "".join(parts[1:]).split(",")
             us, ps = [], []
             for pair in pairs:
                 a, b = pair.split(":")
-                us.append(float(a))
-                ps.append(float(b))
+                us.append(_convert("float", a, line_no, "model.phi"))
+                ps.append(_convert("float", b, line_no, "model.phi"))
             return TabulatedSensitivity(tuple(us), tuple(ps))
     except ConfigError:
         raise
@@ -334,13 +297,13 @@ def _parse_phi(value: str, line_no: int):
     raise ConfigError("line %d: phi must be constant/linear_switch/table, got %r" % (line_no, value))
 
 
-def _parse_initial(value: str, line_no: int, dim: int, base_dir: str):
+def _parse_initial(value: str, line_no: int, where: str, dim: int, base_dir: str):
     parts = value.split()
     try:
         if parts[0] == "constant":
-            return ConstantInit(float(parts[1]))
+            return ConstantInit(_convert("float", parts[1], line_no, where))
         if parts[0] == "bump":
-            nums = [float(p) for p in parts[1:]]
+            nums = [_convert("float", p, line_no, where) for p in parts[1:]]
             if len(nums) != dim + 2:
                 raise ConfigError(
                     "line %d: bump needs %d numbers (center, radius, height), got %d"
@@ -375,46 +338,23 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         if required not in sections:
             raise ConfigError("missing required section [%s]" % required)
 
-    dim = _want_int(sections, "grid", "dim")
+    dim = _get(sections, "grid", "dim", "int")
     if dim not in (1, 2):
         raise ConfigError("grid.dim must be 1 or 2, got %d" % dim)
-    cells_f = _float_list(sections, "grid", "cells", dim)
+    cells_f = _float_list(sections, "cells", dim)
     cells = tuple(int(c) for c in cells_f)
     if any(abs(c - cf) > 0 for c, cf in zip(cells, cells_f)):
         raise ConfigError("grid.cells must be integers")
-    extent = tuple(_float_list(sections, "grid", "extent", dim))
-    origin = tuple(_float_list(sections, "grid", "origin", dim, default=[0.0] * dim))
-
-    phi_item = sections.get("model", {}).get("phi")
-    if phi_item is None:
-        phi = ConstantSensitivity(1.0)
-    else:
-        phi = _parse_phi(phi_item[0], phi_item[1])
-
+    extent = tuple(_float_list(sections, "extent", dim))
+    origin = tuple(_float_list(sections, "origin", dim)) if "origin" in sections["grid"] else (0.0,) * dim
     try:
         grid = Grid(cells=cells, extent=extent, origin=origin)
-        model = ModelParams(
-            m=_want_float(sections, "model", "m"),
-            delta=_want_float(sections, "model", "delta", 1.0),
-            mu=_want_float(sections, "model", "mu", 0.0),
-            r=_want_float(sections, "model", "r", 1.0),
-            phi=phi,
-            eps_reg=_want_float(sections, "model", "eps_reg", 0.0),
-        )
-        dt_max_item = sections.get("solver", {}).get("dt_max")
-        solver = SolverConfig(
-            t_end=_want_float(sections, "solver", "t_end"),
-            cfl_safety=_want_float(sections, "solver", "cfl_safety", 0.25),
-            output_stride=_want_int(sections, "solver", "output_stride", 100),
-            clip_negative=_want_bool(sections, "solver", "clip_negative", True),
-            chemo_upwind=_want_bool(sections, "solver", "chemo_upwind", True),
-            v_z_stepper=_want_str(sections, "solver", "v_z_stepper", "semi-implicit"),
-            dt_max=None if dt_max_item is None else _want_float(sections, "solver", "dt_max"),
-        )
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+
+    given = {"phi": _parse_phi(*sections["model"]["phi"])} if "phi" in sections["model"] else {}
+    model = _record(sections, "model", **given)
+    solver = _record(sections, "solver")
 
     initial = {}
     for name in FIELD_ORDER:
@@ -424,13 +364,10 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
                 raise ConfigError("missing required key 'u' in section [initial]")
             initial[name] = ConstantInit(0.0)
         else:
-            initial[name] = _parse_initial(item[0], item[1], dim, base_dir)
+            initial[name] = _parse_initial(item[0], item[1], "initial." + name, dim, base_dir)
 
-    oracles = OracleToggles(
-        check_lower=_want_bool(sections, "oracles", "check_lower", True),
-        check_upper=_want_bool(sections, "oracles", "check_upper", True),
-    )
-
+    # each sweep value must make a valid record, so that no case fails on it later
+    swept = {"model": model, "solver": solver}
     sweep = {}
     for key, (value, line_no) in sections.get("sweep", {}).items():
         if key not in _SWEEPABLE:
@@ -438,47 +375,27 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
                 "line %d: sweep target %r is not a numeric model/solver parameter "
                 "(allowed: %s)" % (line_no, key, ", ".join(sorted(_SWEEPABLE)))
             )
-        try:
-            values = tuple(float(p) for p in value.split(",") if p.strip())
-        except ValueError:
-            raise ConfigError("line %d: sweep values must be numbers, got %r" % (line_no, value)) from None
+        values = tuple(_numbers(value, line_no, "sweep." + key, "comma-separated numbers"))
         if not values:
             raise ConfigError("line %d: sweep needs at least one value" % line_no)
+        section, param = key.split(".")
+        for v in values:
+            try:
+                dataclasses.replace(swept[section], **{param: v})
+            except ValueError as exc:
+                raise ConfigError("line %d: sweep.%s value %r: %s" % (line_no, key, v, exc)) from None
         sweep[key] = values
-
-    lattice = None
-    if "lattice" in sections:
-        try:
-            lattice = LatticeConfig(
-                sites=_want_int(sections, "lattice", "sites"),
-                u_max=_want_int(sections, "lattice", "u_max"),
-                particles=_want_int(sections, "lattice", "particles"),
-                t_end=_want_float(sections, "lattice", "t_end"),
-                alpha=_want_float(sections, "lattice", "alpha", 1.0),
-                beta=_want_float(sections, "lattice", "beta", 0.0),
-                kernel=_want_str(sections, "lattice", "kernel", "pushing"),
-                seeds=_want_int(sections, "lattice", "seeds", 1),
-                cells_per_bin=_want_int(sections, "lattice", "cells_per_bin", 1),
-                leap_fraction=_want_float(sections, "lattice", "leap_fraction", 0.5),
-                extent=_want_float(sections, "lattice", "extent", 1.0),
-                origin=_want_float(sections, "lattice", "origin", 0.0),
-                compare_pde=_want_bool(sections, "lattice", "compare_pde", False),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        if lattice.kernel not in ("volume_filling", "pushing", "quorum_pushing"):
-            raise ConfigError("lattice.kernel must be a known kernel, got %r" % lattice.kernel)
 
     return RunConfig(
         model=model,
         grid=grid,
         solver=solver,
         initial=initial,
-        oracles=oracles,
-        out_dir=_want_str(sections, "output", "dir", "out"),
-        seed=_want_int(sections, "output", "seed", 0),
+        oracles=_record(sections, "oracles"),
+        out_dir=_get(sections, "output", "dir", "str", "out"),
+        seed=_get(sections, "output", "seed", "int", 0),
         sweep=sweep,
-        lattice=lattice,
+        lattice=_record(sections, "lattice") if "lattice" in sections else None,
     )
 
 
@@ -496,6 +413,26 @@ def _fmt(x: float) -> str:
 
 def _fmt_list(xs) -> str:
     return ", ".join(_fmt(x) for x in xs)
+
+
+def _value_text(kind: str, value) -> str:
+    if kind == "bool":
+        return "on" if value else "off"
+    if kind == "int":
+        return "%d" % value
+    if kind == "str":
+        return value
+    return _fmt(value)
+
+
+def _record_text(name: str, record) -> str:
+    """Section [name] of a record, one line per scalar field; a None field is left out."""
+    lines = ["[%s]\n" % name]
+    for f in _scalar_fields(type(record)):
+        value = getattr(record, f.name)
+        if value is not None:
+            lines.append("%s = %s\n" % (f.name, _value_text(f.type, value)))
+    return "".join(lines)
 
 
 def _phi_text(phi) -> str:
@@ -524,57 +461,30 @@ def _initial_text(init) -> str:
 def serialize_config(cfg: RunConfig) -> str:
     out = io.StringIO()
     w = out.write
-    w("[model]\n")
-    w("m = %s\n" % _fmt(cfg.model.m))
-    w("delta = %s\n" % _fmt(cfg.model.delta))
-    w("mu = %s\n" % _fmt(cfg.model.mu))
-    w("r = %s\n" % _fmt(cfg.model.r))
-    w("eps_reg = %s\n" % _fmt(cfg.model.eps_reg))
+    w(_record_text("model", cfg.model))
     w("phi = %s\n" % _phi_text(cfg.model.phi))
     w("\n[grid]\n")
     w("dim = %d\n" % cfg.grid.dim)
     w("cells = %s\n" % ", ".join(str(c) for c in cfg.grid.cells))
     w("extent = %s\n" % _fmt_list(cfg.grid.extent))
     w("origin = %s\n" % _fmt_list(cfg.grid.origin))
-    w("\n[solver]\n")
-    w("t_end = %s\n" % _fmt(cfg.solver.t_end))
-    w("cfl_safety = %s\n" % _fmt(cfg.solver.cfl_safety))
-    w("output_stride = %d\n" % cfg.solver.output_stride)
-    w("clip_negative = %s\n" % ("on" if cfg.solver.clip_negative else "off"))
-    w("chemo_upwind = %s\n" % ("on" if cfg.solver.chemo_upwind else "off"))
-    w("v_z_stepper = %s\n" % cfg.solver.v_z_stepper)
-    if cfg.solver.dt_max is not None:
-        w("dt_max = %s\n" % _fmt(cfg.solver.dt_max))
+    w("\n" + _record_text("solver", cfg.solver))
     w("\n[initial]\n")
     for name in FIELD_ORDER:
         w("%s = %s\n" % (name, _initial_text(cfg.initial[name])))
     w("\n[output]\n")
     w("dir = %s\n" % cfg.out_dir)
     w("seed = %d\n" % cfg.seed)
-    w("\n[oracles]\n")
-    w("check_lower = %s\n" % ("on" if cfg.oracles.check_lower else "off"))
-    w("check_upper = %s\n" % ("on" if cfg.oracles.check_upper else "off"))
+    w("\n" + _record_text("oracles", cfg.oracles))
     if cfg.sweep:
         w("\n[sweep]\n")
         for key, values in cfg.sweep.items():
             w("%s = %s\n" % (key, _fmt_list(values)))
     if cfg.lattice is not None:
-        lat = cfg.lattice
-        w("\n[lattice]\n")
-        w("sites = %d\n" % lat.sites)
-        w("u_max = %d\n" % lat.u_max)
-        w("particles = %d\n" % lat.particles)
-        w("t_end = %s\n" % _fmt(lat.t_end))
-        w("alpha = %s\n" % _fmt(lat.alpha))
-        w("beta = %s\n" % _fmt(lat.beta))
-        w("kernel = %s\n" % lat.kernel)
-        w("seeds = %d\n" % lat.seeds)
-        w("cells_per_bin = %d\n" % lat.cells_per_bin)
-        w("leap_fraction = %s\n" % _fmt(lat.leap_fraction))
-        w("extent = %s\n" % _fmt(lat.extent))
-        w("origin = %s\n" % _fmt(lat.origin))
-        w("compare_pde = %s\n" % ("on" if lat.compare_pde else "off"))
+        w("\n" + _record_text("lattice", cfg.lattice))
     return out.getvalue()
+
+
 
 
 def build_initial_state(cfg: RunConfig, base_dir: str = ".") -> StateQuad:

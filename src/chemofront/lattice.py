@@ -25,6 +25,7 @@ from .model import ConstantSensitivity, Field, Grid, jump_probability
 
 __all__ = [
     "KERNELS",
+    "LatticeConfig",
     "LatticeState",
     "transition_rates",
     "rate_arrays",
@@ -41,6 +42,43 @@ OVERFLOW_FACTOR = 4  # occupancy above OVERFLOW_FACTOR * u_max aborts the run
 
 def _identity(v):
     return v
+
+
+@dataclass(frozen=True)
+class LatticeConfig:
+    """The [lattice] section of a run config: one walker ensemble and its run length."""
+
+    sites: int
+    u_max: int
+    particles: int
+    t_end: float
+    alpha: float = 1.0
+    beta: float = 0.0
+    kernel: str = "pushing"
+    seeds: int = 1
+    cells_per_bin: int = 1
+    leap_fraction: float = 0.5
+    extent: float = 1.0
+    origin: float = 0.0
+    compare_pde: bool = False
+
+    def __post_init__(self):
+        if self.sites < 2 or self.u_max < 1 or self.particles < 1:
+            raise ValueError("lattice sites, u_max and particles must be positive")
+        if not (0.0 < self.t_end < math.inf):
+            raise ValueError("lattice t_end must be finite and positive, got %r" % self.t_end)
+        if self.kernel not in KERNELS:
+            raise ValueError("lattice kernel must be one of %r, got %r" % (KERNELS, self.kernel))
+        if self.seeds < 1:
+            raise ValueError("lattice needs at least one seed")
+        if self.sites % self.cells_per_bin != 0:
+            raise ValueError("cells_per_bin must divide sites")
+        if not (0 < self.leap_fraction <= 1):
+            raise ValueError("leap_fraction must lie in (0, 1]")
+        if not (0.0 < self.extent < math.inf):
+            raise ValueError("lattice extent must be finite and positive, got %r" % self.extent)
+        if not math.isfinite(self.origin):
+            raise ValueError("lattice origin must be finite, got %r" % self.origin)
 
 
 @dataclass(eq=False)

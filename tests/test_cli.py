@@ -238,6 +238,14 @@ class TestSweepCommand:
         keep = lambda text: text.replace(str(serial), "X").replace(str(parallel), "X")
         assert keep((serial / "manifest.csv").read_text()) == keep((parallel / "manifest.csv").read_text())
 
+    def test_refused_sweep_value_is_config_error_before_any_case(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_CFG.replace("model.m = 2.0, 3.0", "model.m = 2.0, 0.5"))
+        out = tmp_path / "sweep_out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "sweep.model.m value 0.5" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweepless_config_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "plain.cfg"
         cfg.write_text(TINY_CFG)

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chemofront.config_io import (
     BumpInit,
     ConfigError,
     ConstantInit,
     LatticeConfig,
+    OracleToggles,
     RunConfig,
     SnapshotError,
     SnapshotInit,
@@ -23,14 +25,17 @@ from chemofront.config_io import (
     write_snapshot,
 )
 from chemofront.diagnostics import HISTORY_COLUMNS, FrontHistory
+from chemofront.lattice import KERNELS
 from chemofront.model import (
     ConstantSensitivity,
     Field,
     Grid,
     LinearSwitchSensitivity,
+    ModelParams,
     StateQuad,
     TabulatedSensitivity,
 )
+from chemofront.solver import SolverConfig
 
 MINIMAL = """
 [model]
@@ -154,6 +159,22 @@ class TestParseErrors:
             (lambda t: t.replace("constant 0.5", "snapshot missing.bin u"), "does not exist"),
             (lambda t: t.replace("m = 2.0", "m = 2.0\nphi = sigmoid 1"), "constant/linear_switch/table"),
             (lambda t: t.replace("m = 2.0", "m = 2.0\nphi = table 0-0,1-1"), "bad phi rule"),
+            (lambda t: t.replace("cells = 16", "cells = nan"), r"line 7: grid\.cells must be a finite number"),
+            (lambda t: t.replace("cells = 16", "cells = 1e400"), r"grid\.cells must be a finite number"),
+            (lambda t: t.replace("extent = 2.0", "extent = 2.0\norigin = nan"), r"grid\.origin must be a finite"),
+            (lambda t: t.replace("m = 2.0", "m = inf"), r"line 3: model\.m must be a finite number"),
+            (lambda t: t.replace("t_end = 0.5", "t_end = 0.5\ndt_max = inf"), r"solver\.dt_max must be a finite"),
+            (lambda t: t.replace("constant 0.5", "bump nan 0.5 1.0"), r"initial\.u must be a finite number"),
+            (lambda t: t.replace("constant 0.5", "constant -inf"), r"initial\.u must be a finite number"),
+            (lambda t: t.replace("m = 2.0", "m = 2.0\nphi = constant nan"), r"model\.phi must be a finite"),
+            (lambda t: t.replace("m = 2.0", "m = 2.0\nphi = table 0:0,inf:1"), r"model\.phi must be a finite"),
+            (lambda t: t + "\n[sweep]\nmodel.m = 2.0, nan\n", r"sweep\.model\.m must be a finite number"),
+            (lambda t: t + "\n[sweep]\nmodel.m = 2.0, 0.5\n", r"sweep\.model\.m value 0\.5: motility exponent m"),
+            (lambda t: t + "\n[sweep]\nsolver.cfl_safety = 2.0\n", r"sweep\.solver\.cfl_safety value 2\.0"),
+            (
+                lambda t: t + "\n[lattice]\nsites = 20\nu_max = 50\nparticles = 100\nt_end = inf\n",
+                r"lattice\.t_end must be a finite number",
+            ),
         ],
     )
     def test_bad_text_raises_config_error(self, mangle, fragment):
@@ -221,6 +242,10 @@ class TestSerializeRoundTrip:
             + "kernel = volume_filling\nseeds = 3\ncells_per_bin = 2\n"
         )
 
+    def test_full_config_text_is_fixed(self):
+        # the exact bytes of config.cfg, key order included
+        assert serialize_config(self.full_config()) == FULL_CONFIG_TEXT
+
     def test_round_trip_preserves_everything(self):
         cfg = self.full_config()
         again = parse_config(serialize_config(cfg))
@@ -247,6 +272,127 @@ class TestSerializeRoundTrip:
         assert cfg.initial["u"] == SnapshotInit("seed.bin", "u")
         again = parse_config(serialize_config(cfg), base_dir=str(tmp_path))
         assert again.initial["u"] == cfg.initial["u"]
+
+
+FULL_CONFIG_TEXT = """\
+[model]
+m = 2.5
+delta = 1.0
+mu = 0.0
+r = 1.0
+eps_reg = 0.0
+phi = table 0.0:0.0,1.0:0.25,3.0:1.0
+
+[grid]
+dim = 1
+cells = 16
+extent = 2.0
+origin = 0.0
+
+[solver]
+t_end = 0.5
+cfl_safety = 0.25
+output_stride = 100
+clip_negative = on
+chemo_upwind = on
+v_z_stepper = semi-implicit
+
+[initial]
+u = bump -0.125 0.5 0.75
+v = constant 0.0
+w = constant 1.0
+z = constant 0.0
+
+[output]
+dir = run_out
+seed = 11
+
+[oracles]
+check_lower = on
+check_upper = off
+
+[sweep]
+model.mu = 0.5, 1.5
+
+[lattice]
+sites = 24
+u_max = 40
+particles = 200
+t_end = 0.125
+alpha = 1.0
+beta = 0.0
+kernel = volume_filling
+seeds = 3
+cells_per_bin = 2
+leap_fraction = 0.5
+extent = 1.0
+origin = 0.0
+compare_pde = off
+"""
+
+
+def _finite(lo=-1e6, hi=1e6, **kw):
+    return st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False, **kw)
+
+
+_models = st.builds(
+    ModelParams,
+    m=_finite(1.0, 10.0, exclude_min=True),
+    delta=_finite(1.0, 10.0),
+    mu=_finite(0.0, 10.0),
+    r=_finite(0.0, 10.0, exclude_min=True),
+    phi=st.one_of(
+        st.builds(ConstantSensitivity, _finite(-1.0, 1.0)),
+        st.builds(LinearSwitchSensitivity, _finite(0.0, 10.0, exclude_min=True)),
+    ),
+    eps_reg=_finite(0.0, 1.0, exclude_max=True),
+)
+_solvers = st.builds(
+    SolverConfig,
+    t_end=_finite(0.0, 1e3),
+    cfl_safety=_finite(0.0, 1.0, exclude_min=True),
+    output_stride=st.integers(1, 10**6),
+    clip_negative=st.booleans(),
+    chemo_upwind=st.booleans(),
+    v_z_stepper=st.sampled_from(["semi-implicit", "explicit"]),
+    dt_max=st.none() | _finite(0.0, 1.0, exclude_min=True),
+)
+
+
+@st.composite
+def _lattices(draw):
+    cells_per_bin = draw(st.integers(1, 8))
+    return LatticeConfig(
+        sites=cells_per_bin * draw(st.integers(2, 50)),
+        u_max=draw(st.integers(1, 10**6)),
+        particles=draw(st.integers(1, 10**6)),
+        t_end=draw(_finite(0.0, 1e3, exclude_min=True)),
+        alpha=draw(_finite()),
+        beta=draw(_finite()),
+        kernel=draw(st.sampled_from(KERNELS)),
+        seeds=draw(st.integers(1, 100)),
+        cells_per_bin=cells_per_bin,
+        leap_fraction=draw(_finite(0.0, 1.0, exclude_min=True)),
+        extent=draw(_finite(0.0, 1e6, exclude_min=True)),
+        origin=draw(_finite()),
+        compare_pde=draw(st.booleans()),
+    )
+
+
+@given(
+    model=_models,
+    solver=_solvers,
+    oracles=st.builds(OracleToggles, st.booleans(), st.booleans()),
+    lattice=st.none() | _lattices(),
+)
+@settings(max_examples=200, deadline=None)
+def test_record_sections_round_trip(model, solver, oracles, lattice):
+    cfg = parse_config(MINIMAL)
+    cfg = RunConfig(model, cfg.grid, solver, cfg.initial, oracles=oracles, lattice=lattice)
+    text = serialize_config(cfg)
+    again = parse_config(text)
+    assert again == cfg
+    assert serialize_config(again) == text
 
 
 class TestParseConfigFile:

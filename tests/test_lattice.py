@@ -6,6 +6,7 @@ from chemofront.lattice import (
     KERNELS,
     LEAP_LIMIT,
     OVERFLOW_FACTOR,
+    LatticeConfig,
     LatticeState,
     coarse_density,
     rate_arrays,
@@ -56,6 +57,26 @@ class TestValidation:
                          m=2.0, beta_sens=LinearSwitchSensitivity(1.0), kernel="pushing")
         LatticeState(occupancy=occ, u_max=10, v=np.zeros(4), z=np.zeros(4),
                      m=2.0, beta_sens=LinearSwitchSensitivity(1.0), kernel="quorum_pushing")
+
+
+class TestLatticeConfig:
+    @pytest.mark.parametrize(
+        "bad, fragment",
+        [
+            ({"t_end": float("inf")}, "t_end"),
+            ({"t_end": float("nan")}, "t_end"),
+            ({"extent": float("inf")}, "extent"),
+            ({"extent": 0.0}, "extent"),
+            ({"origin": float("nan")}, "origin"),
+            ({"origin": float("-inf")}, "origin"),
+            ({"kernel": "teleport"}, "kernel"),
+        ],
+    )
+    def test_record_refuses_unbounded_or_unknown_values(self, bad, fragment):
+        good = dict(sites=20, u_max=50, particles=100, t_end=0.25)
+        LatticeConfig(**good)
+        with pytest.raises(ValueError, match=fragment):
+            LatticeConfig(**dict(good, **bad))
 
 
 class TestRates:
