@@ -15,6 +15,9 @@ on a box with no-flux boundaries.  Design points that the tests lean on:
   to solver tolerance regardless of dt.
 * v and z solve (s I - dt Lap) x = b exactly in the Neumann eigenbasis, the
   DCT-II (semi-implicit, the default), or step explicitly for cross checks.
+* The loop runs on bare arrays (_advance) with one finiteness check per step;
+  Field/StateQuad validation sits at the edges: step()'s input and output,
+  and the states run() emits.  A CFL dt below the run's time tolerance raises.
 """
 
 from __future__ import annotations
@@ -87,20 +90,43 @@ class RunResult:
     steps: int
 
 
-def _sl(ndim: int, axis: int, s: slice) -> tuple:
-    out = [slice(None)] * ndim
-    out[axis] = s
-    return tuple(out)
+@lru_cache(maxsize=2)
+def _faces(ndim: int) -> tuple:
+    """Per axis, the (left, right) index tuples of the cells beside its interior faces."""
+    def cut(axis, s):
+        return tuple(s if a == axis else slice(None) for a in range(ndim))
+    return tuple((cut(a, slice(None, -1)), cut(a, slice(1, None))) for a in range(ndim))
 
 
-def _max_grad(values: np.ndarray, h: float) -> float:
+def _face_diffs(values: np.ndarray) -> list[np.ndarray]:
+    """Per-axis differences across interior faces, right cell minus left."""
+    return [values[hi] - values[lo] for lo, hi in _faces(values.ndim)]
+
+
+def _max_grad(diffs: list[np.ndarray], h: float) -> float:
     """Largest face-difference gradient magnitude over all axes."""
-    best = 0.0
-    for axis in range(values.ndim):
-        d = np.diff(values, axis=axis)
-        if d.size:
-            best = max(best, float(np.max(np.abs(d))) / h)
-    return best
+    return max(float(np.abs(d).max()) / h for d in diffs)
+
+
+def _powers(u: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """u^m, advected by the drift, and T = (u + eps)^m - eps^m, the diffused variable (u^m when eps = 0)."""
+    um = u ** params.m
+    eps = params.eps_reg
+    return um, (um if eps == 0.0 else (u + eps) ** params.m - eps ** params.m)
+
+
+def _cfl_dt(grid: Grid, u: np.ndarray, dv: list[np.ndarray], params: ModelParams, config: SolverConfig):
+    """cfl_dt on arrays, given v's face differences dv; also returns the
+    (diffusion, drift, reaction) denominator terms and the cap, to name the one that binds."""
+    h = grid.h
+    max_u = float(u.max())
+    terms = (
+        2.0 * grid.dim * (params.m * (max_u + params.eps_reg) ** (params.m - 1.0) + 1.0),
+        h * _max_grad(dv, h),
+        h * h * params.mu * (params.delta + 1.0) * max(max_u, 1.0) ** params.delta,
+    )
+    cap = config.dt_max if config.dt_max is not None else h
+    return min(config.cfl_safety * h * h / (terms[0] + terms[1] + terms[2]), cap), terms, cap
 
 
 def cfl_dt(state: StateQuad, params: ModelParams, config: SolverConfig) -> float:
@@ -112,15 +138,11 @@ def cfl_dt(state: StateQuad, params: ModelParams, config: SolverConfig) -> float
     cover degenerate diffusion plus the unit-diffusivity fields, the upwinded
     drift, and the reaction respectively.
     """
-    grid = state.grid
-    h = grid.h
-    max_u = float(np.max(state.u.values))
-    diff_term = 2.0 * grid.dim * (params.m * (max_u + params.eps_reg) ** (params.m - 1.0) + 1.0)
-    drift_term = h * _max_grad(state.v.values, h)
-    react_term = h * h * params.mu * (params.delta + 1.0) * max(max_u, 1.0) ** params.delta
-    dt = config.cfl_safety * h * h / (diff_term + drift_term + react_term)
-    cap = config.dt_max if config.dt_max is not None else h
-    return min(dt, cap)
+    return _cfl_dt(state.grid, state.u.values, _face_diffs(state.v.values), params, config)[0]
+
+
+def _diffusive_fluxes(tr: np.ndarray, h: float) -> list[np.ndarray]:
+    return [-d / h for d in _face_diffs(tr)]
 
 
 def diffusive_flux(state: StateQuad, params: ModelParams) -> list[np.ndarray]:
@@ -130,14 +152,16 @@ def diffusive_flux(state: StateQuad, params: ModelParams) -> list[np.ndarray]:
     oriented from the denser cell toward vacuum and vanishes identically on
     faces between empty cells.  Boundary faces are zero and are not stored.
     """
-    u = state.u.values
-    h = state.grid.h
-    eps = params.eps_reg
-    if eps > 0.0:
-        tr = (u + eps) ** params.m - eps ** params.m
-    else:
-        tr = u ** params.m
-    return [-np.diff(tr, axis=a) / h for a in range(u.ndim)]
+    return _diffusive_fluxes(_powers(state.u.values, params)[1], state.grid.h)
+
+
+def _chemotactic_fluxes(u, um, dv, phi, h: float, upwind: bool) -> list[np.ndarray]:
+    out = []
+    for (lo, hi), d in zip(_faces(u.ndim), dv):
+        vel = phi.eval(0.5 * (u[lo] + u[hi])) * (d / h)
+        adv = np.where(vel > 0.0, um[lo], um[hi]) if upwind else 0.5 * (um[lo] + um[hi])
+        out.append(vel * adv)
+    return out
 
 
 def chemotactic_flux(state: StateQuad, params: ModelParams, upwind: bool = True) -> list[np.ndarray]:
@@ -149,29 +173,15 @@ def chemotactic_flux(state: StateQuad, params: ModelParams, upwind: bool = True)
     stays intact.
     """
     u = state.u.values
-    v = state.v.values
-    h = state.grid.h
-    um = u ** params.m
-    out = []
-    for a in range(u.ndim):
-        lo = _sl(u.ndim, a, slice(None, -1))
-        hi = _sl(u.ndim, a, slice(1, None))
-        vel = params.phi.eval(0.5 * (u[lo] + u[hi])) * (np.diff(v, axis=a) / h)
-        if upwind:
-            adv = np.where(vel > 0.0, um[lo], um[hi])
-        else:
-            adv = 0.5 * (um[lo] + um[hi])
-        out.append(vel * adv)
-    return out
+    return _chemotactic_fluxes(u, _powers(u, params)[0], _face_diffs(state.v.values), params.phi, state.grid.h, upwind)
 
 
 def _divergence(fluxes: list[np.ndarray], shape: tuple, h: float) -> np.ndarray:
     """Cell divergence of per-axis interior face fluxes, zero boundary faces."""
     div = np.zeros(shape)
-    ndim = len(shape)
-    for a, f in enumerate(fluxes):
-        div[_sl(ndim, a, slice(None, -1))] += f
-        div[_sl(ndim, a, slice(1, None))] -= f
+    for (lo, hi), f in zip(_faces(len(shape)), fluxes):
+        div[lo] += f
+        div[hi] -= f
     div /= h
     return div
 
@@ -179,10 +189,9 @@ def _divergence(fluxes: list[np.ndarray], shape: tuple, h: float) -> np.ndarray:
 def _lap_apply(values: np.ndarray, h: float) -> np.ndarray:
     """Neumann Laplacian in flux form (for the explicit stepper)."""
     lap = np.zeros_like(values)
-    for a in range(values.ndim):
-        d = np.diff(values, axis=a)
-        lap[_sl(values.ndim, a, slice(None, -1))] += d
-        lap[_sl(values.ndim, a, slice(1, None))] -= d
+    for (lo, hi), d in zip(_faces(values.ndim), _face_diffs(values)):
+        lap[lo] += d
+        lap[hi] -= d
     return lap / (h * h)
 
 
@@ -205,7 +214,7 @@ def _helmholtz_solve(grid: Grid, shift: float, dt: float, rhs: np.ndarray) -> np
     The mean is solved apart as mean/shift and mode 0 of the rest is zeroed,
     which keeps uniform data and the cell sum exact to rounding.
     """
-    mean = float(np.mean(rhs))
+    mean = float(rhs.sum()) / rhs.size
     cx, lam_x = _neumann_eigenbasis(grid.cells[0], grid.h)
     if grid.dim == 1:
         coef = cx @ (rhs - mean)
@@ -217,31 +226,33 @@ def _helmholtz_solve(grid: Grid, shift: float, dt: float, rhs: np.ndarray) -> np
     return mean / shift + cx.T @ (coef / (shift + dt * (lam_x[:, None] + lam_y))) @ cy
 
 
-def step(state: StateQuad, params: ModelParams, config: SolverConfig, dt_cap: float | None = None):
-    """Advance all four fields by one stable step.
+def _time_tolerance(t_end: float) -> float:
+    """Times within this of t_end count as reached; a CFL dt below it is a collapse."""
+    return 1e-12 * max(1.0, abs(t_end))
 
-    Returns (new_state, StepReport).  Order within the step: the cell density
-    moves explicitly off the current v; the matrix decays exactly against the
-    current z; the attractant gains exactly the mass the matrix lost; z then
-    relaxes toward the current u.
+
+def _advance(grid, u, v, w, z, t, params, config, dt_cap, dt_floor):
+    """One step on bare arrays, the kernel of step() and run(): returns new
+    arrays (u, v, w, z), dt and the clipped mass, and never writes its inputs.
+
+    Order within the step: the cell density moves explicitly off the current
+    v; the matrix decays exactly against the current z; the attractant gains
+    exactly the mass the matrix lost; z then relaxes toward the current u.
     """
-    grid = state.grid
     h = grid.h
-    dt = cfl_dt(state, params, config)
+    dv = _face_diffs(v)
+    dt, terms, cap = _cfl_dt(grid, u, dv, params, config)
+    if dt < dt_floor:
+        binds = "dt_max/h cap" if dt == cap else ("diffusion", "drift", "reaction")[terms.index(max(terms))]
+        raise SimulationError("CFL dt %r fell below %r at t=%r: the %s term binds" % (dt, dt_floor, t, binds))
     if dt_cap is not None:
         if dt_cap <= 0.0:
             raise SimulationError("nonpositive dt_cap %r" % dt_cap)
         dt = min(dt, dt_cap)
 
-    u = state.u.values
-    v = state.v.values
-    w = state.w.values
-    z = state.z.values
-
-    fluxes = diffusive_flux(state, params)
-    if params.phi is not None:
-        chemo = chemotactic_flux(state, params, upwind=config.chemo_upwind)
-        fluxes = [f + c for f, c in zip(fluxes, chemo)]
+    um, tr = _powers(u, params)
+    chemo = _chemotactic_fluxes(u, um, dv, params.phi, h, config.chemo_upwind)
+    fluxes = [f + c for f, c in zip(_diffusive_fluxes(tr, h), chemo)]
     u_new = u - dt * _divergence(fluxes, grid.cells, h)
     if params.mu > 0.0:
         u_new += dt * logistic_growth(u, params.mu, params.delta, params.r)
@@ -249,7 +260,7 @@ def step(state: StateQuad, params: ModelParams, config: SolverConfig, dt_cap: fl
     clipped = 0.0
     if config.clip_negative:
         neg = u_new < 0.0
-        if np.any(neg):
+        if neg.any():
             clipped = -float(u_new[neg].sum()) * grid.cell_volume
             u_new[neg] = 0.0
 
@@ -262,33 +273,35 @@ def step(state: StateQuad, params: ModelParams, config: SolverConfig, dt_cap: fl
         z_new = _helmholtz_solve(grid, 1.0 + dt, dt, z + dt * u)
         # the exact solves are >= 0 (M-matrix, rhs >= 0): drop rounding-level negatives only
         for name, x in (("v", v_new), ("z", z_new)):
-            low = float(np.min(x))
+            low = float(x.min())
             if low < 0.0:
-                if low < -1e-12 * float(np.max(x)):  # equivalent to low < -1e-12 max|x|
-                    raise SimulationError("field %s went negative (%r) at t=%r" % (name, low, state.t + dt))
+                if low < -1e-12 * float(x.max()):  # equivalent to low < -1e-12 max|x|
+                    raise SimulationError("field %s went negative (%r) at t=%r" % (name, low, t + dt))
                 np.maximum(x, 0.0, out=x)
     else:
         v_new = v + dt * _lap_apply(v, h) + transferred
         z_new = z + dt * (_lap_apply(z, h) - z + u)
 
-    for name, arr in (("u", u_new), ("v", v_new), ("w", w_new), ("z", z_new)):
-        if not np.all(np.isfinite(arr)):
-            raise SimulationError("field %s lost finiteness at t=%r" % (name, state.t + dt))
+    # a non-finite entry makes the total non-finite; an overflowing total of finite entries falls through
+    if not math.isfinite(np.concatenate((u_new, v_new, w_new, z_new), axis=None).sum()):
+        for name, arr in (("u", u_new), ("v", v_new), ("w", w_new), ("z", z_new)):
+            if not np.isfinite(arr).all():
+                raise SimulationError("field %s lost finiteness at t=%r" % (name, t + dt))
+    return u_new, v_new, w_new, z_new, dt, clipped
 
-    new_state = StateQuad(
-        Field(grid, u_new),
-        Field(grid, v_new),
-        Field(grid, w_new),
-        Field(grid, z_new),
-        state.t + dt,
-    )
-    report = StepReport(
-        dt_used=dt,
-        min_u=float(np.min(u_new)),
-        max_u=float(np.max(u_new)),
-        mass_vw=new_state.mass_vw(),
-        negativity_clipped=clipped,
-    )
+
+def step(state: StateQuad, params: ModelParams, config: SolverConfig, dt_cap: float | None = None):
+    """Advance all four fields by one stable step.
+
+    Returns (new_state, StepReport).  The step runs the same kernel as run();
+    its dt floor is that of a run from state.t to state.t + config.t_end.
+    """
+    grid = state.grid
+    u, v, w, z, dt, clipped = _advance(grid, state.u.values, state.v.values, state.w.values, state.z.values,
+                                       state.t, params, config, dt_cap, _time_tolerance(state.t + config.t_end))
+    new_state = StateQuad(Field(grid, u), Field(grid, v), Field(grid, w), Field(grid, z), state.t + dt)
+    report = StepReport(dt_used=dt, min_u=float(np.min(u)), max_u=float(np.max(u)),
+                        mass_vw=new_state.mass_vw(), negativity_clipped=clipped)
     return new_state, report
 
 
@@ -302,7 +315,7 @@ def peak_coordinate(field: Field) -> tuple[float, ...]:
 
 def max_abs_gradient(field: Field) -> float:
     """Largest face-difference gradient magnitude of a field."""
-    return _max_grad(field.values, field.grid.h)
+    return _max_grad(_face_diffs(field.values), field.grid.h)
 
 
 def max_abs_laplacian(field: Field) -> float:
@@ -324,8 +337,10 @@ def run(
 
     Diagnostics rows and snapshots are emitted at step 0, every
     output_stride steps, and at the final step.  history_sink and
-    snapshot_sink are callables taking a row tuple / a StateQuad.
-    A zero-length run returns the initial state and an empty history.
+    snapshot_sink are callables taking a row tuple / a StateQuad; each
+    emitted state is new, built on the loop's arrays only when it is emitted.
+    A zero-length run returns the initial state and an empty history.  A CFL
+    dt below 1e-12 max(1, |t_end|) raises SimulationError naming the term that binds.
     """
     threshold = diagnostics.SUPPORT_THRESHOLD if support_threshold is None else support_threshold
     history = diagnostics.FrontHistory()
@@ -348,16 +363,20 @@ def run(
             snapshot_sink(s)
 
     emit(state)
+    grid = initial.grid
+    u, v, w, z, t = initial.u.values, initial.v.values, initial.w.values, initial.z.values, initial.t
     steps = 0
     total_clipped = 0.0
-    tiny = 1e-12 * max(1.0, abs(t_end))
-    while steps < budget and (max_steps is not None or state.t < t_end - tiny):
-        cap = None if max_steps is not None else t_end - state.t
-        state, rep = step(state, params, config, dt_cap=cap)
+    tiny = _time_tolerance(t_end)
+    while steps < budget and (max_steps is not None or t < t_end - tiny):
+        cap = None if max_steps is not None else t_end - t
+        u, v, w, z, dt, clipped = _advance(grid, u, v, w, z, t, params, config, cap, tiny)
+        t += dt
         steps += 1
-        total_clipped += rep.negativity_clipped
-        done = steps >= budget or (max_steps is None and state.t >= t_end - tiny)
+        total_clipped += clipped
+        done = steps >= budget or (max_steps is None and t >= t_end - tiny)
         if steps % config.output_stride == 0 or done:
+            state = StateQuad(Field(grid, u), Field(grid, v), Field(grid, w), Field(grid, z), t)
             emit(state)
         if done:
             break

@@ -115,6 +115,12 @@ class TestRunCommand:
         assert captured.startswith("run: ")
         assert "snapshots" in captured
 
+    def test_collapsed_dt_is_numeric_failure(self, tmp_path, capsys):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(TINY_CFG.replace("u = bump 0.0 0.25 0.5", "u = bump 0.0 0.25 1e13"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "diffusion term binds" in capsys.readouterr().err
+
     def test_missing_config_file_is_usage_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 1
 

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from chemofront.model import (
     Grid,
     ModelParams,
     StateQuad,
+    logistic_growth,
 )
 from chemofront.profiles import barenblatt
 from chemofront.solver import (
@@ -97,6 +99,9 @@ class TestFluxes:
         fl = diffusive_flux(s, ModelParams(m=2.0, eps_reg=eps))[0]
         tr = (u + eps) ** 2 - eps**2
         assert np.allclose(fl, -np.diff(tr) / 0.1)
+        # the drift still advects u^m, not T: a rising signal makes every face velocity 1/h, upwind from the left
+        s2 = StateQuad(Field(g, u), Field(g, np.arange(4.0)), Field.full(g, 0.0), Field.full(g, 0.0))
+        assert np.allclose(chemotactic_flux(s2, ModelParams(m=2.0, eps_reg=eps))[0], u[:-1] ** 2 / 0.1)
 
     def test_chemo_flux_upwind_picks_departure_side(self):
         g = Grid((4,), (0.4,), (0.0,))
@@ -341,6 +346,102 @@ class TestRun:
         ratios = [a / b for a, b in zip(diffs, diffs[1:])]
         for ratio in ratios:
             assert 3.6 <= ratio <= 4.4, (diffs, ratios)
+
+
+# (dim, signal, model changes, solver changes); a signal of 50 makes centred advection clip
+KERNEL_CASES = {
+    "1d": (1, 1.0, {}, {}),
+    "2d": (2, 1.0, {}, {}),
+    "no_drift": (1, 1.0, {"phi": ConstantSensitivity(0.0)}, {}),
+    "upwind_off": (1, 50.0, {}, {"chemo_upwind": False}),
+    "explicit_2d": (2, 1.0, {}, {"v_z_stepper": "explicit"}),
+    "eps_reg": (1, 1.0, {"eps_reg": 0.05}, {}),
+    "clip_off": (1, 50.0, {}, {"clip_negative": False, "chemo_upwind": False}),
+}
+
+
+def kernel_case(case):
+    """(state, params, config) of a KERNEL_CASES entry: a bump under an
+    attractant peaked at the origin, on 32 cells or 12 x 16."""
+    dim, signal, model_changes, solver_changes = KERNEL_CASES[case]
+    g = Grid((32,), (2.0,), (-1.0,)) if dim == 1 else Grid((12, 16), (1.5, 2.0), (-0.75, -1.0))
+    origin = (0.0,) * dim
+    v = Field(g, signal * (2.0 - g.center_distance2(origin)))
+    state = StateQuad(bump_field(g, origin, 0.5, 0.8), v, Field.full(g, 1.0), Field.full(g, 0.5))
+    params = dataclasses.replace(STANDARD_MODEL, **model_changes)
+    return state, params, dataclasses.replace(SolverConfig(t_end=1.0, output_stride=7), **solver_changes)
+
+
+class TestKernel:
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_run_equals_repeated_step_bit_for_bit(self, case):
+        initial, params, cfg = kernel_case(case)
+        res = run(initial, params, cfg, max_steps=40)
+        state, total = initial, 0.0
+        for _ in range(40):
+            state, rep = step(state, params, cfg)
+            total += rep.negativity_clipped
+        for name in ("u", "v", "w", "z"):
+            assert np.array_equal(getattr(res.final, name).values, getattr(state, name).values), name
+        assert res.final.t == state.t
+        assert res.total_clipped == total
+        if case == "upwind_off":
+            assert total > 0.0  # the clipping path ran
+        if case == "clip_off":
+            assert np.min(state.u.values) < 0.0
+
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_step_moves_u_by_the_public_cfl_and_fluxes(self, case):
+        s, params, cfg = kernel_case(case)
+        out, rep = step(s, params, cfg)
+        assert rep.dt_used == cfl_dt(s, params, cfg)
+        fluxes = [f + c for f, c in zip(diffusive_flux(s, params), chemotactic_flux(s, params, cfg.chemo_upwind))]
+        u = s.u.values
+        expected = u - rep.dt_used * solver._divergence(fluxes, s.grid.cells, s.grid.h)
+        expected += rep.dt_used * logistic_growth(u, params.mu, params.delta, params.r)
+        if cfg.clip_negative:
+            expected[expected < 0.0] = 0.0
+        assert np.array_equal(out.u.values, expected)
+
+    def test_nan_attractant_solve_names_field_v(self, monkeypatch):
+        monkeypatch.setattr(solver, "_helmholtz_solve", lambda grid, shift, dt, rhs: np.full(rhs.shape, np.nan))
+        with pytest.raises(SimulationError, match="field v lost finiteness"):
+            run(make_standard_initial(cells=32), STANDARD_MODEL, SolverConfig(t_end=1.0))
+
+    def test_nan_density_names_field_u(self, monkeypatch):
+        monkeypatch.setattr(solver, "logistic_growth", lambda u, mu, delta, r: np.full(u.shape, np.nan))
+        with pytest.raises(SimulationError, match="field u lost finiteness"):
+            run(make_standard_initial(cells=32), STANDARD_MODEL, SolverConfig(t_end=1.0))
+
+    def test_emitted_states_are_distinct_and_unchanged(self):
+        initial = make_standard_initial(cells=64)
+        cfg = SolverConfig(t_end=1.0, output_stride=7)
+        kept, copies = [], []
+        run(initial, STANDARD_MODEL, cfg, snapshot_sink=kept.append, max_steps=50)
+        run(initial, STANDARD_MODEL, cfg, snapshot_sink=lambda s: copies.append(s.copy()), max_steps=50)
+        assert len(kept) == len(copies) == 9  # steps 0, 7, ..., 49 and 50
+        arrays = [getattr(s, name).values for s in kept for name in ("u", "v", "w", "z")]
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+        for s, c in zip(kept, copies):
+            assert s.t == c.t
+            for name in ("u", "v", "w", "z"):
+                assert np.array_equal(getattr(s, name).values, getattr(c, name).values)
+
+    @pytest.mark.parametrize("term", ["diffusion", "drift", "reaction", "dt_max/h cap"])
+    def test_collapsed_dt_raises_at_once_naming_the_binding_term(self, term):
+        g = Grid((64,), (2.0,), (-1.0,))
+        height = 1e13 if term == "diffusion" else 0.5
+        signal = 1e13 * g.axis_centers(0) ** 2 if term == "drift" else np.zeros(64)
+        params = dataclasses.replace(STANDARD_MODEL, mu=1e16 if term == "reaction" else 1.0)
+        cfg = SolverConfig(t_end=1.0, dt_max=1e-14 if term == "dt_max/h cap" else None)
+        s = StateQuad(bump_field(g, (0.0,), 0.25, height), Field(g, signal), Field.full(g, 1.0), Field.full(g, 0.0))
+        rows = []
+        with pytest.raises(SimulationError, match="the %s term binds" % term):
+            run(s, params, cfg, history_sink=rows.append)
+        assert len(rows) == 1  # only the initial row: the first step raised
+        with pytest.raises(SimulationError, match="the %s term binds" % term):
+            step(s, params, cfg)
 
 
 def test_peak_coordinate_finds_bump_center():
