@@ -4,7 +4,9 @@ Loads all particles on the center site, lets the pushing kernel spread them,
 and measures the L1 gap between the seed-averaged coarse density and the
 matching nonlinear-diffusion run.  The gap should shrink as the particle
 count grows; capacity is scaled with the load so the relative density starts
-at the same height every time.
+at the same height every time.  The ensemble and the continuum run are the
+library's lattice.run_ensemble and lattice.continuum_twin, as in the CLI's
+lattice command.
 """
 
 import argparse
@@ -13,41 +15,6 @@ import sys
 import numpy as np
 
 from chemofront import lattice as lat
-from chemofront.model import ConstantSensitivity, Field, Grid, ModelParams, StateQuad
-from chemofront.solver import SolverConfig, run
-
-
-def ensemble_mean(particles, u_max, args):
-    densities = []
-    for k in range(args.seeds):
-        occupancy = np.zeros(args.sites, dtype=np.int64)
-        occupancy[args.sites // 2] = particles
-        state = lat.LatticeState(
-            occupancy=occupancy,
-            u_max=u_max,
-            v=np.zeros(args.sites),
-            z=np.zeros(args.sites),
-            m=args.m,
-            seed=args.seed + k,
-            spacing=args.extent / args.sites,
-            origin=-args.extent / 2.0,
-        )
-        state, _, _ = lat.run_adaptive(state, args.t_end, args.leap_fraction)
-        densities.append(lat.coarse_density(state, args.cells_per_bin))
-    coarse = densities[0]
-    return coarse.grid, np.mean([d.values for d in densities], axis=0)
-
-
-def continuum_twin(grid, u0, args):
-    initial = StateQuad(
-        Field(grid, u0),
-        Field.full(grid, 0.0),
-        Field.full(grid, 0.0),
-        Field.full(grid, 0.0),
-        t=0.0,
-    )
-    params = ModelParams(m=args.m, delta=1.0, mu=0.0, r=1.0, phi=ConstantSensitivity(0.0))
-    return run(initial, params, SolverConfig(t_end=args.t_end, output_stride=10**9)).final
 
 
 def main(argv=None):
@@ -67,23 +34,22 @@ def main(argv=None):
     for particles in (int(s) for s in args.particles.split(",")):
         # capacity tracks the load so the initial relative density is 4 everywhere
         u_max = max(1, particles // 4)
-        grid, mean = ensemble_mean(particles, u_max, args)
-
-        # continuum run starts from the binned t=0 mound, not the ideal delta
-        occupancy = np.zeros(args.sites, dtype=np.int64)
-        occupancy[args.sites // 2] = particles
-        probe = lat.LatticeState(
-            occupancy=occupancy,
+        config = lat.LatticeConfig(
+            sites=args.sites,
             u_max=u_max,
-            v=np.zeros(args.sites),
-            z=np.zeros(args.sites),
-            m=args.m,
-            spacing=args.extent / args.sites,
+            particles=particles,
+            t_end=args.t_end,
+            seeds=args.seeds,
+            cells_per_bin=args.cells_per_bin,
+            leap_fraction=args.leap_fraction,
+            extent=args.extent,
             origin=-args.extent / 2.0,
         )
-        u0 = lat.coarse_density(probe, args.cells_per_bin).values
-        final = continuum_twin(grid, u0, args)
-        l1 = float(np.abs(mean - final.u.values).sum()) * grid.cell_volume
+        members = lat.run_ensemble(config, args.m, args.seed)
+        mean = np.mean([mem.density.values for mem in members], axis=0)
+        # the continuum run starts from the binned t=0 mound, not the ideal delta
+        twin = lat.continuum_twin(config, args.m)
+        l1 = float(np.abs(mean - twin.values).sum()) * twin.grid.cell_volume
         print("%-10d %-8d %.5f" % (particles, u_max, l1))
     return 0
 

@@ -23,9 +23,9 @@ import numpy as np
 
 from . import config_io, diagnostics, lattice as lattice_mod, profiles, solver
 from .config_io import ConfigError, RunConfig, SnapshotError
-from .model import ConstantSensitivity, Field, Grid, ModelParams, StateQuad
+from .model import Field, Grid, StateQuad
 from .profiles import ConstructionError
-from .solver import SimulationError, SolverConfig
+from .solver import SimulationError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -428,89 +428,38 @@ def cmd_lattice(args) -> int:
     if cfg.lattice is None:
         raise _UsageError("config %s has no [lattice] section" % args.config)
     lat = cfg.lattice
+    m = cfg.model.m
     out_dir = args.out if args.out is not None else cfg.out_dir
     base_seed = args.seed if args.seed is not None else cfg.seed
     os.makedirs(out_dir, exist_ok=True)
+    try:
+        lattice_mod.initial_state(lat, m, base_seed)  # members differ only in their seed
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
-    spacing = lat.extent / lat.sites
-    occupancy0 = np.zeros(lat.sites, dtype=np.int64)
-    occupancy0[lat.sites // 2] = lat.particles
-    flat = np.zeros(lat.sites)
-
-    def make_state(seed: int) -> lattice_mod.LatticeState:
-        try:
-            return lattice_mod.LatticeState(
-                occupancy=occupancy0.copy(),
-                u_max=lat.u_max,
-                v=flat,
-                z=flat,
-                m=cfg.model.m,
-                alpha=lat.alpha,
-                beta_sens=ConstantSensitivity(lat.beta),
-                kernel=lat.kernel,
-                seed=seed,
-                spacing=spacing,
-                origin=lat.origin,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-
-    densities = []
-    rows = []
-    total_violations = 0
-    for i in range(lat.seeds):
-        state = make_state(base_seed + i)
-        state, t_reached, _ = lattice_mod.run_adaptive(state, lat.t_end, lat.leap_fraction)
-        coarse = lattice_mod.coarse_density(state, lat.cells_per_bin)
-        densities.append(coarse.values)
-        total_violations += state.capacity_violations
-        centers = coarse.grid.axis_centers(0)
-        for b, (x, val) in enumerate(zip(centers, coarse.values)):
-            rows.append((base_seed + i, t_reached, b, x, val))
-
+    members = lattice_mod.run_ensemble(lat, m, base_seed)
     with open(os.path.join(out_dir, "ensemble.csv"), "w", encoding="ascii") as fh:
         fh.write("seed,time,bin,center,density\n")
-        for seed, t_r, b, x, val in rows:
-            fh.write("%d,%.17g,%d,%.17g,%.17g\n" % (seed, t_r, b, x, val))
-    mean = np.mean(densities, axis=0)
+        for mem in members:
+            centers = mem.density.grid.axis_centers(0)
+            for b, (x, val) in enumerate(zip(centers, mem.density.values)):
+                fh.write("%d,%.17g,%d,%.17g,%.17g\n" % (mem.seed, mem.t, b, x, val))
+    mean = np.mean([mem.density.values for mem in members], axis=0)
     print(
         "lattice: %d seeds, %d sites, %d capacity flags, ensemble.csv in %s"
-        % (lat.seeds, lat.sites, total_violations, out_dir)
+        % (lat.seeds, lat.sites, sum(mem.capacity_violations for mem in members), out_dir)
     )
 
     if not lat.compare_pde and args.tol_l1 is None:
         return EXIT_OK
 
-    # continuum twin: same coarse grid, binned initial mound, pure degenerate
-    # diffusion of the relative density (drift is zero over a flat signal)
-    bins = lat.sites // lat.cells_per_bin
-    grid = Grid(cells=(bins,), extent=(lat.extent,), origin=(lat.origin,))
-    init_state0 = make_state(base_seed)
-    u0 = lattice_mod.coarse_density(init_state0, lat.cells_per_bin)
-    pde_initial = StateQuad(
-        Field(grid, u0.values.copy()),
-        Field.full(grid, 0.0),
-        Field.full(grid, 0.0),
-        Field.full(grid, 0.0),
-        t=0.0,
-    )
-    pde_params = ModelParams(
-        m=cfg.model.m, delta=1.0, mu=0.0, r=1.0, phi=ConstantSensitivity(0.0), eps_reg=0.0
-    )
-    # per-particle rates carry a factor alpha, the continuum run does not
-    pde_config = SolverConfig(t_end=lat.alpha * lat.t_end, output_stride=10**9)
-    pde_final = solver.run(pde_initial, pde_params, pde_config).final
-
-    diff = np.abs(mean - pde_final.u.values)
-    l1 = float(np.sum(diff)) * grid.cell_volume
+    twin = lattice_mod.continuum_twin(lat, m)
+    diff = np.abs(mean - twin.values)
+    l1 = float(np.sum(diff)) * twin.grid.cell_volume
     with open(os.path.join(out_dir, "compare.csv"), "w", encoding="ascii") as fh:
         fh.write("bin,center,lattice_mean,continuum,abs_diff\n")
-        centers = grid.axis_centers(0)
-        for b in range(bins):
-            fh.write(
-                "%d,%.17g,%.17g,%.17g,%.17g\n"
-                % (b, centers[b], mean[b], pde_final.u.values[b], diff[b])
-            )
+        for b, x in enumerate(twin.grid.axis_centers(0)):
+            fh.write("%d,%.17g,%.17g,%.17g,%.17g\n" % (b, x, mean[b], twin.values[b], diff[b]))
     print("lattice: L1 distance to continuum run %.6g (compare.csv written)" % l1)
     if args.tol_l1 is not None and l1 > args.tol_l1:
         print("lattice: L1 %.6g exceeds tolerance %.6g" % (l1, args.tol_l1), file=sys.stderr)

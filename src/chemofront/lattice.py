@@ -12,26 +12,44 @@ kernels:
 With q(s) = s^(m-1) and flat signal every kernel relaxes to the degenerate
 diffusion u_t = (u^m)_xx.  Time advances by tau leaping with per-site
 binomial (multinomial) draws, which conserves particles exactly.
+
+run_adaptive leaps on a bare occupancy array.  v and z are frozen in a
+LatticeState, so the transduced signal gaps and beta are evaluated once per
+run; each leap evaluates the rates once, and that one result sets both dt and
+the multinomial draw.  Every leap still checks the overflow cap and counts
+the sites above u_max; a LatticeState, with its full validation, is built
+only for the final state.  A leap dt below 1e-12 * max(1, t_end), the
+tolerance the continuum solver uses for t_end, raises ValueError, so a run
+that can never reach t_end stops at once.  step_tau_leap is the checked
+public step (dt > 0, leap condition) over the same leap kernel.
+
+run_ensemble and continuum_twin run a [lattice] section: the seeded members
+one after another, and the matching continuum run.  The CLI's lattice command
+and scripts/lattice_vs_pde.py both use them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .model import ConstantSensitivity, Field, Grid, jump_probability
+from . import solver
+from .model import ConstantSensitivity, Field, Grid, ModelParams, StateQuad, jump_probability
 
 __all__ = [
     "KERNELS",
     "LatticeConfig",
     "LatticeState",
-    "transition_rates",
     "rate_arrays",
     "step_tau_leap",
     "coarse_density",
     "run_adaptive",
+    "initial_state",
+    "Member",
+    "run_ensemble",
+    "continuum_twin",
 ]
 
 KERNELS = ("volume_filling", "pushing", "quorum_pushing")
@@ -149,50 +167,75 @@ class LatticeState:
         return int(self.occupancy.sum())
 
 
-def rate_arrays(s: LatticeState):
-    """Per-particle jump rates (to_left, to_right) for every site.
+def _gains(s: LatticeState):
+    """alpha -/+ beta * (tau(v) gap) on the faces, for jumps to the left and right.
 
-    Reflecting boundaries show up as zero outward rates at the ends; negative
-    raw rates (strong adverse drift) clamp to zero.
+    v and z are frozen in a state, so a run evaluates these once.
     """
-    dens = s.relative_density()
-    q = jump_probability(dens, s.m)
     tau_v = np.asarray(s.tau_of_v(s.v), dtype=float)
     # quorum_pushing reads the coefficient off the departure site's z,
     # the other kernels carry a constant coefficient
     beta = s.beta_sens.eval(s.z)
-
-    scale = 1.0 / (s.spacing * s.spacing)
-    left = np.zeros(s.sites)
-    right = np.zeros(s.sites)
     dtau_r = tau_v[1:] - tau_v[:-1]  # transduced signal gap across face (i, i+1)
+    return s.alpha - beta[1:] * dtau_r, s.alpha + beta[:-1] * dtau_r
+
+
+def _rates(s: LatticeState, occupancy: np.ndarray, gain_l, gain_r):
+    """rate_arrays for the occupancy given, with the constants of s."""
+    q = jump_probability(occupancy / float(s.u_max), s.m)
+    left = np.zeros(occupancy.size)
+    right = np.zeros(occupancy.size)
     if s.kernel == "volume_filling":
         q_r = q[1:]  # q at the destination
         q_l = q[:-1]
     else:
         q_r = q[:-1]  # q at the departure site
         q_l = q[1:]
-    right[:-1] = q_r * (s.alpha + beta[:-1] * dtau_r)
-    left[1:] = q_l * (s.alpha - beta[1:] * dtau_r)
+    right[:-1] = q_r * gain_r
+    left[1:] = q_l * gain_l
     np.clip(left, 0.0, None, out=left)
     np.clip(right, 0.0, None, out=right)
+    scale = 1.0 / (s.spacing * s.spacing)
     return left * scale, right * scale
 
 
-def transition_rates(s: LatticeState, i: int):
-    """Rates (to_left, to_right) for one site; see rate_arrays."""
-    if not (0 <= i < s.sites):
-        raise ValueError("site index %r out of range" % i)
-    left, right = rate_arrays(s)
-    return float(left[i]), float(right[i])
+def rate_arrays(s: LatticeState):
+    """Per-particle jump rates (to_left, to_right) for every site.
+
+    Reflecting boundaries show up as zero outward rates at the ends; negative
+    raw rates (strong adverse drift) clamp to zero.
+    """
+    return _rates(s, s.occupancy, *_gains(s))
+
+
+def _leap(occupancy: np.ndarray, left, right, dt: float, rng, u_max: int):
+    """One multinomial leap on bare counts: (new counts, sites above u_max).
+
+    Every particle moves at most once, so the total is conserved exactly;
+    the input array is not written.
+    """
+    p_left = left * dt
+    p_right = right * dt
+    stay = 1.0 - p_left - p_right
+    moves = rng.multinomial(occupancy, np.stack([p_left, p_right, stay], axis=-1))
+    go_left = moves[:, 0]
+    go_right = moves[:, 1]
+
+    occ = occupancy - go_left - go_right
+    occ[:-1] += go_left[1:]
+    occ[1:] += go_right[:-1]
+
+    cap = OVERFLOW_FACTOR * u_max
+    if np.any(occ > cap):
+        raise ValueError("occupancy exceeded the overflow cap %d during a leap" % cap)
+    return occ, int(np.count_nonzero(occ > u_max))
 
 
 def step_tau_leap(s: LatticeState, dt: float) -> LatticeState:
     """Advance the occupancies by dt with one multinomial leap per site.
 
-    Requires dt * max rate <= 0.1 so the frozen-rate approximation holds;
-    every particle moves at most once, hence the total count is conserved
-    exactly.  Returns a new state (the generator advances in place).
+    Requires dt * max rate <= 0.1 so the frozen-rate approximation holds.
+    Returns a new state (the generator advances in place).
     """
     if not (dt > 0.0):
         raise ValueError("dt must be positive")
@@ -203,61 +246,41 @@ def step_tau_leap(s: LatticeState, dt: float) -> LatticeState:
             "leap condition violated: dt * max_rate = %g exceeds %g"
             % (dt * max_rate, LEAP_LIMIT)
         )
-    p_left = left * dt
-    p_right = right * dt
-    stay = 1.0 - p_left - p_right
-    pvals = np.stack([p_left, p_right, stay], axis=-1)
-    moves = s.rng.multinomial(s.occupancy, pvals)
-    go_left = moves[:, 0]
-    go_right = moves[:, 1]
-
-    occ = s.occupancy - go_left - go_right
-    occ[:-1] += go_left[1:]
-    occ[1:] += go_right[:-1]
-
-    cap = OVERFLOW_FACTOR * s.u_max
-    if np.any(occ > cap):
-        raise ValueError("occupancy exceeded the overflow cap %d during a leap" % cap)
-    violations = s.capacity_violations + int(np.count_nonzero(occ > s.u_max))
-
-    return LatticeState(
-        occupancy=occ,
-        u_max=s.u_max,
-        v=s.v,
-        z=s.z,
-        m=s.m,
-        alpha=s.alpha,
-        beta_sens=s.beta_sens,
-        tau_of_v=s.tau_of_v,
-        kernel=s.kernel,
-        seed=s.seed,
-        spacing=s.spacing,
-        origin=s.origin,
-        capacity_violations=violations,
-        rng=s.rng,
-    )
+    occ, flags = _leap(s.occupancy, left, right, dt, s.rng, s.u_max)
+    return replace(s, occupancy=occ, capacity_violations=s.capacity_violations + flags)
 
 
 def run_adaptive(s: LatticeState, t_end: float, leap_fraction: float = 0.5):
     """Leap to t_end, each step sized at leap_fraction of the allowed limit.
 
     Returns (state, t_reached, steps).  leap_fraction in (0, 1] trades steps
-    for leap bias.
+    for leap bias.  A leap dt below 1e-12 * max(1, t_end) raises ValueError.
     """
     if not (0.0 < leap_fraction <= 1.0):
         raise ValueError("leap_fraction must lie in (0, 1], got %r" % leap_fraction)
+    gains = _gains(s)
+    floor = solver._time_tolerance(t_end)
+    occ = s.occupancy
+    flags = s.capacity_violations
     t = 0.0
     steps = 0
     while t < t_end * (1.0 - 1e-12):
-        left, right = rate_arrays(s)
+        left, right = _rates(s, occ, *gains)
         max_rate = max(float(left.max()), float(right.max()))
         if max_rate <= 0.0:
             break  # frozen configuration, nothing will ever move
-        dt = min(leap_fraction * LEAP_LIMIT / max_rate, t_end - t)
-        s = step_tau_leap(s, dt)
+        dt = leap_fraction * LEAP_LIMIT / max_rate
+        if dt < floor:
+            raise ValueError(
+                "lattice leap dt %.3g fell below the floor %.3g = 1e-12 * max(1, t_end): "
+                "max rate %.6g at t = %.6g" % (dt, floor, max_rate, t)
+            )
+        dt = min(dt, t_end - t)
+        occ, new_flags = _leap(occ, left, right, dt, s.rng, s.u_max)
+        flags += new_flags
         t += dt
         steps += 1
-    return s, t, steps
+    return replace(s, occupancy=occ, capacity_violations=flags), t, steps
 
 
 def coarse_density(s: LatticeState, cells_per_bin: int) -> Field:
@@ -280,3 +303,58 @@ def coarse_density(s: LatticeState, cells_per_bin: int) -> Field:
         origin=(s.origin,),
     )
     return Field(grid, dens)
+
+
+def initial_state(config: LatticeConfig, m: float, seed: int) -> LatticeState:
+    """The state a [lattice] section starts from: every particle on the centre site, flat signal."""
+    occupancy = np.zeros(config.sites, dtype=np.int64)
+    occupancy[config.sites // 2] = config.particles
+    flat = np.zeros(config.sites)
+    return LatticeState(
+        occupancy=occupancy,
+        u_max=config.u_max,
+        v=flat,
+        z=flat,
+        m=m,
+        alpha=config.alpha,
+        beta_sens=ConstantSensitivity(config.beta),
+        kernel=config.kernel,
+        seed=seed,
+        spacing=config.extent / config.sites,
+        origin=config.origin,
+    )
+
+
+@dataclass(frozen=True)
+class Member:
+    """One finished ensemble member and its coarse relative density."""
+
+    seed: int
+    t: float
+    capacity_violations: int
+    density: Field
+
+
+def run_ensemble(config: LatticeConfig, m: float, base_seed: int) -> list[Member]:
+    """Run config.seeds members, seeded base_seed, base_seed + 1, ..., one after another."""
+    members = []
+    for seed in range(base_seed, base_seed + config.seeds):
+        state, t, _ = run_adaptive(initial_state(config, m, seed), config.t_end, config.leap_fraction)
+        members.append(Member(seed, t, state.capacity_violations, coarse_density(state, config.cells_per_bin)))
+    return members
+
+
+def continuum_twin(config: LatticeConfig, m: float) -> Field:
+    """Final density of the continuum run that the ensemble mean should match.
+
+    Pure degenerate diffusion of the relative density (the drift vanishes over
+    a flat signal) on the coarse grid, from the binned t = 0 mound, to
+    alpha * t_end: every per-particle rate carries a factor alpha, the PDE not.
+    """
+    u0 = coarse_density(initial_state(config, m, 0), config.cells_per_bin)
+    grid = Grid(cells=u0.grid.cells, extent=(config.extent,), origin=(config.origin,))
+    zero = Field.full(grid, 0.0)
+    initial = StateQuad(Field(grid, u0.values), zero, zero, zero, t=0.0)
+    params = ModelParams(m=m, delta=1.0, mu=0.0, r=1.0, phi=ConstantSensitivity(0.0), eps_reg=0.0)
+    pde_config = solver.SolverConfig(t_end=config.alpha * config.t_end, output_stride=10**9)
+    return solver.run(initial, params, pde_config).final.u

@@ -23,7 +23,6 @@ __all__ = [
     "ModelParams",
     "StateQuad",
     "jump_probability",
-    "sensitivity_eval",
     "logistic_growth",
 ]
 
@@ -224,11 +223,6 @@ class TabulatedSensitivity:
         if u.ndim == 0:
             return float(out)
         return out
-
-
-def sensitivity_eval(u, rule):
-    """Evaluate a sensitivity rule at u (scalar or array)."""
-    return rule.eval(u)
 
 
 @dataclass(frozen=True)

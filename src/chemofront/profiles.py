@@ -20,13 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Field
-
 __all__ = [
     "ConstructionError",
     "ProfileParams",
     "barenblatt",
     "select_lower_profile",
+    "lower_profile_branches",
     "select_upper_profile",
     "lower_plateau",
     "BlowupResult",
@@ -34,7 +33,6 @@ __all__ = [
     "OdeEnvelopeParams",
     "EnvelopeResult",
     "convergence_envelopes",
-    "exact_ecm_decay",
 ]
 
 
@@ -178,14 +176,8 @@ def select_lower_profile(
         raise ValueError("seed_radius and diam must be positive")
     if not (c1 > 0.0 and c2 > 0.0):
         raise ValueError("gradient bounds c1, c2 must be positive")
-    d = 1.0 / (m - 1.0)
     eta = seed_radius * seed_radius
-    eps = min(
-        (1.0 / (8.0 * n * m)) ** d,
-        (1.0 / (8.0 * m * (m - 1.0) * c1 * diam)) ** d,
-        seed_height / seed_radius ** (2.0 * d),
-        (mu / (2.0 * c2)) ** (1.0 / (m - delta)),
-    )
+    eps = min(lower_profile_branches(m, n, mu, delta, seed_radius, seed_height, diam, c1, c2))
     beta = min(4.0 * eps ** (m - 1.0) * m / (m - 1.0), 0.499)
     kappa = (1.0 - beta) / (m - 1.0)
     return ProfileParams(
@@ -201,7 +193,7 @@ def select_lower_profile(
 
 
 def lower_profile_branches(m, n, mu, delta, seed_radius, seed_height, diam, c1, c2):
-    """The four amplitude branches of the sub-profile, for auditing."""
+    """The four amplitude branches of the sub-profile; select_lower_profile takes their minimum."""
     d = 1.0 / (m - 1.0)
     return (
         (1.0 / (8.0 * n * m)) ** d,
@@ -458,11 +450,3 @@ def convergence_envelopes(p: OdeEnvelopeParams, t_end: float, dt: float, tol: fl
         raise ConstructionError("envelope ordering lower < 1 < upper failed along the path")
     return EnvelopeResult(t=ts, upper=upper, lower=lower, step_used=(t_end - p.t_start) / (n0 * refine))
 
-
-def exact_ecm_decay(w0: Field, z_integral: Field) -> Field:
-    """Matrix after enzyme exposure: w0 * exp(-int z dt), cell by cell."""
-    if w0.grid != z_integral.grid:
-        raise ValueError("fields must share a grid")
-    if np.any(z_integral.values < 0.0):
-        raise ValueError("accumulated enzyme exposure must be >= 0")
-    return Field(w0.grid, w0.values * np.exp(-z_integral.values))

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -294,6 +295,21 @@ class TestLatticeCommand:
         code = main(["lattice", "--config", str(cfg), "--out", str(out), "--tol-l1", "1e-12"])
         assert code == 3
         assert "exceeds tolerance" in capsys.readouterr().err
+
+    def test_unreachable_t_end_is_numeric_failure(self, tmp_path, capsys):
+        cfg = tmp_path / "lat.cfg"
+        cfg.write_text(LATTICE_CFG.replace("t_end = 0.05\nseeds", "t_end = 1e300\nseeds"))
+        t0 = time.perf_counter()
+        code = main(["lattice", "--config", str(cfg), "--out", str(tmp_path / "lat_far")])
+        assert code == 2
+        assert time.perf_counter() - t0 < 10.0
+        assert "below the floor 1e+288" in capsys.readouterr().err
+
+    def test_state_the_config_cannot_build_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "lat.cfg"
+        cfg.write_text(LATTICE_CFG.replace("u_max = 50", "u_max = 30"))  # 150 > 4 * 30
+        assert main(["lattice", "--config", str(cfg), "--out", str(tmp_path / "lat_cap")]) == 1
+        assert "overflow cap 120" in capsys.readouterr().err
 
     def test_latticeless_config_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "plain.cfg"

@@ -1,7 +1,12 @@
+import importlib.util
+import math
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chemofront import lattice
 from chemofront.lattice import (
     KERNELS,
     LEAP_LIMIT,
@@ -9,10 +14,12 @@ from chemofront.lattice import (
     LatticeConfig,
     LatticeState,
     coarse_density,
+    continuum_twin,
+    initial_state,
     rate_arrays,
     run_adaptive,
+    run_ensemble,
     step_tau_leap,
-    transition_rates,
 )
 from chemofront.model import ConstantSensitivity, LinearSwitchSensitivity
 
@@ -82,13 +89,14 @@ class TestLatticeConfig:
 class TestRates:
     def test_pushing_flat_signal_at_half_density(self):
         s = make_state([50, 50, 50, 50], u_max=100, m=2.0, alpha=1.0)
-        left, right = transition_rates(s, 1)
-        assert left == pytest.approx(0.5)
-        assert right == pytest.approx(0.5)
+        left, right = rate_arrays(s)
+        assert left[1] == pytest.approx(0.5)
+        assert right[1] == pytest.approx(0.5)
 
     def test_empty_site_emits_nothing(self):
         s = make_state([0, 0, 0, 0])
-        assert transition_rates(s, 1) == (0.0, 0.0)
+        left, right = rate_arrays(s)
+        assert (left[1], right[1]) == (0.0, 0.0)
 
     def test_reflecting_boundaries(self):
         s = make_state([50, 50, 50, 50])
@@ -98,9 +106,9 @@ class TestRates:
 
     def test_volume_filling_reads_destination_density(self):
         s = make_state([100, 50, 0, 50], u_max=100, kernel="volume_filling")
-        left, right = transition_rates(s, 1)
-        assert left == pytest.approx(1.0)   # q at the full left neighbor
-        assert right == pytest.approx(0.0)  # q at the empty right neighbor
+        left, right = rate_arrays(s)
+        assert left[1] == pytest.approx(1.0)   # q at the full left neighbor
+        assert right[1] == pytest.approx(0.0)  # q at the empty right neighbor
 
     def test_rate_scale_is_inverse_spacing_squared(self):
         a = make_state([50, 50, 50, 50], spacing=1.0)
@@ -141,10 +149,20 @@ class TestRates:
         assert np.allclose(ql, pl)
         assert np.allclose(qr, pr)
 
-    def test_site_index_bounds(self):
-        s = make_state([1, 1, 1, 1])
-        with pytest.raises(ValueError):
-            transition_rates(s, 4)
+
+    def test_quorum_kernel_reads_beta_at_the_departure_site(self):
+        v = np.linspace(0.0, 0.3, 6)
+        z = np.linspace(0.0, 1.0, 6)
+        s = LatticeState(
+            occupancy=np.array([40] * 6, dtype=np.int64), u_max=100,
+            v=v, z=z, m=2.0, beta_sens=LinearSwitchSensitivity(1.0),
+            kernel="quorum_pushing",
+        )
+        left, right = rate_arrays(s)
+        beta = 1.0 - z
+        dv = np.diff(v)
+        assert np.allclose(right[:-1], 0.4 * (1.0 + beta[:-1] * dv), rtol=1e-14)
+        assert np.allclose(left[1:], 0.4 * (1.0 - beta[1:] * dv), rtol=1e-14)
 
 
 class TestLeaping:
@@ -210,6 +228,126 @@ class TestLeaping:
         live = se > 0.0
         assert np.all(np.abs(mean[live]) <= 3.0 * se[live])
         assert np.all(mean[~live] == 0.0)
+
+
+def _checked_loop(s, t_end, leap_fraction=0.5):
+    """run_adaptive's dt rule spelled out on the public, checked API."""
+    t, steps = 0.0, 0
+    while t < t_end * (1.0 - 1e-12):
+        left, right = rate_arrays(s)
+        max_rate = max(float(left.max()), float(right.max()))
+        if max_rate <= 0.0:
+            break
+        dt = min(leap_fraction * LEAP_LIMIT / max_rate, t_end - t)
+        s = step_tau_leap(s, dt)
+        t += dt
+        steps += 1
+    return s, t, steps
+
+
+def _mound(n_sites, load):
+    occ = np.zeros(n_sites, dtype=np.int64)
+    occ[n_sites // 2] = load
+    return occ
+
+
+ONE_PATH_CASES = {
+    "pushing": lambda: make_state(_mound(21, 300), u_max=100, seed=11),
+    "volume_filling": lambda: make_state(
+        _mound(21, 300), u_max=100, beta=0.5, v=np.linspace(0.0, 2.0, 21),
+        kernel="volume_filling", seed=12),
+    "quorum_pushing": lambda: LatticeState(
+        occupancy=np.full(16, 30, dtype=np.int64), u_max=100,
+        v=np.linspace(0.0, 30.0, 16), z=np.linspace(0.0, 2.0, 16), m=2.5, alpha=0.5,
+        beta_sens=LinearSwitchSensitivity(1.0), kernel="quorum_pushing", seed=13,
+        spacing=0.5),
+    "capacity_flags": lambda: make_state([150, 0, 150, 0, 150], u_max=100, seed=14),
+}
+
+
+class TestOnePath:
+    @pytest.mark.parametrize("case", sorted(ONE_PATH_CASES))
+    def test_run_adaptive_matches_checked_steps_bit_for_bit(self, case):
+        fast, t_fast, n_fast = run_adaptive(ONE_PATH_CASES[case](), 2.0)
+        ref, t_ref, n_ref = _checked_loop(ONE_PATH_CASES[case](), 2.0)
+        assert np.array_equal(fast.occupancy, ref.occupancy)
+        assert t_fast == t_ref
+        assert n_fast == n_ref > 10
+        assert fast.capacity_violations == ref.capacity_violations
+        assert fast.rng.bit_generator.state == ref.rng.bit_generator.state
+        if case == "capacity_flags":
+            assert fast.capacity_violations > 0
+
+    def test_drift_clamp_acts_in_the_quorum_case(self):
+        left, right = rate_arrays(ONE_PATH_CASES["quorum_pushing"]())
+        # beta = 1 - z changes sign along the chain, so each direction is blocked somewhere
+        assert np.count_nonzero(left[1:] == 0.0) > 0
+        assert np.count_nonzero(right[:-1] == 0.0) > 0
+
+    def test_one_rate_evaluation_per_leap_and_one_state_per_run(self, monkeypatch):
+        s = ONE_PATH_CASES["pushing"]()
+        calls = {"gains": 0, "rates": 0, "states": 0}
+        gains, rates, post_init = lattice._gains, lattice._rates, LatticeState.__post_init__
+
+        def counting_gains(*args):
+            calls["gains"] += 1
+            return gains(*args)
+
+        def counting_rates(*args):
+            calls["rates"] += 1
+            return rates(*args)
+
+        def counting_post_init(state):
+            calls["states"] += 1
+            post_init(state)
+
+        monkeypatch.setattr(lattice, "_gains", counting_gains)
+        monkeypatch.setattr(lattice, "_rates", counting_rates)
+        monkeypatch.setattr(LatticeState, "__post_init__", counting_post_init)
+        _, _, steps = run_adaptive(s, 0.3)
+        assert calls == {"gains": 1, "rates": steps, "states": 1}
+
+    def test_leap_below_the_floor_raises(self):
+        s = make_state([0, 0, 150, 0, 0], u_max=50, seed=1)
+        with pytest.raises(ValueError, match=r"floor 1e\+288.*max rate 3 at t = 0"):
+            run_adaptive(s, 1e300)
+
+
+class TestEnsemble:
+    CONFIG = LatticeConfig(sites=20, u_max=50, particles=150, t_end=0.05, seeds=3,
+                           cells_per_bin=2, extent=2.0, origin=-1.0)
+
+    def test_members_are_seeded_runs_from_the_centre_mound(self):
+        members = run_ensemble(self.CONFIG, 2.0, 40)
+        assert [mem.seed for mem in members] == [40, 41, 42]
+        for mem in members:
+            state, t, _ = run_adaptive(initial_state(self.CONFIG, 2.0, mem.seed), 0.05)
+            assert (mem.t, mem.capacity_violations) == (t, state.capacity_violations)
+            assert np.array_equal(mem.density.values, coarse_density(state, 2).values)
+            assert state.particle_count() == 150
+
+    def test_continuum_twin_lives_on_the_coarse_grid(self):
+        twin = continuum_twin(self.CONFIG, 2.0)
+        assert twin.grid.cells == (10,)
+        assert twin.grid.extent == (2.0,)
+        assert twin.grid.origin == (-1.0,)
+        u0 = coarse_density(initial_state(self.CONFIG, 2.0, 0), 2)
+        assert twin.mass() == pytest.approx(u0.mass(), rel=1e-12)
+
+
+def test_lattice_vs_pde_script_smoke(capsys):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "lattice_vs_pde.py")
+    spec = importlib.util.spec_from_file_location("lattice_vs_pde", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    argv = ["--particles", "200,800", "--sites", "20", "--cells-per-bin", "2",
+            "--seeds", "2", "--t-end", "0.02"]
+    assert script.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "particles  u_max    L1_gap"
+    rows = [ln.split() for ln in lines[1:]]
+    assert [(r[0], r[1]) for r in rows] == [("200", "50"), ("800", "200")]
+    assert all(math.isfinite(float(r[2])) for r in rows)
 
 
 class TestCoarseDensity:

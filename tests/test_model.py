@@ -14,7 +14,6 @@ from chemofront.model import (
     TabulatedSensitivity,
     jump_probability,
     logistic_growth,
-    sensitivity_eval,
 )
 
 
@@ -137,12 +136,12 @@ def test_jump_probability_monotone(m, us):
 def test_constant_sensitivity_bound_enforced():
     with pytest.raises(ValueError):
         ConstantSensitivity(1.5)
-    assert sensitivity_eval(0.7, ConstantSensitivity(1.0)) == 1.0
+    assert ConstantSensitivity(1.0).eval(0.7) == 1.0
 
 
 def test_linear_switch_pinned_values():
-    assert sensitivity_eval(0.5, LinearSwitchSensitivity(0.5)) == 0.0
-    assert sensitivity_eval(2.0, LinearSwitchSensitivity(1.0)) == -1.0
+    assert LinearSwitchSensitivity(0.5).eval(0.5) == 0.0
+    assert LinearSwitchSensitivity(1.0).eval(2.0) == -1.0
 
 
 def test_tabulated_validation():
@@ -185,8 +184,8 @@ def bounded_rules(draw):
 @given(rule=bounded_rules(), u=st.floats(min_value=-5.0, max_value=15.0))
 @settings(max_examples=120, deadline=None)
 def test_sensitivity_bounded_and_slope_limited(rule, u):
-    lo = sensitivity_eval(u, rule)
-    hi = sensitivity_eval(u + 1e-3, rule)
+    lo = rule.eval(u)
+    hi = rule.eval(u + 1e-3)
     assert abs(lo) <= 1.0 + 1e-15
     assert abs(hi - lo) / 1e-3 <= 1.0 + 1e-6
 

@@ -13,13 +13,11 @@ from chemofront.profiles import (
     barenblatt_support_radius,
     classify_blowup,
     convergence_envelopes,
-    exact_ecm_decay,
     lower_plateau,
     lower_profile_branches,
     select_lower_profile,
     select_upper_profile,
 )
-from chemofront.model import Field, Grid
 
 
 # --- source-free reference solution -----------------------------------------
@@ -272,13 +270,3 @@ def test_envelope_param_validation():
         OdeEnvelopeParams(0.1, 1.0, 0.0, 0.9, 0.25, 1.0, 1.0, 2.0)
     with pytest.raises(ValueError):
         OdeEnvelopeParams(0.1, -1.0, 0.0, 2.0, 0.25, 1.0, 1.0, 2.0)
-
-
-def test_exact_ecm_decay_matches_pointwise_formula():
-    g = Grid((16,), (1.0,), (0.0,))
-    w0 = Field(g, np.linspace(0.2, 1.0, 16))
-    zint = Field(g, np.linspace(0.0, 3.0, 16))
-    out = exact_ecm_decay(w0, zint)
-    assert np.allclose(out.values, w0.values * np.exp(-zint.values))
-    with pytest.raises(ValueError):
-        exact_ecm_decay(w0, Field(g, np.full(16, -0.5)))
