@@ -432,11 +432,6 @@ def cmd_lattice(args) -> int:
     out_dir = args.out if args.out is not None else cfg.out_dir
     base_seed = args.seed if args.seed is not None else cfg.seed
     os.makedirs(out_dir, exist_ok=True)
-    try:
-        lattice_mod.initial_state(lat, m, base_seed)  # members differ only in their seed
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
     members = lattice_mod.run_ensemble(lat, m, base_seed)
     with open(os.path.join(out_dir, "ensemble.csv"), "w", encoding="ascii") as fh:
         fh.write("seed,time,bin,center,density\n")

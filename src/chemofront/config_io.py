@@ -11,11 +11,17 @@ records' defaults; a field's type (float, int, bool, str) says how its
 value is read and written.  [grid], [initial], [output], [sweep] and the
 phi rule of [model] are parsed and written by hand.
 
+The solver options clip_negative, chemo_upwind and v_z_stepper were removed:
+the solver has one scheme.  Config files written before, every run
+directory's config.cfg among them, still carry them at that scheme's values
+(on, on, semi-implicit); such a line is read and ignored, and any other value
+is an error.
+
 Snapshots are a 6-line ASCII header (magic, dim, cells per axis, extent per
 axis, time, field order) followed by the four fields as raw little-endian
 float64 in row-major order.  The header does not carry the domain origin;
-readers that care (the verify command) take it from the run's config file,
-otherwise the origin defaults to zero.
+every reader passes it, and the verify command takes it from the run's
+config file.
 """
 
 from __future__ import annotations
@@ -166,6 +172,13 @@ _SWEEPABLE = {
     if f.type.startswith("float")
 }
 
+# retired keys, each with the field type its value was read as and the one value still accepted
+_RETIRED = {
+    ("solver", "clip_negative"): ("bool", True),
+    ("solver", "chemo_upwind"): ("bool", True),
+    ("solver", "v_z_stepper"): ("str", "semi-implicit"),
+}
+
 _SECTIONS = ("model", "grid", "solver", "initial", "output", "oracles", "sweep", "lattice")
 
 _KEYS = {
@@ -199,10 +212,13 @@ def _tokenize(text: str):
             raise ConfigError("line %d: entry before any section header" % line_no)
         key, value = (part.strip() for part in line.split("=", 1))
         known = _KEYS.get(current)
-        if known is not None and key not in known:
+        retired = _RETIRED.get((current, key))
+        if known is not None and key not in known and retired is None:
             raise ConfigError("line %d: unknown key %r in section [%s]" % (line_no, key, current))
         if key in sections[current]:
             raise ConfigError("line %d: duplicate key %r in section [%s]" % (line_no, key, current))
+        if retired is not None:
+            _check_retired(current, key, value, line_no, *retired)
         sections[current][key] = (value, line_no)
     return sections
 
@@ -228,6 +244,20 @@ def _convert(kind: str, text: str, line_no: int, where: str, expected: str | Non
     if not math.isfinite(value):
         raise ConfigError("line %d: %s must be a finite number, got %r" % (line_no, where, text))
     return value
+
+
+def _check_retired(section: str, key: str, text: str, line_no: int, kind: str, kept) -> None:
+    """Accept a retired key only at the value the solver always uses now."""
+    where = "%s.%s" % (section, key)
+    try:
+        ok = _convert(kind, text, line_no, where) == kept
+    except ConfigError:
+        ok = False
+    if not ok:
+        raise ConfigError(
+            "line %d: option %s was removed; the solver always runs %s = %s, got %r"
+            % (line_no, where, key, _value_text(kind, kept), text)
+        )
 
 
 def _entry(sections, section, key):
@@ -516,7 +546,8 @@ def write_snapshot(path: str, state: StateQuad) -> None:
             fh.write(np.ascontiguousarray(getattr(state, name).values, dtype="<f8").tobytes())
 
 
-def read_snapshot(path: str, origin=None) -> StateQuad:
+def read_snapshot(path: str, origin) -> StateQuad:
+    """The state in a snapshot file, on the grid with the given origin (the header has none)."""
     with open(path, "rb") as fh:
         blob = fh.read()
     parts = blob.split(b"\n", 6)
@@ -544,8 +575,6 @@ def read_snapshot(path: str, origin=None) -> StateQuad:
         raise SnapshotError("snapshot header in %r has %d axes but dim %d" % (path, len(cells), dim))
     if order != FIELD_ORDER:
         raise SnapshotError("snapshot field order %r is not %r" % (order, FIELD_ORDER))
-    if origin is None:
-        origin = (0.0,) * dim
     grid = Grid(cells=cells, extent=extent, origin=tuple(origin))
     payload = parts[6]
     n = grid.n_cells
@@ -566,15 +595,8 @@ def read_snapshot(path: str, origin=None) -> StateQuad:
 # --- CSV --------------------------------------------------------------------
 
 
-def write_history_csv(path: str, history: FrontHistory) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(HISTORY_COLUMNS) + "\n")
-        for row in history.rows:
-            fh.write(",".join("%.17g" % x for x in row) + "\n")
-
-
 class HistoryCsvWriter:
-    """Streaming writer used by the run command; same format as write_history_csv."""
+    """Streaming history CSV writer: the header, then one %.17g row per call."""
 
     def __init__(self, path: str):
         self._fh = open(path, "w", encoding="ascii", newline="\n")
@@ -586,6 +608,15 @@ class HistoryCsvWriter:
 
     def close(self) -> None:
         self._fh.close()
+
+
+def write_history_csv(path: str, history: FrontHistory) -> None:
+    writer = HistoryCsvWriter(path)
+    try:
+        for row in history.rows:
+            writer(row)
+    finally:
+        writer.close()
 
 
 def read_csv_columns(path: str) -> dict:

@@ -1,8 +1,8 @@
 """Stochastic lattice walk whose hydrodynamic limit is the cell PDE.
 
 Particles hop on a 1D chain of sites with reflecting ends.  The jump rate
-from site i to a neighbor is q(relative density) * (alpha + beta * (tau(v_dest)
-- tau(v_here))), scaled by 1/h^2; where q is evaluated distinguishes the
+from site i to a neighbor is q(relative density) * (alpha + beta * (v_dest
+- v_here)), scaled by 1/h^2; where q is evaluated distinguishes the
 kernels:
 
 * volume_filling  : q at the destination site (crowded targets slow arrivals)
@@ -14,7 +14,7 @@ diffusion u_t = (u^m)_xx.  Time advances by tau leaping with per-site
 binomial (multinomial) draws, which conserves particles exactly.
 
 run_adaptive leaps on a bare occupancy array.  v and z are frozen in a
-LatticeState, so the transduced signal gaps and beta are evaluated once per
+LatticeState, so the signal gaps and beta are evaluated once per
 run; each leap evaluates the rates once, and that one result sets both dt and
 the multinomial draw.  Every leap still checks the overflow cap and counts
 the sites above u_max; a LatticeState, with its full validation, is built
@@ -58,10 +58,6 @@ LEAP_LIMIT = 0.1  # dt * max rate must stay below this for the leap to be honest
 OVERFLOW_FACTOR = 4  # occupancy above OVERFLOW_FACTOR * u_max aborts the run
 
 
-def _identity(v):
-    return v
-
-
 @dataclass(frozen=True)
 class LatticeConfig:
     """The [lattice] section of a run config: one walker ensemble and its run length."""
@@ -87,6 +83,15 @@ class LatticeConfig:
             raise ValueError("lattice t_end must be finite and positive, got %r" % self.t_end)
         if self.kernel not in KERNELS:
             raise ValueError("lattice kernel must be one of %r, got %r" % (KERNELS, self.kernel))
+        if not (self.alpha >= 0.0):
+            raise ValueError("lattice alpha must be >= 0, got %r" % self.alpha)
+        if not (abs(self.beta) <= 1.0):
+            raise ValueError("lattice beta must satisfy |beta| <= 1, got %r" % self.beta)
+        if self.particles > OVERFLOW_FACTOR * self.u_max:
+            raise ValueError(
+                "lattice particles %d exceed the overflow cap %d = %d * u_max; all start on the centre site"
+                % (self.particles, OVERFLOW_FACTOR * self.u_max, OVERFLOW_FACTOR)
+            )
         if self.seeds < 1:
             raise ValueError("lattice needs at least one seed")
         if self.sites % self.cells_per_bin != 0:
@@ -104,10 +109,10 @@ class LatticeState:
     """Occupancies plus the frozen signal landscape and kinetic constants.
 
     occupancy counts particles per site (u_max of them make relative density
-    one); v and z are prescribed signal and quorum profiles; tau_of_v is the
-    signal transduction (identity by default).  Sites above u_max are counted
-    as capacity violations but only occupancy beyond OVERFLOW_FACTOR * u_max
-    is an error, because the pushing kernels do not hard-block arrivals.
+    one); v and z are prescribed signal and quorum profiles.  Sites above
+    u_max are counted as capacity violations but only occupancy beyond
+    OVERFLOW_FACTOR * u_max is an error, because the pushing kernels do not
+    hard-block arrivals.
     """
 
     occupancy: np.ndarray
@@ -117,7 +122,6 @@ class LatticeState:
     m: float
     alpha: float = 1.0
     beta_sens: object = dc_field(default_factory=lambda: ConstantSensitivity(0.0))
-    tau_of_v: object = _identity
     kernel: str = "pushing"
     seed: int = 0
     spacing: float = 1.0
@@ -168,16 +172,15 @@ class LatticeState:
 
 
 def _gains(s: LatticeState):
-    """alpha -/+ beta * (tau(v) gap) on the faces, for jumps to the left and right.
+    """alpha -/+ beta * (v gap) on the faces, for jumps to the left and right.
 
     v and z are frozen in a state, so a run evaluates these once.
     """
-    tau_v = np.asarray(s.tau_of_v(s.v), dtype=float)
     # quorum_pushing reads the coefficient off the departure site's z,
     # the other kernels carry a constant coefficient
     beta = s.beta_sens.eval(s.z)
-    dtau_r = tau_v[1:] - tau_v[:-1]  # transduced signal gap across face (i, i+1)
-    return s.alpha - beta[1:] * dtau_r, s.alpha + beta[:-1] * dtau_r
+    dv_r = s.v[1:] - s.v[:-1]  # signal gap across face (i, i+1)
+    return s.alpha - beta[1:] * dv_r, s.alpha + beta[:-1] * dv_r
 
 
 def _rates(s: LatticeState, occupancy: np.ndarray, gain_l, gain_r):

@@ -99,15 +99,6 @@ class Grid:
         dy = self.axis_centers(1) - x0[1]
         return dx[:, None] ** 2 + dy[None, :] ** 2
 
-    def max_distance2(self, x0) -> float:
-        """Largest squared distance from x0 to any corner of the box."""
-        x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-        total = 0.0
-        for a in range(self.dim):
-            lo, hi = self.origin[a], self.origin[a] + self.extent[a]
-            total += max(x0[a] - lo, hi - x0[a]) ** 2
-        return float(total)
-
     def diameter(self) -> float:
         return math.sqrt(sum(e * e for e in self.extent))
 
@@ -167,10 +158,11 @@ class ConstantSensitivity:
             raise ValueError("constant sensitivity must satisfy |c| <= 1, got %r" % self.value)
 
     def eval(self, u):
-        u = np.asarray(u, dtype=float)
-        if u.ndim == 0:
+        """The constant: a float for scalar u, a read-only broadcast view for an array."""
+        shape = np.shape(u)
+        if not shape:
             return float(self.value)
-        return np.full_like(u, self.value)
+        return np.broadcast_to(float(self.value), shape)
 
 
 @dataclass(frozen=True)

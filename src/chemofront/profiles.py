@@ -27,7 +27,6 @@ __all__ = [
     "select_lower_profile",
     "lower_profile_branches",
     "select_upper_profile",
-    "lower_plateau",
     "BlowupResult",
     "classify_blowup",
     "OdeEnvelopeParams",
@@ -273,37 +272,6 @@ def select_upper_profile(
         "no admissible time shift above 1e-8 for r0=%r r1=%r sup=%r c1=%r c2=%r"
         % (r0, r1, sup_height, c1, c2)
     )
-
-
-def lower_plateau(
-    profile: ProfileParams,
-    mu: float,
-    delta: float,
-    c2_late: float,
-    max_dist2: float,
-) -> tuple[float, float]:
-    """Constant floor reached after the sub-profile covers the domain.
-
-    Returns (t_cover, floor): after t_cover the profile bracket exceeds half
-    its peak everywhere (max_dist2 is the largest squared distance from the
-    profile center to the domain boundary), and the density then dominates
-    the constant floor, limited also by the late-time attractant curvature
-    bound c2_late.
-    """
-    if profile.kind != "lower":
-        raise ValueError("plateau is defined for lower profiles")
-    m = profile.m
-    if not (1.0 <= delta < m):
-        raise ValueError("plateau requires 1 <= delta < m")
-    eta = profile.support_scale
-    t_cover = max((2.0 * max_dist2 / eta) ** (1.0 / profile.spread_exp) - 1.0, 0.0)
-    d = profile.shape_exp
-    floor = min(
-        profile.amplitude * (1.0 + t_cover) ** (-profile.rate_exp) * (eta / 2.0) ** d,
-        (mu / (2.0 * c2_late)) ** (1.0 / (m - delta)),
-        0.5,
-    )
-    return t_cover, floor
 
 
 # --- comparison ODEs --------------------------------------------------------

@@ -5,16 +5,20 @@
     w_t = -w z
     z_t = Lap z - z + u
 
-on a box with no-flux boundaries.  Design points that the tests lean on:
+on a box with no-flux boundaries.  There is one scheme, with no switches;
+the design points that the tests lean on:
 
 * u is advanced explicitly in flux form; the diffusive face flux differences
   the transformed variable (u + eps)^m - eps^m, which preserves exact zeros
   and hence a sharp numerical support (one cell per step at most).
+* the drift advects u^m from the upwind cell of each face, so an empty cell
+  sends nothing and vacuum stays vacuum.  A negative u left by a step is
+  clipped to zero and its mass is reported as clipped.
 * w is integrated exactly per cell, w <- w exp(-z dt), and the attractant
   source reuses the very mass w lost, so the cell sum of v + w is conserved
   to solver tolerance regardless of dt.
 * v and z solve (s I - dt Lap) x = b exactly in the Neumann eigenbasis, the
-  DCT-II (semi-implicit, the default), or step explicitly for cross checks.
+  DCT-II: a semi-implicit update that is stable for any dt.
 * The loop runs on bare arrays (_advance) with one finiteness check per step;
   Field/StateQuad validation sits at the edges: step()'s input and output,
   and the states run() emits.  A CFL dt below the run's time tolerance raises.
@@ -43,9 +47,6 @@ __all__ = [
     "run",
 ]
 
-_STEPPERS = ("semi-implicit", "explicit")
-
-
 class SimulationError(RuntimeError):
     """The time integration failed (non-finite values or unstable input)."""
 
@@ -55,9 +56,6 @@ class SolverConfig:
     t_end: float
     cfl_safety: float = 0.25
     output_stride: int = 100
-    clip_negative: bool = True
-    chemo_upwind: bool = True
-    v_z_stepper: str = "semi-implicit"
     dt_max: float | None = None  # None means the grid spacing h
 
     def __post_init__(self):
@@ -67,8 +65,6 @@ class SolverConfig:
             raise ValueError("t_end must be finite and >= 0, got %r" % self.t_end)
         if not (isinstance(self.output_stride, int) and self.output_stride >= 1):
             raise ValueError("output_stride must be a positive integer, got %r" % self.output_stride)
-        if self.v_z_stepper not in _STEPPERS:
-            raise ValueError("v_z_stepper must be one of %r, got %r" % (_STEPPERS, self.v_z_stepper))
         if self.dt_max is not None and not (self.dt_max > 0.0):
             raise ValueError("dt_max must be positive when given, got %r" % self.dt_max)
 
@@ -155,25 +151,23 @@ def diffusive_flux(state: StateQuad, params: ModelParams) -> list[np.ndarray]:
     return _diffusive_fluxes(_powers(state.u.values, params)[1], state.grid.h)
 
 
-def _chemotactic_fluxes(u, um, dv, phi, h: float, upwind: bool) -> list[np.ndarray]:
+def _chemotactic_fluxes(u, um, dv, phi, h: float) -> list[np.ndarray]:
     out = []
     for (lo, hi), d in zip(_faces(u.ndim), dv):
         vel = phi.eval(0.5 * (u[lo] + u[hi])) * (d / h)
-        adv = np.where(vel > 0.0, um[lo], um[hi]) if upwind else 0.5 * (um[lo] + um[hi])
-        out.append(vel * adv)
+        out.append(vel * np.where(vel > 0.0, um[lo], um[hi]))
     return out
 
 
-def chemotactic_flux(state: StateQuad, params: ModelParams, upwind: bool = True) -> list[np.ndarray]:
+def chemotactic_flux(state: StateQuad, params: ModelParams) -> list[np.ndarray]:
     """Per-axis interior face fluxes of the drift term div(phi(u) u^m grad v).
 
     The face velocity is phi(u_face) (v_R - v_L)/h with u_face the arithmetic
-    mean; the advected quantity u^m is taken from the upwind cell (or the
-    mean when upwind is off).  Zero advected mass means zero flux, so vacuum
-    stays intact.
+    mean; the advected quantity u^m is taken from the upwind cell.  Zero
+    advected mass means zero flux, so vacuum stays intact.
     """
     u = state.u.values
-    return _chemotactic_fluxes(u, _powers(u, params)[0], _face_diffs(state.v.values), params.phi, state.grid.h, upwind)
+    return _chemotactic_fluxes(u, _powers(u, params)[0], _face_diffs(state.v.values), params.phi, state.grid.h)
 
 
 def _divergence(fluxes: list[np.ndarray], shape: tuple, h: float) -> np.ndarray:
@@ -187,7 +181,7 @@ def _divergence(fluxes: list[np.ndarray], shape: tuple, h: float) -> np.ndarray:
 
 
 def _lap_apply(values: np.ndarray, h: float) -> np.ndarray:
-    """Neumann Laplacian in flux form (for the explicit stepper)."""
+    """Neumann Laplacian in flux form."""
     lap = np.zeros_like(values)
     for (lo, hi), d in zip(_faces(values.ndim), _face_diffs(values)):
         lap[lo] += d
@@ -251,36 +245,31 @@ def _advance(grid, u, v, w, z, t, params, config, dt_cap, dt_floor):
         dt = min(dt, dt_cap)
 
     um, tr = _powers(u, params)
-    chemo = _chemotactic_fluxes(u, um, dv, params.phi, h, config.chemo_upwind)
+    chemo = _chemotactic_fluxes(u, um, dv, params.phi, h)
     fluxes = [f + c for f, c in zip(_diffusive_fluxes(tr, h), chemo)]
     u_new = u - dt * _divergence(fluxes, grid.cells, h)
     if params.mu > 0.0:
         u_new += dt * logistic_growth(u, params.mu, params.delta, params.r)
 
     clipped = 0.0
-    if config.clip_negative:
-        neg = u_new < 0.0
-        if neg.any():
-            clipped = -float(u_new[neg].sum()) * grid.cell_volume
-            u_new[neg] = 0.0
+    neg = u_new < 0.0
+    if neg.any():
+        clipped = -float(u_new[neg].sum()) * grid.cell_volume
+        u_new[neg] = 0.0
 
     # exact matrix decay; the attractant source below reuses w_old - w_new
     w_new = w * np.exp(-z * dt)
     transferred = w - w_new
 
-    if config.v_z_stepper == "semi-implicit":
-        v_new = _helmholtz_solve(grid, 1.0, dt, v + transferred)
-        z_new = _helmholtz_solve(grid, 1.0 + dt, dt, z + dt * u)
-        # the exact solves are >= 0 (M-matrix, rhs >= 0): drop rounding-level negatives only
-        for name, x in (("v", v_new), ("z", z_new)):
-            low = float(x.min())
-            if low < 0.0:
-                if low < -1e-12 * float(x.max()):  # equivalent to low < -1e-12 max|x|
-                    raise SimulationError("field %s went negative (%r) at t=%r" % (name, low, t + dt))
-                np.maximum(x, 0.0, out=x)
-    else:
-        v_new = v + dt * _lap_apply(v, h) + transferred
-        z_new = z + dt * (_lap_apply(z, h) - z + u)
+    v_new = _helmholtz_solve(grid, 1.0, dt, v + transferred)
+    z_new = _helmholtz_solve(grid, 1.0 + dt, dt, z + dt * u)
+    # the exact solves are >= 0 (M-matrix, rhs >= 0): drop rounding-level negatives only
+    for name, x in (("v", v_new), ("z", z_new)):
+        low = float(x.min())
+        if low < 0.0:
+            if low < -1e-12 * float(x.max()):  # equivalent to low < -1e-12 max|x|
+                raise SimulationError("field %s went negative (%r) at t=%r" % (name, low, t + dt))
+            np.maximum(x, 0.0, out=x)
 
     # a non-finite entry makes the total non-finite; an overflowing total of finite entries falls through
     if not math.isfinite(np.concatenate((u_new, v_new, w_new, z_new), axis=None).sum()):

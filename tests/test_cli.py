@@ -90,7 +90,7 @@ class TestRunCommand:
         out = tiny_run["out"]
         history = config_io.read_history_csv(str(out / "history.csv"))
         snaps = sorted(p for p in os.listdir(out) if p.startswith("snap_"))
-        times = [config_io.read_snapshot(str(out / p)).t for p in snaps]
+        times = [config_io.read_snapshot(str(out / p), origin=(-1.0,)).t for p in snaps]
         hist_t = np.asarray(history.rows)[:, 0]
         assert len(times) == len(hist_t)
         assert np.allclose(times, hist_t, rtol=0, atol=1e-12)
@@ -124,6 +124,18 @@ class TestRunCommand:
 
     def test_missing_config_file_is_usage_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 1
+
+    @pytest.mark.parametrize(
+        "line", ["v_z_stepper = explicit", "chemo_upwind = off", "clip_negative = off"]
+    )
+    def test_retired_solver_option_is_config_error(self, tmp_path, capsys, line):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(TINY_CFG.replace("output_stride = 100", "output_stride = 100\n" + line))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "line 15: option solver.%s was removed" % line.split(" = ")[0] in err
+        assert not out.exists()
 
     def test_broken_config_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -175,6 +187,22 @@ class TestVerifyCommand:
         )
         assert float(report["violation_count"]) > 0
         assert float(report["max_lower_violation"]) > 1e-8
+
+    def test_run_dir_with_retired_solver_lines_verifies_alike(self, cli_run_dir, tmp_path):
+        # run directories written before the solver options were retired carry them at the kept values
+        current, old = tmp_path / "current", tmp_path / "old"
+        shutil.copytree(cli_run_dir["out"], current)
+        shutil.copytree(cli_run_dir["out"], old)
+        cfg = old / "config.cfg"
+        text = cfg.read_text()
+        assert "clip_negative" not in text
+        cfg.write_text(text.replace(
+            "output_stride = 200\n",
+            "output_stride = 200\nclip_negative = on\nchemo_upwind = on\nv_z_stepper = semi-implicit\n",
+        ))
+        assert main(["verify", "--out", str(current)]) == 0
+        assert main(["verify", "--out", str(old)]) == 0
+        assert (old / "verify_report.csv").read_bytes() == (current / "verify_report.csv").read_bytes()
 
     def test_non_run_directory_is_usage_error(self, tmp_path):
         assert main(["verify", "--out", str(tmp_path)]) == 1
@@ -308,8 +336,10 @@ class TestLatticeCommand:
     def test_state_the_config_cannot_build_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "lat.cfg"
         cfg.write_text(LATTICE_CFG.replace("u_max = 50", "u_max = 30"))  # 150 > 4 * 30
-        assert main(["lattice", "--config", str(cfg), "--out", str(tmp_path / "lat_cap")]) == 1
+        out = tmp_path / "lat_cap"
+        assert main(["lattice", "--config", str(cfg), "--out", str(out)]) == 1
         assert "overflow cap 120" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_latticeless_config_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "plain.cfg"

@@ -1,5 +1,7 @@
 """Config text parsing, snapshot files, and history CSV round trips."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -69,10 +71,8 @@ class TestParseConfig:
         assert cfg.grid == Grid(cells=(16,), extent=(2.0,), origin=(0.0,))
         assert cfg.solver.cfl_safety == 0.25
         assert cfg.solver.output_stride == 100
-        assert cfg.solver.clip_negative is True
-        assert cfg.solver.chemo_upwind is True
-        assert cfg.solver.v_z_stepper == "semi-implicit"
         assert cfg.solver.dt_max is None
+        assert [f.name for f in dataclasses.fields(cfg.solver)] == ["t_end", "cfl_safety", "output_stride", "dt_max"]
         assert cfg.initial["u"] == ConstantInit(0.5)
         for name in ("v", "w", "z"):
             assert cfg.initial[name] == ConstantInit(0.0)
@@ -106,15 +106,41 @@ class TestParseConfig:
             assert parse_config(text).model.phi == expected
 
     def test_solver_booleans_and_stepper(self):
+        # the retired switches are read at the one scheme's values and ignored
         text = MINIMAL.replace(
             "t_end = 0.5",
-            "t_end = 0.5\nclip_negative = off\nchemo_upwind = no\nv_z_stepper = explicit\ndt_max = 0.01",
+            "t_end = 0.5\nclip_negative = on\nchemo_upwind = yes\nv_z_stepper = semi-implicit\ndt_max = 0.01",
         )
-        cfg = parse_config(text)
-        assert cfg.solver.clip_negative is False
-        assert cfg.solver.chemo_upwind is False
-        assert cfg.solver.v_z_stepper == "explicit"
-        assert cfg.solver.dt_max == 0.01
+        assert parse_config(text) == parse_config(MINIMAL.replace("t_end = 0.5", "t_end = 0.5\ndt_max = 0.01"))
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            "clip_negative = on\nchemo_upwind = on\nv_z_stepper = semi-implicit",
+            "clip_negative = true\nchemo_upwind = YES\nv_z_stepper = semi-implicit",
+            "chemo_upwind = On",
+        ],
+    )
+    def test_retired_solver_keys_at_kept_values_are_ignored(self, lines):
+        cfg = parse_config(MINIMAL.replace("t_end = 0.5", "t_end = 0.5\n" + lines))
+        assert cfg == parse_config(MINIMAL)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "v_z_stepper = explicit",
+            "v_z_stepper = Semi-Implicit",
+            "chemo_upwind = off",
+            "clip_negative = no",
+            "clip_negative = maybe",
+        ],
+    )
+    def test_retired_solver_keys_at_other_values_are_refused(self, line):
+        key, value = line.split(" = ")
+        text = MINIMAL.replace("t_end = 0.5", "t_end = 0.5\n" + line)
+        pattern = r"line 12: option solver\.%s was removed; .* got '%s'" % (key, value)
+        with pytest.raises(ConfigError, match=pattern):
+            parse_config(text)
 
     def test_output_section(self):
         text = MINIMAL + "\n[output]\ndir = results\nseed = 42\n"
@@ -151,7 +177,7 @@ class TestParseErrors:
             (lambda t: t.replace("m = 2.0", "m = fast"), "must be a number"),
             (lambda t: t.replace("dim = 1", "dim = 3"), "must be 1 or 2"),
             (lambda t: t.replace("cells = 16", "cells = 16.5"), "integers"),
-            (lambda t: t.replace("t_end = 0.5", "t_end = 0.5\nclip_negative = maybe"), "on/off"),
+            (lambda t: t + "\n[oracles]\ncheck_lower = maybe\n", "on/off"),
             (lambda t: t.replace("constant 0.5", "bump 0.0 0.5"), "bump needs"),
             (lambda t: t.replace("constant 0.5", "bump 0.0 -1.0 0.5"), "radius"),
             (lambda t: t.replace("constant 0.5", "bump 0.0 1.0 -0.5"), "height"),
@@ -238,7 +264,7 @@ class TestSerializeRoundTrip:
             + "\n[output]\ndir = run_out\nseed = 11"
             + "\n[oracles]\ncheck_upper = off"
             + "\n[sweep]\nmodel.mu = 0.5, 1.5"
-            + "\n[lattice]\nsites = 24\nu_max = 40\nparticles = 200\nt_end = 0.125\n"
+            + "\n[lattice]\nsites = 24\nu_max = 50\nparticles = 200\nt_end = 0.125\n"
             + "kernel = volume_filling\nseeds = 3\ncells_per_bin = 2\n"
         )
 
@@ -293,9 +319,6 @@ origin = 0.0
 t_end = 0.5
 cfl_safety = 0.25
 output_stride = 100
-clip_negative = on
-chemo_upwind = on
-v_z_stepper = semi-implicit
 
 [initial]
 u = bump -0.125 0.5 0.75
@@ -316,7 +339,7 @@ model.mu = 0.5, 1.5
 
 [lattice]
 sites = 24
-u_max = 40
+u_max = 50
 particles = 200
 t_end = 0.125
 alpha = 1.0
@@ -352,9 +375,6 @@ _solvers = st.builds(
     t_end=_finite(0.0, 1e3),
     cfl_safety=_finite(0.0, 1.0, exclude_min=True),
     output_stride=st.integers(1, 10**6),
-    clip_negative=st.booleans(),
-    chemo_upwind=st.booleans(),
-    v_z_stepper=st.sampled_from(["semi-implicit", "explicit"]),
     dt_max=st.none() | _finite(0.0, 1.0, exclude_min=True),
 )
 
@@ -362,13 +382,14 @@ _solvers = st.builds(
 @st.composite
 def _lattices(draw):
     cells_per_bin = draw(st.integers(1, 8))
+    u_max = draw(st.integers(1, 10**6))
     return LatticeConfig(
         sites=cells_per_bin * draw(st.integers(2, 50)),
-        u_max=draw(st.integers(1, 10**6)),
-        particles=draw(st.integers(1, 10**6)),
+        u_max=u_max,
+        particles=draw(st.integers(1, 4 * u_max)),
         t_end=draw(_finite(0.0, 1e3, exclude_min=True)),
-        alpha=draw(_finite()),
-        beta=draw(_finite()),
+        alpha=draw(_finite(0.0)),
+        beta=draw(_finite(-1.0, 1.0)),
         kernel=draw(st.sampled_from(KERNELS)),
         seeds=draw(st.integers(1, 100)),
         cells_per_bin=cells_per_bin,
@@ -472,14 +493,12 @@ class TestSnapshotRoundTrip:
         assert back.grid == state.grid
         assert np.array_equal(back.u.values, state.u.values)
 
-    def test_origin_defaults_to_zero(self, tmp_path):
+    def test_origin_is_required(self, tmp_path):
         state = sample_state()
         path = str(tmp_path / "snap.bin")
         write_snapshot(path, state)
-        back = read_snapshot(path)
-        assert back.grid.origin == (0.0,)
-        assert back.grid.cells == state.grid.cells
-        assert back.grid.extent == state.grid.extent
+        with pytest.raises(TypeError, match="origin"):
+            read_snapshot(path)
 
     def test_rewriting_is_byte_identical(self, tmp_path):
         state = sample_state()
@@ -494,19 +513,19 @@ class TestSnapshotErrors:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"PNG\x00\x01\x02" + b"\n" * 8)
         with pytest.raises(SnapshotError):
-            read_snapshot(str(path))
+            read_snapshot(str(path), origin=(0.0,))
 
     def test_future_version_flagged_distinctly(self, tmp_path):
         path = tmp_path / "next.bin"
         path.write_bytes(b"DCSIM2\n1\n8\n1.0\n0.0\nu v w z\n" + b"\x00" * (4 * 8 * 8))
         with pytest.raises(SnapshotVersionError, match="DCSIM2"):
-            read_snapshot(str(path))
+            read_snapshot(str(path), origin=(0.0,))
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "short.bin"
         path.write_bytes(b"DCSIM1\n1\n8\n")
         with pytest.raises(SnapshotError, match="truncated"):
-            read_snapshot(str(path))
+            read_snapshot(str(path), origin=(0.0,))
 
     def test_truncated_payload(self, tmp_path):
         state = sample_state()
@@ -521,13 +540,13 @@ class TestSnapshotErrors:
         path = tmp_path / "swapped.bin"
         path.write_bytes(b"DCSIM1\n1\n8\n1.0\n0.0\nz w v u\n" + b"\x00" * (4 * 8 * 8))
         with pytest.raises(SnapshotError, match="field order"):
-            read_snapshot(str(path))
+            read_snapshot(str(path), origin=(0.0,))
 
     def test_axis_count_mismatch(self, tmp_path):
         path = tmp_path / "axes.bin"
         path.write_bytes(b"DCSIM1\n2\n8\n1.0 1.0\n0.0\nu v w z\n" + b"\x00" * (4 * 8 * 8))
         with pytest.raises(SnapshotError, match="axes"):
-            read_snapshot(str(path))
+            read_snapshot(str(path), origin=(0.0,))
 
 
 # --- history CSV ------------------------------------------------------------

@@ -77,6 +77,9 @@ class TestLatticeConfig:
             ({"origin": float("nan")}, "origin"),
             ({"origin": float("-inf")}, "origin"),
             ({"kernel": "teleport"}, "kernel"),
+            ({"alpha": -0.5}, "alpha"),
+            ({"beta": 1.5}, r"\|beta\| <= 1"),
+            ({"particles": 201}, "overflow cap 200"),
         ],
     )
     def test_record_refuses_unbounded_or_unknown_values(self, bad, fragment):

@@ -53,11 +53,7 @@ class TestGrid:
         x = g.axis_centers(0)
         manual = x[:, None] ** 2 + x[None, :] ** 2
         assert np.allclose(d2, manual)
-
-    def test_max_distance2_reaches_far_corner(self):
-        g = Grid((10,), (4.0,), (0.0,))
-        assert g.max_distance2((1.0,)) == pytest.approx(9.0)
-        assert g.diameter() == pytest.approx(4.0)
+        assert g.diameter() == pytest.approx(2.0 * np.sqrt(2.0))
 
 
 class TestField:
@@ -137,6 +133,16 @@ def test_constant_sensitivity_bound_enforced():
     with pytest.raises(ValueError):
         ConstantSensitivity(1.5)
     assert ConstantSensitivity(1.0).eval(0.7) == 1.0
+
+
+def test_constant_sensitivity_array_is_a_read_only_view_of_the_constant():
+    u = np.linspace(0.0, 2.0, 12).reshape(3, 4)
+    phi = ConstantSensitivity(-0.25).eval(u)
+    assert phi.shape == u.shape
+    assert np.all(phi == -0.25)
+    assert not phi.flags.writeable
+    with pytest.raises(ValueError):
+        phi[0, 0] = 1.0
 
 
 def test_linear_switch_pinned_values():

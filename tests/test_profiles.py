@@ -13,7 +13,6 @@ from chemofront.profiles import (
     barenblatt_support_radius,
     classify_blowup,
     convergence_envelopes,
-    lower_plateau,
     lower_profile_branches,
     select_lower_profile,
     select_upper_profile,
@@ -171,20 +170,6 @@ def test_profile_support_radii_formulas_and_growth(t1, dt):
     # edge of the support is where the evaluated profile dies
     assert lo.evaluate(r_lo * 1.0001, t1) == 0.0
     assert lo.evaluate(r_lo * 0.999, t1) > 0.0
-
-
-def test_lower_plateau_cover_time_identity():
-    p = select_lower_profile(2.0, 1, 1.0, 1.0, 1.0, 0.5, 1.0, 1.0, 1.0, (0.0,))
-    max_d2 = 2.0
-    t_cover, floor = lower_plateau(p, mu=1.0, delta=1.0, c2_late=1.0, max_dist2=max_d2)
-    assert t_cover > 0.0
-    assert 0.0 < floor <= 0.5
-    # at t_cover the bracket at the farthest point equals half the scale
-    bracket = p.support_scale - max_d2 / (1.0 + t_cover) ** p.spread_exp
-    assert bracket == pytest.approx(p.support_scale / 2.0, rel=1e-9)
-    with pytest.raises(ValueError):
-        up, _ = select_upper_profile(2.0, 1.0, 1.0, 0.25, 0.75, 0.5, 1.0, 1.0, (0.0,))
-        lower_plateau(up, 1.0, 1.0, 1.0, 1.0)
 
 
 # --- scalar comparison ODEs -------------------------------------------------

@@ -189,8 +189,7 @@ class TestStep:
         out, rep = step(s, ModelParams(m=2.0), SolverConfig(t_end=1.0))
         assert np.allclose(out.w.values, s.w.values * np.exp(-s.z.values * rep.dt_used), rtol=1e-15)
 
-    @pytest.mark.parametrize("stepper", ["semi-implicit", "explicit"])
-    def test_single_step_conserves_vw_mass(self, stepper):
+    def test_single_step_conserves_vw_mass(self):
         g = Grid((32,), (2.0,), (-1.0,))
         rng = np.random.default_rng(17)
         s = StateQuad(
@@ -200,7 +199,7 @@ class TestStep:
             Field(g, rng.uniform(0.0, 1.5, 32)),
         )
         p = ModelParams(m=2.0, mu=0.0, phi=ConstantSensitivity(1.0))
-        out, rep = step(s, p, SolverConfig(t_end=1.0, v_z_stepper=stepper))
+        out, rep = step(s, p, SolverConfig(t_end=1.0))
         assert rep.mass_vw == pytest.approx(s.mass_vw(), rel=1e-13)
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -348,26 +347,25 @@ class TestRun:
             assert 3.6 <= ratio <= 4.4, (diffs, ratios)
 
 
-# (dim, signal, model changes, solver changes); a signal of 50 makes centred advection clip
+# (dim, signal, bump height, model changes, solver changes); a tall bump repelled
+# by a strong signal at cfl_safety 1 outruns the drift's CFL term, and the step clips
 KERNEL_CASES = {
-    "1d": (1, 1.0, {}, {}),
-    "2d": (2, 1.0, {}, {}),
-    "no_drift": (1, 1.0, {"phi": ConstantSensitivity(0.0)}, {}),
-    "upwind_off": (1, 50.0, {}, {"chemo_upwind": False}),
-    "explicit_2d": (2, 1.0, {}, {"v_z_stepper": "explicit"}),
-    "eps_reg": (1, 1.0, {"eps_reg": 0.05}, {}),
-    "clip_off": (1, 50.0, {}, {"clip_negative": False, "chemo_upwind": False}),
+    "1d": (1, 1.0, 0.8, {}, {}),
+    "2d": (2, 1.0, 0.8, {}, {}),
+    "no_drift": (1, 1.0, 0.8, {"phi": ConstantSensitivity(0.0)}, {}),
+    "eps_reg": (1, 1.0, 0.8, {"eps_reg": 0.05}, {}),
+    "clips": (1, 50.0, 6.0, {"phi": ConstantSensitivity(-1.0)}, {"cfl_safety": 1.0}),
 }
 
 
 def kernel_case(case):
     """(state, params, config) of a KERNEL_CASES entry: a bump under an
     attractant peaked at the origin, on 32 cells or 12 x 16."""
-    dim, signal, model_changes, solver_changes = KERNEL_CASES[case]
+    dim, signal, height, model_changes, solver_changes = KERNEL_CASES[case]
     g = Grid((32,), (2.0,), (-1.0,)) if dim == 1 else Grid((12, 16), (1.5, 2.0), (-0.75, -1.0))
     origin = (0.0,) * dim
     v = Field(g, signal * (2.0 - g.center_distance2(origin)))
-    state = StateQuad(bump_field(g, origin, 0.5, 0.8), v, Field.full(g, 1.0), Field.full(g, 0.5))
+    state = StateQuad(bump_field(g, origin, 0.5, height), v, Field.full(g, 1.0), Field.full(g, 0.5))
     params = dataclasses.replace(STANDARD_MODEL, **model_changes)
     return state, params, dataclasses.replace(SolverConfig(t_end=1.0, output_stride=7), **solver_changes)
 
@@ -381,26 +379,24 @@ class TestKernel:
         for _ in range(40):
             state, rep = step(state, params, cfg)
             total += rep.negativity_clipped
+            assert np.min(state.u.values) >= 0.0
         for name in ("u", "v", "w", "z"):
             assert np.array_equal(getattr(res.final, name).values, getattr(state, name).values), name
         assert res.final.t == state.t
         assert res.total_clipped == total
-        if case == "upwind_off":
+        if case == "clips":
             assert total > 0.0  # the clipping path ran
-        if case == "clip_off":
-            assert np.min(state.u.values) < 0.0
 
     @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
     def test_step_moves_u_by_the_public_cfl_and_fluxes(self, case):
         s, params, cfg = kernel_case(case)
         out, rep = step(s, params, cfg)
         assert rep.dt_used == cfl_dt(s, params, cfg)
-        fluxes = [f + c for f, c in zip(diffusive_flux(s, params), chemotactic_flux(s, params, cfg.chemo_upwind))]
+        fluxes = [f + c for f, c in zip(diffusive_flux(s, params), chemotactic_flux(s, params))]
         u = s.u.values
         expected = u - rep.dt_used * solver._divergence(fluxes, s.grid.cells, s.grid.h)
         expected += rep.dt_used * logistic_growth(u, params.mu, params.delta, params.r)
-        if cfg.clip_negative:
-            expected[expected < 0.0] = 0.0
+        expected[expected < 0.0] = 0.0
         assert np.array_equal(out.u.values, expected)
 
     def test_nan_attractant_solve_names_field_v(self, monkeypatch):
