@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 bad usage or config, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import glob
 import os
@@ -327,11 +328,25 @@ def _apply_override(cfg: RunConfig, key: str, value: float) -> RunConfig:
     return dataclasses.replace(cfg, solver=dataclasses.replace(cfg.solver, **{param: value}))
 
 
+# what main() reports as a failed command; any other exception is a bug and aborts the sweep
+_CASE_FAILURES = (
+    ConfigError, SnapshotError, OSError, SimulationError, ConstructionError, ValueError, ArithmeticError
+)
+
+
 def _sweep_worker(job):
+    """(final_t, steps, final_sup_u) of one case, or the message its run failed with.
+
+    A failing case returns its error instead of raising, so the other cases
+    and the manifest survive it.
+    """
     text, base_dir, out_dir, threshold = job
-    cfg = config_io.parse_config(text, base_dir)
-    result, _ = _execute_run(cfg, base_dir, out_dir, threshold)
-    return out_dir, result.final.t, result.steps, float(np.max(result.final.u.values))
+    try:
+        cfg = config_io.parse_config(text, base_dir)
+        result, _ = _execute_run(cfg, base_dir, out_dir, threshold)
+    except _CASE_FAILURES as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+    return result.final.t, result.steps, float(np.max(result.final.u.values))
 
 
 def cmd_sweep(args) -> int:
@@ -365,15 +380,25 @@ def cmd_sweep(args) -> int:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_worker, jobs))
 
-    manifest = os.path.join(base_out, "manifest.csv")
-    with open(manifest, "w", encoding="ascii") as fh:
-        fh.write("case,dir," + ",".join(keys) + ",final_t,steps,final_sup_u\n")
-        for idx, (combo, (sub, final_t, steps, sup_u)) in enumerate(zip(combos, results)):
-            fh.write(
-                "%d,%s,%s,%.17g,%d,%.17g\n"
-                % (idx, os.path.basename(sub), ",".join("%.17g" % v for v in combo), final_t, steps, sup_u)
+    failed = 0
+    with open(os.path.join(base_out, "manifest.csv"), "w", encoding="ascii", newline="") as fh:
+        rows = csv.writer(fh, lineterminator="\n")
+        rows.writerow(["case", "dir"] + keys + ["final_t", "steps", "final_sup_u", "status"])
+        for idx, (combo, result) in enumerate(zip(combos, results)):
+            if isinstance(result, str):
+                failed += 1
+                numbers, status = ["", "", ""], "failed: " + result
+            else:
+                final_t, steps, sup_u = result
+                numbers, status = ["%.17g" % final_t, "%d" % steps, "%.17g" % sup_u], "ok"
+            rows.writerow(
+                [idx, "case_%04d" % idx] + ["%.17g" % v for v in combo] + numbers + [status]
             )
     print("sweep: %d cases under %s (manifest.csv written)" % (len(combos), base_out))
+    if failed:
+        print("sweep: %d of %d cases failed; see the status column of manifest.csv" % (failed, len(combos)),
+              file=sys.stderr)
+        return EXIT_NUMERIC
     return EXIT_OK
 
 
@@ -429,6 +454,11 @@ def cmd_lattice(args) -> int:
         raise _UsageError("config %s has no [lattice] section" % args.config)
     lat = cfg.lattice
     m = cfg.model.m
+    if args.tol_l1 is not None and lat.kernel != "pushing":
+        raise ConfigError(
+            "--tol-l1 needs the pushing kernel: the %s kernel does not relax to the solver's PDE"
+            % lat.kernel
+        )
     out_dir = args.out if args.out is not None else cfg.out_dir
     base_seed = args.seed if args.seed is not None else cfg.seed
     os.makedirs(out_dir, exist_ok=True)

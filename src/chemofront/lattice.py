@@ -9,25 +9,34 @@ kernels:
 * pushing         : q at the departure site (crowded origins push out)
 * quorum_pushing  : like pushing but the drift coefficient is beta(z_here)
 
-With q(s) = s^(m-1) and flat signal every kernel relaxes to the degenerate
-diffusion u_t = (u^m)_xx.  Time advances by tau leaping with per-site
-binomial (multinomial) draws, which conserves particles exactly.
+With q(s) = s^(m-1) and a flat signal the kernels have different mean-field
+limits.  pushing relaxes to the degenerate diffusion u_t = alpha (u^m)_xx,
+the solver's PDE.  volume_filling has the diffusivity D(u) = q - u q' =
+(2 - m) u^(m-1): forward diffusion for m < 2, none at all at m = 2 and
+backward diffusion for m > 2.  quorum_pushing reads beta off z, while the
+solver's sensitivity phi depends on u, so it has no solver counterpart
+either.  Only pushing is therefore compared against the continuum run.
+Time advances by tau leaping with per-site binomial (multinomial) draws,
+which conserves particles exactly.
 
-run_adaptive leaps on a bare occupancy array.  v and z are frozen in a
-LatticeState, so the signal gaps and beta are evaluated once per
-run; each leap evaluates the rates once, and that one result sets both dt and
-the multinomial draw.  Every leap still checks the overflow cap and counts
-the sites above u_max; a LatticeState, with its full validation, is built
-only for the final state.  A leap dt below 1e-12 * max(1, t_end), the
-tolerance the continuum solver uses for t_end, raises ValueError, so a run
-that can never reach t_end stops at once.  step_tau_leap is the checked
-public step (dt > 0, leap condition) over the same leap kernel.
+A state's occupancy is one chain, (sites,), or an ensemble of them,
+(members, sites), over the same frozen v and z.  run_adaptive leaps on the
+bare occupancy array: the signal gaps and beta are evaluated once per run;
+each leap evaluates the rates of every member once, takes one dt, the
+leap-condition dt of the fastest member, and draws every move with a single
+multinomial call from the state's one generator.  Every leap checks the
+overflow cap and counts the sites above u_max per member; a LatticeState,
+with its full validation, is built only for the final state.  A leap dt
+below 1e-12 * max(1, t_end), the tolerance the continuum solver uses for
+t_end, raises ValueError, so a run that can never reach t_end stops at once.
+step_tau_leap is the checked public step (dt > 0, leap condition) over the
+same rate and leap kernels.
 
-run_ensemble and continuum_twin run a [lattice] section: the seeded members
-one after another, and the matching continuum run.  The CLI's lattice command
-and scripts/lattice_vs_pde.py both use them.
+run_ensemble and continuum_twin run a [lattice] section: the members as the
+rows of one batched run, seeded by one generator default_rng(base_seed),
+and the matching continuum run.  The CLI's lattice command and
+scripts/lattice_vs_pde.py both use them.
 """
-
 from __future__ import annotations
 
 import math
@@ -36,7 +45,7 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from . import solver
-from .model import ConstantSensitivity, Field, Grid, ModelParams, StateQuad, jump_probability
+from .model import ConstantSensitivity, Field, Grid, ModelParams, StateQuad
 
 __all__ = [
     "KERNELS",
@@ -102,6 +111,11 @@ class LatticeConfig:
             raise ValueError("lattice extent must be finite and positive, got %r" % self.extent)
         if not math.isfinite(self.origin):
             raise ValueError("lattice origin must be finite, got %r" % self.origin)
+        if self.compare_pde and self.kernel != "pushing":
+            raise ValueError(
+                "compare_pde needs the pushing kernel: the %s kernel does not relax to "
+                "the solver's PDE" % self.kernel
+            )
 
 
 @dataclass(eq=False)
@@ -109,10 +123,12 @@ class LatticeState:
     """Occupancies plus the frozen signal landscape and kinetic constants.
 
     occupancy counts particles per site (u_max of them make relative density
-    one); v and z are prescribed signal and quorum profiles.  Sites above
-    u_max are counted as capacity violations but only occupancy beyond
-    OVERFLOW_FACTOR * u_max is an error, because the pushing kernels do not
-    hard-block arrivals.
+    one), for one chain (sites,) or for an ensemble (members, sites) whose
+    rows share v, z and the generator rng; v and z are prescribed signal and
+    quorum profiles over the sites.  Sites above u_max are counted as
+    capacity violations (one count per member for an ensemble) but only
+    occupancy beyond OVERFLOW_FACTOR * u_max is an error, because the pushing
+    kernels do not hard-block arrivals.
     """
 
     occupancy: np.ndarray
@@ -131,8 +147,8 @@ class LatticeState:
 
     def __post_init__(self):
         self.occupancy = np.asarray(self.occupancy, dtype=np.int64)
-        if self.occupancy.ndim != 1 or self.occupancy.size < 2:
-            raise ValueError("occupancy must be a 1D array with >= 2 sites")
+        if self.occupancy.ndim not in (1, 2) or self.occupancy.shape[-1] < 2 or self.occupancy.size == 0:
+            raise ValueError("occupancy must be a (sites,) or (members, sites) array with >= 2 sites")
         if np.any(self.occupancy < 0):
             raise ValueError("occupancy must be nonnegative")
         if not (isinstance(self.u_max, (int, np.integer)) and self.u_max >= 1):
@@ -142,8 +158,8 @@ class LatticeState:
             raise ValueError("occupancy exceeds the overflow cap %d" % cap)
         self.v = np.asarray(self.v, dtype=float)
         self.z = np.asarray(self.z, dtype=float)
-        if self.v.shape != self.occupancy.shape or self.z.shape != self.occupancy.shape:
-            raise ValueError("v and z must match the occupancy shape")
+        if self.v.shape != self.occupancy.shape[-1:] or self.z.shape != self.occupancy.shape[-1:]:
+            raise ValueError("v and z must hold one value per site")
         if self.kernel not in KERNELS:
             raise ValueError("kernel must be one of %r, got %r" % (KERNELS, self.kernel))
         if not (self.m > 1.0):
@@ -162,13 +178,14 @@ class LatticeState:
 
     @property
     def sites(self) -> int:
-        return self.occupancy.size
+        return self.occupancy.shape[-1]
 
     def relative_density(self) -> np.ndarray:
         return self.occupancy / float(self.u_max)
 
-    def particle_count(self) -> int:
-        return int(self.occupancy.sum())
+    def particle_count(self):
+        """Particles on the chain, or per member of an ensemble."""
+        return self.occupancy.sum(axis=-1)
 
 
 def _gains(s: LatticeState):
@@ -184,22 +201,28 @@ def _gains(s: LatticeState):
 
 
 def _rates(s: LatticeState, occupancy: np.ndarray, gain_l, gain_r):
-    """rate_arrays for the occupancy given, with the constants of s."""
-    q = jump_probability(occupancy / float(s.u_max), s.m)
-    left = np.zeros(occupancy.size)
-    right = np.zeros(occupancy.size)
+    """rate_arrays for the (..., sites) occupancy given, with the constants of s.
+
+    Counts are never negative, so q is the plain power (the jump probability
+    u^(m-1) of the model) with no scan for negative input.
+    """
+    q = (occupancy / float(s.u_max)) ** (s.m - 1.0)
+    left = np.zeros(occupancy.shape)
+    right = np.zeros(occupancy.shape)
     if s.kernel == "volume_filling":
-        q_r = q[1:]  # q at the destination
-        q_l = q[:-1]
+        q_r = q[..., 1:]  # q at the destination
+        q_l = q[..., :-1]
     else:
-        q_r = q[:-1]  # q at the departure site
-        q_l = q[1:]
-    right[:-1] = q_r * gain_r
-    left[1:] = q_l * gain_l
-    np.clip(left, 0.0, None, out=left)
-    np.clip(right, 0.0, None, out=right)
+        q_r = q[..., :-1]  # q at the departure site
+        q_l = q[..., 1:]
+    np.multiply(q_r, gain_r, out=right[..., :-1])
+    np.multiply(q_l, gain_l, out=left[..., 1:])
+    np.maximum(left, 0.0, out=left)
+    np.maximum(right, 0.0, out=right)
     scale = 1.0 / (s.spacing * s.spacing)
-    return left * scale, right * scale
+    left *= scale
+    right *= scale
+    return left, right
 
 
 def rate_arrays(s: LatticeState):
@@ -211,34 +234,40 @@ def rate_arrays(s: LatticeState):
     return _rates(s, s.occupancy, *_gains(s))
 
 
-def _leap(occupancy: np.ndarray, left, right, dt: float, rng, u_max: int):
-    """One multinomial leap on bare counts: (new counts, sites above u_max).
+def _leap(occupancy: np.ndarray, left, right, dt: float, rng, u_max: int, probs: np.ndarray):
+    """One multinomial leap on bare (..., sites) counts.
 
-    Every particle moves at most once, so the total is conserved exactly;
-    the input array is not written.
+    Returns the new counts and the sites above u_max along the last axis.
+    probs is an occupancy.shape + (3,) scratch buffer for the (left, right,
+    stay) probabilities; one multinomial call draws every site of every row.
+    Every particle moves at most once, so each row conserves its total
+    exactly; the input array is not written.
     """
-    p_left = left * dt
-    p_right = right * dt
-    stay = 1.0 - p_left - p_right
-    moves = rng.multinomial(occupancy, np.stack([p_left, p_right, stay], axis=-1))
-    go_left = moves[:, 0]
-    go_right = moves[:, 1]
+    p_left, p_right, stay = probs[..., 0], probs[..., 1], probs[..., 2]
+    np.multiply(left, dt, out=p_left)
+    np.multiply(right, dt, out=p_right)
+    np.subtract(1.0, p_left, out=stay)
+    stay -= p_right
+    moves = rng.multinomial(occupancy, probs)
+    go_left = moves[..., 0]
+    go_right = moves[..., 1]
 
     occ = occupancy - go_left - go_right
-    occ[:-1] += go_left[1:]
-    occ[1:] += go_right[:-1]
+    occ[..., :-1] += go_left[..., 1:]
+    occ[..., 1:] += go_right[..., :-1]
 
     cap = OVERFLOW_FACTOR * u_max
-    if np.any(occ > cap):
+    if occ.max() > cap:
         raise ValueError("occupancy exceeded the overflow cap %d during a leap" % cap)
-    return occ, int(np.count_nonzero(occ > u_max))
+    return occ, (occ > u_max).sum(axis=-1)
 
 
 def step_tau_leap(s: LatticeState, dt: float) -> LatticeState:
     """Advance the occupancies by dt with one multinomial leap per site.
 
-    Requires dt * max rate <= 0.1 so the frozen-rate approximation holds.
-    Returns a new state (the generator advances in place).
+    Requires dt * max rate <= 0.1, over every member of an ensemble, so the
+    frozen-rate approximation holds.  Returns a new state (the generator
+    advances in place).
     """
     if not (dt > 0.0):
         raise ValueError("dt must be positive")
@@ -249,22 +278,27 @@ def step_tau_leap(s: LatticeState, dt: float) -> LatticeState:
             "leap condition violated: dt * max_rate = %g exceeds %g"
             % (dt * max_rate, LEAP_LIMIT)
         )
-    occ, flags = _leap(s.occupancy, left, right, dt, s.rng, s.u_max)
+    probs = np.empty(s.occupancy.shape + (3,))
+    occ, flags = _leap(s.occupancy, left, right, dt, s.rng, s.u_max, probs)
     return replace(s, occupancy=occ, capacity_violations=s.capacity_violations + flags)
 
 
 def run_adaptive(s: LatticeState, t_end: float, leap_fraction: float = 0.5):
     """Leap to t_end, each step sized at leap_fraction of the allowed limit.
 
-    Returns (state, t_reached, steps).  leap_fraction in (0, 1] trades steps
-    for leap bias.  A leap dt below 1e-12 * max(1, t_end) raises ValueError.
+    Returns (state, t_reached, steps).  The members of an ensemble state
+    leap together: dt is that of the member with the largest rate, so every
+    member stays inside the leap condition.  leap_fraction in (0, 1] trades
+    steps for leap bias.  A leap dt below 1e-12 * max(1, t_end) raises
+    ValueError.
     """
     if not (0.0 < leap_fraction <= 1.0):
         raise ValueError("leap_fraction must lie in (0, 1], got %r" % leap_fraction)
     gains = _gains(s)
     floor = solver._time_tolerance(t_end)
     occ = s.occupancy
-    flags = s.capacity_violations
+    probs = np.empty(occ.shape + (3,))
+    flags = s.capacity_violations + np.zeros(occ.shape[:-1], dtype=np.int64)
     t = 0.0
     steps = 0
     while t < t_end * (1.0 - 1e-12):
@@ -279,8 +313,8 @@ def run_adaptive(s: LatticeState, t_end: float, leap_fraction: float = 0.5):
                 "max rate %.6g at t = %.6g" % (dt, floor, max_rate, t)
             )
         dt = min(dt, t_end - t)
-        occ, new_flags = _leap(occ, left, right, dt, s.rng, s.u_max)
-        flags += new_flags
+        occ, new_flags = _leap(occ, left, right, dt, s.rng, s.u_max, probs)
+        flags = flags + new_flags
         t += dt
         steps += 1
     return replace(s, occupancy=occ, capacity_violations=flags), t, steps
@@ -339,12 +373,24 @@ class Member:
 
 
 def run_ensemble(config: LatticeConfig, m: float, base_seed: int) -> list[Member]:
-    """Run config.seeds members, seeded base_seed, base_seed + 1, ..., one after another."""
-    members = []
-    for seed in range(base_seed, base_seed + config.seeds):
-        state, t, _ = run_adaptive(initial_state(config, m, seed), config.t_end, config.leap_fraction)
-        members.append(Member(seed, t, state.capacity_violations, coarse_density(state, config.cells_per_bin)))
-    return members
+    """Run config.seeds members as the rows of one batched run_adaptive.
+
+    One generator, default_rng(base_seed), draws every row; member i is row i
+    and carries the label base_seed + i.  A one-member ensemble is the run of
+    initial_state(config, m, base_seed).
+    """
+    start = initial_state(config, m, base_seed)
+    batch = replace(start, occupancy=np.tile(start.occupancy, (config.seeds, 1)))
+    final, t, _ = run_adaptive(batch, config.t_end, config.leap_fraction)
+    return [
+        Member(
+            base_seed + i,
+            t,
+            int(flags),
+            coarse_density(replace(final, occupancy=row, capacity_violations=flags), config.cells_per_bin),
+        )
+        for i, (row, flags) in enumerate(zip(final.occupancy, final.capacity_violations))
+    ]
 
 
 def continuum_twin(config: LatticeConfig, m: float) -> Field:

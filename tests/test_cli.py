@@ -1,5 +1,6 @@
 """Exercises the five subcommands through main(), checking artifacts and exit codes."""
 
+import csv
 import os
 import shutil
 import subprocess
@@ -252,10 +253,11 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
         assert "2 cases" in capsys.readouterr().out
         lines = (out / "manifest.csv").read_text().splitlines()
-        assert lines[0] == "case,dir,model.m,final_t,steps,final_sup_u"
+        assert lines[0] == "case,dir,model.m,final_t,steps,final_sup_u,status"
         rows = [ln.split(",") for ln in lines[1:]]
         assert [r[1] for r in rows] == ["case_0000", "case_0001"]
         assert [float(r[2]) for r in rows] == [2.0, 3.0]
+        assert [r[6] for r in rows] == ["ok", "ok"]
         for idx, row in enumerate(rows):
             case_cfg = config_io.parse_config_file(str(out / row[1] / "config.cfg"))
             assert case_cfg.model.m == float(row[2])
@@ -272,6 +274,24 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg), "--out", str(parallel), "--workers", "2"]) == 0
         keep = lambda text: text.replace(str(serial), "X").replace(str(parallel), "X")
         assert keep((serial / "manifest.csv").read_text()) == keep((parallel / "manifest.csv").read_text())
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_failed_case_is_recorded_and_the_manifest_kept(self, tmp_path, capsys, workers):
+        # mu = 1e15 parses, but its reaction limit drives the CFL dt below the floor at once
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_CFG.replace("model.m = 2.0, 3.0", "model.mu = 1.0, 1e15, 2.0"))
+        out = tmp_path / "sweep_out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--workers", workers]) == 2
+        assert "1 of 3 cases failed" in capsys.readouterr().err
+        with open(out / "manifest.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["case", "dir", "model.mu", "final_t", "steps", "final_sup_u", "status"]
+        assert [r[6] for r in rows] == ["ok", rows[1][6], "ok"]
+        assert rows[1][6].startswith("failed: SimulationError: CFL dt")
+        assert rows[1][3:6] == ["", "", ""]
+        for row in (rows[0], rows[2]):
+            assert float(row[3]) == pytest.approx(0.02) and int(row[4]) > 0
+            assert (out / row[1] / "history.csv").exists()
 
     def test_refused_sweep_value_is_config_error_before_any_case(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
@@ -339,6 +359,19 @@ class TestLatticeCommand:
         out = tmp_path / "lat_cap"
         assert main(["lattice", "--config", str(cfg), "--out", str(out)]) == 1
         assert "overflow cap 120" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kernel", ["volume_filling", "quorum_pushing"])
+    def test_continuum_comparison_needs_the_pushing_kernel(self, tmp_path, capsys, kernel):
+        cfg = tmp_path / "lat.cfg"
+        cfg.write_text(LATTICE_CFG + "kernel = %s\n" % kernel)
+        out = tmp_path / "lat_kernel"
+        assert main(["lattice", "--config", str(cfg), "--out", str(out), "--tol-l1", "0.05"]) == 1
+        assert "--tol-l1 needs the pushing kernel" in capsys.readouterr().err
+        assert not out.exists()
+        cfg.write_text(LATTICE_CFG + "kernel = %s\ncompare_pde = on\n" % kernel)
+        assert main(["lattice", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "compare_pde needs the pushing kernel" in capsys.readouterr().err
         assert not out.exists()
 
     def test_latticeless_config_is_usage_error(self, tmp_path, capsys):

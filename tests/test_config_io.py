@@ -252,6 +252,17 @@ class TestParseErrors:
         with pytest.raises(ConfigError, match="kernel"):
             parse_config(text)
 
+    @pytest.mark.parametrize("kernel", ["volume_filling", "quorum_pushing"])
+    def test_compare_pde_needs_the_pushing_kernel(self, kernel):
+        text = (
+            MINIMAL
+            + "\n[lattice]\nsites = 10\nu_max = 50\nparticles = 10\nt_end = 0.5\n"
+            + "kernel = %s\ncompare_pde = on\n" % kernel
+        )
+        with pytest.raises(ConfigError, match="compare_pde needs the pushing kernel"):
+            parse_config(text)
+        parse_config(text.replace("compare_pde = on", "compare_pde = off"))
+
 
 # --- serialize / parse round trip -------------------------------------------
 
@@ -383,6 +394,7 @@ _solvers = st.builds(
 def _lattices(draw):
     cells_per_bin = draw(st.integers(1, 8))
     u_max = draw(st.integers(1, 10**6))
+    kernel = draw(st.sampled_from(KERNELS))
     return LatticeConfig(
         sites=cells_per_bin * draw(st.integers(2, 50)),
         u_max=u_max,
@@ -390,13 +402,14 @@ def _lattices(draw):
         t_end=draw(_finite(0.0, 1e3, exclude_min=True)),
         alpha=draw(_finite(0.0)),
         beta=draw(_finite(-1.0, 1.0)),
-        kernel=draw(st.sampled_from(KERNELS)),
+        kernel=kernel,
         seeds=draw(st.integers(1, 100)),
         cells_per_bin=cells_per_bin,
         leap_fraction=draw(_finite(0.0, 1.0, exclude_min=True)),
         extent=draw(_finite(0.0, 1e6, exclude_min=True)),
         origin=draw(_finite()),
-        compare_pde=draw(st.booleans()),
+        # only the pushing kernel has the solver's PDE as its limit
+        compare_pde=kernel == "pushing" and draw(st.booleans()),
     )
 
 
