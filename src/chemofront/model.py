@@ -22,7 +22,6 @@ __all__ = [
     "TabulatedSensitivity",
     "ModelParams",
     "StateQuad",
-    "jump_probability",
     "logistic_growth",
 ]
 
@@ -285,23 +284,6 @@ class StateQuad:
     def mass_vw(self) -> float:
         """Combined attractant plus matrix mass, the conserved quantity."""
         return float((self.v.values + self.w.values).sum()) * self.grid.cell_volume
-
-
-def jump_probability(u, m: float):
-    """Density-dependent motility factor u**(m-1).
-
-    Defined for u >= 0 only; vanishes at u = 0 because m > 1, which is what
-    shuts diffusion off in vacuum.
-    """
-    if not (m > 1.0):
-        raise ValueError("m must be > 1, got %r" % m)
-    arr = np.asarray(u, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValueError("jump_probability needs u >= 0")
-    out = arr ** (m - 1.0)
-    if arr.ndim == 0:
-        return float(out)
-    return out
 
 
 def logistic_growth(u, mu: float, delta: float, r: float):

@@ -19,6 +19,9 @@ the design points that the tests lean on:
   to solver tolerance regardless of dt.
 * v and z solve (s I - dt Lap) x = b exactly in the Neumann eigenbasis, the
   DCT-II: a semi-implicit update that is stable for any dt.
+* so dt (cfl_dt) budgets for u alone: its degenerate diffusion, its upwinded
+  drift at the speed m u^(m-1) |grad v|, and its growth.  run() records every
+  step's dt and which of these terms, or the dt_max/h cap, set it.
 * The loop runs on bare arrays (_advance) with one finiteness check per step;
   Field/StateQuad validation sits at the edges: step()'s input and output,
   and the states run() emits.  A CFL dt below the run's time tolerance raises.
@@ -27,7 +30,8 @@ the design points that the tests lean on:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -40,6 +44,7 @@ __all__ = [
     "SolverConfig",
     "StepReport",
     "RunResult",
+    "BINDING_TERMS",
     "cfl_dt",
     "diffusive_flux",
     "chemotactic_flux",
@@ -78,12 +83,21 @@ class StepReport:
     negativity_clipped: float
 
 
+# what can set a step's CFL dt: the three terms of _cfl_dt in order, then its cap
+BINDING_TERMS = ("diffusion", "drift", "reaction", "cap")
+
+
 @dataclass
 class RunResult:
+    """A run's history and final state; dts holds the dt of every step and
+    bound_by counts, per BINDING_TERMS entry, the steps whose CFL dt it set
+    (the last step, shortened to land on t_end, counts for its CFL term)."""
     history: "diagnostics.FrontHistory"
     final: StateQuad
     total_clipped: float
     steps: int
+    dts: array = field(default_factory=lambda: array("d"))
+    bound_by: dict = field(default_factory=lambda: dict.fromkeys(BINDING_TERMS, 0))
 
 
 @lru_cache(maxsize=2)
@@ -115,24 +129,31 @@ def _cfl_dt(grid: Grid, u: np.ndarray, dv: list[np.ndarray], params: ModelParams
     """cfl_dt on arrays, given v's face differences dv; also returns the
     (diffusion, drift, reaction) denominator terms and the cap, to name the one that binds."""
     h = grid.h
+    m = params.m
     max_u = float(u.max())
     terms = (
-        2.0 * grid.dim * (params.m * (max_u + params.eps_reg) ** (params.m - 1.0) + 1.0),
-        h * _max_grad(dv, h),
+        2.0 * grid.dim * m * (max_u + params.eps_reg) ** (m - 1.0),
+        h * m * max_u ** (m - 1.0) * _max_grad(dv, h),
         h * h * params.mu * (params.delta + 1.0) * max(max_u, 1.0) ** params.delta,
     )
     cap = config.dt_max if config.dt_max is not None else h
-    return min(config.cfl_safety * h * h / (terms[0] + terms[1] + terms[2]), cap), terms, cap
+    total = terms[0] + terms[1] + terms[2]
+    if total == 0.0:  # vacuum under a flat signal: only the cap bounds dt
+        return cap, terms, cap
+    return min(config.cfl_safety * h * h / total, cap), terms, cap
 
 
 def cfl_dt(state: StateQuad, params: ModelParams, config: SolverConfig) -> float:
     """Stable explicit step for the current state.
 
-    dt = cfl_safety * h^2 / (2 dim (m (max_u + eps_reg)^(m-1) + 1)
-                             + h max|grad v| + h^2 mu (delta+1) max(max_u, 1)^delta),
-    additionally capped at dt_max (default h).  The three denominator terms
-    cover degenerate diffusion plus the unit-diffusivity fields, the upwinded
-    drift, and the reaction respectively.
+    dt = cfl_safety * h^2 / (2 dim m (max_u + eps_reg)^(m-1)
+                             + h m max_u^(m-1) max|grad v|
+                             + h^2 mu (delta+1) max(max_u, 1)^delta),
+    additionally capped at dt_max (default h), which is also dt when all
+    three terms vanish.  The terms bound the degenerate diffusion of u, the
+    upwinded drift phi u^m grad v at its speed m u^(m-1) |grad v| (|phi| <= 1
+    for every rule), and the reaction.  v and z need no term: their
+    semi-implicit solve is stable for any dt.
     """
     return _cfl_dt(state.grid, state.u.values, _face_diffs(state.v.values), params, config)[0]
 
@@ -227,7 +248,8 @@ def _time_tolerance(t_end: float) -> float:
 
 def _advance(grid, u, v, w, z, t, params, config, dt_cap, dt_floor):
     """One step on bare arrays, the kernel of step() and run(): returns new
-    arrays (u, v, w, z), dt and the clipped mass, and never writes its inputs.
+    arrays (u, v, w, z), dt, the clipped mass and the BINDING_TERMS index of
+    what set the CFL dt, and never writes its inputs.
 
     Order within the step: the cell density moves explicitly off the current
     v; the matrix decays exactly against the current z; the attractant gains
@@ -236,8 +258,9 @@ def _advance(grid, u, v, w, z, t, params, config, dt_cap, dt_floor):
     h = grid.h
     dv = _face_diffs(v)
     dt, terms, cap = _cfl_dt(grid, u, dv, params, config)
+    bound = len(terms) if dt == cap else terms.index(max(terms))  # index into BINDING_TERMS
     if dt < dt_floor:
-        binds = "dt_max/h cap" if dt == cap else ("diffusion", "drift", "reaction")[terms.index(max(terms))]
+        binds = "dt_max/h cap" if bound == len(terms) else BINDING_TERMS[bound]
         raise SimulationError("CFL dt %r fell below %r at t=%r: the %s term binds" % (dt, dt_floor, t, binds))
     if dt_cap is not None:
         if dt_cap <= 0.0:
@@ -276,7 +299,7 @@ def _advance(grid, u, v, w, z, t, params, config, dt_cap, dt_floor):
         for name, arr in (("u", u_new), ("v", v_new), ("w", w_new), ("z", z_new)):
             if not np.isfinite(arr).all():
                 raise SimulationError("field %s lost finiteness at t=%r" % (name, t + dt))
-    return u_new, v_new, w_new, z_new, dt, clipped
+    return u_new, v_new, w_new, z_new, dt, clipped, bound
 
 
 def step(state: StateQuad, params: ModelParams, config: SolverConfig, dt_cap: float | None = None):
@@ -286,8 +309,8 @@ def step(state: StateQuad, params: ModelParams, config: SolverConfig, dt_cap: fl
     its dt floor is that of a run from state.t to state.t + config.t_end.
     """
     grid = state.grid
-    u, v, w, z, dt, clipped = _advance(grid, state.u.values, state.v.values, state.w.values, state.z.values,
-                                       state.t, params, config, dt_cap, _time_tolerance(state.t + config.t_end))
+    u, v, w, z, dt, clipped, _ = _advance(grid, state.u.values, state.v.values, state.w.values, state.z.values,
+                                          state.t, params, config, dt_cap, _time_tolerance(state.t + config.t_end))
     new_state = StateQuad(Field(grid, u), Field(grid, v), Field(grid, w), Field(grid, z), state.t + dt)
     report = StepReport(dt_used=dt, min_u=float(np.min(u)), max_u=float(np.max(u)),
                         mass_vw=new_state.mass_vw(), negativity_clipped=clipped)
@@ -330,6 +353,8 @@ def run(
     emitted state is new, built on the loop's arrays only when it is emitted.
     A zero-length run returns the initial state and an empty history.  A CFL
     dt below 1e-12 max(1, |t_end|) raises SimulationError naming the term that binds.
+    The result holds every step's dt and, per BINDING_TERMS entry, how many
+    steps it bound.
     """
     threshold = diagnostics.SUPPORT_THRESHOLD if support_threshold is None else support_threshold
     history = diagnostics.FrontHistory()
@@ -356,17 +381,20 @@ def run(
     u, v, w, z, t = initial.u.values, initial.v.values, initial.w.values, initial.z.values, initial.t
     steps = 0
     total_clipped = 0.0
+    dts, counts = array("d"), [0] * len(BINDING_TERMS)
     tiny = _time_tolerance(t_end)
     while steps < budget and (max_steps is not None or t < t_end - tiny):
         cap = None if max_steps is not None else t_end - t
-        u, v, w, z, dt, clipped = _advance(grid, u, v, w, z, t, params, config, cap, tiny)
+        u, v, w, z, dt, clipped, bound = _advance(grid, u, v, w, z, t, params, config, cap, tiny)
         t += dt
         steps += 1
         total_clipped += clipped
+        dts.append(dt)
+        counts[bound] += 1
         done = steps >= budget or (max_steps is None and t >= t_end - tiny)
         if steps % config.output_stride == 0 or done:
             state = StateQuad(Field(grid, u), Field(grid, v), Field(grid, w), Field(grid, z), t)
             emit(state)
         if done:
             break
-    return RunResult(history, state, total_clipped, steps)
+    return RunResult(history, state, total_clipped, steps, dts, dict(zip(BINDING_TERMS, counts)))

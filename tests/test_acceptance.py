@@ -8,6 +8,7 @@ envelope, front-rate and determinism checks.
 """
 
 import dataclasses
+import json
 import math
 import time
 
@@ -346,6 +347,12 @@ def test_criterion_10_determinism_and_round_trips(tmp_path):
             a = parse_config((tmp_path / "r1" / name).read_text())
             b = parse_config((tmp_path / "r2" / name).read_text())
             assert dataclasses.replace(a, out_dir="x") == dataclasses.replace(b, out_dir="x")
+            continue
+        if name == "run_stats.json":
+            # each copy times its own run; the step, dt and binding records agree
+            a, b = (json.loads((tmp_path / out / name).read_text()) for out in ("r1", "r2"))
+            assert a.pop("wall_s") > 0.0 and b.pop("wall_s") > 0.0
+            assert a == b
             continue
         assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes(), name
 

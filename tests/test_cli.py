@@ -1,6 +1,7 @@
 """Exercises the five subcommands through main(), checking artifacts and exit codes."""
 
 import csv
+import json
 import os
 import shutil
 import subprocess
@@ -116,6 +117,28 @@ class TestRunCommand:
         captured = capsys.readouterr().out
         assert captured.startswith("run: ")
         assert "snapshots" in captured
+
+    def test_run_stats_count_every_step_once(self, tiny_run):
+        stats = json.loads((tiny_run["out"] / "run_stats.json").read_text())
+        assert set(stats) == {"steps", "wall_s", "dt", "bound_by", "clipped_mass"}
+        assert list(stats["bound_by"]) == ["diffusion", "drift", "reaction", "cap"]
+        assert sum(stats["bound_by"].values()) == stats["steps"] > 0
+        assert 0.0 < stats["dt"]["min"] <= stats["dt"]["median"] <= stats["dt"]["max"]
+        assert stats["wall_s"] > 0.0
+        assert stats["clipped_mass"] == 0.0
+
+    def test_run_stats_of_a_zero_length_run(self, tmp_path):
+        cfg = tmp_path / "still.cfg"
+        cfg.write_text(TINY_CFG.replace("t_end = 0.05", "t_end = 0.0"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        stats = json.loads((tmp_path / "out" / "run_stats.json").read_text())
+        assert stats["steps"] == 0 and stats["dt"] is None
+        assert set(stats["bound_by"].values()) == {0}
+
+    def test_reference_run_is_diffusion_bound_on_most_steps(self, cli_run_dir):
+        stats = json.loads((cli_run_dir["out"] / "run_stats.json").read_text())
+        assert sum(stats["bound_by"].values()) == stats["steps"]
+        assert stats["bound_by"]["diffusion"] > stats["steps"] / 2
 
     def test_collapsed_dt_is_numeric_failure(self, tmp_path, capsys):
         cfg = tmp_path / "huge.cfg"

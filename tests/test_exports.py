@@ -19,3 +19,14 @@ def test_export_list_resolves(name):
     exported = list(getattr(module, "__all__", ()))
     assert len(set(exported)) == len(exported), "duplicate names in %s.__all__" % name
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+# names deleted from the public surface, with the module that exported them
+PRUNED = [("chemofront", "jump_probability"), ("chemofront.model", "jump_probability")]
+
+
+@pytest.mark.parametrize("name, attr", PRUNED)
+def test_pruned_names_stay_gone(name, attr):
+    module = importlib.import_module(name)
+    assert attr not in getattr(module, "__all__", ())
+    assert not hasattr(module, attr)

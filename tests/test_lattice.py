@@ -54,6 +54,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="kernel"):
             make_state([1, 1, 1, 1], kernel="teleport")
 
+    def test_jump_probability_domain_is_refused(self):
+        # q = (count / u_max)^(m - 1) is taken only on counts >= 0 and m > 1
+        with pytest.raises(ValueError, match="nonnegative"):
+            make_state([-1, 5, 5, 5])
+        with pytest.raises(ValueError, match="m must be > 1"):
+            make_state([5, 5, 5, 5], m=1.0)
+
     def test_signal_shape_must_match(self):
         with pytest.raises(ValueError):
             make_state([1, 1, 1, 1], v=np.zeros(3))
@@ -102,6 +109,22 @@ class TestLatticeConfig:
 
 
 class TestRates:
+    # under a flat signal with alpha = 1 and unit spacing a departure site's
+    # rate is the jump probability q = (count / u_max)^(m - 1) itself
+    def test_jump_probability_pinned_values(self):
+        for count, m, q in ((0, 2.0, 0.0), (100, 3.0, 1.0), (50, 2.0, 0.5)):
+            left, right = rate_arrays(make_state([count] * 4, u_max=100, m=m))
+            assert right[1] == left[1] == pytest.approx(q, rel=1e-15), (count, m)
+
+    @given(
+        m=st.floats(min_value=1.01, max_value=6.0),
+        counts=st.lists(st.integers(0, OVERFLOW_FACTOR * 50), min_size=2, max_size=30),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_jump_probability_monotone(self, m, counts):
+        _, right = rate_arrays(make_state(np.sort(counts), u_max=50, m=m))
+        assert np.all(np.diff(right[:-1]) >= 0.0)  # the last site has no right face
+
     def test_pushing_flat_signal_at_half_density(self):
         s = make_state([50, 50, 50, 50], u_max=100, m=2.0, alpha=1.0)
         left, right = rate_arrays(s)

@@ -12,7 +12,6 @@ from chemofront.model import (
     ModelParams,
     StateQuad,
     TabulatedSensitivity,
-    jump_probability,
     logistic_growth,
 )
 
@@ -98,32 +97,6 @@ class TestStateQuad:
         c = s.copy()
         c.u.values[0] = 5.0
         assert s.u.values[0] == 1.0
-
-
-# --- motility factor --------------------------------------------------------
-
-
-def test_jump_probability_pinned_values():
-    assert jump_probability(0.0, 2.0) == 0.0
-    assert jump_probability(1.0, 3.0) == 1.0
-    assert jump_probability(0.5, 2.0) == pytest.approx(0.5)
-
-
-def test_jump_probability_rejects_negative():
-    with pytest.raises(ValueError):
-        jump_probability(-0.1, 2.0)
-    with pytest.raises(ValueError):
-        jump_probability(1.0, 1.0)
-
-
-@given(
-    m=st.floats(min_value=1.01, max_value=6.0),
-    us=st.lists(st.floats(min_value=0.0, max_value=50.0), min_size=2, max_size=30),
-)
-@settings(max_examples=60, deadline=None)
-def test_jump_probability_monotone(m, us):
-    vals = jump_probability(np.sort(np.asarray(us)), m)
-    assert np.all(np.diff(vals) >= -1e-12)
 
 
 # --- sensitivity rules ------------------------------------------------------

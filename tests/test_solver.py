@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -46,15 +47,42 @@ class TestCflDt:
         s = StateQuad(Field.full(g, 1.0), Field.full(g, 0.3), Field.full(g, 0.0), Field.full(g, 0.0))
         p = ModelParams(m=2.0, delta=1.0, mu=1.0, r=1.0)
         dt = cfl_dt(s, p, SolverConfig(t_end=1.0))
-        assert dt == pytest.approx(0.25e-4 / (6.0 + 2e-4), rel=1e-13)
-        assert dt == pytest.approx(4.1664e-6, rel=1e-4)
+        # diffusion 2 * 1 * 2 * 1^1 = 4, no drift under flat v, reaction 1e-4 * 1 * 2 * 1 = 2e-4
+        assert dt == pytest.approx(0.25e-4 / (4.0 + 2e-4), rel=1e-13)
+        assert dt == pytest.approx(6.2497e-6, rel=1e-4)
 
     def test_vacuum_limit(self):
         g = Grid((10,), (1.0,), (0.0,))
         s = StateQuad(Field.full(g, 0.0), Field.full(g, 0.0), Field.full(g, 0.0), Field.full(g, 0.0))
         p = ModelParams(m=2.0, mu=0.0)
+        # every term vanishes, so the cap (dt_max, default h) is dt
+        assert cfl_dt(s, p, SolverConfig(t_end=1.0)) == g.h
+        assert cfl_dt(s, p, SolverConfig(t_end=1.0, dt_max=0.03)) == 0.03
+
+    def test_drift_term_is_the_upwinded_flux_speed(self):
+        g = Grid((100,), (1.0,), (0.0,))  # h = 0.01
+        s = StateQuad(Field.full(g, 0.5), Field(g, 3.0 * g.axis_centers(0)), Field.full(g, 0.0), Field.full(g, 0.0))
+        p = ModelParams(m=3.0, mu=0.0)
+        # diffusion 2 * 3 * 0.5^2 = 1.5; drift h * 3 * 0.5^2 * |grad v| = 0.01 * 0.75 * 3
         dt = cfl_dt(s, p, SolverConfig(t_end=1.0))
-        assert dt == pytest.approx(0.25 * 0.01 / 2.0)
+        assert dt == pytest.approx(0.25e-4 / (1.5 + 0.0225), rel=1e-12)
+
+    @given(
+        m=st.floats(min_value=1.05, max_value=4.0),
+        safety=st.floats(min_value=0.05, max_value=1.0),
+        u=st.lists(st.floats(min_value=0.0, max_value=20.0), min_size=4, max_size=24),
+        v_scale=st.floats(min_value=0.0, max_value=1e4),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_dt_keeps_the_drift_courant_number_under_the_safety(self, m, safety, u, v_scale, seed):
+        g = Grid((len(u),), (2.0,), (-1.0,))
+        v = v_scale * np.random.default_rng(seed).random(len(u))
+        s = StateQuad(Field(g, np.asarray(u)), Field(g, v), Field.full(g, 1.0), Field.full(g, 0.0))
+        p = ModelParams(m=m, mu=1.0, phi=ConstantSensitivity(-1.0))
+        dt = cfl_dt(s, p, SolverConfig(t_end=1.0, cfl_safety=safety))
+        courant = dt * m * max(u) ** (m - 1.0) * max_abs_gradient(s.v) / g.h
+        assert courant <= safety * (1.0 + 1e-12)
 
     def test_linear_in_safety_factor(self):
         s = uniform_state(50, u=0.7, v=0.1)
@@ -299,6 +327,15 @@ class TestRun:
         assert len(snaps) == 4
         assert snaps[-1].t == res.final.t
 
+    @pytest.mark.parametrize("dt_max, binds", [(None, "diffusion"), (1e-4, "cap")])
+    def test_run_records_each_steps_dt_and_binding_term(self, dt_max, binds):
+        initial = make_standard_initial(cells=32)
+        res = run(initial, STANDARD_MODEL, SolverConfig(t_end=0.05, dt_max=dt_max))
+        assert list(res.bound_by) == list(solver.BINDING_TERMS)
+        assert len(res.dts) == res.steps == sum(res.bound_by.values())
+        assert res.bound_by[binds] == res.steps
+        assert math.fsum(res.dts) == pytest.approx(0.05, rel=1e-12)
+
     def test_zero_duration_returns_initial(self):
         initial = make_standard_initial(cells=64)
         res = run(initial, STANDARD_MODEL, SolverConfig(t_end=0.0))
@@ -347,25 +384,32 @@ class TestRun:
             assert 3.6 <= ratio <= 4.4, (diffs, ratios)
 
 
-# (dim, signal, bump height, model changes, solver changes); a tall bump repelled
-# by a strong signal at cfl_safety 1 outruns the drift's CFL term, and the step clips
+def quadratic(d2):
+    return 2.0 - d2
+
+
+# (dim, signal as a function of the squared distance d2 to the centre cell, bump
+# height, model changes, solver changes).  The drift term of the CFL bound
+# allows one outgoing face per cell at speed m u^(m-1) |grad v|; the cell under
+# the apex of a repelling 2D cone drains through four faces, so at m = 2 and
+# cfl_safety 1 its step overshoots and clips.
 KERNEL_CASES = {
-    "1d": (1, 1.0, 0.8, {}, {}),
-    "2d": (2, 1.0, 0.8, {}, {}),
-    "no_drift": (1, 1.0, 0.8, {"phi": ConstantSensitivity(0.0)}, {}),
-    "eps_reg": (1, 1.0, 0.8, {"eps_reg": 0.05}, {}),
-    "clips": (1, 50.0, 6.0, {"phi": ConstantSensitivity(-1.0)}, {"cfl_safety": 1.0}),
+    "1d": (1, quadratic, 0.8, {}, {}),
+    "2d": (2, quadratic, 0.8, {}, {}),
+    "no_drift": (1, quadratic, 0.8, {"phi": ConstantSensitivity(0.0)}, {}),
+    "eps_reg": (1, quadratic, 0.8, {"eps_reg": 0.05}, {}),
+    "clips": (2, lambda d2: 100.0 * (3.0 - np.sqrt(d2)), 0.8, {"phi": ConstantSensitivity(-1.0)}, {"cfl_safety": 1.0}),
 }
 
 
 def kernel_case(case):
-    """(state, params, config) of a KERNEL_CASES entry: a bump under an
-    attractant peaked at the origin, on 32 cells or 12 x 16."""
+    """(state, params, config) of a KERNEL_CASES entry: a bump under a signal
+    centred on the middle cell, on 32 cells or 12 x 16."""
     dim, signal, height, model_changes, solver_changes = KERNEL_CASES[case]
     g = Grid((32,), (2.0,), (-1.0,)) if dim == 1 else Grid((12, 16), (1.5, 2.0), (-0.75, -1.0))
-    origin = (0.0,) * dim
-    v = Field(g, signal * (2.0 - g.center_distance2(origin)))
-    state = StateQuad(bump_field(g, origin, 0.5, height), v, Field.full(g, 1.0), Field.full(g, 0.5))
+    centre = tuple(g.axis_centers(a)[n // 2] for a, n in enumerate(g.cells))
+    v = Field(g, signal(g.center_distance2(centre)))
+    state = StateQuad(bump_field(g, centre, 0.5, height), v, Field.full(g, 1.0), Field.full(g, 0.5))
     params = dataclasses.replace(STANDARD_MODEL, **model_changes)
     return state, params, dataclasses.replace(SolverConfig(t_end=1.0, output_stride=7), **solver_changes)
 
@@ -386,6 +430,18 @@ class TestKernel:
         assert res.total_clipped == total
         if case == "clips":
             assert total > 0.0  # the clipping path ran
+
+    @pytest.mark.parametrize("height", [6.0, 9.0])
+    def test_repelled_tall_bump_loses_no_mass(self, height):
+        # the drift term bounds the upwinded flux at its true speed, so a tall
+        # bump driven out of a strong quadratic signal is never overdrawn
+        g = Grid((32,), (2.0,), (-1.0,))
+        v = Field(g, 50.0 * (2.0 - g.center_distance2((0.0,))))
+        s = StateQuad(bump_field(g, (0.0,), 0.5, height), v, Field.full(g, 1.0), Field.full(g, 0.5))
+        params = dataclasses.replace(STANDARD_MODEL, phi=ConstantSensitivity(-1.0))
+        res = run(s, params, SolverConfig(t_end=1.0, cfl_safety=1.0), max_steps=40)
+        assert res.total_clipped == 0.0
+        assert res.bound_by["drift"] == 40
 
     @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
     def test_step_moves_u_by_the_public_cfl_and_fluxes(self, case):
