@@ -1,12 +1,12 @@
 """Particle-count convergence of the lattice walk toward the continuum limit.
 
-Loads all particles on the center site, lets the pushing kernel spread them,
-and measures the L1 gap between the seed-averaged coarse density and the
-matching nonlinear-diffusion run.  The gap should shrink as the particle
-count grows; capacity is scaled with the load so the relative density starts
-at the same height every time.  The ensemble and the continuum run are the
-library's lattice.run_ensemble and lattice.continuum_twin, as in the CLI's
-lattice command.
+Loads all particles on the center site, lets the walk (jump probability
+charged at the departure site) spread them, and measures the L1 gap between
+the seed-averaged coarse density and the matching nonlinear-diffusion run.
+The gap should shrink as the particle count grows; capacity is scaled with
+the load so the relative density starts at the same height every time.
+The ensemble and the continuum run are the library's lattice.run_ensemble
+and lattice.continuum_twin, as in the CLI's lattice command.
 """
 
 import argparse

@@ -475,11 +475,6 @@ def cmd_lattice(args) -> int:
         raise _UsageError("config %s has no [lattice] section" % args.config)
     lat = cfg.lattice
     m = cfg.model.m
-    if args.tol_l1 is not None and lat.kernel != "pushing":
-        raise ConfigError(
-            "--tol-l1 needs the pushing kernel: the %s kernel does not relax to the solver's PDE"
-            % lat.kernel
-        )
     out_dir = args.out if args.out is not None else cfg.out_dir
     base_seed = args.seed if args.seed is not None else cfg.seed
     os.makedirs(out_dir, exist_ok=True)

@@ -12,10 +12,10 @@ value is read and written.  [grid], [initial], [output], [sweep] and the
 phi rule of [model] are parsed and written by hand.
 
 The solver options clip_negative, chemo_upwind and v_z_stepper were removed:
-the solver has one scheme.  Config files written before, every run
-directory's config.cfg among them, still carry them at that scheme's values
-(on, on, semi-implicit); such a line is read and ignored, and any other value
-is an error.
+the solver has one scheme.  So was the lattice option kernel: the walk has
+one kernel.  Config files written before, every run directory's config.cfg
+among them, still carry them at the kept values (on, on, semi-implicit and
+pushing); such a line is read and ignored, and any other value is an error.
 
 Snapshots are a 6-line ASCII header (magic, dim, cells per axis, extent per
 axis, time, field order) followed by the four fields as raw little-endian
@@ -177,6 +177,7 @@ _RETIRED = {
     ("solver", "clip_negative"): ("bool", True),
     ("solver", "chemo_upwind"): ("bool", True),
     ("solver", "v_z_stepper"): ("str", "semi-implicit"),
+    ("lattice", "kernel"): ("str", "pushing"),
 }
 
 _SECTIONS = ("model", "grid", "solver", "initial", "output", "oracles", "sweep", "lattice")
@@ -247,7 +248,7 @@ def _convert(kind: str, text: str, line_no: int, where: str, expected: str | Non
 
 
 def _check_retired(section: str, key: str, text: str, line_no: int, kind: str, kept) -> None:
-    """Accept a retired key only at the value the solver always uses now."""
+    """Accept a retired key only at the value chemofront always uses now."""
     where = "%s.%s" % (section, key)
     try:
         ok = _convert(kind, text, line_no, where) == kept
@@ -255,7 +256,7 @@ def _check_retired(section: str, key: str, text: str, line_no: int, kind: str, k
         ok = False
     if not ok:
         raise ConfigError(
-            "line %d: option %s was removed; the solver always runs %s = %s, got %r"
+            "line %d: option %s was removed; chemofront always runs %s = %s, got %r"
             % (line_no, where, key, _value_text(kind, kept), text)
         )
 

@@ -1,34 +1,24 @@
 """Stochastic lattice walk whose hydrodynamic limit is the cell PDE.
 
 Particles hop on a 1D chain of sites with reflecting ends.  The jump rate
-from site i to a neighbor is q(relative density) * (alpha + beta * (v_dest
-- v_here)), scaled by 1/h^2; where q is evaluated distinguishes the
-kernels:
-
-* volume_filling  : q at the destination site (crowded targets slow arrivals)
-* pushing         : q at the departure site (crowded origins push out)
-* quorum_pushing  : like pushing but the drift coefficient is beta(z_here)
-
-With q(s) = s^(m-1) and a flat signal the kernels have different mean-field
-limits.  pushing relaxes to the degenerate diffusion u_t = alpha (u^m)_xx,
-the solver's PDE.  volume_filling has the diffusivity D(u) = q - u q' =
-(2 - m) u^(m-1): forward diffusion for m < 2, none at all at m = 2 and
-backward diffusion for m > 2.  quorum_pushing reads beta off z, while the
-solver's sensitivity phi depends on u, so it has no solver counterpart
-either.  Only pushing is therefore compared against the continuum run.
+from site i to a neighbor is q(relative density at i) * (alpha + beta *
+(v_dest - v_here)), scaled by 1/h^2: the jump probability q(s) = s^(m-1) is
+charged at the departure site, so crowded origins push particles out.  Over
+a flat signal this walk relaxes to the degenerate diffusion
+u_t = alpha (u^m)_xx, the solver's PDE, which the continuum twin runs.
 Time advances by tau leaping with per-site binomial (multinomial) draws,
 which conserves particles exactly.
 
 A state's occupancy is one chain, (sites,), or an ensemble of them,
-(members, sites), over the same frozen v and z.  run_adaptive leaps on the
-bare occupancy array: the signal gaps and beta are evaluated once per run;
-each leap evaluates the rates of every member once, takes one dt, the
-leap-condition dt of the fastest member, and draws every move with a single
-multinomial call from the state's one generator.  Every leap checks the
-overflow cap and counts the sites above u_max per member; a LatticeState,
-with its full validation, is built only for the final state.  A leap dt
-below 1e-12 * max(1, t_end), the tolerance the continuum solver uses for
-t_end, raises ValueError, so a run that can never reach t_end stops at once.
+(members, sites), over the same frozen signal v.  run_adaptive leaps on the
+bare occupancy array: the signal gaps are evaluated once per run; each leap
+evaluates the rates of every member once, takes one dt, the leap-condition
+dt of the fastest member, and draws every move with a single multinomial
+call from the state's one generator.  Every leap checks the overflow cap and
+counts the sites above u_max per member; a LatticeState, with its full
+validation, is built only for the final state.  A leap dt below
+1e-12 * max(1, t_end), the tolerance the continuum solver uses for t_end,
+raises ValueError, so a run that can never reach t_end stops at once.
 step_tau_leap is the checked public step (dt > 0, leap condition) over the
 same rate and leap kernels.
 
@@ -40,7 +30,7 @@ scripts/lattice_vs_pde.py both use them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,7 +38,6 @@ from . import solver
 from .model import ConstantSensitivity, Field, Grid, ModelParams, StateQuad
 
 __all__ = [
-    "KERNELS",
     "LatticeConfig",
     "LatticeState",
     "rate_arrays",
@@ -60,8 +49,6 @@ __all__ = [
     "run_ensemble",
     "continuum_twin",
 ]
-
-KERNELS = ("volume_filling", "pushing", "quorum_pushing")
 
 LEAP_LIMIT = 0.1  # dt * max rate must stay below this for the leap to be honest
 OVERFLOW_FACTOR = 4  # occupancy above OVERFLOW_FACTOR * u_max aborts the run
@@ -77,7 +64,6 @@ class LatticeConfig:
     t_end: float
     alpha: float = 1.0
     beta: float = 0.0
-    kernel: str = "pushing"
     seeds: int = 1
     cells_per_bin: int = 1
     leap_fraction: float = 0.5
@@ -90,8 +76,6 @@ class LatticeConfig:
             raise ValueError("lattice sites, u_max and particles must be positive")
         if not (0.0 < self.t_end < math.inf):
             raise ValueError("lattice t_end must be finite and positive, got %r" % self.t_end)
-        if self.kernel not in KERNELS:
-            raise ValueError("lattice kernel must be one of %r, got %r" % (KERNELS, self.kernel))
         if not (self.alpha >= 0.0):
             raise ValueError("lattice alpha must be >= 0, got %r" % self.alpha)
         if not (abs(self.beta) <= 1.0):
@@ -111,11 +95,6 @@ class LatticeConfig:
             raise ValueError("lattice extent must be finite and positive, got %r" % self.extent)
         if not math.isfinite(self.origin):
             raise ValueError("lattice origin must be finite, got %r" % self.origin)
-        if self.compare_pde and self.kernel != "pushing":
-            raise ValueError(
-                "compare_pde needs the pushing kernel: the %s kernel does not relax to "
-                "the solver's PDE" % self.kernel
-            )
 
 
 @dataclass(eq=False)
@@ -124,21 +103,18 @@ class LatticeState:
 
     occupancy counts particles per site (u_max of them make relative density
     one), for one chain (sites,) or for an ensemble (members, sites) whose
-    rows share v, z and the generator rng; v and z are prescribed signal and
-    quorum profiles over the sites.  Sites above u_max are counted as
-    capacity violations (one count per member for an ensemble) but only
-    occupancy beyond OVERFLOW_FACTOR * u_max is an error, because the pushing
-    kernels do not hard-block arrivals.
+    rows share v and the generator rng; v is the prescribed signal over the
+    sites.  Sites above u_max are counted as capacity violations (one count
+    per member for an ensemble) but only occupancy beyond OVERFLOW_FACTOR *
+    u_max is an error, because the walk does not hard-block arrivals.
     """
 
     occupancy: np.ndarray
     u_max: int
     v: np.ndarray
-    z: np.ndarray
     m: float
     alpha: float = 1.0
-    beta_sens: object = dc_field(default_factory=lambda: ConstantSensitivity(0.0))
-    kernel: str = "pushing"
+    beta: float = 0.0
     seed: int = 0
     spacing: float = 1.0
     origin: float = 0.0
@@ -157,22 +133,16 @@ class LatticeState:
         if np.any(self.occupancy > cap):
             raise ValueError("occupancy exceeds the overflow cap %d" % cap)
         self.v = np.asarray(self.v, dtype=float)
-        self.z = np.asarray(self.z, dtype=float)
-        if self.v.shape != self.occupancy.shape[-1:] or self.z.shape != self.occupancy.shape[-1:]:
-            raise ValueError("v and z must hold one value per site")
-        if self.kernel not in KERNELS:
-            raise ValueError("kernel must be one of %r, got %r" % (KERNELS, self.kernel))
+        if self.v.shape != self.occupancy.shape[-1:]:
+            raise ValueError("v must hold one value per site")
         if not (self.m > 1.0):
             raise ValueError("m must be > 1, got %r" % self.m)
         if not (self.alpha >= 0.0):
             raise ValueError("alpha must be >= 0, got %r" % self.alpha)
+        if not (abs(self.beta) <= 1.0):
+            raise ValueError("beta must satisfy |beta| <= 1, got %r" % self.beta)
         if not (self.spacing > 0.0):
             raise ValueError("spacing must be positive, got %r" % self.spacing)
-        if self.kernel != "quorum_pushing" and not isinstance(self.beta_sens, ConstantSensitivity):
-            raise ValueError(
-                "kernel %r uses a constant drift coefficient; quorum_pushing is the "
-                "kernel that reads beta off the local z" % self.kernel
-            )
         if self.rng is None:
             self.rng = np.random.default_rng(self.seed)
 
@@ -191,32 +161,24 @@ class LatticeState:
 def _gains(s: LatticeState):
     """alpha -/+ beta * (v gap) on the faces, for jumps to the left and right.
 
-    v and z are frozen in a state, so a run evaluates these once.
+    v is frozen in a state, so a run evaluates these once.
     """
-    # quorum_pushing reads the coefficient off the departure site's z,
-    # the other kernels carry a constant coefficient
-    beta = s.beta_sens.eval(s.z)
     dv_r = s.v[1:] - s.v[:-1]  # signal gap across face (i, i+1)
-    return s.alpha - beta[1:] * dv_r, s.alpha + beta[:-1] * dv_r
+    return s.alpha - s.beta * dv_r, s.alpha + s.beta * dv_r
 
 
 def _rates(s: LatticeState, occupancy: np.ndarray, gain_l, gain_r):
     """rate_arrays for the (..., sites) occupancy given, with the constants of s.
 
     Counts are never negative, so q is the plain power (the jump probability
-    u^(m-1) of the model) with no scan for negative input.
+    u^(m-1) of the model, taken at the departure site) with no scan for
+    negative input.
     """
     q = (occupancy / float(s.u_max)) ** (s.m - 1.0)
     left = np.zeros(occupancy.shape)
     right = np.zeros(occupancy.shape)
-    if s.kernel == "volume_filling":
-        q_r = q[..., 1:]  # q at the destination
-        q_l = q[..., :-1]
-    else:
-        q_r = q[..., :-1]  # q at the departure site
-        q_l = q[..., 1:]
-    np.multiply(q_r, gain_r, out=right[..., :-1])
-    np.multiply(q_l, gain_l, out=left[..., 1:])
+    np.multiply(q[..., :-1], gain_r, out=right[..., :-1])
+    np.multiply(q[..., 1:], gain_l, out=left[..., 1:])
     np.maximum(left, 0.0, out=left)
     np.maximum(right, 0.0, out=right)
     scale = 1.0 / (s.spacing * s.spacing)
@@ -346,16 +308,13 @@ def initial_state(config: LatticeConfig, m: float, seed: int) -> LatticeState:
     """The state a [lattice] section starts from: every particle on the centre site, flat signal."""
     occupancy = np.zeros(config.sites, dtype=np.int64)
     occupancy[config.sites // 2] = config.particles
-    flat = np.zeros(config.sites)
     return LatticeState(
         occupancy=occupancy,
         u_max=config.u_max,
-        v=flat,
-        z=flat,
+        v=np.zeros(config.sites),
         m=m,
         alpha=config.alpha,
-        beta_sens=ConstantSensitivity(config.beta),
-        kernel=config.kernel,
+        beta=config.beta,
         seed=seed,
         spacing=config.extent / config.sites,
         origin=config.origin,

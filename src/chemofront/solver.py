@@ -134,7 +134,7 @@ def _cfl_dt(grid: Grid, u: np.ndarray, dv: list[np.ndarray], params: ModelParams
     terms = (
         2.0 * grid.dim * m * (max_u + params.eps_reg) ** (m - 1.0),
         h * m * max_u ** (m - 1.0) * _max_grad(dv, h),
-        h * h * params.mu * (params.delta + 1.0) * max(max_u, 1.0) ** params.delta,
+        h * h * params.mu * (params.delta + 1.0) * max(max_u, 1.0) ** params.delta * max(params.r, 1.0),
     )
     cap = config.dt_max if config.dt_max is not None else h
     total = terms[0] + terms[1] + terms[2]
@@ -148,12 +148,13 @@ def cfl_dt(state: StateQuad, params: ModelParams, config: SolverConfig) -> float
 
     dt = cfl_safety * h^2 / (2 dim m (max_u + eps_reg)^(m-1)
                              + h m max_u^(m-1) max|grad v|
-                             + h^2 mu (delta+1) max(max_u, 1)^delta),
+                             + h^2 mu (delta+1) max(max_u, 1)^delta max(r, 1)),
     additionally capped at dt_max (default h), which is also dt when all
     three terms vanish.  The terms bound the degenerate diffusion of u, the
     upwinded drift phi u^m grad v at its speed m u^(m-1) |grad v| (|phi| <= 1
-    for every rule), and the reaction.  v and z need no term: their
-    semi-implicit solve is stable for any dt.
+    for every rule), and the reaction mu u^delta (1 - r u), whose decay above
+    u = 1/r scales with r.  v and z need no term: their semi-implicit solve
+    is stable for any dt.
     """
     return _cfl_dt(state.grid, state.u.values, _face_diffs(state.v.values), params, config)[0]
 

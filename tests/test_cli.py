@@ -386,16 +386,32 @@ class TestLatticeCommand:
 
     @pytest.mark.parametrize("kernel", ["volume_filling", "quorum_pushing"])
     def test_continuum_comparison_needs_the_pushing_kernel(self, tmp_path, capsys, kernel):
+        # the kernel option is retired: any value but pushing is a config error before any output
         cfg = tmp_path / "lat.cfg"
-        cfg.write_text(LATTICE_CFG + "kernel = %s\n" % kernel)
         out = tmp_path / "lat_kernel"
-        assert main(["lattice", "--config", str(cfg), "--out", str(out), "--tol-l1", "0.05"]) == 1
-        assert "--tol-l1 needs the pushing kernel" in capsys.readouterr().err
-        assert not out.exists()
-        cfg.write_text(LATTICE_CFG + "kernel = %s\ncompare_pde = on\n" % kernel)
-        assert main(["lattice", "--config", str(cfg), "--out", str(out)]) == 1
-        assert "compare_pde needs the pushing kernel" in capsys.readouterr().err
-        assert not out.exists()
+        removed = "line 22: option lattice.kernel was removed; chemofront always runs kernel = pushing, got '%s'" % kernel
+        for extra, argv in (("", ["--tol-l1", "0.05"]), ("compare_pde = on\n", []), ("", [])):
+            cfg.write_text(LATTICE_CFG + "kernel = %s\n" % kernel + extra)
+            assert main(["lattice", "--config", str(cfg), "--out", str(out)] + argv) == 1
+            assert removed in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_run_dir_config_with_the_kernel_line_verifies_and_reruns_alike(self, tmp_path):
+        # a run directory's config.cfg written while the kernel option existed carries kernel = pushing
+        cfg = tmp_path / "both.cfg"
+        cfg.write_text(TINY_CFG + LATTICE_CFG[LATTICE_CFG.index("[lattice]") - 1:] + "compare_pde = on\n")
+        current, old = tmp_path / "current", tmp_path / "old"
+        assert main(["run", "--config", str(cfg), "--out", str(current)]) == 0
+        shutil.copytree(current, old)
+        text = (old / "config.cfg").read_text()
+        assert "kernel" not in text
+        (old / "config.cfg").write_text(text.replace("beta = 0.0\n", "beta = 0.0\nkernel = pushing\n"))
+        for run_dir in (current, old):
+            assert main(["verify", "--out", str(run_dir)]) == 0
+            assert main(["lattice", "--config", str(run_dir / "config.cfg"), "--out", str(run_dir / "lat")]) == 0
+        assert (old / "verify_report.csv").read_bytes() == (current / "verify_report.csv").read_bytes()
+        for name in ("ensemble.csv", "compare.csv"):
+            assert (old / "lat" / name).read_bytes() == (current / "lat" / name).read_bytes()
 
     def test_latticeless_config_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "plain.cfg"

@@ -27,7 +27,6 @@ from chemofront.config_io import (
     write_snapshot,
 )
 from chemofront.diagnostics import HISTORY_COLUMNS, FrontHistory
-from chemofront.lattice import KERNELS
 from chemofront.model import (
     ConstantSensitivity,
     Field,
@@ -142,6 +141,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=pattern):
             parse_config(text)
 
+    def test_retired_lattice_kernel_at_pushing_is_ignored(self):
+        text = MINIMAL + "\n[lattice]\nsites = 20\nu_max = 50\nparticles = 100\nt_end = 0.25\n"
+        cfg = parse_config(text + "kernel = pushing\n")
+        assert cfg == parse_config(text)
+        assert "kernel" not in serialize_config(cfg)
+
     def test_output_section(self):
         text = MINIMAL + "\n[output]\ndir = results\nseed = 42\n"
         cfg = parse_config(text)
@@ -157,7 +162,6 @@ class TestParseConfig:
         text = MINIMAL + "\n[lattice]\nsites = 20\nu_max = 50\nparticles = 100\nt_end = 0.25\n"
         lat = parse_config(text).lattice
         assert lat == LatticeConfig(sites=20, u_max=50, particles=100, t_end=0.25)
-        assert lat.kernel == "pushing"
         assert lat.seeds == 1
         assert lat.compare_pde is False
 
@@ -249,19 +253,23 @@ class TestParseErrors:
             MINIMAL
             + "\n[lattice]\nsites = 10\nu_max = 50\nparticles = 10\nt_end = 0.5\nkernel = teleport\n"
         )
-        with pytest.raises(ConfigError, match="kernel"):
+        line = len(text.splitlines())
+        pattern = r"line %d: option lattice\.kernel was removed; chemofront always runs kernel = pushing, got 'teleport'"
+        with pytest.raises(ConfigError, match=pattern % line):
             parse_config(text)
 
     @pytest.mark.parametrize("kernel", ["volume_filling", "quorum_pushing"])
     def test_compare_pde_needs_the_pushing_kernel(self, kernel):
+        # the kernel option is retired: every value but pushing is refused, compared or not
         text = (
             MINIMAL
             + "\n[lattice]\nsites = 10\nu_max = 50\nparticles = 10\nt_end = 0.5\n"
             + "kernel = %s\ncompare_pde = on\n" % kernel
         )
-        with pytest.raises(ConfigError, match="compare_pde needs the pushing kernel"):
-            parse_config(text)
-        parse_config(text.replace("compare_pde = on", "compare_pde = off"))
+        for compare in ("on", "off"):
+            with pytest.raises(ConfigError, match=r"option lattice\.kernel was removed; .* got '%s'" % kernel):
+                parse_config(text.replace("compare_pde = on", "compare_pde = " + compare))
+        assert parse_config(text.replace(kernel, "pushing")).lattice.compare_pde is True
 
 
 # --- serialize / parse round trip -------------------------------------------
@@ -276,7 +284,7 @@ class TestSerializeRoundTrip:
             + "\n[oracles]\ncheck_upper = off"
             + "\n[sweep]\nmodel.mu = 0.5, 1.5"
             + "\n[lattice]\nsites = 24\nu_max = 50\nparticles = 200\nt_end = 0.125\n"
-            + "kernel = volume_filling\nseeds = 3\ncells_per_bin = 2\n"
+            + "kernel = pushing\nseeds = 3\ncells_per_bin = 2\n"
         )
 
     def test_full_config_text_is_fixed(self):
@@ -355,7 +363,6 @@ particles = 200
 t_end = 0.125
 alpha = 1.0
 beta = 0.0
-kernel = volume_filling
 seeds = 3
 cells_per_bin = 2
 leap_fraction = 0.5
@@ -394,7 +401,6 @@ _solvers = st.builds(
 def _lattices(draw):
     cells_per_bin = draw(st.integers(1, 8))
     u_max = draw(st.integers(1, 10**6))
-    kernel = draw(st.sampled_from(KERNELS))
     return LatticeConfig(
         sites=cells_per_bin * draw(st.integers(2, 50)),
         u_max=u_max,
@@ -402,14 +408,12 @@ def _lattices(draw):
         t_end=draw(_finite(0.0, 1e3, exclude_min=True)),
         alpha=draw(_finite(0.0)),
         beta=draw(_finite(-1.0, 1.0)),
-        kernel=kernel,
         seeds=draw(st.integers(1, 100)),
         cells_per_bin=cells_per_bin,
         leap_fraction=draw(_finite(0.0, 1.0, exclude_min=True)),
         extent=draw(_finite(0.0, 1e6, exclude_min=True)),
         origin=draw(_finite()),
-        # only the pushing kernel has the solver's PDE as its limit
-        compare_pde=kernel == "pushing" and draw(st.booleans()),
+        compare_pde=draw(st.booleans()),
     )
 
 

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from chemofront import lattice
 from chemofront.lattice import (
-    KERNELS,
     LEAP_LIMIT,
     OVERFLOW_FACTOR,
     LatticeConfig,
@@ -22,19 +21,14 @@ from chemofront.lattice import (
     run_ensemble,
     step_tau_leap,
 )
-from chemofront.model import ConstantSensitivity, LinearSwitchSensitivity
 
 
-def make_state(occupancy, u_max=100, m=2.0, alpha=1.0, beta=0.0, kernel="pushing",
-               v=None, z=None, seed=0, spacing=1.0):
+def make_state(occupancy, u_max=100, m=2.0, alpha=1.0, beta=0.0, v=None, seed=0, spacing=1.0):
     occ = np.asarray(occupancy, dtype=np.int64)
     if v is None:
         v = np.zeros(occ.shape[-1])
-    if z is None:
-        z = np.zeros(occ.shape[-1])
     return LatticeState(
-        occupancy=occ, u_max=u_max, v=v, z=z, m=m, alpha=alpha,
-        beta_sens=ConstantSensitivity(beta), kernel=kernel, seed=seed,
+        occupancy=occ, u_max=u_max, v=v, m=m, alpha=alpha, beta=beta, seed=seed,
         spacing=spacing,
     )
 
@@ -49,10 +43,6 @@ class TestValidation:
         make_state([cap, 0, 0, 0], u_max=10)  # exactly at the cap is fine
         with pytest.raises(ValueError, match="overflow"):
             make_state([cap + 1, 0, 0, 0], u_max=10)
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError, match="kernel"):
-            make_state([1, 1, 1, 1], kernel="teleport")
 
     def test_jump_probability_domain_is_refused(self):
         # q = (count / u_max)^(m - 1) is taken only on counts >= 0 and m > 1
@@ -74,13 +64,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="members, sites"):
             make_state(np.ones((2, 2, 2)))
 
-    def test_density_dependent_drift_needs_quorum_kernel(self):
-        occ = np.array([5, 5, 5, 5], dtype=np.int64)
-        with pytest.raises(ValueError, match="quorum"):
-            LatticeState(occupancy=occ, u_max=10, v=np.zeros(4), z=np.zeros(4),
-                         m=2.0, beta_sens=LinearSwitchSensitivity(1.0), kernel="pushing")
-        LatticeState(occupancy=occ, u_max=10, v=np.zeros(4), z=np.zeros(4),
-                     m=2.0, beta_sens=LinearSwitchSensitivity(1.0), kernel="quorum_pushing")
+    def test_drift_coefficient_is_bounded(self):
+        make_state([5, 5, 5, 5], beta=-1.0)
+        with pytest.raises(ValueError, match=r"\|beta\| <= 1"):
+            make_state([5, 5, 5, 5], beta=1.5)
 
 
 class TestLatticeConfig:
@@ -93,12 +80,10 @@ class TestLatticeConfig:
             ({"extent": 0.0}, "extent"),
             ({"origin": float("nan")}, "origin"),
             ({"origin": float("-inf")}, "origin"),
-            ({"kernel": "teleport"}, "kernel"),
+            ({"cells_per_bin": 3}, "cells_per_bin must divide sites"),
             ({"alpha": -0.5}, "alpha"),
             ({"beta": 1.5}, r"\|beta\| <= 1"),
             ({"particles": 201}, "overflow cap 200"),
-            ({"kernel": "volume_filling", "compare_pde": True}, "compare_pde needs the pushing kernel"),
-            ({"kernel": "quorum_pushing", "compare_pde": True}, "compare_pde needs the pushing kernel"),
         ],
     )
     def test_record_refuses_unbounded_or_unknown_values(self, bad, fragment):
@@ -142,11 +127,12 @@ class TestRates:
         assert left[0] == 0.0
         assert right[-1] == 0.0
 
-    def test_volume_filling_reads_destination_density(self):
-        s = make_state([100, 50, 0, 50], u_max=100, kernel="volume_filling")
+    def test_pushing_reads_departure_density(self):
+        s = make_state([100, 50, 0, 50], u_max=100)
         left, right = rate_arrays(s)
-        assert left[1] == pytest.approx(1.0)   # q at the full left neighbor
-        assert right[1] == pytest.approx(0.0)  # q at the empty right neighbor
+        # q at the half-full departure site, whatever its full and empty neighbours hold
+        assert left[1] == right[1] == pytest.approx(0.5)
+        assert left[2] == right[2] == 0.0
 
     def test_rate_scale_is_inverse_spacing_squared(self):
         a = make_state([50, 50, 50, 50], spacing=1.0)
@@ -163,66 +149,24 @@ class TestRates:
         assert np.all(right >= 0.0)
         assert left[2] == 0.0  # strong uphill signal blocks the downhill jump
 
-    @pytest.mark.parametrize(
-        "kernel, m, sign",
-        [
-            ("pushing", 1.5, -1),  # D = m u^(m-1) > 0: flux runs down the gradient
-            ("pushing", 3.0, -1),
-            ("volume_filling", 1.5, -1),  # D = (2 - m) u^(m-1) > 0
-            ("volume_filling", 2.0, 0),  # D = 0: no net flux across any face
-            ("volume_filling", 3.0, 1),  # D < 0: backward diffusion, up the gradient
-        ],
-    )
-    def test_mean_field_face_flux_has_each_kernels_limit(self, kernel, m, sign):
+    @pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
+    def test_mean_field_face_flux_runs_down_the_gradient(self, m):
+        """q at the departure site gives the diffusivity D = m u^(m-1) > 0."""
         occ = np.array([0, 10, 40, 90, 160, 250, 160, 90, 40, 10, 0])
-        s = make_state(occ, u_max=100, m=m, kernel=kernel)
+        s = make_state(occ, u_max=100, m=m)
         left, right = rate_arrays(s)
         flux = occ[:-1] * right[:-1] - occ[1:] * left[1:]  # expected net jumps i -> i + 1
         grad = np.diff(occ)
-        if sign == 0:
-            assert np.allclose(flux, 0.0, atol=1e-12)
-        else:
-            live = (occ[:-1] > 0) & (occ[1:] > 0)
-            assert np.all(np.sign(flux[live] * grad[live]) == sign)
+        live = (occ[:-1] > 0) & (occ[1:] > 0)
+        assert np.all(np.sign(flux[live] * grad[live]) == -1)
 
-    def test_kernels_agree_when_q_is_constant(self):
-        """Uniform occupancy makes q flat, collapsing both q placements."""
-        v = np.linspace(0.0, 0.3, 6)
-        push = make_state([40] * 6, beta=0.5, v=v, kernel="pushing")
-        fill = make_state([40] * 6, beta=0.5, v=v, kernel="volume_filling")
-        pl, pr = rate_arrays(push)
-        fl, fr = rate_arrays(fill)
-        assert np.allclose(pl, fl)
-        assert np.allclose(pr, fr)
-
-    def test_quorum_kernel_reads_beta_off_z(self):
-        v = np.linspace(0.0, 0.3, 6)
-        z = np.full(6, 0.5)
-        quorum = LatticeState(
-            occupancy=np.array([40] * 6, dtype=np.int64), u_max=100,
-            v=v, z=z, m=2.0, beta_sens=LinearSwitchSensitivity(1.0),
-            kernel="quorum_pushing",
-        )
-        plain = make_state([40] * 6, beta=0.5, v=v, kernel="pushing")
-        ql, qr = rate_arrays(quorum)
-        pl, pr = rate_arrays(plain)
-        assert np.allclose(ql, pl)
-        assert np.allclose(qr, pr)
-
-
-    def test_quorum_kernel_reads_beta_at_the_departure_site(self):
-        v = np.linspace(0.0, 0.3, 6)
-        z = np.linspace(0.0, 1.0, 6)
-        s = LatticeState(
-            occupancy=np.array([40] * 6, dtype=np.int64), u_max=100,
-            v=v, z=z, m=2.0, beta_sens=LinearSwitchSensitivity(1.0),
-            kernel="quorum_pushing",
-        )
+    def test_drift_gain_is_alpha_plus_beta_times_the_signal_gap(self):
+        v = np.array([0.0, 0.1, 0.3, 0.6, 1.0, 1.5])
+        s = make_state([40] * 6, alpha=0.8, beta=0.5, v=v)
         left, right = rate_arrays(s)
-        beta = 1.0 - z
         dv = np.diff(v)
-        assert np.allclose(right[:-1], 0.4 * (1.0 + beta[:-1] * dv), rtol=1e-14)
-        assert np.allclose(left[1:], 0.4 * (1.0 - beta[1:] * dv), rtol=1e-14)
+        assert np.allclose(right[:-1], 0.4 * (0.8 + 0.5 * dv), rtol=1e-14)
+        assert np.allclose(left[1:], 0.4 * (0.8 - 0.5 * dv), rtol=1e-14)
 
 
 class TestLeaping:
@@ -313,14 +257,10 @@ def _mound(n_sites, load):
 
 ONE_PATH_CASES = {
     "pushing": lambda: make_state(_mound(21, 300), u_max=100, seed=11),
-    "volume_filling": lambda: make_state(
-        _mound(21, 300), u_max=100, beta=0.5, v=np.linspace(0.0, 2.0, 21),
-        kernel="volume_filling", seed=12),
-    "quorum_pushing": lambda: LatticeState(
-        occupancy=np.full(16, 30, dtype=np.int64), u_max=100,
-        v=np.linspace(0.0, 30.0, 16), z=np.linspace(0.0, 2.0, 16), m=2.5, alpha=0.5,
-        beta_sens=LinearSwitchSensitivity(1.0), kernel="quorum_pushing", seed=13,
-        spacing=0.5),
+    # a signal well whose walls are steep enough that |beta dv| > alpha on both sides
+    "drift_clamp": lambda: make_state(
+        np.full(16, 30), u_max=100, m=2.5, alpha=0.5, beta=0.9,
+        v=(np.arange(16) - 7.5) ** 2 / 8.0, seed=13, spacing=0.5),
     "capacity_flags": lambda: make_state([150, 0, 150, 0, 150], u_max=100, seed=14),
 }
 
@@ -339,8 +279,8 @@ class TestOnePath:
             assert fast.capacity_violations > 0
 
     def test_drift_clamp_acts_in_the_quorum_case(self):
-        left, right = rate_arrays(ONE_PATH_CASES["quorum_pushing"]())
-        # beta = 1 - z changes sign along the chain, so each direction is blocked somewhere
+        left, right = rate_arrays(ONE_PATH_CASES["drift_clamp"]())
+        # v falls then rises, so the steep walls block uphill jumps in each direction somewhere
         assert np.count_nonzero(left[1:] == 0.0) > 0
         assert np.count_nonzero(right[:-1] == 0.0) > 0
 
@@ -520,7 +460,7 @@ class TestCoarseDensity:
     def test_grid_geometry_carries_over(self):
         s = LatticeState(
             occupancy=np.ones(16, dtype=np.int64), u_max=100,
-            v=np.zeros(16), z=np.zeros(16), m=2.0,
+            v=np.zeros(16), m=2.0,
             spacing=0.25, origin=-1.0,
         )
         f = coarse_density(s, 4)

@@ -51,6 +51,17 @@ class TestCflDt:
         assert dt == pytest.approx(0.25e-4 / (4.0 + 2e-4), rel=1e-13)
         assert dt == pytest.approx(6.2497e-6, rel=1e-4)
 
+    def test_reaction_term_scales_with_r_above_one(self):
+        g = Grid((100,), (1.0,), (0.0,))  # h = 0.01
+        s = StateQuad(Field.full(g, 2.0), Field.full(g, 0.0), Field.full(g, 0.0), Field.full(g, 0.0))
+        # diffusion 2 * 1 * 2 * 2^1 = 8, reaction 1e-4 * 1 * 2 * 2^1 * max(r, 1)
+        dt = cfl_dt(s, ModelParams(m=2.0, delta=1.0, mu=1.0, r=4.0), SolverConfig(t_end=1.0))
+        assert dt == pytest.approx(0.25e-4 / (8.0 + 1.6e-3), rel=1e-13)
+        # r <= 1 keeps the term, and dt, exactly as at r = 1
+        dt_r1 = cfl_dt(s, ModelParams(m=2.0, delta=1.0, mu=1.0, r=1.0), SolverConfig(t_end=1.0))
+        assert cfl_dt(s, ModelParams(m=2.0, delta=1.0, mu=1.0, r=0.5), SolverConfig(t_end=1.0)) == dt_r1
+        assert dt_r1 == pytest.approx(0.25e-4 / (8.0 + 4e-4), rel=1e-13)
+
     def test_vacuum_limit(self):
         g = Grid((10,), (1.0,), (0.0,))
         s = StateQuad(Field.full(g, 0.0), Field.full(g, 0.0), Field.full(g, 0.0), Field.full(g, 0.0))
@@ -442,6 +453,17 @@ class TestKernel:
         res = run(s, params, SolverConfig(t_end=1.0, cfl_safety=1.0), max_steps=40)
         assert res.total_clipped == 0.0
         assert res.bound_by["drift"] == 40
+
+    @pytest.mark.parametrize("safety", [0.25, 1.0])
+    def test_fast_logistic_decay_does_not_overshoot(self, safety):
+        # mu u (1 - r u) with r u = 60 at the peak: a reaction term blind to r let
+        # 40 steps clip 0.288 of mass 4.0 at safety 0.25 and 11.0 at safety 1
+        g = Grid((32,), (2.0,), (-1.0,))
+        s = StateQuad(bump_field(g, (0.0,), 0.5, 6.0), Field.full(g, 0.0), Field.full(g, 1.0), Field.full(g, 0.5))
+        params = ModelParams(m=2.0, delta=1.0, mu=1e4, r=10.0)
+        res = run(s, params, SolverConfig(t_end=1.0, cfl_safety=safety), max_steps=40)
+        assert res.bound_by["reaction"] == 40
+        assert res.total_clipped == 0.0
 
     @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
     def test_step_moves_u_by_the_public_cfl_and_fluxes(self, case):
