@@ -20,7 +20,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -107,12 +106,14 @@ def _build_parser() -> _Parser:
 
 
 def _run_stats(result: solver.RunResult, wall_s: float) -> dict:
-    """The run_stats.json record: why the run took the steps it did."""
+    """The run_stats.json record: why the run took the steps it did, and what they cost."""
     dts = np.sort(result.dts)  # np.median would import numpy.ma, 1.4 MB of resident memory
     n = dts.size
     return {
         "steps": result.steps,
+        "stages": result.stages,
         "wall_s": wall_s,
+        "steps_per_s": result.steps / wall_s,
         "dt": None if n == 0 else {
             "min": float(dts[0]), "median": float(0.5 * (dts[(n - 1) // 2] + dts[n // 2])), "max": float(dts[-1])},
         "bound_by": result.bound_by,
@@ -398,6 +399,9 @@ def cmd_sweep(args) -> int:
     if workers == 1:
         results = [_sweep_worker(job) for job in jobs]
     else:
+        # imported by its only user: it loads ~30 stdlib modules that every other command would pay for
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_worker, jobs))
 

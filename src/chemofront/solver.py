@@ -8,10 +8,13 @@
 on a box with no-flux boundaries.  There is one scheme, with no switches;
 the design points that the tests lean on:
 
-* u is advanced explicitly in flux form; the diffusive face flux differences
-  the transformed variable (u + eps)^m - eps^m, which preserves exact zeros
-  and hence a sharp numerical support (one cell per step at most).
-* the drift advects u^m from the upwind cell of each face, so an empty cell
+* the diffusion of u takes one s-stage RKL2 super-step (Meyer, Balsara &
+  Aslam, J. Comput. Phys. 257, 2014) per step, in flux form on the
+  transformed variable T = (u + eps)^m - eps^m.  Every stage diffuses
+  T(max(Y, 0)); a cell whose neighbours are all empty gets exact zeros, so
+  the numerical support stays sharp and grows by at most one cell per stage.
+* the drift and the growth are added explicitly at the step's start: the
+  drift advects u^m from the upwind cell of each face, so an empty cell
   sends nothing and vacuum stays vacuum.  A negative u left by a step is
   clipped to zero and its mass is reported as clipped.
 * w is integrated exactly per cell, w <- w exp(-z dt), and the attractant
@@ -19,9 +22,12 @@ the design points that the tests lean on:
   to solver tolerance regardless of dt.
 * v and z solve (s I - dt Lap) x = b exactly in the Neumann eigenbasis, the
   DCT-II: a semi-implicit update that is stable for any dt.
-* so dt (cfl_dt) budgets for u alone: its degenerate diffusion, its upwinded
-  drift at the speed m u^(m-1) |grad v|, and its growth.  run() records every
-  step's dt and which of these terms, or the dt_max/h cap, set it.
+* so dt (cfl_dt) budgets for u alone: its degenerate diffusion, whose
+  super-step of up to S = MAX_STAGES stages covers (S^2 + S - 2)/4
+  forward-Euler steps, its upwinded drift through all 2 dim faces of a cell,
+  and its growth.  Each step takes the fewest stages s >= 2 that cover its
+  dt.  run() records every step's dt, which of these terms or the dt_max/h
+  cap set it, and the stages taken.
 * The loop runs on bare arrays (_advance) with one finiteness check per step;
   Field/StateQuad validation sits at the edges: step()'s input and output,
   and the states run() emits.  A CFL dt below the run's time tolerance raises.
@@ -81,23 +87,29 @@ class StepReport:
     max_u: float
     mass_vw: float
     negativity_clipped: float
+    stages: int
 
 
 # what can set a step's CFL dt: the three terms of _cfl_dt in order, then its cap
 BINDING_TERMS = ("diffusion", "drift", "reaction", "cap")
 
+# most RKL2 stages per step; s stages cover (s^2 + s - 2)/4 forward-Euler diffusion steps
+MAX_STAGES = 4
+
 
 @dataclass
 class RunResult:
-    """A run's history and final state; dts holds the dt of every step and
+    """A run's history and final state; dts holds the dt of every step,
     bound_by counts, per BINDING_TERMS entry, the steps whose CFL dt it set
-    (the last step, shortened to land on t_end, counts for its CFL term)."""
+    (the last step, shortened to land on t_end, counts for its CFL term), and
+    stages sums the RKL2 stages of every step."""
     history: "diagnostics.FrontHistory"
     final: StateQuad
     total_clipped: float
     steps: int
     dts: array = field(default_factory=lambda: array("d"))
     bound_by: dict = field(default_factory=lambda: dict.fromkeys(BINDING_TERMS, 0))
+    stages: int = 0
 
 
 @lru_cache(maxsize=2)
@@ -125,15 +137,21 @@ def _powers(u: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]
     return um, (um if eps == 0.0 else (u + eps) ** params.m - eps ** params.m)
 
 
+def _stage_gain(stages: int) -> float:
+    """Forward-Euler diffusion steps that one RKL2 super-step of this many stages covers."""
+    return (stages * stages + stages - 2) / 4.0
+
+
 def _cfl_dt(grid: Grid, u: np.ndarray, dv: list[np.ndarray], params: ModelParams, config: SolverConfig):
     """cfl_dt on arrays, given v's face differences dv; also returns the
-    (diffusion, drift, reaction) denominator terms and the cap, to name the one that binds."""
+    (diffusion, drift, reaction) denominator terms and the cap, to name the
+    one that binds; the diffusion term is already divided by the stage gain."""
     h = grid.h
     m = params.m
     max_u = float(u.max())
     terms = (
-        2.0 * grid.dim * m * (max_u + params.eps_reg) ** (m - 1.0),
-        h * m * max_u ** (m - 1.0) * _max_grad(dv, h),
+        2.0 * grid.dim * m * (max_u + params.eps_reg) ** (m - 1.0) / _stage_gain(MAX_STAGES),
+        h * max(m, 2.0 * grid.dim) * max_u ** (m - 1.0) * _max_grad(dv, h),
         h * h * params.mu * (params.delta + 1.0) * max(max_u, 1.0) ** params.delta * max(params.r, 1.0),
     )
     cap = config.dt_max if config.dt_max is not None else h
@@ -144,23 +162,22 @@ def _cfl_dt(grid: Grid, u: np.ndarray, dv: list[np.ndarray], params: ModelParams
 
 
 def cfl_dt(state: StateQuad, params: ModelParams, config: SolverConfig) -> float:
-    """Stable explicit step for the current state.
+    """Stable step for the current state.
 
-    dt = cfl_safety * h^2 / (2 dim m (max_u + eps_reg)^(m-1)
-                             + h m max_u^(m-1) max|grad v|
+    dt = cfl_safety * h^2 / (2 dim m (max_u + eps_reg)^(m-1) / G
+                             + h max(m, 2 dim) max_u^(m-1) max|grad v|
                              + h^2 mu (delta+1) max(max_u, 1)^delta max(r, 1)),
-    additionally capped at dt_max (default h), which is also dt when all
-    three terms vanish.  The terms bound the degenerate diffusion of u, the
-    upwinded drift phi u^m grad v at its speed m u^(m-1) |grad v| (|phi| <= 1
-    for every rule), and the reaction mu u^delta (1 - r u), whose decay above
-    u = 1/r scales with r.  v and z need no term: their semi-implicit solve
-    is stable for any dt.
+    with G = (S^2 + S - 2)/4 = 4.5 at S = MAX_STAGES, additionally capped at
+    dt_max (default h), which is also dt when all three terms vanish.  The
+    terms bound the degenerate diffusion of u, which one RKL2 super-step of
+    up to S stages covers for G forward-Euler steps; the upwinded drift
+    phi u^m grad v, which moves at the speed m u^(m-1) |grad v| and drains a
+    cell through up to 2 dim faces (|phi| <= 1 for every rule); and the
+    reaction mu u^delta (1 - r u), whose decay above u = 1/r scales with r.
+    The three share one budget, since all of them drain the same cells within
+    a step.  v and z need no term: their semi-implicit solve is stable for any dt.
     """
     return _cfl_dt(state.grid, state.u.values, _face_diffs(state.v.values), params, config)[0]
-
-
-def _diffusive_fluxes(tr: np.ndarray, h: float) -> list[np.ndarray]:
-    return [-d / h for d in _face_diffs(tr)]
 
 
 def diffusive_flux(state: StateQuad, params: ModelParams) -> list[np.ndarray]:
@@ -170,7 +187,7 @@ def diffusive_flux(state: StateQuad, params: ModelParams) -> list[np.ndarray]:
     oriented from the denser cell toward vacuum and vanishes identically on
     faces between empty cells.  Boundary faces are zero and are not stored.
     """
-    return _diffusive_fluxes(_powers(state.u.values, params)[1], state.grid.h)
+    return [-d / state.grid.h for d in _face_diffs(_powers(state.u.values, params)[1])]
 
 
 def _chemotactic_fluxes(u, um, dv, phi, h: float) -> list[np.ndarray]:
@@ -202,13 +219,13 @@ def _divergence(fluxes: list[np.ndarray], shape: tuple, h: float) -> np.ndarray:
     return div
 
 
-def _lap_apply(values: np.ndarray, h: float) -> np.ndarray:
-    """Neumann Laplacian in flux form."""
-    lap = np.zeros_like(values)
+def _face_sums(values: np.ndarray) -> np.ndarray:
+    """h^2 times the Neumann Laplacian in flux form: each cell's sum of face differences."""
+    out = np.zeros(values.shape)
     for (lo, hi), d in zip(_faces(values.ndim), _face_diffs(values)):
-        lap[lo] += d
-        lap[hi] -= d
-    return lap / (h * h)
+        out[lo] += d
+        out[hi] -= d
+    return out
 
 
 @lru_cache(maxsize=8)
@@ -242,6 +259,43 @@ def _helmholtz_solve(grid: Grid, shift: float, dt: float, rhs: np.ndarray) -> np
     return mean / shift + cx.T @ (coef / (shift + dt * (lam_x[:, None] + lam_y))) @ cy
 
 
+@lru_cache(maxsize=MAX_STAGES)
+def _rkl2_weights(stages: int) -> tuple:
+    """Per stage j = 1..s of the s-stage RKL2 super-step (Meyer, Balsara & Aslam
+    2014): (mu_j, nu_j, 1 - mu_j - nu_j, mu~_j, gamma~_j), with b_0 = b_1 = b_2 = 1/3,
+    b_j = (j^2 + j - 2) / (2 j (j + 1)) and w_1 = 4 / (s^2 + s - 2); stage 1 uses mu~_1 alone."""
+    w1 = 1.0 / _stage_gain(stages)
+    b = [1.0 / 3.0] * 3 + [(j * j + j - 2.0) / (2.0 * j * (j + 1.0)) for j in range(3, stages + 1)]
+    weights = [(0.0, 0.0, 1.0, b[1] * w1, 0.0)]
+    for j in range(2, stages + 1):
+        mu = (2.0 * j - 1.0) / j * b[j] / b[j - 1]
+        nu = -(j - 1.0) / j * b[j] / b[j - 2]
+        weights.append((mu, nu, 1.0 - mu - nu, mu * w1, -(1.0 - b[j - 1]) * mu * w1))
+    return tuple(weights)
+
+
+def _stage_count(explicit_steps: float) -> int:
+    """Fewest stages s >= 2, at most MAX_STAGES, that cover this many forward-Euler diffusion steps."""
+    stages = 2
+    while stages < MAX_STAGES and _stage_gain(stages) < explicit_steps:
+        stages += 1
+    return stages
+
+
+def _rkl2_diffuse(u: np.ndarray, sums0: np.ndarray, tau: float, stages: int, params: ModelParams):
+    """u after one RKL2 super-step of u_t = Lap T(u) over dt = tau h^2, given
+    sums0 = h^2 Lap T(u):
+        Y_1 = u + mu~_1 dt L(u),
+        Y_j = mu_j Y_(j-1) + nu_j Y_(j-2) + (1 - mu_j - nu_j) u + mu~_j dt L(Y_(j-1)) + gamma~_j dt L(u),
+    with L(Y) the flux-form Laplacian of T(max(Y, 0)); returns Y_s."""
+    weights = _rkl2_weights(stages)
+    prev, y = u, u + (weights[0][3] * tau) * sums0
+    for mu, nu, rest, mu_t, gamma_t in weights[1:]:
+        sums = _face_sums(_powers(np.maximum(y, 0.0), params)[1])
+        prev, y = y, mu * y + nu * prev + rest * u + (mu_t * tau) * sums + (gamma_t * tau) * sums0
+    return y
+
+
 def _time_tolerance(t_end: float) -> float:
     """Times within this of t_end count as reached; a CFL dt below it is a collapse."""
     return 1e-12 * max(1.0, abs(t_end))
@@ -249,12 +303,14 @@ def _time_tolerance(t_end: float) -> float:
 
 def _advance(grid, u, v, w, z, t, params, config, dt_cap, dt_floor):
     """One step on bare arrays, the kernel of step() and run(): returns new
-    arrays (u, v, w, z), dt, the clipped mass and the BINDING_TERMS index of
-    what set the CFL dt, and never writes its inputs.
+    arrays (u, v, w, z), dt, the clipped mass, the BINDING_TERMS index of
+    what set the CFL dt and the RKL2 stages taken, and never writes its inputs.
 
-    Order within the step: the cell density moves explicitly off the current
-    v; the matrix decays exactly against the current z; the attractant gains
-    exactly the mass the matrix lost; z then relaxes toward the current u.
+    Order within the step: the cell density diffuses by one RKL2 super-step
+    and moves by the drift off the current v and the growth, both at the
+    current u; the matrix decays exactly against the current z; the
+    attractant gains exactly the mass the matrix lost; z then relaxes toward
+    the current u.
     """
     h = grid.h
     dv = _face_diffs(v)
@@ -267,11 +323,11 @@ def _advance(grid, u, v, w, z, t, params, config, dt_cap, dt_floor):
         if dt_cap <= 0.0:
             raise SimulationError("nonpositive dt_cap %r" % dt_cap)
         dt = min(dt, dt_cap)
+    stages = _stage_count(_stage_gain(MAX_STAGES) * dt * terms[0] / (config.cfl_safety * h * h))
 
     um, tr = _powers(u, params)
-    chemo = _chemotactic_fluxes(u, um, dv, params.phi, h)
-    fluxes = [f + c for f, c in zip(_diffusive_fluxes(tr, h), chemo)]
-    u_new = u - dt * _divergence(fluxes, grid.cells, h)
+    u_new = _rkl2_diffuse(u, _face_sums(tr), dt / (h * h), stages, params)
+    u_new -= dt * _divergence(_chemotactic_fluxes(u, um, dv, params.phi, h), grid.cells, h)
     if params.mu > 0.0:
         u_new += dt * logistic_growth(u, params.mu, params.delta, params.r)
 
@@ -300,7 +356,7 @@ def _advance(grid, u, v, w, z, t, params, config, dt_cap, dt_floor):
         for name, arr in (("u", u_new), ("v", v_new), ("w", w_new), ("z", z_new)):
             if not np.isfinite(arr).all():
                 raise SimulationError("field %s lost finiteness at t=%r" % (name, t + dt))
-    return u_new, v_new, w_new, z_new, dt, clipped, bound
+    return u_new, v_new, w_new, z_new, dt, clipped, bound, stages
 
 
 def step(state: StateQuad, params: ModelParams, config: SolverConfig, dt_cap: float | None = None):
@@ -310,11 +366,12 @@ def step(state: StateQuad, params: ModelParams, config: SolverConfig, dt_cap: fl
     its dt floor is that of a run from state.t to state.t + config.t_end.
     """
     grid = state.grid
-    u, v, w, z, dt, clipped, _ = _advance(grid, state.u.values, state.v.values, state.w.values, state.z.values,
-                                          state.t, params, config, dt_cap, _time_tolerance(state.t + config.t_end))
+    u, v, w, z, dt, clipped, _, stages = _advance(grid, state.u.values, state.v.values, state.w.values,
+                                                  state.z.values, state.t, params, config, dt_cap,
+                                                  _time_tolerance(state.t + config.t_end))
     new_state = StateQuad(Field(grid, u), Field(grid, v), Field(grid, w), Field(grid, z), state.t + dt)
     report = StepReport(dt_used=dt, min_u=float(np.min(u)), max_u=float(np.max(u)),
-                        mass_vw=new_state.mass_vw(), negativity_clipped=clipped)
+                        mass_vw=new_state.mass_vw(), negativity_clipped=clipped, stages=stages)
     return new_state, report
 
 
@@ -333,7 +390,7 @@ def max_abs_gradient(field: Field) -> float:
 
 def max_abs_laplacian(field: Field) -> float:
     """Largest discrete Neumann Laplacian magnitude of a field."""
-    lap = _lap_apply(field.values, field.grid.h)
+    lap = _face_sums(field.values) / (field.grid.h * field.grid.h)
     return float(np.max(np.abs(lap))) if lap.size else 0.0
 
 
@@ -354,8 +411,8 @@ def run(
     emitted state is new, built on the loop's arrays only when it is emitted.
     A zero-length run returns the initial state and an empty history.  A CFL
     dt below 1e-12 max(1, |t_end|) raises SimulationError naming the term that binds.
-    The result holds every step's dt and, per BINDING_TERMS entry, how many
-    steps it bound.
+    The result holds every step's dt, per BINDING_TERMS entry how many
+    steps it bound, and the RKL2 stages summed over the steps.
     """
     threshold = diagnostics.SUPPORT_THRESHOLD if support_threshold is None else support_threshold
     history = diagnostics.FrontHistory()
@@ -380,15 +437,16 @@ def run(
     emit(state)
     grid = initial.grid
     u, v, w, z, t = initial.u.values, initial.v.values, initial.w.values, initial.z.values, initial.t
-    steps = 0
+    steps = stages = 0
     total_clipped = 0.0
     dts, counts = array("d"), [0] * len(BINDING_TERMS)
     tiny = _time_tolerance(t_end)
     while steps < budget and (max_steps is not None or t < t_end - tiny):
         cap = None if max_steps is not None else t_end - t
-        u, v, w, z, dt, clipped, bound = _advance(grid, u, v, w, z, t, params, config, cap, tiny)
+        u, v, w, z, dt, clipped, bound, taken = _advance(grid, u, v, w, z, t, params, config, cap, tiny)
         t += dt
         steps += 1
+        stages += taken
         total_clipped += clipped
         dts.append(dt)
         counts[bound] += 1
@@ -398,4 +456,4 @@ def run(
             emit(state)
         if done:
             break
-    return RunResult(history, state, total_clipped, steps, dts, dict(zip(BINDING_TERMS, counts)))
+    return RunResult(history, state, total_clipped, steps, dts, dict(zip(BINDING_TERMS, counts)), stages)

@@ -118,9 +118,10 @@ def test_criterion_04_self_similar_refinement_order():
 
     Pure porous-medium spreading (m = 2, mu = 0, phi = 0) from Barenblatt time
     1 to 2.  The flux-form update is second order here: the diffusive flux is
-    a centred difference of u^m, and forward Euler adds O(dt) = O(h^2) because
-    the CFL step scales with h^2.  Initial data and the exact solution are
-    both exact cell averages, matching the solver's unknowns.  The kink at the
+    a centred difference of u^m, and the second-order RKL2 super-step adds
+    O(dt^2), no more than O(h^2), because the CFL step scales with h^2.
+    Initial data and the exact solution are both exact cell averages,
+    matching the solver's unknowns.  The kink at the
     front makes single halving ratios depend on where the front falls in its
     cell, so the order is the slope of log e against log h over all four
     grids; it measures about 1.9.  Errors must also shrink at every halving.
@@ -349,9 +350,10 @@ def test_criterion_10_determinism_and_round_trips(tmp_path):
             assert dataclasses.replace(a, out_dir="x") == dataclasses.replace(b, out_dir="x")
             continue
         if name == "run_stats.json":
-            # each copy times its own run; the step, dt and binding records agree
+            # each copy times its own run; the step, stage, dt and binding records agree
             a, b = (json.loads((tmp_path / out / name).read_text()) for out in ("r1", "r2"))
             assert a.pop("wall_s") > 0.0 and b.pop("wall_s") > 0.0
+            assert a.pop("steps_per_s") > 0.0 and b.pop("steps_per_s") > 0.0
             assert a == b
             continue
         assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes(), name

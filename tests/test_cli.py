@@ -120,11 +120,13 @@ class TestRunCommand:
 
     def test_run_stats_count_every_step_once(self, tiny_run):
         stats = json.loads((tiny_run["out"] / "run_stats.json").read_text())
-        assert set(stats) == {"steps", "wall_s", "dt", "bound_by", "clipped_mass"}
+        assert set(stats) == {"steps", "stages", "wall_s", "steps_per_s", "dt", "bound_by", "clipped_mass"}
         assert list(stats["bound_by"]) == ["diffusion", "drift", "reaction", "cap"]
         assert sum(stats["bound_by"].values()) == stats["steps"] > 0
+        assert 2 * stats["steps"] <= stats["stages"] <= 4 * stats["steps"]  # 2 to MAX_STAGES per step
         assert 0.0 < stats["dt"]["min"] <= stats["dt"]["median"] <= stats["dt"]["max"]
         assert stats["wall_s"] > 0.0
+        assert stats["steps_per_s"] == pytest.approx(stats["steps"] / stats["wall_s"], rel=1e-12)
         assert stats["clipped_mass"] == 0.0
 
     def test_run_stats_of_a_zero_length_run(self, tmp_path):
@@ -132,7 +134,7 @@ class TestRunCommand:
         cfg.write_text(TINY_CFG.replace("t_end = 0.05", "t_end = 0.0"))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         stats = json.loads((tmp_path / "out" / "run_stats.json").read_text())
-        assert stats["steps"] == 0 and stats["dt"] is None
+        assert stats["steps"] == stats["stages"] == stats["steps_per_s"] == 0 and stats["dt"] is None
         assert set(stats["bound_by"].values()) == {0}
 
     def test_reference_run_is_diffusion_bound_on_most_steps(self, cli_run_dir):

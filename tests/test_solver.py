@@ -47,20 +47,21 @@ class TestCflDt:
         s = StateQuad(Field.full(g, 1.0), Field.full(g, 0.3), Field.full(g, 0.0), Field.full(g, 0.0))
         p = ModelParams(m=2.0, delta=1.0, mu=1.0, r=1.0)
         dt = cfl_dt(s, p, SolverConfig(t_end=1.0))
-        # diffusion 2 * 1 * 2 * 1^1 = 4, no drift under flat v, reaction 1e-4 * 1 * 2 * 1 = 2e-4
-        assert dt == pytest.approx(0.25e-4 / (4.0 + 2e-4), rel=1e-13)
-        assert dt == pytest.approx(6.2497e-6, rel=1e-4)
+        # diffusion 2 * 1 * 2 * 1^1 = 4 over the stage gain 4.5, no drift under
+        # flat v, reaction 1e-4 * 1 * 2 * 1 = 2e-4
+        assert dt == pytest.approx(0.25e-4 / (4.0 / 4.5 + 2e-4), rel=1e-13)
+        assert dt == pytest.approx(2.8119e-5, rel=1e-4)
 
     def test_reaction_term_scales_with_r_above_one(self):
         g = Grid((100,), (1.0,), (0.0,))  # h = 0.01
         s = StateQuad(Field.full(g, 2.0), Field.full(g, 0.0), Field.full(g, 0.0), Field.full(g, 0.0))
-        # diffusion 2 * 1 * 2 * 2^1 = 8, reaction 1e-4 * 1 * 2 * 2^1 * max(r, 1)
+        # diffusion 2 * 1 * 2 * 2^1 = 8 over the stage gain 4.5, reaction 1e-4 * 1 * 2 * 2^1 * max(r, 1)
         dt = cfl_dt(s, ModelParams(m=2.0, delta=1.0, mu=1.0, r=4.0), SolverConfig(t_end=1.0))
-        assert dt == pytest.approx(0.25e-4 / (8.0 + 1.6e-3), rel=1e-13)
+        assert dt == pytest.approx(0.25e-4 / (8.0 / 4.5 + 1.6e-3), rel=1e-13)
         # r <= 1 keeps the term, and dt, exactly as at r = 1
         dt_r1 = cfl_dt(s, ModelParams(m=2.0, delta=1.0, mu=1.0, r=1.0), SolverConfig(t_end=1.0))
         assert cfl_dt(s, ModelParams(m=2.0, delta=1.0, mu=1.0, r=0.5), SolverConfig(t_end=1.0)) == dt_r1
-        assert dt_r1 == pytest.approx(0.25e-4 / (8.0 + 4e-4), rel=1e-13)
+        assert dt_r1 == pytest.approx(0.25e-4 / (8.0 / 4.5 + 4e-4), rel=1e-13)
 
     def test_vacuum_limit(self):
         g = Grid((10,), (1.0,), (0.0,))
@@ -74,9 +75,20 @@ class TestCflDt:
         g = Grid((100,), (1.0,), (0.0,))  # h = 0.01
         s = StateQuad(Field.full(g, 0.5), Field(g, 3.0 * g.axis_centers(0)), Field.full(g, 0.0), Field.full(g, 0.0))
         p = ModelParams(m=3.0, mu=0.0)
-        # diffusion 2 * 3 * 0.5^2 = 1.5; drift h * 3 * 0.5^2 * |grad v| = 0.01 * 0.75 * 3
+        # diffusion 2 * 3 * 0.5^2 = 1.5 over the stage gain 4.5; drift h * 3 * 0.5^2 * |grad v| = 0.01 * 0.75 * 3
         dt = cfl_dt(s, p, SolverConfig(t_end=1.0))
-        assert dt == pytest.approx(0.25e-4 / (1.5 + 0.0225), rel=1e-12)
+        assert dt == pytest.approx(0.25e-4 / (1.5 / 4.5 + 0.0225), rel=1e-12)
+
+    @pytest.mark.parametrize("dim, m, faces", [(1, 1.5, 2.0), (2, 3.0, 4.0), (2, 5.0, 5.0)])
+    def test_drift_term_counts_every_outgoing_face(self, dim, m, faces):
+        # the flux leaves at the speed m u^(m-1) |grad v|, and through up to 2 dim faces of a cell
+        g = Grid((100,) * dim, (1.0,) * dim, (0.0,) * dim)  # h = 0.01
+        v = 300.0 * g.axis_centers(0).reshape((-1,) + (1,) * (dim - 1)) + np.zeros(g.cells)  # grad v = 300 along x
+        s = StateQuad(Field.full(g, 0.5), Field(g, v), Field.full(g, 0.0), Field.full(g, 0.0))
+        p = ModelParams(m=m, mu=0.0)
+        diffusion = 2.0 * dim * m * 0.5 ** (m - 1.0) / 4.5
+        drift = 0.01 * faces * 0.5 ** (m - 1.0) * 300.0
+        assert cfl_dt(s, p, SolverConfig(t_end=1.0)) == pytest.approx(0.25e-4 / (diffusion + drift), rel=1e-12)
 
     @given(
         m=st.floats(min_value=1.05, max_value=4.0),
@@ -87,12 +99,13 @@ class TestCflDt:
     )
     @settings(max_examples=80, deadline=None)
     def test_dt_keeps_the_drift_courant_number_under_the_safety(self, m, safety, u, v_scale, seed):
+        # the Courant number of a cell draining through both its faces
         g = Grid((len(u),), (2.0,), (-1.0,))
         v = v_scale * np.random.default_rng(seed).random(len(u))
         s = StateQuad(Field(g, np.asarray(u)), Field(g, v), Field.full(g, 1.0), Field.full(g, 0.0))
         p = ModelParams(m=m, mu=1.0, phi=ConstantSensitivity(-1.0))
         dt = cfl_dt(s, p, SolverConfig(t_end=1.0, cfl_safety=safety))
-        courant = dt * m * max(u) ** (m - 1.0) * max_abs_gradient(s.v) / g.h
+        courant = dt * max(m, 2.0) * max(u) ** (m - 1.0) * max_abs_gradient(s.v) / g.h
         assert courant <= safety * (1.0 + 1e-12)
 
     def test_linear_in_safety_factor(self):
@@ -258,18 +271,17 @@ class TestStep:
             assert np.all(f.values >= 0.0)
         assert np.all(out.w.values <= s.w.values + 1e-16)
 
-    def test_support_grows_at_most_one_cell_per_step(self):
-        initial = make_standard_initial(cells=64)
-        state = initial
+    def test_support_grows_at_most_one_cell_per_stage(self):
+        state = make_standard_initial(cells=64)
         cfg = SolverConfig(t_end=1.0)
-        for _ in range(50):
-            old = state.u.values > 0.0
-            state, _ = step(state, STANDARD_MODEL, cfg)
-            new = state.u.values > 0.0
-            reach = old.copy()
-            reach[1:] |= old[:-1]
-            reach[:-1] |= old[1:]
-            assert not np.any(new & ~reach)
+        for _ in range(5):
+            reach = state.u.values > 0.0
+            state, rep = step(state, STANDARD_MODEL, cfg)
+            for _ in range(rep.stages):
+                reach = reach | np.roll(reach, 1) | np.roll(reach, -1)  # the centred support never wraps
+            assert rep.stages == solver.MAX_STAGES  # diffusion sets dt, at the stage cap
+            assert np.all(state.u.values[~reach] == 0.0)  # exact zeros beyond
+        assert not reach.all()  # vacuum was left to check
 
     def test_density_stays_under_carrying_capacity(self):
         state = make_standard_initial(cells=64)
@@ -400,10 +412,9 @@ def quadratic(d2):
 
 
 # (dim, signal as a function of the squared distance d2 to the centre cell, bump
-# height, model changes, solver changes).  The drift term of the CFL bound
-# allows one outgoing face per cell at speed m u^(m-1) |grad v|; the cell under
-# the apex of a repelling 2D cone drains through four faces, so at m = 2 and
-# cfl_safety 1 its step overshoots and clips.
+# height, model changes, solver changes).  The clips case steps at twice its
+# CFL dt (kernel_case patches _cfl_dt), so that the cell under the apex of a
+# repelling 2D cone, which drains through four faces, is overdrawn.
 KERNEL_CASES = {
     "1d": (1, quadratic, 0.8, {}, {}),
     "2d": (2, quadratic, 0.8, {}, {}),
@@ -413,10 +424,18 @@ KERNEL_CASES = {
 }
 
 
-def kernel_case(case):
+def kernel_case(case, monkeypatch):
     """(state, params, config) of a KERNEL_CASES entry: a bump under a signal
     centred on the middle cell, on 32 cells or 12 x 16."""
     dim, signal, height, model_changes, solver_changes = KERNEL_CASES[case]
+    if case == "clips":
+        cfl = solver._cfl_dt
+
+        def doubled(*args):
+            dt, terms, cap = cfl(*args)
+            return 2.0 * dt, terms, cap
+
+        monkeypatch.setattr(solver, "_cfl_dt", doubled)
     g = Grid((32,), (2.0,), (-1.0,)) if dim == 1 else Grid((12, 16), (1.5, 2.0), (-0.75, -1.0))
     centre = tuple(g.axis_centers(a)[n // 2] for a, n in enumerate(g.cells))
     v = Field(g, signal(g.center_distance2(centre)))
@@ -427,8 +446,8 @@ def kernel_case(case):
 
 class TestKernel:
     @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
-    def test_run_equals_repeated_step_bit_for_bit(self, case):
-        initial, params, cfg = kernel_case(case)
+    def test_run_equals_repeated_step_bit_for_bit(self, case, monkeypatch):
+        initial, params, cfg = kernel_case(case, monkeypatch)
         res = run(initial, params, cfg, max_steps=40)
         state, total = initial, 0.0
         for _ in range(40):
@@ -454,6 +473,49 @@ class TestKernel:
         assert res.total_clipped == 0.0
         assert res.bound_by["drift"] == 40
 
+    def test_repelling_cone_apex_is_not_overdrawn(self):
+        # the apex cell of v = 500 (3 - |x|) drains through both faces; a drift
+        # term that counted one face clipped 0.015 of mass 0.667 here at m = 1.5
+        g = Grid((33,), (2.0,), (-1.0,))
+        v = Field(g, 500.0 * (3.0 - np.sqrt(g.center_distance2((0.0,)))))
+        s = StateQuad(bump_field(g, (0.0,), 0.5, 1.0), v, Field.full(g, 1.0), Field.full(g, 0.5))
+        params = dataclasses.replace(STANDARD_MODEL, m=1.5, phi=ConstantSensitivity(-1.0))
+        res = run(s, params, SolverConfig(t_end=1.0, cfl_safety=1.0), max_steps=40)
+        assert res.bound_by["drift"] == 40
+        assert res.total_clipped == 0.0
+
+    def test_steep_box_stays_nonnegative_at_the_stage_cap(self, monkeypatch):
+        # a height-6 box at m = 1.5 diffused at the full stage cap of every step;
+        # with 37 stages (most steps at the dt = h cap) the same run went negative
+        g = Grid((64, 64), (2.0, 2.0), (-1.0, -1.0))
+        x = g.axis_centers(0)
+        box = 6.0 * ((np.abs(x)[:, None] < 0.25) & (np.abs(x)[None, :] < 0.25))
+        s = StateQuad(Field(g, box), Field.full(g, 0.0), Field.full(g, 0.0), Field.full(g, 0.0))
+        params = ModelParams(m=1.5, mu=0.0, phi=ConstantSensitivity(0.0))
+        cfg = SolverConfig(t_end=1.0, cfl_safety=1.0)
+        res = run(s, params, cfg, max_steps=20)
+        assert res.bound_by["diffusion"] == 20 and res.stages == 20 * solver.MAX_STAGES
+        assert res.total_clipped == 0.0
+        monkeypatch.setattr(solver, "MAX_STAGES", 37)
+        assert run(s, params, cfg, max_steps=20).total_clipped > 0.01
+
+    @pytest.mark.parametrize("stages", [2, 3, 4])
+    def test_rkl2_weights_are_second_order_and_stable_over_the_stage_gain(self, stages):
+        # on u' = lambda u the super-step multiplies u by P(z), z = dt lambda
+        weights = solver._rkl2_weights(stages)
+
+        def amplification(z):
+            prev, y = 1.0, 1.0 + weights[0][3] * z
+            for mu, nu, rest, mu_t, gamma_t in weights[1:]:
+                prev, y = y, mu * y + nu * prev + rest + mu_t * z * y + gamma_t * z
+            return y
+
+        for z in (-1e-2, -1e-3):
+            assert abs(amplification(z) - (1.0 + z + z * z / 2.0)) <= 0.1 * abs(z) ** 3
+        # forward Euler is stable for z in [-2, 0]; the super-step for G = (s^2 + s - 2)/4 times that
+        gain = (stages * stages + stages - 2) / 4.0
+        assert max(abs(amplification(z)) for z in np.linspace(-2.0 * gain, 0.0, 4001)) <= 1.0 + 1e-12
+
     @pytest.mark.parametrize("safety", [0.25, 1.0])
     def test_fast_logistic_decay_does_not_overshoot(self, safety):
         # mu u (1 - r u) with r u = 60 at the peak: a reaction term blind to r let
@@ -466,16 +528,37 @@ class TestKernel:
         assert res.total_clipped == 0.0
 
     @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
-    def test_step_moves_u_by_the_public_cfl_and_fluxes(self, case):
-        s, params, cfg = kernel_case(case)
+    def test_step_moves_u_by_the_public_cfl_and_fluxes(self, case, monkeypatch):
+        s, params, cfg = kernel_case(case, monkeypatch)
         out, rep = step(s, params, cfg)
-        assert rep.dt_used == cfl_dt(s, params, cfg)
-        fluxes = [f + c for f, c in zip(diffusive_flux(s, params), chemotactic_flux(s, params))]
+        dt, g = rep.dt_used, s.grid
+        assert dt == cfl_dt(s, params, cfg)
+        # the fewest stages s >= 2 (at most 4) whose (s^2 + s - 2)/4 forward-Euler steps cover dt
+        explicit = dt * 2.0 * g.dim * params.m * (s.u.values.max() + params.eps_reg) ** (params.m - 1.0)
+        need = explicit / (cfg.cfl_safety * g.h * g.h) * (1.0 - 1e-12)
+        assert rep.stages == next((n for n in (2, 3) if (n * n + n - 2) / 4.0 >= need), 4)
+
+        def lap(y):  # the flux-form diffusion of T(max(y, 0))
+            y_state = StateQuad(Field(g, np.maximum(y, 0.0)), s.v, s.w, s.z)
+            return -solver._divergence(diffusive_flux(y_state, params), g.cells, g.h)
+
+        # the RKL2 recurrence of Meyer, Balsara & Aslam (2014), written out
+        stages = rep.stages
+        w1 = 4.0 / (stages * stages + stages - 2.0)
+        b = [1.0 / 3.0] * 3 + [(j * j + j - 2.0) / (2.0 * j * (j + 1.0)) for j in range(3, stages + 1)]
         u = s.u.values
-        expected = u - rep.dt_used * solver._divergence(fluxes, s.grid.cells, s.grid.h)
-        expected += rep.dt_used * logistic_growth(u, params.mu, params.delta, params.r)
+        lap0 = lap(u)
+        prev, y = u, u + b[1] * w1 * dt * lap0
+        for j in range(2, stages + 1):
+            mu = (2.0 * j - 1.0) / j * b[j] / b[j - 1]
+            nu = -(j - 1.0) / j * b[j] / b[j - 2]
+            gamma = -(1.0 - b[j - 1]) * mu * w1
+            prev, y = y, mu * y + nu * prev + (1.0 - mu - nu) * u + mu * w1 * dt * lap(y) + gamma * dt * lap0
+        expected = y - dt * solver._divergence(chemotactic_flux(s, params), g.cells, g.h)
+        expected += dt * logistic_growth(u, params.mu, params.delta, params.r)
         expected[expected < 0.0] = 0.0
-        assert np.array_equal(out.u.values, expected)
+        np.testing.assert_allclose(out.u.values, expected, rtol=0.0, atol=1e-13 * u.max())
+        assert np.array_equal(out.u.values == 0.0, expected == 0.0)
 
     def test_nan_attractant_solve_names_field_v(self, monkeypatch):
         monkeypatch.setattr(solver, "_helmholtz_solve", lambda grid, shift, dt, rhs: np.full(rhs.shape, np.nan))
@@ -542,3 +625,14 @@ def test_cli_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    # only sweep starts worker processes; every other command skips their ~30 stdlib modules
+    src = str(Path(chemofront.__file__).resolve().parents[1])
+    code = "import sys, chemofront.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
