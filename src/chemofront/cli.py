@@ -36,6 +36,11 @@ EXIT_VIOLATION = 3
 
 SNAPSHOT_PATTERN = "snap_%08d.bin"
 
+# verify fails when the v + w mass drift of diagnostics.conservation_audit exceeds MASS_TOL
+# or u crosses an envelope by more than SANDWICH_TOL
+MASS_TOL = 1e-10
+SANDWICH_TOL = 1e-8
+
 
 class _UsageError(Exception):
     pass
@@ -55,21 +60,10 @@ def _build_parser() -> _Parser:
     p_run.add_argument("--config", required=True, help="config file path")
     p_run.add_argument("--out", help="output directory (default: [output] dir)")
     p_run.add_argument("--seed", type=int, help="override [output] seed")
-    p_run.add_argument(
-        "--threshold-support",
-        type=float,
-        default=diagnostics.SUPPORT_THRESHOLD,
-        help="density level that counts as occupied (default %(default)g)",
-    )
     p_run.set_defaults(func=cmd_run)
 
     p_verify = sub.add_parser("verify", help="check a finished run directory")
     p_verify.add_argument("--out", required=True, help="run directory to verify")
-    p_verify.add_argument("--tol-sandwich", type=float, default=1e-8)
-    p_verify.add_argument("--tol-mass", type=float, default=1e-10)
-    p_verify.add_argument(
-        "--threshold-support", type=float, default=diagnostics.SUPPORT_THRESHOLD
-    )
     p_verify.set_defaults(func=cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="run a cartesian parameter sweep")
@@ -77,9 +71,6 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--out", help="base output directory")
     p_sweep.add_argument("--seed", type=int)
     p_sweep.add_argument("--workers", type=int, default=1)
-    p_sweep.add_argument(
-        "--threshold-support", type=float, default=diagnostics.SUPPORT_THRESHOLD
-    )
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_fit = sub.add_parser("fit", help="fit front and relaxation laws to a history CSV")
@@ -121,7 +112,7 @@ def _run_stats(result: solver.RunResult, wall_s: float) -> dict:
     }
 
 
-def _execute_run(cfg: RunConfig, base_dir: str, out_dir: str, threshold: float):
+def _execute_run(cfg: RunConfig, base_dir: str, out_dir: str):
     """Integrate cfg and write config.cfg, history.csv, snapshots and run_stats.json to out_dir."""
     state = config_io.build_initial_state(cfg, base_dir)
     os.makedirs(out_dir, exist_ok=True)
@@ -137,14 +128,7 @@ def _execute_run(cfg: RunConfig, base_dir: str, out_dir: str, threshold: float):
 
     t0 = time.perf_counter()
     try:
-        result = solver.run(
-            state,
-            cfg.model,
-            cfg.solver,
-            history_sink=writer,
-            snapshot_sink=snap_sink,
-            support_threshold=threshold,
-        )
+        result = solver.run(state, cfg.model, cfg.solver, history_sink=writer, snapshot_sink=snap_sink)
     finally:
         writer.close()
     wall_s = time.perf_counter() - t0
@@ -161,7 +145,7 @@ def cmd_run(args) -> int:
         cfg = dataclasses.replace(cfg, out_dir=args.out)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    result, n_snaps = _execute_run(cfg, base_dir, cfg.out_dir, args.threshold_support)
+    result, n_snaps = _execute_run(cfg, base_dir, cfg.out_dir)
     print(
         "run: %d steps to t=%.6g, %d history rows, %d snapshots in %s"
         % (result.steps, result.final.t, len(result.history), n_snaps, cfg.out_dir)
@@ -225,10 +209,10 @@ def cmd_verify(args) -> int:
     notes = []
 
     audit = diagnostics.conservation_audit(history)
-    mass_ok = audit.drift <= args.tol_mass
+    mass_ok = audit.drift <= MASS_TOL
     print(
         "verify: mass drift %.3e (%s, tol %.1e): %s"
-        % (audit.drift, "relative" if audit.relative else "absolute", args.tol_mass, "ok" if mass_ok else "FAIL")
+        % (audit.drift, "relative" if audit.relative else "absolute", MASS_TOL, "ok" if mass_ok else "FAIL")
     )
 
     c1 = max(solver.max_abs_gradient(s.v) for s in states)
@@ -245,9 +229,7 @@ def cmd_verify(args) -> int:
     front_ok = 1.0 <= params.delta < params.m
 
     lower = None
-    if not cfg.oracles.check_lower:
-        notes.append("lower check disabled in config")
-    elif sup0 <= 0.0:
+    if sup0 <= 0.0:
         notes.append("lower skipped: initial density is empty")
     elif not (front_ok and params.mu > 0.0):
         notes.append("lower skipped: needs growth (mu > 0) and 1 <= delta < m")
@@ -273,14 +255,12 @@ def cmd_verify(args) -> int:
 
     upper = None
     t0 = None
-    if not cfg.oracles.check_upper:
-        notes.append("upper check disabled in config")
-    elif sup0 <= 0.0:
+    if sup0 <= 0.0:
         notes.append("upper skipped: initial density is empty")
     elif not front_ok:
         notes.append("upper skipped: needs 1 <= delta < m")
     else:
-        r0 = diagnostics.support_radius(u0, x0, args.threshold_support)
+        r0 = diagnostics.support_radius(u0, x0)
         wall = _wall_distance(grid, x0)
         if not (0.0 < r0 < wall):
             notes.append(
@@ -298,7 +278,7 @@ def cmd_verify(args) -> int:
             )
 
     report = diagnostics.sandwich_check(
-        states, lower=lower, upper=upper, upper_valid_until=t0, tol=args.tol_sandwich
+        states, lower=lower, upper=upper, upper_valid_until=t0, tol=SANDWICH_TOL
     )
     sandwich_ok = report.clean
     print(
@@ -362,10 +342,10 @@ def _sweep_worker(job):
     A failing case returns its error instead of raising, so the other cases
     and the manifest survive it.
     """
-    text, base_dir, out_dir, threshold = job
+    text, base_dir, out_dir = job
     try:
         cfg = config_io.parse_config(text, base_dir)
-        result, _ = _execute_run(cfg, base_dir, out_dir, threshold)
+        result, _ = _execute_run(cfg, base_dir, out_dir)
     except _CASE_FAILURES as exc:
         return "%s: %s" % (type(exc).__name__, exc)
     return result.final.t, result.steps, float(np.max(result.final.u.values))
@@ -393,7 +373,7 @@ def cmd_sweep(args) -> int:
             case = _apply_override(case, key, value)
         case = dataclasses.replace(case, sweep={}, out_dir=".", seed=base_seed + idx)
         sub = os.path.join(base_out, "case_%04d" % idx)
-        jobs.append((config_io.serialize_config(case), base_dir, sub, args.threshold_support))
+        jobs.append((config_io.serialize_config(case), base_dir, sub))
 
     workers = max(1, args.workers)
     if workers == 1:

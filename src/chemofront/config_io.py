@@ -5,17 +5,18 @@ section headers, with `#` comments.  Unknown sections or keys are errors,
 as are malformed values; error messages carry the line number.  Every
 number must be finite.
 
-The keys of [model], [solver], [oracles] and [lattice] are the fields of
-ModelParams, SolverConfig, OracleToggles and LatticeConfig, with those
-records' defaults; a field's type (float, int, bool, str) says how its
-value is read and written.  [grid], [initial], [output], [sweep] and the
-phi rule of [model] are parsed and written by hand.
+The keys of [model], [solver] and [lattice] are the fields of
+ModelParams, SolverConfig and LatticeConfig, with those records' defaults;
+a field's type (float, int, bool, str) says how its value is read and
+written.  [grid], [initial], [output], [sweep] and the phi rule of [model]
+are parsed and written by hand.
 
-The solver options clip_negative, chemo_upwind and v_z_stepper were removed:
-the solver has one scheme.  So was the lattice option kernel: the walk has
-one kernel.  Config files written before, every run directory's config.cfg
-among them, still carry them at the kept values (on, on, semi-implicit and
-pushing); such a line is read and ignored, and any other value is an error.
+Options that only ever held one value were removed (_RETIRED): the solver's
+clip_negative, chemo_upwind and v_z_stepper, the lattice's kernel, the
+model's eps_reg, and check_lower and check_upper, the only keys [oracles]
+had.  Config files written before, every run directory's config.cfg among
+them, still carry them at the kept values (on, on, semi-implicit, pushing,
+0.0, on, on); such a line is read and ignored, any other value is an error.
 
 Snapshots are a 6-line ASCII header (magic, dim, cells per axis, extent per
 axis, time, field order) followed by the four fields as raw little-endian
@@ -54,7 +55,6 @@ __all__ = [
     "BumpInit",
     "ConstantInit",
     "SnapshotInit",
-    "OracleToggles",
     "LatticeConfig",
     "RunConfig",
     "parse_config",
@@ -77,7 +77,7 @@ class ConfigError(Exception):
 
 
 class SnapshotError(Exception):
-    """Malformed snapshot file (bad header or truncated payload)."""
+    """Malformed snapshot file (bad header, truncated or non-finite payload)."""
 
 
 class SnapshotVersionError(SnapshotError):
@@ -125,19 +125,12 @@ class SnapshotInit:
         return getattr(state, self.field_name).values.copy()
 
 
-@dataclass(frozen=True)
-class OracleToggles:
-    check_lower: bool = True
-    check_upper: bool = True
-
-
 @dataclass
 class RunConfig:
     model: ModelParams
     grid: Grid
     solver: SolverConfig
     initial: dict
-    oracles: OracleToggles = dc_field(default_factory=OracleToggles)
     out_dir: str = "out"
     seed: int = 0
     sweep: dict = dc_field(default_factory=dict)
@@ -152,7 +145,6 @@ _BOOL_WORDS = {"on": True, "true": True, "yes": True, "off": False, "false": Fal
 _RECORDS = {
     "model": ModelParams,
     "solver": SolverConfig,
-    "oracles": OracleToggles,
     "lattice": LatticeConfig,
 }
 
@@ -178,6 +170,9 @@ _RETIRED = {
     ("solver", "chemo_upwind"): ("bool", True),
     ("solver", "v_z_stepper"): ("str", "semi-implicit"),
     ("lattice", "kernel"): ("str", "pushing"),
+    ("model", "eps_reg"): ("float", 0.0),
+    ("oracles", "check_lower"): ("bool", True),
+    ("oracles", "check_upper"): ("bool", True),
 }
 
 _SECTIONS = ("model", "grid", "solver", "initial", "output", "oracles", "sweep", "lattice")
@@ -186,6 +181,7 @@ _KEYS = {
     "grid": {"dim", "cells", "extent", "origin"},
     "initial": {"u", "v", "w", "z"},
     "output": {"dir", "seed"},
+    "oracles": set(),
     **{name: {f.name for f in dataclasses.fields(record)} for name, record in _RECORDS.items()},
 }
 
@@ -422,7 +418,6 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         grid=grid,
         solver=solver,
         initial=initial,
-        oracles=_record(sections, "oracles"),
         out_dir=_get(sections, "output", "dir", "str", "out"),
         seed=_get(sections, "output", "seed", "int", 0),
         sweep=sweep,
@@ -506,7 +501,6 @@ def serialize_config(cfg: RunConfig) -> str:
     w("\n[output]\n")
     w("dir = %s\n" % cfg.out_dir)
     w("seed = %d\n" % cfg.seed)
-    w("\n" + _record_text("oracles", cfg.oracles))
     if cfg.sweep:
         w("\n[sweep]\n")
         for key, values in cfg.sweep.items():
@@ -576,7 +570,12 @@ def read_snapshot(path: str, origin) -> StateQuad:
         raise SnapshotError("snapshot header in %r has %d axes but dim %d" % (path, len(cells), dim))
     if order != FIELD_ORDER:
         raise SnapshotError("snapshot field order %r is not %r" % (order, FIELD_ORDER))
-    grid = Grid(cells=cells, extent=extent, origin=tuple(origin))
+    if not math.isfinite(t):
+        raise SnapshotError("bad snapshot header in %r (time %r is not finite)" % (path, t))
+    try:
+        grid = Grid(cells=cells, extent=extent, origin=tuple(origin))
+    except ValueError as exc:
+        raise SnapshotError("bad snapshot header in %r (%s)" % (path, exc)) from None
     payload = parts[6]
     n = grid.n_cells
     expected = 4 * n * 8
@@ -585,11 +584,14 @@ def read_snapshot(path: str, origin) -> StateQuad:
             "snapshot payload in %r has %d bytes, expected %d" % (path, len(payload), expected)
         )
     fields = []
-    for i in range(4):
+    for i, name in enumerate(FIELD_ORDER):
         arr = np.frombuffer(payload[i * n * 8 : (i + 1) * n * 8], dtype="<f8").astype(
             np.float64
         ).reshape(grid.cells)
-        fields.append(Field(grid, arr))
+        try:
+            fields.append(Field(grid, arr))
+        except ValueError as exc:
+            raise SnapshotError("bad snapshot payload in %r: %s %s" % (path, name, exc)) from None
     return StateQuad(*fields, t=t)
 
 
@@ -627,6 +629,9 @@ def read_csv_columns(path: str) -> dict:
         raise ConfigError("CSV %r is empty" % path)
     names = [c.strip() for c in lines[0].split(",")]
     data = {name: [] for name in names}
+    if len(data) != len(names):
+        repeated = next(name for i, name in enumerate(names) if name in names[:i])
+        raise ConfigError("CSV %r repeats column %r" % (path, repeated))
     for i, ln in enumerate(lines[1:], start=2):
         parts = ln.split(",")
         if len(parts) != len(names):

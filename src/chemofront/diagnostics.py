@@ -107,13 +107,14 @@ def steady_state_targets(initial: StateQuad, params: ModelParams) -> SteadyState
     )
 
 
-def history_row(state: StateQuad, x0, targets: SteadyStateTargets, threshold: float = SUPPORT_THRESHOLD):
+def history_row(state: StateQuad, x0, targets: SteadyStateTargets):
+    """One row of HISTORY_COLUMNS; a cell is on the support when u > SUPPORT_THRESHOLD."""
     u = state.u.values
-    on = u > threshold
+    on = u > SUPPORT_THRESHOLD
     inf_on = float(u[on].min()) if np.any(on) else 0.0
     return (
         state.t,
-        support_radius(state.u, x0, threshold),
+        support_radius(state.u, x0),
         float(u.max()),
         inf_on,
         float(np.max(np.abs(u - targets.u_target))),

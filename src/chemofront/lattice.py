@@ -363,6 +363,6 @@ def continuum_twin(config: LatticeConfig, m: float) -> Field:
     grid = Grid(cells=u0.grid.cells, extent=(config.extent,), origin=(config.origin,))
     zero = Field.full(grid, 0.0)
     initial = StateQuad(Field(grid, u0.values), zero, zero, zero, t=0.0)
-    params = ModelParams(m=m, delta=1.0, mu=0.0, r=1.0, phi=ConstantSensitivity(0.0), eps_reg=0.0)
+    params = ModelParams(m=m, delta=1.0, mu=0.0, r=1.0, phi=ConstantSensitivity(0.0))
     pde_config = solver.SolverConfig(t_end=config.alpha * config.t_end, output_stride=10**9)
     return solver.run(initial, params, pde_config).final.u

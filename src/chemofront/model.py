@@ -222,7 +222,7 @@ class ModelParams:
 
     m > 1 is the motility exponent, delta >= 1 the growth exponent, mu >= 0
     the growth rate, r > 0 the crowding coefficient (carrying capacity 1/r),
-    eps_reg in [0, 1) an optional diffusion regularization for cross checks.
+    phi the sensitivity rule.  The diffusion is the degenerate Lap(u^m) itself.
     """
 
     m: float
@@ -230,7 +230,6 @@ class ModelParams:
     mu: float = 0.0
     r: float = 1.0
     phi: object = field(default_factory=ConstantSensitivity)
-    eps_reg: float = 0.0
 
     def __post_init__(self):
         if not (self.m > 1.0):
@@ -241,8 +240,6 @@ class ModelParams:
             raise ValueError("growth rate mu must be >= 0, got %r" % self.mu)
         if not (self.r > 0.0):
             raise ValueError("crowding coefficient r must be > 0, got %r" % self.r)
-        if not (0.0 <= self.eps_reg < 1.0):
-            raise ValueError("eps_reg must lie in [0, 1), got %r" % self.eps_reg)
         if not hasattr(self.phi, "eval"):
             raise ValueError("phi must be a sensitivity rule with an eval method")
 

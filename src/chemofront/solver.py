@@ -1,6 +1,6 @@
 """Conservative finite-volume time stepping for the four-field system.
 
-    u_t = Lap((u + eps)^m - eps^m) - div(phi(u) u^m grad v) + mu u^delta (1 - r u)
+    u_t = Lap(u^m) - div(phi(u) u^m grad v) + mu u^delta (1 - r u)
     v_t = Lap v + w z
     w_t = -w z
     z_t = Lap z - z + u
@@ -9,10 +9,10 @@ on a box with no-flux boundaries.  There is one scheme, with no switches;
 the design points that the tests lean on:
 
 * the diffusion of u takes one s-stage RKL2 super-step (Meyer, Balsara &
-  Aslam, J. Comput. Phys. 257, 2014) per step, in flux form on the
-  transformed variable T = (u + eps)^m - eps^m.  Every stage diffuses
-  T(max(Y, 0)); a cell whose neighbours are all empty gets exact zeros, so
-  the numerical support stays sharp and grows by at most one cell per stage.
+  Aslam, J. Comput. Phys. 257, 2014) per step, in flux form on u^m.  Every
+  stage diffuses max(Y, 0)^m; a cell whose neighbours are all empty gets
+  exact zeros, so the numerical support stays sharp and grows by at most one
+  cell per stage.
 * the drift and the growth are added explicitly at the step's start: the
   drift advects u^m from the upwind cell of each face, so an empty cell
   sends nothing and vacuum stays vacuum.  A negative u left by a step is
@@ -130,13 +130,6 @@ def _max_grad(diffs: list[np.ndarray], h: float) -> float:
     return max(float(np.abs(d).max()) / h for d in diffs)
 
 
-def _powers(u: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """u^m, advected by the drift, and T = (u + eps)^m - eps^m, the diffused variable (u^m when eps = 0)."""
-    um = u ** params.m
-    eps = params.eps_reg
-    return um, (um if eps == 0.0 else (u + eps) ** params.m - eps ** params.m)
-
-
 def _stage_gain(stages: int) -> float:
     """Forward-Euler diffusion steps that one RKL2 super-step of this many stages covers."""
     return (stages * stages + stages - 2) / 4.0
@@ -149,9 +142,10 @@ def _cfl_dt(grid: Grid, u: np.ndarray, dv: list[np.ndarray], params: ModelParams
     h = grid.h
     m = params.m
     max_u = float(u.max())
+    motility = max_u ** (m - 1.0)
     terms = (
-        2.0 * grid.dim * m * (max_u + params.eps_reg) ** (m - 1.0) / _stage_gain(MAX_STAGES),
-        h * max(m, 2.0 * grid.dim) * max_u ** (m - 1.0) * _max_grad(dv, h),
+        2.0 * grid.dim * m * motility / _stage_gain(MAX_STAGES),
+        h * max(m, 2.0 * grid.dim) * motility * _max_grad(dv, h),
         h * h * params.mu * (params.delta + 1.0) * max(max_u, 1.0) ** params.delta * max(params.r, 1.0),
     )
     cap = config.dt_max if config.dt_max is not None else h
@@ -164,7 +158,7 @@ def _cfl_dt(grid: Grid, u: np.ndarray, dv: list[np.ndarray], params: ModelParams
 def cfl_dt(state: StateQuad, params: ModelParams, config: SolverConfig) -> float:
     """Stable step for the current state.
 
-    dt = cfl_safety * h^2 / (2 dim m (max_u + eps_reg)^(m-1) / G
+    dt = cfl_safety * h^2 / (2 dim m max_u^(m-1) / G
                              + h max(m, 2 dim) max_u^(m-1) max|grad v|
                              + h^2 mu (delta+1) max(max_u, 1)^delta max(r, 1)),
     with G = (S^2 + S - 2)/4 = 4.5 at S = MAX_STAGES, additionally capped at
@@ -183,11 +177,11 @@ def cfl_dt(state: StateQuad, params: ModelParams, config: SolverConfig) -> float
 def diffusive_flux(state: StateQuad, params: ModelParams) -> list[np.ndarray]:
     """Per-axis interior face fluxes of the degenerate diffusion.
 
-    Face value -(T_R - T_L)/h with T = (u + eps)^m - eps^m, so the flux is
-    oriented from the denser cell toward vacuum and vanishes identically on
-    faces between empty cells.  Boundary faces are zero and are not stored.
+    Face value -(u_R^m - u_L^m)/h, so the flux is oriented from the denser
+    cell toward vacuum and vanishes identically on faces between empty
+    cells.  Boundary faces are zero and are not stored.
     """
-    return [-d / state.grid.h for d in _face_diffs(_powers(state.u.values, params)[1])]
+    return [-d / state.grid.h for d in _face_diffs(state.u.values ** params.m)]
 
 
 def _chemotactic_fluxes(u, um, dv, phi, h: float) -> list[np.ndarray]:
@@ -206,26 +200,28 @@ def chemotactic_flux(state: StateQuad, params: ModelParams) -> list[np.ndarray]:
     advected mass means zero flux, so vacuum stays intact.
     """
     u = state.u.values
-    return _chemotactic_fluxes(u, _powers(u, params)[0], _face_diffs(state.v.values), params.phi, state.grid.h)
+    return _chemotactic_fluxes(u, u ** params.m, _face_diffs(state.v.values), params.phi, state.grid.h)
+
+
+def _scatter(face_values: list[np.ndarray], shape: tuple) -> np.ndarray:
+    """Per cell, the sum of per-axis interior face values: + on the face's left cell, - on its right."""
+    out = np.zeros(shape)
+    for (lo, hi), f in zip(_faces(len(shape)), face_values):
+        out[lo] += f
+        out[hi] -= f
+    return out
 
 
 def _divergence(fluxes: list[np.ndarray], shape: tuple, h: float) -> np.ndarray:
     """Cell divergence of per-axis interior face fluxes, zero boundary faces."""
-    div = np.zeros(shape)
-    for (lo, hi), f in zip(_faces(len(shape)), fluxes):
-        div[lo] += f
-        div[hi] -= f
+    div = _scatter(fluxes, shape)
     div /= h
     return div
 
 
 def _face_sums(values: np.ndarray) -> np.ndarray:
     """h^2 times the Neumann Laplacian in flux form: each cell's sum of face differences."""
-    out = np.zeros(values.shape)
-    for (lo, hi), d in zip(_faces(values.ndim), _face_diffs(values)):
-        out[lo] += d
-        out[hi] -= d
-    return out
+    return _scatter(_face_diffs(values), values.shape)
 
 
 @lru_cache(maxsize=8)
@@ -282,16 +278,16 @@ def _stage_count(explicit_steps: float) -> int:
     return stages
 
 
-def _rkl2_diffuse(u: np.ndarray, sums0: np.ndarray, tau: float, stages: int, params: ModelParams):
-    """u after one RKL2 super-step of u_t = Lap T(u) over dt = tau h^2, given
-    sums0 = h^2 Lap T(u):
+def _rkl2_diffuse(u: np.ndarray, sums0: np.ndarray, tau: float, stages: int, m: float):
+    """u after one RKL2 super-step of u_t = Lap(u^m) over dt = tau h^2, given
+    sums0 = h^2 Lap(u^m):
         Y_1 = u + mu~_1 dt L(u),
         Y_j = mu_j Y_(j-1) + nu_j Y_(j-2) + (1 - mu_j - nu_j) u + mu~_j dt L(Y_(j-1)) + gamma~_j dt L(u),
-    with L(Y) the flux-form Laplacian of T(max(Y, 0)); returns Y_s."""
+    with L(Y) the flux-form Laplacian of max(Y, 0)^m; returns Y_s."""
     weights = _rkl2_weights(stages)
     prev, y = u, u + (weights[0][3] * tau) * sums0
     for mu, nu, rest, mu_t, gamma_t in weights[1:]:
-        sums = _face_sums(_powers(np.maximum(y, 0.0), params)[1])
+        sums = _face_sums(np.maximum(y, 0.0) ** m)
         prev, y = y, mu * y + nu * prev + rest * u + (mu_t * tau) * sums + (gamma_t * tau) * sums0
     return y
 
@@ -325,8 +321,8 @@ def _advance(grid, u, v, w, z, t, params, config, dt_cap, dt_floor):
         dt = min(dt, dt_cap)
     stages = _stage_count(_stage_gain(MAX_STAGES) * dt * terms[0] / (config.cfl_safety * h * h))
 
-    um, tr = _powers(u, params)
-    u_new = _rkl2_diffuse(u, _face_sums(tr), dt / (h * h), stages, params)
+    um = u ** params.m
+    u_new = _rkl2_diffuse(u, _face_sums(um), dt / (h * h), stages, params.m)
     u_new -= dt * _divergence(_chemotactic_fluxes(u, um, dv, params.phi, h), grid.cells, h)
     if params.mu > 0.0:
         u_new += dt * logistic_growth(u, params.mu, params.delta, params.r)
@@ -401,7 +397,6 @@ def run(
     history_sink=None,
     snapshot_sink=None,
     max_steps: int | None = None,
-    support_threshold: float = None,
 ) -> RunResult:
     """Integrate from the initial state to t_end (or for max_steps steps).
 
@@ -414,7 +409,6 @@ def run(
     The result holds every step's dt, per BINDING_TERMS entry how many
     steps it bound, and the RKL2 stages summed over the steps.
     """
-    threshold = diagnostics.SUPPORT_THRESHOLD if support_threshold is None else support_threshold
     history = diagnostics.FrontHistory()
     state = initial
     t_end = initial.t + config.t_end
@@ -427,7 +421,7 @@ def run(
     targets = diagnostics.steady_state_targets(initial, params)
 
     def emit(s: StateQuad):
-        row = diagnostics.history_row(s, x0, targets, threshold)
+        row = diagnostics.history_row(s, x0, targets)
         history.append(row)
         if history_sink is not None:
             history_sink(row)

@@ -64,6 +64,22 @@ cells_per_bin = 2
 """
 
 
+def damage_snapshot(path, damage):
+    """Rewrite a snapshot file with one NaN in u's payload ("nan") or an extent the grid refuses ("extent")."""
+    parts = path.read_bytes().split(b"\n", 6)
+    if damage == "nan":
+        parts[6] = parts[6][:40] + np.array([np.nan], "<f8").tobytes() + parts[6][48:]
+    else:
+        parts[3] = b"-2"
+    path.write_bytes(b"\n".join(parts))
+
+
+SNAPSHOT_DAMAGE = {
+    "nan": "bad snapshot payload in '%s': u field contains non-finite entries",
+    "extent": "bad snapshot header in '%s' (extent must be positive and finite, got -2.0)",
+}
+
+
 @pytest.fixture(scope="module")
 def tiny_run(tmp_path_factory):
     base = tmp_path_factory.mktemp("tiny")
@@ -163,6 +179,39 @@ class TestRunCommand:
         assert "line 15: option solver.%s was removed" % line.split(" = ")[0] in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "section, line, line_no",
+        [
+            ("model", "eps_reg = 0.05", 5),
+            ("oracles", "check_upper = off", 24),
+            ("oracles", "check_lower = off", 24),
+        ],
+    )
+    def test_retired_model_and_oracle_options_are_config_errors(self, tmp_path, capsys, section, line, line_no):
+        cfg = tmp_path / "old.cfg"
+        if section == "oracles":
+            cfg.write_text(TINY_CFG + "\n[oracles]\n" + line + "\n")
+        else:
+            cfg.write_text(TINY_CFG.replace("delta = 1.0", "delta = 1.0\n" + line))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "line %d: option %s.%s was removed" % (line_no, section, line.split(" = ")[0]) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("damage", sorted(SNAPSHOT_DAMAGE))
+    def test_damaged_snapshot_initial_is_snapshot_error_naming_the_file(self, tmp_path, capsys, damage):
+        snap = tmp_path / "seed.bin"
+        tiny = config_io.parse_config(TINY_CFG)
+        config_io.write_snapshot(str(snap), config_io.build_initial_state(tiny))
+        damage_snapshot(snap, damage)
+        cfg = tmp_path / "from_snapshot.cfg"
+        cfg.write_text(TINY_CFG.replace("u = bump 0.0 0.25 0.5", "u = snapshot seed.bin u"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "snapshot error: " + SNAPSHOT_DAMAGE[damage] % snap in capsys.readouterr().err
+        assert not out.exists()
+
     def test_broken_config_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[model]\nm = fast\n")
@@ -230,6 +279,32 @@ class TestVerifyCommand:
         assert main(["verify", "--out", str(old)]) == 0
         assert (old / "verify_report.csv").read_bytes() == (current / "verify_report.csv").read_bytes()
 
+    def test_run_dir_written_with_eps_reg_and_oracles_verifies_alike(self, cli_run_dir, tmp_path, capsys):
+        # the config.cfg of a run directory written while [model] eps_reg and [oracles] were options
+        current, old = tmp_path / "current", tmp_path / "old"
+        shutil.copytree(cli_run_dir["out"], current)
+        shutil.copytree(cli_run_dir["out"], old)
+        cfg = old / "config.cfg"
+        text = cfg.read_text()
+        assert "eps_reg" not in text and "[oracles]" not in text
+        cfg.write_text(text.replace("r = 1.0\n", "r = 1.0\neps_reg = 0.0\n", 1)
+                       + "\n[oracles]\ncheck_lower = on\ncheck_upper = on\n")
+        capsys.readouterr()
+        assert main(["verify", "--out", str(current)]) == 0
+        printed = capsys.readouterr().out
+        assert main(["verify", "--out", str(old)]) == 0
+        assert capsys.readouterr().out == printed
+        assert (old / "verify_report.csv").read_bytes() == (current / "verify_report.csv").read_bytes()
+
+    @pytest.mark.parametrize("damage", sorted(SNAPSHOT_DAMAGE))
+    def test_damaged_snapshot_is_snapshot_error_naming_the_file(self, cli_run_dir, tmp_path, capsys, damage):
+        dst = tmp_path / "damaged"
+        shutil.copytree(cli_run_dir["out"], dst)
+        victim = sorted(dst.glob("snap_*.bin"))[2]
+        damage_snapshot(victim, damage)
+        assert main(["verify", "--out", str(dst)]) == 1
+        assert "snapshot error: " + SNAPSHOT_DAMAGE[damage] % victim in capsys.readouterr().err
+
     def test_non_run_directory_is_usage_error(self, tmp_path):
         assert main(["verify", "--out", str(tmp_path)]) == 1
 
@@ -257,6 +332,12 @@ class TestFitCommand:
         path.write_text("t,support_radius\n0,1\n1,2\n2,3\n")
         assert main(["fit", str(path)]) == 2
         assert "usable" in capsys.readouterr().err
+
+    def test_repeated_column_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "twice.csv"
+        path.write_text("t,t,support_radius\n" + "".join("%d,%d,%d\n" % (i, i, i + 1) for i in range(20)))
+        assert main(["fit", str(path)]) == 1
+        assert "config error: CSV %r repeats column 't'" % str(path) in capsys.readouterr().err
 
     def test_missing_time_column_is_usage_error(self, tmp_path):
         path = tmp_path / "no_t.csv"
@@ -438,6 +519,21 @@ class TestUsage:
     def test_bad_invocations_exit_1(self, argv, capsys):
         assert main(argv) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--config", "run.cfg", "--threshold-support", "1e-6"],
+            ["verify", "--out", "out", "--threshold-support", "1e-6"],
+            ["verify", "--out", "out", "--tol-sandwich", "1e-6"],
+            ["verify", "--out", "out", "--tol-mass", "1e-6"],
+            ["sweep", "--config", "sweep.cfg", "--threshold-support", "1e-6"],
+        ],
+    )
+    def test_removed_flags_exit_1(self, argv, capsys):
+        # the files need not exist: the parser refuses the flag first
+        assert main(argv) == 1
+        assert "error: unrecognized arguments: %s 1e-6" % argv[3] in capsys.readouterr().err
 
     def test_console_entry_point(self):
         proc = subprocess.run(

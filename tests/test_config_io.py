@@ -1,6 +1,7 @@
 """Config text parsing, snapshot files, and history CSV round trips."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from chemofront.config_io import (
     ConfigError,
     ConstantInit,
     LatticeConfig,
-    OracleToggles,
     RunConfig,
     SnapshotError,
     SnapshotInit,
@@ -65,8 +65,8 @@ class TestParseConfig:
         assert cfg.model.delta == 1.0
         assert cfg.model.mu == 0.0
         assert cfg.model.r == 1.0
-        assert cfg.model.eps_reg == 0.0
         assert cfg.model.phi == ConstantSensitivity(1.0)
+        assert [f.name for f in dataclasses.fields(cfg.model)] == ["m", "delta", "mu", "r", "phi"]
         assert cfg.grid == Grid(cells=(16,), extent=(2.0,), origin=(0.0,))
         assert cfg.solver.cfl_safety == 0.25
         assert cfg.solver.output_stride == 100
@@ -75,7 +75,8 @@ class TestParseConfig:
         assert cfg.initial["u"] == ConstantInit(0.5)
         for name in ("v", "w", "z"):
             assert cfg.initial[name] == ConstantInit(0.0)
-        assert cfg.oracles.check_lower and cfg.oracles.check_upper
+        assert [f.name for f in dataclasses.fields(cfg)] == [
+            "model", "grid", "solver", "initial", "out_dir", "seed", "sweep", "lattice"]
         assert cfg.out_dir == "out"
         assert cfg.seed == 0
         assert cfg.sweep == {}
@@ -147,6 +148,46 @@ class TestParseConfig:
         assert cfg == parse_config(text)
         assert "kernel" not in serialize_config(cfg)
 
+    @pytest.mark.parametrize(
+        "section, lines",
+        [
+            ("model", "eps_reg = 0.0"),
+            ("model", "eps_reg = 0"),
+            ("oracles", "check_lower = on\ncheck_upper = on"),
+            ("oracles", "check_upper = TRUE"),
+            ("oracles", ""),
+        ],
+    )
+    def test_retired_model_and_oracle_keys_at_kept_values_are_ignored(self, section, lines):
+        if section == "oracles":
+            text = MINIMAL + "\n[oracles]\n" + lines + "\n"
+        else:
+            text = MINIMAL.replace("m = 2.0", "m = 2.0\n" + lines)
+        cfg = parse_config(text)
+        assert cfg == parse_config(MINIMAL)
+        assert serialize_config(cfg) == serialize_config(parse_config(MINIMAL))
+
+    @pytest.mark.parametrize(
+        "line, where, kept",
+        [
+            ("eps_reg = 0.05", "model.eps_reg", "0.0"),
+            ("eps_reg = nan", "model.eps_reg", "0.0"),
+            ("check_upper = off", "oracles.check_upper", "on"),
+            ("check_lower = no", "oracles.check_lower", "on"),
+            ("check_lower = maybe", "oracles.check_lower", "on"),
+        ],
+    )
+    def test_retired_model_and_oracle_keys_at_other_values_are_refused(self, line, where, kept):
+        key, value = line.split(" = ")
+        if where.startswith("oracles"):
+            text, line_no = MINIMAL + "\n[oracles]\n" + line + "\n", len(MINIMAL.splitlines()) + 3
+        else:
+            text, line_no = MINIMAL.replace("m = 2.0", "m = 2.0\n" + line), 4
+        pattern = r"line %d: option %s was removed; chemofront always runs %s = %s, got '%s'" % (
+            line_no, where.replace(".", r"\."), key, kept, value)
+        with pytest.raises(ConfigError, match=pattern):
+            parse_config(text)
+
     def test_output_section(self):
         text = MINIMAL + "\n[output]\ndir = results\nseed = 42\n"
         cfg = parse_config(text)
@@ -181,7 +222,7 @@ class TestParseErrors:
             (lambda t: t.replace("m = 2.0", "m = fast"), "must be a number"),
             (lambda t: t.replace("dim = 1", "dim = 3"), "must be 1 or 2"),
             (lambda t: t.replace("cells = 16", "cells = 16.5"), "integers"),
-            (lambda t: t + "\n[oracles]\ncheck_lower = maybe\n", "on/off"),
+            (lambda t: t + "\n[lattice]\nsites = 20\nu_max = 50\nparticles = 100\nt_end = 1\ncompare_pde = maybe\n", "on/off"),
             (lambda t: t.replace("constant 0.5", "bump 0.0 0.5"), "bump needs"),
             (lambda t: t.replace("constant 0.5", "bump 0.0 -1.0 0.5"), "radius"),
             (lambda t: t.replace("constant 0.5", "bump 0.0 1.0 -0.5"), "height"),
@@ -281,7 +322,6 @@ class TestSerializeRoundTrip:
             MINIMAL.replace("m = 2.0", "m = 2.5\nphi = table 0:0,1:0.25,3:1")
             .replace("u = constant 0.5", "u = bump -0.125 0.5 0.75\nw = constant 1.0")
             + "\n[output]\ndir = run_out\nseed = 11"
-            + "\n[oracles]\ncheck_upper = off"
             + "\n[sweep]\nmodel.mu = 0.5, 1.5"
             + "\n[lattice]\nsites = 24\nu_max = 50\nparticles = 200\nt_end = 0.125\n"
             + "kernel = pushing\nseeds = 3\ncells_per_bin = 2\n"
@@ -325,7 +365,6 @@ m = 2.5
 delta = 1.0
 mu = 0.0
 r = 1.0
-eps_reg = 0.0
 phi = table 0.0:0.0,1.0:0.25,3.0:1.0
 
 [grid]
@@ -349,10 +388,6 @@ z = constant 0.0
 dir = run_out
 seed = 11
 
-[oracles]
-check_lower = on
-check_upper = off
-
 [sweep]
 model.mu = 0.5, 1.5
 
@@ -372,6 +407,15 @@ compare_pde = off
 """
 
 
+def test_config_written_with_eps_reg_and_oracles_parses_equal():
+    # the config.cfg of a run directory written while [model] eps_reg and [oracles] were options
+    old = FULL_CONFIG_TEXT.replace("r = 1.0\n", "r = 1.0\neps_reg = 0.0\n", 1).replace(
+        "\n[sweep]", "\n[oracles]\ncheck_lower = on\ncheck_upper = on\n\n[sweep]")
+    assert old.count("eps_reg") == 1 and old.count("[oracles]") == 1
+    assert parse_config(old) == parse_config(FULL_CONFIG_TEXT)
+    assert serialize_config(parse_config(old)) == FULL_CONFIG_TEXT
+
+
 def _finite(lo=-1e6, hi=1e6, **kw):
     return st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False, **kw)
 
@@ -386,7 +430,6 @@ _models = st.builds(
         st.builds(ConstantSensitivity, _finite(-1.0, 1.0)),
         st.builds(LinearSwitchSensitivity, _finite(0.0, 10.0, exclude_min=True)),
     ),
-    eps_reg=_finite(0.0, 1.0, exclude_max=True),
 )
 _solvers = st.builds(
     SolverConfig,
@@ -420,13 +463,12 @@ def _lattices(draw):
 @given(
     model=_models,
     solver=_solvers,
-    oracles=st.builds(OracleToggles, st.booleans(), st.booleans()),
     lattice=st.none() | _lattices(),
 )
 @settings(max_examples=200, deadline=None)
-def test_record_sections_round_trip(model, solver, oracles, lattice):
+def test_record_sections_round_trip(model, solver, lattice):
     cfg = parse_config(MINIMAL)
-    cfg = RunConfig(model, cfg.grid, solver, cfg.initial, oracles=oracles, lattice=lattice)
+    cfg = RunConfig(model, cfg.grid, solver, cfg.initial, lattice=lattice)
     text = serialize_config(cfg)
     again = parse_config(text)
     assert again == cfg
@@ -559,6 +601,30 @@ class TestSnapshotErrors:
         with pytest.raises(SnapshotError, match="field order"):
             read_snapshot(str(path), origin=(0.0,))
 
+    @pytest.mark.parametrize("name, index", [("u", 3), ("z", 4 * 8 - 1)])
+    def test_non_finite_payload_names_the_file_and_field(self, tmp_path, name, index):
+        path = tmp_path / "nan.bin"
+        payload = np.zeros(4 * 8)
+        payload[index] = np.nan
+        path.write_bytes(b"DCSIM1\n1\n8\n1.0\n0.0\nu v w z\n" + payload.astype("<f8").tobytes())
+        with pytest.raises(SnapshotError, match=r"bad snapshot payload in '%s': %s field contains non-finite" % (re.escape(str(path)), name)):
+            read_snapshot(str(path), origin=(0.0,))
+
+    @pytest.mark.parametrize(
+        "cells, extent, t, fragment",
+        [
+            (b"2", b"1.0", b"0.0", "at least 4 cells"),
+            (b"8", b"-1.0", b"0.0", "extent must be positive"),
+            (b"8", b"nan", b"0.0", "extent must be positive"),
+            (b"8", b"1.0", b"inf", "time inf is not finite"),
+        ],
+    )
+    def test_header_the_grid_refuses_names_the_file(self, tmp_path, cells, extent, t, fragment):
+        path = tmp_path / "header.bin"
+        path.write_bytes(b"DCSIM1\n1\n%s\n%s\n%s\nu v w z\n" % (cells, extent, t) + b"\x00" * (4 * 8 * 8))
+        with pytest.raises(SnapshotError, match=r"bad snapshot header in '%s' \(.*%s" % (re.escape(str(path)), fragment)):
+            read_snapshot(str(path), origin=(0.0,))
+
     def test_axis_count_mismatch(self, tmp_path):
         path = tmp_path / "axes.bin"
         path.write_bytes(b"DCSIM1\n2\n8\n1.0 1.0\n0.0\nu v w z\n" + b"\x00" * (4 * 8 * 8))
@@ -610,6 +676,7 @@ class TestHistoryCsv:
             ("", "empty"),
             ("a,b\n1\n", "fields"),
             ("a,b\n1,x\n", "not a number"),
+            ("t,t,support_radius\n0,0,1\n", "repeats column 't'"),
         ],
     )
     def test_csv_errors(self, tmp_path, body, fragment):

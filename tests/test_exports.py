@@ -30,6 +30,7 @@ PRUNED = [
     ("chemofront.model", "jump_probability"),
     ("chemofront", "KERNELS"),
     ("chemofront.lattice", "KERNELS"),
+    ("chemofront.config_io", "OracleToggles"),
 ]
 
 

@@ -204,7 +204,7 @@ def test_logistic_sign_structure(u, mu, delta, r):
         {"m": 2.0, "delta": 0.5},
         {"m": 2.0, "mu": -1.0},
         {"m": 2.0, "r": 0.0},
-        {"m": 2.0, "eps_reg": 1.0},
+        {"m": 2.0, "phi": 1.0},
     ],
 )
 def test_model_params_rejects_bad_values(kwargs):

@@ -143,18 +143,6 @@ class TestFluxes:
         s0 = uniform_state(8, u=0.0)
         assert np.all(diffusive_flux(s0, ModelParams(m=2.0))[0] == 0.0)
 
-    def test_regularized_flux_matches_transform(self):
-        g = Grid((4,), (0.4,), (0.0,))
-        u = np.array([0.1, 0.3, 0.6, 1.0])
-        s = StateQuad(Field(g, u), Field.full(g, 0.0), Field.full(g, 0.0), Field.full(g, 0.0))
-        eps = 0.01
-        fl = diffusive_flux(s, ModelParams(m=2.0, eps_reg=eps))[0]
-        tr = (u + eps) ** 2 - eps**2
-        assert np.allclose(fl, -np.diff(tr) / 0.1)
-        # the drift still advects u^m, not T: a rising signal makes every face velocity 1/h, upwind from the left
-        s2 = StateQuad(Field(g, u), Field(g, np.arange(4.0)), Field.full(g, 0.0), Field.full(g, 0.0))
-        assert np.allclose(chemotactic_flux(s2, ModelParams(m=2.0, eps_reg=eps))[0], u[:-1] ** 2 / 0.1)
-
     def test_chemo_flux_upwind_picks_departure_side(self):
         g = Grid((4,), (0.4,), (0.0,))
         u = Field(g, np.array([1.0, 1.0, 0.0, 0.0]))
@@ -419,7 +407,6 @@ KERNEL_CASES = {
     "1d": (1, quadratic, 0.8, {}, {}),
     "2d": (2, quadratic, 0.8, {}, {}),
     "no_drift": (1, quadratic, 0.8, {"phi": ConstantSensitivity(0.0)}, {}),
-    "eps_reg": (1, quadratic, 0.8, {"eps_reg": 0.05}, {}),
     "clips": (2, lambda d2: 100.0 * (3.0 - np.sqrt(d2)), 0.8, {"phi": ConstantSensitivity(-1.0)}, {"cfl_safety": 1.0}),
 }
 
@@ -534,11 +521,11 @@ class TestKernel:
         dt, g = rep.dt_used, s.grid
         assert dt == cfl_dt(s, params, cfg)
         # the fewest stages s >= 2 (at most 4) whose (s^2 + s - 2)/4 forward-Euler steps cover dt
-        explicit = dt * 2.0 * g.dim * params.m * (s.u.values.max() + params.eps_reg) ** (params.m - 1.0)
+        explicit = dt * 2.0 * g.dim * params.m * s.u.values.max() ** (params.m - 1.0)
         need = explicit / (cfg.cfl_safety * g.h * g.h) * (1.0 - 1e-12)
         assert rep.stages == next((n for n in (2, 3) if (n * n + n - 2) / 4.0 >= need), 4)
 
-        def lap(y):  # the flux-form diffusion of T(max(y, 0))
+        def lap(y):  # the flux-form diffusion of max(y, 0)^m
             y_state = StateQuad(Field(g, np.maximum(y, 0.0)), s.v, s.w, s.z)
             return -solver._divergence(diffusive_flux(y_state, params), g.cells, g.h)
 
