@@ -2,7 +2,9 @@
 
 For each m, integrates a compact bump on a wide domain and fits a power law
 in (1+t) to the support radius, dropping any samples taken after the front
-gets within reach of the boundary.  With growth switched on the measured
+gets within reach of the boundary.  A case that cannot be fitted says why:
+too few history rows (lower --stride) or a support that reached the wall
+(enlarge --extent).  With growth switched on the measured
 exponents sit well above the pure-diffusion values; pass --mu 0 --chemo 0
 to watch the slow self-similar spreading instead.
 
@@ -35,7 +37,7 @@ def main(argv=None):
     ap.add_argument("--t-end", type=float, default=3.0)
     ap.add_argument("--mu", type=float, default=1.0)
     ap.add_argument("--chemo", type=float, default=1.0, help="constant sensitivity value")
-    ap.add_argument("--stride", type=int, default=200, help="history cadence in steps")
+    ap.add_argument("--stride", type=int, default=20, help="history cadence in steps")
     ap.add_argument("--csv", help="append rows to this CSV instead of just printing")
     args = ap.parse_args(argv)
 
@@ -57,10 +59,17 @@ def main(argv=None):
         hist = np.asarray(result.history.rows)
         t, radius = hist[:, 0], hist[:, radius_col]
         mask = radius < wall_cap
-        if mask.sum() < 8:
-            print("%-6.3g support saturated the domain; enlarge --extent" % m)
+        try:
+            fit = fit_power_law(t[mask], radius[mask])
+        except ValueError as exc:
+            # the wall is to blame only if the rows it masked would have made the fit
+            try:
+                fit_power_law(t, radius)
+                cause = "support saturated the domain; enlarge --extent"
+            except ValueError:
+                cause = "too few history rows; lower --stride"
+            print("%-6.3g no fit from %d rows, %d inside the wall cap (%s): %s" % (m, len(t), mask.sum(), exc, cause))
             continue
-        fit = fit_power_law(t[mask], radius[mask])
         print(
             "%-6.3g %-9.4f %-9.4f %-8.4f %-3d/%-3d %.3f"
             % (m, fit.exponent, fit.stderr, fit.r_squared, mask.sum(), len(t), radius[-1])

@@ -27,7 +27,6 @@ def main(argv=None):
     ap.add_argument("--m", type=float, default=2.0)
     ap.add_argument("--t-end", type=float, default=0.5)
     ap.add_argument("--extent", type=float, default=2.0)
-    ap.add_argument("--leap-fraction", type=float, default=0.5)
     args = ap.parse_args(argv)
 
     print("particles  u_max    L1_gap")
@@ -41,7 +40,6 @@ def main(argv=None):
             t_end=args.t_end,
             seeds=args.seeds,
             cells_per_bin=args.cells_per_bin,
-            leap_fraction=args.leap_fraction,
             extent=args.extent,
             origin=-args.extent / 2.0,
         )

@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import glob
 import json
+import math
 import os
 import sys
 import time
@@ -454,6 +455,9 @@ def cmd_fit(args) -> int:
 
 
 def cmd_lattice(args) -> int:
+    # nan would switch the check off (l1 > nan is false) and a negative tolerance would fail every run
+    if args.tol_l1 is not None and not (0.0 <= args.tol_l1 < math.inf):
+        raise _UsageError("--tol-l1 must be a finite number >= 0, got %r" % args.tol_l1)
     cfg = config_io.parse_config_file(args.config)
     if cfg.lattice is None:
         raise _UsageError("config %s has no [lattice] section" % args.config)

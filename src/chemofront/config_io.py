@@ -12,11 +12,13 @@ written.  [grid], [initial], [output], [sweep] and the phi rule of [model]
 are parsed and written by hand.
 
 Options that only ever held one value were removed (_RETIRED): the solver's
-clip_negative, chemo_upwind and v_z_stepper, the lattice's kernel, the
-model's eps_reg, and check_lower and check_upper, the only keys [oracles]
-had.  Config files written before, every run directory's config.cfg among
-them, still carry them at the kept values (on, on, semi-implicit, pushing,
-0.0, on, on); such a line is read and ignored, any other value is an error.
+clip_negative, chemo_upwind, v_z_stepper and cfl_safety, the lattice's
+kernel and leap_fraction, the model's eps_reg, and check_lower and
+check_upper, the only keys [oracles] had.  Config files written before,
+every run directory's config.cfg among them, still carry them at the kept
+values (on, on, semi-implicit, 0.25, pushing, 0.5, 0.0, on, on); such a
+line is read and ignored, any other value is an error.  The solver's
+dt_max, never written to a config.cfg, is an unknown key.
 
 Snapshots are a 6-line ASCII header (magic, dim, cells per axis, extent per
 axis, time, field order) followed by the four fields as raw little-endian
@@ -149,7 +151,7 @@ _RECORDS = {
 }
 
 # field types a config value converts to; a field of any other type (phi) is parsed by hand
-_SCALAR_TYPES = ("float", "float | None", "int", "bool", "str")
+_SCALAR_TYPES = ("float", "int", "bool", "str")
 
 
 def _scalar_fields(record_type) -> list:
@@ -161,7 +163,7 @@ _SWEEPABLE = {
     "%s.%s" % (name, f.name)
     for name in ("model", "solver")
     for f in _scalar_fields(_RECORDS[name])
-    if f.type.startswith("float")
+    if f.type == "float"
 }
 
 # retired keys, each with the field type its value was read as and the one value still accepted
@@ -169,7 +171,9 @@ _RETIRED = {
     ("solver", "clip_negative"): ("bool", True),
     ("solver", "chemo_upwind"): ("bool", True),
     ("solver", "v_z_stepper"): ("str", "semi-implicit"),
+    ("solver", "cfl_safety"): ("float", 0.25),
     ("lattice", "kernel"): ("str", "pushing"),
+    ("lattice", "leap_fraction"): ("float", 0.5),
     ("model", "eps_reg"): ("float", 0.0),
     ("oracles", "check_lower"): ("bool", True),
     ("oracles", "check_upper"): ("bool", True),
@@ -452,12 +456,10 @@ def _value_text(kind: str, value) -> str:
 
 
 def _record_text(name: str, record) -> str:
-    """Section [name] of a record, one line per scalar field; a None field is left out."""
+    """Section [name] of a record, one line per scalar field."""
     lines = ["[%s]\n" % name]
     for f in _scalar_fields(type(record)):
-        value = getattr(record, f.name)
-        if value is not None:
-            lines.append("%s = %s\n" % (f.name, _value_text(f.type, value)))
+        lines.append("%s = %s\n" % (f.name, _value_text(f.type, getattr(record, f.name))))
     return "".join(lines)
 
 

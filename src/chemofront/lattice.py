@@ -12,9 +12,9 @@ which conserves particles exactly.
 A state's occupancy is one chain, (sites,), or an ensemble of them,
 (members, sites), over the same frozen signal v.  run_adaptive leaps on the
 bare occupancy array: the signal gaps are evaluated once per run; each leap
-evaluates the rates of every member once, takes one dt, the leap-condition
-dt of the fastest member, and draws every move with a single multinomial
-call from the state's one generator.  Every leap checks the overflow cap and
+evaluates the rates of every member once, takes one dt, half the
+leap-condition dt of the fastest member, and draws every move with a
+single multinomial call from the state's one generator.  Every leap checks the overflow cap and
 counts the sites above u_max per member; a LatticeState, with its full
 validation, is built only for the final state.  A leap dt below
 1e-12 * max(1, t_end), the tolerance the continuum solver uses for t_end,
@@ -66,7 +66,6 @@ class LatticeConfig:
     beta: float = 0.0
     seeds: int = 1
     cells_per_bin: int = 1
-    leap_fraction: float = 0.5
     extent: float = 1.0
     origin: float = 0.0
     compare_pde: bool = False
@@ -89,8 +88,6 @@ class LatticeConfig:
             raise ValueError("lattice needs at least one seed")
         if self.sites % self.cells_per_bin != 0:
             raise ValueError("cells_per_bin must divide sites")
-        if not (0 < self.leap_fraction <= 1):
-            raise ValueError("leap_fraction must lie in (0, 1]")
         if not (0.0 < self.extent < math.inf):
             raise ValueError("lattice extent must be finite and positive, got %r" % self.extent)
         if not math.isfinite(self.origin):
@@ -245,17 +242,14 @@ def step_tau_leap(s: LatticeState, dt: float) -> LatticeState:
     return replace(s, occupancy=occ, capacity_violations=s.capacity_violations + flags)
 
 
-def run_adaptive(s: LatticeState, t_end: float, leap_fraction: float = 0.5):
-    """Leap to t_end, each step sized at leap_fraction of the allowed limit.
+def run_adaptive(s: LatticeState, t_end: float):
+    """Leap to t_end, each leap sized at half the limit: dt * max rate = LEAP_LIMIT / 2.
 
     Returns (state, t_reached, steps).  The members of an ensemble state
     leap together: dt is that of the member with the largest rate, so every
-    member stays inside the leap condition.  leap_fraction in (0, 1] trades
-    steps for leap bias.  A leap dt below 1e-12 * max(1, t_end) raises
-    ValueError.
+    member stays inside the leap condition.  The last leap is cut to land on
+    t_end.  A leap dt below 1e-12 * max(1, t_end) raises ValueError.
     """
-    if not (0.0 < leap_fraction <= 1.0):
-        raise ValueError("leap_fraction must lie in (0, 1], got %r" % leap_fraction)
     gains = _gains(s)
     floor = solver._time_tolerance(t_end)
     occ = s.occupancy
@@ -268,7 +262,7 @@ def run_adaptive(s: LatticeState, t_end: float, leap_fraction: float = 0.5):
         max_rate = max(float(left.max()), float(right.max()))
         if max_rate <= 0.0:
             break  # frozen configuration, nothing will ever move
-        dt = leap_fraction * LEAP_LIMIT / max_rate
+        dt = 0.5 * LEAP_LIMIT / max_rate
         if dt < floor:
             raise ValueError(
                 "lattice leap dt %.3g fell below the floor %.3g = 1e-12 * max(1, t_end): "
@@ -340,7 +334,7 @@ def run_ensemble(config: LatticeConfig, m: float, base_seed: int) -> list[Member
     """
     start = initial_state(config, m, base_seed)
     batch = replace(start, occupancy=np.tile(start.occupancy, (config.seeds, 1)))
-    final, t, _ = run_adaptive(batch, config.t_end, config.leap_fraction)
+    final, t, _ = run_adaptive(batch, config.t_end)
     return [
         Member(
             base_seed + i,

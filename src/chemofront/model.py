@@ -243,14 +243,6 @@ class ModelParams:
         if not hasattr(self.phi, "eval"):
             raise ValueError("phi must be a sensitivity rule with an eval method")
 
-    def require_front_hypotheses(self):
-        """The front envelope constructions need 1 <= delta < m."""
-        if not (1.0 <= self.delta < self.m):
-            raise ValueError(
-                "front envelopes require 1 <= delta < m, got delta=%r m=%r"
-                % (self.delta, self.m)
-            )
-
 
 @dataclass
 class StateQuad:

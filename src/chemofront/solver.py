@@ -25,12 +25,15 @@ the design points that the tests lean on:
 * so dt (cfl_dt) budgets for u alone: its degenerate diffusion, whose
   super-step of up to S = MAX_STAGES stages covers (S^2 + S - 2)/4
   forward-Euler steps, its upwinded drift through all 2 dim faces of a cell,
-  and its growth.  Each step takes the fewest stages s >= 2 that cover its
-  dt.  run() records every step's dt, which of these terms or the dt_max/h
-  cap set it, and the stages taken.
+  and its growth, at the fixed safety CFL_SAFETY and never above h.  Each
+  step takes the fewest stages s >= 2 that cover its dt.  run() records
+  every step's dt, which of these terms or the h cap set it, and the stages
+  taken.
 * The loop runs on bare arrays (_advance) with one finiteness check per step;
   Field/StateQuad validation sits at the edges: step()'s input and output,
   and the states run() emits.  A CFL dt below the run's time tolerance raises.
+  A run has one stopping rule: every step is capped at t_end - t, and
+  max_steps can only end it earlier.
 """
 
 from __future__ import annotations
@@ -65,19 +68,13 @@ class SimulationError(RuntimeError):
 @dataclass(frozen=True)
 class SolverConfig:
     t_end: float
-    cfl_safety: float = 0.25
     output_stride: int = 100
-    dt_max: float | None = None  # None means the grid spacing h
 
     def __post_init__(self):
-        if not (0.0 < self.cfl_safety <= 1.0):
-            raise ValueError("cfl_safety must lie in (0, 1], got %r" % self.cfl_safety)
         if not (self.t_end >= 0.0 and math.isfinite(self.t_end)):
             raise ValueError("t_end must be finite and >= 0, got %r" % self.t_end)
         if not (isinstance(self.output_stride, int) and self.output_stride >= 1):
             raise ValueError("output_stride must be a positive integer, got %r" % self.output_stride)
-        if self.dt_max is not None and not (self.dt_max > 0.0):
-            raise ValueError("dt_max must be positive when given, got %r" % self.dt_max)
 
 
 @dataclass(frozen=True)
@@ -95,6 +92,9 @@ BINDING_TERMS = ("diffusion", "drift", "reaction", "cap")
 
 # most RKL2 stages per step; s stages cover (s^2 + s - 2)/4 forward-Euler diffusion steps
 MAX_STAGES = 4
+
+# the share of the CFL bound h^2 / (sum of the terms) that a step takes
+CFL_SAFETY = 0.25
 
 
 @dataclass
@@ -135,10 +135,10 @@ def _stage_gain(stages: int) -> float:
     return (stages * stages + stages - 2) / 4.0
 
 
-def _cfl_dt(grid: Grid, u: np.ndarray, dv: list[np.ndarray], params: ModelParams, config: SolverConfig):
+def _cfl_dt(grid: Grid, u: np.ndarray, dv: list[np.ndarray], params: ModelParams):
     """cfl_dt on arrays, given v's face differences dv; also returns the
-    (diffusion, drift, reaction) denominator terms and the cap, to name the
-    one that binds; the diffusion term is already divided by the stage gain."""
+    (diffusion, drift, reaction) denominator terms, to name the one that
+    binds; the diffusion term is already divided by the stage gain."""
     h = grid.h
     m = params.m
     max_u = float(u.max())
@@ -148,21 +148,20 @@ def _cfl_dt(grid: Grid, u: np.ndarray, dv: list[np.ndarray], params: ModelParams
         h * max(m, 2.0 * grid.dim) * motility * _max_grad(dv, h),
         h * h * params.mu * (params.delta + 1.0) * max(max_u, 1.0) ** params.delta * max(params.r, 1.0),
     )
-    cap = config.dt_max if config.dt_max is not None else h
     total = terms[0] + terms[1] + terms[2]
     if total == 0.0:  # vacuum under a flat signal: only the cap bounds dt
-        return cap, terms, cap
-    return min(config.cfl_safety * h * h / total, cap), terms, cap
+        return h, terms
+    return min(CFL_SAFETY * h * h / total, h), terms
 
 
-def cfl_dt(state: StateQuad, params: ModelParams, config: SolverConfig) -> float:
+def cfl_dt(state: StateQuad, params: ModelParams) -> float:
     """Stable step for the current state.
 
-    dt = cfl_safety * h^2 / (2 dim m max_u^(m-1) / G
+    dt = CFL_SAFETY * h^2 / (2 dim m max_u^(m-1) / G
                              + h max(m, 2 dim) max_u^(m-1) max|grad v|
                              + h^2 mu (delta+1) max(max_u, 1)^delta max(r, 1)),
-    with G = (S^2 + S - 2)/4 = 4.5 at S = MAX_STAGES, additionally capped at
-    dt_max (default h), which is also dt when all three terms vanish.  The
+    with CFL_SAFETY = 0.25 and G = (S^2 + S - 2)/4 = 4.5 at S = MAX_STAGES,
+    additionally capped at h, which is also dt when all three terms vanish.  The
     terms bound the degenerate diffusion of u, which one RKL2 super-step of
     up to S stages covers for G forward-Euler steps; the upwinded drift
     phi u^m grad v, which moves at the speed m u^(m-1) |grad v| and drains a
@@ -171,7 +170,7 @@ def cfl_dt(state: StateQuad, params: ModelParams, config: SolverConfig) -> float
     The three share one budget, since all of them drain the same cells within
     a step.  v and z need no term: their semi-implicit solve is stable for any dt.
     """
-    return _cfl_dt(state.grid, state.u.values, _face_diffs(state.v.values), params, config)[0]
+    return _cfl_dt(state.grid, state.u.values, _face_diffs(state.v.values), params)[0]
 
 
 def diffusive_flux(state: StateQuad, params: ModelParams) -> list[np.ndarray]:
@@ -297,7 +296,7 @@ def _time_tolerance(t_end: float) -> float:
     return 1e-12 * max(1.0, abs(t_end))
 
 
-def _advance(grid, u, v, w, z, t, params, config, dt_cap, dt_floor):
+def _advance(grid, u, v, w, z, t, params, dt_cap, dt_floor):
     """One step on bare arrays, the kernel of step() and run(): returns new
     arrays (u, v, w, z), dt, the clipped mass, the BINDING_TERMS index of
     what set the CFL dt and the RKL2 stages taken, and never writes its inputs.
@@ -310,16 +309,16 @@ def _advance(grid, u, v, w, z, t, params, config, dt_cap, dt_floor):
     """
     h = grid.h
     dv = _face_diffs(v)
-    dt, terms, cap = _cfl_dt(grid, u, dv, params, config)
-    bound = len(terms) if dt == cap else terms.index(max(terms))  # index into BINDING_TERMS
+    dt, terms = _cfl_dt(grid, u, dv, params)
+    bound = len(terms) if dt == h else terms.index(max(terms))  # index into BINDING_TERMS
     if dt < dt_floor:
-        binds = "dt_max/h cap" if bound == len(terms) else BINDING_TERMS[bound]
-        raise SimulationError("CFL dt %r fell below %r at t=%r: the %s term binds" % (dt, dt_floor, t, binds))
+        raise SimulationError(
+            "CFL dt %r fell below %r at t=%r: the %s term binds" % (dt, dt_floor, t, BINDING_TERMS[bound]))
     if dt_cap is not None:
         if dt_cap <= 0.0:
             raise SimulationError("nonpositive dt_cap %r" % dt_cap)
         dt = min(dt, dt_cap)
-    stages = _stage_count(_stage_gain(MAX_STAGES) * dt * terms[0] / (config.cfl_safety * h * h))
+    stages = _stage_count(_stage_gain(MAX_STAGES) * dt * terms[0] / (CFL_SAFETY * h * h))
 
     um = u ** params.m
     u_new = _rkl2_diffuse(u, _face_sums(um), dt / (h * h), stages, params.m)
@@ -363,7 +362,7 @@ def step(state: StateQuad, params: ModelParams, config: SolverConfig, dt_cap: fl
     """
     grid = state.grid
     u, v, w, z, dt, clipped, _, stages = _advance(grid, state.u.values, state.v.values, state.w.values,
-                                                  state.z.values, state.t, params, config, dt_cap,
+                                                  state.z.values, state.t, params, dt_cap,
                                                   _time_tolerance(state.t + config.t_end))
     new_state = StateQuad(Field(grid, u), Field(grid, v), Field(grid, w), Field(grid, z), state.t + dt)
     report = StepReport(dt_used=dt, min_u=float(np.min(u)), max_u=float(np.max(u)),
@@ -398,10 +397,11 @@ def run(
     snapshot_sink=None,
     max_steps: int | None = None,
 ) -> RunResult:
-    """Integrate from the initial state to t_end (or for max_steps steps).
+    """Integrate from the initial state to t_end, or stop after max_steps steps.
 
-    Diagnostics rows and snapshots are emitted at step 0, every
-    output_stride steps, and at the final step.  history_sink and
+    Every step is capped at the time left, so a run ends at t_end unless
+    max_steps ends it first.  Diagnostics rows and snapshots are emitted at
+    step 0, every output_stride steps, and at the final step.  history_sink and
     snapshot_sink are callables taking a row tuple / a StateQuad; each
     emitted state is new, built on the loop's arrays only when it is emitted.
     A zero-length run returns the initial state and an empty history.  A CFL
@@ -414,7 +414,7 @@ def run(
     t_end = initial.t + config.t_end
     budget = math.inf if max_steps is None else max_steps
 
-    if config.t_end <= 0.0 and max_steps is None:
+    if config.t_end <= 0.0:
         return RunResult(history, initial, 0.0, 0)
 
     x0 = peak_coordinate(initial.u)
@@ -435,19 +435,16 @@ def run(
     total_clipped = 0.0
     dts, counts = array("d"), [0] * len(BINDING_TERMS)
     tiny = _time_tolerance(t_end)
-    while steps < budget and (max_steps is not None or t < t_end - tiny):
-        cap = None if max_steps is not None else t_end - t
-        u, v, w, z, dt, clipped, bound, taken = _advance(grid, u, v, w, z, t, params, config, cap, tiny)
+    while steps < budget and t < t_end - tiny:
+        u, v, w, z, dt, clipped, bound, taken = _advance(grid, u, v, w, z, t, params, t_end - t, tiny)
         t += dt
         steps += 1
         stages += taken
         total_clipped += clipped
         dts.append(dt)
         counts[bound] += 1
-        done = steps >= budget or (max_steps is None and t >= t_end - tiny)
+        done = steps >= budget or t >= t_end - tiny
         if steps % config.output_stride == 0 or done:
             state = StateQuad(Field(grid, u), Field(grid, v), Field(grid, w), Field(grid, z), t)
             emit(state)
-        if done:
-            break
     return RunResult(history, state, total_clipped, steps, dts, dict(zip(BINDING_TERMS, counts)), stages)

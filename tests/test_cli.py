@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from chemofront import config_io
+from chemofront import config_io, lattice, solver
 from chemofront.cli import main
 
 
@@ -139,7 +139,7 @@ class TestRunCommand:
         assert set(stats) == {"steps", "stages", "wall_s", "steps_per_s", "dt", "bound_by", "clipped_mass"}
         assert list(stats["bound_by"]) == ["diffusion", "drift", "reaction", "cap"]
         assert sum(stats["bound_by"].values()) == stats["steps"] > 0
-        assert 2 * stats["steps"] <= stats["stages"] <= 4 * stats["steps"]  # 2 to MAX_STAGES per step
+        assert 2 * stats["steps"] <= stats["stages"] <= solver.MAX_STAGES * stats["steps"]
         assert 0.0 < stats["dt"]["min"] <= stats["dt"]["median"] <= stats["dt"]["max"]
         assert stats["wall_s"] > 0.0
         assert stats["steps_per_s"] == pytest.approx(stats["steps"] / stats["wall_s"], rel=1e-12)
@@ -450,6 +450,16 @@ class TestLatticeCommand:
         assert code == 3
         assert "exceeds tolerance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_tolerance_that_cannot_work_is_usage_error_before_any_leap(self, tmp_path, capsys, monkeypatch, tol):
+        monkeypatch.setattr(lattice, "run_ensemble", lambda *args: pytest.fail("the ensemble ran"))
+        cfg = tmp_path / "lat.cfg"
+        cfg.write_text(LATTICE_CFG)
+        out = tmp_path / "lat_bad_tol"
+        assert main(["lattice", "--config", str(cfg), "--out", str(out), "--tol-l1", tol]) == 1
+        assert "error: --tol-l1 must be a finite number >= 0, got %s" % float(tol) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unreachable_t_end_is_numeric_failure(self, tmp_path, capsys):
         cfg = tmp_path / "lat.cfg"
         cfg.write_text(LATTICE_CFG.replace("t_end = 0.05\nseeds", "t_end = 1e300\nseeds"))
@@ -534,6 +544,24 @@ class TestUsage:
         # the files need not exist: the parser refuses the flag first
         assert main(argv) == 1
         assert "error: unrecognized arguments: %s 1e-6" % argv[3] in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, line, message",
+        [
+            ("solver", "cfl_safety = 0.1", "option solver.cfl_safety was removed"),
+            ("lattice", "leap_fraction = 0.25", "option lattice.leap_fraction was removed"),
+            ("solver", "dt_max = 0.01", "unknown key 'dt_max' in section [solver]"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["run", "lattice"])
+    def test_retired_step_size_keys_exit_1_naming_their_line(self, tmp_path, capsys, command, section, line, message):
+        text = LATTICE_CFG.replace("[%s]\n" % section, "[%s]\n%s\n" % (section, line))
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert "line %d: %s" % (text.splitlines().index(line) + 1, message) in capsys.readouterr().err
+        assert not out.exists()
 
     def test_console_entry_point(self):
         proc = subprocess.run(

@@ -68,10 +68,8 @@ class TestParseConfig:
         assert cfg.model.phi == ConstantSensitivity(1.0)
         assert [f.name for f in dataclasses.fields(cfg.model)] == ["m", "delta", "mu", "r", "phi"]
         assert cfg.grid == Grid(cells=(16,), extent=(2.0,), origin=(0.0,))
-        assert cfg.solver.cfl_safety == 0.25
         assert cfg.solver.output_stride == 100
-        assert cfg.solver.dt_max is None
-        assert [f.name for f in dataclasses.fields(cfg.solver)] == ["t_end", "cfl_safety", "output_stride", "dt_max"]
+        assert [f.name for f in dataclasses.fields(cfg.solver)] == ["t_end", "output_stride"]
         assert cfg.initial["u"] == ConstantInit(0.5)
         for name in ("v", "w", "z"):
             assert cfg.initial[name] == ConstantInit(0.0)
@@ -109,9 +107,9 @@ class TestParseConfig:
         # the retired switches are read at the one scheme's values and ignored
         text = MINIMAL.replace(
             "t_end = 0.5",
-            "t_end = 0.5\nclip_negative = on\nchemo_upwind = yes\nv_z_stepper = semi-implicit\ndt_max = 0.01",
+            "t_end = 0.5\nclip_negative = on\nchemo_upwind = yes\nv_z_stepper = semi-implicit\noutput_stride = 7",
         )
-        assert parse_config(text) == parse_config(MINIMAL.replace("t_end = 0.5", "t_end = 0.5\ndt_max = 0.01"))
+        assert parse_config(text) == parse_config(MINIMAL.replace("t_end = 0.5", "t_end = 0.5\noutput_stride = 7"))
 
     @pytest.mark.parametrize(
         "lines",
@@ -119,6 +117,8 @@ class TestParseConfig:
             "clip_negative = on\nchemo_upwind = on\nv_z_stepper = semi-implicit",
             "clip_negative = true\nchemo_upwind = YES\nv_z_stepper = semi-implicit",
             "chemo_upwind = On",
+            "cfl_safety = 0.25",
+            "cfl_safety = 2.5e-1",
         ],
     )
     def test_retired_solver_keys_at_kept_values_are_ignored(self, lines):
@@ -133,6 +133,8 @@ class TestParseConfig:
             "chemo_upwind = off",
             "clip_negative = no",
             "clip_negative = maybe",
+            "cfl_safety = 0.1",
+            "cfl_safety = nan",
         ],
     )
     def test_retired_solver_keys_at_other_values_are_refused(self, line):
@@ -142,11 +144,32 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=pattern):
             parse_config(text)
 
-    def test_retired_lattice_kernel_at_pushing_is_ignored(self):
+    @pytest.mark.parametrize("line", ["kernel = pushing", "leap_fraction = 0.5", "leap_fraction = 5e-1"])
+    def test_retired_lattice_keys_at_kept_values_are_ignored(self, line):
         text = MINIMAL + "\n[lattice]\nsites = 20\nu_max = 50\nparticles = 100\nt_end = 0.25\n"
-        cfg = parse_config(text + "kernel = pushing\n")
+        cfg = parse_config(text + line + "\n")
         assert cfg == parse_config(text)
-        assert "kernel" not in serialize_config(cfg)
+        assert line.split(" = ")[0] not in serialize_config(cfg)
+
+    @pytest.mark.parametrize(
+        "section, line, kept",
+        [("solver", "cfl_safety = 0.1", "0.25"), ("lattice", "leap_fraction = 0.25", "0.5")],
+    )
+    def test_retired_step_size_values_are_refused_on_their_line(self, section, line, kept):
+        text = MINIMAL + "\n[lattice]\nsites = 20\nu_max = 50\nparticles = 100\nt_end = 0.25\n"
+        text = text.replace("[%s]\n" % section, "[%s]\n%s\n" % (section, line))
+        line_no = text.splitlines().index(line) + 1
+        key, value = line.split(" = ")
+        pattern = r"line %d: option %s\.%s was removed; chemofront always runs %s = %s, got '%s'" % (
+            line_no, section, key, key, kept, value)
+        with pytest.raises(ConfigError, match=pattern):
+            parse_config(text)
+
+    def test_dt_max_is_an_unknown_key(self):
+        text = MINIMAL.replace("t_end = 0.5", "t_end = 0.5\ndt_max = 0.01")
+        line_no = text.splitlines().index("dt_max = 0.01") + 1
+        with pytest.raises(ConfigError, match=r"line %d: unknown key 'dt_max' in section \[solver\]" % line_no):
+            parse_config(text)
 
     @pytest.mark.parametrize(
         "section, lines",
@@ -195,9 +218,9 @@ class TestParseConfig:
         assert cfg.seed == 42
 
     def test_sweep_section(self):
-        text = MINIMAL + "\n[sweep]\nmodel.m = 2.0, 3.0, 4.0\nsolver.cfl_safety = 0.1, 0.2\n"
+        text = MINIMAL + "\n[sweep]\nmodel.m = 2.0, 3.0, 4.0\nsolver.t_end = 0.1, 0.2\n"
         cfg = parse_config(text)
-        assert cfg.sweep == {"model.m": (2.0, 3.0, 4.0), "solver.cfl_safety": (0.1, 0.2)}
+        assert cfg.sweep == {"model.m": (2.0, 3.0, 4.0), "solver.t_end": (0.1, 0.2)}
 
     def test_lattice_section_defaults(self):
         text = MINIMAL + "\n[lattice]\nsites = 20\nu_max = 50\nparticles = 100\nt_end = 0.25\n"
@@ -234,14 +257,15 @@ class TestParseErrors:
             (lambda t: t.replace("cells = 16", "cells = 1e400"), r"grid\.cells must be a finite number"),
             (lambda t: t.replace("extent = 2.0", "extent = 2.0\norigin = nan"), r"grid\.origin must be a finite"),
             (lambda t: t.replace("m = 2.0", "m = inf"), r"line 3: model\.m must be a finite number"),
-            (lambda t: t.replace("t_end = 0.5", "t_end = 0.5\ndt_max = inf"), r"solver\.dt_max must be a finite"),
+            (lambda t: t.replace("t_end = 0.5", "t_end = inf"), r"line 11: solver\.t_end must be a finite"),
             (lambda t: t.replace("constant 0.5", "bump nan 0.5 1.0"), r"initial\.u must be a finite number"),
             (lambda t: t.replace("constant 0.5", "constant -inf"), r"initial\.u must be a finite number"),
             (lambda t: t.replace("m = 2.0", "m = 2.0\nphi = constant nan"), r"model\.phi must be a finite"),
             (lambda t: t.replace("m = 2.0", "m = 2.0\nphi = table 0:0,inf:1"), r"model\.phi must be a finite"),
             (lambda t: t + "\n[sweep]\nmodel.m = 2.0, nan\n", r"sweep\.model\.m must be a finite number"),
             (lambda t: t + "\n[sweep]\nmodel.m = 2.0, 0.5\n", r"sweep\.model\.m value 0\.5: motility exponent m"),
-            (lambda t: t + "\n[sweep]\nsolver.cfl_safety = 2.0\n", r"sweep\.solver\.cfl_safety value 2\.0"),
+            (lambda t: t + "\n[sweep]\nsolver.t_end = -2.0\n", r"sweep\.solver\.t_end value -2\.0"),
+            (lambda t: t + "\n[sweep]\nsolver.cfl_safety = 0.1\n", r"sweep target 'solver\.cfl_safety' is not"),
             (
                 lambda t: t + "\n[lattice]\nsites = 20\nu_max = 50\nparticles = 100\nt_end = inf\n",
                 r"lattice\.t_end must be a finite number",
@@ -269,8 +293,8 @@ class TestParseErrors:
             parse_config(MINIMAL.replace("m = 2.0", "m = 1.0"))
 
     def test_solver_constraint_becomes_config_error(self):
-        with pytest.raises(ConfigError, match="cfl_safety"):
-            parse_config(MINIMAL.replace("t_end = 0.5", "t_end = 0.5\ncfl_safety = 0.0"))
+        with pytest.raises(ConfigError, match="output_stride must be a positive integer"):
+            parse_config(MINIMAL.replace("t_end = 0.5", "t_end = 0.5\noutput_stride = 0"))
 
     def test_sweep_rejects_non_numeric_target(self):
         text = MINIMAL + "\n[sweep]\nmodel.phi = 1, 2\n"
@@ -375,7 +399,6 @@ origin = 0.0
 
 [solver]
 t_end = 0.5
-cfl_safety = 0.25
 output_stride = 100
 
 [initial]
@@ -400,7 +423,6 @@ alpha = 1.0
 beta = 0.0
 seeds = 3
 cells_per_bin = 2
-leap_fraction = 0.5
 extent = 1.0
 origin = 0.0
 compare_pde = off
@@ -412,6 +434,15 @@ def test_config_written_with_eps_reg_and_oracles_parses_equal():
     old = FULL_CONFIG_TEXT.replace("r = 1.0\n", "r = 1.0\neps_reg = 0.0\n", 1).replace(
         "\n[sweep]", "\n[oracles]\ncheck_lower = on\ncheck_upper = on\n\n[sweep]")
     assert old.count("eps_reg") == 1 and old.count("[oracles]") == 1
+    assert parse_config(old) == parse_config(FULL_CONFIG_TEXT)
+    assert serialize_config(parse_config(old)) == FULL_CONFIG_TEXT
+
+
+def test_config_written_with_step_size_keys_parses_equal():
+    # every config.cfg written while cfl_safety and leap_fraction were options carries them at their defaults
+    old = FULL_CONFIG_TEXT.replace("t_end = 0.5\n", "t_end = 0.5\ncfl_safety = 0.25\n").replace(
+        "cells_per_bin = 2\n", "cells_per_bin = 2\nleap_fraction = 0.5\n")
+    assert old.count("cfl_safety") == old.count("leap_fraction") == 1
     assert parse_config(old) == parse_config(FULL_CONFIG_TEXT)
     assert serialize_config(parse_config(old)) == FULL_CONFIG_TEXT
 
@@ -434,9 +465,7 @@ _models = st.builds(
 _solvers = st.builds(
     SolverConfig,
     t_end=_finite(0.0, 1e3),
-    cfl_safety=_finite(0.0, 1.0, exclude_min=True),
     output_stride=st.integers(1, 10**6),
-    dt_max=st.none() | _finite(0.0, 1.0, exclude_min=True),
 )
 
 
@@ -453,7 +482,6 @@ def _lattices(draw):
         beta=draw(_finite(-1.0, 1.0)),
         seeds=draw(st.integers(1, 100)),
         cells_per_bin=cells_per_bin,
-        leap_fraction=draw(_finite(0.0, 1.0, exclude_min=True)),
         extent=draw(_finite(0.0, 1e6, exclude_min=True)),
         origin=draw(_finite()),
         compare_pde=draw(st.booleans()),

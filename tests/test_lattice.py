@@ -234,7 +234,7 @@ class TestLeaping:
         assert np.all(mean[~live] == 0.0)
 
 
-def _checked_loop(s, t_end, leap_fraction=0.5):
+def _checked_loop(s, t_end):
     """run_adaptive's dt rule spelled out on the public, checked API."""
     t, steps = 0.0, 0
     while t < t_end * (1.0 - 1e-12):
@@ -242,7 +242,7 @@ def _checked_loop(s, t_end, leap_fraction=0.5):
         max_rate = max(float(left.max()), float(right.max()))
         if max_rate <= 0.0:
             break
-        dt = min(leap_fraction * LEAP_LIMIT / max_rate, t_end - t)
+        dt = min(0.5 * LEAP_LIMIT / max_rate, t_end - t)
         s = step_tau_leap(s, dt)
         t += dt
         steps += 1
@@ -333,7 +333,7 @@ class TestEnsemble:
 
     def test_one_member_ensemble_is_the_base_seed_run(self, monkeypatch):
         config = dataclasses.replace(self.CONFIG, seeds=1)
-        state, t, steps = run_adaptive(initial_state(config, 2.0, 40), config.t_end, config.leap_fraction)
+        state, t, steps = run_adaptive(initial_state(config, 2.0, 40), config.t_end)
         runs = self._spy(monkeypatch, "run_adaptive")
         [mem] = run_ensemble(config, 2.0, 40)
         final, t_batch, steps_batch = runs[0][1]
@@ -378,9 +378,9 @@ class TestEnsemble:
         runs = self._spy(monkeypatch, "run_adaptive")
         run_ensemble(self.CONFIG, 2.0, 40)
         assert len(runs) == 1
-        (batch, t_end, leap_fraction), _ = runs[0]
+        (batch, t_end), _ = runs[0]
         assert batch.occupancy.shape == (3, 20)
-        assert (t_end, leap_fraction) == (self.CONFIG.t_end, self.CONFIG.leap_fraction)
+        assert t_end == self.CONFIG.t_end
 
     def test_batched_mean_matches_the_continuum_moments(self):
         """Mass-normalised L1 and moments of the criterion-09 ensemble (3 members).

@@ -210,9 +210,3 @@ def test_logistic_sign_structure(u, mu, delta, r):
 def test_model_params_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         ModelParams(**kwargs)
-
-
-def test_front_hypotheses_window():
-    ModelParams(m=2.0, delta=1.5).require_front_hypotheses()
-    with pytest.raises(ValueError):
-        ModelParams(m=2.0, delta=2.0).require_front_hypotheses()

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -41,43 +42,48 @@ def uniform_state(cells, u=1.0, v=0.0, w=0.0, z=0.0, h_total=2.0):
     return StateQuad(Field.full(g, u), Field.full(g, v), Field.full(g, w), Field.full(g, z))
 
 
+def stage_gain():
+    """G, the forward-Euler diffusion steps that a super-step of MAX_STAGES stages covers."""
+    return solver._stage_gain(solver.MAX_STAGES)
+
+
 class TestCflDt:
+    def test_stage_gain_at_four_stages(self):
+        assert solver._stage_gain(4) == 4.5
+
     def test_uniform_density_worked_value(self):
         g = Grid((100,), (1.0,), (0.0,))  # h = 0.01
         s = StateQuad(Field.full(g, 1.0), Field.full(g, 0.3), Field.full(g, 0.0), Field.full(g, 0.0))
         p = ModelParams(m=2.0, delta=1.0, mu=1.0, r=1.0)
-        dt = cfl_dt(s, p, SolverConfig(t_end=1.0))
-        # diffusion 2 * 1 * 2 * 1^1 = 4 over the stage gain 4.5, no drift under
-        # flat v, reaction 1e-4 * 1 * 2 * 1 = 2e-4
-        assert dt == pytest.approx(0.25e-4 / (4.0 / 4.5 + 2e-4), rel=1e-13)
-        assert dt == pytest.approx(2.8119e-5, rel=1e-4)
+        dt = cfl_dt(s, p)
+        # safety 0.25 times h^2 over: diffusion 2 * 1 * 2 * 1^1 = 4 over the
+        # stage gain G, no drift under flat v, reaction 1e-4 * 1 * 2 * 1 = 2e-4
+        assert dt == pytest.approx(0.25e-4 / (4.0 / stage_gain() + 2e-4), rel=1e-13)
 
     def test_reaction_term_scales_with_r_above_one(self):
         g = Grid((100,), (1.0,), (0.0,))  # h = 0.01
         s = StateQuad(Field.full(g, 2.0), Field.full(g, 0.0), Field.full(g, 0.0), Field.full(g, 0.0))
-        # diffusion 2 * 1 * 2 * 2^1 = 8 over the stage gain 4.5, reaction 1e-4 * 1 * 2 * 2^1 * max(r, 1)
-        dt = cfl_dt(s, ModelParams(m=2.0, delta=1.0, mu=1.0, r=4.0), SolverConfig(t_end=1.0))
-        assert dt == pytest.approx(0.25e-4 / (8.0 / 4.5 + 1.6e-3), rel=1e-13)
+        # diffusion 2 * 1 * 2 * 2^1 = 8 over the stage gain G, reaction 1e-4 * 1 * 2 * 2^1 * max(r, 1)
+        dt = cfl_dt(s, ModelParams(m=2.0, delta=1.0, mu=1.0, r=4.0))
+        assert dt == pytest.approx(0.25e-4 / (8.0 / stage_gain() + 1.6e-3), rel=1e-13)
         # r <= 1 keeps the term, and dt, exactly as at r = 1
-        dt_r1 = cfl_dt(s, ModelParams(m=2.0, delta=1.0, mu=1.0, r=1.0), SolverConfig(t_end=1.0))
-        assert cfl_dt(s, ModelParams(m=2.0, delta=1.0, mu=1.0, r=0.5), SolverConfig(t_end=1.0)) == dt_r1
-        assert dt_r1 == pytest.approx(0.25e-4 / (8.0 / 4.5 + 4e-4), rel=1e-13)
+        dt_r1 = cfl_dt(s, ModelParams(m=2.0, delta=1.0, mu=1.0, r=1.0))
+        assert cfl_dt(s, ModelParams(m=2.0, delta=1.0, mu=1.0, r=0.5)) == dt_r1
+        assert dt_r1 == pytest.approx(0.25e-4 / (8.0 / stage_gain() + 4e-4), rel=1e-13)
 
     def test_vacuum_limit(self):
         g = Grid((10,), (1.0,), (0.0,))
         s = StateQuad(Field.full(g, 0.0), Field.full(g, 0.0), Field.full(g, 0.0), Field.full(g, 0.0))
-        p = ModelParams(m=2.0, mu=0.0)
-        # every term vanishes, so the cap (dt_max, default h) is dt
-        assert cfl_dt(s, p, SolverConfig(t_end=1.0)) == g.h
-        assert cfl_dt(s, p, SolverConfig(t_end=1.0, dt_max=0.03)) == 0.03
+        # every term vanishes, so the cap h is dt
+        assert cfl_dt(s, ModelParams(m=2.0, mu=0.0)) == g.h
 
     def test_drift_term_is_the_upwinded_flux_speed(self):
         g = Grid((100,), (1.0,), (0.0,))  # h = 0.01
         s = StateQuad(Field.full(g, 0.5), Field(g, 3.0 * g.axis_centers(0)), Field.full(g, 0.0), Field.full(g, 0.0))
         p = ModelParams(m=3.0, mu=0.0)
-        # diffusion 2 * 3 * 0.5^2 = 1.5 over the stage gain 4.5; drift h * 3 * 0.5^2 * |grad v| = 0.01 * 0.75 * 3
-        dt = cfl_dt(s, p, SolverConfig(t_end=1.0))
-        assert dt == pytest.approx(0.25e-4 / (1.5 / 4.5 + 0.0225), rel=1e-12)
+        # diffusion 2 * 3 * 0.5^2 = 1.5 over the stage gain G; drift h * 3 * 0.5^2 * |grad v| = 0.01 * 0.75 * 3
+        dt = cfl_dt(s, p)
+        assert dt == pytest.approx(0.25e-4 / (1.5 / stage_gain() + 0.0225), rel=1e-12)
 
     @pytest.mark.parametrize("dim, m, faces", [(1, 1.5, 2.0), (2, 3.0, 4.0), (2, 5.0, 5.0)])
     def test_drift_term_counts_every_outgoing_face(self, dim, m, faces):
@@ -86,9 +92,9 @@ class TestCflDt:
         v = 300.0 * g.axis_centers(0).reshape((-1,) + (1,) * (dim - 1)) + np.zeros(g.cells)  # grad v = 300 along x
         s = StateQuad(Field.full(g, 0.5), Field(g, v), Field.full(g, 0.0), Field.full(g, 0.0))
         p = ModelParams(m=m, mu=0.0)
-        diffusion = 2.0 * dim * m * 0.5 ** (m - 1.0) / 4.5
+        diffusion = 2.0 * dim * m * 0.5 ** (m - 1.0) / stage_gain()
         drift = 0.01 * faces * 0.5 ** (m - 1.0) * 300.0
-        assert cfl_dt(s, p, SolverConfig(t_end=1.0)) == pytest.approx(0.25e-4 / (diffusion + drift), rel=1e-12)
+        assert cfl_dt(s, p) == pytest.approx(0.25e-4 / (diffusion + drift), rel=1e-12)
 
     @given(
         m=st.floats(min_value=1.05, max_value=4.0),
@@ -104,26 +110,25 @@ class TestCflDt:
         v = v_scale * np.random.default_rng(seed).random(len(u))
         s = StateQuad(Field(g, np.asarray(u)), Field(g, v), Field.full(g, 1.0), Field.full(g, 0.0))
         p = ModelParams(m=m, mu=1.0, phi=ConstantSensitivity(-1.0))
-        dt = cfl_dt(s, p, SolverConfig(t_end=1.0, cfl_safety=safety))
+        with mock.patch.object(solver, "CFL_SAFETY", safety):
+            dt = cfl_dt(s, p)
         courant = dt * max(m, 2.0) * max(u) ** (m - 1.0) * max_abs_gradient(s.v) / g.h
         assert courant <= safety * (1.0 + 1e-12)
 
-    def test_linear_in_safety_factor(self):
+    def test_linear_in_safety_factor(self, monkeypatch):
         s = uniform_state(50, u=0.7, v=0.1)
         p = ModelParams(m=2.5, mu=0.5)
-        dt1 = cfl_dt(s, p, SolverConfig(t_end=1.0, cfl_safety=0.5))
-        dt2 = cfl_dt(s, p, SolverConfig(t_end=1.0, cfl_safety=0.25))
-        assert dt1 == pytest.approx(2.0 * dt2)
+        dt = cfl_dt(s, p)
+        monkeypatch.setattr(solver, "CFL_SAFETY", 2.0 * solver.CFL_SAFETY)
+        assert cfl_dt(s, p) == pytest.approx(2.0 * dt)
 
-    def test_dt_max_cap(self):
-        s = uniform_state(50)
-        p = ModelParams(m=2.0)
-        dt = cfl_dt(s, p, SolverConfig(t_end=1.0, dt_max=1e-9))
-        assert dt == 1e-9
+    def test_h_caps_a_slowly_diffusing_state(self):
+        s = uniform_state(50, u=1e-6)  # h = 0.04, and the CFL bound is about 450
+        assert cfl_dt(s, ModelParams(m=2.0)) == s.grid.h
 
     def test_positive_for_any_state(self):
         s = uniform_state(50, u=100.0)
-        assert cfl_dt(s, ModelParams(m=3.0, mu=5.0), SolverConfig(t_end=1.0)) > 0.0
+        assert cfl_dt(s, ModelParams(m=3.0, mu=5.0)) > 0.0
 
 
 class TestFluxes:
@@ -338,14 +343,29 @@ class TestRun:
         assert len(snaps) == 4
         assert snaps[-1].t == res.final.t
 
-    @pytest.mark.parametrize("dt_max, binds", [(None, "diffusion"), (1e-4, "cap")])
-    def test_run_records_each_steps_dt_and_binding_term(self, dt_max, binds):
+    @pytest.mark.parametrize("u_scale, t_end, binds", [(1.0, 0.05, "diffusion"), (0.0, 0.5, "cap")])
+    def test_run_records_each_steps_dt_and_binding_term(self, u_scale, t_end, binds):
+        # an empty density under a flat signal steps at the cap h = 1/16
         initial = make_standard_initial(cells=32)
-        res = run(initial, STANDARD_MODEL, SolverConfig(t_end=0.05, dt_max=dt_max))
+        initial = dataclasses.replace(initial, u=Field(initial.grid, u_scale * initial.u.values))
+        res = run(initial, STANDARD_MODEL, SolverConfig(t_end=t_end))
         assert list(res.bound_by) == list(solver.BINDING_TERMS)
-        assert len(res.dts) == res.steps == sum(res.bound_by.values())
+        assert len(res.dts) == res.steps == sum(res.bound_by.values()) > 1
         assert res.bound_by[binds] == res.steps
-        assert math.fsum(res.dts) == pytest.approx(0.05, rel=1e-12)
+        assert math.fsum(res.dts) == pytest.approx(t_end, rel=1e-12)
+
+    def test_max_steps_only_ends_a_run_early(self):
+        initial = make_standard_initial(cells=32)
+        cfg = SolverConfig(t_end=0.01)
+        full = run(initial, STANDARD_MODEL, cfg)
+        assert full.final.t == pytest.approx(0.01, abs=1e-12)
+        # a budget beyond what t_end needs still stops at t_end, and one step short stops there
+        long = run(initial, STANDARD_MODEL, cfg, max_steps=10 * full.steps)
+        short = run(initial, STANDARD_MODEL, cfg, max_steps=full.steps - 1)
+        assert (long.steps, long.final.t, list(long.dts)) == (full.steps, full.final.t, list(full.dts))
+        assert short.steps == full.steps - 1 and list(short.dts) == list(full.dts)[:-1]
+        assert short.history.rows[-1][0] == short.final.t < full.final.t  # its last step is emitted
+        assert run(initial, STANDARD_MODEL, SolverConfig(t_end=0.0), max_steps=5).final is initial
 
     def test_zero_duration_returns_initial(self):
         initial = make_standard_initial(cells=64)
@@ -400,27 +420,28 @@ def quadratic(d2):
 
 
 # (dim, signal as a function of the squared distance d2 to the centre cell, bump
-# height, model changes, solver changes).  The clips case steps at twice its
-# CFL dt (kernel_case patches _cfl_dt), so that the cell under the apex of a
-# repelling 2D cone, which drains through four faces, is overdrawn.
+# height, model changes).  The clips case steps at twice its CFL dt at safety 1
+# (kernel_case patches CFL_SAFETY and _cfl_dt), so that the cell under the apex
+# of a repelling 2D cone, which drains through four faces, is overdrawn.
 KERNEL_CASES = {
-    "1d": (1, quadratic, 0.8, {}, {}),
-    "2d": (2, quadratic, 0.8, {}, {}),
-    "no_drift": (1, quadratic, 0.8, {"phi": ConstantSensitivity(0.0)}, {}),
-    "clips": (2, lambda d2: 100.0 * (3.0 - np.sqrt(d2)), 0.8, {"phi": ConstantSensitivity(-1.0)}, {"cfl_safety": 1.0}),
+    "1d": (1, quadratic, 0.8, {}),
+    "2d": (2, quadratic, 0.8, {}),
+    "no_drift": (1, quadratic, 0.8, {"phi": ConstantSensitivity(0.0)}),
+    "clips": (2, lambda d2: 100.0 * (3.0 - np.sqrt(d2)), 0.8, {"phi": ConstantSensitivity(-1.0)}),
 }
 
 
 def kernel_case(case, monkeypatch):
     """(state, params, config) of a KERNEL_CASES entry: a bump under a signal
     centred on the middle cell, on 32 cells or 12 x 16."""
-    dim, signal, height, model_changes, solver_changes = KERNEL_CASES[case]
+    dim, signal, height, model_changes = KERNEL_CASES[case]
     if case == "clips":
+        monkeypatch.setattr(solver, "CFL_SAFETY", 1.0)
         cfl = solver._cfl_dt
 
         def doubled(*args):
-            dt, terms, cap = cfl(*args)
-            return 2.0 * dt, terms, cap
+            dt, terms = cfl(*args)
+            return 2.0 * dt, terms
 
         monkeypatch.setattr(solver, "_cfl_dt", doubled)
     g = Grid((32,), (2.0,), (-1.0,)) if dim == 1 else Grid((12, 16), (1.5, 2.0), (-0.75, -1.0))
@@ -428,7 +449,7 @@ def kernel_case(case, monkeypatch):
     v = Field(g, signal(g.center_distance2(centre)))
     state = StateQuad(bump_field(g, centre, 0.5, height), v, Field.full(g, 1.0), Field.full(g, 0.5))
     params = dataclasses.replace(STANDARD_MODEL, **model_changes)
-    return state, params, dataclasses.replace(SolverConfig(t_end=1.0, output_stride=7), **solver_changes)
+    return state, params, SolverConfig(t_end=1.0, output_stride=7)
 
 
 class TestKernel:
@@ -449,25 +470,27 @@ class TestKernel:
             assert total > 0.0  # the clipping path ran
 
     @pytest.mark.parametrize("height", [6.0, 9.0])
-    def test_repelled_tall_bump_loses_no_mass(self, height):
+    def test_repelled_tall_bump_loses_no_mass(self, height, monkeypatch):
         # the drift term bounds the upwinded flux at its true speed, so a tall
         # bump driven out of a strong quadratic signal is never overdrawn
         g = Grid((32,), (2.0,), (-1.0,))
         v = Field(g, 50.0 * (2.0 - g.center_distance2((0.0,))))
         s = StateQuad(bump_field(g, (0.0,), 0.5, height), v, Field.full(g, 1.0), Field.full(g, 0.5))
         params = dataclasses.replace(STANDARD_MODEL, phi=ConstantSensitivity(-1.0))
-        res = run(s, params, SolverConfig(t_end=1.0, cfl_safety=1.0), max_steps=40)
+        monkeypatch.setattr(solver, "CFL_SAFETY", 1.0)
+        res = run(s, params, SolverConfig(t_end=1.0), max_steps=40)
         assert res.total_clipped == 0.0
         assert res.bound_by["drift"] == 40
 
-    def test_repelling_cone_apex_is_not_overdrawn(self):
+    def test_repelling_cone_apex_is_not_overdrawn(self, monkeypatch):
         # the apex cell of v = 500 (3 - |x|) drains through both faces; a drift
         # term that counted one face clipped 0.015 of mass 0.667 here at m = 1.5
         g = Grid((33,), (2.0,), (-1.0,))
         v = Field(g, 500.0 * (3.0 - np.sqrt(g.center_distance2((0.0,)))))
         s = StateQuad(bump_field(g, (0.0,), 0.5, 1.0), v, Field.full(g, 1.0), Field.full(g, 0.5))
         params = dataclasses.replace(STANDARD_MODEL, m=1.5, phi=ConstantSensitivity(-1.0))
-        res = run(s, params, SolverConfig(t_end=1.0, cfl_safety=1.0), max_steps=40)
+        monkeypatch.setattr(solver, "CFL_SAFETY", 1.0)
+        res = run(s, params, SolverConfig(t_end=1.0), max_steps=40)
         assert res.bound_by["drift"] == 40
         assert res.total_clipped == 0.0
 
@@ -479,7 +502,8 @@ class TestKernel:
         box = 6.0 * ((np.abs(x)[:, None] < 0.25) & (np.abs(x)[None, :] < 0.25))
         s = StateQuad(Field(g, box), Field.full(g, 0.0), Field.full(g, 0.0), Field.full(g, 0.0))
         params = ModelParams(m=1.5, mu=0.0, phi=ConstantSensitivity(0.0))
-        cfg = SolverConfig(t_end=1.0, cfl_safety=1.0)
+        cfg = SolverConfig(t_end=1.0)
+        monkeypatch.setattr(solver, "CFL_SAFETY", 1.0)
         res = run(s, params, cfg, max_steps=20)
         assert res.bound_by["diffusion"] == 20 and res.stages == 20 * solver.MAX_STAGES
         assert res.total_clipped == 0.0
@@ -504,13 +528,14 @@ class TestKernel:
         assert max(abs(amplification(z)) for z in np.linspace(-2.0 * gain, 0.0, 4001)) <= 1.0 + 1e-12
 
     @pytest.mark.parametrize("safety", [0.25, 1.0])
-    def test_fast_logistic_decay_does_not_overshoot(self, safety):
+    def test_fast_logistic_decay_does_not_overshoot(self, safety, monkeypatch):
         # mu u (1 - r u) with r u = 60 at the peak: a reaction term blind to r let
         # 40 steps clip 0.288 of mass 4.0 at safety 0.25 and 11.0 at safety 1
         g = Grid((32,), (2.0,), (-1.0,))
         s = StateQuad(bump_field(g, (0.0,), 0.5, 6.0), Field.full(g, 0.0), Field.full(g, 1.0), Field.full(g, 0.5))
         params = ModelParams(m=2.0, delta=1.0, mu=1e4, r=10.0)
-        res = run(s, params, SolverConfig(t_end=1.0, cfl_safety=safety), max_steps=40)
+        monkeypatch.setattr(solver, "CFL_SAFETY", safety)
+        res = run(s, params, SolverConfig(t_end=1.0), max_steps=40)
         assert res.bound_by["reaction"] == 40
         assert res.total_clipped == 0.0
 
@@ -519,11 +544,12 @@ class TestKernel:
         s, params, cfg = kernel_case(case, monkeypatch)
         out, rep = step(s, params, cfg)
         dt, g = rep.dt_used, s.grid
-        assert dt == cfl_dt(s, params, cfg)
-        # the fewest stages s >= 2 (at most 4) whose (s^2 + s - 2)/4 forward-Euler steps cover dt
+        assert dt == cfl_dt(s, params)
+        # the fewest stages s >= 2, at most MAX_STAGES, whose (s^2 + s - 2)/4 forward-Euler steps cover dt
         explicit = dt * 2.0 * g.dim * params.m * s.u.values.max() ** (params.m - 1.0)
-        need = explicit / (cfg.cfl_safety * g.h * g.h) * (1.0 - 1e-12)
-        assert rep.stages == next((n for n in (2, 3) if (n * n + n - 2) / 4.0 >= need), 4)
+        need = explicit / (solver.CFL_SAFETY * g.h * g.h) * (1.0 - 1e-12)
+        cap = solver.MAX_STAGES
+        assert rep.stages == next((n for n in range(2, cap) if (n * n + n - 2) / 4.0 >= need), cap)
 
         def lap(y):  # the flux-form diffusion of max(y, 0)^m
             y_state = StateQuad(Field(g, np.maximum(y, 0.0)), s.v, s.w, s.z)
@@ -572,13 +598,14 @@ class TestKernel:
             for name in ("u", "v", "w", "z"):
                 assert np.array_equal(getattr(s, name).values, getattr(c, name).values)
 
-    @pytest.mark.parametrize("term", ["diffusion", "drift", "reaction", "dt_max/h cap"])
+    @pytest.mark.parametrize("term", ["diffusion", "drift", "reaction", "cap"])
     def test_collapsed_dt_raises_at_once_naming_the_binding_term(self, term):
-        g = Grid((64,), (2.0,), (-1.0,))
-        height = 1e13 if term == "diffusion" else 0.5
+        # the cap case is a vacuum on cells of h = 1.6e-13, below the floor 1e-12
+        g = Grid((64,), (1e-11 if term == "cap" else 2.0,), (-1.0,))
+        height = {"diffusion": 1e13, "cap": 0.0}.get(term, 0.5)
         signal = 1e13 * g.axis_centers(0) ** 2 if term == "drift" else np.zeros(64)
         params = dataclasses.replace(STANDARD_MODEL, mu=1e16 if term == "reaction" else 1.0)
-        cfg = SolverConfig(t_end=1.0, dt_max=1e-14 if term == "dt_max/h cap" else None)
+        cfg = SolverConfig(t_end=1.0)
         s = StateQuad(bump_field(g, (0.0,), 0.25, height), Field(g, signal), Field.full(g, 1.0), Field.full(g, 0.0))
         rows = []
         with pytest.raises(SimulationError, match="the %s term binds" % term):
