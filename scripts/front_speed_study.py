@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from chemofront.diagnostics import HISTORY_COLUMNS, fit_power_law
+from chemofront.diagnostics import fit_power_law
 from chemofront.model import ConstantSensitivity, Field, Grid, ModelParams, StateQuad
 from chemofront.solver import SolverConfig, run
 
@@ -44,7 +44,6 @@ def main(argv=None):
     grid = Grid((args.cells,), (args.extent,), (-args.extent / 2.0,))
     # samples taken once the front nears the wall would flatten the fit
     wall_cap = 0.95 * (args.extent / 2.0 - grid.h)
-    radius_col = HISTORY_COLUMNS.index("support_radius")
     print("m      exponent  stderr    r^2      rows    r_final")
     rows_out = []
     for m in (float(s) for s in args.m_values.split(",")):
@@ -56,8 +55,7 @@ def main(argv=None):
             params,
             SolverConfig(t_end=args.t_end, output_stride=args.stride),
         )
-        hist = np.asarray(result.history.rows)
-        t, radius = hist[:, 0], hist[:, radius_col]
+        t, radius = result.history["t"], result.history["support_radius"]
         mask = radius < wall_cap
         try:
             fit = fit_power_law(t[mask], radius[mask])

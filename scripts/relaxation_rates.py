@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from chemofront.diagnostics import HISTORY_COLUMNS, fit_exponential
+from chemofront.diagnostics import fit_exponential
 from chemofront.model import ConstantSensitivity, Field, Grid, ModelParams, StateQuad
 from chemofront.solver import SolverConfig, run
 
@@ -41,14 +41,14 @@ def main(argv=None):
     params = ModelParams(m=args.m, delta=1.0, mu=args.mu, r=1.0, phi=ConstantSensitivity(1.0))
     result = run(initial, params, SolverConfig(t_end=args.t_end, output_stride=args.stride))
 
-    rows = np.asarray(result.history.rows)
-    t = rows[:, 0]
+    history = result.history
+    t = history["t"]
     cut = t[int((1.0 - args.tail) * len(t))]
-    final_dev = rows[-1, HISTORY_COLUMNS.index("norm_u_minus_1")]
+    final_dev = history["norm_u_minus_1"][-1]
     print("final |u-1| = %.3e after %d steps; fitting t >= %.3g" % (final_dev, result.steps, cut))
     print("norm                 rate      r^2")
     for name in NORMS:
-        fit = fit_exponential(t, rows[:, HISTORY_COLUMNS.index(name)], t_min=cut)
+        fit = fit_exponential(t, history[name], t_min=cut)
         print("%-20s %-9.4f %.5f" % (name, fit.rate, fit.r_squared))
     return 0
 

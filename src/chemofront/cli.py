@@ -123,13 +123,14 @@ def _execute_run(cfg: RunConfig, base_dir: str, out_dir: str):
     writer = config_io.HistoryCsvWriter(os.path.join(out_dir, "history.csv"))
     emitted = [0]
 
-    def snap_sink(s: StateQuad) -> None:
+    def emit(s: StateQuad, row) -> None:
+        writer(row)
         config_io.write_snapshot(os.path.join(out_dir, SNAPSHOT_PATTERN % emitted[0]), s)
         emitted[0] += 1
 
     t0 = time.perf_counter()
     try:
-        result = solver.run(state, cfg.model, cfg.solver, history_sink=writer, snapshot_sink=snap_sink)
+        result = solver.run(state, cfg.model, cfg.solver, emit=emit)
     finally:
         writer.close()
     wall_s = time.perf_counter() - t0
@@ -149,7 +150,7 @@ def cmd_run(args) -> int:
     result, n_snaps = _execute_run(cfg, base_dir, cfg.out_dir)
     print(
         "run: %d steps to t=%.6g, %d history rows, %d snapshots in %s"
-        % (result.steps, result.final.t, len(result.history), n_snaps, cfg.out_dir)
+        % (result.steps, result.final.t, len(result.history["t"]), n_snaps, cfg.out_dir)
     )
     if result.total_clipped > 0.0:
         print("run: clipped negative mass %.3e" % result.total_clipped)
@@ -171,8 +172,7 @@ def _load_run_dir(run_dir: str):
     for state, path in zip(states, paths):
         if state.grid != cfg.grid:
             raise ConfigError("snapshot %s grid does not match config.cfg" % path)
-    history = config_io.read_history_csv(os.path.join(run_dir, "history.csv"))
-    return cfg, states, history
+    return cfg, states
 
 
 def _seed_ball_radius(u: Field, x0, level: float) -> float:
@@ -205,11 +205,12 @@ def _wall_distance(grid: Grid, x0) -> float:
 
 def cmd_verify(args) -> int:
     run_dir = args.out
-    cfg, states, history = _load_run_dir(run_dir)
+    cfg, states = _load_run_dir(run_dir)
     grid = cfg.grid
     notes = []
 
-    audit = diagnostics.conservation_audit(history)
+    # run writes every history row with its snapshot, so the snapshots carry the mass_vw column
+    audit = diagnostics.conservation_audit([s.mass_vw() for s in states])
     mass_ok = audit.drift <= MASS_TOL
     print(
         "verify: mass drift %.3e (%s, tol %.1e): %s"
@@ -376,8 +377,9 @@ def cmd_sweep(args) -> int:
         sub = os.path.join(base_out, "case_%04d" % idx)
         jobs.append((config_io.serialize_config(case), base_dir, sub))
 
-    workers = max(1, args.workers)
-    if workers == 1:
+    # a process pool forks all of its workers at once, so it never gets more than there are cases
+    workers = min(max(1, args.workers), len(jobs))
+    if workers <= 1:
         results = [_sweep_worker(job) for job in jobs]
     else:
         # imported by its only user: it loads ~30 stdlib modules that every other command would pay for
@@ -412,6 +414,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    # t >= nan is false for every sample, so a non-finite t_min would blame the data for a bad flag
+    if args.t_min is not None and not math.isfinite(args.t_min):
+        raise _UsageError("--t-min must be a finite number, got %r" % args.t_min)
     cols = config_io.read_csv_columns(args.csv)
     if "t" not in cols:
         raise _UsageError("CSV %s has no 't' column" % args.csv)
@@ -465,6 +470,9 @@ def cmd_lattice(args) -> int:
     m = cfg.model.m
     out_dir = args.out if args.out is not None else cfg.out_dir
     base_seed = args.seed if args.seed is not None else cfg.seed
+    if base_seed < 0:
+        source = "--seed" if args.seed is not None else "[output] seed of %s" % args.config
+        raise _UsageError("the lattice seed must be >= 0, got %d from %s" % (base_seed, source))
     os.makedirs(out_dir, exist_ok=True)
     members = lattice_mod.run_ensemble(lat, m, base_seed)
     with open(os.path.join(out_dir, "ensemble.csv"), "w", encoding="ascii") as fh:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .diagnostics import HISTORY_COLUMNS, FrontHistory
+from .diagnostics import HISTORY_COLUMNS
 from .lattice import LatticeConfig
 from .model import (
     ConstantSensitivity,
@@ -65,8 +65,6 @@ __all__ = [
     "build_initial_state",
     "write_snapshot",
     "read_snapshot",
-    "write_history_csv",
-    "read_history_csv",
     "read_csv_columns",
 ]
 
@@ -615,15 +613,6 @@ class HistoryCsvWriter:
         self._fh.close()
 
 
-def write_history_csv(path: str, history: FrontHistory) -> None:
-    writer = HistoryCsvWriter(path)
-    try:
-        for row in history.rows:
-            writer(row)
-    finally:
-        writer.close()
-
-
 def read_csv_columns(path: str) -> dict:
     with open(path, "r", encoding="ascii") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
@@ -644,16 +633,3 @@ def read_csv_columns(path: str) -> dict:
             except ValueError:
                 raise ConfigError("CSV %r line %d: %r is not a number" % (path, i, part)) from None
     return {name: np.asarray(vals) for name, vals in data.items()}
-
-
-def read_history_csv(path: str) -> FrontHistory:
-    cols = read_csv_columns(path)
-    if tuple(cols.keys()) != HISTORY_COLUMNS:
-        raise ConfigError(
-            "history CSV %r columns %r do not match %r" % (path, tuple(cols.keys()), HISTORY_COLUMNS)
-        )
-    history = FrontHistory()
-    arrays = [cols[name] for name in HISTORY_COLUMNS]
-    for row in zip(*arrays):
-        history.append(row)
-    return history

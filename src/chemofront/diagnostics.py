@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,7 +13,6 @@ from .profiles import ProfileParams
 __all__ = [
     "SUPPORT_THRESHOLD",
     "HISTORY_COLUMNS",
-    "FrontHistory",
     "support_radius",
     "SteadyStateTargets",
     "steady_state_targets",
@@ -30,6 +29,10 @@ __all__ = [
 
 SUPPORT_THRESHOLD = 1e-12
 
+# a run's history is a dict of float64 columns under these names, in this order,
+# one entry per emitted state (solver.run, and history.csv read back by
+# config_io.read_csv_columns); the three 'minus' norms measure sup distance to
+# the steady values (1/r for u and z, mean v0 + mean w0 for v)
 HISTORY_COLUMNS = (
     "t",
     "support_radius",
@@ -42,32 +45,6 @@ HISTORY_COLUMNS = (
     "mass_u",
     "mass_vw",
 )
-
-
-@dataclass
-class FrontHistory:
-    """Diagnostics rows sampled along a run, one tuple per sample time.
-
-    Columns are HISTORY_COLUMNS; the three 'minus' norms measure sup distance
-    to the steady values (1/r for u and z, mean v0 + mean w0 for v).
-    """
-
-    rows: list = field(default_factory=list)
-
-    def append(self, row):
-        if len(row) != len(HISTORY_COLUMNS):
-            raise ValueError("history row needs %d entries, got %d" % (len(HISTORY_COLUMNS), len(row)))
-        self.rows.append(tuple(float(x) for x in row))
-
-    def column(self, name: str) -> np.ndarray:
-        try:
-            i = HISTORY_COLUMNS.index(name)
-        except ValueError:
-            raise KeyError("unknown history column %r" % name) from None
-        return np.array([r[i] for r in self.rows])
-
-    def __len__(self):
-        return len(self.rows)
 
 
 def support_radius(u: Field, x0, threshold: float = SUPPORT_THRESHOLD) -> float:
@@ -214,15 +191,18 @@ class DriftAudit:
     relative: bool
 
 
-def conservation_audit(history: FrontHistory) -> DriftAudit:
+def conservation_audit(masses) -> DriftAudit:
     """Worst drift of the conserved v + w mass along a run.
 
-    Relative to the initial mass when that is nonzero; absolute (flagged)
-    when the run started with no attractant or matrix at all.
+    masses is the sequence of v + w masses of the run's states in time
+    order, the first being the initial state's (the mass_vw history column,
+    or StateQuad.mass_vw() of each snapshot).  The drift is relative to the
+    initial mass when that is nonzero; absolute (flagged) when the run
+    started with no attractant or matrix at all.
     """
-    if len(history) == 0:
+    mass = np.asarray(masses, dtype=float)
+    if mass.size == 0:
         raise ValueError("cannot audit an empty history")
-    mass = history.column("mass_vw")
     m0 = mass[0]
     worst = float(np.max(np.abs(mass - m0)))
     if m0 == 0.0:

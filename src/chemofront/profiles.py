@@ -212,7 +212,6 @@ def select_upper_profile(
     c1: float,
     c2: float,
     center,
-    tau_start: float = 0.5,
 ) -> tuple[ProfileParams, float]:
     """Build the super-profile covering the density on an initial window.
 
@@ -220,7 +219,7 @@ def select_upper_profile(
     at most sup_height, and the ball of radius r1 > r0 stays inside the
     domain.  Both spread and rate exponents equal 1; the amplitude makes the
     profile exactly sup_height on the edge of the r0 ball at t = 0.  The time
-    shift tau is found by halving from tau_start until three sufficient
+    shift tau is found by halving from 0.5 until three sufficient
     inequalities hold over the validity window (they are all increasing in
     tau, so halving terminates); below 1e-8 the construction gives up.
 
@@ -236,8 +235,6 @@ def select_upper_profile(
         raise ValueError("sup_height must be positive, got %r" % sup_height)
     if not (c1 > 0.0 and c2 > 0.0):
         raise ValueError("gradient bounds c1, c2 must be positive")
-    if not (0.0 < tau_start <= 1.0):
-        raise ValueError("tau_start must lie in (0, 1], got %r" % tau_start)
 
     d = 1.0 / (m - 1.0)
     beta = 1.0
@@ -245,7 +242,7 @@ def select_upper_profile(
     r2 = 0.5 * (r0 + r1)
     gap = r2 * r2 - r0 * r0
 
-    tau = tau_start
+    tau = 0.5
     while tau >= 1e-8:
         eta = r2 * r2 / tau ** beta
         eps = sup_height / (tau ** (sigma - d * beta) * gap ** d)

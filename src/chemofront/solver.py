@@ -34,6 +34,9 @@ the design points that the tests lean on:
   and the states run() emits.  A CFL dt below the run's time tolerance raises.
   A run has one stopping rule: every step is capped at t_end - t, and
   max_steps can only end it earlier.
+* run() has one output: every emitted state and its diagnostics row go to a
+  single emit(state, row) callback, and the rows also make up the run's
+  history, a dict of float64 columns keyed by diagnostics.HISTORY_COLUMNS.
 """
 
 from __future__ import annotations
@@ -99,11 +102,13 @@ CFL_SAFETY = 0.25
 
 @dataclass
 class RunResult:
-    """A run's history and final state; dts holds the dt of every step,
-    bound_by counts, per BINDING_TERMS entry, the steps whose CFL dt it set
-    (the last step, shortened to land on t_end, counts for its CFL term), and
-    stages sums the RKL2 stages of every step."""
-    history: "diagnostics.FrontHistory"
+    """A run's history and final state.  history maps each HISTORY_COLUMNS
+    name, in that order, to a float64 column with one entry per emitted
+    state; dts holds the dt of every step, bound_by counts, per BINDING_TERMS
+    entry, the steps whose CFL dt it set (the last step, shortened to land on
+    t_end, counts for its CFL term), and stages sums the RKL2 stages of every
+    step."""
+    history: dict
     final: StateQuad
     total_clipped: float
     steps: int
@@ -393,42 +398,44 @@ def run(
     initial: StateQuad,
     params: ModelParams,
     config: SolverConfig,
-    history_sink=None,
-    snapshot_sink=None,
+    emit=None,
     max_steps: int | None = None,
 ) -> RunResult:
     """Integrate from the initial state to t_end, or stop after max_steps steps.
 
     Every step is capped at the time left, so a run ends at t_end unless
-    max_steps ends it first.  Diagnostics rows and snapshots are emitted at
-    step 0, every output_stride steps, and at the final step.  history_sink and
-    snapshot_sink are callables taking a row tuple / a StateQuad; each
-    emitted state is new, built on the loop's arrays only when it is emitted.
-    A zero-length run returns the initial state and an empty history.  A CFL
-    dt below 1e-12 max(1, |t_end|) raises SimulationError naming the term that binds.
-    The result holds every step's dt, per BINDING_TERMS entry how many
-    steps it bound, and the RKL2 stages summed over the steps.
+    max_steps ends it first.  A state is emitted at step 0, every
+    output_stride steps, and at the final step: its diagnostics row (one
+    value per HISTORY_COLUMNS entry) joins the history, and emit, when
+    given, is called with the state and that row.  Each emitted state is
+    new, built on the loop's arrays only when it is emitted.  A zero-length
+    run returns the initial state and a history of empty columns.  A CFL dt
+    below 1e-12 max(1, |t_end|) raises SimulationError naming the term that
+    binds.  The result holds every step's dt, per BINDING_TERMS entry how
+    many steps it bound, and the RKL2 stages summed over the steps.
     """
-    history = diagnostics.FrontHistory()
+    columns = [array("d") for _ in diagnostics.HISTORY_COLUMNS]
     state = initial
     t_end = initial.t + config.t_end
     budget = math.inf if max_steps is None else max_steps
 
+    def table() -> dict:
+        return {name: np.array(col) for name, col in zip(diagnostics.HISTORY_COLUMNS, columns)}
+
     if config.t_end <= 0.0:
-        return RunResult(history, initial, 0.0, 0)
+        return RunResult(table(), initial, 0.0, 0)
 
     x0 = peak_coordinate(initial.u)
     targets = diagnostics.steady_state_targets(initial, params)
 
-    def emit(s: StateQuad):
+    def emit_state(s: StateQuad):
         row = diagnostics.history_row(s, x0, targets)
-        history.append(row)
-        if history_sink is not None:
-            history_sink(row)
-        if snapshot_sink is not None:
-            snapshot_sink(s)
+        for col, value in zip(columns, row):
+            col.append(value)
+        if emit is not None:
+            emit(s, row)
 
-    emit(state)
+    emit_state(state)
     grid = initial.grid
     u, v, w, z, t = initial.u.values, initial.v.values, initial.w.values, initial.z.values, initial.t
     steps = stages = 0
@@ -446,5 +453,5 @@ def run(
         done = steps >= budget or t >= t_end - tiny
         if steps % config.output_stride == 0 or done:
             state = StateQuad(Field(grid, u), Field(grid, v), Field(grid, w), Field(grid, z), t)
-            emit(state)
-    return RunResult(history, state, total_clipped, steps, dts, dict(zip(BINDING_TERMS, counts)), stages)
+            emit_state(state)
+    return RunResult(table(), state, total_clipped, steps, dts, dict(zip(BINDING_TERMS, counts)), stages)

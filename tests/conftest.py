@@ -40,12 +40,12 @@ def standard_run():
     config = SolverConfig(t_end=10.0, output_stride=100)
     minima = {name: np.inf for name in ("u", "v", "w", "z")}
 
-    def track_minima(state):
+    def track_minima(state, row):
         for name in minima:
             minima[name] = min(minima[name], float(getattr(state, name).values.min()))
 
     t0 = time.perf_counter()
-    result = run(initial, STANDARD_MODEL, config, max_steps=10_000, snapshot_sink=track_minima)
+    result = run(initial, STANDARD_MODEL, config, max_steps=10_000, emit=track_minima)
     seconds = time.perf_counter() - t0
     return {
         "initial": initial,

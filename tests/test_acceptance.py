@@ -21,7 +21,6 @@ from chemofront.cli import main as cli_main
 from chemofront.config_io import (
     parse_config,
     read_csv_columns,
-    read_history_csv,
     read_snapshot,
     serialize_config,
     write_snapshot,
@@ -74,7 +73,7 @@ def test_criterion_01_steady_state_is_a_fixed_point():
 
 def test_criterion_02_attractant_plus_matrix_mass_conserved(standard_run):
     """Sum of (v+w) cell masses drifts at most 1e-10 relative over 10^4 steps."""
-    audit = diagnostics.conservation_audit(standard_run["result"].history)
+    audit = diagnostics.conservation_audit(standard_run["result"].history["mass_vw"])
     print(
         "mass drift %.3e (%s) over %d steps in %.1fs"
         % (audit.drift, "relative" if audit.relative else "absolute",
@@ -89,8 +88,7 @@ def test_criterion_03_nonnegativity_and_boundedness(standard_run):
     """All fields stay >= 0, clipping is negligible, sup u respects the comparison cap."""
     result = standard_run["result"]
     minima = standard_run["field_minima"]
-    rows = np.asarray(result.history.rows)
-    sup_u_run = float(rows[:, diagnostics.HISTORY_COLUMNS.index("sup_u")].max())
+    sup_u_run = float(result.history["sup_u"].max())
     sup_u0 = float(standard_run["initial"].u.values.max())
     mass_u0 = standard_run["initial"].u.mass()
     cap = max(sup_u0, 1.0) + 0.05
@@ -182,11 +180,8 @@ def test_criterion_06_front_rate_bounds(cli_run_dir):
     assert cli_main(["verify", "--out", str(cli_run_dir["out"])]) == 0
     report = _read_report(cli_run_dir["out"])
     beta_lower = report["lower_spread"]
-    history = read_history_csv(str(cli_run_dir["out"] / "history.csv"))
-    rows = np.asarray(history.rows)
-    fit = diagnostics.fit_power_law(
-        rows[:, 0], rows[:, diagnostics.HISTORY_COLUMNS.index("support_radius")]
-    )
+    history = read_csv_columns(str(cli_run_dir["out"] / "history.csv"))
+    fit = diagnostics.fit_power_law(history["t"], history["support_radius"])
     print(
         "support exponent %.5f +- %.5f (r^2 %.5f), floor beta/2 = %.5f"
         % (fit.exponent, fit.stderr, fit.r_squared, beta_lower / 2.0)
@@ -198,15 +193,13 @@ def test_criterion_06_front_rate_bounds(cli_run_dir):
 def test_criterion_07_late_exponential_relaxation(long_run):
     """All four deviation norms decay exponentially (r^2 >= 0.95) once u is within 1e-3 of 1."""
     result = long_run["result"]
-    rows = np.asarray(result.history.rows)
-    t = rows[:, 0]
-    norm_u = rows[:, diagnostics.HISTORY_COLUMNS.index("norm_u_minus_1")]
+    t = result.history["t"]
+    norm_u = result.history["norm_u_minus_1"]
     assert norm_u[-1] < 1e-3, "run too short: final |u-1| = %.3e" % norm_u[-1]
     cut = t[int(math.floor(0.4 * len(t)))] - 1e-12  # keep the final 60% of samples
     fits = {}
     for name in ("norm_u_minus_1", "norm_w", "norm_v_minus_target", "norm_z_minus_1"):
-        values = rows[:, diagnostics.HISTORY_COLUMNS.index(name)]
-        fits[name] = diagnostics.fit_exponential(t, values, t_min=cut)
+        fits[name] = diagnostics.fit_exponential(t, result.history[name], t_min=cut)
     print(
         "rates %s in %.1fs"
         % ({k: "%.3f (r2 %.5f)" % (f.rate, f.r_squared) for k, f in fits.items()},

@@ -1,5 +1,6 @@
 """Exercises the five subcommands through main(), checking artifacts and exit codes."""
 
+import concurrent.futures
 import csv
 import json
 import os
@@ -13,6 +14,7 @@ import pytest
 
 from chemofront import config_io, lattice, solver
 from chemofront.cli import main
+from chemofront.diagnostics import HISTORY_COLUMNS
 
 
 TINY_CFG = """\
@@ -106,12 +108,15 @@ class TestRunCommand:
 
     def test_history_and_snapshots_agree_on_times(self, tiny_run):
         out = tiny_run["out"]
-        history = config_io.read_history_csv(str(out / "history.csv"))
+        history = config_io.read_csv_columns(str(out / "history.csv"))
+        assert list(history) == list(HISTORY_COLUMNS)
         snaps = sorted(p for p in os.listdir(out) if p.startswith("snap_"))
-        times = [config_io.read_snapshot(str(out / p), origin=(-1.0,)).t for p in snaps]
-        hist_t = np.asarray(history.rows)[:, 0]
-        assert len(times) == len(hist_t)
-        assert np.allclose(times, hist_t, rtol=0, atol=1e-12)
+        states = [config_io.read_snapshot(str(out / p), origin=(-1.0,)) for p in snaps]
+        hist_t = history["t"]
+        assert len(states) == len(hist_t)
+        assert np.allclose([s.t for s in states], hist_t, rtol=0, atol=1e-12)
+        # verify audits the snapshots' masses in place of this column, so they must agree exactly
+        assert list(history["mass_vw"]) == [s.mass_vw() for s in states]
         assert hist_t[0] == 0.0
         assert hist_t[-1] == pytest.approx(0.05, abs=1e-9)
 
@@ -222,6 +227,56 @@ class TestRunCommand:
 # --- verify -----------------------------------------------------------------
 
 
+CHEMO_CFG = """\
+[model]
+m = 2.0
+mu = 0.0
+phi = %s
+
+[grid]
+dim = 1
+cells = 64
+extent = 2.0
+origin = -1.0
+
+[solver]
+t_end = 0.2
+
+[initial]
+u = bump 0.0 0.25 0.5
+v = bump 0.5 0.5 1.0
+w = constant 0.0
+z = constant 0.0
+"""
+
+
+class TestChemotaxisEndToEnd:
+    # a bump of u under a signal v that peaks to its right: only the drift term can move u's centre of mass
+    @pytest.mark.parametrize("phi, low, high", [
+        ("constant 1.0", 0.030, 0.036),
+        # phi = 1 - u/0.5 is below 1 wherever u > 0, so the bump drifts about half as far
+        ("linear_switch 0.5", 0.013, 0.018),
+    ])
+    def test_signal_pulls_the_density_uphill(self, tmp_path, phi, low, high):
+        assert low <= self.final_centre(tmp_path, phi) <= high
+
+    def test_no_sensitivity_leaves_the_centre_in_place(self, tmp_path):
+        assert abs(self.final_centre(tmp_path, "constant 0.0")) <= 1e-12
+
+    @staticmethod
+    def final_centre(tmp_path, phi):
+        cfg = tmp_path / "chemo.cfg"
+        cfg.write_text(CHEMO_CFG % phi)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        final = config_io.read_snapshot(str(sorted(out.glob("snap_*.bin"))[-1]), origin=(-1.0,))
+        assert final.t == pytest.approx(0.2, abs=1e-12)
+        x, u = final.grid.axis_centers(0), final.u.values
+        centre = float(np.sum(x * u) / np.sum(u))
+        print("phi = %s: centre of mass of u at t = 0.2 is %.6g" % (phi, centre))
+        return centre
+
+
 class TestVerifyCommand:
     def test_clean_run_passes(self, cli_run_dir, capsys):
         code = main(["verify", "--out", str(cli_run_dir["out"])])
@@ -262,6 +317,19 @@ class TestVerifyCommand:
         )
         assert float(report["violation_count"]) > 0
         assert float(report["max_lower_violation"]) > 1e-8
+
+    def test_verify_reads_no_history_csv(self, cli_run_dir, tmp_path, capsys):
+        # the mass audit reads the snapshots, which run writes with every history row
+        kept, dropped = tmp_path / "kept", tmp_path / "dropped"
+        shutil.copytree(cli_run_dir["out"], kept)
+        shutil.copytree(cli_run_dir["out"], dropped)
+        (dropped / "history.csv").unlink()
+        capsys.readouterr()
+        assert main(["verify", "--out", str(kept)]) == 0
+        printed = capsys.readouterr().out
+        assert main(["verify", "--out", str(dropped)]) == 0
+        assert capsys.readouterr().out == printed
+        assert (dropped / "verify_report.csv").read_bytes() == (kept / "verify_report.csv").read_bytes()
 
     def test_run_dir_with_retired_solver_lines_verifies_alike(self, cli_run_dir, tmp_path):
         # run directories written before the solver options were retired carry them at the kept values
@@ -339,6 +407,13 @@ class TestFitCommand:
         assert main(["fit", str(path)]) == 1
         assert "config error: CSV %r repeats column 't'" % str(path) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("t_min", ["nan", "inf", "-inf"])
+    def test_non_finite_t_min_is_usage_error_before_the_csv_is_read(self, tmp_path, capsys, monkeypatch, t_min):
+        monkeypatch.setattr(config_io, "read_csv_columns", lambda path: pytest.fail("the CSV was read"))
+        # "--t-min=-inf": argparse reads a separate "-inf" as an option
+        assert main(["fit", str(tmp_path / "history.csv"), "--t-min=" + t_min]) == 1
+        assert "error: --t-min must be a finite number, got %s" % float(t_min) in capsys.readouterr().err
+
     def test_missing_time_column_is_usage_error(self, tmp_path):
         path = tmp_path / "no_t.csv"
         path.write_text("x,support_radius\n0,1\n")
@@ -407,6 +482,31 @@ class TestSweepCommand:
         assert "sweep.model.m value 0.5" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_pool_never_gets_more_workers_than_cases(self, tmp_path, monkeypatch):
+        # a fork-started pool starts all of its workers at the first submit; this fake starts none
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_CFG)
+        out = tmp_path / "sweep_out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--workers", "100000"]) == 0
+        assert sizes == [2]
+        assert [ln.rsplit(",", 1)[1] for ln in (out / "manifest.csv").read_text().splitlines()[1:]] == ["ok", "ok"]
+
     def test_sweepless_config_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "plain.cfg"
         cfg.write_text(TINY_CFG)
@@ -458,6 +558,20 @@ class TestLatticeCommand:
         out = tmp_path / "lat_bad_tol"
         assert main(["lattice", "--config", str(cfg), "--out", str(out), "--tol-l1", tol]) == 1
         assert "error: --tol-l1 must be a finite number >= 0, got %s" % float(tol) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, extra, source", [
+        (["--seed", "-1"], "", "--seed"),
+        ([], "\n[output]\nseed = -5\n", "[output] seed of %s"),
+    ])
+    def test_negative_seed_is_usage_error_before_the_output_directory(self, tmp_path, capsys, argv, extra, source):
+        cfg = tmp_path / "lat.cfg"
+        cfg.write_text(LATTICE_CFG + extra)
+        out = tmp_path / "lat_neg_seed"
+        assert main(["lattice", "--config", str(cfg), "--out", str(out)] + argv) == 1
+        seed = -1 if argv else -5
+        message = "error: the lattice seed must be >= 0, got %d from %s" % (seed, source.replace("%s", str(cfg)))
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_unreachable_t_end_is_numeric_failure(self, tmp_path, capsys):

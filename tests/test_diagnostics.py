@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from chemofront.diagnostics import (
     HISTORY_COLUMNS,
-    FrontHistory,
     conservation_audit,
     fit_exponential,
     fit_power_law,
@@ -70,17 +69,6 @@ def test_history_row_norms():
     assert named["norm_z_minus_1"] == pytest.approx(0.2)
     assert named["mass_u"] == pytest.approx(0.9)
     assert named["mass_vw"] == pytest.approx(0.75)
-
-
-def test_front_history_validates_and_indexes():
-    h = FrontHistory()
-    with pytest.raises(ValueError):
-        h.append((1.0, 2.0))
-    h.append(tuple(float(i) for i in range(len(HISTORY_COLUMNS))))
-    assert h.column("t")[0] == 0.0
-    assert h.column("mass_vw")[0] == float(len(HISTORY_COLUMNS) - 1)
-    with pytest.raises(KeyError):
-        h.column("no_such_column")
 
 
 # --- law fitting ------------------------------------------------------------
@@ -160,25 +148,18 @@ def test_exponential_counts_nonpositive_exclusions():
 # --- conservation audit -----------------------------------------------------
 
 
-def make_history(masses):
-    h = FrontHistory()
-    for i, m in enumerate(masses):
-        h.append((float(i), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, m))
-    return h
-
-
 def test_conservation_audit_relative_drift():
-    audit = conservation_audit(make_history([2.0, 2.0 + 4e-12, 2.0 - 2e-12]))
+    audit = conservation_audit([2.0, 2.0 + 4e-12, 2.0 - 2e-12])
     assert audit.relative
     assert audit.drift == pytest.approx(2e-12)
 
 
 def test_conservation_audit_absolute_when_starting_empty():
-    audit = conservation_audit(make_history([0.0, 1e-13]))
+    audit = conservation_audit([0.0, 1e-13])
     assert not audit.relative
     assert audit.drift == pytest.approx(1e-13)
     with pytest.raises(ValueError):
-        conservation_audit(FrontHistory())
+        conservation_audit([])
 
 
 # --- sandwich checking ------------------------------------------------------

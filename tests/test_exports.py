@@ -31,6 +31,10 @@ PRUNED = [
     ("chemofront", "KERNELS"),
     ("chemofront.lattice", "KERNELS"),
     ("chemofront.config_io", "OracleToggles"),
+    ("chemofront", "FrontHistory"),
+    ("chemofront.diagnostics", "FrontHistory"),
+    ("chemofront.config_io", "read_history_csv"),
+    ("chemofront.config_io", "write_history_csv"),
 ]
 
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import chemofront
 from chemofront import solver
+from chemofront.diagnostics import HISTORY_COLUMNS
 from chemofront.model import (
     ConstantSensitivity,
     Field,
@@ -333,15 +334,18 @@ class TestRun:
     def test_emission_cadence(self):
         initial = make_standard_initial(cells=64)
         cfg = SolverConfig(t_end=10.0, output_stride=10)
-        snaps = []
-        rows = []
-        res = run(initial, STANDARD_MODEL, cfg,
-                  history_sink=rows.append, snapshot_sink=snaps.append,
-                  max_steps=25)
+        emitted = []
+        res = run(initial, STANDARD_MODEL, cfg, emit=lambda s, row: emitted.append((s, row)), max_steps=25)
         assert res.steps == 25
-        assert len(rows) == len(res.history) == 4  # steps 0, 10, 20, 25
-        assert len(snaps) == 4
-        assert snaps[-1].t == res.final.t
+        assert list(res.history) == list(HISTORY_COLUMNS)
+        assert len(emitted) == 4  # steps 0, 10, 20, 25
+        for name, col in res.history.items():
+            assert col.dtype == np.float64 and len(col) == 4
+        # each emitted row is the history's row for that state, and its time is the state's
+        for i, (s, row) in enumerate(emitted):
+            assert row == tuple(res.history[name][i] for name in HISTORY_COLUMNS)
+            assert row[0] == s.t
+        assert emitted[-1][0].t == res.final.t
 
     @pytest.mark.parametrize("u_scale, t_end, binds", [(1.0, 0.05, "diffusion"), (0.0, 0.5, "cap")])
     def test_run_records_each_steps_dt_and_binding_term(self, u_scale, t_end, binds):
@@ -364,7 +368,7 @@ class TestRun:
         short = run(initial, STANDARD_MODEL, cfg, max_steps=full.steps - 1)
         assert (long.steps, long.final.t, list(long.dts)) == (full.steps, full.final.t, list(full.dts))
         assert short.steps == full.steps - 1 and list(short.dts) == list(full.dts)[:-1]
-        assert short.history.rows[-1][0] == short.final.t < full.final.t  # its last step is emitted
+        assert short.history["t"][-1] == short.final.t < full.final.t  # its last step is emitted
         assert run(initial, STANDARD_MODEL, SolverConfig(t_end=0.0), max_steps=5).final is initial
 
     def test_zero_duration_returns_initial(self):
@@ -372,6 +376,8 @@ class TestRun:
         res = run(initial, STANDARD_MODEL, SolverConfig(t_end=0.0))
         assert res.steps == 0
         assert res.final is initial
+        assert list(res.history) == list(HISTORY_COLUMNS)
+        assert all(col.dtype == np.float64 and col.size == 0 for col in res.history.values())
 
     def test_reaches_requested_time(self):
         initial = make_standard_initial(cells=64)
@@ -587,8 +593,8 @@ class TestKernel:
         initial = make_standard_initial(cells=64)
         cfg = SolverConfig(t_end=1.0, output_stride=7)
         kept, copies = [], []
-        run(initial, STANDARD_MODEL, cfg, snapshot_sink=kept.append, max_steps=50)
-        run(initial, STANDARD_MODEL, cfg, snapshot_sink=lambda s: copies.append(s.copy()), max_steps=50)
+        run(initial, STANDARD_MODEL, cfg, emit=lambda s, row: kept.append(s), max_steps=50)
+        run(initial, STANDARD_MODEL, cfg, emit=lambda s, row: copies.append(s.copy()), max_steps=50)
         assert len(kept) == len(copies) == 9  # steps 0, 7, ..., 49 and 50
         arrays = [getattr(s, name).values for s in kept for name in ("u", "v", "w", "z")]
         for i, a in enumerate(arrays):
@@ -609,7 +615,7 @@ class TestKernel:
         s = StateQuad(bump_field(g, (0.0,), 0.25, height), Field(g, signal), Field.full(g, 1.0), Field.full(g, 0.0))
         rows = []
         with pytest.raises(SimulationError, match="the %s term binds" % term):
-            run(s, params, cfg, history_sink=rows.append)
+            run(s, params, cfg, emit=lambda state, row: rows.append(row))
         assert len(rows) == 1  # only the initial row: the first step raised
         with pytest.raises(SimulationError, match="the %s term binds" % term):
             step(s, params, cfg)
