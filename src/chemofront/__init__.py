@@ -52,13 +52,11 @@ from .diagnostics import (
     ExponentialFit,
     PowerLawFit,
     SandwichReport,
-    SteadyStateTargets,
     conservation_audit,
     fit_exponential,
     fit_power_law,
     history_row,
     sandwich_check,
-    steady_state_targets,
     support_radius,
 )
 from .lattice import (
@@ -119,13 +117,11 @@ __all__ = [
     "ExponentialFit",
     "PowerLawFit",
     "SandwichReport",
-    "SteadyStateTargets",
     "conservation_audit",
     "fit_exponential",
     "fit_power_law",
     "history_row",
     "sandwich_check",
-    "steady_state_targets",
     "support_radius",
     "LatticeState",
     "coarse_density",

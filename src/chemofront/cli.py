@@ -256,7 +256,6 @@ def cmd_verify(args) -> int:
         )
 
     upper = None
-    t0 = None
     if sup0 <= 0.0:
         notes.append("upper skipped: initial density is empty")
     elif not front_ok:
@@ -271,17 +270,16 @@ def cmd_verify(args) -> int:
             )
         else:
             r1 = 0.5 * (r0 + wall)
-            upper, t0 = profiles.select_upper_profile(
+            upper = profiles.select_upper_profile(
                 params.m, params.mu, params.delta, r0, r1, sup0, c1, c2, x0
             )
             print(
                 "verify: upper profile amplitude=%.6g shift=%.6g valid for t<=%.6g"
-                % (upper.amplitude, upper.time_shift, t0)
+                % (upper.amplitude, upper.time_shift, upper.valid_until)
             )
 
-    report = diagnostics.sandwich_check(
-        states, lower=lower, upper=upper, upper_valid_until=t0, tol=SANDWICH_TOL
-    )
+    envelopes = [env for env in (lower, upper) if env is not None]
+    report = diagnostics.sandwich_check(states, envelopes, tol=SANDWICH_TOL)
     sandwich_ok = report.clean
     print(
         "verify: sandwich lower viol %.3e (%d snaps), upper viol %.3e (%d snaps), %d locations: %s"
@@ -290,7 +288,7 @@ def cmd_verify(args) -> int:
             report.checked_lower,
             report.max_upper_violation,
             report.checked_upper,
-            len(report.violation_locations),
+            report.violation_count,
             "ok" if sandwich_ok else "FAIL",
         )
     )
@@ -307,10 +305,10 @@ def cmd_verify(args) -> int:
         ("lower_rate", lower.rate_exp if lower else float("nan")),
         ("upper_amplitude", upper.amplitude if upper else float("nan")),
         ("upper_shift", upper.time_shift if upper else float("nan")),
-        ("upper_valid_until", t0 if t0 is not None else float("nan")),
+        ("upper_valid_until", upper.valid_until if upper else float("nan")),
         ("max_lower_violation", report.max_lower_violation),
         ("max_upper_violation", report.max_upper_violation),
-        ("violation_count", float(len(report.violation_locations))),
+        ("violation_count", float(report.violation_count)),
         ("checked_lower", float(report.checked_lower)),
         ("checked_upper", float(report.checked_upper)),
     ]

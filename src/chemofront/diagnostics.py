@@ -7,15 +7,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Field, ModelParams, StateQuad
-from .profiles import ProfileParams
+from .model import Field, StateQuad
 
 __all__ = [
     "SUPPORT_THRESHOLD",
     "HISTORY_COLUMNS",
     "support_radius",
-    "SteadyStateTargets",
-    "steady_state_targets",
     "history_row",
     "PowerLawFit",
     "fit_power_law",
@@ -61,43 +58,26 @@ def support_radius(u: Field, x0, threshold: float = SUPPORT_THRESHOLD) -> float:
     return float(np.sqrt(np.max(d2[mask]))) + 0.5 * u.grid.h
 
 
-@dataclass(frozen=True)
-class SteadyStateTargets:
-    u_target: float
-    v_target: float
-    w_target: float
-    z_target: float
+def history_row(state: StateQuad, x0, v_target: float, r: float):
+    """One row of HISTORY_COLUMNS; a cell is on the support when u > SUPPORT_THRESHOLD.
 
-
-def steady_state_targets(initial: StateQuad, params: ModelParams) -> SteadyStateTargets:
-    """Late-time constants the fields settle to.
-
-    u and z both approach the carrying capacity 1/r, w dies out, and v
-    approaches its own initial mean plus the matrix initial mean (the
-    combined mean is conserved while w converts into v).
+    u and z settle to the carrying capacity 1/r and v to v_target, its
+    initial mean plus the matrix initial mean (the combined mean is conserved
+    while w converts into v).
     """
-    return SteadyStateTargets(
-        u_target=1.0 / params.r,
-        v_target=float(np.mean(initial.v.values) + np.mean(initial.w.values)),
-        w_target=0.0,
-        z_target=1.0 / params.r,
-    )
-
-
-def history_row(state: StateQuad, x0, targets: SteadyStateTargets):
-    """One row of HISTORY_COLUMNS; a cell is on the support when u > SUPPORT_THRESHOLD."""
     u = state.u.values
     on = u > SUPPORT_THRESHOLD
     inf_on = float(u[on].min()) if np.any(on) else 0.0
+    capacity = 1.0 / r
     return (
         state.t,
         support_radius(state.u, x0),
         float(u.max()),
         inf_on,
-        float(np.max(np.abs(u - targets.u_target))),
+        float(np.max(np.abs(u - capacity))),
         float(np.max(np.abs(state.w.values))),
-        float(np.max(np.abs(state.v.values - targets.v_target))),
-        float(np.max(np.abs(state.z.values - targets.z_target))),
+        float(np.max(np.abs(state.v.values - v_target))),
+        float(np.max(np.abs(state.z.values - capacity))),
         state.u.mass(),
         state.mass_vw(),
     )
@@ -214,16 +194,13 @@ def conservation_audit(masses) -> DriftAudit:
 class SandwichReport:
     max_lower_violation: float
     max_upper_violation: float
-    violation_locations: list
+    violation_count: int
     checked_lower: int = 0
     checked_upper: int = 0
 
     @property
     def clean(self) -> bool:
-        return not self.violation_locations
-
-
-_MAX_LOCATIONS = 1000
+        return self.violation_count == 0
 
 
 def _grid_points(grid):
@@ -234,66 +211,33 @@ def _grid_points(grid):
     return np.stack(np.meshgrid(x, y, indexing="ij"), axis=-1)
 
 
-def sandwich_check(
-    snapshots,
-    lower: ProfileParams | None = None,
-    upper: ProfileParams | None = None,
-    upper_valid_until: float | None = None,
-    tol: float = 1e-8,
-) -> SandwichReport:
+def sandwich_check(snapshots, envelopes, tol: float = 1e-8) -> SandwichReport:
     """Verify profile ordering against simulated states.
 
-    For every snapshot, the lower profile must stay below u everywhere (all
-    times) and the upper profile must stay above u for snapshot times up to
-    upper_valid_until.  Violations beyond tol are recorded with their cell
-    coordinate and time (capped at 1000 entries).
+    envelopes are comparison profiles (profiles.ProfileParams).  Each is
+    checked on every snapshot whose time, counted from the first snapshot,
+    lies in its window [0, valid_until]: a 'lower' profile must stay below
+    u, an 'upper' one above it.  Every cell of a checked snapshot that
+    crosses its envelope by more than tol counts as one violation.
     """
     snapshots = list(snapshots)
     if not snapshots:
         raise ValueError("need at least one snapshot")
-    if upper is not None and upper_valid_until is None:
-        raise ValueError("an upper profile needs its validity end time")
     grid = snapshots[0].grid
+    if any(snap.grid != grid for snap in snapshots):
+        raise ValueError("snapshots must share one grid")
     pts = _grid_points(grid)
-    worst_lo = 0.0
-    worst_hi = 0.0
-    locations = []
-    n_lo = 0
-    n_hi = 0
-
-    def record(viol, t):
-        if len(locations) >= _MAX_LOCATIONS:
-            return
-        idxs = np.argwhere(viol > tol)
-        for idx in idxs[: _MAX_LOCATIONS - len(locations)]:
-            if grid.dim == 1:
-                coord = float(grid.axis_centers(0)[idx[0]])
-            else:
-                coord = (float(grid.axis_centers(0)[idx[0]]), float(grid.axis_centers(1)[idx[1]]))
-            locations.append((coord, float(t)))
-
-    for snap in snapshots:
-        if snap.grid != grid:
-            raise ValueError("snapshots must share one grid")
-        rel_t = snap.t - snapshots[0].t
-        u = snap.u.values
-        if lower is not None:
-            g = lower.evaluate(pts, rel_t)
-            viol = g - u
-            worst_lo = max(worst_lo, float(viol.max()))
-            n_lo += 1
-            record(viol, snap.t)
-        if upper is not None and rel_t <= upper_valid_until + 1e-15:
-            g = upper.evaluate(pts, rel_t)
-            viol = u - g
-            worst_hi = max(worst_hi, float(viol.max()))
-            n_hi += 1
-            record(viol, snap.t)
-
-    return SandwichReport(
-        max_lower_violation=worst_lo,
-        max_upper_violation=worst_hi,
-        violation_locations=locations,
-        checked_lower=n_lo,
-        checked_upper=n_hi,
-    )
+    worst = {"lower": 0.0, "upper": 0.0}
+    checked = {"lower": 0, "upper": 0}
+    count = 0
+    for env in envelopes:
+        sign = 1.0 if env.kind == "lower" else -1.0
+        for snap in snapshots:
+            rel_t = snap.t - snapshots[0].t
+            if rel_t > env.valid_until + 1e-15:
+                continue
+            viol = sign * (env.evaluate(pts, rel_t) - snap.u.values)
+            worst[env.kind] = max(worst[env.kind], float(viol.max()))
+            checked[env.kind] += 1
+            count += int(np.count_nonzero(viol > tol))
+    return SandwichReport(worst["lower"], worst["upper"], count, checked["lower"], checked["upper"])

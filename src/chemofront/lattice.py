@@ -350,13 +350,19 @@ def continuum_twin(config: LatticeConfig, m: float) -> Field:
     """Final density of the continuum run that the ensemble mean should match.
 
     Pure degenerate diffusion of the relative density (the drift vanishes over
-    a flat signal) on the coarse grid, from the binned t = 0 mound, to
-    alpha * t_end: every per-particle rate carries a factor alpha, the PDE not.
+    a flat signal) on the coarse grid to alpha * t_end: every per-particle
+    rate carries a factor alpha, the PDE not.  It starts from the particles'
+    mound, whose mass sits on the centre of one site, split between the two
+    bins whose centres bracket that point with linear weights, so the twin
+    starts with the particles' mass and centre of mass.
     """
-    u0 = coarse_density(initial_state(config, m, 0), config.cells_per_bin)
-    grid = Grid(cells=u0.grid.cells, extent=(config.extent,), origin=(config.origin,))
+    start = initial_state(config, m, 0)
+    site_centre = start.origin + (int(np.argmax(start.occupancy)) + 0.5) * start.spacing
+    grid = Grid(cells=(config.sites // config.cells_per_bin,), extent=(config.extent,), origin=(config.origin,))
+    weights = np.clip(1.0 - np.abs(grid.axis_centers(0) - site_centre) / grid.h, 0.0, None)
+    mass = float(start.relative_density().sum()) * start.spacing
     zero = Field.full(grid, 0.0)
-    initial = StateQuad(Field(grid, u0.values), zero, zero, zero, t=0.0)
+    initial = StateQuad(Field(grid, weights * (mass / grid.h)), zero, zero, zero, t=0.0)
     params = ModelParams(m=m, delta=1.0, mu=0.0, r=1.0, phi=ConstantSensitivity(0.0))
     pde_config = solver.SolverConfig(t_end=config.alpha * config.t_end, output_stride=10**9)
     return solver.run(initial, params, pde_config).final.u

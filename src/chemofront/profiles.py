@@ -8,7 +8,8 @@ finite-volume solver, so it can serve as an oracle for it.  Three families:
       g(x, t) = amplitude * (shift + t)**(sign * rate_exp)
                 * max(support_scale - |x - center|^2 / (shift + t)**spread_exp, 0)**shape_exp
   whose parameters are picked so that g bounds the cell density from below
-  (all times) or from above (a short initial window),
+  (all times) or from above (a short initial window); each profile carries
+  the end of its window as valid_until,
 * scalar comparison ODEs g' = C e^{-c t} g^m (+ logistic variants) with an
   explicit blow-up dichotomy.
 """
@@ -86,7 +87,9 @@ class ProfileParams:
 
     kind 'lower': g = amplitude (1+t)^{-rate_exp} (support_scale - d2/(1+t)^spread_exp)_+^shape_exp
     kind 'upper': g = amplitude (shift+t)^{+rate_exp} (support_scale - d2/(shift+t)^spread_exp)_+^shape_exp
-    where d2 = |x - center|^2 and shape_exp = 1/(m-1).
+    where d2 = |x - center|^2 and shape_exp = 1/(m-1).  valid_until ends the
+    window of t in which the profile bounds the density: infinite for a
+    lower profile, the construction's finite t0 > 0 for an upper one.
     """
 
     kind: str
@@ -97,6 +100,7 @@ class ProfileParams:
     time_shift: float
     center: tuple[float, ...]
     m: float
+    valid_until: float = math.inf
 
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
@@ -114,9 +118,13 @@ class ProfileParams:
             want = (1.0 - self.spread_exp) / (self.m - 1.0)
             if abs(self.rate_exp - want) > 1e-9 * max(1.0, abs(want)):
                 raise ValueError("lower profile rate_exp must equal (1 - spread_exp)/(m - 1)")
+            if self.valid_until != math.inf:
+                raise ValueError("lower profile holds for all t, got valid_until %r" % self.valid_until)
         else:
             if not (0.0 < self.time_shift <= 1.0):
                 raise ValueError("upper profile needs time_shift in (0, 1], got %r" % self.time_shift)
+            if not (0.0 < self.valid_until < math.inf):
+                raise ValueError("upper profile needs a finite valid_until > 0, got %r" % self.valid_until)
 
     @property
     def shape_exp(self) -> float:
@@ -212,7 +220,7 @@ def select_upper_profile(
     c1: float,
     c2: float,
     center,
-) -> tuple[ProfileParams, float]:
+) -> ProfileParams:
     """Build the super-profile covering the density on an initial window.
 
     The density is supported in the ball of radius r0 around center with sup
@@ -223,7 +231,7 @@ def select_upper_profile(
     inequalities hold over the validity window (they are all increasing in
     tau, so halving terminates); below 1e-8 the construction gives up.
 
-    Returns the profile and the end t0 of its validity window.
+    The end t0 of the validity window is the profile's valid_until.
     """
     if not (m > 1.0):
         raise ValueError("m must be > 1, got %r" % m)
@@ -253,7 +261,7 @@ def select_upper_profile(
         ok2 = 2.0 * sigma / 3.0 >= coeff * eps ** (m - 1.0) * s ** ((m - 1.0) * sigma + 1.0) * eta
         ok3 = sigma / 3.0 >= mu * eps ** (delta - 1.0) * s ** ((delta - 1.0) * sigma + 1.0) * eta ** (d * (delta - 1.0))
         if ok1 and ok2 and ok3:
-            params = ProfileParams(
+            return ProfileParams(
                 kind="upper",
                 amplitude=eps,
                 support_scale=eta,
@@ -262,8 +270,8 @@ def select_upper_profile(
                 time_shift=tau,
                 center=tuple(np.atleast_1d(np.asarray(center, float))),
                 m=m,
+                valid_until=t0,
             )
-            return params, t0
         tau *= 0.5
     raise ConstructionError(
         "no admissible time shift above 1e-8 for r0=%r r1=%r sup=%r c1=%r c2=%r"

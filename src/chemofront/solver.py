@@ -426,10 +426,10 @@ def run(
         return RunResult(table(), initial, 0.0, 0)
 
     x0 = peak_coordinate(initial.u)
-    targets = diagnostics.steady_state_targets(initial, params)
+    v_target = float(np.mean(initial.v.values) + np.mean(initial.w.values))
 
     def emit_state(s: StateQuad):
-        row = diagnostics.history_row(s, x0, targets)
+        row = diagnostics.history_row(s, x0, v_target, params.r)
         for col, value in zip(columns, row):
             col.append(value)
         if emit is not None:

@@ -318,6 +318,30 @@ class TestVerifyCommand:
         assert float(report["violation_count"]) > 0
         assert float(report["max_lower_violation"]) > 1e-8
 
+    def test_violation_count_is_exact_past_a_thousand(self, cli_run_dir, tmp_path):
+        # the first snapshot, then `copies` copies of it at t = 0 with u emptied; each
+        # copy misses the sub-profile on the same cells, so the count scales with them
+        def count(copies):
+            dst = tmp_path / ("empty_%d" % copies)
+            dst.mkdir()
+            shutil.copy(cli_run_dir["out"] / "config.cfg", dst)
+            first = config_io.read_snapshot(str(cli_run_dir["out"] / "snap_00000000.bin"), origin=(-1.0,))
+            config_io.write_snapshot(str(dst / "snap_00000000.bin"), first)
+            empty = first.__class__(first.u.__class__(first.grid, np.zeros(first.grid.cells)),
+                                    first.v, first.w, first.z, t=first.t)
+            for i in range(1, copies + 1):
+                config_io.write_snapshot(str(dst / ("snap_%08d.bin" % i)), empty)
+            assert main(["verify", "--out", str(dst)]) == 3
+            report = dict(ln.split(",") for ln in (dst / "verify_report.csv").read_text().splitlines()[1:])
+            assert float(report["checked_lower"]) == copies + 1
+            return float(report["violation_count"])
+
+        one = count(1)
+        assert 0 < one < 1000
+        many = count(60)
+        assert many > 1000
+        assert many == 60 * one
+
     def test_verify_reads_no_history_csv(self, cli_run_dir, tmp_path, capsys):
         # the mass audit reads the snapshots, which run writes with every history row
         kept, dropped = tmp_path / "kept", tmp_path / "dropped"

@@ -9,11 +9,11 @@ from chemofront.diagnostics import (
     fit_power_law,
     history_row,
     sandwich_check,
-    steady_state_targets,
     support_radius,
 )
 from chemofront.model import ConstantSensitivity, Field, Grid, ModelParams, StateQuad
 from chemofront.profiles import select_lower_profile, select_upper_profile
+from chemofront.solver import SolverConfig, peak_coordinate, run
 
 from conftest import bump_field, make_standard_initial
 
@@ -44,21 +44,24 @@ def test_support_radius_threshold_masks_low_values():
 # --- steady targets and history rows ----------------------------------------
 
 
-def test_steady_state_targets_values():
+def test_history_row_targets_the_carrying_capacity():
+    # u and z settle to 1/r = 0.5, v to mean v0 + mean w0 = 0.7
     g = Grid((8,), (1.0,), (0.0,))
     s = StateQuad(Field.full(g, 0.3), Field.full(g, 0.2), Field.full(g, 0.5), Field.full(g, 0.0))
-    t = steady_state_targets(s, ModelParams(m=2.0, r=2.0))
-    assert t.u_target == pytest.approx(0.5)
-    assert t.v_target == pytest.approx(0.7)
-    assert t.w_target == 0.0
-    assert t.z_target == pytest.approx(0.5)
+    named = dict(zip(HISTORY_COLUMNS, history_row(s, (0.5,), 0.7, 2.0)))
+    assert named["norm_u_minus_1"] == pytest.approx(0.2)
+    assert named["norm_v_minus_target"] == pytest.approx(0.5)
+    assert named["norm_z_minus_1"] == pytest.approx(0.5)
+    # run takes the same targets from the model and its initial state
+    first = run(s, ModelParams(m=2.0, r=2.0), SolverConfig(t_end=1.0), max_steps=1).history
+    row = history_row(s, peak_coordinate(s.u), 0.7, 2.0)
+    assert [first[name][0] for name in HISTORY_COLUMNS] == pytest.approx(list(row), abs=1e-15)
 
 
 def test_history_row_norms():
     g = Grid((8,), (1.0,), (0.0,))
     s = StateQuad(Field.full(g, 0.9), Field.full(g, 0.65), Field.full(g, 0.1), Field.full(g, 1.2))
-    targets = steady_state_targets(s, ModelParams(m=2.0, r=1.0))
-    row = history_row(s, (0.5,), targets)
+    row = history_row(s, (0.5,), 0.75, 1.0)
     named = dict(zip(HISTORY_COLUMNS, row))
     assert named["sup_u"] == pytest.approx(0.9)
     assert named["inf_u_on_support"] == pytest.approx(0.9)
@@ -169,7 +172,7 @@ LOWER = select_lower_profile(
     m=2.0, n=1, mu=1.0, delta=1.0, seed_radius=0.15, seed_height=0.25,
     diam=2.0, c1=1.0, c2=1.0, center=(0.0,),
 )
-UPPER, UPPER_T0 = select_upper_profile(
+UPPER = select_upper_profile(
     m=2.0, mu=1.0, delta=1.0, r0=0.25, r1=0.75, sup_height=0.5,
     c1=1.0, c2=1.0, center=(0.0,),
 )
@@ -193,23 +196,24 @@ def test_profiles_bracket_the_seed_bump():
 def test_sandwich_clean_run_reports_no_violations():
     g = Grid((64,), (2.0,), (-1.0,))
     snaps = [profile_state(g, LOWER, t, pad=0.05) for t in (0.0, 0.5, 1.0)]
-    report = sandwich_check(snaps, lower=LOWER, tol=1e-8)
+    report = sandwich_check(snaps, [LOWER], tol=1e-8)
     assert report.clean
+    assert report.violation_count == 0
     assert report.max_lower_violation == 0.0
     assert report.checked_lower == 3
+    assert report.checked_upper == 0
 
 
-def test_sandwich_detects_and_locates_violations():
+def test_sandwich_detects_and_counts_violations():
     g = Grid((64,), (2.0,), (-1.0,))
     good = profile_state(g, LOWER, 0.0, pad=0.05)
     bad = profile_state(g, LOWER, 1.0, pad=0.05)
-    bad.u.values[30:34] = 0.0  # carve a hole under the sub-profile
-    report = sandwich_check([good, bad], lower=LOWER, tol=1e-8)
+    bad.u.values[30:34] = 0.0  # carve a hole of four cells under the sub-profile
+    assert np.all(LOWER.evaluate(g.axis_centers(0)[30:34], 1.0) > 1e-8)
+    report = sandwich_check([good, bad], [LOWER], tol=1e-8)
     assert not report.clean
+    assert report.violation_count == 4
     assert report.max_lower_violation > 0.0
-    assert all(t == 1.0 for _, t in report.violation_locations)
-    xs = [x for x, _ in report.violation_locations]
-    assert all(-1.0 < x < 1.0 for x in xs)
 
 
 def test_sandwich_upper_respects_validity_window():
@@ -218,36 +222,47 @@ def test_sandwich_upper_respects_validity_window():
     zeros = lambda: Field.full(g, 0.0)
     inside = StateQuad(Field(g, 0.9 * UPPER.evaluate(x, 0.0)), zeros(), zeros(), zeros(), t=0.0)
     # far beyond t0 the density may exceed the super-profile freely
-    beyond = StateQuad(Field.full(g, 3.0), zeros(), zeros(), zeros(), t=UPPER_T0 + 5.0)
-    report = sandwich_check([inside, beyond], upper=UPPER, upper_valid_until=UPPER_T0)
+    beyond = StateQuad(Field.full(g, 3.0), zeros(), zeros(), zeros(), t=UPPER.valid_until + 5.0)
+    report = sandwich_check([inside, beyond], [UPPER])
     assert report.checked_upper == 1
+    assert report.checked_lower == 0
     assert report.clean
 
 
-def test_sandwich_needs_validity_end_for_upper():
-    g = Grid((64,), (2.0,), (-1.0,))
-    with pytest.raises(ValueError):
-        sandwich_check([profile_state(g, LOWER, 0.0)], upper=UPPER)
-    with pytest.raises(ValueError):
-        sandwich_check([])
+def test_sandwich_refuses_no_snapshots_and_mixed_grids():
+    with pytest.raises(ValueError, match="at least one snapshot"):
+        sandwich_check([], [LOWER])
+    a = profile_state(Grid((64,), (2.0,), (-1.0,)), LOWER, 0.0)
+    b = profile_state(Grid((32,), (2.0,), (-1.0,)), LOWER, 0.0)
+    with pytest.raises(ValueError, match="one grid"):
+        sandwich_check([a, b], [])
 
 
-def test_sandwich_location_list_is_capped():
+def test_sandwich_counts_every_violating_cell_of_every_snapshot():
+    """No cap: 2048 cells, three snapshots and both envelope kinds give thousands of violations."""
     g = Grid((2048,), (2.0,), (-1.0,))
-    snap = profile_state(g, LOWER, 0.0)
-    snap.u.values[:] = 0.0
+    x = g.axis_centers(0)
+    zeros = lambda: Field.full(g, 0.0)
+    empty = StateQuad(zeros(), zeros(), zeros(), zeros(), t=0.0)
+    flooded = StateQuad(Field.full(g, 3.0), zeros(), zeros(), zeros(), t=0.5 * UPPER.valid_until)
+    late = StateQuad(zeros(), zeros(), zeros(), zeros(), t=1.0)
     lower_tall = select_lower_profile(
         m=2.0, n=1, mu=1.0, delta=1.0, seed_radius=1.4, seed_height=0.5,
         diam=2.0, c1=1.0, c2=1.0, center=(0.0,),
     )
-    report = sandwich_check([snap], lower=lower_tall, tol=1e-12)
+    report = sandwich_check([empty, flooded, late], [lower_tall, UPPER], tol=1e-12)
+    below = sum(int(np.sum(lower_tall.evaluate(x, s.t) - s.u.values > 1e-12)) for s in (empty, flooded, late))
+    above = sum(int(np.sum(s.u.values - UPPER.evaluate(x, s.t) > 1e-12)) for s in (empty, flooded))
+    # the tall sub-profile covers the whole domain on both empty snapshots; 3.0 tops the super-profile everywhere
+    assert (below, above) == (2 * 2048, 2048)
+    assert report.violation_count == below + above == 6144
+    assert (report.checked_lower, report.checked_upper) == (3, 2)
     assert not report.clean
-    assert len(report.violation_locations) == 1000
 
 
 def test_lower_profile_stays_under_upper_on_shared_window():
     g = Grid((128,), (2.0,), (-1.0,))
-    times = (0.0, 0.5 * UPPER_T0, UPPER_T0)
+    times = (0.0, 0.5 * UPPER.valid_until, UPPER.valid_until)
     snaps = [profile_state(g, UPPER, t) for t in times]
-    report = sandwich_check(snaps, lower=LOWER, tol=1e-8)
+    report = sandwich_check(snaps, [LOWER], tol=1e-8)
     assert report.clean

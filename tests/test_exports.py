@@ -35,6 +35,10 @@ PRUNED = [
     ("chemofront.diagnostics", "FrontHistory"),
     ("chemofront.config_io", "read_history_csv"),
     ("chemofront.config_io", "write_history_csv"),
+    ("chemofront", "SteadyStateTargets"),
+    ("chemofront.diagnostics", "SteadyStateTargets"),
+    ("chemofront", "steady_state_targets"),
+    ("chemofront.diagnostics", "steady_state_targets"),
 ]
 
 

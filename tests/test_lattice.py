@@ -387,9 +387,9 @@ class TestEnsemble:
 
         Criterion 09's absolute L1 tolerance of 0.05 exceeds the mass 0.04, so
         it accepts the continuum profile moved by 10 of its 40 bins.  These
-        checks refuse that shift.  The continuum run starts from the binned
-        mound, centred 0.4 bin right of the particles, so the centres differ
-        by about 0.02 by construction.
+        checks refuse that shift.  The continuum run starts with the
+        particles' mass and centre of mass, so the centres differ only by
+        sampling.
         """
         config = LatticeConfig(sites=200, u_max=25000, particles=100000, t_end=0.5, seeds=3,
                                cells_per_bin=5, extent=2.0, origin=-1.0)

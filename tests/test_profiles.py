@@ -72,7 +72,18 @@ def test_profile_params_validation():
     with pytest.raises(ValueError, match="rate_exp"):
         ProfileParams("lower", 1.0, 1.0, 0.3, 0.9, 1.0, (0.0,), 2.0)
     with pytest.raises(ValueError, match="time_shift"):
-        ProfileParams("upper", 1.0, 1.0, 1.0, 1.0, 0.0, (0.0,), 2.0)
+        ProfileParams("upper", 1.0, 1.0, 1.0, 1.0, 0.0, (0.0,), 2.0, 0.1)
+
+
+def test_profile_validity_window_is_checked_per_kind():
+    lower = ProfileParams("lower", 1.0, 1.0, 0.3, 0.7, 1.0, (0.0,), 2.0)
+    assert lower.valid_until == math.inf
+    with pytest.raises(ValueError, match="lower profile holds for all t"):
+        ProfileParams("lower", 1.0, 1.0, 0.3, 0.7, 1.0, (0.0,), 2.0, 0.5)
+    assert ProfileParams("upper", 1.0, 1.0, 1.0, 1.0, 0.5, (0.0,), 2.0, 0.1).valid_until == 0.1
+    for window in (math.inf, 0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="finite valid_until"):
+            ProfileParams("upper", 1.0, 1.0, 1.0, 1.0, 0.5, (0.0,), 2.0, window)
 
 
 def test_lower_selection_worked_example():
@@ -91,7 +102,7 @@ def test_lower_selection_worked_example():
 
 
 def test_upper_selection_worked_example():
-    p, t0 = select_upper_profile(
+    p = select_upper_profile(
         m=2.0, mu=1.0, delta=1.0,
         r0=0.25, r1=0.75, sup_height=0.5,
         c1=1.0, c2=1.0, center=(0.0,),
@@ -99,7 +110,7 @@ def test_upper_selection_worked_example():
     assert p.time_shift == pytest.approx(2.0**-7)
     assert p.amplitude == pytest.approx(8.0 / 3.0)
     assert p.support_scale == pytest.approx(0.25 / 2.0**-7)
-    assert t0 == pytest.approx(2.0**-7)
+    assert p.valid_until == pytest.approx(2.0**-7)
     # amplitude was chosen to pin the profile to sup_height on the seed edge
     assert p.evaluate(0.25, 0.0) == pytest.approx(0.5, rel=1e-12)
     assert p.evaluate(0.0, 0.0) > 0.5
@@ -159,7 +170,7 @@ def test_lower_selection_satisfies_every_branch(
 @settings(max_examples=60, deadline=None)
 def test_profile_support_radii_formulas_and_growth(t1, dt):
     lo = select_lower_profile(2.0, 1, 1.0, 1.0, 1.0, 0.5, 1.0, 1.0, 1.0, (0.0,))
-    up, _t0 = select_upper_profile(2.0, 1.0, 1.0, 0.25, 0.75, 0.5, 1.0, 1.0, (0.0,))
+    up = select_upper_profile(2.0, 1.0, 1.0, 0.25, 0.75, 0.5, 1.0, 1.0, (0.0,))
     r_lo = lo.support_radius_at(t1)
     assert r_lo == pytest.approx(
         math.sqrt(lo.support_scale) * (1.0 + t1) ** (lo.spread_exp / 2.0))

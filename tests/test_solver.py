@@ -17,6 +17,7 @@ from chemofront.model import (
     ConstantSensitivity,
     Field,
     Grid,
+    LinearSwitchSensitivity,
     ModelParams,
     StateQuad,
     logistic_growth,
@@ -330,6 +331,18 @@ class TestStep:
         assert np.all(s.w.values >= 0.0)
 
 
+def _porous_fisher_cell_means(grid, t, x0):
+    """Exact cell averages of the sharp travelling wave u = (1 - e^{(x - x0 - t)/2})_+.
+
+    It solves u_t = (u^2)_xx + u (1 - u), the model at m = 2, delta = mu = r = 1
+    and phi = 0, and moves right at speed exactly 1; the antiderivative of
+    1 - e^{(x - s)/2} is x - 2 e^{(x - s)/2}, and u = 0 right of s = x0 + t.
+    """
+    front = x0 + t
+    edges = np.minimum(grid.origin[0] + grid.h * np.arange(grid.cells[0] + 1), front)
+    return np.diff(edges - 2.0 * np.exp((edges - front) / 2.0)) / grid.h
+
+
 class TestRun:
     def test_emission_cadence(self):
         initial = make_standard_initial(cells=64)
@@ -401,6 +414,34 @@ class TestRun:
             errs.append(float(np.abs(res.final.u.values - exact).sum()) * g.h)
         assert errs[0] > errs[1] > errs[2]
 
+    def test_porous_fisher_wave_converges_at_second_order(self):
+        """Growth on: the exact wave from x0 = 24 to t = 4 on [0, 32], at 128/256/512 cells.
+
+        The least-squares slope of log L1 error against log h must lie in
+        [1.75, 2.25], criterion 04's band, and the errors must shrink at every
+        halving.  The front starts and ends on a cell edge of every grid.  The
+        left wall's no-flux mismatch, the wave's flux 2 u u_x there, moves at
+        most 2 e^{-12} of mass over the run, far below the errors.
+        """
+        params = ModelParams(m=2.0, delta=1.0, mu=1.0, r=1.0, phi=ConstantSensitivity(0.0))
+        spacings, errors = [], []
+        for cells in (128, 256, 512):
+            g = Grid((cells,), (32.0,), (0.0,))
+            zero = Field.full(g, 0.0)
+            s = StateQuad(Field(g, _porous_fisher_cell_means(g, 0.0, 24.0)), zero, zero, zero)
+            res = run(s, params, SolverConfig(t_end=4.0, output_stride=10**9))
+            assert res.total_clipped == 0.0
+            spacings.append(g.h)
+            errors.append(float(np.abs(res.final.u.values - _porous_fisher_cell_means(g, 4.0, 24.0)).sum()) * g.h)
+            # the 1e-12 front leads the exact one by a precursor of a few cells that shrinks with h
+            edge = g.h * (np.flatnonzero(res.final.u.values > 1e-12).max() + 1)
+            print("porous-Fisher %d cells: L1 %.4e, 1e-12 front %.6g" % (cells, errors[-1], edge))
+            assert 28.0 <= edge <= 28.0 + 3.0 * g.h
+        order = float(np.polyfit(np.log(spacings), np.log(errors), 1)[0])
+        print("porous-Fisher order %.4f" % order)
+        assert errors[0] > errors[1] > errors[2]
+        assert 1.75 <= order <= 2.25, (errors, order)
+
     def test_smooth_porous_medium_converges_at_second_order(self):
         """Non-degenerate u0 = 1 + cos(pi x)/2: each halving quarters the successive-grid L1 difference."""
         p = ModelParams(m=2.0, mu=0.0, phi=ConstantSensitivity(0.0))
@@ -419,6 +460,44 @@ class TestRun:
         ratios = [a / b for a, b in zip(diffs, diffs[1:])]
         for ratio in ratios:
             assert 3.6 <= ratio <= 4.4, (diffs, ratios)
+
+
+class TestDriftMomentIdentity:
+    """With mu = 0 and u zero in both wall cells at every stage, the diffusive
+    face fluxes telescope out of u's first moment, so over one step
+        sum(x u) h^dim changes by dt h^dim sum(drift face fluxes)
+    along each axis, up to rounding.  The drift is the only term that can move
+    the centre of mass; a step that drops it or flips its sign breaks this."""
+
+    @staticmethod
+    def states(dim, phi):
+        """The TestChemotaxisEndToEnd bump of u under a signal peaking to its right (and above it in 2D)."""
+        g = Grid((64,) * dim, (2.0,) * dim, (-1.0,) * dim)
+        zero = Field.full(g, 0.0)
+        peak = (0.5,) if dim == 1 else (0.5, 0.3)
+        s = StateQuad(bump_field(g, (0.0,) * dim, 0.25, 0.5), bump_field(g, peak, 0.5, 1.0), zero, zero.copy())
+        return s, ModelParams(m=2.0, mu=0.0, phi=phi)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("phi", [ConstantSensitivity(1.0), LinearSwitchSensitivity(0.5)], ids=["constant", "switch"])
+    def test_first_moment_moves_by_the_drift_flux(self, dim, phi):
+        s, params = self.states(dim, phi)
+        g = s.grid
+        gap = solver.MAX_STAGES + 1  # the support grows by at most one cell per stage
+        for _ in range(4):
+            occupied = np.nonzero(s.u.values > 0.0)
+            assert all(idx.min() >= gap and idx.max() < n - gap for idx, n in zip(occupied, g.cells))
+            fluxes = chemotactic_flux(s, params)
+            new, report = step(s, params, SolverConfig(t_end=1.0))
+            assert report.negativity_clipped == 0.0
+            for axis in range(dim):
+                x = g.axis_centers(axis).reshape([-1 if a == axis else 1 for a in range(dim)])
+                moved = float(np.sum(x * (new.u.values - s.u.values))) * g.cell_volume
+                drift = report.dt_used * g.cell_volume * float(np.sum(fluxes[axis]))
+                scale = report.dt_used * g.cell_volume * float(np.sum(np.abs(fluxes[axis])))
+                assert drift > 0.0  # the signal pulls u toward its peak along both axes
+                assert abs(moved - drift) <= 1e-12 * scale, (axis, moved, drift, scale)
+            s = new
 
 
 def quadratic(d2):
