@@ -282,7 +282,7 @@ def cmd_verify(args) -> int:
     report = diagnostics.sandwich_check(states, envelopes, tol=SANDWICH_TOL)
     sandwich_ok = report.clean
     print(
-        "verify: sandwich lower viol %.3e (%d snaps), upper viol %.3e (%d snaps), %d locations: %s"
+        "verify: sandwich lower viol %.3e (%d snaps), upper viol %.3e (%d snaps), %d violations: %s"
         % (
             report.max_lower_violation,
             report.checked_lower,
@@ -342,9 +342,8 @@ def _sweep_worker(job):
     A failing case returns its error instead of raising, so the other cases
     and the manifest survive it.
     """
-    text, base_dir, out_dir = job
+    cfg, base_dir, out_dir = job
     try:
-        cfg = config_io.parse_config(text, base_dir)
         result, _ = _execute_run(cfg, base_dir, out_dir)
     except _CASE_FAILURES as exc:
         return "%s: %s" % (type(exc).__name__, exc)
@@ -373,7 +372,7 @@ def cmd_sweep(args) -> int:
             case = _apply_override(case, key, value)
         case = dataclasses.replace(case, sweep={}, out_dir=".", seed=base_seed + idx)
         sub = os.path.join(base_out, "case_%04d" % idx)
-        jobs.append((config_io.serialize_config(case), base_dir, sub))
+        jobs.append((case, base_dir, sub))
 
     # a process pool forks all of its workers at once, so it never gets more than there are cases
     workers = min(max(1, args.workers), len(jobs))
@@ -472,17 +471,16 @@ def cmd_lattice(args) -> int:
         source = "--seed" if args.seed is not None else "[output] seed of %s" % args.config
         raise _UsageError("the lattice seed must be >= 0, got %d from %s" % (base_seed, source))
     os.makedirs(out_dir, exist_ok=True)
-    members = lattice_mod.run_ensemble(lat, m, base_seed)
+    t, flags, density, centers = lattice_mod.run_ensemble(lat, m, base_seed)
     with open(os.path.join(out_dir, "ensemble.csv"), "w", encoding="ascii") as fh:
         fh.write("seed,time,bin,center,density\n")
-        for mem in members:
-            centers = mem.density.grid.axis_centers(0)
-            for b, (x, val) in enumerate(zip(centers, mem.density.values)):
-                fh.write("%d,%.17g,%d,%.17g,%.17g\n" % (mem.seed, mem.t, b, x, val))
-    mean = np.mean([mem.density.values for mem in members], axis=0)
+        for i, row in enumerate(density):
+            for b, (x, val) in enumerate(zip(centers, row)):
+                fh.write("%d,%.17g,%d,%.17g,%.17g\n" % (base_seed + i, t, b, x, val))
+    mean = density.mean(axis=0)
     print(
         "lattice: %d seeds, %d sites, %d capacity flags, ensemble.csv in %s"
-        % (lat.seeds, lat.sites, sum(mem.capacity_violations for mem in members), out_dir)
+        % (lat.seeds, lat.sites, flags.sum(), out_dir)
     )
 
     if not lat.compare_pde and args.tol_l1 is None:

@@ -13,12 +13,14 @@ are parsed and written by hand.
 
 Options that only ever held one value were removed (_RETIRED): the solver's
 clip_negative, chemo_upwind, v_z_stepper and cfl_safety, the lattice's
-kernel and leap_fraction, the model's eps_reg, and check_lower and
-check_upper, the only keys [oracles] had.  Config files written before,
-every run directory's config.cfg among them, still carry them at the kept
-values (on, on, semi-implicit, 0.25, pushing, 0.5, 0.0, on, on); such a
-line is read and ignored, any other value is an error.  The solver's
-dt_max, never written to a config.cfg, is an unknown key.
+kernel, leap_fraction and beta (every lattice run has a flat signal, so
+its drift coefficient acted on nothing), the model's eps_reg, and
+check_lower and check_upper, the only keys [oracles] had.  Config files
+written before, every run directory's config.cfg among them, still carry
+them at the kept values (on, on, semi-implicit, 0.25, pushing, 0.5, 0.0,
+0.0, on, on); such a line is read and ignored, any other value is an
+error.  The solver's dt_max, never written to a config.cfg, is an unknown
+key.
 
 Snapshots are a 6-line ASCII header (magic, dim, cells per axis, extent per
 axis, time, field order) followed by the four fields as raw little-endian
@@ -172,6 +174,7 @@ _RETIRED = {
     ("solver", "cfl_safety"): ("float", 0.25),
     ("lattice", "kernel"): ("str", "pushing"),
     ("lattice", "leap_fraction"): ("float", 0.5),
+    ("lattice", "beta"): ("float", 0.0),
     ("model", "eps_reg"): ("float", 0.0),
     ("oracles", "check_lower"): ("bool", True),
     ("oracles", "check_upper"): ("bool", True),

@@ -24,8 +24,13 @@ same rate and leap kernels.
 
 run_ensemble and continuum_twin run a [lattice] section: the members as the
 rows of one batched run, seeded by one generator default_rng(base_seed),
-and the matching continuum run.  The CLI's lattice command and
-scripts/lattice_vs_pde.py both use them.
+and the matching continuum run.  The batch stays one array to the end:
+run_ensemble returns the members' coarse densities as one (seeds, bins)
+array, binned by the same arithmetic as coarse_density, on the bins' grid
+that continuum_twin runs on.  The CLI's lattice command and
+scripts/lattice_vs_pde.py both use them.  A [lattice] section has no drift
+coefficient: initial_state gives every run a flat signal, over which beta
+would act on nothing, so LatticeState.beta keeps its default 0.
 """
 from __future__ import annotations
 
@@ -45,7 +50,6 @@ __all__ = [
     "coarse_density",
     "run_adaptive",
     "initial_state",
-    "Member",
     "run_ensemble",
     "continuum_twin",
 ]
@@ -63,7 +67,6 @@ class LatticeConfig:
     particles: int
     t_end: float
     alpha: float = 1.0
-    beta: float = 0.0
     seeds: int = 1
     cells_per_bin: int = 1
     extent: float = 1.0
@@ -77,8 +80,6 @@ class LatticeConfig:
             raise ValueError("lattice t_end must be finite and positive, got %r" % self.t_end)
         if not (self.alpha >= 0.0):
             raise ValueError("lattice alpha must be >= 0, got %r" % self.alpha)
-        if not (abs(self.beta) <= 1.0):
-            raise ValueError("lattice beta must satisfy |beta| <= 1, got %r" % self.beta)
         if self.particles > OVERFLOW_FACTOR * self.u_max:
             raise ValueError(
                 "lattice particles %d exceed the overflow cap %d = %d * u_max; all start on the centre site"
@@ -276,26 +277,30 @@ def run_adaptive(s: LatticeState, t_end: float):
     return replace(s, occupancy=occ, capacity_violations=flags), t, steps
 
 
+def _bin_grid(sites: int, cells_per_bin: int, length: float, origin: float) -> Grid:
+    """The 1D grid of sites // cells_per_bin bins over [origin, origin + length]."""
+    if not (isinstance(cells_per_bin, (int, np.integer)) and cells_per_bin >= 1):
+        raise ValueError("cells_per_bin must be a positive integer")
+    if sites % cells_per_bin != 0:
+        raise ValueError(
+            "sites (%d) must be a multiple of cells_per_bin (%d)" % (sites, cells_per_bin)
+        )
+    return Grid(cells=(sites // cells_per_bin,), extent=(length,), origin=(origin,))
+
+
+def _bin(density: np.ndarray, cells_per_bin: int) -> np.ndarray:
+    """(..., sites) values averaged over bins of cells_per_bin sites along the last axis."""
+    return density.reshape(density.shape[:-1] + (-1, cells_per_bin)).mean(axis=-1)
+
+
 def coarse_density(s: LatticeState, cells_per_bin: int) -> Field:
-    """Bin the relative density onto the matching finite-volume grid.
+    """Bin the relative density of one chain onto the matching finite-volume grid.
 
     sites must divide evenly into bins; the result lives on a 1D Grid with
     the same total extent and origin as the lattice.
     """
-    if not (isinstance(cells_per_bin, (int, np.integer)) and cells_per_bin >= 1):
-        raise ValueError("cells_per_bin must be a positive integer")
-    if s.sites % cells_per_bin != 0:
-        raise ValueError(
-            "sites (%d) must be a multiple of cells_per_bin (%d)" % (s.sites, cells_per_bin)
-        )
-    n_bins = s.sites // cells_per_bin
-    dens = s.relative_density().reshape(n_bins, cells_per_bin).mean(axis=1)
-    grid = Grid(
-        cells=(n_bins,),
-        extent=(s.sites * s.spacing,),
-        origin=(s.origin,),
-    )
-    return Field(grid, dens)
+    grid = _bin_grid(s.sites, cells_per_bin, s.sites * s.spacing, s.origin)
+    return Field(grid, _bin(s.relative_density(), cells_per_bin))
 
 
 def initial_state(config: LatticeConfig, m: float, seed: int) -> LatticeState:
@@ -308,42 +313,28 @@ def initial_state(config: LatticeConfig, m: float, seed: int) -> LatticeState:
         v=np.zeros(config.sites),
         m=m,
         alpha=config.alpha,
-        beta=config.beta,
         seed=seed,
         spacing=config.extent / config.sites,
         origin=config.origin,
     )
 
 
-@dataclass(frozen=True)
-class Member:
-    """One finished ensemble member and its coarse relative density."""
-
-    seed: int
-    t: float
-    capacity_violations: int
-    density: Field
-
-
-def run_ensemble(config: LatticeConfig, m: float, base_seed: int) -> list[Member]:
+def run_ensemble(config: LatticeConfig, m: float, base_seed: int):
     """Run config.seeds members as the rows of one batched run_adaptive.
 
-    One generator, default_rng(base_seed), draws every row; member i is row i
-    and carries the label base_seed + i.  A one-member ensemble is the run of
+    Returns (t, flags, density, centres): the time reached, the (seeds,)
+    capacity-violation counts, the (seeds, bins) coarse relative densities
+    and the (bins,) bin centres of continuum_twin's grid.  One generator,
+    default_rng(base_seed), draws every row; member i is row i and carries
+    the label base_seed + i.  A one-member ensemble is the run of
     initial_state(config, m, base_seed).
     """
+    bins = _bin_grid(config.sites, config.cells_per_bin, config.extent, config.origin)
     start = initial_state(config, m, base_seed)
     batch = replace(start, occupancy=np.tile(start.occupancy, (config.seeds, 1)))
     final, t, _ = run_adaptive(batch, config.t_end)
-    return [
-        Member(
-            base_seed + i,
-            t,
-            int(flags),
-            coarse_density(replace(final, occupancy=row, capacity_violations=flags), config.cells_per_bin),
-        )
-        for i, (row, flags) in enumerate(zip(final.occupancy, final.capacity_violations))
-    ]
+    density = _bin(final.relative_density(), config.cells_per_bin)
+    return t, final.capacity_violations, density, bins.axis_centers(0)
 
 
 def continuum_twin(config: LatticeConfig, m: float) -> Field:
@@ -356,11 +347,11 @@ def continuum_twin(config: LatticeConfig, m: float) -> Field:
     bins whose centres bracket that point with linear weights, so the twin
     starts with the particles' mass and centre of mass.
     """
-    start = initial_state(config, m, 0)
-    site_centre = start.origin + (int(np.argmax(start.occupancy)) + 0.5) * start.spacing
-    grid = Grid(cells=(config.sites // config.cells_per_bin,), extent=(config.extent,), origin=(config.origin,))
+    spacing = config.extent / config.sites
+    site_centre = config.origin + (config.sites // 2 + 0.5) * spacing
+    grid = _bin_grid(config.sites, config.cells_per_bin, config.extent, config.origin)
     weights = np.clip(1.0 - np.abs(grid.axis_centers(0) - site_centre) / grid.h, 0.0, None)
-    mass = float(start.relative_density().sum()) * start.spacing
+    mass = config.particles / config.u_max * spacing
     zero = Field.full(grid, 0.0)
     initial = StateQuad(Field(grid, weights * (mass / grid.h)), zero, zero, zero, t=0.0)
     params = ModelParams(m=m, delta=1.0, mu=0.0, r=1.0, phi=ConstantSensitivity(0.0))

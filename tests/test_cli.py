@@ -628,21 +628,35 @@ class TestLatticeCommand:
             assert not out.exists()
 
     def test_run_dir_config_with_the_kernel_line_verifies_and_reruns_alike(self, tmp_path):
-        # a run directory's config.cfg written while the kernel option existed carries kernel = pushing
+        # a run directory's config.cfg written while the kernel and beta options existed carries
+        # kernel = pushing and beta = 0.0
         cfg = tmp_path / "both.cfg"
         cfg.write_text(TINY_CFG + LATTICE_CFG[LATTICE_CFG.index("[lattice]") - 1:] + "compare_pde = on\n")
         current, old = tmp_path / "current", tmp_path / "old"
         assert main(["run", "--config", str(cfg), "--out", str(current)]) == 0
         shutil.copytree(current, old)
         text = (old / "config.cfg").read_text()
-        assert "kernel" not in text
-        (old / "config.cfg").write_text(text.replace("beta = 0.0\n", "beta = 0.0\nkernel = pushing\n"))
+        assert "kernel" not in text and "beta" not in text and text.count("alpha = 1.0\n") == 1
+        (old / "config.cfg").write_text(text.replace("alpha = 1.0\n", "alpha = 1.0\nbeta = 0.0\nkernel = pushing\n"))
         for run_dir in (current, old):
             assert main(["verify", "--out", str(run_dir)]) == 0
             assert main(["lattice", "--config", str(run_dir / "config.cfg"), "--out", str(run_dir / "lat")]) == 0
         assert (old / "verify_report.csv").read_bytes() == (current / "verify_report.csv").read_bytes()
         for name in ("ensemble.csv", "compare.csv"):
             assert (old / "lat" / name).read_bytes() == (current / "lat" / name).read_bytes()
+
+    @pytest.mark.parametrize("command", ["run", "lattice"])
+    def test_drift_coefficient_is_config_error_naming_its_line(self, tmp_path, capsys, command):
+        # [lattice] beta is retired at 0: every lattice run has a flat signal, over which beta acts on nothing
+        text = LATTICE_CFG + "beta = 0.5\n"
+        cfg = tmp_path / "drift.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        line_no = len(text.splitlines())
+        message = "line %d: option lattice.beta was removed; chemofront always runs beta = 0.0, got '0.5'" % line_no
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_latticeless_config_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "plain.cfg"

@@ -143,7 +143,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=pattern):
             parse_config(text)
 
-    @pytest.mark.parametrize("line", ["kernel = pushing", "leap_fraction = 0.5", "leap_fraction = 5e-1"])
+    @pytest.mark.parametrize(
+        "line",
+        ["kernel = pushing", "leap_fraction = 0.5", "leap_fraction = 5e-1", "beta = 0.0", "beta = 0", "beta = -0.0"],
+    )
     def test_retired_lattice_keys_at_kept_values_are_ignored(self, line):
         text = MINIMAL + "\n[lattice]\nsites = 20\nu_max = 50\nparticles = 100\nt_end = 0.25\n"
         cfg = parse_config(text + line + "\n")
@@ -161,6 +164,16 @@ class TestParseConfig:
         key, value = line.split(" = ")
         pattern = r"line %d: option %s\.%s was removed; chemofront always runs %s = %s, got '%s'" % (
             line_no, section, key, key, kept, value)
+        with pytest.raises(ConfigError, match=pattern):
+            parse_config(text)
+
+    @pytest.mark.parametrize("value", ["0.5", "1.5", "-1e-300", "nan"])
+    def test_retired_lattice_beta_is_refused_on_its_line(self, value):
+        # every lattice run has a flat signal, so any drift coefficient but 0 would act on nothing
+        text = MINIMAL + "\n[lattice]\nsites = 20\nu_max = 50\nbeta = %s\nparticles = 100\nt_end = 0.25\n" % value
+        line_no = text.splitlines().index("beta = " + value) + 1
+        pattern = r"line %d: option lattice\.beta was removed; chemofront always runs beta = 0\.0, got '%s'" % (
+            line_no, value)
         with pytest.raises(ConfigError, match=pattern):
             parse_config(text)
 
@@ -419,7 +432,6 @@ u_max = 50
 particles = 200
 t_end = 0.125
 alpha = 1.0
-beta = 0.0
 seeds = 3
 cells_per_bin = 2
 extent = 1.0
@@ -442,6 +454,14 @@ def test_config_written_with_step_size_keys_parses_equal():
     old = FULL_CONFIG_TEXT.replace("t_end = 0.5\n", "t_end = 0.5\ncfl_safety = 0.25\n").replace(
         "cells_per_bin = 2\n", "cells_per_bin = 2\nleap_fraction = 0.5\n")
     assert old.count("cfl_safety") == old.count("leap_fraction") == 1
+    assert parse_config(old) == parse_config(FULL_CONFIG_TEXT)
+    assert serialize_config(parse_config(old)) == FULL_CONFIG_TEXT
+
+
+def test_config_written_with_beta_parses_equal():
+    # every config.cfg written while [lattice] beta was an option carries it at its default
+    old = FULL_CONFIG_TEXT.replace("alpha = 1.0\n", "alpha = 1.0\nbeta = 0.0\n")
+    assert old.count("beta") == 1
     assert parse_config(old) == parse_config(FULL_CONFIG_TEXT)
     assert serialize_config(parse_config(old)) == FULL_CONFIG_TEXT
 
@@ -478,7 +498,6 @@ def _lattices(draw):
         particles=draw(st.integers(1, 4 * u_max)),
         t_end=draw(_finite(0.0, 1e3, exclude_min=True)),
         alpha=draw(_finite(0.0)),
-        beta=draw(_finite(-1.0, 1.0)),
         seeds=draw(st.integers(1, 100)),
         cells_per_bin=cells_per_bin,
         extent=draw(_finite(0.0, 1e6, exclude_min=True)),

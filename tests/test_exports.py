@@ -39,6 +39,7 @@ PRUNED = [
     ("chemofront.diagnostics", "SteadyStateTargets"),
     ("chemofront", "steady_state_targets"),
     ("chemofront.diagnostics", "steady_state_targets"),
+    ("chemofront.lattice", "Member"),
 ]
 
 
