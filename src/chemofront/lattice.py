@@ -25,9 +25,10 @@ same rate and leap kernels.
 run_ensemble and continuum_twin run a [lattice] section: the members as the
 rows of one batched run, seeded by one generator default_rng(base_seed),
 and the matching continuum run.  The batch stays one array to the end:
-run_ensemble returns the members' coarse densities as one (seeds, bins)
-array, binned by the same arithmetic as coarse_density, on the bins' grid
-that continuum_twin runs on.  The CLI's lattice command and
+run_ensemble starts the members from one (members, sites) state and
+returns their coarse densities as one (seeds, bins) array, binned by the
+same arithmetic as coarse_density, on LatticeConfig.bins(), the grid that
+continuum_twin runs on.  The CLI's lattice command and
 scripts/lattice_vs_pde.py both use them.  A [lattice] section has no drift
 coefficient: initial_state gives every run a flat signal, over which beta
 would act on nothing, so LatticeState.beta keeps its default 0.
@@ -93,6 +94,10 @@ class LatticeConfig:
             raise ValueError("lattice extent must be finite and positive, got %r" % self.extent)
         if not math.isfinite(self.origin):
             raise ValueError("lattice origin must be finite, got %r" % self.origin)
+
+    def bins(self) -> Grid:
+        """The sites // cells_per_bin bins over [origin, origin + extent]: coarse densities' and twin's grid."""
+        return _bin_grid(self.sites, self.cells_per_bin, self.extent, self.origin)
 
 
 @dataclass(eq=False)
@@ -303,10 +308,11 @@ def coarse_density(s: LatticeState, cells_per_bin: int) -> Field:
     return Field(grid, _bin(s.relative_density(), cells_per_bin))
 
 
-def initial_state(config: LatticeConfig, m: float, seed: int) -> LatticeState:
-    """The state a [lattice] section starts from: every particle on the centre site, flat signal."""
-    occupancy = np.zeros(config.sites, dtype=np.int64)
-    occupancy[config.sites // 2] = config.particles
+def initial_state(config: LatticeConfig, m: float, seed: int, members: int | None = None) -> LatticeState:
+    """The start of a [lattice] section, one chain or members of them: all particles on the centre site, flat signal."""
+    shape = (config.sites,) if members is None else (members, config.sites)
+    occupancy = np.zeros(shape, dtype=np.int64)
+    occupancy[..., config.sites // 2] = config.particles
     return LatticeState(
         occupancy=occupancy,
         u_max=config.u_max,
@@ -322,19 +328,15 @@ def initial_state(config: LatticeConfig, m: float, seed: int) -> LatticeState:
 def run_ensemble(config: LatticeConfig, m: float, base_seed: int):
     """Run config.seeds members as the rows of one batched run_adaptive.
 
-    Returns (t, flags, density, centres): the time reached, the (seeds,)
-    capacity-violation counts, the (seeds, bins) coarse relative densities
-    and the (bins,) bin centres of continuum_twin's grid.  One generator,
-    default_rng(base_seed), draws every row; member i is row i and carries
-    the label base_seed + i.  A one-member ensemble is the run of
-    initial_state(config, m, base_seed).
+    Returns (t, flags, density): the time reached, the (seeds,)
+    capacity-violation counts and the (seeds, bins) coarse relative
+    densities on config.bins().  One generator, default_rng(base_seed),
+    draws every row; member i is row i and carries the label base_seed + i.
+    A one-member ensemble is the run of initial_state(config, m, base_seed).
     """
-    bins = _bin_grid(config.sites, config.cells_per_bin, config.extent, config.origin)
-    start = initial_state(config, m, base_seed)
-    batch = replace(start, occupancy=np.tile(start.occupancy, (config.seeds, 1)))
-    final, t, _ = run_adaptive(batch, config.t_end)
-    density = _bin(final.relative_density(), config.cells_per_bin)
-    return t, final.capacity_violations, density, bins.axis_centers(0)
+    start = initial_state(config, m, base_seed, members=config.seeds)
+    final, t, _ = run_adaptive(start, config.t_end)
+    return t, final.capacity_violations, _bin(final.relative_density(), config.cells_per_bin)
 
 
 def continuum_twin(config: LatticeConfig, m: float) -> Field:
@@ -349,7 +351,7 @@ def continuum_twin(config: LatticeConfig, m: float) -> Field:
     """
     spacing = config.extent / config.sites
     site_centre = config.origin + (config.sites // 2 + 0.5) * spacing
-    grid = _bin_grid(config.sites, config.cells_per_bin, config.extent, config.origin)
+    grid = config.bins()
     weights = np.clip(1.0 - np.abs(grid.axis_centers(0) - site_centre) / grid.h, 0.0, None)
     mass = config.particles / config.u_max * spacing
     zero = Field.full(grid, 0.0)

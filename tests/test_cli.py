@@ -546,15 +546,23 @@ class TestLatticeCommand:
         cfg = tmp_path / "lat.cfg"
         cfg.write_text(LATTICE_CFG)
         out = tmp_path / "lat_out"
-        assert main(["lattice", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["lattice", "--config", str(cfg), "--out", str(out), "--seed", "40"]) == 0
         assert "2 seeds" in capsys.readouterr().out
         lines = (out / "ensemble.csv").read_text().splitlines()
         assert lines[0] == "seed,time,bin,center,density"
         assert len(lines) == 1 + 2 * (20 // 2)  # seeds times bins
-        # every recorded density is a multiple of one particle per bin
-        for ln in lines[1:]:
-            val = float(ln.split(",")[4])
-            assert val >= 0.0
+        rows = [ln.split(",") for ln in lines[1:]]
+        # member i is labelled --seed + i, and every member reaches the same time
+        assert [int(r[0]) for r in rows] == [40] * 10 + [41] * 10
+        assert len({r[1] for r in rows}) == 1 and float(rows[0][1]) == pytest.approx(0.05, rel=1e-12)
+        assert [int(r[2]) for r in rows] == list(range(10)) * 2
+        centres = [float(r[3]) for r in rows]
+        assert centres[:10] == centres[10:] == pytest.approx([0.05 + 0.1 * b for b in range(10)], rel=1e-14)
+        # each member holds all 150 particles: its 10 bins of 2 sites sum to 150 / 50 / 2
+        for member in (rows[:10], rows[10:]):
+            densities = [float(r[4]) for r in member]
+            assert min(densities) >= 0.0
+            assert sum(densities) == pytest.approx(1.5, rel=1e-12)
 
     def test_compare_writes_distance_table(self, tmp_path, capsys):
         cfg = tmp_path / "lat.cfg"
@@ -565,6 +573,9 @@ class TestLatticeCommand:
         lines = (out / "compare.csv").read_text().splitlines()
         assert lines[0] == "bin,center,lattice_mean,continuum,abs_diff"
         assert len(lines) == 1 + 10
+        # the comparison uses the ensemble's bin centres, byte for byte
+        ensemble = (out / "ensemble.csv").read_text().splitlines()[1:11]
+        assert [ln.split(",")[1] for ln in lines[1:]] == [ln.split(",")[3] for ln in ensemble]
 
     def test_impossible_tolerance_fails_with_exit_3(self, tmp_path, capsys):
         cfg = tmp_path / "lat.cfg"

@@ -331,7 +331,7 @@ class TestEnsemble:
         config = dataclasses.replace(self.CONFIG, seeds=1)
         state, t, steps = run_adaptive(initial_state(config, 2.0, 40), config.t_end)
         runs = self._spy(monkeypatch, "run_adaptive")
-        t_member, flags, density, centres = run_ensemble(config, 2.0, 40)
+        t_member, flags, density = run_ensemble(config, 2.0, 40)
         final, t_batch, steps_batch = runs[0][1]
         assert final.occupancy.shape == (1, 20)
         assert np.array_equal(final.occupancy[0], state.occupancy)
@@ -342,11 +342,11 @@ class TestEnsemble:
         single = coarse_density(state, 2)
         assert density.shape == (1, 10)
         assert np.array_equal(density[0], single.values)
-        assert np.array_equal(centres, single.grid.axis_centers(0))
+        assert np.array_equal(config.bins().axis_centers(0), single.grid.axis_centers(0))
 
     def test_members_conserve_particles_inside_the_leap_condition(self, monkeypatch):
         leaps = self._spy(monkeypatch, "_leap")
-        _, flags, density, _ = run_ensemble(self.CONFIG, 2.0, 40)
+        _, flags, density = run_ensemble(self.CONFIG, 2.0, 40)
         assert flags.shape == (3,) and density.shape == (3, 10)
         assert len(leaps) > 10
         for (occ, left, right, dt, *_), (new, new_flags) in leaps:
@@ -366,8 +366,8 @@ class TestEnsemble:
 
     def test_same_seed_gives_the_same_bytes(self):
         def digest(batch):
-            t, flags, density, centres = batch
-            return t, flags.tobytes(), density.tobytes(), centres.tobytes()
+            t, flags, density = batch
+            return t, flags.tobytes(), density.tobytes()
 
         first = digest(run_ensemble(self.CONFIG, 2.0, 40))
         assert digest(run_ensemble(self.CONFIG, 2.0, 40)) == first
@@ -379,8 +379,20 @@ class TestEnsemble:
         run_ensemble(self.CONFIG, 2.0, 40)
         assert len(runs) == 1
         (batch, t_end), _ = runs[0]
-        assert batch.occupancy.shape == (3, 20)
+        assert np.array_equal(batch.occupancy, np.tile(initial_state(self.CONFIG, 2.0, 40).occupancy, (3, 1)))
         assert t_end == self.CONFIG.t_end
+
+    def test_run_ensemble_builds_the_start_and_the_final_state_only(self, monkeypatch):
+        built = []
+        check = LatticeState.__post_init__
+
+        def counted(state):
+            built.append(state.occupancy.shape)
+            check(state)
+
+        monkeypatch.setattr(LatticeState, "__post_init__", counted)
+        run_ensemble(self.CONFIG, 2.0, 40)
+        assert built == [(3, 20), (3, 20)]
 
     def test_batched_mean_matches_the_continuum_moments(self):
         """Mass-normalised L1 and moments of the criterion-09 ensemble (3 members).
@@ -421,6 +433,7 @@ class TestEnsemble:
         assert twin.grid.cells == (10,)
         assert twin.grid.extent == (2.0,)
         assert twin.grid.origin == (-1.0,)
+        assert twin.grid == self.CONFIG.bins()
         u0 = coarse_density(initial_state(self.CONFIG, 2.0, 0), 2)
         assert twin.mass() == pytest.approx(u0.mass(), rel=1e-12)
 
