@@ -113,9 +113,9 @@ def _run_stats(result: solver.RunResult, wall_s: float) -> dict:
     }
 
 
-def _execute_run(cfg: RunConfig, base_dir: str, out_dir: str):
+def _execute_run(cfg: RunConfig, out_dir: str):
     """Integrate cfg and write config.cfg, history.csv, snapshots and run_stats.json to out_dir."""
-    state = config_io.build_initial_state(cfg, base_dir)
+    state = config_io.build_initial_state(cfg)
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.cfg"), "w", encoding="ascii") as fh:
         fh.write(config_io.serialize_config(cfg))
@@ -142,12 +142,11 @@ def _execute_run(cfg: RunConfig, base_dir: str, out_dir: str):
 
 def cmd_run(args) -> int:
     cfg = config_io.parse_config_file(args.config)
-    base_dir = os.path.dirname(os.path.abspath(args.config))
     if args.out is not None:
         cfg = dataclasses.replace(cfg, out_dir=args.out)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    result, n_snaps = _execute_run(cfg, base_dir, cfg.out_dir)
+    result, n_snaps = _execute_run(cfg, cfg.out_dir)
     print(
         "run: %d steps to t=%.6g, %d history rows, %d snapshots in %s"
         % (result.steps, result.final.t, len(result.history["t"]), n_snaps, cfg.out_dir)
@@ -342,9 +341,9 @@ def _sweep_worker(job):
     A failing case returns its error instead of raising, so the other cases
     and the manifest survive it.
     """
-    cfg, base_dir, out_dir = job
+    cfg, out_dir = job
     try:
-        result, _ = _execute_run(cfg, base_dir, out_dir)
+        result, _ = _execute_run(cfg, out_dir)
     except _CASE_FAILURES as exc:
         return "%s: %s" % (type(exc).__name__, exc)
     return result.final.t, result.steps, float(np.max(result.final.u.values))
@@ -354,7 +353,6 @@ def cmd_sweep(args) -> int:
     cfg = config_io.parse_config_file(args.config)
     if not cfg.sweep:
         raise _UsageError("config %s has no [sweep] section" % args.config)
-    base_dir = os.path.dirname(os.path.abspath(args.config))
     base_out = args.out if args.out is not None else cfg.out_dir
     base_seed = args.seed if args.seed is not None else cfg.seed
     os.makedirs(base_out, exist_ok=True)
@@ -372,7 +370,7 @@ def cmd_sweep(args) -> int:
             case = _apply_override(case, key, value)
         case = dataclasses.replace(case, sweep={}, out_dir=".", seed=base_seed + idx)
         sub = os.path.join(base_out, "case_%04d" % idx)
-        jobs.append((case, base_dir, sub))
+        jobs.append((case, sub))
 
     # a process pool forks all of its workers at once, so it never gets more than there are cases
     workers = min(max(1, args.workers), len(jobs))

@@ -13,12 +13,13 @@ are parsed and written by hand.
 
 Options that only ever held one value were removed (_RETIRED): the solver's
 clip_negative, chemo_upwind, v_z_stepper and cfl_safety, the lattice's
-kernel, leap_fraction and beta (every lattice run has a flat signal, so
-its drift coefficient acted on nothing), the model's eps_reg, and
-check_lower and check_upper, the only keys [oracles] had.  Config files
+kernel, leap_fraction, beta (every lattice run has a flat signal, so its
+drift coefficient acted on nothing) and alpha (it scaled every rate, and so
+every leap dt, which made it a second name for t_end), the model's eps_reg,
+and check_lower and check_upper, the only keys [oracles] had.  Config files
 written before, every run directory's config.cfg among them, still carry
 them at the kept values (on, on, semi-implicit, 0.25, pushing, 0.5, 0.0,
-0.0, on, on); such a line is read and ignored, any other value is an
+1.0, 0.0, on, on); such a line is read and ignored, any other value is an
 error.  The solver's dt_max, never written to a config.cfg, is an unknown
 key.
 
@@ -59,7 +60,6 @@ __all__ = [
     "BumpInit",
     "ConstantInit",
     "SnapshotInit",
-    "LatticeConfig",
     "RunConfig",
     "parse_config",
     "parse_config_file",
@@ -97,7 +97,7 @@ class BumpInit:
     radius: float
     height: float
 
-    def build(self, grid: Grid, base_dir: str) -> np.ndarray:
+    def build(self, grid: Grid) -> np.ndarray:
         if len(self.center) != grid.dim:
             raise ConfigError("bump center needs %d coordinates" % grid.dim)
         d2 = grid.center_distance2(self.center)
@@ -108,17 +108,17 @@ class BumpInit:
 class ConstantInit:
     value: float
 
-    def build(self, grid: Grid, base_dir: str) -> np.ndarray:
+    def build(self, grid: Grid) -> np.ndarray:
         return np.full(grid.cells, self.value)
 
 
 @dataclass(frozen=True)
 class SnapshotInit:
-    path: str
+    path: str  # resolved at parse time, so a run's config.cfg names the file the run read
     field_name: str
 
-    def build(self, grid: Grid, base_dir: str) -> np.ndarray:
-        state = read_snapshot(os.path.join(base_dir, self.path), origin=grid.origin)
+    def build(self, grid: Grid) -> np.ndarray:
+        state = read_snapshot(self.path, origin=grid.origin)
         if state.grid != grid:
             raise ConfigError(
                 "snapshot %r grid %r does not match configured grid %r"
@@ -175,6 +175,7 @@ _RETIRED = {
     ("lattice", "kernel"): ("str", "pushing"),
     ("lattice", "leap_fraction"): ("float", 0.5),
     ("lattice", "beta"): ("float", 0.0),
+    ("lattice", "alpha"): ("float", 1.0),
     ("model", "eps_reg"): ("float", 0.0),
     ("oracles", "check_lower"): ("bool", True),
     ("oracles", "check_upper"): ("bool", True),
@@ -348,15 +349,16 @@ def _parse_initial(value: str, line_no: int, where: str, dim: int, base_dir: str
                 raise ConfigError("line %d: bump height must be >= 0" % line_no)
             return BumpInit(center, radius, height)
         if parts[0] == "snapshot":
-            if len(parts) != 3 or parts[2] not in FIELD_ORDER:
+            # the path is everything between the keyword and the field name, spaces included
+            if len(parts) < 3 or parts[-1] not in FIELD_ORDER:
                 raise ConfigError(
                     "line %d: snapshot initial takes a path and a field name (u/v/w/z)" % line_no
                 )
-            path = parts[1]
-            full = os.path.join(base_dir, path)
-            if not os.path.exists(full):
-                raise ConfigError("line %d: snapshot path %r does not exist" % (line_no, full))
-            return SnapshotInit(path, parts[2])
+            name = value.split(None, 1)[1].rsplit(None, 1)[0]
+            path = os.path.abspath(os.path.join(base_dir, name))
+            if not os.path.exists(path):
+                raise ConfigError("line %d: snapshot path %r does not exist" % (line_no, path))
+            return SnapshotInit(path, parts[-1])
     except ConfigError:
         raise
     except (IndexError, ValueError) as exc:
@@ -513,12 +515,10 @@ def serialize_config(cfg: RunConfig) -> str:
     return out.getvalue()
 
 
-
-
-def build_initial_state(cfg: RunConfig, base_dir: str = ".") -> StateQuad:
+def build_initial_state(cfg: RunConfig) -> StateQuad:
     fields = {}
     for name in FIELD_ORDER:
-        values = cfg.initial[name].build(cfg.grid, base_dir)
+        values = cfg.initial[name].build(cfg.grid)
         if np.any(values < 0.0):
             raise ConfigError("initial %s must be nonnegative" % name)
         fields[name] = Field(cfg.grid, values)

@@ -31,7 +31,10 @@ same arithmetic as coarse_density, on LatticeConfig.bins(), the grid that
 continuum_twin runs on.  The CLI's lattice command and
 scripts/lattice_vs_pde.py both use them.  A [lattice] section has no drift
 coefficient: initial_state gives every run a flat signal, over which beta
-would act on nothing, so LatticeState.beta keeps its default 0.
+would act on nothing, so LatticeState.beta keeps its default 0.  Nor has it
+a rate scale: every rate carries alpha and the leap dt is sized from the
+largest rate, so a walk run to t_end draws the leap probabilities of
+alpha = 1 run to alpha * t_end; LatticeState.alpha keeps its default 1.
 """
 from __future__ import annotations
 
@@ -67,7 +70,6 @@ class LatticeConfig:
     u_max: int
     particles: int
     t_end: float
-    alpha: float = 1.0
     seeds: int = 1
     cells_per_bin: int = 1
     extent: float = 1.0
@@ -79,8 +81,6 @@ class LatticeConfig:
             raise ValueError("lattice sites, u_max and particles must be positive")
         if not (0.0 < self.t_end < math.inf):
             raise ValueError("lattice t_end must be finite and positive, got %r" % self.t_end)
-        if not (self.alpha >= 0.0):
-            raise ValueError("lattice alpha must be >= 0, got %r" % self.alpha)
         if self.particles > OVERFLOW_FACTOR * self.u_max:
             raise ValueError(
                 "lattice particles %d exceed the overflow cap %d = %d * u_max; all start on the centre site"
@@ -88,8 +88,13 @@ class LatticeConfig:
             )
         if self.seeds < 1:
             raise ValueError("lattice needs at least one seed")
+        if self.cells_per_bin < 1:
+            raise ValueError("lattice cells_per_bin must be >= 1, got %d" % self.cells_per_bin)
         if self.sites % self.cells_per_bin != 0:
             raise ValueError("cells_per_bin must divide sites")
+        if self.sites // self.cells_per_bin < 4:
+            raise ValueError("lattice needs at least 4 bins, got %d = sites // cells_per_bin"
+                             % (self.sites // self.cells_per_bin))
         if not (0.0 < self.extent < math.inf):
             raise ValueError("lattice extent must be finite and positive, got %r" % self.extent)
         if not math.isfinite(self.origin):
@@ -318,7 +323,6 @@ def initial_state(config: LatticeConfig, m: float, seed: int, members: int | Non
         u_max=config.u_max,
         v=np.zeros(config.sites),
         m=m,
-        alpha=config.alpha,
         seed=seed,
         spacing=config.extent / config.sites,
         origin=config.origin,
@@ -343,11 +347,10 @@ def continuum_twin(config: LatticeConfig, m: float) -> Field:
     """Final density of the continuum run that the ensemble mean should match.
 
     Pure degenerate diffusion of the relative density (the drift vanishes over
-    a flat signal) on the coarse grid to alpha * t_end: every per-particle
-    rate carries a factor alpha, the PDE not.  It starts from the particles'
-    mound, whose mass sits on the centre of one site, split between the two
-    bins whose centres bracket that point with linear weights, so the twin
-    starts with the particles' mass and centre of mass.
+    a flat signal, and alpha = 1) on the coarse grid to t_end.  It starts
+    from the particles' mound, whose mass sits on the centre of one site,
+    split between the two bins whose centres bracket that point with linear
+    weights, so the twin starts with the particles' mass and centre of mass.
     """
     spacing = config.extent / config.sites
     site_centre = config.origin + (config.sites // 2 + 0.5) * spacing
@@ -357,5 +360,5 @@ def continuum_twin(config: LatticeConfig, m: float) -> Field:
     zero = Field.full(grid, 0.0)
     initial = StateQuad(Field(grid, weights * (mass / grid.h)), zero, zero, zero, t=0.0)
     params = ModelParams(m=m, delta=1.0, mu=0.0, r=1.0, phi=ConstantSensitivity(0.0))
-    pde_config = solver.SolverConfig(t_end=config.alpha * config.t_end, output_stride=10**9)
+    pde_config = solver.SolverConfig(t_end=config.t_end, output_stride=10**9)
     return solver.run(initial, params, pde_config).final.u

@@ -25,6 +25,7 @@ __all__ = [
     "ConstructionError",
     "ProfileParams",
     "barenblatt",
+    "barenblatt_support_radius",
     "select_lower_profile",
     "lower_profile_branches",
     "select_upper_profile",

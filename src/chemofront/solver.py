@@ -58,6 +58,9 @@ __all__ = [
     "RunResult",
     "BINDING_TERMS",
     "cfl_dt",
+    "peak_coordinate",
+    "max_abs_gradient",
+    "max_abs_laplacian",
     "diffusive_flux",
     "chemotactic_flux",
     "step",

@@ -217,6 +217,21 @@ class TestRunCommand:
         assert "snapshot error: " + SNAPSHOT_DAMAGE[damage] % snap in capsys.readouterr().err
         assert not out.exists()
 
+    def test_run_from_a_relative_snapshot_verifies_and_reruns_alike(self, tiny_run, tmp_path):
+        # config.cfg names the snapshot resolved against the original config's directory,
+        # so verify and a rerun from the run directory read the file the run read, spaces and all
+        source = tmp_path / "old configs"
+        source.mkdir()
+        shutil.copy(sorted(tiny_run["out"].glob("snap_*.bin"))[-1], source / "late.bin")
+        cfg = source / "relax.cfg"
+        cfg.write_text(TINY_CFG.replace("u = bump 0.0 0.25 0.5", "u = snapshot late.bin u"))
+        run_dir, again = tmp_path / "runs" / "relax", tmp_path / "again"
+        assert main(["run", "--config", str(cfg), "--out", str(run_dir)]) == 0
+        assert "u = snapshot %s u\n" % (source / "late.bin") in (run_dir / "config.cfg").read_text()
+        assert main(["verify", "--out", str(run_dir)]) == 0
+        assert main(["run", "--config", str(run_dir / "config.cfg"), "--out", str(again)]) == 0
+        assert (again / "history.csv").read_bytes() == (run_dir / "history.csv").read_bytes()
+
     def test_broken_config_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[model]\nm = fast\n")
@@ -639,16 +654,16 @@ class TestLatticeCommand:
             assert not out.exists()
 
     def test_run_dir_config_with_the_kernel_line_verifies_and_reruns_alike(self, tmp_path):
-        # a run directory's config.cfg written while the kernel and beta options existed carries
-        # kernel = pushing and beta = 0.0
+        # a run directory's config.cfg written while the kernel, alpha and beta options existed carries
+        # kernel = pushing, alpha = 1.0 and beta = 0.0
         cfg = tmp_path / "both.cfg"
         cfg.write_text(TINY_CFG + LATTICE_CFG[LATTICE_CFG.index("[lattice]") - 1:] + "compare_pde = on\n")
         current, old = tmp_path / "current", tmp_path / "old"
         assert main(["run", "--config", str(cfg), "--out", str(current)]) == 0
         shutil.copytree(current, old)
         text = (old / "config.cfg").read_text()
-        assert "kernel" not in text and "beta" not in text and text.count("alpha = 1.0\n") == 1
-        (old / "config.cfg").write_text(text.replace("alpha = 1.0\n", "alpha = 1.0\nbeta = 0.0\nkernel = pushing\n"))
+        assert "kernel" not in text and "beta" not in text and "alpha" not in text and text.count("seeds = 2\n") == 1
+        (old / "config.cfg").write_text(text.replace("seeds = 2\n", "alpha = 1.0\nbeta = 0.0\nkernel = pushing\nseeds = 2\n"))
         for run_dir in (current, old):
             assert main(["verify", "--out", str(run_dir)]) == 0
             assert main(["lattice", "--config", str(run_dir / "config.cfg"), "--out", str(run_dir / "lat")]) == 0
@@ -667,6 +682,23 @@ class TestLatticeCommand:
         line_no = len(text.splitlines())
         message = "line %d: option lattice.beta was removed; chemofront always runs beta = 0.0, got '0.5'" % line_no
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sites, cells_per_bin, message", [
+        (20, 0, "lattice cells_per_bin must be >= 1, got 0"),
+        (200, -5, "lattice cells_per_bin must be >= 1, got -5"),  # 200 % -5 == 0
+        (6, 2, "lattice needs at least 4 bins, got 3 = sites // cells_per_bin"),
+    ])
+    @pytest.mark.parametrize("command", ["run", "lattice"])
+    def test_bins_the_coarse_grid_cannot_hold_are_config_errors(
+            self, tmp_path, capsys, command, sites, cells_per_bin, message):
+        # refused when the record is built, so run (which never uses the section) refuses them too
+        cfg = tmp_path / "bins.cfg"
+        cfg.write_text(LATTICE_CFG.replace("sites = 20\n", "sites = %d\n" % sites).replace(
+            "cells_per_bin = 2\n", "cells_per_bin = %d\n" % cells_per_bin))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert "config error: " + message in capsys.readouterr().err
         assert not out.exists()
 
     def test_latticeless_config_is_usage_error(self, tmp_path, capsys):

@@ -12,7 +12,6 @@ from chemofront.config_io import (
     ConfigError,
     ConstantInit,
     HistoryCsvWriter,
-    LatticeConfig,
     RunConfig,
     SnapshotError,
     SnapshotInit,
@@ -26,6 +25,7 @@ from chemofront.config_io import (
     write_snapshot,
 )
 from chemofront.diagnostics import HISTORY_COLUMNS
+from chemofront.lattice import LatticeConfig
 from chemofront.model import (
     ConstantSensitivity,
     Field,
@@ -145,7 +145,8 @@ class TestParseConfig:
 
     @pytest.mark.parametrize(
         "line",
-        ["kernel = pushing", "leap_fraction = 0.5", "leap_fraction = 5e-1", "beta = 0.0", "beta = 0", "beta = -0.0"],
+        ["kernel = pushing", "leap_fraction = 0.5", "leap_fraction = 5e-1", "beta = 0.0", "beta = 0", "beta = -0.0",
+         "alpha = 1.0", "alpha = 1", "alpha = 1e0"],
     )
     def test_retired_lattice_keys_at_kept_values_are_ignored(self, line):
         text = MINIMAL + "\n[lattice]\nsites = 20\nu_max = 50\nparticles = 100\nt_end = 0.25\n"
@@ -167,13 +168,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=pattern):
             parse_config(text)
 
-    @pytest.mark.parametrize("value", ["0.5", "1.5", "-1e-300", "nan"])
-    def test_retired_lattice_beta_is_refused_on_its_line(self, value):
+    @pytest.mark.parametrize(
+        "key, kept, value",
         # every lattice run has a flat signal, so any drift coefficient but 0 would act on nothing
-        text = MINIMAL + "\n[lattice]\nsites = 20\nu_max = 50\nbeta = %s\nparticles = 100\nt_end = 0.25\n" % value
-        line_no = text.splitlines().index("beta = " + value) + 1
-        pattern = r"line %d: option lattice\.beta was removed; chemofront always runs beta = 0\.0, got '%s'" % (
-            line_no, value)
+        [("beta", "0.0", v) for v in ("0.5", "1.5", "-1e-300", "nan")]
+        # alpha scaled every rate and so every leap dt: a walk with alpha to t_end is alpha = 1 to alpha * t_end
+        + [("alpha", "1.0", v) for v in ("-0.5", "0.0", "2.0", "1.0000000000000002", "nan")],
+    )
+    def test_retired_lattice_coefficients_are_refused_on_their_line(self, key, kept, value):
+        line = "%s = %s" % (key, value)
+        text = MINIMAL + "\n[lattice]\nsites = 20\nu_max = 50\n%s\nparticles = 100\nt_end = 0.25\n" % line
+        line_no = text.splitlines().index(line) + 1
+        pattern = r"line %d: option lattice\.%s was removed; chemofront always runs %s = %s, got '%s'" % (
+            line_no, key, key, re.escape(kept), value)
         with pytest.raises(ConfigError, match=pattern):
             parse_config(text)
 
@@ -390,8 +397,10 @@ class TestSerializeRoundTrip:
         text = MINIMAL.replace("cells = 16", "cells = 8").replace("extent = 2.0", "extent = 1.0")
         text = text.replace("u = constant 0.5", "u = snapshot seed.bin u")
         cfg = parse_config(text, base_dir=str(tmp_path))
-        assert cfg.initial["u"] == SnapshotInit("seed.bin", "u")
-        again = parse_config(serialize_config(cfg), base_dir=str(tmp_path))
+        # the path is stored resolved, so the written config names the file wherever it is parsed
+        assert cfg.initial["u"] == SnapshotInit(str(tmp_path / "seed.bin"), "u")
+        assert "u = snapshot %s u\n" % (tmp_path / "seed.bin") in serialize_config(cfg)
+        again = parse_config(serialize_config(cfg), base_dir=str(tmp_path / "elsewhere"))
         assert again.initial["u"] == cfg.initial["u"]
 
 
@@ -431,7 +440,6 @@ sites = 24
 u_max = 50
 particles = 200
 t_end = 0.125
-alpha = 1.0
 seeds = 3
 cells_per_bin = 2
 extent = 1.0
@@ -458,10 +466,10 @@ def test_config_written_with_step_size_keys_parses_equal():
     assert serialize_config(parse_config(old)) == FULL_CONFIG_TEXT
 
 
-def test_config_written_with_beta_parses_equal():
-    # every config.cfg written while [lattice] beta was an option carries it at its default
-    old = FULL_CONFIG_TEXT.replace("alpha = 1.0\n", "alpha = 1.0\nbeta = 0.0\n")
-    assert old.count("beta") == 1
+def test_config_written_with_alpha_and_beta_parses_equal():
+    # every config.cfg written while [lattice] alpha and beta were options carries them at their defaults
+    old = FULL_CONFIG_TEXT.replace("t_end = 0.125\n", "t_end = 0.125\nalpha = 1.0\nbeta = 0.0\n")
+    assert old.count("alpha") == old.count("beta") == 1
     assert parse_config(old) == parse_config(FULL_CONFIG_TEXT)
     assert serialize_config(parse_config(old)) == FULL_CONFIG_TEXT
 
@@ -493,11 +501,10 @@ def _lattices(draw):
     cells_per_bin = draw(st.integers(1, 8))
     u_max = draw(st.integers(1, 10**6))
     return LatticeConfig(
-        sites=cells_per_bin * draw(st.integers(2, 50)),
+        sites=cells_per_bin * draw(st.integers(4, 50)),  # a record needs at least 4 bins
         u_max=u_max,
         particles=draw(st.integers(1, 4 * u_max)),
         t_end=draw(_finite(0.0, 1e3, exclude_min=True)),
-        alpha=draw(_finite(0.0)),
         seeds=draw(st.integers(1, 100)),
         cells_per_bin=cells_per_bin,
         extent=draw(_finite(0.0, 1e6, exclude_min=True)),
@@ -534,7 +541,8 @@ class TestParseConfigFile:
         text = MINIMAL.replace("u = constant 0.5", "u = snapshot prev.bin u")
         (tmp_path / "run.cfg").write_text(text, encoding="ascii")
         cfg = parse_config_file(str(tmp_path / "run.cfg"))
-        built = build_initial_state(cfg, base_dir=str(tmp_path))
+        assert cfg.initial["u"] == SnapshotInit(str(tmp_path / "prev.bin"), "u")
+        built = build_initial_state(cfg)
         assert np.all(built.u.values == 0.25)
 
 

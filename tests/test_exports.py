@@ -1,19 +1,25 @@
-"""Every name in the package's and each submodule's __all__ must resolve,
-and every name the benchmark's tracer hooks must exist."""
+"""Each public name is declared once, in its module's __all__, and resolves
+there; the package itself re-exports nothing and imports no submodule; and
+every name the benchmark's tracer hooks must exist and be reached."""
 
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import chemofront
+from chemofront import cli
 
 # __main__ runs the CLI when imported
-MODULES = ["chemofront"] + [
+SUBMODULES = [
     "chemofront." + info.name for info in pkgutil.iter_modules(chemofront.__path__) if info.name != "__main__"
 ]
+MODULES = ["chemofront"] + SUBMODULES
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -22,6 +28,42 @@ def test_export_list_resolves(name):
     exported = list(getattr(module, "__all__", ()))
     assert len(set(exported)) == len(exported), "duplicate names in %s.__all__" % name
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def _public(name):
+    return getattr(importlib.import_module(name), "__all__", ())
+
+
+def test_each_public_name_is_declared_in_one_module():
+    owners = {}
+    for name in SUBMODULES:
+        for attr in _public(name):
+            owners.setdefault(attr, []).append(name)
+    assert {attr: names for attr, names in owners.items() if len(names) > 1} == {}
+
+
+def test_the_package_reexports_no_public_name():
+    assert not hasattr(chemofront, "__all__")
+    assert [(name, attr) for name in SUBMODULES for attr in _public(name) if hasattr(chemofront, attr)] == []
+
+
+def _loaded_by(statement):
+    """The chemofront submodules a fresh interpreter holds after running statement."""
+    code = "import sys; %s; print(*sorted(m for m in sys.modules if m.startswith('chemofront.')))" % statement
+    src = str(Path(chemofront.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    return set(proc.stdout.split())
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert _loaded_by("import chemofront") == set()
+
+
+def test_importing_the_lattice_loads_only_what_it_uses():
+    loaded = _loaded_by("import chemofront.lattice")
+    assert "chemofront.lattice" in loaded
+    assert loaded & {"chemofront.cli", "chemofront.config_io", "chemofront.profiles"} == set()
 
 
 # names deleted from the public surface, with the module that exported them
@@ -72,3 +114,45 @@ def test_benchmark_hooks_exist():
     missing = ["%s.%s" % hook for hook in called if lookup(*hook) is None]
     missing += ["%s.%s" % hook for hook in tracer.COUNTED if not hasattr(lookup(*hook), "__post_init__")]
     assert missing == []
+
+
+PROBE_CFG = """\
+[model]
+m = 2.0
+
+[grid]
+dim = 1
+cells = 16
+extent = 2.0
+
+[solver]
+t_end = 0.05
+
+[initial]
+u = bump 1.0 0.25 0.5
+
+[lattice]
+sites = 20
+u_max = 50
+particles = 150
+t_end = 0.05
+"""
+
+
+class _Reached(Exception):
+    """Raised by the stand-in for a function the setup_s probe stops at; main() catches no such error."""
+
+
+@pytest.mark.parametrize("command, module, attr", [("run", "solver", "run"), ("lattice", "lattice", "run_adaptive")])
+def test_commands_reach_the_probe_targets_through_their_modules(tmp_path, monkeypatch, command, module, attr):
+    """--ready-at replaces the module attribute, so a command that bound the
+    function by name would never stop there and setup_s would time it whole."""
+
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    monkeypatch.setattr(importlib.import_module("chemofront." + module), attr, reached)
+    cfg = tmp_path / "probe.cfg"
+    cfg.write_text(PROBE_CFG)
+    with pytest.raises(_Reached):
+        cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])

@@ -78,7 +78,9 @@ class TestLatticeConfig:
             ({"origin": float("nan")}, "origin"),
             ({"origin": float("-inf")}, "origin"),
             ({"cells_per_bin": 3}, "cells_per_bin must divide sites"),
-            ({"alpha": -0.5}, "alpha"),
+            ({"cells_per_bin": 0}, "cells_per_bin must be >= 1, got 0"),
+            ({"cells_per_bin": -5}, "cells_per_bin must be >= 1, got -5"),
+            ({"sites": 6, "cells_per_bin": 2}, "at least 4 bins, got 3"),
             ({"particles": 201}, "overflow cap 200"),
         ],
     )
