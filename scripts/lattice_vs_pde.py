@@ -43,7 +43,7 @@ def main(argv=None):
             extent=args.extent,
             origin=-args.extent / 2.0,
         )
-        _, _, density = lat.run_ensemble(config, args.m, args.seed)
+        density = lat.run_ensemble(config, args.m, args.seed).density
         # the continuum run starts with the particles' mass and centre of mass, not the ideal delta
         twin = lat.continuum_twin(config, args.m)
         l1 = float(np.abs(density.mean(axis=0) - twin.values).sum()) * twin.grid.cell_volume

@@ -97,17 +97,29 @@ def _build_parser() -> _Parser:
 # --- run --------------------------------------------------------------------
 
 
+def _dt_stats(dts: np.ndarray):
+    """min, median and max of the step sizes, or None for a run of no steps."""
+    dts = np.sort(dts)  # np.median would import numpy.ma, 1.4 MB of resident memory
+    n = dts.size
+    if n == 0:
+        return None
+    return {"min": float(dts[0]), "median": float(0.5 * (dts[(n - 1) // 2] + dts[n // 2])), "max": float(dts[-1])}
+
+
+def _write_json(path: str, record: dict) -> None:
+    with open(path, "w", encoding="ascii") as fh:
+        json.dump(record, fh, indent=1)
+        fh.write("\n")
+
+
 def _run_stats(result: solver.RunResult, wall_s: float) -> dict:
     """The run_stats.json record: why the run took the steps it did, and what they cost."""
-    dts = np.sort(result.dts)  # np.median would import numpy.ma, 1.4 MB of resident memory
-    n = dts.size
     return {
         "steps": result.steps,
         "stages": result.stages,
         "wall_s": wall_s,
         "steps_per_s": result.steps / wall_s,
-        "dt": None if n == 0 else {
-            "min": float(dts[0]), "median": float(0.5 * (dts[(n - 1) // 2] + dts[n // 2])), "max": float(dts[-1])},
+        "dt": _dt_stats(result.dts),
         "bound_by": result.bound_by,
         "clipped_mass": result.total_clipped,
     }
@@ -134,9 +146,7 @@ def _execute_run(cfg: RunConfig, out_dir: str):
     finally:
         writer.close()
     wall_s = time.perf_counter() - t0
-    with open(os.path.join(out_dir, "run_stats.json"), "w", encoding="ascii") as fh:
-        json.dump(_run_stats(result, wall_s), fh, indent=1)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "run_stats.json"), _run_stats(result, wall_s))
     return result, emitted[0]
 
 
@@ -454,6 +464,18 @@ def cmd_fit(args) -> int:
 # --- lattice ----------------------------------------------------------------
 
 
+def _lattice_stats(run: lattice_mod.EnsembleRun, base_seed: int) -> dict:
+    """The lattice_stats.json record: how many leaps the ensemble took, how large, and its capacity use."""
+    return {
+        "leaps": int(run.dts.size),
+        "t_reached": run.t,
+        "dt": _dt_stats(run.dts),
+        "seeds": [base_seed + i for i in range(run.flags.size)],
+        "capacity_flags": run.flags.tolist(),
+        "capacity_site_time": run.flag_time.tolist(),
+    }
+
+
 def cmd_lattice(args) -> int:
     # nan would switch the check off (l1 > nan is false) and a negative tolerance would fail every run
     if args.tol_l1 is not None and not (0.0 <= args.tol_l1 < math.inf):
@@ -470,16 +492,17 @@ def cmd_lattice(args) -> int:
         raise _UsageError("the lattice seed must be >= 0, got %d from %s" % (base_seed, source))
     centers = lat.bins().axis_centers(0)  # both CSVs write these centres
     os.makedirs(out_dir, exist_ok=True)
-    t, flags, density = lattice_mod.run_ensemble(lat, m, base_seed)
+    run = lattice_mod.run_ensemble(lat, m, base_seed)
     with open(os.path.join(out_dir, "ensemble.csv"), "w", encoding="ascii") as fh:
         fh.write("seed,time,bin,center,density\n")
-        for i, row in enumerate(density):
+        for i, row in enumerate(run.density):
             for b, (x, val) in enumerate(zip(centers, row)):
-                fh.write("%d,%.17g,%d,%.17g,%.17g\n" % (base_seed + i, t, b, x, val))
-    mean = density.mean(axis=0)
+                fh.write("%d,%.17g,%d,%.17g,%.17g\n" % (base_seed + i, run.t, b, x, val))
+    _write_json(os.path.join(out_dir, "lattice_stats.json"), _lattice_stats(run, base_seed))
+    mean = run.density.mean(axis=0)
     print(
         "lattice: %d seeds, %d sites, %d capacity flags, ensemble.csv in %s"
-        % (lat.seeds, lat.sites, flags.sum(), out_dir)
+        % (lat.seeds, lat.sites, run.flags.sum(), out_dir)
     )
 
     if not lat.compare_pde and args.tol_l1 is None:

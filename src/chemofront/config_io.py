@@ -23,6 +23,11 @@ them at the kept values (on, on, semi-implicit, 0.25, pushing, 0.5, 0.0,
 error.  The solver's dt_max, never written to a config.cfg, is an unknown
 key.
 
+An [initial] snapshot path is resolved against the config's directory at
+parse time and written resolved into config.cfg.  A resolved path that
+holds `#` is refused on its line, because the `#` would start a comment
+when config.cfg is read back.
+
 Snapshots are a 6-line ASCII header (magic, dim, cells per axis, extent per
 axis, time, field order) followed by the four fields as raw little-endian
 float64 in row-major order.  The header does not carry the domain origin;
@@ -356,6 +361,11 @@ def _parse_initial(value: str, line_no: int, where: str, dim: int, base_dir: str
                 )
             name = value.split(None, 1)[1].rsplit(None, 1)[0]
             path = os.path.abspath(os.path.join(base_dir, name))
+            if "#" in path:
+                # config.cfg stores this path, and _tokenize would cut it at the '#' when verify reads it back
+                raise ConfigError(
+                    "line %d: snapshot path %r holds '#', which starts a comment in config.cfg" % (line_no, path)
+                )
             if not os.path.exists(path):
                 raise ConfigError("line %d: snapshot path %r does not exist" % (line_no, path))
             return SnapshotInit(path, parts[-1])

@@ -12,21 +12,29 @@ which conserves particles exactly.
 A state's occupancy is one chain, (sites,), or an ensemble of them,
 (members, sites), over the same frozen signal v.  run_adaptive leaps on the
 bare occupancy array: the signal gaps are evaluated once per run; each leap
-evaluates the rates of every member once, takes one dt, half the
-leap-condition dt of the fastest member, and draws every move with a
-single multinomial call from the state's one generator.  Every leap checks the overflow cap and
-counts the sites above u_max per member; a LatticeState, with its full
-validation, is built only for the final state.  A leap dt below
+evaluates the rates of every member once, takes one dt, and draws every
+move with a single multinomial call from the state's one generator.
+
+The leap rule.  The expected update of a leap is an explicit Euler step of
+the lattice porous-medium equation, which is stable while each direction's
+jump probability dt * rate stays at or below 1/(2m).  Every leap is sized
+at THETA = 0.8 of that bound, dt * max rate = THETA / (2m), by the fastest
+member; so a site's stay probability is at least 1 - THETA/m > 0 for every
+m > 1.  The last leap is cut to land on t_end.  Every leap checks the
+overflow cap and counts the sites above u_max per member, and integrates
+them over the leap (the site-time above u_max); a LatticeState, with its
+full validation, is built only for the final state.  A leap dt below
 1e-12 * max(1, t_end), the tolerance the continuum solver uses for t_end,
 raises ValueError, so a run that can never reach t_end stops at once.
-step_tau_leap is the checked public step (dt > 0, leap condition) over the
-same rate and leap kernels.
+step_tau_leap is the checked public step (dt > 0, dt * max rate within the
+stability bound) over the same rate and leap kernels.
 
 run_ensemble and continuum_twin run a [lattice] section: the members as the
 rows of one batched run, seeded by one generator default_rng(base_seed),
 and the matching continuum run.  The batch stays one array to the end:
 run_ensemble starts the members from one (members, sites) state and
-returns their coarse densities as one (seeds, bins) array, binned by the
+returns an EnsembleRun: the leap sizes, the capacity use per member and the
+coarse densities as one (seeds, bins) array, binned by the
 same arithmetic as coarse_density, on LatticeConfig.bins(), the grid that
 continuum_twin runs on.  The CLI's lattice command and
 scripts/lattice_vs_pde.py both use them.  A [lattice] section has no drift
@@ -49,6 +57,7 @@ from .model import ConstantSensitivity, Field, Grid, ModelParams, StateQuad
 __all__ = [
     "LatticeConfig",
     "LatticeState",
+    "EnsembleRun",
     "rate_arrays",
     "step_tau_leap",
     "coarse_density",
@@ -58,7 +67,7 @@ __all__ = [
     "continuum_twin",
 ]
 
-LEAP_LIMIT = 0.1  # dt * max rate must stay below this for the leap to be honest
+THETA = 0.8  # every leap takes dt * max rate = THETA / (2m), this fraction of the stability bound 1/(2m)
 OVERFLOW_FACTOR = 4  # occupancy above OVERFLOW_FACTOR * u_max aborts the run
 
 
@@ -113,8 +122,11 @@ class LatticeState:
     one), for one chain (sites,) or for an ensemble (members, sites) whose
     rows share v and the generator rng; v is the prescribed signal over the
     sites.  Sites above u_max are counted as capacity violations (one count
-    per member for an ensemble) but only occupancy beyond OVERFLOW_FACTOR *
-    u_max is an error, because the walk does not hard-block arrivals.
+    per member for an ensemble), one per (site, leap), and capacity_time
+    integrates them over time, the sum of the counts times the leap dt, so
+    it depends far less on the leap size than the count does.  Only occupancy beyond
+    OVERFLOW_FACTOR * u_max is an error, because the walk does not
+    hard-block arrivals.
     """
 
     occupancy: np.ndarray
@@ -127,6 +139,7 @@ class LatticeState:
     spacing: float = 1.0
     origin: float = 0.0
     capacity_violations: int = 0
+    capacity_time: float = 0.0
     rng: np.random.Generator = None
 
     def __post_init__(self):
@@ -235,45 +248,49 @@ def _leap(occupancy: np.ndarray, left, right, dt: float, rng, u_max: int, probs:
 def step_tau_leap(s: LatticeState, dt: float) -> LatticeState:
     """Advance the occupancies by dt with one multinomial leap per site.
 
-    Requires dt * max rate <= 0.1, over every member of an ensemble, so the
-    frozen-rate approximation holds.  Returns a new state (the generator
-    advances in place).
+    Requires dt * max rate <= 1/(2m), the stability bound of the expected
+    update, over every member of an ensemble.  Returns a new state (the
+    generator advances in place).
     """
     if not (dt > 0.0):
         raise ValueError("dt must be positive")
     left, right = rate_arrays(s)
     max_rate = max(float(left.max()), float(right.max()), 0.0)
-    if dt * max_rate > LEAP_LIMIT * (1.0 + 1e-9):
+    bound = 0.5 / s.m
+    if dt * max_rate > bound * (1.0 + 1e-9):
         raise ValueError(
-            "leap condition violated: dt * max_rate = %g exceeds %g"
-            % (dt * max_rate, LEAP_LIMIT)
+            "leap condition violated: dt * max_rate = %g exceeds the stability bound 1/(2m) = %g"
+            % (dt * max_rate, bound)
         )
     probs = np.empty(s.occupancy.shape + (3,))
     occ, flags = _leap(s.occupancy, left, right, dt, s.rng, s.u_max, probs)
-    return replace(s, occupancy=occ, capacity_violations=s.capacity_violations + flags)
+    return replace(s, occupancy=occ, capacity_violations=s.capacity_violations + flags,
+                   capacity_time=s.capacity_time + flags * dt)
 
 
 def run_adaptive(s: LatticeState, t_end: float):
-    """Leap to t_end, each leap sized at half the limit: dt * max rate = LEAP_LIMIT / 2.
+    """Leap to t_end, each leap sized at dt * max rate = THETA / (2m).
 
-    Returns (state, t_reached, steps).  The members of an ensemble state
-    leap together: dt is that of the member with the largest rate, so every
-    member stays inside the leap condition.  The last leap is cut to land on
-    t_end.  A leap dt below 1e-12 * max(1, t_end) raises ValueError.
+    Returns (state, t_reached, dts), dts the (leaps,) array of leap sizes.
+    The members of an ensemble state leap together: dt is that of the
+    member with the largest rate, so every member stays inside the
+    stability bound.  The last leap is cut to land on t_end.  A leap dt
+    below 1e-12 * max(1, t_end) raises ValueError.
     """
     gains = _gains(s)
     floor = solver._time_tolerance(t_end)
     occ = s.occupancy
     probs = np.empty(occ.shape + (3,))
     flags = s.capacity_violations + np.zeros(occ.shape[:-1], dtype=np.int64)
+    flag_time = s.capacity_time + np.zeros(occ.shape[:-1])
     t = 0.0
-    steps = 0
+    dts = []
     while t < t_end * (1.0 - 1e-12):
         left, right = _rates(s, occ, *gains)
         max_rate = max(float(left.max()), float(right.max()))
         if max_rate <= 0.0:
             break  # frozen configuration, nothing will ever move
-        dt = 0.5 * LEAP_LIMIT / max_rate
+        dt = THETA / (2.0 * s.m * max_rate)
         if dt < floor:
             raise ValueError(
                 "lattice leap dt %.3g fell below the floor %.3g = 1e-12 * max(1, t_end): "
@@ -282,9 +299,11 @@ def run_adaptive(s: LatticeState, t_end: float):
         dt = min(dt, t_end - t)
         occ, new_flags = _leap(occ, left, right, dt, s.rng, s.u_max, probs)
         flags = flags + new_flags
+        flag_time = flag_time + new_flags * dt
         t += dt
-        steps += 1
-    return replace(s, occupancy=occ, capacity_violations=flags), t, steps
+        dts.append(dt)
+    final = replace(s, occupancy=occ, capacity_violations=flags, capacity_time=flag_time)
+    return final, t, np.array(dts)
 
 
 def _bin_grid(sites: int, cells_per_bin: int, length: float, origin: float) -> Grid:
@@ -329,18 +348,34 @@ def initial_state(config: LatticeConfig, m: float, seed: int, members: int | Non
     )
 
 
-def run_ensemble(config: LatticeConfig, m: float, base_seed: int):
+@dataclass(frozen=True, eq=False)
+class EnsembleRun:
+    """One batched ensemble run of a [lattice] section, row i for member i.
+
+    t is the time reached and dts the (leaps,) leap sizes; flags are the
+    (seeds,) capacity-violation counts and flag_time the (seeds,) site-time
+    above u_max (LatticeState.capacity_time); density holds the (seeds,
+    bins) coarse relative densities on the config's bins().
+    """
+
+    t: float
+    dts: np.ndarray
+    flags: np.ndarray
+    flag_time: np.ndarray
+    density: np.ndarray
+
+
+def run_ensemble(config: LatticeConfig, m: float, base_seed: int) -> EnsembleRun:
     """Run config.seeds members as the rows of one batched run_adaptive.
 
-    Returns (t, flags, density): the time reached, the (seeds,)
-    capacity-violation counts and the (seeds, bins) coarse relative
-    densities on config.bins().  One generator, default_rng(base_seed),
-    draws every row; member i is row i and carries the label base_seed + i.
-    A one-member ensemble is the run of initial_state(config, m, base_seed).
+    One generator, default_rng(base_seed), draws every row; member i is row
+    i and carries the label base_seed + i.  A one-member ensemble is the run
+    of initial_state(config, m, base_seed).
     """
     start = initial_state(config, m, base_seed, members=config.seeds)
-    final, t, _ = run_adaptive(start, config.t_end)
-    return t, final.capacity_violations, _bin(final.relative_density(), config.cells_per_bin)
+    final, t, dts = run_adaptive(start, config.t_end)
+    return EnsembleRun(t, dts, final.capacity_violations, final.capacity_time,
+                       _bin(final.relative_density(), config.cells_per_bin))
 
 
 def continuum_twin(config: LatticeConfig, m: float) -> Field:

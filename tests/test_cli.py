@@ -232,6 +232,23 @@ class TestRunCommand:
         assert main(["run", "--config", str(run_dir / "config.cfg"), "--out", str(again)]) == 0
         assert (again / "history.csv").read_bytes() == (run_dir / "history.csv").read_bytes()
 
+    def test_snapshot_path_holding_a_hash_is_config_error_before_any_step(self, tiny_run, tmp_path, capsys, monkeypatch):
+        # config.cfg would store the path, and reading it back would cut the line at the '#'
+        monkeypatch.setattr(solver, "run", lambda *args, **kwargs: pytest.fail("a step ran"))
+        source = tmp_path / "h#dir"
+        source.mkdir()
+        shutil.copy(sorted(tiny_run["out"].glob("snap_*.bin"))[-1], source / "late.bin")
+        text = TINY_CFG.replace("u = bump 0.0 0.25 0.5", "u = snapshot late.bin u")
+        cfg = source / "relax.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        line_no = text.splitlines().index("u = snapshot late.bin u") + 1
+        message = "config error: line %d: snapshot path %r holds '#', which starts a comment in config.cfg" % (
+            line_no, str(source / "late.bin"))
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_broken_config_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[model]\nm = fast\n")
@@ -578,6 +595,30 @@ class TestLatticeCommand:
             densities = [float(r[4]) for r in member]
             assert min(densities) >= 0.0
             assert sum(densities) == pytest.approx(1.5, rel=1e-12)
+
+    def test_lattice_stats_record_the_leaps_and_the_capacity_use(self, tmp_path, capsys):
+        cfg = tmp_path / "lat.cfg"
+        cfg.write_text(LATTICE_CFG)
+        for out in ("a", "b"):
+            assert main(["lattice", "--config", str(cfg), "--out", str(tmp_path / out), "--seed", "40"]) == 0
+        summary = capsys.readouterr().out
+        stats_file = tmp_path / "a" / "lattice_stats.json"
+        # no entry is timed, so the same seed writes the same bytes
+        assert stats_file.read_bytes() == (tmp_path / "b" / "lattice_stats.json").read_bytes()
+        stats = json.loads(stats_file.read_text())
+        assert list(stats) == ["leaps", "t_reached", "dt", "seeds", "capacity_flags", "capacity_site_time"]
+        run = lattice.run_ensemble(config_io.parse_config(LATTICE_CFG).lattice, 2.0, 40)
+        assert stats["leaps"] == run.dts.size > 10
+        assert stats["t_reached"] == run.t == pytest.approx(0.05, rel=1e-12)
+        assert stats["dt"] == {"min": run.dts.min(), "median": float(np.median(run.dts)), "max": run.dts.max()}
+        assert stats["seeds"] == [40, 41]
+        assert stats["capacity_flags"] == run.flags.tolist()
+        assert stats["capacity_site_time"] == run.flag_time.tolist()
+        # the summary line still prints the flag total
+        assert "%d capacity flags" % sum(stats["capacity_flags"]) in summary
+        assert all(flags > 0 for flags in stats["capacity_flags"])
+        assert all(0.0 < time <= flags * stats["dt"]["max"]
+                   for flags, time in zip(stats["capacity_flags"], stats["capacity_site_time"]))
 
     def test_compare_writes_distance_table(self, tmp_path, capsys):
         cfg = tmp_path / "lat.cfg"

@@ -545,6 +545,22 @@ class TestParseConfigFile:
         built = build_initial_state(cfg)
         assert np.all(built.u.values == 0.25)
 
+    def test_snapshot_path_holding_a_hash_is_refused_on_its_line(self, tmp_path):
+        # serialize_config writes the resolved path, which the tokenizer would cut at the '#'
+        folder = tmp_path / "h#dir"
+        folder.mkdir()
+        grid = Grid(cells=(16,), extent=(2.0,), origin=(0.0,))
+        zero = Field.full(grid, 0.0)
+        write_snapshot(str(folder / "prev.bin"), StateQuad(Field.full(grid, 0.25), zero, zero, zero))
+        text = MINIMAL.replace("u = constant 0.5", "u = snapshot prev.bin u")
+        (folder / "run.cfg").write_text(text, encoding="ascii")
+        line_no = text.splitlines().index("u = snapshot prev.bin u") + 1
+        message = "line %d: snapshot path %r holds '#'" % (line_no, str(folder / "prev.bin"))
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config_file(str(folder / "run.cfg"))
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(text, base_dir=str(folder))
+
 
 # --- initial state construction ---------------------------------------------
 

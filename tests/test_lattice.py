@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from chemofront import lattice
 from chemofront.lattice import (
-    LEAP_LIMIT,
     OVERFLOW_FACTOR,
+    THETA,
     LatticeConfig,
     LatticeState,
     coarse_density,
@@ -181,15 +181,15 @@ class TestLeaping:
 
     def test_empty_lattice_is_absorbing(self):
         s = make_state([0] * 8)
-        out, t, steps = run_adaptive(s, 1.0)
-        assert steps == 0
+        out, t, dts = run_adaptive(s, 1.0)
+        assert dts.size == 0
         assert np.all(out.occupancy == 0)
 
     def test_leap_condition_enforced(self):
         s = make_state([100, 0, 0, 0], u_max=100)  # density 1, rate 1
         with pytest.raises(ValueError, match="leap"):
-            step_tau_leap(s, 2.0 * LEAP_LIMIT)
-        step_tau_leap(s, 0.5 * LEAP_LIMIT)
+            step_tau_leap(s, 2.0 * 0.5 / s.m)
+        step_tau_leap(s, THETA * 0.5 / s.m)
 
     def test_same_seed_reproduces_trajectory(self):
         a = make_state([0, 0, 200, 0, 0], u_max=100, seed=42)
@@ -232,19 +232,24 @@ class TestLeaping:
         assert np.all(mean[~live] == 0.0)
 
 
+def _leap_dt(m, max_rate, time_left):
+    """The leap rule: dt * max rate = THETA / (2m), cut to land on t_end."""
+    return min(THETA / (2.0 * m * max_rate), time_left)
+
+
 def _checked_loop(s, t_end):
     """run_adaptive's dt rule spelled out on the public, checked API."""
-    t, steps = 0.0, 0
+    t, dts = 0.0, []
     while t < t_end * (1.0 - 1e-12):
         left, right = rate_arrays(s)
         max_rate = max(float(left.max()), float(right.max()))
         if max_rate <= 0.0:
             break
-        dt = min(0.5 * LEAP_LIMIT / max_rate, t_end - t)
+        dt = _leap_dt(s.m, max_rate, t_end - t)
         s = step_tau_leap(s, dt)
         t += dt
-        steps += 1
-    return s, t, steps
+        dts.append(dt)
+    return s, t, np.array(dts)
 
 
 def _mound(n_sites, load):
@@ -253,37 +258,42 @@ def _mound(n_sites, load):
     return occ
 
 
+# (start state, t_end) of each case
 ONE_PATH_CASES = {
-    "pushing": lambda: make_state(_mound(21, 300), u_max=100, seed=11),
+    # the mound spreads, so its leaps grow; it runs to 8 to take more than 10 of them
+    "pushing": (lambda: make_state(_mound(21, 300), u_max=100, seed=11), 8.0),
     # a signal well whose walls are steep enough that |beta dv| > alpha on both sides
-    "drift_clamp": lambda: make_state(
+    "drift_clamp": (lambda: make_state(
         np.full(16, 30), u_max=100, m=2.5, alpha=0.5, beta=0.9,
-        v=(np.arange(16) - 7.5) ** 2 / 8.0, seed=13, spacing=0.5),
-    "capacity_flags": lambda: make_state([150, 0, 150, 0, 150], u_max=100, seed=14),
+        v=(np.arange(16) - 7.5) ** 2 / 8.0, seed=13, spacing=0.5), 2.0),
+    "capacity_flags": (lambda: make_state([150, 0, 150, 0, 150], u_max=100, seed=14), 2.0),
 }
 
 
 class TestOnePath:
     @pytest.mark.parametrize("case", sorted(ONE_PATH_CASES))
     def test_run_adaptive_matches_checked_steps_bit_for_bit(self, case):
-        fast, t_fast, n_fast = run_adaptive(ONE_PATH_CASES[case](), 2.0)
-        ref, t_ref, n_ref = _checked_loop(ONE_PATH_CASES[case](), 2.0)
+        start, t_end = ONE_PATH_CASES[case]
+        fast, t_fast, dts_fast = run_adaptive(start(), t_end)
+        ref, t_ref, dts_ref = _checked_loop(start(), t_end)
         assert np.array_equal(fast.occupancy, ref.occupancy)
-        assert t_fast == t_ref
-        assert n_fast == n_ref > 10
+        assert t_fast == t_ref == t_end
+        assert np.array_equal(dts_fast, dts_ref)
+        assert dts_fast.size > 10
         assert fast.capacity_violations == ref.capacity_violations
+        assert fast.capacity_time == ref.capacity_time
         assert fast.rng.bit_generator.state == ref.rng.bit_generator.state
         if case == "capacity_flags":
             assert fast.capacity_violations > 0
 
     def test_drift_clamp_acts_in_the_quorum_case(self):
-        left, right = rate_arrays(ONE_PATH_CASES["drift_clamp"]())
+        left, right = rate_arrays(ONE_PATH_CASES["drift_clamp"][0]())
         # v falls then rises, so the steep walls block uphill jumps in each direction somewhere
         assert np.count_nonzero(left[1:] == 0.0) > 0
         assert np.count_nonzero(right[:-1] == 0.0) > 0
 
     def test_one_rate_evaluation_per_leap_and_one_state_per_run(self, monkeypatch):
-        s = ONE_PATH_CASES["pushing"]()
+        s = ONE_PATH_CASES["pushing"][0]()
         calls = {"gains": 0, "rates": 0, "states": 0}
         gains, rates, post_init = lattice._gains, lattice._rates, LatticeState.__post_init__
 
@@ -302,13 +312,79 @@ class TestOnePath:
         monkeypatch.setattr(lattice, "_gains", counting_gains)
         monkeypatch.setattr(lattice, "_rates", counting_rates)
         monkeypatch.setattr(LatticeState, "__post_init__", counting_post_init)
-        _, _, steps = run_adaptive(s, 0.3)
-        assert calls == {"gains": 1, "rates": steps, "states": 1}
+        _, _, dts = run_adaptive(s, 0.3)
+        assert calls == {"gains": 1, "rates": dts.size, "states": 1}
 
     def test_leap_below_the_floor_raises(self):
         s = make_state([0, 0, 150, 0, 0], u_max=50, seed=1)
         with pytest.raises(ValueError, match=r"floor 1e\+288.*max rate 3 at t = 0"):
             run_adaptive(s, 1e300)
+
+
+# criterion 09's [lattice] section (tests/test_acceptance.py LATTICE_LIMIT_CFG)
+CRITERION_09 = LatticeConfig(sites=200, u_max=25000, particles=100000, t_end=0.5, seeds=10,
+                             cells_per_bin=5, extent=2.0, origin=-1.0)
+
+# L1 from the expected leap to the continuum twin on CRITERION_09 with every leap at jump
+# probability dt * max rate = 0.05, the rule before THETA, which took 2.7 (m = 3) to 5.3 (m = 1.5) times the leaps
+MEAN_FIELD_L1_AT_P005 = {1.5: 3.108e-5, 2.0: 1.486e-4, 3.0: 5.884e-4}
+
+
+class TestLeapRule:
+    @pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
+    def test_leaps_sit_at_theta_of_the_stability_bound(self, monkeypatch, m):
+        seen = []  # (dt * max rate, smallest stay probability) of every leap
+        inner = lattice._leap
+
+        def spy(occupancy, left, right, dt, rng, u_max, probs):
+            out = inner(occupancy, left, right, dt, rng, u_max, probs)
+            seen.append((dt * max(left.max(), right.max()), probs[..., 2].min()))
+            return out
+
+        monkeypatch.setattr(lattice, "_leap", spy)
+        start = make_state([_mound(41, 300), _mound(41, 200)], u_max=100, m=m, seed=7, spacing=0.1)
+        _, t, dts = run_adaptive(start, 0.05)
+        assert t == 0.05 and len(seen) == dts.size > 10
+        for dt_rate, _ in seen[:-1]:
+            assert dt_rate == pytest.approx(THETA / (2.0 * m), rel=1e-12)
+        assert 0.0 < seen[-1][0] <= THETA / (2.0 * m) * (1.0 + 1e-12)
+        # p_left + p_right <= 2 * THETA / (2m), so no site is asked to send out more than it holds
+        assert min(stay for _, stay in seen) >= 1.0 - THETA / m - 1e-12
+
+    @pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
+    def test_step_tau_leap_refuses_a_dt_past_the_stability_bound(self, m):
+        s = make_state(_mound(11, 150), u_max=100, m=m)
+        left, right = rate_arrays(s)
+        at_bound = 0.5 / (m * max(left.max(), right.max()))
+        step_tau_leap(s, at_bound)
+        with pytest.raises(ValueError, match=r"exceeds the stability bound 1/\(2m\) = %g" % (0.5 / m)):
+            step_tau_leap(s, at_bound * (1.0 + 1e-6))
+
+    @pytest.mark.parametrize("m", sorted(MEAN_FIELD_L1_AT_P005))
+    def test_expected_leap_keeps_the_time_step_bias_of_small_leaps(self, m):
+        """The leap rule's mean field, free of sampling noise, stays near the continuum twin.
+
+        Iterating the expected leap (each site sends dt * rate of its load to
+        each side) with the rule's dt isolates the time-step bias.  It may
+        exceed that of leaps at jump probability 0.05 by at most a quarter.
+        """
+        s = initial_state(CRITERION_09, m, 0)
+        load = s.occupancy.astype(float)
+        gains = lattice._gains(s)
+        t = 0.0
+        while t < CRITERION_09.t_end * (1.0 - 1e-12):
+            left, right = lattice._rates(s, load, *gains)
+            dt = _leap_dt(m, max(left.max(), right.max()), CRITERION_09.t_end - t)
+            to_left, to_right = load * left * dt, load * right * dt
+            load = load - to_left - to_right
+            load[:-1] += to_left[1:]
+            load[1:] += to_right[:-1]
+            t += dt
+        twin = continuum_twin(CRITERION_09, m)
+        density = (load / CRITERION_09.u_max).reshape(-1, CRITERION_09.cells_per_bin).mean(axis=1)
+        l1 = np.abs(density - twin.values).sum() * twin.grid.h
+        print("m = %g: mean-field L1 %.4g against %.4g at jump probability 0.05" % (m, l1, MEAN_FIELD_L1_AT_P005[m]))
+        assert l1 <= 1.25 * MEAN_FIELD_L1_AT_P005[m]
 
 
 class TestEnsemble:
@@ -331,34 +407,42 @@ class TestEnsemble:
 
     def test_one_member_ensemble_is_the_base_seed_run(self, monkeypatch):
         config = dataclasses.replace(self.CONFIG, seeds=1)
-        state, t, steps = run_adaptive(initial_state(config, 2.0, 40), config.t_end)
+        state, t, dts = run_adaptive(initial_state(config, 2.0, 40), config.t_end)
         runs = self._spy(monkeypatch, "run_adaptive")
-        t_member, flags, density = run_ensemble(config, 2.0, 40)
-        final, t_batch, steps_batch = runs[0][1]
+        run = run_ensemble(config, 2.0, 40)
+        final, t_batch, dts_batch = runs[0][1]
         assert final.occupancy.shape == (1, 20)
         assert np.array_equal(final.occupancy[0], state.occupancy)
-        assert (t_batch, steps_batch) == (t, steps)
+        assert t_batch == t and np.array_equal(dts_batch, dts)
         assert final.rng.bit_generator.state == state.rng.bit_generator.state
-        assert (t_member, flags.tolist()) == (t, [state.capacity_violations])
+        assert run.t == t and np.array_equal(run.dts, dts)
+        assert (run.flags.tolist(), run.flag_time.tolist()) == ([state.capacity_violations], [state.capacity_time])
         assert state.capacity_violations > 0
         single = coarse_density(state, 2)
-        assert density.shape == (1, 10)
-        assert np.array_equal(density[0], single.values)
+        assert run.density.shape == (1, 10)
+        assert np.array_equal(run.density[0], single.values)
         assert np.array_equal(config.bins().axis_centers(0), single.grid.axis_centers(0))
 
     def test_members_conserve_particles_inside_the_leap_condition(self, monkeypatch):
         leaps = self._spy(monkeypatch, "_leap")
-        _, flags, density = run_ensemble(self.CONFIG, 2.0, 40)
-        assert flags.shape == (3,) and density.shape == (3, 10)
+        run = run_ensemble(self.CONFIG, 2.0, 40)
+        flags, density = run.flags, run.density
+        assert flags.shape == run.flag_time.shape == (3,) and density.shape == (3, 10)
         assert len(leaps) > 10
         for (occ, left, right, dt, *_), (new, new_flags) in leaps:
             assert occ.shape == new.shape == (3, 20) and new_flags.shape == (3,)
             assert np.all(new.sum(axis=-1) == 150)
             member_dt_rate = dt * np.maximum(left.max(axis=-1), right.max(axis=-1))
-            assert np.all(member_dt_rate <= LEAP_LIMIT)
+            assert np.all(member_dt_rate <= 0.5 / 2.0)  # the stability bound 1/(2m)
         # one shared dt, set by the fastest member (the last leap is cut to t_end)
         for (_, left, right, dt, *_), _ in leaps[:-1]:
-            assert dt * max(left.max(), right.max()) == pytest.approx(0.5 * LEAP_LIMIT, rel=1e-12)
+            assert dt * max(left.max(), right.max()) == pytest.approx(THETA / (2.0 * 2.0), rel=1e-12)
+        assert run.dts.tolist() == [args[3] for args, _ in leaps]
+        # the site-time above u_max sums each leap's flags times its dt, in leap order
+        flag_time = np.zeros(3)
+        for (*_, dt, _, _, _), (_, new_flags) in leaps:
+            flag_time = flag_time + new_flags * dt
+        assert np.array_equal(run.flag_time, flag_time) and np.all(flag_time > 0.0)
         final = leaps[-1][1][0]
         assert set(flags.tolist()) != {0}
         for member, row in zip(density, final):
@@ -367,14 +451,13 @@ class TestEnsemble:
         assert len({row.tobytes() for row in final}) == 3
 
     def test_same_seed_gives_the_same_bytes(self):
-        def digest(batch):
-            t, flags, density = batch
-            return t, flags.tobytes(), density.tobytes()
+        def digest(run):
+            return run.t, run.dts.tobytes(), run.flags.tobytes(), run.flag_time.tobytes(), run.density.tobytes()
 
         first = digest(run_ensemble(self.CONFIG, 2.0, 40))
         assert digest(run_ensemble(self.CONFIG, 2.0, 40)) == first
         other = digest(run_ensemble(self.CONFIG, 2.0, 41))
-        assert other[2] != first[2]
+        assert other[-1] != first[-1]
 
     def test_run_ensemble_leaps_through_one_run_adaptive_call(self, monkeypatch):
         runs = self._spy(monkeypatch, "run_adaptive")
@@ -405,9 +488,8 @@ class TestEnsemble:
         particles' mass and centre of mass, so the centres differ only by
         sampling.
         """
-        config = LatticeConfig(sites=200, u_max=25000, particles=100000, t_end=0.5, seeds=3,
-                               cells_per_bin=5, extent=2.0, origin=-1.0)
-        mean = run_ensemble(config, 2.0, 101)[2].mean(axis=0)
+        config = dataclasses.replace(CRITERION_09, seeds=3)
+        mean = run_ensemble(config, 2.0, 101).density.mean(axis=0)
         twin = continuum_twin(config, 2.0)
         x = twin.grid.axis_centers(0)
         half_bin = 0.5 * twin.grid.h
