@@ -14,16 +14,14 @@ to watch the slow self-similar spreading instead.
 import argparse
 import sys
 
-import numpy as np
-
+from chemofront.config_io import BumpInit
 from chemofront.diagnostics import fit_power_law
 from chemofront.model import ConstantSensitivity, Field, Grid, ModelParams, StateQuad
 from chemofront.solver import SolverConfig, run
 
 
 def bump_state(grid, radius, height):
-    d2 = grid.center_distance2((0.0,))
-    u0 = Field(grid, height * np.clip(1.0 - d2 / radius**2, 0.0, None))
+    u0 = Field(grid, BumpInit((0.0,), radius, height).build(grid))
     return StateQuad(
         u0, Field.full(grid, 0.0), Field.full(grid, 1.0), Field.full(grid, 0.0), t=0.0
     )

@@ -8,8 +8,7 @@ measured rates move with the growth strength mu.
 import argparse
 import sys
 
-import numpy as np
-
+from chemofront.config_io import BumpInit
 from chemofront.diagnostics import fit_exponential
 from chemofront.model import ConstantSensitivity, Field, Grid, ModelParams, StateQuad
 from chemofront.solver import SolverConfig, run
@@ -30,9 +29,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     grid = Grid((args.cells,), (2.0,), (-1.0,))
-    d2 = grid.center_distance2((0.0,))
     initial = StateQuad(
-        Field(grid, 0.5 * np.clip(1.0 - d2 / 0.25**2, 0.0, None)),
+        Field(grid, BumpInit((0.0,), 0.25, 0.5).build(grid)),
         Field.full(grid, 0.0),
         Field.full(grid, 1.0),
         Field.full(grid, 0.0),

@@ -6,8 +6,8 @@ audit), sweep (cartesian parameter grid over worker processes), fit (power
 law and exponential fits on a history CSV), lattice (stochastic ensemble,
 optionally compared against the matching continuum run).
 
-Exit codes: 0 success, 1 bad usage or config, 2 numerical failure,
-3 a requested acceptance check failed.
+Exit codes: 0 success, 1 bad usage or config, 2 numerical failure or out of
+memory (each a one-line message, see _FAILURES), 3 a requested check failed.
 """
 
 from __future__ import annotations
@@ -45,6 +45,21 @@ SANDWICH_TOL = 1e-8
 
 class _UsageError(Exception):
     pass
+
+
+# what main() reports as a failed command: (exception classes, message prefix, exit code), matched
+# in order; any other exception is a bug and escapes with its traceback
+_FAILURES = (
+    ((_UsageError,), "error", EXIT_USAGE),
+    ((ConfigError,), "config error", EXIT_USAGE),
+    ((SnapshotError,), "snapshot error", EXIT_USAGE),
+    ((OSError,), "io error", EXIT_USAGE),
+    ((SimulationError, ConstructionError, ValueError, ArithmeticError), "numerical failure", EXIT_NUMERIC),
+    ((MemoryError,), "out of memory", EXIT_NUMERIC),
+)
+
+# what a sweep records as a failed case: every reported class but the usage error, which is the command's
+_CASE_FAILURES = tuple(cls for classes, _, _ in _FAILURES for cls in classes if cls is not _UsageError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -150,12 +165,18 @@ def _execute_run(cfg: RunConfig, out_dir: str):
     return result, emitted[0]
 
 
-def cmd_run(args) -> int:
+def _config(args) -> RunConfig:
+    """The config file of args, with --out and --seed, when given, over its [output] dir and seed."""
     cfg = config_io.parse_config_file(args.config)
     if args.out is not None:
         cfg = dataclasses.replace(cfg, out_dir=args.out)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
+    return cfg
+
+
+def cmd_run(args) -> int:
+    cfg = _config(args)
     result, n_snaps = _execute_run(cfg, cfg.out_dir)
     print(
         "run: %d steps to t=%.6g, %d history rows, %d snapshots in %s"
@@ -332,19 +353,6 @@ def cmd_verify(args) -> int:
 # --- sweep ------------------------------------------------------------------
 
 
-def _apply_override(cfg: RunConfig, key: str, value: float) -> RunConfig:
-    section, param = key.split(".", 1)
-    if section == "model":
-        return dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, **{param: value}))
-    return dataclasses.replace(cfg, solver=dataclasses.replace(cfg.solver, **{param: value}))
-
-
-# what main() reports as a failed command; any other exception is a bug and aborts the sweep
-_CASE_FAILURES = (
-    ConfigError, SnapshotError, OSError, SimulationError, ConstructionError, ValueError, ArithmeticError
-)
-
-
 def _sweep_worker(job):
     """(final_t, steps, final_sup_u) of one case, or the message its run failed with.
 
@@ -360,11 +368,10 @@ def _sweep_worker(job):
 
 
 def cmd_sweep(args) -> int:
-    cfg = config_io.parse_config_file(args.config)
+    cfg = _config(args)
     if not cfg.sweep:
         raise _UsageError("config %s has no [sweep] section" % args.config)
-    base_out = args.out if args.out is not None else cfg.out_dir
-    base_seed = args.seed if args.seed is not None else cfg.seed
+    base_out, base_seed = cfg.out_dir, cfg.seed
     os.makedirs(base_out, exist_ok=True)
 
     keys = list(cfg.sweep.keys())
@@ -377,7 +384,7 @@ def cmd_sweep(args) -> int:
     for idx, combo in enumerate(combos):
         case = cfg
         for key, value in zip(keys, combo):
-            case = _apply_override(case, key, value)
+            case = case.with_value(key, value)
         case = dataclasses.replace(case, sweep={}, out_dir=".", seed=base_seed + idx)
         sub = os.path.join(base_out, "case_%04d" % idx)
         jobs.append((case, sub))
@@ -480,13 +487,12 @@ def cmd_lattice(args) -> int:
     # nan would switch the check off (l1 > nan is false) and a negative tolerance would fail every run
     if args.tol_l1 is not None and not (0.0 <= args.tol_l1 < math.inf):
         raise _UsageError("--tol-l1 must be a finite number >= 0, got %r" % args.tol_l1)
-    cfg = config_io.parse_config_file(args.config)
+    cfg = _config(args)
     if cfg.lattice is None:
         raise _UsageError("config %s has no [lattice] section" % args.config)
     lat = cfg.lattice
     m = cfg.model.m
-    out_dir = args.out if args.out is not None else cfg.out_dir
-    base_seed = args.seed if args.seed is not None else cfg.seed
+    out_dir, base_seed = cfg.out_dir, cfg.seed
     if base_seed < 0:
         source = "--seed" if args.seed is not None else "[output] seed of %s" % args.config
         raise _UsageError("the lattice seed must be >= 0, got %d from %s" % (base_seed, source))
@@ -530,21 +536,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except SnapshotError as exc:
-        print("snapshot error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print("io error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except (SimulationError, ConstructionError, ValueError, ArithmeticError) as exc:
-        print("numerical failure: %s" % exc, file=sys.stderr)
-        return EXIT_NUMERIC
+    except (_UsageError,) + _CASE_FAILURES as exc:
+        prefix, code = next((prefix, code) for classes, prefix, code in _FAILURES if isinstance(exc, classes))
+        print("%s: %s" % (prefix, exc), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -143,6 +143,11 @@ class RunConfig:
     sweep: dict = dc_field(default_factory=dict)
     lattice: LatticeConfig | None = None
 
+    def with_value(self, key: str, value) -> RunConfig:
+        """This config with sweep key 'section.field' set to value; the section's record may refuse it (ValueError)."""
+        section, name = key.split(".", 1)
+        return dataclasses.replace(self, **{section: dataclasses.replace(getattr(self, section), **{name: value})})
+
 
 # --- parsing ----------------------------------------------------------------
 
@@ -410,9 +415,8 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         else:
             initial[name] = _parse_initial(item[0], item[1], "initial." + name, dim, base_dir)
 
+    cfg = RunConfig(model=model, grid=grid, solver=solver, initial=initial)
     # each sweep value must make a valid record, so that no case fails on it later
-    swept = {"model": model, "solver": solver}
-    sweep = {}
     for key, (value, line_no) in sections.get("sweep", {}).items():
         if key not in _SWEEPABLE:
             raise ConfigError(
@@ -422,24 +426,18 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         values = tuple(_numbers(value, line_no, "sweep." + key, "comma-separated numbers"))
         if not values:
             raise ConfigError("line %d: sweep needs at least one value" % line_no)
-        section, param = key.split(".")
         for v in values:
             try:
-                dataclasses.replace(swept[section], **{param: v})
+                cfg.with_value(key, v)
             except ValueError as exc:
                 raise ConfigError("line %d: sweep.%s value %r: %s" % (line_no, key, v, exc)) from None
-        sweep[key] = values
+        cfg.sweep[key] = values
 
-    return RunConfig(
-        model=model,
-        grid=grid,
-        solver=solver,
-        initial=initial,
-        out_dir=_get(sections, "output", "dir", "str", "out"),
-        seed=_get(sections, "output", "seed", "int", 0),
-        sweep=sweep,
-        lattice=_record(sections, "lattice") if "lattice" in sections else None,
-    )
+    cfg.out_dir = _get(sections, "output", "dir", "str", "out")
+    cfg.seed = _get(sections, "output", "seed", "int", 0)
+    if "lattice" in sections:
+        cfg.lattice = _record(sections, "lattice")
+    return cfg
 
 
 def parse_config_file(path: str) -> RunConfig:

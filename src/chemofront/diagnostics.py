@@ -83,10 +83,25 @@ def history_row(state: StateQuad, x0, v_target: float, r: float):
     )
 
 
-def _fit_window(t: np.ndarray, t_min):
+def _fit_samples(kind: str, t, values, t_min):
+    """The (t, values) samples a fit uses, and how many in its window were nonpositive.
+
+    The window is t >= t_min (default: 20% into the series), and of its
+    samples only those with values > 0 enter the log; fewer than 8 of
+    them is an error.
+    """
+    t = np.asarray(t, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if t.shape != values.shape:
+        raise ValueError("t and values must have matching shapes")
     if t_min is None:
         t_min = t.min() + 0.2 * (t.max() - t.min())
-    return t >= t_min
+    window = t >= t_min
+    positive = values > 0.0
+    keep = window & positive
+    if int(keep.sum()) < 8:
+        raise ValueError("%s fit needs >= 8 usable samples, got %d" % (kind, int(keep.sum())))
+    return t[keep], values[keep], int(np.sum(window & ~positive))
 
 
 def _least_squares_line(x: np.ndarray, y: np.ndarray):
@@ -122,17 +137,9 @@ def fit_power_law(t, values, t_min=None) -> PowerLawFit:
     Only samples with t >= t_min (default: 20% into the series) and
     values > 0 participate; fewer than 8 such samples is an error.
     """
-    t = np.asarray(t, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if t.shape != values.shape:
-        raise ValueError("t and values must have matching shapes")
-    keep = _fit_window(t, t_min) & (values > 0.0)
-    if int(keep.sum()) < 8:
-        raise ValueError("power-law fit needs >= 8 usable samples, got %d" % int(keep.sum()))
-    x = np.log1p(t[keep])
-    y = np.log(values[keep])
-    slope, intercept, r2, stderr = _least_squares_line(x, y)
-    return PowerLawFit(slope, math.exp(intercept), r2, stderr, int(keep.sum()))
+    t, values, _ = _fit_samples("power-law", t, values, t_min)
+    slope, intercept, r2, stderr = _least_squares_line(np.log1p(t), np.log(values))
+    return PowerLawFit(slope, math.exp(intercept), r2, stderr, t.size)
 
 
 @dataclass(frozen=True)
@@ -151,18 +158,9 @@ def fit_exponential(t, values, t_min=None) -> ExponentialFit:
     Nonpositive samples cannot enter the log and are excluded and counted;
     fewer than 8 usable samples is an error.
     """
-    t = np.asarray(t, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if t.shape != values.shape:
-        raise ValueError("t and values must have matching shapes")
-    window = _fit_window(t, t_min)
-    positive = values > 0.0
-    keep = window & positive
-    excluded = int(np.sum(window & ~positive))
-    if int(keep.sum()) < 8:
-        raise ValueError("exponential fit needs >= 8 usable samples, got %d" % int(keep.sum()))
-    slope, intercept, r2, stderr = _least_squares_line(t[keep], np.log(values[keep]))
-    return ExponentialFit(-slope, math.exp(intercept), r2, stderr, int(keep.sum()), excluded)
+    t, values, excluded = _fit_samples("exponential", t, values, t_min)
+    slope, intercept, r2, stderr = _least_squares_line(t, np.log(values))
+    return ExponentialFit(-slope, math.exp(intercept), r2, stderr, t.size, excluded)
 
 
 @dataclass(frozen=True)

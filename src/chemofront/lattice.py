@@ -23,9 +23,10 @@ member; so a site's stay probability is at least 1 - THETA/m > 0 for every
 m > 1.  The last leap is cut to land on t_end.  Every leap checks the
 overflow cap and counts the sites above u_max per member, and integrates
 them over the leap (the site-time above u_max); a LatticeState, with its
-full validation, is built only for the final state.  A leap dt below
-1e-12 * max(1, t_end), the tolerance the continuum solver uses for t_end,
-raises ValueError, so a run that can never reach t_end stops at once.
+full validation, is built only for the final state.  The walk stops as the
+continuum solver does, within 1e-12 * max(1, t_end) of t_end, and a leap dt
+below that tolerance raises ValueError, so a run that can never reach t_end
+stops at once.
 step_tau_leap is the checked public step (dt > 0, dt * max rate within the
 stability bound) over the same rate and leap kernels.
 
@@ -109,9 +110,19 @@ class LatticeConfig:
         if not math.isfinite(self.origin):
             raise ValueError("lattice origin must be finite, got %r" % self.origin)
 
+    @property
+    def spacing(self) -> float:
+        """The distance between neighbouring sites."""
+        return self.extent / self.sites
+
+    @property
+    def start_site(self) -> int:
+        """The centre site, on which every particle starts."""
+        return self.sites // 2
+
     def bins(self) -> Grid:
         """The sites // cells_per_bin bins over [origin, origin + extent]: coarse densities' and twin's grid."""
-        return _bin_grid(self.sites, self.cells_per_bin, self.extent, self.origin)
+        return Grid(cells=(self.sites // self.cells_per_bin,), extent=(self.extent,), origin=(self.origin,))
 
 
 @dataclass(eq=False)
@@ -274,27 +285,28 @@ def run_adaptive(s: LatticeState, t_end: float):
     Returns (state, t_reached, dts), dts the (leaps,) array of leap sizes.
     The members of an ensemble state leap together: dt is that of the
     member with the largest rate, so every member stays inside the
-    stability bound.  The last leap is cut to land on t_end.  A leap dt
-    below 1e-12 * max(1, t_end) raises ValueError.
+    stability bound.  The last leap is cut to land on t_end.  It stops by
+    solver.run's rule: t_end counts as reached within 1e-12 * max(1, t_end),
+    and a leap dt below that tolerance raises ValueError.
     """
     gains = _gains(s)
-    floor = solver._time_tolerance(t_end)
+    tiny = solver._time_tolerance(t_end)
     occ = s.occupancy
     probs = np.empty(occ.shape + (3,))
     flags = s.capacity_violations + np.zeros(occ.shape[:-1], dtype=np.int64)
     flag_time = s.capacity_time + np.zeros(occ.shape[:-1])
     t = 0.0
     dts = []
-    while t < t_end * (1.0 - 1e-12):
+    while t < t_end - tiny:
         left, right = _rates(s, occ, *gains)
         max_rate = max(float(left.max()), float(right.max()))
         if max_rate <= 0.0:
             break  # frozen configuration, nothing will ever move
         dt = THETA / (2.0 * s.m * max_rate)
-        if dt < floor:
+        if dt < tiny:
             raise ValueError(
                 "lattice leap dt %.3g fell below the floor %.3g = 1e-12 * max(1, t_end): "
-                "max rate %.6g at t = %.6g" % (dt, floor, max_rate, t)
+                "max rate %.6g at t = %.6g" % (dt, tiny, max_rate, t)
             )
         dt = min(dt, t_end - t)
         occ, new_flags = _leap(occ, left, right, dt, s.rng, s.u_max, probs)
@@ -304,17 +316,6 @@ def run_adaptive(s: LatticeState, t_end: float):
         dts.append(dt)
     final = replace(s, occupancy=occ, capacity_violations=flags, capacity_time=flag_time)
     return final, t, np.array(dts)
-
-
-def _bin_grid(sites: int, cells_per_bin: int, length: float, origin: float) -> Grid:
-    """The 1D grid of sites // cells_per_bin bins over [origin, origin + length]."""
-    if not (isinstance(cells_per_bin, (int, np.integer)) and cells_per_bin >= 1):
-        raise ValueError("cells_per_bin must be a positive integer")
-    if sites % cells_per_bin != 0:
-        raise ValueError(
-            "sites (%d) must be a multiple of cells_per_bin (%d)" % (sites, cells_per_bin)
-        )
-    return Grid(cells=(sites // cells_per_bin,), extent=(length,), origin=(origin,))
 
 
 def _bin(density: np.ndarray, cells_per_bin: int) -> np.ndarray:
@@ -328,7 +329,11 @@ def coarse_density(s: LatticeState, cells_per_bin: int) -> Field:
     sites must divide evenly into bins; the result lives on a 1D Grid with
     the same total extent and origin as the lattice.
     """
-    grid = _bin_grid(s.sites, cells_per_bin, s.sites * s.spacing, s.origin)
+    if not (isinstance(cells_per_bin, (int, np.integer)) and cells_per_bin >= 1):
+        raise ValueError("cells_per_bin must be a positive integer")
+    if s.sites % cells_per_bin != 0:
+        raise ValueError("sites (%d) must be a multiple of cells_per_bin (%d)" % (s.sites, cells_per_bin))
+    grid = Grid(cells=(s.sites // cells_per_bin,), extent=(s.sites * s.spacing,), origin=(s.origin,))
     return Field(grid, _bin(s.relative_density(), cells_per_bin))
 
 
@@ -336,14 +341,14 @@ def initial_state(config: LatticeConfig, m: float, seed: int, members: int | Non
     """The start of a [lattice] section, one chain or members of them: all particles on the centre site, flat signal."""
     shape = (config.sites,) if members is None else (members, config.sites)
     occupancy = np.zeros(shape, dtype=np.int64)
-    occupancy[..., config.sites // 2] = config.particles
+    occupancy[..., config.start_site] = config.particles
     return LatticeState(
         occupancy=occupancy,
         u_max=config.u_max,
         v=np.zeros(config.sites),
         m=m,
         seed=seed,
-        spacing=config.extent / config.sites,
+        spacing=config.spacing,
         origin=config.origin,
     )
 
@@ -387,11 +392,10 @@ def continuum_twin(config: LatticeConfig, m: float) -> Field:
     split between the two bins whose centres bracket that point with linear
     weights, so the twin starts with the particles' mass and centre of mass.
     """
-    spacing = config.extent / config.sites
-    site_centre = config.origin + (config.sites // 2 + 0.5) * spacing
+    site_centre = config.origin + (config.start_site + 0.5) * config.spacing
     grid = config.bins()
     weights = np.clip(1.0 - np.abs(grid.axis_centers(0) - site_centre) / grid.h, 0.0, None)
-    mass = config.particles / config.u_max * spacing
+    mass = config.particles / config.u_max * config.spacing
     zero = Field.full(grid, 0.0)
     initial = StateQuad(Field(grid, weights * (mass / grid.h)), zero, zero, zero, t=0.0)
     params = ModelParams(m=m, delta=1.0, mu=0.0, r=1.0, phi=ConstantSensitivity(0.0))

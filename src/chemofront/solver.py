@@ -411,8 +411,10 @@ def run(
     output_stride steps, and at the final step: its diagnostics row (one
     value per HISTORY_COLUMNS entry) joins the history, and emit, when
     given, is called with the state and that row.  Each emitted state is
-    new, built on the loop's arrays only when it is emitted.  A zero-length
-    run returns the initial state and a history of empty columns.  A CFL dt
+    new, built on the loop's arrays only when it is emitted, apart from
+    step 0's, which is the initial state itself.  So a zero-length run
+    (t_end = 0 or max_steps = 0) emits the initial state once, its history
+    holds that one row, and it returns the initial state.  A CFL dt
     below 1e-12 max(1, |t_end|) raises SimulationError naming the term that
     binds.  The result holds every step's dt, per BINDING_TERMS entry how
     many steps it bound, and the RKL2 stages summed over the steps.
@@ -421,12 +423,6 @@ def run(
     state = initial
     t_end = initial.t + config.t_end
     budget = math.inf if max_steps is None else max_steps
-
-    def table() -> dict:
-        return {name: np.array(col) for name, col in zip(diagnostics.HISTORY_COLUMNS, columns)}
-
-    if config.t_end <= 0.0:
-        return RunResult(table(), initial, 0.0, 0)
 
     x0 = peak_coordinate(initial.u)
     v_target = float(np.mean(initial.v.values) + np.mean(initial.w.values))
@@ -457,4 +453,5 @@ def run(
         if steps % config.output_stride == 0 or done:
             state = StateQuad(Field(grid, u), Field(grid, v), Field(grid, w), Field(grid, z), t)
             emit_state(state)
-    return RunResult(table(), state, total_clipped, steps, dts, dict(zip(BINDING_TERMS, counts)), stages)
+    history = {name: np.array(col) for name, col in zip(diagnostics.HISTORY_COLUMNS, columns)}
+    return RunResult(history, state, total_clipped, steps, dts, dict(zip(BINDING_TERMS, counts)), stages)

@@ -12,9 +12,12 @@ import time
 import numpy as np
 import pytest
 
-from chemofront import config_io, lattice, solver
+from chemofront import cli, config_io, lattice, solver
 from chemofront.cli import main
+from chemofront.config_io import ConfigError, SnapshotError
 from chemofront.diagnostics import HISTORY_COLUMNS
+from chemofront.model import Grid
+from chemofront.profiles import ConstructionError
 
 
 TINY_CFG = """\
@@ -157,6 +160,19 @@ class TestRunCommand:
         stats = json.loads((tmp_path / "out" / "run_stats.json").read_text())
         assert stats["steps"] == stats["stages"] == stats["steps_per_s"] == 0 and stats["dt"] is None
         assert set(stats["bound_by"].values()) == {0}
+
+    def test_zero_length_run_writes_its_initial_state_and_verifies(self, tmp_path, capsys):
+        cfg = tmp_path / "still.cfg"
+        cfg.write_text(TINY_CFG.replace("t_end = 0.05", "t_end = 0.0"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        history = config_io.read_csv_columns(str(out / "history.csv"))
+        assert [col.size for col in history.values()] == [1] * len(HISTORY_COLUMNS)
+        assert history["t"][0] == 0.0
+        assert sorted(p.name for p in out.glob("snap_*.bin")) == ["snap_00000000.bin"]
+        assert config_io.read_snapshot(str(out / "snap_00000000.bin"), origin=(-1.0,)).t == 0.0
+        assert main(["verify", "--out", str(out)]) == 0
+        assert "sandwich lower viol 0.000e+00 (1 snaps)" in capsys.readouterr().out
 
     def test_reference_run_is_diffusion_bound_on_most_steps(self, cli_run_dir):
         stats = json.loads((cli_run_dir["out"] / "run_stats.json").read_text())
@@ -750,6 +766,78 @@ class TestLatticeCommand:
 
 
 # --- argument handling ------------------------------------------------------
+
+
+# every exception class main() reports, with the prefix of its one-line message and its exit code
+FAILURE_ROWS = [
+    (cli._UsageError, "error", 1),
+    (ConfigError, "config error", 1),
+    (SnapshotError, "snapshot error", 1),
+    (OSError, "io error", 1),
+    (solver.SimulationError, "numerical failure", 2),
+    (ConstructionError, "numerical failure", 2),
+    (ValueError, "numerical failure", 2),
+    (ArithmeticError, "numerical failure", 2),
+    (MemoryError, "out of memory", 2),
+]
+CASE_FAILURE_ROWS = [row for row in FAILURE_ROWS if row[0] is not cli._UsageError]
+
+
+def raising(exc_type):
+    def fail(*args, **kwargs):
+        raise exc_type("boom")
+    return fail
+
+
+class TestFailureTable:
+    def test_the_rows_are_every_reported_class(self):
+        assert [cls for classes, _, _ in cli._FAILURES for cls in classes] == [row[0] for row in FAILURE_ROWS]
+
+    @pytest.mark.parametrize("exc_type, prefix, code", FAILURE_ROWS, ids=lambda v: getattr(v, "__name__", None))
+    def test_run_reports_each_row_on_one_line(self, tmp_path, capsys, monkeypatch, exc_type, prefix, code):
+        monkeypatch.setattr(config_io, "build_initial_state", raising(exc_type))
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY_CFG)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == code
+        assert capsys.readouterr().err == "%s: boom\n" % prefix
+
+    @pytest.mark.parametrize("exc_type, prefix, code", CASE_FAILURE_ROWS, ids=lambda v: getattr(v, "__name__", None))
+    def test_sweep_records_each_case_row_and_runs_the_other_cases(self, tmp_path, capsys, monkeypatch, exc_type,
+                                                                  prefix, code):
+        execute = cli._execute_run
+
+        def fail_case_1(case, out_dir):
+            if out_dir.endswith("case_0001"):
+                raise exc_type("boom")
+            return execute(case, out_dir)
+
+        monkeypatch.setattr(cli, "_execute_run", fail_case_1)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_CFG.replace("model.m = 2.0, 3.0", "model.m = 2.0, 3.0, 4.0"))
+        out = tmp_path / "sweep_out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "1 of 3 cases failed" in capsys.readouterr().err
+        with open(out / "manifest.csv", newline="") as fh:
+            _, *rows = list(csv.reader(fh))
+        assert [r[6] for r in rows] == ["ok", "failed: %s: boom" % exc_type.__name__, "ok"]
+        assert rows[1][3:6] == ["", "", ""]
+
+    def test_an_unlisted_exception_escapes_with_its_traceback(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(config_io, "build_initial_state", raising(KeyError))
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY_CFG)
+        with pytest.raises(KeyError, match="boom"):
+            main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("command, cfg_text", [("run", TINY_CFG), ("lattice", LATTICE_CFG)], ids=["run", "lattice"])
+    def test_an_array_too_large_for_memory_is_one_line_and_exit_2(self, tmp_path, capsys, monkeypatch, command,
+                                                                   cfg_text):
+        # what numpy raises for cells = 10**12 in [grid] or sites = 10**12 in [lattice], without the allocation
+        monkeypatch.setattr(Grid, "axis_centers", raising(MemoryError))
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(cfg_text)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "out of memory: boom\n"
 
 
 class TestUsage:

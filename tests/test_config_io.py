@@ -241,6 +241,22 @@ class TestParseConfig:
         cfg = parse_config(text)
         assert cfg.sweep == {"model.m": (2.0, 3.0, 4.0), "solver.t_end": (0.1, 0.2)}
 
+    def test_with_value_sets_the_field_a_sweep_key_names(self):
+        cfg = parse_config(MINIMAL + "\n[sweep]\nmodel.m = 2.0, 3.0\n")
+        case = cfg.with_value("model.m", 3.0).with_value("solver.t_end", 0.25)
+        assert (case.model.m, case.solver.t_end) == (3.0, 0.25)
+        assert case == dataclasses.replace(
+            cfg, model=dataclasses.replace(cfg.model, m=3.0), solver=dataclasses.replace(cfg.solver, t_end=0.25))
+        assert (cfg.model.m, cfg.solver.t_end) == (2.0, 0.5)
+        with pytest.raises(ValueError, match="motility exponent m"):
+            cfg.with_value("model.m", 0.5)
+
+    def test_a_refused_sweep_value_is_reported_before_the_output_and_lattice_sections(self):
+        text = (MINIMAL + "\n[output]\nseed = 1.5\n[sweep]\nmodel.m = 0.5\n"
+                + "[lattice]\nsites = 2\nu_max = 50\nparticles = 100\nt_end = 0.25\n")
+        with pytest.raises(ConfigError, match=r"sweep\.model\.m value 0\.5"):
+            parse_config(text)
+
     def test_lattice_section_defaults(self):
         text = MINIMAL + "\n[lattice]\nsites = 20\nu_max = 50\nparticles = 100\nt_end = 0.25\n"
         lat = parse_config(text).lattice

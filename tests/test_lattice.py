@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chemofront import lattice
+from chemofront import lattice, solver
 from chemofront.lattice import (
     OVERFLOW_FACTOR,
     THETA,
@@ -68,6 +68,15 @@ class TestValidation:
 
 
 class TestLatticeConfig:
+    def test_geometry_the_walk_and_the_twin_share(self):
+        config = LatticeConfig(sites=21, u_max=50, particles=100, t_end=0.25, cells_per_bin=3, extent=2.1, origin=-1.0)
+        assert config.spacing == 2.1 / 21 and config.start_site == 10
+        state = initial_state(config, 2.0, 0)
+        assert state.spacing == config.spacing and state.origin == -1.0
+        assert np.flatnonzero(state.occupancy).tolist() == [10]
+        assert config.bins() == coarse_density(state, 3).grid
+        assert config.bins().cells == (7,)
+
     @pytest.mark.parametrize(
         "bad, fragment",
         [
@@ -238,9 +247,9 @@ def _leap_dt(m, max_rate, time_left):
 
 
 def _checked_loop(s, t_end):
-    """run_adaptive's dt rule spelled out on the public, checked API."""
+    """run_adaptive's dt and stopping rules spelled out on the public, checked API."""
     t, dts = 0.0, []
-    while t < t_end * (1.0 - 1e-12):
+    while t < t_end - solver._time_tolerance(t_end):
         left, right = rate_arrays(s)
         max_rate = max(float(left.max()), float(right.max()))
         if max_rate <= 0.0:
@@ -315,6 +324,21 @@ class TestOnePath:
         _, _, dts = run_adaptive(s, 0.3)
         assert calls == {"gains": 1, "rates": dts.size, "states": 1}
 
+    def test_stops_within_the_solvers_time_tolerance_of_t_end(self, monkeypatch):
+        # five leaps end 7e-13 short of t_end = 0.5: within the solver's 1e-12, outside 1e-12 * t_end
+        t_end, leaps, short = 0.5, 5, 7e-13
+        rate = THETA / (2.0 * 2.0 * ((t_end - short) / leaps))
+
+        def flat_rates(s, occupancy, gain_l, gain_r):
+            left, right = np.full(occupancy.shape, rate), np.full(occupancy.shape, rate)
+            left[..., 0] = right[..., -1] = 0.0
+            return left, right
+
+        monkeypatch.setattr(lattice, "_rates", flat_rates)
+        _, t, dts = run_adaptive(make_state([0, 0, 150, 0, 0], u_max=50, m=2.0), t_end)
+        assert dts.size == leaps
+        assert 1e-12 * t_end < t_end - t <= solver._time_tolerance(t_end)
+
     def test_leap_below_the_floor_raises(self):
         s = make_state([0, 0, 150, 0, 0], u_max=50, seed=1)
         with pytest.raises(ValueError, match=r"floor 1e\+288.*max rate 3 at t = 0"):
@@ -372,7 +396,7 @@ class TestLeapRule:
         load = s.occupancy.astype(float)
         gains = lattice._gains(s)
         t = 0.0
-        while t < CRITERION_09.t_end * (1.0 - 1e-12):
+        while t < CRITERION_09.t_end - solver._time_tolerance(CRITERION_09.t_end):
             left, right = lattice._rates(s, load, *gains)
             dt = _leap_dt(m, max(left.max(), right.max()), CRITERION_09.t_end - t)
             to_left, to_right = load * left * dt, load * right * dt

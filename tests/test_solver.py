@@ -385,12 +385,24 @@ class TestRun:
         assert run(initial, STANDARD_MODEL, SolverConfig(t_end=0.0), max_steps=5).final is initial
 
     def test_zero_duration_returns_initial(self):
+        # step 0 is emitted like any run's, so the history holds the initial state's row
         initial = make_standard_initial(cells=64)
         res = run(initial, STANDARD_MODEL, SolverConfig(t_end=0.0))
         assert res.steps == 0
         assert res.final is initial
         assert list(res.history) == list(HISTORY_COLUMNS)
-        assert all(col.dtype == np.float64 and col.size == 0 for col in res.history.values())
+        assert all(col.dtype == np.float64 and col.size == 1 for col in res.history.values())
+        full = run(initial, STANDARD_MODEL, SolverConfig(t_end=0.01))
+        assert all(res.history[name][0] == full.history[name][0] for name in HISTORY_COLUMNS)
+
+    def test_zero_duration_and_zero_steps_emit_alike(self):
+        initial = make_standard_initial(cells=32)
+        emitted = []
+        for cfg, max_steps in ((SolverConfig(t_end=0.0), None), (SolverConfig(t_end=0.01), 0)):
+            res = run(initial, STANDARD_MODEL, cfg, emit=lambda s, row: emitted.append((s, row)), max_steps=max_steps)
+            assert res.final is initial and res.steps == 0 and len(res.dts) == 0
+        (a, row_a), (b, row_b) = emitted
+        assert a is b is initial and row_a == row_b
 
     def test_reaches_requested_time(self):
         initial = make_standard_initial(cells=64)
