@@ -38,9 +38,8 @@ EXIT_VIOLATION = 3
 SNAPSHOT_PATTERN = "snap_%08d.bin"
 
 # verify fails when the v + w mass drift of diagnostics.conservation_audit exceeds MASS_TOL
-# or u crosses an envelope by more than SANDWICH_TOL
+# or u crosses an envelope by more than diagnostics.SANDWICH_TOL
 MASS_TOL = 1e-10
-SANDWICH_TOL = 1e-8
 
 
 class _UsageError(Exception):
@@ -309,7 +308,7 @@ def cmd_verify(args) -> int:
             )
 
     envelopes = [env for env in (lower, upper) if env is not None]
-    report = diagnostics.sandwich_check(states, envelopes, tol=SANDWICH_TOL)
+    report = diagnostics.sandwich_check(states, envelopes)
     sandwich_ok = report.clean
     print(
         "verify: sandwich lower viol %.3e (%d snaps), upper viol %.3e (%d snaps), %d violations: %s"

@@ -1,4 +1,8 @@
-"""Front tracking, rate fitting and conservation audits for completed runs."""
+"""Front tracking, rate fitting, conservation audits and the sandwich check for completed runs.
+
+Two constants, with no per-call override, make the support rule (u > SUPPORT_THRESHOLD)
+and the sandwich rule (u crosses an envelope by more than SANDWICH_TOL).
+"""
 
 from __future__ import annotations
 
@@ -11,6 +15,7 @@ from .model import Field, StateQuad
 
 __all__ = [
     "SUPPORT_THRESHOLD",
+    "SANDWICH_TOL",
     "HISTORY_COLUMNS",
     "support_radius",
     "history_row",
@@ -25,6 +30,7 @@ __all__ = [
 ]
 
 SUPPORT_THRESHOLD = 1e-12
+SANDWICH_TOL = 1e-8
 
 # a run's history is a dict of float64 columns under these names, in this order,
 # one entry per emitted state (solver.run, and history.csv read back by
@@ -44,14 +50,14 @@ HISTORY_COLUMNS = (
 )
 
 
-def support_radius(u: Field, x0, threshold: float = SUPPORT_THRESHOLD) -> float:
+def support_radius(u: Field, x0) -> float:
     """Radius of the occupied region around x0.
 
-    Largest distance from x0 to the center of any cell with u > threshold,
-    plus half a cell so the reported ball covers the whole cell; 0.0 when
-    nothing exceeds the threshold.
+    Largest distance from x0 to the center of any cell with u >
+    SUPPORT_THRESHOLD, plus half a cell so the reported ball covers the
+    whole cell; 0.0 when no cell is on the support.
     """
-    mask = u.values > threshold
+    mask = u.values > SUPPORT_THRESHOLD
     if not np.any(mask):
         return 0.0
     d2 = u.grid.center_distance2(x0)
@@ -160,7 +166,8 @@ def fit_exponential(t, values, t_min=None) -> ExponentialFit:
     """
     t, values, excluded = _fit_samples("exponential", t, values, t_min)
     slope, intercept, r2, stderr = _least_squares_line(t, np.log(values))
-    return ExponentialFit(-slope, math.exp(intercept), r2, stderr, t.size, excluded)
+    # 0.0 - slope, not -slope: a flat series has rate +0.0, never -0.0
+    return ExponentialFit(0.0 - slope, math.exp(intercept), r2, stderr, t.size, excluded)
 
 
 @dataclass(frozen=True)
@@ -209,14 +216,14 @@ def _grid_points(grid):
     return np.stack(np.meshgrid(x, y, indexing="ij"), axis=-1)
 
 
-def sandwich_check(snapshots, envelopes, tol: float = 1e-8) -> SandwichReport:
+def sandwich_check(snapshots, envelopes) -> SandwichReport:
     """Verify profile ordering against simulated states.
 
     envelopes are comparison profiles (profiles.ProfileParams).  Each is
     checked on every snapshot whose time, counted from the first snapshot,
     lies in its window [0, valid_until]: a 'lower' profile must stay below
     u, an 'upper' one above it.  Every cell of a checked snapshot that
-    crosses its envelope by more than tol counts as one violation.
+    crosses its envelope by more than SANDWICH_TOL counts as one violation.
     """
     snapshots = list(snapshots)
     if not snapshots:
@@ -237,5 +244,5 @@ def sandwich_check(snapshots, envelopes, tol: float = 1e-8) -> SandwichReport:
             viol = sign * (env.evaluate(pts, rel_t) - snap.u.values)
             worst[env.kind] = max(worst[env.kind], float(viol.max()))
             checked[env.kind] += 1
-            count += int(np.count_nonzero(viol > tol))
+            count += int(np.count_nonzero(viol > SANDWICH_TOL))
     return SandwichReport(worst["lower"], worst["upper"], count, checked["lower"], checked["upper"])

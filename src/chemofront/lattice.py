@@ -33,12 +33,12 @@ stability bound) over the same rate and leap kernels.
 run_ensemble and continuum_twin run a [lattice] section: the members as the
 rows of one batched run, seeded by one generator default_rng(base_seed),
 and the matching continuum run.  The batch stays one array to the end:
-run_ensemble starts the members from one (members, sites) state and
-returns an EnsembleRun: the leap sizes, the capacity use per member and the
-coarse densities as one (seeds, bins) array, binned by the
-same arithmetic as coarse_density, on LatticeConfig.bins(), the grid that
-continuum_twin runs on.  The CLI's lattice command and
-scripts/lattice_vs_pde.py both use them.  A [lattice] section has no drift
+run_ensemble starts the members from initial_state, one (seeds, sites)
+state, and returns an EnsembleRun: the leap sizes, the capacity use per
+member and the coarse densities as one (seeds, bins) array, each bin the
+mean relative density of its cells_per_bin sites, on LatticeConfig.bins(),
+the lattice's one coarse grid, on which continuum_twin runs.  The CLI's
+lattice command and scripts/lattice_vs_pde.py both use them.  A [lattice] section has no drift
 coefficient: initial_state gives every run a flat signal, over which beta
 would act on nothing, so LatticeState.beta keeps its default 0.  Nor has it
 a rate scale: every rate carries alpha and the leap dt is sized from the
@@ -61,7 +61,6 @@ __all__ = [
     "EnsembleRun",
     "rate_arrays",
     "step_tau_leap",
-    "coarse_density",
     "run_adaptive",
     "initial_state",
     "run_ensemble",
@@ -148,7 +147,6 @@ class LatticeState:
     beta: float = 0.0
     seed: int = 0
     spacing: float = 1.0
-    origin: float = 0.0
     capacity_violations: int = 0
     capacity_time: float = 0.0
     rng: np.random.Generator = None
@@ -323,25 +321,10 @@ def _bin(density: np.ndarray, cells_per_bin: int) -> np.ndarray:
     return density.reshape(density.shape[:-1] + (-1, cells_per_bin)).mean(axis=-1)
 
 
-def coarse_density(s: LatticeState, cells_per_bin: int) -> Field:
-    """Bin the relative density of one chain onto the matching finite-volume grid.
-
-    sites must divide evenly into bins; the result lives on a 1D Grid with
-    the same total extent and origin as the lattice.
-    """
-    if not (isinstance(cells_per_bin, (int, np.integer)) and cells_per_bin >= 1):
-        raise ValueError("cells_per_bin must be a positive integer")
-    if s.sites % cells_per_bin != 0:
-        raise ValueError("sites (%d) must be a multiple of cells_per_bin (%d)" % (s.sites, cells_per_bin))
-    grid = Grid(cells=(s.sites // cells_per_bin,), extent=(s.sites * s.spacing,), origin=(s.origin,))
-    return Field(grid, _bin(s.relative_density(), cells_per_bin))
-
-
-def initial_state(config: LatticeConfig, m: float, seed: int, members: int | None = None) -> LatticeState:
-    """The start of a [lattice] section, one chain or members of them: all particles on the centre site, flat signal."""
-    shape = (config.sites,) if members is None else (members, config.sites)
-    occupancy = np.zeros(shape, dtype=np.int64)
-    occupancy[..., config.start_site] = config.particles
+def initial_state(config: LatticeConfig, m: float, seed: int) -> LatticeState:
+    """The start of a [lattice] section, (seeds, sites): every member's particles on the centre site, flat signal."""
+    occupancy = np.zeros((config.seeds, config.sites), dtype=np.int64)
+    occupancy[:, config.start_site] = config.particles
     return LatticeState(
         occupancy=occupancy,
         u_max=config.u_max,
@@ -349,7 +332,6 @@ def initial_state(config: LatticeConfig, m: float, seed: int, members: int | Non
         m=m,
         seed=seed,
         spacing=config.spacing,
-        origin=config.origin,
     )
 
 
@@ -374,10 +356,10 @@ def run_ensemble(config: LatticeConfig, m: float, base_seed: int) -> EnsembleRun
     """Run config.seeds members as the rows of one batched run_adaptive.
 
     One generator, default_rng(base_seed), draws every row; member i is row
-    i and carries the label base_seed + i.  A one-member ensemble is the run
-    of initial_state(config, m, base_seed).
+    i and carries the label base_seed + i.  A one-member ensemble draws
+    what a one-chain (sites,) run from the same start and seed draws.
     """
-    start = initial_state(config, m, base_seed, members=config.seeds)
+    start = initial_state(config, m, base_seed)
     final, t, dts = run_adaptive(start, config.t_end)
     return EnsembleRun(t, dts, final.capacity_violations, final.capacity_time,
                        _bin(final.relative_density(), config.cells_per_bin))

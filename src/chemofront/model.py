@@ -91,12 +91,8 @@ class Grid:
         x0 = np.atleast_1d(np.asarray(x0, dtype=float))
         if x0.shape != (self.dim,):
             raise ValueError("x0 must have %d coordinates" % self.dim)
-        if self.dim == 1:
-            d = self.axis_centers(0) - x0[0]
-            return d * d
-        dx = self.axis_centers(0) - x0[0]
-        dy = self.axis_centers(1) - x0[1]
-        return dx[:, None] ** 2 + dy[None, :] ** 2
+        offsets = np.ix_(*(self.axis_centers(a) - x0[a] for a in range(self.dim)))
+        return sum(d * d for d in offsets)
 
     def diameter(self) -> float:
         return math.sqrt(sum(e * e for e in self.extent))
@@ -123,17 +119,6 @@ class Field:
     def full(cls, grid: Grid, value: float) -> "Field":
         return cls(grid, np.full(grid.cells, float(value)))
 
-    @classmethod
-    def from_function(cls, grid: Grid, fn) -> "Field":
-        """Sample fn at cell centers; fn takes one coordinate array per axis."""
-        if grid.dim == 1:
-            vals = fn(grid.axis_centers(0))
-        else:
-            x = grid.axis_centers(0)[:, None]
-            y = grid.axis_centers(1)[None, :]
-            vals = fn(x, y)
-        return cls(grid, np.broadcast_to(np.asarray(vals, float), grid.cells).copy())
-
     def copy(self) -> "Field":
         return Field(self.grid, self.values.copy())
 
@@ -144,8 +129,9 @@ class Field:
 
 # --- chemotactic sensitivity rules -----------------------------------------
 #
-# A rule maps u (scalar or array) to a value in [-1, 1].  Evaluation is
-# unchecked for speed; validation happens at construction.
+# A rule maps an array of u to values in [-1, 1] (a scalar u gives a numpy
+# scalar or 0-d array).  Evaluation is unchecked for speed; validation
+# happens at construction.
 
 
 @dataclass(frozen=True)
@@ -157,11 +143,8 @@ class ConstantSensitivity:
             raise ValueError("constant sensitivity must satisfy |c| <= 1, got %r" % self.value)
 
     def eval(self, u):
-        """The constant: a float for scalar u, a read-only broadcast view for an array."""
-        shape = np.shape(u)
-        if not shape:
-            return float(self.value)
-        return np.broadcast_to(float(self.value), shape)
+        """The constant as a read-only broadcast view shaped like u."""
+        return np.broadcast_to(float(self.value), np.shape(u))
 
 
 @dataclass(frozen=True)
@@ -175,11 +158,7 @@ class LinearSwitchSensitivity:
             raise ValueError("switch density u_star must be positive, got %r" % self.u_star)
 
     def eval(self, u):
-        u = np.asarray(u, dtype=float)
-        out = np.clip(1.0 - u / self.u_star, -1.0, 1.0)
-        if u.ndim == 0:
-            return float(out)
-        return out
+        return np.clip(1.0 - np.asarray(u, dtype=float) / self.u_star, -1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -209,11 +188,7 @@ class TabulatedSensitivity:
             raise ValueError("table slope magnitude must be <= 1, got max %r" % float(np.max(np.abs(slopes))))
 
     def eval(self, u):
-        u = np.asarray(u, dtype=float)
-        out = np.interp(u, self.nodes_u, self.nodes_phi)
-        if u.ndim == 0:
-            return float(out)
-        return out
+        return np.interp(np.asarray(u, dtype=float), self.nodes_u, self.nodes_phi)
 
 
 @dataclass(frozen=True)
@@ -278,7 +253,4 @@ class StateQuad:
 def logistic_growth(u, mu: float, delta: float, r: float):
     """Growth term mu * u**delta * (1 - r u); zero at u = 0 and u = 1/r."""
     arr = np.asarray(u, dtype=float)
-    out = mu * arr ** delta * (1.0 - r * arr)
-    if arr.ndim == 0:
-        return float(out)
-    return out
+    return mu * arr ** delta * (1.0 - r * arr)

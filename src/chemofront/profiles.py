@@ -58,8 +58,8 @@ def barenblatt(x, t: float, m: float, n: int):
     """Source solution of u_t = Lap(u^m) in n dimensions, mass fixed by m, n.
 
     B(x, t) = (1+t)^{-k} (1 - k(m-1)/(2mn) |x|^2 (1+t)^{-2k/n})_+^{1/(m-1)}
-    with k = 1/(m - 1 + 2/n).  Scalar x is fine for n = 1; for n = 2 the
-    last axis of x holds the coordinates.
+    with k = 1/(m - 1 + 2/n).  For n = 2 the last axis of x holds the
+    coordinates; a scalar x (n = 1) gives a numpy scalar.
     """
     if not (m > 1.0):
         raise ValueError("m must be > 1, got %r" % m)
@@ -70,10 +70,7 @@ def barenblatt(x, t: float, m: float, n: int):
     k = 1.0 / (m - 1.0 + 2.0 / n)
     r2 = _radial_sq(x, 1 if n == 1 else n)
     bracket = 1.0 - (k * (m - 1.0) / (2.0 * m * n)) * r2 * (1.0 + t) ** (-2.0 * k / n)
-    out = (1.0 + t) ** (-k) * np.clip(bracket, 0.0, None) ** (1.0 / (m - 1.0))
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+    return (1.0 + t) ** (-k) * np.clip(bracket, 0.0, None) ** (1.0 / (m - 1.0))
 
 
 def barenblatt_support_radius(t: float, m: float, n: int) -> float:
@@ -139,10 +136,7 @@ class ProfileParams:
         d2 = _radial_sq(x, len(self.center), self.center)
         bracket = np.clip(self.support_scale - d2 * s ** (-self.spread_exp), 0.0, None)
         power = -self.rate_exp if self.kind == "lower" else self.rate_exp
-        out = self.amplitude * s ** power * bracket ** self.shape_exp
-        if np.ndim(out) == 0:
-            return float(out)
-        return out
+        return self.amplitude * s ** power * bracket ** self.shape_exp
 
     def support_radius_at(self, t: float) -> float:
         """Radius of the profile's support ball at time t."""

@@ -308,6 +308,7 @@ def _advance(grid, u, v, w, z, t, params, dt_cap, dt_floor):
     """One step on bare arrays, the kernel of step() and run(): returns new
     arrays (u, v, w, z), dt, the clipped mass, the BINDING_TERMS index of
     what set the CFL dt and the RKL2 stages taken, and never writes its inputs.
+    dt is the CFL dt cut to dt_cap (run's time left, or inf for step).
 
     Order within the step: the cell density diffuses by one RKL2 super-step
     and moves by the drift off the current v and the growth, both at the
@@ -322,10 +323,7 @@ def _advance(grid, u, v, w, z, t, params, dt_cap, dt_floor):
     if dt < dt_floor:
         raise SimulationError(
             "CFL dt %r fell below %r at t=%r: the %s term binds" % (dt, dt_floor, t, BINDING_TERMS[bound]))
-    if dt_cap is not None:
-        if dt_cap <= 0.0:
-            raise SimulationError("nonpositive dt_cap %r" % dt_cap)
-        dt = min(dt, dt_cap)
+    dt = min(dt, dt_cap)
     stages = _stage_count(_stage_gain(MAX_STAGES) * dt * terms[0] / (CFL_SAFETY * h * h))
 
     um = u ** params.m
@@ -362,7 +360,7 @@ def _advance(grid, u, v, w, z, t, params, dt_cap, dt_floor):
     return u_new, v_new, w_new, z_new, dt, clipped, bound, stages
 
 
-def step(state: StateQuad, params: ModelParams, config: SolverConfig, dt_cap: float | None = None):
+def step(state: StateQuad, params: ModelParams, config: SolverConfig):
     """Advance all four fields by one stable step.
 
     Returns (new_state, StepReport).  The step runs the same kernel as run();
@@ -370,7 +368,7 @@ def step(state: StateQuad, params: ModelParams, config: SolverConfig, dt_cap: fl
     """
     grid = state.grid
     u, v, w, z, dt, clipped, _, stages = _advance(grid, state.u.values, state.v.values, state.w.values,
-                                                  state.z.values, state.t, params, dt_cap,
+                                                  state.z.values, state.t, params, math.inf,
                                                   _time_tolerance(state.t + config.t_end))
     new_state = StateQuad(Field(grid, u), Field(grid, v), Field(grid, w), Field(grid, z), state.t + dt)
     report = StepReport(dt_used=dt, min_u=float(np.min(u)), max_u=float(np.max(u)),

@@ -467,6 +467,15 @@ class TestFitCommand:
         written = (out / "fits.csv").read_text().strip().splitlines()
         assert written == lines
 
+    def test_flat_column_is_written_with_rate_zero_not_minus_zero(self, tmp_path, capsys):
+        path = tmp_path / "flat.csv"
+        path.write_text("t,norm_u_minus_1\n" + "".join("%d,1\n" % i for i in range(20)))
+        assert main(["fit", str(path), "--out", str(tmp_path)]) == 0
+        # the window t >= 3.8 keeps 16 rows; log 1 = 0 gives a zero slope, r^2 = 1 and no error
+        line = "norm_u_minus_1,exponential,0,1,1,0,16"
+        assert capsys.readouterr().out.splitlines()[1] == line
+        assert (tmp_path / "fits.csv").read_text().splitlines()[1] == line
+
     def test_too_short_history_is_numeric_failure(self, tmp_path, capsys):
         path = tmp_path / "short.csv"
         path.write_text("t,support_radius\n0,1\n1,2\n2,3\n")
@@ -888,8 +897,11 @@ class TestUsage:
         assert not out.exists()
 
     def test_console_entry_point(self):
+        # the child finds the package where this interpreter found it, installed or not
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
-            [sys.executable, "-m", "chemofront", "--help"], capture_output=True, text=True
+            [sys.executable, "-m", "chemofront", "--help"], capture_output=True, text=True, env=env
         )
         assert proc.returncode == 0
         for name in ("run", "verify", "sweep", "fit", "lattice"):

@@ -591,6 +591,15 @@ class TestBuildInitialState:
         assert np.all(state.w.values == 1.0)
         assert np.all(state.v.values == 0.0)
 
+    @pytest.mark.parametrize("grid", [Grid((4,), (1.0,), (0.0,)), Grid((4, 6), (1.0, 1.5), (0.0, -0.5))])
+    def test_bump_is_sampled_at_cell_centers(self, grid):
+        center = (0.4, 0.1)[: grid.dim]
+        built = BumpInit(center=center, radius=0.7, height=2.0).build(grid)
+        axes = np.meshgrid(*(grid.axis_centers(a) - center[a] for a in range(grid.dim)), indexing="ij")
+        d2 = sum(x * x for x in axes)
+        assert built.shape == grid.cells
+        assert np.allclose(built, 2.0 * np.clip(1.0 - d2 / 0.49, 0.0, None), rtol=1e-14, atol=0.0)
+
     def test_negative_initial_rejected(self):
         cfg = parse_config(MINIMAL.replace("u = constant 0.5", "u = constant 0.5\nv = constant -0.1"))
         with pytest.raises(ConfigError, match="nonnegative"):

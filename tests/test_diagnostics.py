@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from chemofront.diagnostics import (
     HISTORY_COLUMNS,
+    SANDWICH_TOL,
+    SUPPORT_THRESHOLD,
     conservation_audit,
     fit_exponential,
     fit_power_law,
@@ -36,9 +40,18 @@ def test_support_radius_empty_field_is_zero():
 def test_support_radius_threshold_masks_low_values():
     g = Grid((16,), (1.0,), (0.0,))
     vals = np.full(16, 1e-14)
+    vals[3] = SUPPORT_THRESHOLD
     vals[8] = 1.0
-    r = support_radius(Field(g, vals), (g.axis_centers(0)[8],), threshold=1e-6)
-    assert r == pytest.approx(0.5 * g.h)
+    u = Field(g, vals)
+    x0 = (g.axis_centers(0)[8],)
+    assert support_radius(u, x0) == pytest.approx(0.5 * g.h)
+    # the history's support column and its infimum on the support follow the same rule
+    zero = Field.full(g, 0.0)
+    row = dict(zip(HISTORY_COLUMNS, history_row(StateQuad(u, zero, zero, zero), x0, 0.0, 1.0)))
+    assert row["support_radius"] == support_radius(u, x0)
+    assert row["inf_u_on_support"] == 1.0
+    vals[3] = 2.0 * SUPPORT_THRESHOLD
+    assert support_radius(Field(g, vals), x0) == pytest.approx(5.5 * g.h)
 
 
 # --- steady targets and history rows ----------------------------------------
@@ -130,6 +143,12 @@ def test_fit_window_default_drops_leading_fifth():
     assert fit.samples == int(np.sum(t >= 2.0))
 
 
+def test_flat_series_has_a_positive_zero_rate():
+    fit = fit_exponential(np.linspace(0.0, 10.0, 40), np.ones(40))
+    assert fit.rate == 0.0
+    assert math.copysign(1.0, fit.rate) == 1.0  # +0.0: a fits table must not print -0
+
+
 def test_fits_need_eight_samples():
     t = np.linspace(0.0, 1.0, 6)
     with pytest.raises(ValueError, match="samples"):
@@ -196,7 +215,7 @@ def test_profiles_bracket_the_seed_bump():
 def test_sandwich_clean_run_reports_no_violations():
     g = Grid((64,), (2.0,), (-1.0,))
     snaps = [profile_state(g, LOWER, t, pad=0.05) for t in (0.0, 0.5, 1.0)]
-    report = sandwich_check(snaps, [LOWER], tol=1e-8)
+    report = sandwich_check(snaps, [LOWER])
     assert report.clean
     assert report.violation_count == 0
     assert report.max_lower_violation == 0.0
@@ -209,11 +228,28 @@ def test_sandwich_detects_and_counts_violations():
     good = profile_state(g, LOWER, 0.0, pad=0.05)
     bad = profile_state(g, LOWER, 1.0, pad=0.05)
     bad.u.values[30:34] = 0.0  # carve a hole of four cells under the sub-profile
-    assert np.all(LOWER.evaluate(g.axis_centers(0)[30:34], 1.0) > 1e-8)
-    report = sandwich_check([good, bad], [LOWER], tol=1e-8)
+    assert np.all(LOWER.evaluate(g.axis_centers(0)[30:34], 1.0) > SANDWICH_TOL)
+    report = sandwich_check([good, bad], [LOWER])
     assert not report.clean
     assert report.violation_count == 4
     assert report.max_lower_violation > 0.0
+
+
+def test_sandwich_counts_only_crossings_beyond_the_tolerance():
+    """verify's rule: u below a sub-profile by up to SANDWICH_TOL is clean, by more is a violation."""
+    assert SANDWICH_TOL == 1e-8
+    g = Grid((64,), (2.0,), (-1.0,))
+    x = g.axis_centers(0)
+    zeros = lambda: Field.full(g, 0.0)
+    covered = LOWER.evaluate(x, 0.0) > SANDWICH_TOL
+
+    def under(depth):
+        u = np.clip(LOWER.evaluate(x, 0.0) - depth, 0.0, None)
+        return sandwich_check([StateQuad(Field(g, u), zeros(), zeros(), zeros())], [LOWER])
+
+    assert under(0.5 * SANDWICH_TOL).clean
+    deep = under(2.0 * SANDWICH_TOL)
+    assert deep.violation_count == int(covered.sum()) > 0
 
 
 def test_sandwich_upper_respects_validity_window():
@@ -250,9 +286,9 @@ def test_sandwich_counts_every_violating_cell_of_every_snapshot():
         m=2.0, n=1, mu=1.0, delta=1.0, seed_radius=1.4, seed_height=0.5,
         diam=2.0, c1=1.0, c2=1.0, center=(0.0,),
     )
-    report = sandwich_check([empty, flooded, late], [lower_tall, UPPER], tol=1e-12)
-    below = sum(int(np.sum(lower_tall.evaluate(x, s.t) - s.u.values > 1e-12)) for s in (empty, flooded, late))
-    above = sum(int(np.sum(s.u.values - UPPER.evaluate(x, s.t) > 1e-12)) for s in (empty, flooded))
+    report = sandwich_check([empty, flooded, late], [lower_tall, UPPER])
+    below = sum(int(np.sum(lower_tall.evaluate(x, s.t) - s.u.values > SANDWICH_TOL)) for s in (empty, flooded, late))
+    above = sum(int(np.sum(s.u.values - UPPER.evaluate(x, s.t) > SANDWICH_TOL)) for s in (empty, flooded))
     # the tall sub-profile covers the whole domain on both empty snapshots; 3.0 tops the super-profile everywhere
     assert (below, above) == (2 * 2048, 2048)
     assert report.violation_count == below + above == 6144
@@ -264,5 +300,5 @@ def test_lower_profile_stays_under_upper_on_shared_window():
     g = Grid((128,), (2.0,), (-1.0,))
     times = (0.0, 0.5 * UPPER.valid_until, UPPER.valid_until)
     snaps = [profile_state(g, UPPER, t) for t in times]
-    report = sandwich_check(snaps, [LOWER], tol=1e-8)
+    report = sandwich_check(snaps, [LOWER])
     assert report.clean

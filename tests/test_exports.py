@@ -4,6 +4,7 @@ every name the benchmark's tracer hooks must exist and be reached."""
 
 import importlib
 import importlib.util
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -82,6 +83,8 @@ PRUNED = [
     ("chemofront", "steady_state_targets"),
     ("chemofront.diagnostics", "steady_state_targets"),
     ("chemofront.lattice", "Member"),
+    ("chemofront.lattice", "coarse_density"),
+    ("chemofront.cli", "SANDWICH_TOL"),
 ]
 
 
@@ -90,6 +93,28 @@ def test_pruned_names_stay_gone(name, attr):
     module = importlib.import_module(name)
     assert attr not in getattr(module, "__all__", ())
     assert not hasattr(module, attr)
+
+
+# (module, callable, parameter) for each knob that only tests ever set, retired for the constant or shape the program uses
+RETIRED_PARAMETERS = [
+    ("solver", "step", "dt_cap"),
+    ("diagnostics", "support_radius", "threshold"),
+    ("diagnostics", "sandwich_check", "tol"),
+    ("lattice", "initial_state", "members"),
+    ("lattice", "LatticeState", "origin"),
+]
+
+
+@pytest.mark.parametrize("module, name, parameter", RETIRED_PARAMETERS)
+def test_retired_parameters_stay_gone(module, name, parameter):
+    target = getattr(importlib.import_module("chemofront." + module), name)
+    assert parameter not in inspect.signature(target).parameters
+
+
+def test_fields_are_built_from_arrays_only():
+    from chemofront.model import Field
+
+    assert not hasattr(Field, "from_function")
 
 
 def _tracer():

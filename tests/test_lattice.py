@@ -10,7 +10,6 @@ from chemofront.lattice import (
     THETA,
     LatticeConfig,
     LatticeState,
-    coarse_density,
     continuum_twin,
     initial_state,
     rate_arrays,
@@ -18,6 +17,7 @@ from chemofront.lattice import (
     run_ensemble,
     step_tau_leap,
 )
+from chemofront.model import Grid
 
 
 def make_state(occupancy, u_max=100, m=2.0, alpha=1.0, beta=0.0, v=None, seed=0, spacing=1.0):
@@ -72,10 +72,13 @@ class TestLatticeConfig:
         config = LatticeConfig(sites=21, u_max=50, particles=100, t_end=0.25, cells_per_bin=3, extent=2.1, origin=-1.0)
         assert config.spacing == 2.1 / 21 and config.start_site == 10
         state = initial_state(config, 2.0, 0)
-        assert state.spacing == config.spacing and state.origin == -1.0
-        assert np.flatnonzero(state.occupancy).tolist() == [10]
-        assert config.bins() == coarse_density(state, 3).grid
-        assert config.bins().cells == (7,)
+        assert state.spacing == config.spacing and state.sites == 21
+        assert state.occupancy.shape == (1, 21) and np.flatnonzero(state.occupancy[0]).tolist() == [10]
+        # the bins of run_ensemble's densities and of the twin: 7 bins of 3 sites each over [-1, 1.1]
+        bins = config.bins()
+        assert bins == Grid(cells=(7,), extent=(2.1,), origin=(-1.0,))
+        assert bins.h == pytest.approx(3 * state.spacing, rel=1e-15)
+        assert run_ensemble(config, 2.0, 0).density.shape == (1, 7)
 
     @pytest.mark.parametrize(
         "bad, fragment",
@@ -393,7 +396,7 @@ class TestLeapRule:
         exceed that of leaps at jump probability 0.05 by at most a quarter.
         """
         s = initial_state(CRITERION_09, m, 0)
-        load = s.occupancy.astype(float)
+        load = s.occupancy[0].astype(float)  # every member starts alike: the mean field of one
         gains = lattice._gains(s)
         t = 0.0
         while t < CRITERION_09.t_end - solver._time_tolerance(CRITERION_09.t_end):
@@ -431,7 +434,9 @@ class TestEnsemble:
 
     def test_one_member_ensemble_is_the_base_seed_run(self, monkeypatch):
         config = dataclasses.replace(self.CONFIG, seeds=1)
-        state, t, dts = run_adaptive(initial_state(config, 2.0, 40), config.t_end)
+        start = initial_state(config, 2.0, 40)
+        chain = dataclasses.replace(start, occupancy=start.occupancy[0], rng=None)  # one (sites,) chain, seed 40
+        state, t, dts = run_adaptive(chain, config.t_end)
         runs = self._spy(monkeypatch, "run_adaptive")
         run = run_ensemble(config, 2.0, 40)
         final, t_batch, dts_batch = runs[0][1]
@@ -442,10 +447,8 @@ class TestEnsemble:
         assert run.t == t and np.array_equal(run.dts, dts)
         assert (run.flags.tolist(), run.flag_time.tolist()) == ([state.capacity_violations], [state.capacity_time])
         assert state.capacity_violations > 0
-        single = coarse_density(state, 2)
         assert run.density.shape == (1, 10)
-        assert np.array_equal(run.density[0], single.values)
-        assert np.array_equal(config.bins().axis_centers(0), single.grid.axis_centers(0))
+        assert np.array_equal(run.density[0], (state.occupancy / 50).reshape(10, 2).mean(axis=1))
 
     def test_members_conserve_particles_inside_the_leap_condition(self, monkeypatch):
         leaps = self._spy(monkeypatch, "_leap")
@@ -488,7 +491,8 @@ class TestEnsemble:
         run_ensemble(self.CONFIG, 2.0, 40)
         assert len(runs) == 1
         (batch, t_end), _ = runs[0]
-        assert np.array_equal(batch.occupancy, np.tile(initial_state(self.CONFIG, 2.0, 40).occupancy, (3, 1)))
+        assert np.array_equal(batch.occupancy, np.tile(_mound(20, 150), (3, 1)))
+        assert batch.seed == 40
         assert t_end == self.CONFIG.t_end
 
     def test_run_ensemble_builds_the_start_and_the_final_state_only(self, monkeypatch):
@@ -542,38 +546,39 @@ class TestEnsemble:
         assert twin.grid.extent == (2.0,)
         assert twin.grid.origin == (-1.0,)
         assert twin.grid == self.CONFIG.bins()
-        u0 = coarse_density(initial_state(self.CONFIG, 2.0, 0), 2)
-        assert twin.mass() == pytest.approx(u0.mass(), rel=1e-12)
+        # the particles' mass: 150 / u_max of relative density on one site of spacing 0.1
+        assert twin.mass() == pytest.approx(150 / 50 * self.CONFIG.spacing, rel=1e-12)
 
 
 class TestCoarseDensity:
-    def test_uniform_occupancy_binning(self):
-        s = make_state([30] * 8, u_max=100)
-        f = coarse_density(s, 2)
-        assert np.allclose(f.values, 0.3)
-        assert f.grid.cells == (4,)
+    """run_ensemble's densities: each bin is the mean relative density of its cells_per_bin sites."""
 
-    def test_identity_binning(self):
-        s = make_state([10, 20, 30, 40], u_max=100)
-        f = coarse_density(s, 1)
-        assert np.allclose(f.values, [0.1, 0.2, 0.3, 0.4])
+    @staticmethod
+    def _density_of(monkeypatch, config, occupancy):
+        """run_ensemble's density row for a run that ends at the given (sites,) occupancy."""
+        def ends_at(s, t_end):
+            return dataclasses.replace(s, occupancy=np.tile(occupancy, (config.seeds, 1))), t_end, np.zeros(0)
 
-    def test_alternating_average(self):
-        s = make_state([0, 2] * 8, u_max=100)
-        f = coarse_density(s, 2)
-        assert np.allclose(f.values, 1.0 / 100.0)
+        monkeypatch.setattr(lattice, "run_adaptive", ends_at)
+        return run_ensemble(config, 2.0, 0).density[0]
+
+    def test_uniform_occupancy_binning(self, monkeypatch):
+        config = LatticeConfig(sites=8, u_max=100, particles=30, t_end=1.0, cells_per_bin=2)
+        assert np.allclose(self._density_of(monkeypatch, config, [30] * 8), [0.3] * 4)
+
+    def test_identity_binning(self, monkeypatch):
+        config = LatticeConfig(sites=4, u_max=100, particles=10, t_end=1.0)
+        assert np.allclose(self._density_of(monkeypatch, config, [10, 20, 30, 40]), [0.1, 0.2, 0.3, 0.4])
+
+    def test_alternating_average(self, monkeypatch):
+        config = LatticeConfig(sites=16, u_max=100, particles=2, t_end=1.0, cells_per_bin=2)
+        assert np.allclose(self._density_of(monkeypatch, config, [0, 2] * 8), 1.0 / 100.0)
 
     def test_grid_geometry_carries_over(self):
-        s = LatticeState(
-            occupancy=np.ones(16, dtype=np.int64), u_max=100,
-            v=np.zeros(16), m=2.0,
-            spacing=0.25, origin=-1.0,
-        )
-        f = coarse_density(s, 4)
-        assert f.grid.extent == (4.0,)
-        assert f.grid.origin == (-1.0,)
+        config = LatticeConfig(sites=16, u_max=100, particles=1, t_end=1.0, cells_per_bin=4, extent=4.0, origin=-1.0)
+        assert config.spacing == 0.25
+        assert config.bins() == Grid(cells=(4,), extent=(4.0,), origin=(-1.0,))
 
     def test_divisibility_enforced(self):
-        s = make_state([1] * 9)
-        with pytest.raises(ValueError, match="multiple"):
-            coarse_density(s, 2)
+        with pytest.raises(ValueError, match="cells_per_bin must divide sites"):
+            LatticeConfig(sites=9, u_max=100, particles=1, t_end=1.0, cells_per_bin=2)

@@ -54,6 +54,28 @@ class TestGrid:
         assert np.allclose(d2, manual)
         assert g.diameter() == pytest.approx(2.0 * np.sqrt(2.0))
 
+    @pytest.mark.parametrize(
+        "grid, x0",
+        [
+            (Grid((7,), (1.3,), (-0.4,)), (0.31,)),
+            (Grid((6, 10), (0.6, 1.0), (-0.1, 0.2)), (0.31, 0.47)),
+        ],
+    )
+    def test_center_distance2_is_the_per_axis_formula_bit_for_bit(self, grid, x0):
+        """One broadcast sum over the axes gives the bits of the 1D and 2D formulas it replaced."""
+        if grid.dim == 1:
+            d = grid.axis_centers(0) - x0[0]
+            formula = d * d
+        else:
+            dx = grid.axis_centers(0) - x0[0]
+            dy = grid.axis_centers(1) - x0[1]
+            formula = dx[:, None] ** 2 + dy[None, :] ** 2
+        d2 = grid.center_distance2(x0)
+        assert d2.shape == grid.cells and d2.dtype == np.float64
+        assert d2.tobytes() == formula.tobytes()
+        with pytest.raises(ValueError, match="coordinates"):
+            grid.center_distance2(x0 + (0.0,))
+
 
 class TestField:
     def test_shape_mismatch_rejected(self):
@@ -72,11 +94,6 @@ class TestField:
         g = Grid((10,), (2.0,), (0.0,))
         f = Field.full(g, 3.0)
         assert f.mass() == pytest.approx(6.0)
-
-    def test_from_function_samples_centers(self):
-        g = Grid((4,), (1.0,), (0.0,))
-        f = Field.from_function(g, lambda x: x * 2.0)
-        assert np.allclose(f.values, 2.0 * g.axis_centers(0))
 
 
 class TestStateQuad:
