@@ -471,14 +471,13 @@ def cmd_fit(args) -> int:
 
 
 def _lattice_stats(run: lattice_mod.EnsembleRun, base_seed: int) -> dict:
-    """The lattice_stats.json record: how many leaps the ensemble took, how large, and its capacity use."""
+    """The lattice_stats.json record: how many leaps the ensemble took, how large, and its site-time above u_max."""
     return {
         "leaps": int(run.dts.size),
         "t_reached": run.t,
         "dt": _dt_stats(run.dts),
-        "seeds": [base_seed + i for i in range(run.flags.size)],
-        "capacity_flags": run.flags.tolist(),
-        "capacity_site_time": run.flag_time.tolist(),
+        "seeds": [base_seed + i for i in range(run.site_time.size)],
+        "capacity_site_time": run.site_time.tolist(),
     }
 
 
@@ -506,8 +505,8 @@ def cmd_lattice(args) -> int:
     _write_json(os.path.join(out_dir, "lattice_stats.json"), _lattice_stats(run, base_seed))
     mean = run.density.mean(axis=0)
     print(
-        "lattice: %d seeds, %d sites, %d capacity flags, ensemble.csv in %s"
-        % (lat.seeds, lat.sites, run.flags.sum(), out_dir)
+        "lattice: %d seeds, %d sites, site-time above u_max %g, ensemble.csv in %s"
+        % (lat.seeds, lat.sites, run.site_time.sum(), out_dir)
     )
 
     if not lat.compare_pde and args.tol_l1 is None:

@@ -625,22 +625,26 @@ class HistoryCsvWriter:
 
 
 def read_csv_columns(path: str) -> dict:
+    """The columns of a numeric CSV by header name; every value must be a finite number."""
     with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [(i, ln.strip()) for i, ln in enumerate(fh, start=1) if ln.strip()]
     if not lines:
         raise ConfigError("CSV %r is empty" % path)
-    names = [c.strip() for c in lines[0].split(",")]
+    names = [c.strip() for c in lines[0][1].split(",")]
     data = {name: [] for name in names}
     if len(data) != len(names):
         repeated = next(name for i, name in enumerate(names) if name in names[:i])
         raise ConfigError("CSV %r repeats column %r" % (path, repeated))
-    for i, ln in enumerate(lines[1:], start=2):
+    for i, ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != len(names):
             raise ConfigError("CSV %r line %d has %d fields, expected %d" % (path, i, len(parts), len(names)))
         for name, part in zip(names, parts):
             try:
-                data[name].append(float(part))
+                value = float(part)
             except ValueError:
                 raise ConfigError("CSV %r line %d: %r is not a number" % (path, i, part)) from None
+            if not math.isfinite(value):
+                raise ConfigError("CSV %r line %d: %s must be a finite number, got %r" % (path, i, name, part))
+            data[name].append(value)
     return {name: np.asarray(vals) for name, vals in data.items()}

@@ -101,7 +101,7 @@ def _fit_samples(kind: str, t, values, t_min):
     if t.shape != values.shape:
         raise ValueError("t and values must have matching shapes")
     if t_min is None:
-        t_min = t.min() + 0.2 * (t.max() - t.min())
+        t_min = t.min() + 0.2 * (t.max() - t.min()) if t.size else 0.0  # an empty series keeps no sample
     window = t >= t_min
     positive = values > 0.0
     keep = window & positive

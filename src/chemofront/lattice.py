@@ -12,8 +12,9 @@ which conserves particles exactly.
 A state's occupancy is one chain, (sites,), or an ensemble of them,
 (members, sites), over the same frozen signal v.  run_adaptive leaps on the
 bare occupancy array: the signal gaps are evaluated once per run; each leap
-evaluates the rates of every member once, takes one dt, and draws every
-move with a single multinomial call from the state's one generator.
+evaluates the rates of every member once, as one (left, right, stay) array,
+takes one dt, and draws every move with one multinomial call from the
+state's one generator.
 
 The leap rule.  The expected update of a leap is an explicit Euler step of
 the lattice porous-medium equation, which is stable while each direction's
@@ -21,12 +22,12 @@ jump probability dt * rate stays at or below 1/(2m).  Every leap is sized
 at THETA = 0.8 of that bound, dt * max rate = THETA / (2m), by the fastest
 member; so a site's stay probability is at least 1 - THETA/m > 0 for every
 m > 1.  The last leap is cut to land on t_end.  Every leap checks the
-overflow cap and counts the sites above u_max per member, and integrates
-them over the leap (the site-time above u_max); a LatticeState, with its
-full validation, is built only for the final state.  The walk stops as the
-continuum solver does, within 1e-12 * max(1, t_end) of t_end, and a leap dt
-below that tolerance raises ValueError, so a run that can never reach t_end
-stops at once.
+overflow cap and, when a site is above u_max, adds per member the leap's
+site-time above u_max, the walk's one capacity measure; a LatticeState, with
+its full validation, is built only for the final state.  The walk stops as
+the continuum solver does, within 1e-12 * max(1, t_end) of t_end, and a
+leap dt below that tolerance raises ValueError, so a run that can never
+reach t_end stops at once.
 step_tau_leap is the checked public step (dt > 0, dt * max rate within the
 stability bound) over the same rate and leap kernels.
 
@@ -34,16 +35,17 @@ run_ensemble and continuum_twin run a [lattice] section: the members as the
 rows of one batched run, seeded by one generator default_rng(base_seed),
 and the matching continuum run.  The batch stays one array to the end:
 run_ensemble starts the members from initial_state, one (seeds, sites)
-state, and returns an EnsembleRun: the leap sizes, the capacity use per
-member and the coarse densities as one (seeds, bins) array, each bin the
-mean relative density of its cells_per_bin sites, on LatticeConfig.bins(),
-the lattice's one coarse grid, on which continuum_twin runs.  The CLI's
-lattice command and scripts/lattice_vs_pde.py both use them.  A [lattice] section has no drift
-coefficient: initial_state gives every run a flat signal, over which beta
-would act on nothing, so LatticeState.beta keeps its default 0.  Nor has it
-a rate scale: every rate carries alpha and the leap dt is sized from the
-largest rate, so a walk run to t_end draws the leap probabilities of
-alpha = 1 run to alpha * t_end; LatticeState.alpha keeps its default 1.
+state, and returns an EnsembleRun: the leap sizes, the site-time above
+u_max per member and the coarse densities as one (seeds, bins) array, each
+bin the mean relative density of its cells_per_bin sites, on
+LatticeConfig.bins(), the lattice's one coarse grid, on which continuum_twin
+runs.  The CLI's lattice command and scripts/lattice_vs_pde.py both use
+them.  A [lattice] section has no drift coefficient: initial_state gives
+every run a flat signal, over which beta would act on nothing, so
+LatticeState.beta keeps its default 0.  Nor has it a rate scale: every rate
+carries alpha and the leap dt is sized from the largest rate, so a walk run
+to t_end draws the leap probabilities of alpha = 1 run to alpha * t_end;
+LatticeState.alpha keeps its default 1.
 """
 from __future__ import annotations
 
@@ -131,12 +133,11 @@ class LatticeState:
     occupancy counts particles per site (u_max of them make relative density
     one), for one chain (sites,) or for an ensemble (members, sites) whose
     rows share v and the generator rng; v is the prescribed signal over the
-    sites.  Sites above u_max are counted as capacity violations (one count
-    per member for an ensemble), one per (site, leap), and capacity_time
-    integrates them over time, the sum of the counts times the leap dt, so
-    it depends far less on the leap size than the count does.  Only occupancy beyond
-    OVERFLOW_FACTOR * u_max is an error, because the walk does not
-    hard-block arrivals.
+    sites.  capacity_time is the site-time above u_max (one value per member
+    for an ensemble): each leap adds its dt times the number of sites it
+    left above u_max, so the measure hardly depends on the leap size.  Only
+    occupancy beyond OVERFLOW_FACTOR * u_max is an error, because the walk
+    does not hard-block arrivals.
     """
 
     occupancy: np.ndarray
@@ -147,7 +148,6 @@ class LatticeState:
     beta: float = 0.0
     seed: int = 0
     spacing: float = 1.0
-    capacity_violations: int = 0
     capacity_time: float = 0.0
     rng: np.random.Generator = None
 
@@ -183,38 +183,29 @@ class LatticeState:
     def relative_density(self) -> np.ndarray:
         return self.occupancy / float(self.u_max)
 
-    def particle_count(self):
-        """Particles on the chain, or per member of an ensemble."""
-        return self.occupancy.sum(axis=-1)
 
+def _gains(s: LatticeState) -> np.ndarray:
+    """The (sites, 3) (left, right, stay) gains alpha -/+ beta * (v gap), clamped at zero.
 
-def _gains(s: LatticeState):
-    """alpha -/+ beta * (v gap) on the faces, for jumps to the left and right.
-
-    v is frozen in a state, so a run evaluates these once.
+    Jumps off the chain and the stay column have gain zero.  v is frozen in a
+    state, so a run evaluates these once; q >= 0, so clamping gains clamps rates.
     """
     dv_r = s.v[1:] - s.v[:-1]  # signal gap across face (i, i+1)
-    return s.alpha - s.beta * dv_r, s.alpha + s.beta * dv_r
+    gains = np.zeros((s.sites, 3))
+    gains[1:, 0] = s.alpha - s.beta * dv_r
+    gains[:-1, 1] = s.alpha + s.beta * dv_r
+    return np.maximum(gains, 0.0, out=gains)
 
 
-def _rates(s: LatticeState, occupancy: np.ndarray, gain_l, gain_r):
-    """rate_arrays for the (..., sites) occupancy given, with the constants of s.
+def _rates(s: LatticeState, occupancy: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    """The (..., sites, 3) (left, right, stay) jump rates of the occupancy given, stay at zero.
 
     Counts are never negative, so q is the plain power (the jump probability
     u^(m-1) of the model, taken at the departure site) with no scan for
     negative input.
     """
     q = (occupancy / float(s.u_max)) ** (s.m - 1.0)
-    left = np.zeros(occupancy.shape)
-    right = np.zeros(occupancy.shape)
-    np.multiply(q[..., :-1], gain_r, out=right[..., :-1])
-    np.multiply(q[..., 1:], gain_l, out=left[..., 1:])
-    np.maximum(left, 0.0, out=left)
-    np.maximum(right, 0.0, out=right)
-    scale = 1.0 / (s.spacing * s.spacing)
-    left *= scale
-    right *= scale
-    return left, right
+    return q[..., None] * gains * (1.0 / (s.spacing * s.spacing))
 
 
 def rate_arrays(s: LatticeState):
@@ -223,35 +214,30 @@ def rate_arrays(s: LatticeState):
     Reflecting boundaries show up as zero outward rates at the ends; negative
     raw rates (strong adverse drift) clamp to zero.
     """
-    return _rates(s, s.occupancy, *_gains(s))
+    rates = _rates(s, s.occupancy, _gains(s))
+    return rates[..., 0], rates[..., 1]
 
 
-def _leap(occupancy: np.ndarray, left, right, dt: float, rng, u_max: int, probs: np.ndarray):
-    """One multinomial leap on bare (..., sites) counts.
+def _leap(occupancy: np.ndarray, rates: np.ndarray, dt: float, rng, u_max: int):
+    """One multinomial leap on bare (..., sites) counts with their (..., sites, 3) rates.
 
-    Returns the new counts and the sites above u_max along the last axis.
-    probs is an occupancy.shape + (3,) scratch buffer for the (left, right,
-    stay) probabilities; one multinomial call draws every site of every row.
-    Every particle moves at most once, so each row conserves its total
-    exactly; the input array is not written.
+    Returns the new counts and each row's site-time above u_max over the
+    leap (0.0 when no site is above).  One multinomial call draws every site
+    of every row; every particle moves at most once, so each row conserves
+    its total exactly.  Neither input array is written.
     """
-    p_left, p_right, stay = probs[..., 0], probs[..., 1], probs[..., 2]
-    np.multiply(left, dt, out=p_left)
-    np.multiply(right, dt, out=p_right)
-    np.subtract(1.0, p_left, out=stay)
-    stay -= p_right
+    probs = rates * dt
+    probs[..., 2] = 1.0 - probs[..., 0] - probs[..., 1]
     moves = rng.multinomial(occupancy, probs)
-    go_left = moves[..., 0]
-    go_right = moves[..., 1]
+    occ = moves[..., 2].copy()  # each site's stayers, plus the movers from its two neighbours
+    occ[..., :-1] += moves[..., 1:, 0]
+    occ[..., 1:] += moves[..., :-1, 1]
 
-    occ = occupancy - go_left - go_right
-    occ[..., :-1] += go_left[..., 1:]
-    occ[..., 1:] += go_right[..., :-1]
-
+    top = occ.max()
     cap = OVERFLOW_FACTOR * u_max
-    if occ.max() > cap:
+    if top > cap:
         raise ValueError("occupancy exceeded the overflow cap %d during a leap" % cap)
-    return occ, (occ > u_max).sum(axis=-1)
+    return occ, ((occ > u_max).sum(axis=-1) * dt if top > u_max else 0.0)
 
 
 def step_tau_leap(s: LatticeState, dt: float) -> LatticeState:
@@ -263,18 +249,16 @@ def step_tau_leap(s: LatticeState, dt: float) -> LatticeState:
     """
     if not (dt > 0.0):
         raise ValueError("dt must be positive")
-    left, right = rate_arrays(s)
-    max_rate = max(float(left.max()), float(right.max()), 0.0)
+    rates = _rates(s, s.occupancy, _gains(s))
+    max_rate = float(rates.max())
     bound = 0.5 / s.m
     if dt * max_rate > bound * (1.0 + 1e-9):
         raise ValueError(
             "leap condition violated: dt * max_rate = %g exceeds the stability bound 1/(2m) = %g"
             % (dt * max_rate, bound)
         )
-    probs = np.empty(s.occupancy.shape + (3,))
-    occ, flags = _leap(s.occupancy, left, right, dt, s.rng, s.u_max, probs)
-    return replace(s, occupancy=occ, capacity_violations=s.capacity_violations + flags,
-                   capacity_time=s.capacity_time + flags * dt)
+    occ, site_time = _leap(s.occupancy, rates, dt, s.rng, s.u_max)
+    return replace(s, occupancy=occ, capacity_time=s.capacity_time + site_time)
 
 
 def run_adaptive(s: LatticeState, t_end: float):
@@ -290,14 +274,12 @@ def run_adaptive(s: LatticeState, t_end: float):
     gains = _gains(s)
     tiny = solver._time_tolerance(t_end)
     occ = s.occupancy
-    probs = np.empty(occ.shape + (3,))
-    flags = s.capacity_violations + np.zeros(occ.shape[:-1], dtype=np.int64)
-    flag_time = s.capacity_time + np.zeros(occ.shape[:-1])
+    site_time = s.capacity_time + np.zeros(occ.shape[:-1])
     t = 0.0
     dts = []
     while t < t_end - tiny:
-        left, right = _rates(s, occ, *gains)
-        max_rate = max(float(left.max()), float(right.max()))
+        rates = _rates(s, occ, gains)
+        max_rate = float(rates.max())
         if max_rate <= 0.0:
             break  # frozen configuration, nothing will ever move
         dt = THETA / (2.0 * s.m * max_rate)
@@ -307,13 +289,11 @@ def run_adaptive(s: LatticeState, t_end: float):
                 "max rate %.6g at t = %.6g" % (dt, tiny, max_rate, t)
             )
         dt = min(dt, t_end - t)
-        occ, new_flags = _leap(occ, left, right, dt, s.rng, s.u_max, probs)
-        flags = flags + new_flags
-        flag_time = flag_time + new_flags * dt
+        occ, leap_time = _leap(occ, rates, dt, s.rng, s.u_max)
+        site_time = site_time + leap_time
         t += dt
         dts.append(dt)
-    final = replace(s, occupancy=occ, capacity_violations=flags, capacity_time=flag_time)
-    return final, t, np.array(dts)
+    return replace(s, occupancy=occ, capacity_time=site_time), t, np.array(dts)
 
 
 def _bin(density: np.ndarray, cells_per_bin: int) -> np.ndarray:
@@ -339,16 +319,14 @@ def initial_state(config: LatticeConfig, m: float, seed: int) -> LatticeState:
 class EnsembleRun:
     """One batched ensemble run of a [lattice] section, row i for member i.
 
-    t is the time reached and dts the (leaps,) leap sizes; flags are the
-    (seeds,) capacity-violation counts and flag_time the (seeds,) site-time
-    above u_max (LatticeState.capacity_time); density holds the (seeds,
-    bins) coarse relative densities on the config's bins().
+    t is the time reached and dts the (leaps,) leap sizes; site_time is the
+    (seeds,) site-time above u_max (LatticeState.capacity_time); density
+    holds the (seeds, bins) coarse relative densities on the config's bins().
     """
 
     t: float
     dts: np.ndarray
-    flags: np.ndarray
-    flag_time: np.ndarray
+    site_time: np.ndarray
     density: np.ndarray
 
 
@@ -361,8 +339,7 @@ def run_ensemble(config: LatticeConfig, m: float, base_seed: int) -> EnsembleRun
     """
     start = initial_state(config, m, base_seed)
     final, t, dts = run_adaptive(start, config.t_end)
-    return EnsembleRun(t, dts, final.capacity_violations, final.capacity_time,
-                       _bin(final.relative_density(), config.cells_per_bin))
+    return EnsembleRun(t, dts, final.capacity_time, _bin(final.relative_density(), config.cells_per_bin))
 
 
 def continuum_twin(config: LatticeConfig, m: float) -> Field:

@@ -482,6 +482,29 @@ class TestFitCommand:
         assert main(["fit", str(path)]) == 2
         assert "usable" in capsys.readouterr().err
 
+    def test_header_only_history_is_too_short(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text("t,support_radius,norm_u_minus_1\n")
+        assert main(["fit", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "fit: skipped support_radius (power-law fit needs >= 8 usable samples, got 0)",
+            "fit: skipped norm_u_minus_1 (exponential fit needs >= 8 usable samples, got 0)",
+            "fit: no column had enough usable samples",
+        ]
+
+    @pytest.mark.parametrize("column, bad", [("support_radius", "inf"), ("t", "nan")])
+    def test_non_finite_value_is_config_error_naming_its_line(self, tmp_path, capsys, column, bad):
+        rows = [[i, i + 1.0] for i in range(20)]
+        rows[4][column == "support_radius"] = bad
+        path = tmp_path / "bad.csv"
+        path.write_text("t,support_radius\n" + "".join("%s,%s\n" % tuple(row) for row in rows))
+        assert main(["fit", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: CSV %r line 6: %s must be a finite number, got %r\n" % (
+            str(path), column, bad)
+
     def test_repeated_column_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "twice.csv"
         path.write_text("t,t,support_radius\n" + "".join("%d,%d,%d\n" % (i, i, i + 1) for i in range(20)))
@@ -631,19 +654,17 @@ class TestLatticeCommand:
         # no entry is timed, so the same seed writes the same bytes
         assert stats_file.read_bytes() == (tmp_path / "b" / "lattice_stats.json").read_bytes()
         stats = json.loads(stats_file.read_text())
-        assert list(stats) == ["leaps", "t_reached", "dt", "seeds", "capacity_flags", "capacity_site_time"]
+        assert list(stats) == ["leaps", "t_reached", "dt", "seeds", "capacity_site_time"]
         run = lattice.run_ensemble(config_io.parse_config(LATTICE_CFG).lattice, 2.0, 40)
         assert stats["leaps"] == run.dts.size > 10
         assert stats["t_reached"] == run.t == pytest.approx(0.05, rel=1e-12)
         assert stats["dt"] == {"min": run.dts.min(), "median": float(np.median(run.dts)), "max": run.dts.max()}
         assert stats["seeds"] == [40, 41]
-        assert stats["capacity_flags"] == run.flags.tolist()
-        assert stats["capacity_site_time"] == run.flag_time.tolist()
-        # the summary line still prints the flag total
-        assert "%d capacity flags" % sum(stats["capacity_flags"]) in summary
-        assert all(flags > 0 for flags in stats["capacity_flags"])
-        assert all(0.0 < time <= flags * stats["dt"]["max"]
-                   for flags, time in zip(stats["capacity_flags"], stats["capacity_site_time"]))
+        assert stats["capacity_site_time"] == run.site_time.tolist()
+        # the summary line prints the members' summed site-time above u_max
+        assert "2 seeds, 20 sites, site-time above u_max %g, ensemble.csv in " % run.site_time.sum() in summary
+        # 150 particles fill at most 2 sites above u_max = 50 at once
+        assert all(0.0 < time <= 2 * stats["t_reached"] for time in stats["capacity_site_time"])
 
     def test_compare_writes_distance_table(self, tmp_path, capsys):
         cfg = tmp_path / "lat.cfg"

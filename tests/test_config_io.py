@@ -772,6 +772,9 @@ class TestHistoryCsv:
             ("", "empty"),
             ("a,b\n1\n", "fields"),
             ("a,b\n1,x\n", "not a number"),
+            ("a,b\n1,2\n3,inf\n", "line 3: b must be a finite number, got 'inf'"),
+            ("t,b\nnan,2\n", "line 2: t must be a finite number, got 'nan'"),
+            ("a,b\n\n1,2\n\n3,-inf\n", "line 5: b must be a finite number, got '-inf'"),
             ("t,t,support_radius\n0,0,1\n", "repeats column 't'"),
         ],
     )

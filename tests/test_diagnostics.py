@@ -157,6 +157,13 @@ def test_fits_need_eight_samples():
         fit_exponential(t, np.ones(6), t_min=0.0)
 
 
+def test_empty_series_is_too_short_not_a_numpy_error():
+    with pytest.raises(ValueError, match=r"^power-law fit needs >= 8 usable samples, got 0$"):
+        fit_power_law([], [])
+    with pytest.raises(ValueError, match=r"^exponential fit needs >= 8 usable samples, got 0$"):
+        fit_exponential([], [])
+
+
 def test_exponential_counts_nonpositive_exclusions():
     t = np.linspace(0.0, 10.0, 50)
     vals = np.exp(-t)

@@ -102,6 +102,10 @@ RETIRED_PARAMETERS = [
     ("diagnostics", "sandwich_check", "tol"),
     ("lattice", "initial_state", "members"),
     ("lattice", "LatticeState", "origin"),
+    # the site-time above u_max is the one capacity measure, and a leap builds its own probabilities
+    ("lattice", "LatticeState", "capacity_violations"),
+    ("lattice", "EnsembleRun", "flags"),
+    ("lattice", "_leap", "probs"),
 ]
 
 
@@ -115,6 +119,12 @@ def test_fields_are_built_from_arrays_only():
     from chemofront.model import Field
 
     assert not hasattr(Field, "from_function")
+
+
+def test_lattice_states_have_no_particle_count():
+    from chemofront.lattice import LatticeState
+
+    assert not hasattr(LatticeState, "particle_count")  # occupancy.sum(axis=-1) is the count
 
 
 def _tracer():

@@ -55,7 +55,7 @@ class TestValidation:
     def test_ensemble_rows_share_one_signal_over_the_sites(self):
         s = make_state([[1, 2, 3, 4], [4, 3, 2, 1], [0, 0, 9, 0]])
         assert s.sites == 4
-        assert s.particle_count().tolist() == [10, 10, 9]
+        assert s.occupancy.sum(axis=-1).tolist() == [10, 10, 9]
         with pytest.raises(ValueError, match="one value per site"):
             make_state([[1, 2, 3, 4], [4, 3, 2, 1]], v=np.zeros(8))
         with pytest.raises(ValueError, match="members, sites"):
@@ -186,10 +186,10 @@ class TestLeaping:
         rng = np.random.default_rng(seed)
         occ = rng.integers(0, 80, size=12)
         s = make_state(occ, u_max=100, seed=seed)
-        total = s.particle_count()
+        total = s.occupancy.sum()
         for _ in range(5):
             s = step_tau_leap(s, 0.05)
-            assert s.particle_count() == total
+            assert s.occupancy.sum() == total
 
     def test_empty_lattice_is_absorbing(self):
         s = make_state([0] * 8)
@@ -218,11 +218,12 @@ class TestLeaping:
         rb, _, _ = run_adaptive(b, 0.3)
         assert not np.array_equal(ra.occupancy, rb.occupancy)
 
-    def test_capacity_violations_counted_not_fatal(self):
+    def test_capacity_time_counted_not_fatal(self):
         s = make_state([150, 0, 150, 0, 150], u_max=100, seed=3)
         out = step_tau_leap(s, 0.01)
-        assert out.capacity_violations >= 0
-        assert out.particle_count() == s.particle_count()
+        # the leap adds its dt for every site it leaves above u_max
+        assert out.capacity_time == np.count_nonzero(out.occupancy > 100) * 0.01 > 0.0
+        assert out.occupancy.sum() == s.occupancy.sum()
 
     def test_ensemble_mean_stays_symmetric(self):
         """Flat signal + symmetric load: asymmetry within 3 standard errors."""
@@ -278,7 +279,7 @@ ONE_PATH_CASES = {
     "drift_clamp": (lambda: make_state(
         np.full(16, 30), u_max=100, m=2.5, alpha=0.5, beta=0.9,
         v=(np.arange(16) - 7.5) ** 2 / 8.0, seed=13, spacing=0.5), 2.0),
-    "capacity_flags": (lambda: make_state([150, 0, 150, 0, 150], u_max=100, seed=14), 2.0),
+    "over_capacity": (lambda: make_state([150, 0, 150, 0, 150], u_max=100, seed=14), 2.0),
 }
 
 
@@ -292,11 +293,10 @@ class TestOnePath:
         assert t_fast == t_ref == t_end
         assert np.array_equal(dts_fast, dts_ref)
         assert dts_fast.size > 10
-        assert fast.capacity_violations == ref.capacity_violations
         assert fast.capacity_time == ref.capacity_time
         assert fast.rng.bit_generator.state == ref.rng.bit_generator.state
-        if case == "capacity_flags":
-            assert fast.capacity_violations > 0
+        if case == "over_capacity":
+            assert fast.capacity_time > 0
 
     def test_drift_clamp_acts_in_the_quorum_case(self):
         left, right = rate_arrays(ONE_PATH_CASES["drift_clamp"][0]())
@@ -332,10 +332,11 @@ class TestOnePath:
         t_end, leaps, short = 0.5, 5, 7e-13
         rate = THETA / (2.0 * 2.0 * ((t_end - short) / leaps))
 
-        def flat_rates(s, occupancy, gain_l, gain_r):
-            left, right = np.full(occupancy.shape, rate), np.full(occupancy.shape, rate)
-            left[..., 0] = right[..., -1] = 0.0
-            return left, right
+        def flat_rates(s, occupancy, gains):
+            rates = np.full(occupancy.shape + (3,), rate)
+            rates[..., 0, 0] = rates[..., -1, 1] = 0.0
+            rates[..., 2] = 0.0
+            return rates
 
         monkeypatch.setattr(lattice, "_rates", flat_rates)
         _, t, dts = run_adaptive(make_state([0, 0, 150, 0, 0], u_max=50, m=2.0), t_end)
@@ -359,24 +360,29 @@ MEAN_FIELD_L1_AT_P005 = {1.5: 3.108e-5, 2.0: 1.486e-4, 3.0: 5.884e-4}
 
 class TestLeapRule:
     @pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
-    def test_leaps_sit_at_theta_of_the_stability_bound(self, monkeypatch, m):
-        seen = []  # (dt * max rate, smallest stay probability) of every leap
-        inner = lattice._leap
+    def test_leaps_sit_at_theta_of_the_stability_bound(self, m):
+        class DrawRecorder:
+            """The state's generator, keeping the (left, right, stay) probabilities of every draw."""
 
-        def spy(occupancy, left, right, dt, rng, u_max, probs):
-            out = inner(occupancy, left, right, dt, rng, u_max, probs)
-            seen.append((dt * max(left.max(), right.max()), probs[..., 2].min()))
-            return out
+            def __init__(self, rng):
+                self.rng, self.probs = rng, []
 
-        monkeypatch.setattr(lattice, "_leap", spy)
+            def multinomial(self, n, pvals):
+                self.probs.append(pvals.copy())
+                return self.rng.multinomial(n, pvals)
+
         start = make_state([_mound(41, 300), _mound(41, 200)], u_max=100, m=m, seed=7, spacing=0.1)
+        start.rng = draws = DrawRecorder(start.rng)
         _, t, dts = run_adaptive(start, 0.05)
-        assert t == 0.05 and len(seen) == dts.size > 10
-        for dt_rate, _ in seen[:-1]:
+        assert t == 0.05 and len(draws.probs) == dts.size > 10
+        jump = [probs[..., :2].max() for probs in draws.probs]  # each leap's dt * max rate
+        for dt_rate in jump[:-1]:
             assert dt_rate == pytest.approx(THETA / (2.0 * m), rel=1e-12)
-        assert 0.0 < seen[-1][0] <= THETA / (2.0 * m) * (1.0 + 1e-12)
+        assert 0.0 < jump[-1] <= THETA / (2.0 * m) * (1.0 + 1e-12)
         # p_left + p_right <= 2 * THETA / (2m), so no site is asked to send out more than it holds
-        assert min(stay for _, stay in seen) >= 1.0 - THETA / m - 1e-12
+        for probs in draws.probs:
+            assert np.array_equal(probs[..., 2], 1.0 - probs[..., 0] - probs[..., 1])
+            assert probs[..., 2].min() >= 1.0 - THETA / m - 1e-12
 
     @pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
     def test_step_tau_leap_refuses_a_dt_past_the_stability_bound(self, m):
@@ -400,9 +406,9 @@ class TestLeapRule:
         gains = lattice._gains(s)
         t = 0.0
         while t < CRITERION_09.t_end - solver._time_tolerance(CRITERION_09.t_end):
-            left, right = lattice._rates(s, load, *gains)
-            dt = _leap_dt(m, max(left.max(), right.max()), CRITERION_09.t_end - t)
-            to_left, to_right = load * left * dt, load * right * dt
+            rates = lattice._rates(s, load, gains)
+            dt = _leap_dt(m, rates.max(), CRITERION_09.t_end - t)
+            to_left, to_right = load * rates[:, 0] * dt, load * rates[:, 1] * dt
             load = load - to_left - to_right
             load[:-1] += to_left[1:]
             load[1:] += to_right[:-1]
@@ -445,33 +451,33 @@ class TestEnsemble:
         assert t_batch == t and np.array_equal(dts_batch, dts)
         assert final.rng.bit_generator.state == state.rng.bit_generator.state
         assert run.t == t and np.array_equal(run.dts, dts)
-        assert (run.flags.tolist(), run.flag_time.tolist()) == ([state.capacity_violations], [state.capacity_time])
-        assert state.capacity_violations > 0
+        assert run.site_time.tolist() == [state.capacity_time]
+        assert state.capacity_time > 0
         assert run.density.shape == (1, 10)
         assert np.array_equal(run.density[0], (state.occupancy / 50).reshape(10, 2).mean(axis=1))
 
     def test_members_conserve_particles_inside_the_leap_condition(self, monkeypatch):
         leaps = self._spy(monkeypatch, "_leap")
         run = run_ensemble(self.CONFIG, 2.0, 40)
-        flags, density = run.flags, run.density
-        assert flags.shape == run.flag_time.shape == (3,) and density.shape == (3, 10)
+        density = run.density
+        assert run.site_time.shape == (3,) and density.shape == (3, 10)
         assert len(leaps) > 10
-        for (occ, left, right, dt, *_), (new, new_flags) in leaps:
-            assert occ.shape == new.shape == (3, 20) and new_flags.shape == (3,)
+        for (occ, rates, dt, *_), (new, leap_time) in leaps:
+            assert occ.shape == new.shape == (3, 20) and rates.shape == (3, 20, 3)
             assert np.all(new.sum(axis=-1) == 150)
-            member_dt_rate = dt * np.maximum(left.max(axis=-1), right.max(axis=-1))
-            assert np.all(member_dt_rate <= 0.5 / 2.0)  # the stability bound 1/(2m)
+            assert np.all(dt * rates.max(axis=(-2, -1)) <= 0.5 / 2.0)  # the stability bound 1/(2m), per member
+            # each member's site-time above u_max over the leap, counted when some site is above u_max
+            assert np.array_equal(leap_time, (new > 50).sum(axis=-1) * dt if new.max() > 50 else 0.0)
         # one shared dt, set by the fastest member (the last leap is cut to t_end)
-        for (_, left, right, dt, *_), _ in leaps[:-1]:
-            assert dt * max(left.max(), right.max()) == pytest.approx(THETA / (2.0 * 2.0), rel=1e-12)
-        assert run.dts.tolist() == [args[3] for args, _ in leaps]
-        # the site-time above u_max sums each leap's flags times its dt, in leap order
-        flag_time = np.zeros(3)
-        for (*_, dt, _, _, _), (_, new_flags) in leaps:
-            flag_time = flag_time + new_flags * dt
-        assert np.array_equal(run.flag_time, flag_time) and np.all(flag_time > 0.0)
+        for (_, rates, dt, *_), _ in leaps[:-1]:
+            assert dt * rates.max() == pytest.approx(THETA / (2.0 * 2.0), rel=1e-12)
+        assert run.dts.tolist() == [args[2] for args, _ in leaps]
+        # the run's site-time above u_max sums the leaps' site-times, in leap order
+        site_time = np.zeros(3)
+        for _, (_, leap_time) in leaps:
+            site_time = site_time + leap_time
+        assert np.array_equal(run.site_time, site_time) and np.all(site_time > 0.0)
         final = leaps[-1][1][0]
-        assert set(flags.tolist()) != {0}
         for member, row in zip(density, final):
             assert np.array_equal(member, (row / 50).reshape(10, 2).mean(axis=1))
         # each member has its own draws
@@ -479,7 +485,7 @@ class TestEnsemble:
 
     def test_same_seed_gives_the_same_bytes(self):
         def digest(run):
-            return run.t, run.dts.tobytes(), run.flags.tobytes(), run.flag_time.tobytes(), run.density.tobytes()
+            return run.t, run.dts.tobytes(), run.site_time.tobytes(), run.density.tobytes()
 
         first = digest(run_ensemble(self.CONFIG, 2.0, 40))
         assert digest(run_ensemble(self.CONFIG, 2.0, 40)) == first
