@@ -1,20 +1,19 @@
 """Stochastic lattice walk whose hydrodynamic limit is the cell PDE.
 
 Particles hop on a 1D chain of sites with reflecting ends.  The jump rate
-from site i to a neighbor is q(relative density at i) * (alpha + beta *
-(v_dest - v_here)), scaled by 1/h^2: the jump probability q(s) = s^(m-1) is
-charged at the departure site, so crowded origins push particles out.  Over
-a flat signal this walk relaxes to the degenerate diffusion
-u_t = alpha (u^m)_xx, the solver's PDE, which the continuum twin runs.
+from site i to each neighbor on the chain is q(relative density at i) / h^2:
+the jump probability q(s) = s^(m-1) is charged at the departure site, so
+crowded origins push particles out.  This walk relaxes to the degenerate
+diffusion u_t = (u^m)_xx, the solver's PDE, which the continuum twin runs.
 Time advances by tau leaping with per-site binomial (multinomial) draws,
 which conserves particles exactly.
 
 A state's occupancy is one chain, (sites,), or an ensemble of them,
-(members, sites), over the same frozen signal v.  run_adaptive leaps on the
-bare occupancy array: the signal gaps are evaluated once per run; each leap
-evaluates the rates of every member once, as one (left, right, stay) array,
-takes one dt, and draws every move with one multinomial call from the
-state's one generator.
+(members, sites).  run_adaptive leaps on the bare occupancy array: the
+(sites, 3) table of 1/h^2 on the jumps that stay on the chain is built once
+per run; each leap evaluates the rates of every member once, as one (left,
+right, stay) array, takes one dt, and draws every move with one multinomial
+call from the state's one generator.
 
 The leap rule.  The expected update of a leap is an explicit Euler step of
 the lattice porous-medium equation, which is stable while each direction's
@@ -40,12 +39,7 @@ u_max per member and the coarse densities as one (seeds, bins) array, each
 bin the mean relative density of its cells_per_bin sites, on
 LatticeConfig.bins(), the lattice's one coarse grid, on which continuum_twin
 runs.  The CLI's lattice command and scripts/lattice_vs_pde.py both use
-them.  A [lattice] section has no drift coefficient: initial_state gives
-every run a flat signal, over which beta would act on nothing, so
-LatticeState.beta keeps its default 0.  Nor has it a rate scale: every rate
-carries alpha and the leap dt is sized from the largest rate, so a walk run
-to t_end draws the leap probabilities of alpha = 1 run to alpha * t_end;
-LatticeState.alpha keeps its default 1.
+them.
 """
 from __future__ import annotations
 
@@ -128,27 +122,24 @@ class LatticeConfig:
 
 @dataclass(eq=False)
 class LatticeState:
-    """Occupancies plus the frozen signal landscape and kinetic constants.
+    """Occupancies plus the walk's constants.
 
     occupancy counts particles per site (u_max of them make relative density
     one), for one chain (sites,) or for an ensemble (members, sites) whose
-    rows share v and the generator rng; v is the prescribed signal over the
-    sites.  capacity_time is the site-time above u_max (one value per member
-    for an ensemble): each leap adds its dt times the number of sites it
-    left above u_max, so the measure hardly depends on the leap size.  Only
-    occupancy beyond OVERFLOW_FACTOR * u_max is an error, because the walk
-    does not hard-block arrivals.
+    rows share the generator rng.  capacity_time is the site-time above
+    u_max, of shape occupancy.shape[:-1] (one value per member for an
+    ensemble; a scalar given is broadcast): each leap adds its dt times the
+    number of sites it left above u_max, so the measure hardly depends on
+    the leap size.  Only occupancy beyond OVERFLOW_FACTOR * u_max is an
+    error, because the walk does not hard-block arrivals.
     """
 
     occupancy: np.ndarray
     u_max: int
-    v: np.ndarray
     m: float
-    alpha: float = 1.0
-    beta: float = 0.0
     seed: int = 0
     spacing: float = 1.0
-    capacity_time: float = 0.0
+    capacity_time: np.ndarray = 0.0
     rng: np.random.Generator = None
 
     def __post_init__(self):
@@ -162,17 +153,11 @@ class LatticeState:
         cap = OVERFLOW_FACTOR * self.u_max
         if np.any(self.occupancy > cap):
             raise ValueError("occupancy exceeds the overflow cap %d" % cap)
-        self.v = np.asarray(self.v, dtype=float)
-        if self.v.shape != self.occupancy.shape[-1:]:
-            raise ValueError("v must hold one value per site")
         if not (self.m > 1.0):
             raise ValueError("m must be > 1, got %r" % self.m)
-        if not (self.alpha >= 0.0):
-            raise ValueError("alpha must be >= 0, got %r" % self.alpha)
-        if not (abs(self.beta) <= 1.0):
-            raise ValueError("beta must satisfy |beta| <= 1, got %r" % self.beta)
         if not (self.spacing > 0.0):
             raise ValueError("spacing must be positive, got %r" % self.spacing)
+        self.capacity_time = np.broadcast_to(self.capacity_time, self.occupancy.shape[:-1]).astype(float)
         if self.rng is None:
             self.rng = np.random.default_rng(self.seed)
 
@@ -184,20 +169,14 @@ class LatticeState:
         return self.occupancy / float(self.u_max)
 
 
-def _gains(s: LatticeState) -> np.ndarray:
-    """The (sites, 3) (left, right, stay) gains alpha -/+ beta * (v gap), clamped at zero.
-
-    Jumps off the chain and the stay column have gain zero.  v is frozen in a
-    state, so a run evaluates these once; q >= 0, so clamping gains clamps rates.
-    """
-    dv_r = s.v[1:] - s.v[:-1]  # signal gap across face (i, i+1)
-    gains = np.zeros((s.sites, 3))
-    gains[1:, 0] = s.alpha - s.beta * dv_r
-    gains[:-1, 1] = s.alpha + s.beta * dv_r
-    return np.maximum(gains, 0.0, out=gains)
+def _jump_table(s: LatticeState) -> np.ndarray:
+    """The (sites, 3) (left, right, stay) rate factors: 1/h^2 on each jump that stays on the chain, else 0."""
+    table = np.zeros((s.sites, 3))
+    table[1:, 0] = table[:-1, 1] = 1.0 / (s.spacing * s.spacing)
+    return table
 
 
-def _rates(s: LatticeState, occupancy: np.ndarray, gains: np.ndarray) -> np.ndarray:
+def _rates(s: LatticeState, occupancy: np.ndarray, table: np.ndarray) -> np.ndarray:
     """The (..., sites, 3) (left, right, stay) jump rates of the occupancy given, stay at zero.
 
     Counts are never negative, so q is the plain power (the jump probability
@@ -205,16 +184,15 @@ def _rates(s: LatticeState, occupancy: np.ndarray, gains: np.ndarray) -> np.ndar
     negative input.
     """
     q = (occupancy / float(s.u_max)) ** (s.m - 1.0)
-    return q[..., None] * gains * (1.0 / (s.spacing * s.spacing))
+    return q[..., None] * table
 
 
 def rate_arrays(s: LatticeState):
     """Per-particle jump rates (to_left, to_right) for every site.
 
-    Reflecting boundaries show up as zero outward rates at the ends; negative
-    raw rates (strong adverse drift) clamp to zero.
+    Reflecting boundaries show up as zero outward rates at the ends.
     """
-    rates = _rates(s, s.occupancy, _gains(s))
+    rates = _rates(s, s.occupancy, _jump_table(s))
     return rates[..., 0], rates[..., 1]
 
 
@@ -249,7 +227,7 @@ def step_tau_leap(s: LatticeState, dt: float) -> LatticeState:
     """
     if not (dt > 0.0):
         raise ValueError("dt must be positive")
-    rates = _rates(s, s.occupancy, _gains(s))
+    rates = _rates(s, s.occupancy, _jump_table(s))
     max_rate = float(rates.max())
     bound = 0.5 / s.m
     if dt * max_rate > bound * (1.0 + 1e-9):
@@ -271,14 +249,14 @@ def run_adaptive(s: LatticeState, t_end: float):
     solver.run's rule: t_end counts as reached within 1e-12 * max(1, t_end),
     and a leap dt below that tolerance raises ValueError.
     """
-    gains = _gains(s)
+    table = _jump_table(s)
     tiny = solver._time_tolerance(t_end)
     occ = s.occupancy
-    site_time = s.capacity_time + np.zeros(occ.shape[:-1])
+    site_time = s.capacity_time
     t = 0.0
     dts = []
     while t < t_end - tiny:
-        rates = _rates(s, occ, gains)
+        rates = _rates(s, occ, table)
         max_rate = float(rates.max())
         if max_rate <= 0.0:
             break  # frozen configuration, nothing will ever move
@@ -302,13 +280,12 @@ def _bin(density: np.ndarray, cells_per_bin: int) -> np.ndarray:
 
 
 def initial_state(config: LatticeConfig, m: float, seed: int) -> LatticeState:
-    """The start of a [lattice] section, (seeds, sites): every member's particles on the centre site, flat signal."""
+    """The start of a [lattice] section, (seeds, sites): every member's particles on the centre site."""
     occupancy = np.zeros((config.seeds, config.sites), dtype=np.int64)
     occupancy[:, config.start_site] = config.particles
     return LatticeState(
         occupancy=occupancy,
         u_max=config.u_max,
-        v=np.zeros(config.sites),
         m=m,
         seed=seed,
         spacing=config.spacing,
@@ -345,11 +322,11 @@ def run_ensemble(config: LatticeConfig, m: float, base_seed: int) -> EnsembleRun
 def continuum_twin(config: LatticeConfig, m: float) -> Field:
     """Final density of the continuum run that the ensemble mean should match.
 
-    Pure degenerate diffusion of the relative density (the drift vanishes over
-    a flat signal, and alpha = 1) on the coarse grid to t_end.  It starts
-    from the particles' mound, whose mass sits on the centre of one site,
-    split between the two bins whose centres bracket that point with linear
-    weights, so the twin starts with the particles' mass and centre of mass.
+    Pure degenerate diffusion of the relative density (no drift, phi = 0) on
+    the coarse grid to t_end.  It starts from the particles' mound, whose
+    mass sits on the centre of one site, split between the two bins whose
+    centres bracket that point with linear weights, so the twin starts with
+    the particles' mass and centre of mass.
     """
     site_centre = config.origin + (config.start_site + 0.5) * config.spacing
     grid = config.bins()

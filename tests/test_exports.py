@@ -1,10 +1,13 @@
 """Each public name is declared once, in its module's __all__, and resolves
 there; the package itself re-exports nothing and imports no submodule; and
-every name the benchmark's tracer hooks must exist and be reached."""
+every name the benchmark's tracer hooks must exist and be reached, so that
+the traced benchmark reports every per-layer metric."""
 
+import dataclasses
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import pkgutil
 import subprocess
@@ -127,6 +130,13 @@ def test_lattice_states_have_no_particle_count():
     assert not hasattr(LatticeState, "particle_count")  # occupancy.sum(axis=-1) is the count
 
 
+def test_lattice_states_have_no_signal():
+    from chemofront.lattice import LatticeState
+
+    # one rate law, q(departure) / h^2: no frozen signal v, drift coefficient beta or rate scale alpha
+    assert {f.name for f in dataclasses.fields(LatticeState)} & {"v", "alpha", "beta"} == set()
+
+
 def _tracer():
     path = Path(__file__).resolve().parents[1] / "bench" / "traced_cli.py"
     spec = importlib.util.spec_from_file_location("traced_cli", path)
@@ -149,6 +159,22 @@ def test_benchmark_hooks_exist():
     missing = ["%s.%s" % hook for hook in called if lookup(*hook) is None]
     missing += ["%s.%s" % hook for hook in tracer.COUNTED if not hasattr(lookup(*hook), "__post_init__")]
     assert missing == []
+
+
+def _refuse(constant):
+    raise ValueError("the result line holds %s, which strict JSON has no name for" % constant)
+
+
+def test_traced_benchmark_reports_every_per_layer_metric():
+    """A renamed hook leaves the traced run exiting 0 with a last line that
+    parses but lacks that hook's metrics; ref_1d reaches every per-layer name."""
+    root = Path(__file__).resolve().parents[1]
+    command = [sys.executable, str(root / "bench" / "run.py"), "--workload", "ref_1d", "--trace", "1", "--seconds", "0"]
+    proc = subprocess.run(command, capture_output=True, text=True, cwd=root, check=True)
+    result = json.loads(proc.stdout.splitlines()[-1], parse_constant=_refuse)
+    declared = json.loads((root / "BENCHMARK.json").read_text())["per_layer"]
+    assert result["correct"] is True and result["failed"] == 0
+    assert set(result["metrics"]) == {metric["name"] for metric in declared}
 
 
 PROBE_CFG = """\

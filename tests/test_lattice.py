@@ -20,14 +20,8 @@ from chemofront.lattice import (
 from chemofront.model import Grid
 
 
-def make_state(occupancy, u_max=100, m=2.0, alpha=1.0, beta=0.0, v=None, seed=0, spacing=1.0):
-    occ = np.asarray(occupancy, dtype=np.int64)
-    if v is None:
-        v = np.zeros(occ.shape[-1])
-    return LatticeState(
-        occupancy=occ, u_max=u_max, v=v, m=m, alpha=alpha, beta=beta, seed=seed,
-        spacing=spacing,
-    )
+def make_state(occupancy, u_max=100, m=2.0, seed=0, spacing=1.0):
+    return LatticeState(occupancy=np.asarray(occupancy, dtype=np.int64), u_max=u_max, m=m, seed=seed, spacing=spacing)
 
 
 class TestValidation:
@@ -48,23 +42,25 @@ class TestValidation:
         with pytest.raises(ValueError, match="m must be > 1"):
             make_state([5, 5, 5, 5], m=1.0)
 
-    def test_signal_shape_must_match(self):
-        with pytest.raises(ValueError):
-            make_state([1, 1, 1, 1], v=np.zeros(3))
-
-    def test_ensemble_rows_share_one_signal_over_the_sites(self):
+    def test_ensemble_rows_share_the_sites(self):
         s = make_state([[1, 2, 3, 4], [4, 3, 2, 1], [0, 0, 9, 0]])
         assert s.sites == 4
         assert s.occupancy.sum(axis=-1).tolist() == [10, 10, 9]
-        with pytest.raises(ValueError, match="one value per site"):
-            make_state([[1, 2, 3, 4], [4, 3, 2, 1]], v=np.zeros(8))
         with pytest.raises(ValueError, match="members, sites"):
             make_state(np.ones((2, 2, 2)))
 
-    def test_drift_coefficient_is_bounded(self):
-        make_state([5, 5, 5, 5], beta=-1.0)
-        with pytest.raises(ValueError, match=r"\|beta\| <= 1"):
-            make_state([5, 5, 5, 5], beta=1.5)
+    def test_capacity_time_holds_one_value_per_member_from_the_start(self):
+        s = make_state([[10, 20, 30, 40], [40, 30, 20, 10]])
+        assert s.capacity_time.shape == (2,)
+        assert step_tau_leap(s, 0.01).capacity_time.shape == (2,)  # below u_max, so no leap adds to it
+        assert make_state([10, 20, 30, 40]).capacity_time.shape == ()
+
+    def test_capacity_time_keeps_per_member_values_and_refuses_the_wrong_shape(self):
+        occ = np.array([[10, 20, 30, 40], [40, 30, 20, 10]])
+        s = LatticeState(occupancy=occ, u_max=100, m=2.0, capacity_time=[0.25, 1.5])
+        assert s.capacity_time.tolist() == [0.25, 1.5]
+        with pytest.raises(ValueError):
+            LatticeState(occupancy=occ, u_max=100, m=2.0, capacity_time=np.zeros(3))
 
 
 class TestLatticeConfig:
@@ -104,8 +100,8 @@ class TestLatticeConfig:
 
 
 class TestRates:
-    # under a flat signal with alpha = 1 and unit spacing a departure site's
-    # rate is the jump probability q = (count / u_max)^(m - 1) itself
+    # at unit spacing a departure site's rate is the jump probability
+    # q = (count / u_max)^(m - 1) itself
     def test_jump_probability_pinned_values(self):
         for count, m, q in ((0, 2.0, 0.0), (100, 3.0, 1.0), (50, 2.0, 0.5)):
             left, right = rate_arrays(make_state([count] * 4, u_max=100, m=m))
@@ -121,7 +117,7 @@ class TestRates:
         assert np.all(np.diff(right[:-1]) >= 0.0)  # the last site has no right face
 
     def test_pushing_flat_signal_at_half_density(self):
-        s = make_state([50, 50, 50, 50], u_max=100, m=2.0, alpha=1.0)
+        s = make_state([50, 50, 50, 50], u_max=100, m=2.0)
         left, right = rate_arrays(s)
         assert left[1] == pytest.approx(0.5)
         assert right[1] == pytest.approx(0.5)
@@ -151,13 +147,15 @@ class TestRates:
         lb, _ = rate_arrays(b)
         assert lb[1] == pytest.approx(4.0 * la[1])
 
-    def test_adverse_drift_clamps_to_zero(self):
-        v = np.array([0.0, 10.0, 20.0, 30.0])
-        s = make_state([50, 50, 50, 50], alpha=0.1, beta=1.0, v=v)
+    def test_rate_is_the_departure_jump_probability_over_h2_on_every_chain_jump(self):
+        occ = np.array([[0, 30, 120, 75, 10], [200, 0, 50, 50, 1]])
+        s = make_state(occ, u_max=100, m=2.5, spacing=0.5)
         left, right = rate_arrays(s)
-        assert np.all(left >= 0.0)
-        assert np.all(right >= 0.0)
-        assert left[2] == 0.0  # strong uphill signal blocks the downhill jump
+        q = (occ / 100.0) ** 1.5
+        assert left.shape == right.shape == occ.shape
+        assert np.array_equal(right[:, :-1], q[:, :-1] * 4.0)
+        assert np.array_equal(left[:, 1:], q[:, 1:] * 4.0)
+        assert np.all(left[:, 0] == 0.0) and np.all(right[:, -1] == 0.0)
 
     @pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
     def test_mean_field_face_flux_runs_down_the_gradient(self, m):
@@ -169,14 +167,6 @@ class TestRates:
         grad = np.diff(occ)
         live = (occ[:-1] > 0) & (occ[1:] > 0)
         assert np.all(np.sign(flux[live] * grad[live]) == -1)
-
-    def test_drift_gain_is_alpha_plus_beta_times_the_signal_gap(self):
-        v = np.array([0.0, 0.1, 0.3, 0.6, 1.0, 1.5])
-        s = make_state([40] * 6, alpha=0.8, beta=0.5, v=v)
-        left, right = rate_arrays(s)
-        dv = np.diff(v)
-        assert np.allclose(right[:-1], 0.4 * (0.8 + 0.5 * dv), rtol=1e-14)
-        assert np.allclose(left[1:], 0.4 * (0.8 - 0.5 * dv), rtol=1e-14)
 
 
 class TestLeaping:
@@ -226,7 +216,7 @@ class TestLeaping:
         assert out.occupancy.sum() == s.occupancy.sum()
 
     def test_ensemble_mean_stays_symmetric(self):
-        """Flat signal + symmetric load: asymmetry within 3 standard errors."""
+        """Symmetric load: asymmetry within 3 standard errors."""
         n_sites, n_seeds = 21, 12
         t_end = 0.4
         diffs = []
@@ -275,10 +265,9 @@ def _mound(n_sites, load):
 ONE_PATH_CASES = {
     # the mound spreads, so its leaps grow; it runs to 8 to take more than 10 of them
     "pushing": (lambda: make_state(_mound(21, 300), u_max=100, seed=11), 8.0),
-    # a signal well whose walls are steep enough that |beta dv| > alpha on both sides
-    "drift_clamp": (lambda: make_state(
-        np.full(16, 30), u_max=100, m=2.5, alpha=0.5, beta=0.9,
-        v=(np.arange(16) - 7.5) ** 2 / 8.0, seed=13, spacing=0.5), 2.0),
+    # a batched state of two members, one starting above u_max, with m != 2 and spacing != 1
+    "ensemble": (lambda: make_state(
+        [_mound(16, 120), np.full(16, 30)], u_max=100, m=2.5, seed=13, spacing=0.5), 2.0),
     "over_capacity": (lambda: make_state([150, 0, 150, 0, 150], u_max=100, seed=14), 2.0),
 }
 
@@ -293,25 +282,19 @@ class TestOnePath:
         assert t_fast == t_ref == t_end
         assert np.array_equal(dts_fast, dts_ref)
         assert dts_fast.size > 10
-        assert fast.capacity_time == ref.capacity_time
+        assert np.array_equal(fast.capacity_time, ref.capacity_time)
         assert fast.rng.bit_generator.state == ref.rng.bit_generator.state
         if case == "over_capacity":
             assert fast.capacity_time > 0
 
-    def test_drift_clamp_acts_in_the_quorum_case(self):
-        left, right = rate_arrays(ONE_PATH_CASES["drift_clamp"][0]())
-        # v falls then rises, so the steep walls block uphill jumps in each direction somewhere
-        assert np.count_nonzero(left[1:] == 0.0) > 0
-        assert np.count_nonzero(right[:-1] == 0.0) > 0
-
     def test_one_rate_evaluation_per_leap_and_one_state_per_run(self, monkeypatch):
         s = ONE_PATH_CASES["pushing"][0]()
-        calls = {"gains": 0, "rates": 0, "states": 0}
-        gains, rates, post_init = lattice._gains, lattice._rates, LatticeState.__post_init__
+        calls = {"tables": 0, "rates": 0, "states": 0}
+        table, rates, post_init = lattice._jump_table, lattice._rates, LatticeState.__post_init__
 
-        def counting_gains(*args):
-            calls["gains"] += 1
-            return gains(*args)
+        def counting_table(*args):
+            calls["tables"] += 1
+            return table(*args)
 
         def counting_rates(*args):
             calls["rates"] += 1
@@ -321,18 +304,18 @@ class TestOnePath:
             calls["states"] += 1
             post_init(state)
 
-        monkeypatch.setattr(lattice, "_gains", counting_gains)
+        monkeypatch.setattr(lattice, "_jump_table", counting_table)
         monkeypatch.setattr(lattice, "_rates", counting_rates)
         monkeypatch.setattr(LatticeState, "__post_init__", counting_post_init)
         _, _, dts = run_adaptive(s, 0.3)
-        assert calls == {"gains": 1, "rates": dts.size, "states": 1}
+        assert calls == {"tables": 1, "rates": dts.size, "states": 1}
 
     def test_stops_within_the_solvers_time_tolerance_of_t_end(self, monkeypatch):
         # five leaps end 7e-13 short of t_end = 0.5: within the solver's 1e-12, outside 1e-12 * t_end
         t_end, leaps, short = 0.5, 5, 7e-13
         rate = THETA / (2.0 * 2.0 * ((t_end - short) / leaps))
 
-        def flat_rates(s, occupancy, gains):
+        def flat_rates(s, occupancy, table):
             rates = np.full(occupancy.shape + (3,), rate)
             rates[..., 0, 0] = rates[..., -1, 1] = 0.0
             rates[..., 2] = 0.0
@@ -403,10 +386,10 @@ class TestLeapRule:
         """
         s = initial_state(CRITERION_09, m, 0)
         load = s.occupancy[0].astype(float)  # every member starts alike: the mean field of one
-        gains = lattice._gains(s)
+        table = lattice._jump_table(s)
         t = 0.0
         while t < CRITERION_09.t_end - solver._time_tolerance(CRITERION_09.t_end):
-            rates = lattice._rates(s, load, gains)
+            rates = lattice._rates(s, load, table)
             dt = _leap_dt(m, rates.max(), CRITERION_09.t_end - t)
             to_left, to_right = load * rates[:, 0] * dt, load * rates[:, 1] * dt
             load = load - to_left - to_right
@@ -441,7 +424,8 @@ class TestEnsemble:
     def test_one_member_ensemble_is_the_base_seed_run(self, monkeypatch):
         config = dataclasses.replace(self.CONFIG, seeds=1)
         start = initial_state(config, 2.0, 40)
-        chain = dataclasses.replace(start, occupancy=start.occupancy[0], rng=None)  # one (sites,) chain, seed 40
+        # one (sites,) chain, seed 40, with its one capacity value
+        chain = dataclasses.replace(start, occupancy=start.occupancy[0], capacity_time=0.0, rng=None)
         state, t, dts = run_adaptive(chain, config.t_end)
         runs = self._spy(monkeypatch, "run_adaptive")
         run = run_ensemble(config, 2.0, 40)
