@@ -197,11 +197,7 @@ def _load_run_dir(run_dir: str):
     paths = sorted(glob.glob(os.path.join(run_dir, "snap_*.bin")))
     if not paths:
         raise _UsageError("%s holds no snapshots" % run_dir)
-    states = [config_io.read_snapshot(p, origin=cfg.grid.origin) for p in paths]
-    for state, path in zip(states, paths):
-        if state.grid != cfg.grid:
-            raise ConfigError("snapshot %s grid does not match config.cfg" % path)
-    return cfg, states
+    return cfg, [config_io.read_snapshot(p, cfg.grid) for p in paths]
 
 
 def _seed_ball_radius(u: Field, x0, level: float) -> float:
@@ -431,16 +427,18 @@ def cmd_fit(args) -> int:
     cols = config_io.read_csv_columns(args.csv)
     if "t" not in cols:
         raise _UsageError("CSV %s has no 't' column" % args.csv)
+    kinds = {
+        name: "power_law" if name == "support_radius" else "exponential"
+        for name in cols
+        if name == "support_radius" or name.startswith("norm_")
+    }
+    if not kinds:
+        raise _UsageError("CSV %s has no column to fit; fit reads 't' with 'support_radius' or 'norm_*'" % args.csv)
     t = cols["t"]
     lines = ["column,kind,exponent_or_rate,prefactor,r_squared,stderr,samples"]
     fitted = 0
-    for name, values in cols.items():
-        if name == "support_radius":
-            kind = "power_law"
-        elif name.startswith("norm_"):
-            kind = "exponential"
-        else:
-            continue
+    for name, kind in kinds.items():
+        values = cols[name]
         try:
             if kind == "power_law":
                 fit = diagnostics.fit_power_law(t, values, t_min=args.t_min)

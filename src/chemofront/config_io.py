@@ -30,9 +30,9 @@ when config.cfg is read back.
 
 Snapshots are a 6-line ASCII header (magic, dim, cells per axis, extent per
 axis, time, field order) followed by the four fields as raw little-endian
-float64 in row-major order.  The header does not carry the domain origin;
-every reader passes it, and the verify command takes it from the run's
-config file.
+float64 in row-major order.  The header does not carry the domain origin:
+every reader passes the grid the file must be on, whose origin completes
+the header's grid.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ class ConfigError(Exception):
 
 
 class SnapshotError(Exception):
-    """Malformed snapshot file (bad header, truncated or non-finite payload)."""
+    """Malformed snapshot file (bad header, truncated or non-finite payload), or one on another grid."""
 
 
 class SnapshotVersionError(SnapshotError):
@@ -123,13 +123,7 @@ class SnapshotInit:
     field_name: str
 
     def build(self, grid: Grid) -> np.ndarray:
-        state = read_snapshot(self.path, origin=grid.origin)
-        if state.grid != grid:
-            raise ConfigError(
-                "snapshot %r grid %r does not match configured grid %r"
-                % (self.path, state.grid.cells, grid.cells)
-            )
-        return getattr(state, self.field_name).values.copy()
+        return getattr(read_snapshot(self.path, grid), self.field_name).values.copy()
 
 
 @dataclass
@@ -552,8 +546,8 @@ def write_snapshot(path: str, state: StateQuad) -> None:
             fh.write(np.ascontiguousarray(getattr(state, name).values, dtype="<f8").tobytes())
 
 
-def read_snapshot(path: str, origin) -> StateQuad:
-    """The state in a snapshot file, on the grid with the given origin (the header has none)."""
+def read_snapshot(path: str, grid: Grid) -> StateQuad:
+    """The state in a snapshot file, which must be on grid (the header has no origin; grid's completes it)."""
     with open(path, "rb") as fh:
         blob = fh.read()
     parts = blob.split(b"\n", 6)
@@ -583,10 +577,15 @@ def read_snapshot(path: str, origin) -> StateQuad:
         raise SnapshotError("snapshot field order %r is not %r" % (order, FIELD_ORDER))
     if not math.isfinite(t):
         raise SnapshotError("bad snapshot header in %r (time %r is not finite)" % (path, t))
-    try:
-        grid = Grid(cells=cells, extent=extent, origin=tuple(origin))
+    try:  # grid.origin completes a header grid of as many axes; one of another dim cannot match
+        on = Grid(cells=cells, extent=extent, origin=grid.origin) if dim == grid.dim else None
     except ValueError as exc:
         raise SnapshotError("bad snapshot header in %r (%s)" % (path, exc)) from None
+    if on != grid:
+        raise SnapshotError(
+            "snapshot %r is on a grid of cells %r, extent %r; the configured grid has cells %r, extent %r"
+            % (path, cells, extent, grid.cells, grid.extent)
+        )
     payload = parts[6]
     n = grid.n_cells
     expected = 4 * n * 8

@@ -90,7 +90,7 @@ def history_row(state: StateQuad, x0, v_target: float, r: float):
 
 
 def _fit_samples(kind: str, t, values, t_min):
-    """The (t, values) samples a fit uses, and how many in its window were nonpositive.
+    """The (t, values) samples a fit uses.
 
     The window is t >= t_min (default: 20% into the series), and of its
     samples only those with values > 0 enter the log; fewer than 8 of
@@ -102,12 +102,10 @@ def _fit_samples(kind: str, t, values, t_min):
         raise ValueError("t and values must have matching shapes")
     if t_min is None:
         t_min = t.min() + 0.2 * (t.max() - t.min()) if t.size else 0.0  # an empty series keeps no sample
-    window = t >= t_min
-    positive = values > 0.0
-    keep = window & positive
+    keep = (t >= t_min) & (values > 0.0)
     if int(keep.sum()) < 8:
         raise ValueError("%s fit needs >= 8 usable samples, got %d" % (kind, int(keep.sum())))
-    return t[keep], values[keep], int(np.sum(window & ~positive))
+    return t[keep], values[keep]
 
 
 def _least_squares_line(x: np.ndarray, y: np.ndarray):
@@ -143,7 +141,7 @@ def fit_power_law(t, values, t_min=None) -> PowerLawFit:
     Only samples with t >= t_min (default: 20% into the series) and
     values > 0 participate; fewer than 8 such samples is an error.
     """
-    t, values, _ = _fit_samples("power-law", t, values, t_min)
+    t, values = _fit_samples("power-law", t, values, t_min)
     slope, intercept, r2, stderr = _least_squares_line(np.log1p(t), np.log(values))
     return PowerLawFit(slope, math.exp(intercept), r2, stderr, t.size)
 
@@ -155,19 +153,18 @@ class ExponentialFit:
     r_squared: float
     stderr: float
     samples: int
-    excluded: int
 
 
 def fit_exponential(t, values, t_min=None) -> ExponentialFit:
     """Fit values ~ prefactor * exp(-rate t) by least squares on log values.
 
-    Nonpositive samples cannot enter the log and are excluded and counted;
-    fewer than 8 usable samples is an error.
+    Only samples with t >= t_min (default: 20% into the series) and
+    values > 0 participate; fewer than 8 such samples is an error.
     """
-    t, values, excluded = _fit_samples("exponential", t, values, t_min)
+    t, values = _fit_samples("exponential", t, values, t_min)
     slope, intercept, r2, stderr = _least_squares_line(t, np.log(values))
     # 0.0 - slope, not -slope: a flat series has rate +0.0, never -0.0
-    return ExponentialFit(0.0 - slope, math.exp(intercept), r2, stderr, t.size, excluded)
+    return ExponentialFit(0.0 - slope, math.exp(intercept), r2, stderr, t.size)
 
 
 @dataclass(frozen=True)
@@ -208,14 +205,6 @@ class SandwichReport:
         return self.violation_count == 0
 
 
-def _grid_points(grid):
-    if grid.dim == 1:
-        return grid.axis_centers(0)
-    x = grid.axis_centers(0)
-    y = grid.axis_centers(1)
-    return np.stack(np.meshgrid(x, y, indexing="ij"), axis=-1)
-
-
 def sandwich_check(snapshots, envelopes) -> SandwichReport:
     """Verify profile ordering against simulated states.
 
@@ -231,17 +220,17 @@ def sandwich_check(snapshots, envelopes) -> SandwichReport:
     grid = snapshots[0].grid
     if any(snap.grid != grid for snap in snapshots):
         raise ValueError("snapshots must share one grid")
-    pts = _grid_points(grid)
     worst = {"lower": 0.0, "upper": 0.0}
     checked = {"lower": 0, "upper": 0}
     count = 0
     for env in envelopes:
         sign = 1.0 if env.kind == "lower" else -1.0
+        d2 = grid.center_distance2(env.center)
         for snap in snapshots:
             rel_t = snap.t - snapshots[0].t
             if rel_t > env.valid_until + 1e-15:
                 continue
-            viol = sign * (env.evaluate(pts, rel_t) - snap.u.values)
+            viol = sign * (env.evaluate(d2, rel_t) - snap.u.values)
             worst[env.kind] = max(worst[env.kind], float(viol.max()))
             checked[env.kind] += 1
             count += int(np.count_nonzero(viol > SANDWICH_TOL))

@@ -41,19 +41,6 @@ class ConstructionError(RuntimeError):
     """A profile construction could not satisfy its inequalities."""
 
 
-def _radial_sq(x, dim: int, center=None):
-    x = np.asarray(x, dtype=float)
-    if dim == 1:
-        if center is not None:
-            x = x - center[0]
-        return x * x
-    if x.shape[-1] != dim:
-        raise ValueError("last axis of x must have length %d" % dim)
-    if center is not None:
-        x = x - np.asarray(center, dtype=float)
-    return np.sum(x * x, axis=-1)
-
-
 def barenblatt(x, t: float, m: float, n: int):
     """Source solution of u_t = Lap(u^m) in n dimensions, mass fixed by m, n.
 
@@ -67,8 +54,11 @@ def barenblatt(x, t: float, m: float, n: int):
         raise ValueError("n must be 1 or 2, got %r" % n)
     if t < 0.0:
         raise ValueError("t must be >= 0, got %r" % t)
+    x = np.asarray(x, dtype=float)
+    if n == 2 and x.shape[-1] != 2:
+        raise ValueError("last axis of x must have length 2")
+    r2 = x * x if n == 1 else np.sum(x * x, axis=-1)
     k = 1.0 / (m - 1.0 + 2.0 / n)
-    r2 = _radial_sq(x, 1 if n == 1 else n)
     bracket = 1.0 - (k * (m - 1.0) / (2.0 * m * n)) * r2 * (1.0 + t) ** (-2.0 * k / n)
     return (1.0 + t) ** (-k) * np.clip(bracket, 0.0, None) ** (1.0 / (m - 1.0))
 
@@ -128,12 +118,11 @@ class ProfileParams:
     def shape_exp(self) -> float:
         return 1.0 / (self.m - 1.0)
 
-    def evaluate(self, x, t: float):
-        """Profile value at positions x and time t >= 0."""
+    def evaluate(self, d2, t: float):
+        """Profile value at squared distances d2 from center (on a grid, its center_distance2) and time t >= 0."""
         if t < 0.0:
             raise ValueError("t must be >= 0")
         s = self.time_shift + t
-        d2 = _radial_sq(x, len(self.center), self.center)
         bracket = np.clip(self.support_scale - d2 * s ** (-self.spread_exp), 0.0, None)
         power = -self.rate_exp if self.kind == "lower" else self.rate_exp
         return self.amplitude * s ** power * bracket ** self.shape_exp
@@ -189,7 +178,7 @@ def select_lower_profile(
         spread_exp=beta,
         rate_exp=kappa,
         time_shift=1.0,
-        center=tuple(np.atleast_1d(np.asarray(center, float))),
+        center=center,
         m=m,
     )
 
@@ -263,7 +252,7 @@ def select_upper_profile(
                 spread_exp=beta,
                 rate_exp=sigma,
                 time_shift=tau,
-                center=tuple(np.atleast_1d(np.asarray(center, float))),
+                center=center,
                 m=m,
                 valid_until=t0,
             )

@@ -354,7 +354,7 @@ def test_criterion_10_determinism_and_round_trips(tmp_path):
     # snapshot round trip: read back equals the original, rewrite is byte-identical
     snap_names = [n for n in names if n.startswith("snap_")]
     src = tmp_path / "r1" / snap_names[-1]
-    state = read_snapshot(str(src), origin=(-1.0,))
+    state = read_snapshot(str(src), parse_config(run_cfg.read_text()).grid)
     write_snapshot(str(tmp_path / "copy.bin"), state)
     assert (tmp_path / "copy.bin").read_bytes() == src.read_bytes()
 

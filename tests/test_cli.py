@@ -68,20 +68,28 @@ seeds = 2
 cells_per_bin = 2
 """
 
+# the grids of TINY_CFG and of the reference run behind cli_run_dir, which their snapshots are read onto
+TINY_GRID = Grid((16,), (2.0,), (-1.0,))
+RUN_GRID = Grid((128,), (2.0,), (-1.0,))
+
 
 def damage_snapshot(path, damage):
-    """Rewrite a snapshot file with one NaN in u's payload ("nan") or an extent the grid refuses ("extent")."""
+    """Rewrite a snapshot file with one NaN in u's payload ("nan"), an extent the grid refuses ("extent")
+    or 8 cells, which no config here has ("grid")."""
     parts = path.read_bytes().split(b"\n", 6)
     if damage == "nan":
         parts[6] = parts[6][:40] + np.array([np.nan], "<f8").tobytes() + parts[6][48:]
-    else:
+    elif damage == "extent":
         parts[3] = b"-2"
+    else:
+        parts[2] = b"8"
     path.write_bytes(b"\n".join(parts))
 
 
 SNAPSHOT_DAMAGE = {
     "nan": "bad snapshot payload in '%s': u field contains non-finite entries",
     "extent": "bad snapshot header in '%s' (extent must be positive and finite, got -2.0)",
+    "grid": "snapshot '%s' is on a grid of cells (8,), extent (2.0,); the configured grid has cells",
 }
 
 
@@ -114,7 +122,7 @@ class TestRunCommand:
         history = config_io.read_csv_columns(str(out / "history.csv"))
         assert list(history) == list(HISTORY_COLUMNS)
         snaps = sorted(p for p in os.listdir(out) if p.startswith("snap_"))
-        states = [config_io.read_snapshot(str(out / p), origin=(-1.0,)) for p in snaps]
+        states = [config_io.read_snapshot(str(out / p), TINY_GRID) for p in snaps]
         hist_t = history["t"]
         assert len(states) == len(hist_t)
         assert np.allclose([s.t for s in states], hist_t, rtol=0, atol=1e-12)
@@ -170,7 +178,7 @@ class TestRunCommand:
         assert [col.size for col in history.values()] == [1] * len(HISTORY_COLUMNS)
         assert history["t"][0] == 0.0
         assert sorted(p.name for p in out.glob("snap_*.bin")) == ["snap_00000000.bin"]
-        assert config_io.read_snapshot(str(out / "snap_00000000.bin"), origin=(-1.0,)).t == 0.0
+        assert config_io.read_snapshot(str(out / "snap_00000000.bin"), TINY_GRID).t == 0.0
         assert main(["verify", "--out", str(out)]) == 0
         assert "sandwich lower viol 0.000e+00 (1 snaps)" in capsys.readouterr().out
 
@@ -317,7 +325,7 @@ class TestChemotaxisEndToEnd:
         cfg.write_text(CHEMO_CFG % phi)
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-        final = config_io.read_snapshot(str(sorted(out.glob("snap_*.bin"))[-1]), origin=(-1.0,))
+        final = config_io.read_snapshot(str(sorted(out.glob("snap_*.bin"))[-1]), Grid((64,), (2.0,), (-1.0,)))
         assert final.t == pytest.approx(0.2, abs=1e-12)
         x, u = final.grid.axis_centers(0), final.u.values
         centre = float(np.sum(x * u) / np.sum(u))
@@ -347,7 +355,7 @@ class TestVerifyCommand:
         shutil.copytree(src, dst)
         snaps = sorted(p for p in os.listdir(dst) if p.startswith("snap_"))
         victim = str(dst / snaps[len(snaps) // 2])
-        state = config_io.read_snapshot(victim, origin=(-1.0,))
+        state = config_io.read_snapshot(victim, RUN_GRID)
         crushed = state.__class__(
             state.u.__class__(state.u.grid, state.u.values * 1e-6),
             state.v,
@@ -373,7 +381,7 @@ class TestVerifyCommand:
             dst = tmp_path / ("empty_%d" % copies)
             dst.mkdir()
             shutil.copy(cli_run_dir["out"] / "config.cfg", dst)
-            first = config_io.read_snapshot(str(cli_run_dir["out"] / "snap_00000000.bin"), origin=(-1.0,))
+            first = config_io.read_snapshot(str(cli_run_dir["out"] / "snap_00000000.bin"), RUN_GRID)
             config_io.write_snapshot(str(dst / "snap_00000000.bin"), first)
             empty = first.__class__(first.u.__class__(first.grid, np.zeros(first.grid.cells)),
                                     first.v, first.w, first.z, t=first.t)
@@ -444,6 +452,21 @@ class TestVerifyCommand:
         damage_snapshot(victim, damage)
         assert main(["verify", "--out", str(dst)]) == 1
         assert "snapshot error: " + SNAPSHOT_DAMAGE[damage] % victim in capsys.readouterr().err
+
+    def test_empty_initial_density_skips_both_envelopes(self, tmp_path, capsys):
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text(TINY_CFG.replace("u = bump 0.0 0.25 0.5", "u = constant 0.0"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert "verify: note: lower skipped: initial density is empty" in printed
+        assert "verify: note: upper skipped: initial density is empty" in printed
+        report = dict(ln.split(",") for ln in (out / "verify_report.csv").read_text().splitlines()[1:])
+        assert report["checked_lower"] == report["checked_upper"] == "0"
+        envelope = ("lower_amplitude", "lower_spread", "lower_rate", "upper_amplitude", "upper_shift", "upper_valid_until")
+        assert [report[name] for name in envelope] == ["nan"] * len(envelope)
 
     def test_non_run_directory_is_usage_error(self, tmp_path):
         assert main(["verify", "--out", str(tmp_path)]) == 1
@@ -517,6 +540,14 @@ class TestFitCommand:
         # "--t-min=-inf": argparse reads a separate "-inf" as an option
         assert main(["fit", str(tmp_path / "history.csv"), "--t-min=" + t_min]) == 1
         assert "error: --t-min must be a finite number, got %s" % float(t_min) in capsys.readouterr().err
+
+    def test_csv_with_no_column_to_fit_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "t_x.csv"
+        path.write_text("t,x\n" + "".join("%d,%d\n" % (i, i) for i in range(20)))
+        assert main(["fit", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: CSV %s has no column to fit; fit reads 't' with 'support_radius' or 'norm_*'\n" % path
 
     def test_missing_time_column_is_usage_error(self, tmp_path):
         path = tmp_path / "no_t.csv"

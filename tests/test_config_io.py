@@ -633,7 +633,7 @@ class TestSnapshotRoundTrip:
         state = sample_state()
         path = str(tmp_path / "snap.bin")
         write_snapshot(path, state)
-        back = read_snapshot(path, origin=state.grid.origin)
+        back = read_snapshot(path, state.grid)
         assert back.t == state.t
         assert back.grid == state.grid
         for name in ("u", "v", "w", "z"):
@@ -643,23 +643,27 @@ class TestSnapshotRoundTrip:
         state = sample_state(cells=6, dim=2)
         path = str(tmp_path / "snap2d.bin")
         write_snapshot(path, state)
-        back = read_snapshot(path, origin=state.grid.origin)
+        back = read_snapshot(path, state.grid)
         assert back.grid == state.grid
         assert np.array_equal(back.u.values, state.u.values)
 
-    def test_origin_is_required(self, tmp_path):
+    def test_grid_is_required(self, tmp_path):
         state = sample_state()
         path = str(tmp_path / "snap.bin")
         write_snapshot(path, state)
-        with pytest.raises(TypeError, match="origin"):
+        with pytest.raises(TypeError, match="grid"):
             read_snapshot(path)
 
     def test_rewriting_is_byte_identical(self, tmp_path):
         state = sample_state()
         a, b = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
         write_snapshot(a, state)
-        write_snapshot(b, read_snapshot(a, origin=state.grid.origin))
+        write_snapshot(b, read_snapshot(a, state.grid))
         assert open(a, "rb").read() == open(b, "rb").read()
+
+
+# the grid of the hand-written 1D headers below: 8 cells on an extent of 1.0
+GRID_8 = Grid((8,), (1.0,), (0.0,))
 
 
 class TestSnapshotErrors:
@@ -667,19 +671,19 @@ class TestSnapshotErrors:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"PNG\x00\x01\x02" + b"\n" * 8)
         with pytest.raises(SnapshotError):
-            read_snapshot(str(path), origin=(0.0,))
+            read_snapshot(str(path), GRID_8)
 
     def test_future_version_flagged_distinctly(self, tmp_path):
         path = tmp_path / "next.bin"
         path.write_bytes(b"DCSIM2\n1\n8\n1.0\n0.0\nu v w z\n" + b"\x00" * (4 * 8 * 8))
         with pytest.raises(SnapshotVersionError, match="DCSIM2"):
-            read_snapshot(str(path), origin=(0.0,))
+            read_snapshot(str(path), GRID_8)
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "short.bin"
         path.write_bytes(b"DCSIM1\n1\n8\n")
         with pytest.raises(SnapshotError, match="truncated"):
-            read_snapshot(str(path), origin=(0.0,))
+            read_snapshot(str(path), GRID_8)
 
     def test_truncated_payload(self, tmp_path):
         state = sample_state()
@@ -688,13 +692,13 @@ class TestSnapshotErrors:
         blob = open(path, "rb").read()
         open(path, "wb").write(blob[:-16])
         with pytest.raises(SnapshotError, match="bytes"):
-            read_snapshot(path, origin=state.grid.origin)
+            read_snapshot(path, state.grid)
 
     def test_wrong_field_order(self, tmp_path):
         path = tmp_path / "swapped.bin"
         path.write_bytes(b"DCSIM1\n1\n8\n1.0\n0.0\nz w v u\n" + b"\x00" * (4 * 8 * 8))
         with pytest.raises(SnapshotError, match="field order"):
-            read_snapshot(str(path), origin=(0.0,))
+            read_snapshot(str(path), GRID_8)
 
     @pytest.mark.parametrize("name, index", [("u", 3), ("z", 4 * 8 - 1)])
     def test_non_finite_payload_names_the_file_and_field(self, tmp_path, name, index):
@@ -703,7 +707,7 @@ class TestSnapshotErrors:
         payload[index] = np.nan
         path.write_bytes(b"DCSIM1\n1\n8\n1.0\n0.0\nu v w z\n" + payload.astype("<f8").tobytes())
         with pytest.raises(SnapshotError, match=r"bad snapshot payload in '%s': %s field contains non-finite" % (re.escape(str(path)), name)):
-            read_snapshot(str(path), origin=(0.0,))
+            read_snapshot(str(path), GRID_8)
 
     @pytest.mark.parametrize(
         "cells, extent, t, fragment",
@@ -718,13 +722,26 @@ class TestSnapshotErrors:
         path = tmp_path / "header.bin"
         path.write_bytes(b"DCSIM1\n1\n%s\n%s\n%s\nu v w z\n" % (cells, extent, t) + b"\x00" * (4 * 8 * 8))
         with pytest.raises(SnapshotError, match=r"bad snapshot header in '%s' \(.*%s" % (re.escape(str(path)), fragment)):
-            read_snapshot(str(path), origin=(0.0,))
+            read_snapshot(str(path), GRID_8)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [Grid((16,), (1.0,), (0.0,)), Grid((8,), (2.0,), (0.0,)), Grid((8, 8), (1.0, 1.0), (0.0, 0.0))],
+        ids=["cells", "extent", "dim"],
+    )
+    def test_snapshot_on_another_grid_names_the_file_and_both_grids(self, tmp_path, grid):
+        path = tmp_path / "other.bin"
+        path.write_bytes(b"DCSIM1\n1\n8\n1.0\n0.0\nu v w z\n" + b"\x00" * (4 * 8 * 8))
+        message = "snapshot %r is on a grid of cells (8,), extent (1.0,); the configured grid has cells %r, extent %r" % (
+            str(path), grid.cells, grid.extent)
+        with pytest.raises(SnapshotError, match="^%s$" % re.escape(message)):
+            read_snapshot(str(path), grid)
 
     def test_axis_count_mismatch(self, tmp_path):
         path = tmp_path / "axes.bin"
         path.write_bytes(b"DCSIM1\n2\n8\n1.0 1.0\n0.0\nu v w z\n" + b"\x00" * (4 * 8 * 8))
         with pytest.raises(SnapshotError, match="axes"):
-            read_snapshot(str(path), origin=(0.0,))
+            read_snapshot(str(path), GRID_8)
 
 
 # --- history CSV ------------------------------------------------------------

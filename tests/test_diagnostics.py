@@ -105,7 +105,6 @@ def test_exponential_noiseless_recovery():
     fit = fit_exponential(t, vals)
     assert fit.rate == pytest.approx(0.33, rel=1e-9)
     assert fit.prefactor == pytest.approx(0.8, rel=1e-9)
-    assert fit.excluded == 0
 
 
 def test_power_law_noisy_recovery_within_three_stderr():
@@ -170,7 +169,6 @@ def test_exponential_counts_nonpositive_exclusions():
     vals[30] = 0.0
     vals[35] = -1e-3
     fit = fit_exponential(t, vals, t_min=0.0)
-    assert fit.excluded == 2
     assert fit.samples == 48
 
 
@@ -205,7 +203,7 @@ UPPER = select_upper_profile(
 
 
 def profile_state(grid, profile, t, pad=0.0):
-    vals = profile.evaluate(grid.axis_centers(0), t) + pad
+    vals = profile.evaluate(grid.center_distance2(profile.center), t) + pad
     zeros = Field.full(grid, 0.0)
     return StateQuad(Field(grid, np.clip(vals, 0.0, None)), zeros.copy(), zeros.copy(), zeros.copy(), t=t)
 
@@ -214,9 +212,9 @@ def test_profiles_bracket_the_seed_bump():
     """Construction-time ordering: sub-profile <= bump <= super-profile."""
     g = Grid((128,), (2.0,), (-1.0,))
     u0 = bump_field(g, (0.0,), 0.25, 0.5).values
-    x = g.axis_centers(0)
-    assert np.all(LOWER.evaluate(x, 0.0) <= u0 + 1e-15)
-    assert np.all(u0 <= UPPER.evaluate(x, 0.0) + 1e-15)
+    d2 = g.center_distance2((0.0,))
+    assert np.all(LOWER.evaluate(d2, 0.0) <= u0 + 1e-15)
+    assert np.all(u0 <= UPPER.evaluate(d2, 0.0) + 1e-15)
 
 
 def test_sandwich_clean_run_reports_no_violations():
@@ -235,7 +233,7 @@ def test_sandwich_detects_and_counts_violations():
     good = profile_state(g, LOWER, 0.0, pad=0.05)
     bad = profile_state(g, LOWER, 1.0, pad=0.05)
     bad.u.values[30:34] = 0.0  # carve a hole of four cells under the sub-profile
-    assert np.all(LOWER.evaluate(g.axis_centers(0)[30:34], 1.0) > SANDWICH_TOL)
+    assert np.all(LOWER.evaluate(g.center_distance2((0.0,))[30:34], 1.0) > SANDWICH_TOL)
     report = sandwich_check([good, bad], [LOWER])
     assert not report.clean
     assert report.violation_count == 4
@@ -246,12 +244,12 @@ def test_sandwich_counts_only_crossings_beyond_the_tolerance():
     """verify's rule: u below a sub-profile by up to SANDWICH_TOL is clean, by more is a violation."""
     assert SANDWICH_TOL == 1e-8
     g = Grid((64,), (2.0,), (-1.0,))
-    x = g.axis_centers(0)
+    d2 = g.center_distance2((0.0,))
     zeros = lambda: Field.full(g, 0.0)
-    covered = LOWER.evaluate(x, 0.0) > SANDWICH_TOL
+    covered = LOWER.evaluate(d2, 0.0) > SANDWICH_TOL
 
     def under(depth):
-        u = np.clip(LOWER.evaluate(x, 0.0) - depth, 0.0, None)
+        u = np.clip(LOWER.evaluate(d2, 0.0) - depth, 0.0, None)
         return sandwich_check([StateQuad(Field(g, u), zeros(), zeros(), zeros())], [LOWER])
 
     assert under(0.5 * SANDWICH_TOL).clean
@@ -261,9 +259,9 @@ def test_sandwich_counts_only_crossings_beyond_the_tolerance():
 
 def test_sandwich_upper_respects_validity_window():
     g = Grid((64,), (2.0,), (-1.0,))
-    x = g.axis_centers(0)
+    d2 = g.center_distance2((0.0,))
     zeros = lambda: Field.full(g, 0.0)
-    inside = StateQuad(Field(g, 0.9 * UPPER.evaluate(x, 0.0)), zeros(), zeros(), zeros(), t=0.0)
+    inside = StateQuad(Field(g, 0.9 * UPPER.evaluate(d2, 0.0)), zeros(), zeros(), zeros(), t=0.0)
     # far beyond t0 the density may exceed the super-profile freely
     beyond = StateQuad(Field.full(g, 3.0), zeros(), zeros(), zeros(), t=UPPER.valid_until + 5.0)
     report = sandwich_check([inside, beyond], [UPPER])
@@ -284,7 +282,7 @@ def test_sandwich_refuses_no_snapshots_and_mixed_grids():
 def test_sandwich_counts_every_violating_cell_of_every_snapshot():
     """No cap: 2048 cells, three snapshots and both envelope kinds give thousands of violations."""
     g = Grid((2048,), (2.0,), (-1.0,))
-    x = g.axis_centers(0)
+    d2 = g.center_distance2((0.0,))
     zeros = lambda: Field.full(g, 0.0)
     empty = StateQuad(zeros(), zeros(), zeros(), zeros(), t=0.0)
     flooded = StateQuad(Field.full(g, 3.0), zeros(), zeros(), zeros(), t=0.5 * UPPER.valid_until)
@@ -294,8 +292,8 @@ def test_sandwich_counts_every_violating_cell_of_every_snapshot():
         diam=2.0, c1=1.0, c2=1.0, center=(0.0,),
     )
     report = sandwich_check([empty, flooded, late], [lower_tall, UPPER])
-    below = sum(int(np.sum(lower_tall.evaluate(x, s.t) - s.u.values > SANDWICH_TOL)) for s in (empty, flooded, late))
-    above = sum(int(np.sum(s.u.values - UPPER.evaluate(x, s.t) > SANDWICH_TOL)) for s in (empty, flooded))
+    below = sum(int(np.sum(lower_tall.evaluate(d2, s.t) - s.u.values > SANDWICH_TOL)) for s in (empty, flooded, late))
+    above = sum(int(np.sum(s.u.values - UPPER.evaluate(d2, s.t) > SANDWICH_TOL)) for s in (empty, flooded))
     # the tall sub-profile covers the whole domain on both empty snapshots; 3.0 tops the super-profile everywhere
     assert (below, above) == (2 * 2048, 2048)
     assert report.violation_count == below + above == 6144

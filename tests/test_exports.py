@@ -109,6 +109,8 @@ RETIRED_PARAMETERS = [
     ("lattice", "LatticeState", "capacity_violations"),
     ("lattice", "EnsembleRun", "flags"),
     ("lattice", "_leap", "probs"),
+    # a snapshot is read onto the grid it must match, whose origin completes its header
+    ("config_io", "read_snapshot", "origin"),
 ]
 
 

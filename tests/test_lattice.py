@@ -116,12 +116,6 @@ class TestRates:
         _, right = rate_arrays(make_state(np.sort(counts), u_max=50, m=m))
         assert np.all(np.diff(right[:-1]) >= 0.0)  # the last site has no right face
 
-    def test_pushing_flat_signal_at_half_density(self):
-        s = make_state([50, 50, 50, 50], u_max=100, m=2.0)
-        left, right = rate_arrays(s)
-        assert left[1] == pytest.approx(0.5)
-        assert right[1] == pytest.approx(0.5)
-
     def test_empty_site_emits_nothing(self):
         s = make_state([0, 0, 0, 0])
         left, right = rate_arrays(s)

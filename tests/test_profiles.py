@@ -112,7 +112,7 @@ def test_upper_selection_worked_example():
     assert p.support_scale == pytest.approx(0.25 / 2.0**-7)
     assert p.valid_until == pytest.approx(2.0**-7)
     # amplitude was chosen to pin the profile to sup_height on the seed edge
-    assert p.evaluate(0.25, 0.0) == pytest.approx(0.5, rel=1e-12)
+    assert p.evaluate(0.25 ** 2, 0.0) == pytest.approx(0.5, rel=1e-12)
     assert p.evaluate(0.0, 0.0) > 0.5
 
 
@@ -179,8 +179,8 @@ def test_profile_support_radii_formulas_and_growth(t1, dt):
     assert r_up == pytest.approx(
         math.sqrt(up.support_scale) * (up.time_shift + t1) ** 0.5)
     # edge of the support is where the evaluated profile dies
-    assert lo.evaluate(r_lo * 1.0001, t1) == 0.0
-    assert lo.evaluate(r_lo * 0.999, t1) > 0.0
+    assert lo.evaluate((r_lo * 1.0001) ** 2, t1) == 0.0
+    assert lo.evaluate((r_lo * 0.999) ** 2, t1) > 0.0
 
 
 # --- scalar comparison ODEs -------------------------------------------------
