@@ -384,15 +384,17 @@ def cmd_sweep(args) -> int:
         sub = os.path.join(base_out, "case_%04d" % idx)
         jobs.append((case, sub))
 
-    # a process pool forks all of its workers at once, so it never gets more than there are cases
+    # a process pool starts all of its workers at once, so it never gets more than there are cases
     workers = min(max(1, args.workers), len(jobs))
     if workers <= 1:
         results = [_sweep_worker(job) for job in jobs]
     else:
-        # imported by its only user: it loads ~30 stdlib modules that every other command would pay for
+        # imported by their only user: they load ~30 stdlib modules that every other command would pay for
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # numpy's BLAS has started a thread by now, and forking a threaded process is unsafe
+        with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("spawn")) as pool:
             results = list(pool.map(_sweep_worker, jobs))
 
     failed = 0

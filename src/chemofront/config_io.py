@@ -560,7 +560,7 @@ def read_snapshot(path: str, grid: Grid) -> StateQuad:
     if magic != SNAPSHOT_MAGIC:
         if magic.startswith("DCSIM"):
             raise SnapshotVersionError(
-                "snapshot version %r is not supported (expected %s)" % (magic, SNAPSHOT_MAGIC)
+                "snapshot version %r of %r is not supported (expected %s)" % (magic, path, SNAPSHOT_MAGIC)
             )
         raise SnapshotError("%r is not a snapshot file (bad magic %r)" % (path, magic))
     try:
@@ -574,7 +574,7 @@ def read_snapshot(path: str, grid: Grid) -> StateQuad:
     if len(cells) != dim or len(extent) != dim:
         raise SnapshotError("snapshot header in %r has %d axes but dim %d" % (path, len(cells), dim))
     if order != FIELD_ORDER:
-        raise SnapshotError("snapshot field order %r is not %r" % (order, FIELD_ORDER))
+        raise SnapshotError("snapshot field order %r in %r is not %r" % (order, path, FIELD_ORDER))
     if not math.isfinite(t):
         raise SnapshotError("bad snapshot header in %r (time %r is not finite)" % (path, t))
     try:  # grid.origin completes a header grid of as many axes; one of another dim cannot match

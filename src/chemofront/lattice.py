@@ -11,9 +11,9 @@ which conserves particles exactly.
 A state's occupancy is one chain, (sites,), or an ensemble of them,
 (members, sites).  run_adaptive leaps on the bare occupancy array: the
 (sites, 3) table of 1/h^2 on the jumps that stay on the chain is built once
-per run; each leap evaluates the rates of every member once, as one (left,
-right, stay) array, takes one dt, and draws every move with one multinomial
-call from the state's one generator.
+per run; each leap evaluates the rates of every member once (rate_arrays),
+as one (left, right, stay) array, takes one dt, and draws every move with
+one multinomial call from the state's one generator (step_tau_leap).
 
 The leap rule.  The expected update of a leap is an explicit Euler step of
 the lattice porous-medium equation, which is stable while each direction's
@@ -27,8 +27,6 @@ its full validation, is built only for the final state.  The walk stops as
 the continuum solver does, within 1e-12 * max(1, t_end) of t_end, and a
 leap dt below that tolerance raises ValueError, so a run that can never
 reach t_end stops at once.
-step_tau_leap is the checked public step (dt > 0, dt * max rate within the
-stability bound) over the same rate and leap kernels.
 
 run_ensemble and continuum_twin run a [lattice] section: the members as the
 rows of one batched run, seeded by one generator default_rng(base_seed),
@@ -176,33 +174,26 @@ def _jump_table(s: LatticeState) -> np.ndarray:
     return table
 
 
-def _rates(s: LatticeState, occupancy: np.ndarray, table: np.ndarray) -> np.ndarray:
+def rate_arrays(s: LatticeState, occupancy: np.ndarray, table: np.ndarray) -> np.ndarray:
     """The (..., sites, 3) (left, right, stay) jump rates of the occupancy given, stay at zero.
 
-    Counts are never negative, so q is the plain power (the jump probability
-    u^(m-1) of the model, taken at the departure site) with no scan for
-    negative input.
+    table is the run's _jump_table(s).  Counts are never negative, so q is
+    the plain power (the jump probability u^(m-1) of the model, taken at the
+    departure site) with no scan for negative input; reflecting ends show up
+    as zero outward rates.
     """
     q = (occupancy / float(s.u_max)) ** (s.m - 1.0)
     return q[..., None] * table
 
 
-def rate_arrays(s: LatticeState):
-    """Per-particle jump rates (to_left, to_right) for every site.
-
-    Reflecting boundaries show up as zero outward rates at the ends.
-    """
-    rates = _rates(s, s.occupancy, _jump_table(s))
-    return rates[..., 0], rates[..., 1]
-
-
-def _leap(occupancy: np.ndarray, rates: np.ndarray, dt: float, rng, u_max: int):
+def step_tau_leap(occupancy: np.ndarray, rates: np.ndarray, dt: float, rng, u_max: int):
     """One multinomial leap on bare (..., sites) counts with their (..., sites, 3) rates.
 
     Returns the new counts and each row's site-time above u_max over the
     leap (0.0 when no site is above).  One multinomial call draws every site
     of every row; every particle moves at most once, so each row conserves
-    its total exactly.  Neither input array is written.
+    its total exactly.  Neither input array is written.  The caller sizes
+    dt: run_adaptive keeps dt * max rate at THETA / (2m).
     """
     probs = rates * dt
     probs[..., 2] = 1.0 - probs[..., 0] - probs[..., 1]
@@ -216,27 +207,6 @@ def _leap(occupancy: np.ndarray, rates: np.ndarray, dt: float, rng, u_max: int):
     if top > cap:
         raise ValueError("occupancy exceeded the overflow cap %d during a leap" % cap)
     return occ, ((occ > u_max).sum(axis=-1) * dt if top > u_max else 0.0)
-
-
-def step_tau_leap(s: LatticeState, dt: float) -> LatticeState:
-    """Advance the occupancies by dt with one multinomial leap per site.
-
-    Requires dt * max rate <= 1/(2m), the stability bound of the expected
-    update, over every member of an ensemble.  Returns a new state (the
-    generator advances in place).
-    """
-    if not (dt > 0.0):
-        raise ValueError("dt must be positive")
-    rates = _rates(s, s.occupancy, _jump_table(s))
-    max_rate = float(rates.max())
-    bound = 0.5 / s.m
-    if dt * max_rate > bound * (1.0 + 1e-9):
-        raise ValueError(
-            "leap condition violated: dt * max_rate = %g exceeds the stability bound 1/(2m) = %g"
-            % (dt * max_rate, bound)
-        )
-    occ, site_time = _leap(s.occupancy, rates, dt, s.rng, s.u_max)
-    return replace(s, occupancy=occ, capacity_time=s.capacity_time + site_time)
 
 
 def run_adaptive(s: LatticeState, t_end: float):
@@ -256,7 +226,7 @@ def run_adaptive(s: LatticeState, t_end: float):
     t = 0.0
     dts = []
     while t < t_end - tiny:
-        rates = _rates(s, occ, table)
+        rates = rate_arrays(s, occ, table)
         max_rate = float(rates.max())
         if max_rate <= 0.0:
             break  # frozen configuration, nothing will ever move
@@ -267,7 +237,7 @@ def run_adaptive(s: LatticeState, t_end: float):
                 "max rate %.6g at t = %.6g" % (dt, tiny, max_rate, t)
             )
         dt = min(dt, t_end - t)
-        occ, leap_time = _leap(occ, rates, dt, s.rng, s.u_max)
+        occ, leap_time = step_tau_leap(occ, rates, dt, s.rng, s.u_max)
         site_time = site_time + leap_time
         t += dt
         dts.append(dt)

@@ -29,9 +29,9 @@ the design points that the tests lean on:
   step takes the fewest stages s >= 2 that cover its dt.  run() records
   every step's dt, which of these terms or the h cap set it, and the stages
   taken.
-* The loop runs on bare arrays (_advance) with one finiteness check per step;
-  Field/StateQuad validation sits at the edges: step()'s input and output,
-  and the states run() emits.  A CFL dt below the run's time tolerance raises.
+* run() loops over step(), the kernel, on bare arrays with one finiteness
+  check per step; Field/StateQuad validation sits at the edge, in the states
+  run() emits.  A CFL dt below the run's time tolerance raises.
   A run has one stopping rule: every step is capped at t_end - t, and
   max_steps can only end it earlier.
 * run() has one output: every emitted state and its diagnostics row go to a
@@ -54,7 +54,6 @@ from . import diagnostics
 __all__ = [
     "SimulationError",
     "SolverConfig",
-    "StepReport",
     "RunResult",
     "BINDING_TERMS",
     "cfl_dt",
@@ -83,17 +82,7 @@ class SolverConfig:
             raise ValueError("output_stride must be a positive integer, got %r" % self.output_stride)
 
 
-@dataclass(frozen=True)
-class StepReport:
-    dt_used: float
-    min_u: float
-    max_u: float
-    mass_vw: float
-    negativity_clipped: float
-    stages: int
-
-
-# what can set a step's CFL dt: the three terms of _cfl_dt in order, then its cap
+# what can set a step's CFL dt: the three terms of cfl_dt in order, then its cap
 BINDING_TERMS = ("diffusion", "drift", "reaction", "cap")
 
 # most RKL2 stages per step; s stages cover (s^2 + s - 2)/4 forward-Euler diffusion steps
@@ -143,10 +132,25 @@ def _stage_gain(stages: int) -> float:
     return (stages * stages + stages - 2) / 4.0
 
 
-def _cfl_dt(grid: Grid, u: np.ndarray, dv: list[np.ndarray], params: ModelParams):
-    """cfl_dt on arrays, given v's face differences dv; also returns the
-    (diffusion, drift, reaction) denominator terms, to name the one that
-    binds; the diffusion term is already divided by the stage gain."""
+def cfl_dt(grid: Grid, u: np.ndarray, dv: list[np.ndarray], params: ModelParams):
+    """Stable step for density u under a signal with face differences dv.
+
+    dt = CFL_SAFETY * h^2 / (2 dim m max_u^(m-1) / G
+                             + h max(m, 2 dim) max_u^(m-1) max|grad v|
+                             + h^2 mu (delta+1) max(max_u, 1)^delta max(r, 1)),
+    with CFL_SAFETY = 0.25 and G = (S^2 + S - 2)/4 = 4.5 at S = MAX_STAGES,
+    additionally capped at h, which is also dt when all three terms vanish.  The
+    terms bound the degenerate diffusion of u, which one RKL2 super-step of
+    up to S stages covers for G forward-Euler steps; the upwinded drift
+    phi u^m grad v, which moves at the speed m u^(m-1) |grad v| and drains a
+    cell through up to 2 dim faces (|phi| <= 1 for every rule); and the
+    reaction mu u^delta (1 - r u), whose decay above u = 1/r scales with r.
+    The three share one budget, since all of them drain the same cells within
+    a step.  v and z need no term: their semi-implicit solve is stable for any dt.
+
+    Returns (dt, terms), terms the (diffusion, drift, reaction) denominators
+    above, to name the one that binds; the diffusion term is already divided by G.
+    """
     h = grid.h
     m = params.m
     max_u = float(u.max())
@@ -162,52 +166,28 @@ def _cfl_dt(grid: Grid, u: np.ndarray, dv: list[np.ndarray], params: ModelParams
     return min(CFL_SAFETY * h * h / total, h), terms
 
 
-def cfl_dt(state: StateQuad, params: ModelParams) -> float:
-    """Stable step for the current state.
+def diffusive_flux(y: np.ndarray, m: float) -> list[np.ndarray]:
+    """Per-axis interior face differences of max(y, 0)^m, right cell minus left.
 
-    dt = CFL_SAFETY * h^2 / (2 dim m max_u^(m-1) / G
-                             + h max(m, 2 dim) max_u^(m-1) max|grad v|
-                             + h^2 mu (delta+1) max(max_u, 1)^delta max(r, 1)),
-    with CFL_SAFETY = 0.25 and G = (S^2 + S - 2)/4 = 4.5 at S = MAX_STAGES,
-    additionally capped at h, which is also dt when all three terms vanish.  The
-    terms bound the degenerate diffusion of u, which one RKL2 super-step of
-    up to S stages covers for G forward-Euler steps; the upwinded drift
-    phi u^m grad v, which moves at the speed m u^(m-1) |grad v| and drains a
-    cell through up to 2 dim faces (|phi| <= 1 for every rule); and the
-    reaction mu u^delta (1 - r u), whose decay above u = 1/r scales with r.
-    The three share one budget, since all of them drain the same cells within
-    a step.  v and z need no term: their semi-implicit solve is stable for any dt.
+    Each is -h times the face flux of the degenerate diffusion, which runs
+    from the denser cell toward vacuum and vanishes identically on faces
+    between empty cells.  Boundary faces are zero and are not stored.
     """
-    return _cfl_dt(state.grid, state.u.values, _face_diffs(state.v.values), params)[0]
+    return _face_diffs(np.maximum(y, 0.0) ** m)
 
 
-def diffusive_flux(state: StateQuad, params: ModelParams) -> list[np.ndarray]:
-    """Per-axis interior face fluxes of the degenerate diffusion.
-
-    Face value -(u_R^m - u_L^m)/h, so the flux is oriented from the denser
-    cell toward vacuum and vanishes identically on faces between empty
-    cells.  Boundary faces are zero and are not stored.
-    """
-    return [-d / state.grid.h for d in _face_diffs(state.u.values ** params.m)]
-
-
-def _chemotactic_fluxes(u, um, dv, phi, h: float) -> list[np.ndarray]:
-    out = []
-    for (lo, hi), d in zip(_faces(u.ndim), dv):
-        vel = phi.eval(0.5 * (u[lo] + u[hi])) * (d / h)
-        out.append(vel * np.where(vel > 0.0, um[lo], um[hi]))
-    return out
-
-
-def chemotactic_flux(state: StateQuad, params: ModelParams) -> list[np.ndarray]:
-    """Per-axis interior face fluxes of the drift term div(phi(u) u^m grad v).
+def chemotactic_flux(u: np.ndarray, um: np.ndarray, dv: list[np.ndarray], phi, h: float) -> list[np.ndarray]:
+    """Per-axis interior face fluxes of the drift term div(phi(u) u^m grad v), given um = u^m.
 
     The face velocity is phi(u_face) (v_R - v_L)/h with u_face the arithmetic
     mean; the advected quantity u^m is taken from the upwind cell.  Zero
     advected mass means zero flux, so vacuum stays intact.
     """
-    u = state.u.values
-    return _chemotactic_fluxes(u, u ** params.m, _face_diffs(state.v.values), params.phi, state.grid.h)
+    out = []
+    for (lo, hi), d in zip(_faces(u.ndim), dv):
+        vel = phi.eval(0.5 * (u[lo] + u[hi])) * (d / h)
+        out.append(vel * np.where(vel > 0.0, um[lo], um[hi]))
+    return out
 
 
 def _scatter(face_values: list[np.ndarray], shape: tuple) -> np.ndarray:
@@ -224,11 +204,6 @@ def _divergence(fluxes: list[np.ndarray], shape: tuple, h: float) -> np.ndarray:
     div = _scatter(fluxes, shape)
     div /= h
     return div
-
-
-def _face_sums(values: np.ndarray) -> np.ndarray:
-    """h^2 times the Neumann Laplacian in flux form: each cell's sum of face differences."""
-    return _scatter(_face_diffs(values), values.shape)
 
 
 @lru_cache(maxsize=8)
@@ -285,16 +260,17 @@ def _stage_count(explicit_steps: float) -> int:
     return stages
 
 
-def _rkl2_diffuse(u: np.ndarray, sums0: np.ndarray, tau: float, stages: int, m: float):
-    """u after one RKL2 super-step of u_t = Lap(u^m) over dt = tau h^2, given
-    sums0 = h^2 Lap(u^m):
+def _rkl2_diffuse(u: np.ndarray, tau: float, stages: int, m: float):
+    """u after one RKL2 super-step of u_t = Lap(u^m) over dt = tau h^2:
         Y_1 = u + mu~_1 dt L(u),
         Y_j = mu_j Y_(j-1) + nu_j Y_(j-2) + (1 - mu_j - nu_j) u + mu~_j dt L(Y_(j-1)) + gamma~_j dt L(u),
-    with L(Y) the flux-form Laplacian of max(Y, 0)^m; returns Y_s."""
+    with h^2 L(Y) each cell's sum of diffusive_flux(Y, m), the flux-form
+    Laplacian of max(Y, 0)^m; returns Y_s.  Each stage calls diffusive_flux once."""
     weights = _rkl2_weights(stages)
+    sums0 = _scatter(diffusive_flux(u, m), u.shape)
     prev, y = u, u + (weights[0][3] * tau) * sums0
     for mu, nu, rest, mu_t, gamma_t in weights[1:]:
-        sums = _face_sums(np.maximum(y, 0.0) ** m)
+        sums = _scatter(diffusive_flux(y, m), y.shape)
         prev, y = y, mu * y + nu * prev + rest * u + (mu_t * tau) * sums + (gamma_t * tau) * sums0
     return y
 
@@ -304,11 +280,13 @@ def _time_tolerance(t_end: float) -> float:
     return 1e-12 * max(1.0, abs(t_end))
 
 
-def _advance(grid, u, v, w, z, t, params, dt_cap, dt_floor):
-    """One step on bare arrays, the kernel of step() and run(): returns new
-    arrays (u, v, w, z), dt, the clipped mass, the BINDING_TERMS index of
-    what set the CFL dt and the RKL2 stages taken, and never writes its inputs.
-    dt is the CFL dt cut to dt_cap (run's time left, or inf for step).
+def step(grid, u, v, w, z, t, params, dt_cap, dt_floor):
+    """One step of all four fields on bare arrays, the kernel of run().
+
+    Returns new arrays (u, v, w, z), dt, the clipped mass, the BINDING_TERMS
+    index of what set the CFL dt and the RKL2 stages taken, and never writes
+    its inputs.  dt is cfl_dt's dt cut to dt_cap (run passes the time left);
+    a CFL dt below dt_floor raises SimulationError naming the term that binds.
 
     Order within the step: the cell density diffuses by one RKL2 super-step
     and moves by the drift off the current v and the growth, both at the
@@ -318,7 +296,7 @@ def _advance(grid, u, v, w, z, t, params, dt_cap, dt_floor):
     """
     h = grid.h
     dv = _face_diffs(v)
-    dt, terms = _cfl_dt(grid, u, dv, params)
+    dt, terms = cfl_dt(grid, u, dv, params)
     bound = len(terms) if dt == h else terms.index(max(terms))  # index into BINDING_TERMS
     if dt < dt_floor:
         raise SimulationError(
@@ -326,9 +304,8 @@ def _advance(grid, u, v, w, z, t, params, dt_cap, dt_floor):
     dt = min(dt, dt_cap)
     stages = _stage_count(_stage_gain(MAX_STAGES) * dt * terms[0] / (CFL_SAFETY * h * h))
 
-    um = u ** params.m
-    u_new = _rkl2_diffuse(u, _face_sums(um), dt / (h * h), stages, params.m)
-    u_new -= dt * _divergence(_chemotactic_fluxes(u, um, dv, params.phi, h), grid.cells, h)
+    u_new = _rkl2_diffuse(u, dt / (h * h), stages, params.m)
+    u_new -= dt * _divergence(chemotactic_flux(u, u ** params.m, dv, params.phi, h), grid.cells, h)
     if params.mu > 0.0:
         u_new += dt * logistic_growth(u, params.mu, params.delta, params.r)
 
@@ -360,22 +337,6 @@ def _advance(grid, u, v, w, z, t, params, dt_cap, dt_floor):
     return u_new, v_new, w_new, z_new, dt, clipped, bound, stages
 
 
-def step(state: StateQuad, params: ModelParams, config: SolverConfig):
-    """Advance all four fields by one stable step.
-
-    Returns (new_state, StepReport).  The step runs the same kernel as run();
-    its dt floor is that of a run from state.t to state.t + config.t_end.
-    """
-    grid = state.grid
-    u, v, w, z, dt, clipped, _, stages = _advance(grid, state.u.values, state.v.values, state.w.values,
-                                                  state.z.values, state.t, params, math.inf,
-                                                  _time_tolerance(state.t + config.t_end))
-    new_state = StateQuad(Field(grid, u), Field(grid, v), Field(grid, w), Field(grid, z), state.t + dt)
-    report = StepReport(dt_used=dt, min_u=float(np.min(u)), max_u=float(np.max(u)),
-                        mass_vw=new_state.mass_vw(), negativity_clipped=clipped, stages=stages)
-    return new_state, report
-
-
 def peak_coordinate(field: Field) -> tuple[float, ...]:
     """Cell-center coordinate of the field maximum (first one on ties)."""
     grid = field.grid
@@ -391,7 +352,7 @@ def max_abs_gradient(field: Field) -> float:
 
 def max_abs_laplacian(field: Field) -> float:
     """Largest discrete Neumann Laplacian magnitude of a field."""
-    lap = _face_sums(field.values) / (field.grid.h * field.grid.h)
+    lap = _scatter(_face_diffs(field.values), field.grid.cells) / (field.grid.h * field.grid.h)
     return float(np.max(np.abs(lap))) if lap.size else 0.0
 
 
@@ -440,7 +401,7 @@ def run(
     dts, counts = array("d"), [0] * len(BINDING_TERMS)
     tiny = _time_tolerance(t_end)
     while steps < budget and t < t_end - tiny:
-        u, v, w, z, dt, clipped, bound, taken = _advance(grid, u, v, w, z, t, params, t_end - t, tiny)
+        u, v, w, z, dt, clipped, bound, taken = step(grid, u, v, w, z, t, params, t_end - t, tiny)
         t += dt
         steps += 1
         stages += taken

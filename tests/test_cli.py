@@ -74,13 +74,18 @@ RUN_GRID = Grid((128,), (2.0,), (-1.0,))
 
 
 def damage_snapshot(path, damage):
-    """Rewrite a snapshot file with one NaN in u's payload ("nan"), an extent the grid refuses ("extent")
-    or 8 cells, which no config here has ("grid")."""
+    """Rewrite a snapshot file with one NaN in u's payload ("nan"), an extent the grid refuses ("extent"),
+    8 cells, which no config here has ("grid"), its fields in reverse order ("order") or a later version's
+    magic ("version")."""
     parts = path.read_bytes().split(b"\n", 6)
     if damage == "nan":
         parts[6] = parts[6][:40] + np.array([np.nan], "<f8").tobytes() + parts[6][48:]
     elif damage == "extent":
         parts[3] = b"-2"
+    elif damage == "order":
+        parts[5] = b"z w v u"
+    elif damage == "version":
+        parts[0] = b"DCSIM2"
     else:
         parts[2] = b"8"
     path.write_bytes(b"\n".join(parts))
@@ -90,6 +95,8 @@ SNAPSHOT_DAMAGE = {
     "nan": "bad snapshot payload in '%s': u field contains non-finite entries",
     "extent": "bad snapshot header in '%s' (extent must be positive and finite, got -2.0)",
     "grid": "snapshot '%s' is on a grid of cells (8,), extent (2.0,); the configured grid has cells",
+    "order": "snapshot field order ('z', 'w', 'v', 'u') in '%s' is not ('u', 'v', 'w', 'z')",
+    "version": "snapshot version 'DCSIM2' of '%s' is not supported (expected DCSIM1)",
 }
 
 
@@ -618,12 +625,13 @@ class TestSweepCommand:
         assert not out.exists()
 
     def test_pool_never_gets_more_workers_than_cases(self, tmp_path, monkeypatch):
-        # a fork-started pool starts all of its workers at the first submit; this fake starts none
+        # a pool starts all of its workers at the first submit; this fake starts none
         sizes = []
 
         class InlinePool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, mp_context):
                 sizes.append(max_workers)
+                assert mp_context.get_start_method() == "spawn"  # never forks the threaded parent
 
             def __enter__(self):
                 return self
@@ -641,6 +649,18 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg), "--out", str(out), "--workers", "100000"]) == 0
         assert sizes == [2]
         assert [ln.rsplit(",", 1)[1] for ln in (out / "manifest.csv").read_text().splitlines()[1:]] == ["ok", "ok"]
+
+    def test_spawned_workers_run_every_case_from_the_command_line(self, tmp_path):
+        # a spawned worker imports the CLI module afresh and must not run __main__ again
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_CFG.replace("model.m = 2.0, 3.0", "model.m = 2.0, 2.5, 3.0"))
+        out = tmp_path / "sweep_out"
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "chemofront", "sweep", "--config", str(cfg), "--out", str(out),
+                               "--workers", "2"], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert [ln.rsplit(",", 1)[1] for ln in (out / "manifest.csv").read_text().splitlines()[1:]] == ["ok"] * 3
 
     def test_sweepless_config_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "plain.cfg"

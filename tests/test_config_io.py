@@ -676,7 +676,7 @@ class TestSnapshotErrors:
     def test_future_version_flagged_distinctly(self, tmp_path):
         path = tmp_path / "next.bin"
         path.write_bytes(b"DCSIM2\n1\n8\n1.0\n0.0\nu v w z\n" + b"\x00" * (4 * 8 * 8))
-        with pytest.raises(SnapshotVersionError, match="DCSIM2"):
+        with pytest.raises(SnapshotVersionError, match="DCSIM2' of %s" % re.escape(repr(str(path)))):
             read_snapshot(str(path), GRID_8)
 
     def test_truncated_header(self, tmp_path):
@@ -697,7 +697,7 @@ class TestSnapshotErrors:
     def test_wrong_field_order(self, tmp_path):
         path = tmp_path / "swapped.bin"
         path.write_bytes(b"DCSIM1\n1\n8\n1.0\n0.0\nz w v u\n" + b"\x00" * (4 * 8 * 8))
-        with pytest.raises(SnapshotError, match="field order"):
+        with pytest.raises(SnapshotError, match="field order .* in %s" % re.escape(repr(str(path)))):
             read_snapshot(str(path), GRID_8)
 
     @pytest.mark.parametrize("name, index", [("u", 3), ("z", 4 * 8 - 1)])

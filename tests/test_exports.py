@@ -88,6 +88,13 @@ PRUNED = [
     ("chemofront.lattice", "Member"),
     ("chemofront.lattice", "coarse_density"),
     ("chemofront.cli", "SANDWICH_TOL"),
+    # each kernel took the public name the tracer times, and the wrapper that held it went
+    ("chemofront.solver", "StepReport"),
+    ("chemofront.solver", "_advance"),
+    ("chemofront.solver", "_cfl_dt"),
+    ("chemofront.solver", "_chemotactic_fluxes"),
+    ("chemofront.lattice", "_rates"),
+    ("chemofront.lattice", "_leap"),
 ]
 
 
@@ -100,7 +107,6 @@ def test_pruned_names_stay_gone(name, attr):
 
 # (module, callable, parameter) for each knob that only tests ever set, retired for the constant or shape the program uses
 RETIRED_PARAMETERS = [
-    ("solver", "step", "dt_cap"),
     ("diagnostics", "support_radius", "threshold"),
     ("diagnostics", "sandwich_check", "tol"),
     ("lattice", "initial_state", "members"),
@@ -108,7 +114,7 @@ RETIRED_PARAMETERS = [
     # the site-time above u_max is the one capacity measure, and a leap builds its own probabilities
     ("lattice", "LatticeState", "capacity_violations"),
     ("lattice", "EnsembleRun", "flags"),
-    ("lattice", "_leap", "probs"),
+    ("lattice", "step_tau_leap", "probs"),
     # a snapshot is read onto the grid it must match, whose origin completes its header
     ("config_io", "read_snapshot", "origin"),
 ]
@@ -118,6 +124,13 @@ RETIRED_PARAMETERS = [
 def test_retired_parameters_stay_gone(module, name, parameter):
     target = getattr(importlib.import_module("chemofront." + module), name)
     assert parameter not in inspect.signature(target).parameters
+
+
+@pytest.mark.parametrize("module, name", [("solver", "step"), ("lattice", "step_tau_leap")])
+def test_kernels_take_every_argument_from_their_caller(module, name):
+    # run passes step the time left as its dt_cap and run_adaptive sizes every leap, so no default is left for tests to vary
+    target = getattr(importlib.import_module("chemofront." + module), name)
+    assert [p.name for p in inspect.signature(target).parameters.values() if p.default is not p.empty] == []
 
 
 def test_fields_are_built_from_arrays_only():
@@ -177,6 +190,9 @@ def test_traced_benchmark_reports_every_per_layer_metric():
     declared = json.loads((root / "BENCHMARK.json").read_text())["per_layer"]
     assert result["correct"] is True and result["failed"] == 0
     assert set(result["metrics"]) == {metric["name"] for metric in declared}
+    # the solver's layers read what the run spent in them, not 0
+    timed = ("solver.step.calls", "solver.cfl_dt.s", "solver.flux.s")
+    assert [name for name in timed if not result["metrics"][name]["value"] > 0] == []
 
 
 PROBE_CFG = """\
@@ -219,3 +235,42 @@ def test_commands_reach_the_probe_targets_through_their_modules(tmp_path, monkey
     cfg.write_text(PROBE_CFG)
     with pytest.raises(_Reached):
         cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+
+
+def _counting(calls, name, fn):
+    calls[name] = 0
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+# per command, the module attributes the tracer times as its kernels, and the stats file that counts their work
+TRACED_KERNELS = {
+    "run": ("solver", ["step", "cfl_dt", "chemotactic_flux", "diffusive_flux"], "run_stats.json"),
+    "lattice": ("lattice", ["rate_arrays", "step_tau_leap"], "lattice_stats.json"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(TRACED_KERNELS))
+def test_commands_call_the_traced_kernels_once_per_step_stage_or_leap(tmp_path, monkeypatch, command):
+    """The tracer replaces module attributes, as these counters do: a kernel
+    bound by name, or a wrapper that the command never calls, reads 0."""
+    module, names, stats_file = TRACED_KERNELS[command]
+    mod = importlib.import_module("chemofront." + module)
+    calls = {}
+    for name in names:
+        monkeypatch.setattr(mod, name, _counting(calls, name, getattr(mod, name)))
+    cfg = tmp_path / "probe.cfg"
+    cfg.write_text(PROBE_CFG)
+    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    stats = json.loads((tmp_path / "out" / stats_file).read_text())
+    if command == "run":
+        steps = stats["steps"]
+        assert steps > 0
+        assert calls == {"step": steps, "cfl_dt": steps, "chemotactic_flux": steps, "diffusive_flux": stats["stages"]}
+    else:
+        assert stats["leaps"] > 0
+        assert calls == {"rate_arrays": stats["leaps"], "step_tau_leap": stats["leaps"]}

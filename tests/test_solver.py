@@ -26,14 +26,12 @@ from chemofront.profiles import barenblatt
 from chemofront.solver import (
     SimulationError,
     SolverConfig,
-    cfl_dt,
     chemotactic_flux,
     diffusive_flux,
     max_abs_gradient,
     max_abs_laplacian,
     peak_coordinate,
     run,
-    step,
 )
 
 from conftest import STANDARD_MODEL, bump_field, make_standard_initial
@@ -42,6 +40,28 @@ from conftest import STANDARD_MODEL, bump_field, make_standard_initial
 def uniform_state(cells, u=1.0, v=0.0, w=0.0, z=0.0, h_total=2.0):
     g = Grid((cells,), (h_total,), (0.0,))
     return StateQuad(Field.full(g, u), Field.full(g, v), Field.full(g, w), Field.full(g, z))
+
+
+def cfl(s, params):
+    """The CFL dt of a state, through solver.cfl_dt (the name tests patch)."""
+    return solver.cfl_dt(s.grid, s.u.values, solver._face_diffs(s.v.values), params)[0]
+
+
+def drift_flux(s, params):
+    """chemotactic_flux of a state."""
+    u = s.u.values
+    return chemotactic_flux(u, u ** params.m, solver._face_diffs(s.v.values), params.phi, s.grid.h)
+
+
+def kernel_step(s, params, t_end=1.0):
+    """One solver.step from a checked state of a run to t_end, with run()'s cap and floor.
+
+    Returns (the next state, checked again; dt; the clipped mass; the RKL2 stages).
+    """
+    g = s.grid
+    u, v, w, z, dt, clipped, _, stages = solver.step(
+        g, s.u.values, s.v.values, s.w.values, s.z.values, s.t, params, t_end - s.t, solver._time_tolerance(t_end))
+    return StateQuad(Field(g, u), Field(g, v), Field(g, w), Field(g, z), s.t + dt), dt, clipped, stages
 
 
 def stage_gain():
@@ -57,7 +77,7 @@ class TestCflDt:
         g = Grid((100,), (1.0,), (0.0,))  # h = 0.01
         s = StateQuad(Field.full(g, 1.0), Field.full(g, 0.3), Field.full(g, 0.0), Field.full(g, 0.0))
         p = ModelParams(m=2.0, delta=1.0, mu=1.0, r=1.0)
-        dt = cfl_dt(s, p)
+        dt = cfl(s, p)
         # safety 0.25 times h^2 over: diffusion 2 * 1 * 2 * 1^1 = 4 over the
         # stage gain G, no drift under flat v, reaction 1e-4 * 1 * 2 * 1 = 2e-4
         assert dt == pytest.approx(0.25e-4 / (4.0 / stage_gain() + 2e-4), rel=1e-13)
@@ -66,25 +86,25 @@ class TestCflDt:
         g = Grid((100,), (1.0,), (0.0,))  # h = 0.01
         s = StateQuad(Field.full(g, 2.0), Field.full(g, 0.0), Field.full(g, 0.0), Field.full(g, 0.0))
         # diffusion 2 * 1 * 2 * 2^1 = 8 over the stage gain G, reaction 1e-4 * 1 * 2 * 2^1 * max(r, 1)
-        dt = cfl_dt(s, ModelParams(m=2.0, delta=1.0, mu=1.0, r=4.0))
+        dt = cfl(s, ModelParams(m=2.0, delta=1.0, mu=1.0, r=4.0))
         assert dt == pytest.approx(0.25e-4 / (8.0 / stage_gain() + 1.6e-3), rel=1e-13)
         # r <= 1 keeps the term, and dt, exactly as at r = 1
-        dt_r1 = cfl_dt(s, ModelParams(m=2.0, delta=1.0, mu=1.0, r=1.0))
-        assert cfl_dt(s, ModelParams(m=2.0, delta=1.0, mu=1.0, r=0.5)) == dt_r1
+        dt_r1 = cfl(s, ModelParams(m=2.0, delta=1.0, mu=1.0, r=1.0))
+        assert cfl(s, ModelParams(m=2.0, delta=1.0, mu=1.0, r=0.5)) == dt_r1
         assert dt_r1 == pytest.approx(0.25e-4 / (8.0 / stage_gain() + 4e-4), rel=1e-13)
 
     def test_vacuum_limit(self):
         g = Grid((10,), (1.0,), (0.0,))
         s = StateQuad(Field.full(g, 0.0), Field.full(g, 0.0), Field.full(g, 0.0), Field.full(g, 0.0))
         # every term vanishes, so the cap h is dt
-        assert cfl_dt(s, ModelParams(m=2.0, mu=0.0)) == g.h
+        assert cfl(s, ModelParams(m=2.0, mu=0.0)) == g.h
 
     def test_drift_term_is_the_upwinded_flux_speed(self):
         g = Grid((100,), (1.0,), (0.0,))  # h = 0.01
         s = StateQuad(Field.full(g, 0.5), Field(g, 3.0 * g.axis_centers(0)), Field.full(g, 0.0), Field.full(g, 0.0))
         p = ModelParams(m=3.0, mu=0.0)
         # diffusion 2 * 3 * 0.5^2 = 1.5 over the stage gain G; drift h * 3 * 0.5^2 * |grad v| = 0.01 * 0.75 * 3
-        dt = cfl_dt(s, p)
+        dt = cfl(s, p)
         assert dt == pytest.approx(0.25e-4 / (1.5 / stage_gain() + 0.0225), rel=1e-12)
 
     @pytest.mark.parametrize("dim, m, faces", [(1, 1.5, 2.0), (2, 3.0, 4.0), (2, 5.0, 5.0)])
@@ -96,7 +116,7 @@ class TestCflDt:
         p = ModelParams(m=m, mu=0.0)
         diffusion = 2.0 * dim * m * 0.5 ** (m - 1.0) / stage_gain()
         drift = 0.01 * faces * 0.5 ** (m - 1.0) * 300.0
-        assert cfl_dt(s, p) == pytest.approx(0.25e-4 / (diffusion + drift), rel=1e-12)
+        assert cfl(s, p) == pytest.approx(0.25e-4 / (diffusion + drift), rel=1e-12)
 
     @given(
         m=st.floats(min_value=1.05, max_value=4.0),
@@ -113,49 +133,45 @@ class TestCflDt:
         s = StateQuad(Field(g, np.asarray(u)), Field(g, v), Field.full(g, 1.0), Field.full(g, 0.0))
         p = ModelParams(m=m, mu=1.0, phi=ConstantSensitivity(-1.0))
         with mock.patch.object(solver, "CFL_SAFETY", safety):
-            dt = cfl_dt(s, p)
+            dt = cfl(s, p)
         courant = dt * max(m, 2.0) * max(u) ** (m - 1.0) * max_abs_gradient(s.v) / g.h
         assert courant <= safety * (1.0 + 1e-12)
 
     def test_linear_in_safety_factor(self, monkeypatch):
         s = uniform_state(50, u=0.7, v=0.1)
         p = ModelParams(m=2.5, mu=0.5)
-        dt = cfl_dt(s, p)
+        dt = cfl(s, p)
         monkeypatch.setattr(solver, "CFL_SAFETY", 2.0 * solver.CFL_SAFETY)
-        assert cfl_dt(s, p) == pytest.approx(2.0 * dt)
+        assert cfl(s, p) == pytest.approx(2.0 * dt)
 
     def test_h_caps_a_slowly_diffusing_state(self):
         s = uniform_state(50, u=1e-6)  # h = 0.04, and the CFL bound is about 450
-        assert cfl_dt(s, ModelParams(m=2.0)) == s.grid.h
+        assert cfl(s, ModelParams(m=2.0)) == s.grid.h
 
     def test_positive_for_any_state(self):
         s = uniform_state(50, u=100.0)
-        assert cfl_dt(s, ModelParams(m=3.0, mu=5.0)) > 0.0
+        assert cfl(s, ModelParams(m=3.0, mu=5.0)) > 0.0
 
 
 class TestFluxes:
     def test_diffusive_flux_pinned_jump(self):
-        g = Grid((4,), (0.4,), (0.0,))  # h = 0.1
-        u = Field(g, np.array([0.0, 0.0, 1.0, 1.0]))
-        s = StateQuad(u, Field.full(g, 0.0), Field.full(g, 0.0), Field.full(g, 0.0))
-        fl = diffusive_flux(s, ModelParams(m=2.0))[0]
+        # the face difference u_R^m - u_L^m, which is -h times the face flux
+        fl = diffusive_flux(np.array([0.0, 0.0, 0.5, 0.5]), 2.0)[0]
         assert fl.shape == (3,)
         assert fl[0] == 0.0
-        assert fl[1] == pytest.approx(-10.0)
+        assert fl[1] == pytest.approx(0.25)
         assert fl[2] == 0.0
 
     def test_diffusive_flux_zero_on_flat_and_empty(self):
-        s = uniform_state(8, u=0.5)
-        assert np.all(diffusive_flux(s, ModelParams(m=3.0))[0] == 0.0)
-        s0 = uniform_state(8, u=0.0)
-        assert np.all(diffusive_flux(s0, ModelParams(m=2.0))[0] == 0.0)
+        assert np.all(diffusive_flux(np.full(8, 0.5), 3.0)[0] == 0.0)
+        assert np.all(diffusive_flux(np.zeros(8), 2.0)[0] == 0.0)
 
     def test_chemo_flux_upwind_picks_departure_side(self):
         g = Grid((4,), (0.4,), (0.0,))
         u = Field(g, np.array([1.0, 1.0, 0.0, 0.0]))
         v = Field(g, np.array([0.0, 0.0, 1.0, 1.0]))
         s = StateQuad(u, v, Field.full(g, 0.0), Field.full(g, 0.0))
-        fl = chemotactic_flux(s, ModelParams(m=2.0, phi=ConstantSensitivity(1.0)))[0]
+        fl = drift_flux(s, ModelParams(m=2.0, phi=ConstantSensitivity(1.0)))[0]
         # face 1: velocity (1-0)/h > 0, upwind takes the left cell's u^m = 1
         assert fl[1] == pytest.approx(10.0)
         assert fl[0] == 0.0 and fl[2] == 0.0
@@ -164,11 +180,11 @@ class TestFluxes:
         g = Grid((6,), (0.6,), (0.0,))
         u = Field(g, np.linspace(0.1, 1.0, 6))
         s = StateQuad(u, Field.full(g, 0.5), Field.full(g, 0.0), Field.full(g, 0.0))
-        assert np.all(chemotactic_flux(s, ModelParams(m=2.0))[0] == 0.0)
+        assert np.all(drift_flux(s, ModelParams(m=2.0))[0] == 0.0)
         v = Field(g, np.linspace(0.0, 1.0, 6))
         s2 = StateQuad(u, v, Field.full(g, 0.0), Field.full(g, 0.0))
         p0 = ModelParams(m=2.0, phi=ConstantSensitivity(0.0))
-        assert np.all(chemotactic_flux(s2, p0)[0] == 0.0)
+        assert np.all(drift_flux(s2, p0)[0] == 0.0)
 
 
 def dense_neumann_lap(cells, h):
@@ -208,17 +224,17 @@ class TestStep:
     def test_steady_state_is_fixed_point(self):
         s = uniform_state(64, u=1.0, v=0.7, w=0.0, z=1.0)
         p = ModelParams(m=2.0, delta=1.0, mu=1.0, r=1.0, phi=ConstantSensitivity(1.0))
-        out, rep = step(s, p, SolverConfig(t_end=1.0))
+        out, dt, _, _ = kernel_step(s, p)
         assert np.allclose(out.u.values, 1.0, atol=1e-14)
         assert np.allclose(out.v.values, 0.7, atol=1e-14)
         assert np.allclose(out.w.values, 0.0, atol=1e-14)
         assert np.allclose(out.z.values, 1.0, atol=1e-14)
-        assert rep.dt_used > 0.0
+        assert dt > 0.0
 
     def test_empty_state_is_frozen(self):
         s = uniform_state(32, u=0.0, v=0.4, w=0.8, z=0.0)
         p = ModelParams(m=2.0, mu=1.0)
-        out, _ = step(s, p, SolverConfig(t_end=1.0))
+        out, _, _, _ = kernel_step(s, p)
         assert np.allclose(out.u.values, 0.0, atol=1e-15)
         assert np.allclose(out.w.values, 0.8, atol=1e-15)
         assert np.allclose(out.v.values, 0.4, atol=1e-14)
@@ -233,8 +249,8 @@ class TestStep:
             Field(g, rng.uniform(0.2, 1.0, 16)),
             Field(g, rng.uniform(0.0, 2.0, 16)),
         )
-        out, rep = step(s, ModelParams(m=2.0), SolverConfig(t_end=1.0))
-        assert np.allclose(out.w.values, s.w.values * np.exp(-s.z.values * rep.dt_used), rtol=1e-15)
+        out, dt, _, _ = kernel_step(s, ModelParams(m=2.0))
+        assert np.allclose(out.w.values, s.w.values * np.exp(-s.z.values * dt), rtol=1e-15)
 
     def test_single_step_conserves_vw_mass(self):
         g = Grid((32,), (2.0,), (-1.0,))
@@ -246,8 +262,8 @@ class TestStep:
             Field(g, rng.uniform(0.0, 1.5, 32)),
         )
         p = ModelParams(m=2.0, mu=0.0, phi=ConstantSensitivity(1.0))
-        out, rep = step(s, p, SolverConfig(t_end=1.0))
-        assert rep.mass_vw == pytest.approx(s.mass_vw(), rel=1e-13)
+        out, _, _, _ = kernel_step(s, p)
+        assert out.mass_vw() == pytest.approx(s.mass_vw(), rel=1e-13)
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)
@@ -261,35 +277,32 @@ class TestStep:
             Field(g, rng.uniform(0.0, 1.0, 24)),
         )
         p = ModelParams(m=2.0, delta=1.0, mu=1.0, phi=ConstantSensitivity(1.0))
-        out, _ = step(s, p, SolverConfig(t_end=1.0))
+        out, _, _, _ = kernel_step(s, p)
         for f in (out.u, out.v, out.w, out.z):
             assert np.all(f.values >= 0.0)
         assert np.all(out.w.values <= s.w.values + 1e-16)
 
     def test_support_grows_at_most_one_cell_per_stage(self):
         state = make_standard_initial(cells=64)
-        cfg = SolverConfig(t_end=1.0)
         for _ in range(5):
             reach = state.u.values > 0.0
-            state, rep = step(state, STANDARD_MODEL, cfg)
-            for _ in range(rep.stages):
+            state, _, _, stages = kernel_step(state, STANDARD_MODEL)
+            for _ in range(stages):
                 reach = reach | np.roll(reach, 1) | np.roll(reach, -1)  # the centred support never wraps
-            assert rep.stages == solver.MAX_STAGES  # diffusion sets dt, at the stage cap
+            assert stages == solver.MAX_STAGES  # diffusion sets dt, at the stage cap
             assert np.all(state.u.values[~reach] == 0.0)  # exact zeros beyond
         assert not reach.all()  # vacuum was left to check
 
     def test_density_stays_under_carrying_capacity(self):
         state = make_standard_initial(cells=64)
-        cfg = SolverConfig(t_end=1.0)
         for _ in range(300):
-            state, rep = step(state, STANDARD_MODEL, cfg)
-            assert rep.max_u <= 1.0 + 1e-12
+            state, _, _, _ = kernel_step(state, STANDARD_MODEL)
+            assert state.u.values.max() <= 1.0 + 1e-12
 
     def test_symmetry_is_preserved(self):
         state = make_standard_initial(cells=64)
-        cfg = SolverConfig(t_end=1.0)
         for _ in range(200):
-            state, _ = step(state, STANDARD_MODEL, cfg)
+            state, _, _, _ = kernel_step(state, STANDARD_MODEL)
         for f in (state.u, state.v, state.w, state.z):
             assert np.allclose(f.values, f.values[::-1], atol=1e-13)
 
@@ -307,9 +320,9 @@ class TestStep:
         monkeypatch.setattr(solver, "_helmholtz_solve", bad_v_solve)
         if depth > 1e-12:
             with pytest.raises(SimulationError, match="field v"):
-                step(s, ModelParams(m=2.0), SolverConfig(t_end=1.0))
+                kernel_step(s, ModelParams(m=2.0))
         else:
-            out, _ = step(s, ModelParams(m=2.0), SolverConfig(t_end=1.0))
+            out, _, _, _ = kernel_step(s, ModelParams(m=2.0))
             assert out.v.values[3] == 0.0
 
     def test_2d_step_conserves_and_stays_nonnegative(self):
@@ -317,10 +330,9 @@ class TestStep:
         u0 = bump_field(g, (0.0, 0.0), 0.4, 0.5)
         s = StateQuad(u0, Field.full(g, 0.0), Field.full(g, 1.0), Field.full(g, 0.0))
         p = ModelParams(m=2.0, delta=1.0, mu=1.0, phi=ConstantSensitivity(1.0))
-        cfg = SolverConfig(t_end=1.0)
         m0 = s.mass_vw()
         for _ in range(25):
-            s, rep = step(s, p, cfg)
+            s, _, _, _ = kernel_step(s, p)
         assert s.mass_vw() == pytest.approx(m0, rel=1e-12)
         assert np.all(s.u.values >= 0.0)
         assert np.all(s.w.values >= 0.0)
@@ -534,14 +546,14 @@ class TestDriftMomentIdentity:
         for _ in range(4):
             occupied = np.nonzero(s.u.values > 0.0)
             assert all(idx.min() >= gap and idx.max() < n - gap for idx, n in zip(occupied, g.cells))
-            fluxes = chemotactic_flux(s, params)
-            new, report = step(s, params, SolverConfig(t_end=1.0))
-            assert report.negativity_clipped == 0.0
+            fluxes = drift_flux(s, params)
+            new, dt, clipped, _ = kernel_step(s, params)
+            assert clipped == 0.0
             for axis in range(dim):
                 x = g.axis_centers(axis).reshape([-1 if a == axis else 1 for a in range(dim)])
                 moved = float(np.sum(x * (new.u.values - s.u.values))) * g.cell_volume
-                drift = report.dt_used * g.cell_volume * float(np.sum(fluxes[axis]))
-                scale = report.dt_used * g.cell_volume * float(np.sum(np.abs(fluxes[axis])))
+                drift = dt * g.cell_volume * float(np.sum(fluxes[axis]))
+                scale = dt * g.cell_volume * float(np.sum(np.abs(fluxes[axis])))
                 assert drift > 0.0  # the signal pulls u toward its peak along both axes
                 assert abs(moved - drift) <= 1e-12 * scale, (axis, moved, drift, scale)
             s = new
@@ -553,7 +565,7 @@ def quadratic(d2):
 
 # (dim, signal as a function of the squared distance d2 to the centre cell, bump
 # height, model changes).  The clips case steps at twice its CFL dt at safety 1
-# (kernel_case patches CFL_SAFETY and _cfl_dt), so that the cell under the apex
+# (kernel_case patches CFL_SAFETY and cfl_dt), so that the cell under the apex
 # of a repelling 2D cone, which drains through four faces, is overdrawn.
 KERNEL_CASES = {
     "1d": (1, quadratic, 0.8, {}),
@@ -569,13 +581,13 @@ def kernel_case(case, monkeypatch):
     dim, signal, height, model_changes = KERNEL_CASES[case]
     if case == "clips":
         monkeypatch.setattr(solver, "CFL_SAFETY", 1.0)
-        cfl = solver._cfl_dt
+        real_cfl = solver.cfl_dt
 
         def doubled(*args):
-            dt, terms = cfl(*args)
+            dt, terms = real_cfl(*args)
             return 2.0 * dt, terms
 
-        monkeypatch.setattr(solver, "_cfl_dt", doubled)
+        monkeypatch.setattr(solver, "cfl_dt", doubled)
     g = Grid((32,), (2.0,), (-1.0,)) if dim == 1 else Grid((12, 16), (1.5, 2.0), (-0.75, -1.0))
     centre = tuple(g.axis_centers(a)[n // 2] for a, n in enumerate(g.cells))
     v = Field(g, signal(g.center_distance2(centre)))
@@ -591,8 +603,8 @@ class TestKernel:
         res = run(initial, params, cfg, max_steps=40)
         state, total = initial, 0.0
         for _ in range(40):
-            state, rep = step(state, params, cfg)
-            total += rep.negativity_clipped
+            state, _, clipped, _ = kernel_step(state, params, cfg.t_end)
+            total += clipped
             assert np.min(state.u.values) >= 0.0
         for name in ("u", "v", "w", "z"):
             assert np.array_equal(getattr(res.final, name).values, getattr(state, name).values), name
@@ -674,21 +686,19 @@ class TestKernel:
     @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
     def test_step_moves_u_by_the_public_cfl_and_fluxes(self, case, monkeypatch):
         s, params, cfg = kernel_case(case, monkeypatch)
-        out, rep = step(s, params, cfg)
-        dt, g = rep.dt_used, s.grid
-        assert dt == cfl_dt(s, params)
+        out, dt, _, stages = kernel_step(s, params, cfg.t_end)
+        g = s.grid
+        assert dt == cfl(s, params)
         # the fewest stages s >= 2, at most MAX_STAGES, whose (s^2 + s - 2)/4 forward-Euler steps cover dt
         explicit = dt * 2.0 * g.dim * params.m * s.u.values.max() ** (params.m - 1.0)
         need = explicit / (solver.CFL_SAFETY * g.h * g.h) * (1.0 - 1e-12)
         cap = solver.MAX_STAGES
-        assert rep.stages == next((n for n in range(2, cap) if (n * n + n - 2) / 4.0 >= need), cap)
+        assert stages == next((n for n in range(2, cap) if (n * n + n - 2) / 4.0 >= need), cap)
 
-        def lap(y):  # the flux-form diffusion of max(y, 0)^m
-            y_state = StateQuad(Field(g, np.maximum(y, 0.0)), s.v, s.w, s.z)
-            return -solver._divergence(diffusive_flux(y_state, params), g.cells, g.h)
+        def lap(y):  # the flux-form diffusion of max(y, 0)^m, whose face fluxes are -1/h times diffusive_flux
+            return -solver._divergence([-d / g.h for d in diffusive_flux(y, params.m)], g.cells, g.h)
 
         # the RKL2 recurrence of Meyer, Balsara & Aslam (2014), written out
-        stages = rep.stages
         w1 = 4.0 / (stages * stages + stages - 2.0)
         b = [1.0 / 3.0] * 3 + [(j * j + j - 2.0) / (2.0 * j * (j + 1.0)) for j in range(3, stages + 1)]
         u = s.u.values
@@ -699,7 +709,7 @@ class TestKernel:
             nu = -(j - 1.0) / j * b[j] / b[j - 2]
             gamma = -(1.0 - b[j - 1]) * mu * w1
             prev, y = y, mu * y + nu * prev + (1.0 - mu - nu) * u + mu * w1 * dt * lap(y) + gamma * dt * lap0
-        expected = y - dt * solver._divergence(chemotactic_flux(s, params), g.cells, g.h)
+        expected = y - dt * solver._divergence(drift_flux(s, params), g.cells, g.h)
         expected += dt * logistic_growth(u, params.mu, params.delta, params.r)
         expected[expected < 0.0] = 0.0
         np.testing.assert_allclose(out.u.values, expected, rtol=0.0, atol=1e-13 * u.max())
@@ -731,7 +741,7 @@ class TestKernel:
                 assert np.array_equal(getattr(s, name).values, getattr(c, name).values)
 
     @pytest.mark.parametrize("term", ["diffusion", "drift", "reaction", "cap"])
-    def test_collapsed_dt_raises_at_once_naming_the_binding_term(self, term):
+    def test_collapsed_dt_raises_at_once_naming_the_binding_term(self, term, monkeypatch):
         # the cap case is a vacuum on cells of h = 1.6e-13, below the floor 1e-12
         g = Grid((64,), (1e-11 if term == "cap" else 2.0,), (-1.0,))
         height = {"diffusion": 1e13, "cap": 0.0}.get(term, 0.5)
@@ -739,12 +749,21 @@ class TestKernel:
         params = dataclasses.replace(STANDARD_MODEL, mu=1e16 if term == "reaction" else 1.0)
         cfg = SolverConfig(t_end=1.0)
         s = StateQuad(bump_field(g, (0.0,), 0.25, height), Field(g, signal), Field.full(g, 1.0), Field.full(g, 0.0))
-        rows = []
+        rows, dts = [], []
+        real_cfl = solver.cfl_dt
+
+        def recorded(*args):
+            dt, terms = real_cfl(*args)
+            dts.append(dt)
+            return dt, terms
+
+        monkeypatch.setattr(solver, "cfl_dt", recorded)
         with pytest.raises(SimulationError, match="the %s term binds" % term):
             run(s, params, cfg, emit=lambda state, row: rows.append(row))
         assert len(rows) == 1  # only the initial row: the first step raised
+        assert len(dts) == 1 and dts[0] < solver._time_tolerance(cfg.t_end)  # at its first CFL dt
         with pytest.raises(SimulationError, match="the %s term binds" % term):
-            step(s, params, cfg)
+            kernel_step(s, params, cfg.t_end)
 
 
 def test_peak_coordinate_finds_bump_center():
