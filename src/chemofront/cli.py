@@ -16,6 +16,7 @@ import argparse
 import csv
 import dataclasses
 import glob
+import itertools
 import json
 import math
 import os
@@ -71,20 +72,20 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="chemofront", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="integrate a config into a run directory")
-    p_run.add_argument("--config", required=True, help="config file path")
-    p_run.add_argument("--out", help="output directory (default: [output] dir)")
-    p_run.add_argument("--seed", type=int, help="override [output] seed")
+    # the options _config applies, shared by every command that reads a config
+    configured = argparse.ArgumentParser(add_help=False)
+    configured.add_argument("--config", required=True, help="config file path")
+    configured.add_argument("--out", help="output directory (default: [output] dir)")
+    configured.add_argument("--seed", type=int, help="override [output] seed")
+
+    p_run = sub.add_parser("run", parents=[configured], help="integrate a config into a run directory")
     p_run.set_defaults(func=cmd_run)
 
     p_verify = sub.add_parser("verify", help="check a finished run directory")
     p_verify.add_argument("--out", required=True, help="run directory to verify")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_sweep = sub.add_parser("sweep", help="run a cartesian parameter sweep")
-    p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--out", help="base output directory")
-    p_sweep.add_argument("--seed", type=int)
+    p_sweep = sub.add_parser("sweep", parents=[configured], help="run a cartesian parameter sweep")
     p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -94,10 +95,7 @@ def _build_parser() -> _Parser:
     p_fit.add_argument("--out", help="also write fits.csv into this directory")
     p_fit.set_defaults(func=cmd_fit)
 
-    p_lat = sub.add_parser("lattice", help="run a stochastic lattice ensemble")
-    p_lat.add_argument("--config", required=True)
-    p_lat.add_argument("--out")
-    p_lat.add_argument("--seed", type=int)
+    p_lat = sub.add_parser("lattice", parents=[configured], help="run a stochastic lattice ensemble")
     p_lat.add_argument(
         "--tol-l1",
         type=float,
@@ -242,11 +240,10 @@ def cmd_verify(args) -> int:
         % (audit.drift, "relative" if audit.relative else "absolute", MASS_TOL, "ok" if mass_ok else "FAIL")
     )
 
-    c1 = max(solver.max_abs_gradient(s.v) for s in states)
-    c2 = max(solver.max_abs_laplacian(s.v) for s in states)
+    grads, laps = zip(*(solver.max_abs_derivatives(s.v) for s in states))
     # 10% headroom over the observed run, floored away from zero
-    c1 = max(1.1 * c1, 1e-12)
-    c2 = max(1.1 * c2, 1e-12)
+    c1 = max(1.1 * max(grads), 1e-12)
+    c2 = max(1.1 * max(laps), 1e-12)
     print("verify: attractant bounds c1=%.6g c2=%.6g (observed, +10%%)" % (c1, c2))
 
     u0 = states[0].u
@@ -370,10 +367,7 @@ def cmd_sweep(args) -> int:
     os.makedirs(base_out, exist_ok=True)
 
     keys = list(cfg.sweep.keys())
-    grids = [cfg.sweep[k] for k in keys]
-    combos = [()]
-    for values in grids:
-        combos = [prev + (v,) for prev in combos for v in values]
+    combos = list(itertools.product(*cfg.sweep.values()))
 
     jobs = []
     for idx, combo in enumerate(combos):
@@ -429,32 +423,28 @@ def cmd_fit(args) -> int:
     cols = config_io.read_csv_columns(args.csv)
     if "t" not in cols:
         raise _UsageError("CSV %s has no 't' column" % args.csv)
-    kinds = {
-        name: "power_law" if name == "support_radius" else "exponential"
+    # each fitted column's (kind, fitter): the front radius grows as a power law, the norms relax exponentially
+    power_law = ("power_law", diagnostics.fit_power_law)
+    exponential = ("exponential", diagnostics.fit_exponential)
+    fits = {
+        name: power_law if name == "support_radius" else exponential
         for name in cols
         if name == "support_radius" or name.startswith("norm_")
     }
-    if not kinds:
+    if not fits:
         raise _UsageError("CSV %s has no column to fit; fit reads 't' with 'support_radius' or 'norm_*'" % args.csv)
     t = cols["t"]
     lines = ["column,kind,exponent_or_rate,prefactor,r_squared,stderr,samples"]
     fitted = 0
-    for name, kind in kinds.items():
-        values = cols[name]
+    for name, (kind, fitter) in fits.items():
         try:
-            if kind == "power_law":
-                fit = diagnostics.fit_power_law(t, values, t_min=args.t_min)
-                payload = (fit.exponent, fit.prefactor, fit.r_squared, fit.stderr, fit.samples)
-            else:
-                fit = diagnostics.fit_exponential(t, values, t_min=args.t_min)
-                payload = (fit.rate, fit.prefactor, fit.r_squared, fit.stderr, fit.samples)
+            fit = fitter(t, cols[name], t_min=args.t_min)
         except ValueError as exc:
             print("fit: skipped %s (%s)" % (name, exc), file=sys.stderr)
             continue
         fitted += 1
-        lines.append(
-            "%s,%s,%.17g,%.17g,%.17g,%.17g,%d" % ((name, kind) + payload)
-        )
+        # each fit record holds (exponent or rate, prefactor, r_squared, stderr, samples), the columns after kind
+        lines.append("%s,%s,%.17g,%.17g,%.17g,%.17g,%d" % ((name, kind) + dataclasses.astuple(fit)))
     for line in lines:
         print(line)
     if args.out is not None:

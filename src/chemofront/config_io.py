@@ -123,7 +123,7 @@ class SnapshotInit:
     field_name: str
 
     def build(self, grid: Grid) -> np.ndarray:
-        return getattr(read_snapshot(self.path, grid), self.field_name).values.copy()
+        return getattr(read_snapshot(self.path, grid), self.field_name).values
 
 
 @dataclass
@@ -383,11 +383,11 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
 
     dim = _get(sections, "grid", "dim", "int")
     if dim not in (1, 2):
-        raise ConfigError("grid.dim must be 1 or 2, got %d" % dim)
+        raise ConfigError("line %d: grid.dim must be 1 or 2, got %d" % (_entry(sections, "grid", "dim")[1], dim))
     cells_f = _float_list(sections, "cells", dim)
     cells = tuple(int(c) for c in cells_f)
     if any(abs(c - cf) > 0 for c, cf in zip(cells, cells_f)):
-        raise ConfigError("grid.cells must be integers")
+        raise ConfigError("line %d: grid.cells must be integers" % _entry(sections, "grid", "cells")[1])
     extent = tuple(_float_list(sections, "extent", dim))
     origin = tuple(_float_list(sections, "origin", dim)) if "origin" in sections["grid"] else (0.0,) * dim
     try:
@@ -595,9 +595,7 @@ def read_snapshot(path: str, grid: Grid) -> StateQuad:
         )
     fields = []
     for i, name in enumerate(FIELD_ORDER):
-        arr = np.frombuffer(payload[i * n * 8 : (i + 1) * n * 8], dtype="<f8").astype(
-            np.float64
-        ).reshape(grid.cells)
+        arr = np.frombuffer(payload, "<f8", count=n, offset=i * n * 8).astype(np.float64).reshape(grid.cells)
         try:
             fields.append(Field(grid, arr))
         except ValueError as exc:

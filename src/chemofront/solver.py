@@ -58,8 +58,7 @@ __all__ = [
     "BINDING_TERMS",
     "cfl_dt",
     "peak_coordinate",
-    "max_abs_gradient",
-    "max_abs_laplacian",
+    "max_abs_derivatives",
     "diffusive_flux",
     "chemotactic_flux",
     "step",
@@ -166,14 +165,14 @@ def cfl_dt(grid: Grid, u: np.ndarray, dv: list[np.ndarray], params: ModelParams)
     return min(CFL_SAFETY * h * h / total, h), terms
 
 
-def diffusive_flux(y: np.ndarray, m: float) -> list[np.ndarray]:
-    """Per-axis interior face differences of max(y, 0)^m, right cell minus left.
+def diffusive_flux(ym: np.ndarray) -> list[np.ndarray]:
+    """Per-axis interior face differences of ym = max(y, 0)^m, right cell minus left.
 
     Each is -h times the face flux of the degenerate diffusion, which runs
     from the denser cell toward vacuum and vanishes identically on faces
     between empty cells.  Boundary faces are zero and are not stored.
     """
-    return _face_diffs(np.maximum(y, 0.0) ** m)
+    return _face_diffs(ym)
 
 
 def chemotactic_flux(u: np.ndarray, um: np.ndarray, dv: list[np.ndarray], phi, h: float) -> list[np.ndarray]:
@@ -197,13 +196,6 @@ def _scatter(face_values: list[np.ndarray], shape: tuple) -> np.ndarray:
         out[lo] += f
         out[hi] -= f
     return out
-
-
-def _divergence(fluxes: list[np.ndarray], shape: tuple, h: float) -> np.ndarray:
-    """Cell divergence of per-axis interior face fluxes, zero boundary faces."""
-    div = _scatter(fluxes, shape)
-    div /= h
-    return div
 
 
 @lru_cache(maxsize=8)
@@ -260,17 +252,18 @@ def _stage_count(explicit_steps: float) -> int:
     return stages
 
 
-def _rkl2_diffuse(u: np.ndarray, tau: float, stages: int, m: float):
-    """u after one RKL2 super-step of u_t = Lap(u^m) over dt = tau h^2:
+def _rkl2_diffuse(u: np.ndarray, um: np.ndarray, tau: float, stages: int, m: float):
+    """u after one RKL2 super-step of u_t = Lap(u^m) over dt = tau h^2, given um = max(u, 0)^m:
         Y_1 = u + mu~_1 dt L(u),
         Y_j = mu_j Y_(j-1) + nu_j Y_(j-2) + (1 - mu_j - nu_j) u + mu~_j dt L(Y_(j-1)) + gamma~_j dt L(u),
-    with h^2 L(Y) each cell's sum of diffusive_flux(Y, m), the flux-form
-    Laplacian of max(Y, 0)^m; returns Y_s.  Each stage calls diffusive_flux once."""
+    with h^2 L(Y) each cell's sum of diffusive_flux(max(Y, 0)^m), the
+    flux-form Laplacian of max(Y, 0)^m; returns Y_s.  Each stage calls
+    diffusive_flux once."""
     weights = _rkl2_weights(stages)
-    sums0 = _scatter(diffusive_flux(u, m), u.shape)
+    sums0 = _scatter(diffusive_flux(um), u.shape)
     prev, y = u, u + (weights[0][3] * tau) * sums0
     for mu, nu, rest, mu_t, gamma_t in weights[1:]:
-        sums = _scatter(diffusive_flux(y, m), y.shape)
+        sums = _scatter(diffusive_flux(np.maximum(y, 0.0) ** m), y.shape)
         prev, y = y, mu * y + nu * prev + rest * u + (mu_t * tau) * sums + (gamma_t * tau) * sums0
     return y
 
@@ -304,8 +297,9 @@ def step(grid, u, v, w, z, t, params, dt_cap, dt_floor):
     dt = min(dt, dt_cap)
     stages = _stage_count(_stage_gain(MAX_STAGES) * dt * terms[0] / (CFL_SAFETY * h * h))
 
-    u_new = _rkl2_diffuse(u, dt / (h * h), stages, params.m)
-    u_new -= dt * _divergence(chemotactic_flux(u, u ** params.m, dv, params.phi, h), grid.cells, h)
+    um = np.maximum(u, 0.0) ** params.m  # both the diffusion and the drift move u^m
+    u_new = _rkl2_diffuse(u, um, dt / (h * h), stages, params.m)
+    u_new -= dt * (_scatter(chemotactic_flux(u, um, dv, params.phi, h), grid.cells) / h)
     if params.mu > 0.0:
         u_new += dt * logistic_growth(u, params.mu, params.delta, params.r)
 
@@ -345,15 +339,11 @@ def peak_coordinate(field: Field) -> tuple[float, ...]:
     return tuple(grid.axis_centers(a)[i] for a, i in enumerate(idx))
 
 
-def max_abs_gradient(field: Field) -> float:
-    """Largest face-difference gradient magnitude of a field."""
-    return _max_grad(_face_diffs(field.values), field.grid.h)
-
-
-def max_abs_laplacian(field: Field) -> float:
-    """Largest discrete Neumann Laplacian magnitude of a field."""
-    lap = _scatter(_face_diffs(field.values), field.grid.cells) / (field.grid.h * field.grid.h)
-    return float(np.max(np.abs(lap))) if lap.size else 0.0
+def max_abs_derivatives(field: Field) -> tuple[float, float]:
+    """(largest face-difference gradient magnitude, largest discrete Neumann Laplacian magnitude) of a field."""
+    h = field.grid.h
+    diffs = _face_diffs(field.values)
+    return _max_grad(diffs, h), float(np.abs(_scatter(diffs, field.grid.cells)).max()) / (h * h)
 
 
 def run(

@@ -929,11 +929,18 @@ class TestUsage:
             ["frobnicate"],
             ["run"],  # missing --config
             ["verify"],  # missing --out
+            ["sweep"],  # missing --config
+            ["lattice"],  # missing --config
         ],
     )
     def test_bad_invocations_exit_1(self, argv, capsys):
         assert main(argv) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "lattice"])
+    def test_config_commands_parse_the_same_config_out_and_seed(self, command):
+        args = cli._build_parser().parse_args([command, "--config", "c", "--out", "o", "--seed", "3"])
+        assert (args.config, args.out, args.seed) == ("c", "o", 3)
 
     @pytest.mark.parametrize(
         "argv",

@@ -278,8 +278,8 @@ class TestParseErrors:
             (lambda t: t.replace("[solver]\nt_end = 0.5\n", ""), "missing required section"),
             (lambda t: t.replace("u = constant 0.5", "v = constant 0.5"), "'u'"),
             (lambda t: t.replace("m = 2.0", "m = fast"), "must be a number"),
-            (lambda t: t.replace("dim = 1", "dim = 3"), "must be 1 or 2"),
-            (lambda t: t.replace("cells = 16", "cells = 16.5"), "integers"),
+            (lambda t: t.replace("dim = 1", "dim = 3"), r"line 6: grid\.dim must be 1 or 2"),
+            (lambda t: t.replace("cells = 16", "cells = 16.5"), r"line 7: grid\.cells must be integers"),
             (lambda t: t + "\n[lattice]\nsites = 20\nu_max = 50\nparticles = 100\nt_end = 1\ncompare_pde = maybe\n", "on/off"),
             (lambda t: t.replace("constant 0.5", "bump 0.0 0.5"), "bump needs"),
             (lambda t: t.replace("constant 0.5", "bump 0.0 -1.0 0.5"), "radius"),

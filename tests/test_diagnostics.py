@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,8 @@ from chemofront.diagnostics import (
     HISTORY_COLUMNS,
     SANDWICH_TOL,
     SUPPORT_THRESHOLD,
+    ExponentialFit,
+    PowerLawFit,
     conservation_audit,
     fit_exponential,
     fit_power_law,
@@ -88,6 +91,13 @@ def test_history_row_norms():
 
 
 # --- law fitting ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("record, first", [(PowerLawFit, "exponent"), (ExponentialFit, "rate")])
+def test_fit_records_hold_the_columns_of_fits_csv_in_order(record, first):
+    # fit writes a record's fields as they stand, after the column name and kind
+    names = [f.name for f in dataclasses.fields(record)]
+    assert names == [first, "prefactor", "r_squared", "stderr", "samples"]
 
 
 def test_power_law_noiseless_recovery():

@@ -95,6 +95,10 @@ PRUNED = [
     ("chemofront.solver", "_chemotactic_fluxes"),
     ("chemofront.lattice", "_rates"),
     ("chemofront.lattice", "_leap"),
+    # one pass over v's face differences gives both measures, and step scatters its drift itself
+    ("chemofront.solver", "max_abs_gradient"),
+    ("chemofront.solver", "max_abs_laplacian"),
+    ("chemofront.solver", "_divergence"),
 ]
 
 
@@ -117,6 +121,8 @@ RETIRED_PARAMETERS = [
     ("lattice", "step_tau_leap", "probs"),
     # a snapshot is read onto the grid it must match, whose origin completes its header
     ("config_io", "read_snapshot", "origin"),
+    # step raises u to the power m once, for the drift and the first diffusion stage
+    ("solver", "diffusive_flux", "m"),
 ]
 
 
