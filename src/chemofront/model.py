@@ -119,9 +119,6 @@ class Field:
     def full(cls, grid: Grid, value: float) -> "Field":
         return cls(grid, np.full(grid.cells, float(value)))
 
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
-
     def mass(self) -> float:
         """Integral of the field, cell sum times cell volume."""
         return float(self.values.sum()) * self.grid.cell_volume
@@ -241,9 +238,6 @@ class StateQuad:
     @property
     def grid(self) -> Grid:
         return self.u.grid
-
-    def copy(self) -> "StateQuad":
-        return StateQuad(self.u.copy(), self.v.copy(), self.w.copy(), self.z.copy(), self.t)
 
     def mass_vw(self) -> float:
         """Combined attractant plus matrix mass, the conserved quantity."""

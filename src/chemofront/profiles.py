@@ -1,4 +1,4 @@
-"""Closed-form benchmarks: self-similar profiles and comparison ODEs.
+"""Closed-form benchmarks: self-similar profiles and a comparison ODE.
 
 Everything here is exact arithmetic on formulas, independent of the
 finite-volume solver, so it can serve as an oracle for it.  Three families:
@@ -10,8 +10,8 @@ finite-volume solver, so it can serve as an oracle for it.  Three families:
   whose parameters are picked so that g bounds the cell density from below
   (all times) or from above (a short initial window); each profile carries
   the end of its window as valid_until,
-* scalar comparison ODEs g' = C e^{-c t} g^m (+ logistic variants) with an
-  explicit blow-up dichotomy.
+* the scalar comparison ODE g' = C e^{-c t} g^m with an explicit blow-up
+  dichotomy.
 """
 
 from __future__ import annotations
@@ -31,9 +31,6 @@ __all__ = [
     "select_upper_profile",
     "BlowupResult",
     "classify_blowup",
-    "OdeEnvelopeParams",
-    "EnvelopeResult",
-    "convergence_envelopes",
 ]
 
 
@@ -100,19 +97,19 @@ class ProfileParams:
             raise ValueError("m must be > 1")
         if self.kind == "lower":
             if not (0.0 < self.spread_exp < 0.5):
-                raise ValueError("lower profile needs spread_exp in (0, 1/2), got %r" % self.spread_exp)
+                raise ValueError("lower profile needs spread_exp in (0, 1/2), got %g" % self.spread_exp)
             if abs(self.time_shift - 1.0) > 1e-12:
                 raise ValueError("lower profile uses time shift 1")
             want = (1.0 - self.spread_exp) / (self.m - 1.0)
             if abs(self.rate_exp - want) > 1e-9 * max(1.0, abs(want)):
                 raise ValueError("lower profile rate_exp must equal (1 - spread_exp)/(m - 1)")
             if self.valid_until != math.inf:
-                raise ValueError("lower profile holds for all t, got valid_until %r" % self.valid_until)
+                raise ValueError("lower profile holds for all t, got valid_until %g" % self.valid_until)
         else:
             if not (0.0 < self.time_shift <= 1.0):
-                raise ValueError("upper profile needs time_shift in (0, 1], got %r" % self.time_shift)
+                raise ValueError("upper profile needs time_shift in (0, 1], got %g" % self.time_shift)
             if not (0.0 < self.valid_until < math.inf):
-                raise ValueError("upper profile needs a finite valid_until > 0, got %r" % self.valid_until)
+                raise ValueError("upper profile needs a finite valid_until > 0, got %g" % self.valid_until)
 
     @property
     def shape_exp(self) -> float:
@@ -126,10 +123,6 @@ class ProfileParams:
         bracket = np.clip(self.support_scale - d2 * s ** (-self.spread_exp), 0.0, None)
         power = -self.rate_exp if self.kind == "lower" else self.rate_exp
         return self.amplitude * s ** power * bracket ** self.shape_exp
-
-    def support_radius_at(self, t: float) -> float:
-        """Radius of the profile's support ball at time t."""
-        return math.sqrt(self.support_scale) * (self.time_shift + t) ** (self.spread_exp / 2.0)
 
 
 def select_lower_profile(
@@ -156,13 +149,13 @@ def select_lower_profile(
     Requires 1 <= delta < m and mu > 0.
     """
     if not (m > 1.0):
-        raise ValueError("m must be > 1, got %r" % m)
+        raise ValueError("m must be > 1, got %g" % m)
     if not (1.0 <= delta < m):
-        raise ValueError("lower profile requires 1 <= delta < m, got delta=%r m=%r" % (delta, m))
+        raise ValueError("lower profile requires 1 <= delta < m, got delta=%g m=%g" % (delta, m))
     if not (mu > 0.0):
-        raise ValueError("lower profile requires mu > 0, got %r" % mu)
+        raise ValueError("lower profile requires mu > 0, got %g" % mu)
     if not (0.0 < seed_height <= 0.5):
-        raise ValueError("seed_height must lie in (0, 1/2], got %r" % seed_height)
+        raise ValueError("seed_height must lie in (0, 1/2], got %g" % seed_height)
     if not (seed_radius > 0.0 and diam > 0.0):
         raise ValueError("seed_radius and diam must be positive")
     if not (c1 > 0.0 and c2 > 0.0):
@@ -170,6 +163,11 @@ def select_lower_profile(
     eta = seed_radius * seed_radius
     eps = min(lower_profile_branches(m, n, mu, delta, seed_radius, seed_height, diam, c1, c2))
     beta = min(4.0 * eps ** (m - 1.0) * m / (m - 1.0), 0.499)
+    if not (eps > 0.0 and beta > 0.0):
+        # a large m drives a branch's 8m(m-1) past the float range, or the spread below it
+        raise ConstructionError(
+            "no lower profile at m=%g: amplitude %g and spread %g must both be > 0" % (m, eps, beta)
+        )
     kappa = (1.0 - beta) / (m - 1.0)
     return ProfileParams(
         kind="lower",
@@ -218,13 +216,13 @@ def select_upper_profile(
     The end t0 of the validity window is the profile's valid_until.
     """
     if not (m > 1.0):
-        raise ValueError("m must be > 1, got %r" % m)
+        raise ValueError("m must be > 1, got %g" % m)
     if not (1.0 <= delta < m):
-        raise ValueError("upper profile requires 1 <= delta < m, got delta=%r m=%r" % (delta, m))
+        raise ValueError("upper profile requires 1 <= delta < m, got delta=%g m=%g" % (delta, m))
     if not (0.0 < r0 < r1):
-        raise ValueError("need 0 < r0 < r1, got r0=%r r1=%r" % (r0, r1))
+        raise ValueError("need 0 < r0 < r1, got r0=%g r1=%g" % (r0, r1))
     if not (sup_height > 0.0):
-        raise ValueError("sup_height must be positive, got %r" % sup_height)
+        raise ValueError("sup_height must be positive, got %g" % sup_height)
     if not (c1 > 0.0 and c2 > 0.0):
         raise ValueError("gradient bounds c1, c2 must be positive")
 
@@ -240,11 +238,17 @@ def select_upper_profile(
         eps = sup_height / (tau ** (sigma - d * beta) * gap ** d)
         t0 = min(tau, tau * ((r1 / r2) ** (2.0 / beta) - 1.0))
         s = tau + t0  # all three bounds are monotone in tau + t, check the far end
-        ok1 = (m - 1.0) * beta >= 8.0 * m * eps ** (m - 1.0) * s ** ((m - 1.0) * sigma - beta + 1.0)
-        coeff = c2 + (m + eps * tau ** sigma * eta ** d) ** 2 * c1 * c1 * m
-        ok2 = 2.0 * sigma / 3.0 >= coeff * eps ** (m - 1.0) * s ** ((m - 1.0) * sigma + 1.0) * eta
-        ok3 = sigma / 3.0 >= mu * eps ** (delta - 1.0) * s ** ((delta - 1.0) * sigma + 1.0) * eta ** (d * (delta - 1.0))
-        if ok1 and ok2 and ok3:
+        try:
+            coeff = c2 + (m + eps * tau ** sigma * eta ** d) ** 2 * c1 * c1 * m
+            ok = (
+                (m - 1.0) * beta >= 8.0 * m * eps ** (m - 1.0) * s ** ((m - 1.0) * sigma - beta + 1.0)
+                and 2.0 * sigma / 3.0 >= coeff * eps ** (m - 1.0) * s ** ((m - 1.0) * sigma + 1.0) * eta
+                and sigma / 3.0
+                >= mu * eps ** (delta - 1.0) * s ** ((delta - 1.0) * sigma + 1.0) * eta ** (d * (delta - 1.0))
+            )
+        except OverflowError:  # a right-hand side past the float range is not met
+            ok = False
+        if ok:
             return ProfileParams(
                 kind="upper",
                 amplitude=eps,
@@ -258,12 +262,12 @@ def select_upper_profile(
             )
         tau *= 0.5
     raise ConstructionError(
-        "no admissible time shift above 1e-8 for r0=%r r1=%r sup=%r c1=%r c2=%r"
-        % (r0, r1, sup_height, c1, c2)
+        "no admissible time shift above 1e-8 for m=%g r0=%g r1=%g sup=%g c1=%g c2=%g"
+        % (m, r0, r1, sup_height, c1, c2)
     )
 
 
-# --- comparison ODEs --------------------------------------------------------
+# --- comparison ODE ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -294,116 +298,3 @@ def classify_blowup(C: float, c: float, m: float, g0: float) -> BlowupResult:
         t_star = -(1.0 / c) * math.log1p(-c * g0 ** (1.0 - m) / (C * (m - 1.0)))
         return BlowupResult("blows_up", t_star)
     return BlowupResult("bounded", None)
-
-
-@dataclass(frozen=True)
-class OdeEnvelopeParams:
-    """Scalar envelopes bracketing the late-stage density around 1.
-
-    upper: y' = +forcing_amp e^{-forcing_rate t} y^m + mu y^delta (1 - y), y(t_start) = upper_init > 1
-    lower: y' = -forcing_amp e^{-forcing_rate t} y^m + mu y^delta (1 - y), y(t_start) = lower_init < 1
-    """
-
-    forcing_amp: float
-    forcing_rate: float
-    t_start: float
-    upper_init: float
-    lower_init: float
-    mu: float
-    delta: float
-    m: float
-
-    def __post_init__(self):
-        if not (self.forcing_amp >= 0 and self.forcing_rate > 0):
-            raise ValueError("need forcing_amp >= 0 and forcing_rate > 0")
-        if not (self.upper_init > 1.0 > self.lower_init > 0.0):
-            raise ValueError(
-                "envelope initial data must satisfy upper_init > 1 > lower_init > 0, got %r, %r"
-                % (self.upper_init, self.lower_init)
-            )
-        if not (self.mu >= 0 and self.delta >= 1 and self.m > 1):
-            raise ValueError("need mu >= 0, delta >= 1, m > 1")
-
-
-@dataclass
-class EnvelopeResult:
-    t: np.ndarray
-    upper: np.ndarray
-    lower: np.ndarray
-    step_used: float
-
-
-def _envelope_rhs(t, y, p: OdeEnvelopeParams):
-    force = p.forcing_amp * math.exp(-p.forcing_rate * t)
-    y1, y2 = y
-    d1 = force * y1 ** p.m + p.mu * y1 ** p.delta * (1.0 - y1)
-    d2 = -force * y2 ** p.m + p.mu * y2 ** p.delta * (1.0 - y2)
-    return np.array([d1, d2])
-
-
-def _rk4_path(p: OdeEnvelopeParams, t_end: float, n_steps: int, keep_every: int):
-    y = np.array([p.upper_init, p.lower_init])
-    h = (t_end - p.t_start) / n_steps
-    ts = [p.t_start]
-    ys = [y.copy()]
-    t = p.t_start
-    for i in range(n_steps):
-        k1 = _envelope_rhs(t, y, p)
-        k2 = _envelope_rhs(t + 0.5 * h, y + 0.5 * h * k1, p)
-        k3 = _envelope_rhs(t + 0.5 * h, y + 0.5 * h * k2, p)
-        k4 = _envelope_rhs(t + h, y + h * k3, p)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = p.t_start + (i + 1) * h
-        if not np.all(np.isfinite(y)):
-            raise ConstructionError("envelope integration lost finiteness at t=%r" % t)
-        if (i + 1) % keep_every == 0:
-            ts.append(t)
-            ys.append(y.copy())
-    return np.asarray(ts), np.asarray(ys)
-
-
-def convergence_envelopes(p: OdeEnvelopeParams, t_end: float, dt: float, tol: float = 1e-10) -> EnvelopeResult:
-    """Integrate both envelope ODEs with classical RK4 and step-halving control.
-
-    Before integrating, the upper envelope is screened with classify_blowup
-    (the logistic term only damps it above 1, so the forced power ODE with
-    effective amplitude forcing_amp e^{-forcing_rate t_start} majorizes it);
-    a blows_up or marginal verdict is refused.  The step is halved until two
-    consecutive resolutions agree to tol at every kept sample.  The result is
-    guaranteed to satisfy lower < 1 < upper at every sample.
-    """
-    if not (t_end > p.t_start):
-        raise ValueError("t_end must exceed t_start")
-    if not (dt > 0):
-        raise ValueError("dt must be positive")
-    if p.forcing_amp > 0.0:
-        verdict = classify_blowup(
-            C=p.forcing_amp * math.exp(-p.forcing_rate * p.t_start),
-            c=p.forcing_rate,
-            m=p.m,
-            g0=p.upper_init,
-        )
-        if verdict.outcome != "bounded":
-            raise ConstructionError(
-                "upper envelope is not certified bounded (verdict %s); pick a later t_start"
-                % verdict.outcome
-            )
-
-    n0 = max(int(math.ceil((t_end - p.t_start) / dt)), 8)
-    refine = 1
-    ts, ys = _rk4_path(p, t_end, n0, 1)
-    for _ in range(22):
-        refine *= 2
-        ts2, ys2 = _rk4_path(p, t_end, n0 * refine, refine)
-        err = float(np.max(np.abs(ys2 - ys)))
-        ts, ys = ts2, ys2
-        if err <= tol:
-            break
-    else:
-        raise ConstructionError("envelope step halving did not reach tol=%r" % tol)
-
-    upper, lower = ys[:, 0], ys[:, 1]
-    if not (np.all(upper > 1.0) and np.all(lower < 1.0)):
-        raise ConstructionError("envelope ordering lower < 1 < upper failed along the path")
-    return EnvelopeResult(t=ts, upper=upper, lower=lower, step_used=(t_end - p.t_start) / (n0 * refine))
-

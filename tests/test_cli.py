@@ -16,8 +16,9 @@ from chemofront import cli, config_io, lattice, solver
 from chemofront.cli import main
 from chemofront.config_io import ConfigError, SnapshotError
 from chemofront.diagnostics import HISTORY_COLUMNS
-from chemofront.model import Grid
+from chemofront.model import Field, Grid, StateQuad
 from chemofront.profiles import ConstructionError
+from conftest import RUN_CFG
 
 
 TINY_CFG = """\
@@ -381,6 +382,19 @@ class TestVerifyCommand:
         assert float(report["violation_count"]) > 0
         assert float(report["max_lower_violation"]) > 1e-8
 
+    @pytest.mark.parametrize("drift, code", [(1e-12, 0), (1e-8, 3)])
+    def test_mass_drift_past_the_tolerance_fails_with_exit_3(self, cli_run_dir, tmp_path, drift, code):
+        # w of the last snapshot scaled so that its v + w mass is off by a relative drift, either side of MASS_TOL
+        dst = tmp_path / "drifted"
+        shutil.copytree(cli_run_dir["out"], dst)
+        victim = str(sorted(dst.glob("snap_*.bin"))[-1])
+        state = config_io.read_snapshot(victim, RUN_GRID)
+        w = state.w.values * (1.0 + drift * state.mass_vw() / state.w.mass())
+        config_io.write_snapshot(victim, StateQuad(state.u, state.v, Field(RUN_GRID, w), state.z, t=state.t))
+        assert main(["verify", "--out", str(dst)]) == code
+        report = dict(ln.split(",") for ln in (dst / "verify_report.csv").read_text().splitlines()[1:])
+        assert float(report["mass_drift"]) == pytest.approx(drift, rel=1e-2)
+
     def test_violation_count_is_exact_past_a_thousand(self, cli_run_dir, tmp_path):
         # the first snapshot, then `copies` copies of it at t = 0 with u emptied; each
         # copy misses the sub-profile on the same cells, so the count scales with them
@@ -477,6 +491,22 @@ class TestVerifyCommand:
 
     def test_non_run_directory_is_usage_error(self, tmp_path):
         assert main(["verify", "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("m, mu", [("200", "1.0"), ("600", "1.0"), ("1e300", "1.0"), ("1e300", "0.0")])
+    def test_envelope_out_of_float_range_is_one_line_naming_m(self, tmp_path, capsys, m, mu):
+        # the reference bump to t = 0.25: at m = 200 the upper profile's eps^(m-1) leaves the float range
+        # before its time shift is admissible, at 600 the lower spread underflows, and at 1e300 8m(m-1) overflows
+        cfg = tmp_path / "large_m.cfg"
+        cfg.write_text(
+            RUN_CFG.replace("t_end = 1.0", "t_end = 0.25").replace("m = 2.0", "m = " + m).replace("mu = 1.0", "mu = " + mu)
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--out", str(out)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("numerical failure: ") and "m=%g" % float(m) in line
+        assert "np.float64" not in line
 
 
 # --- fit --------------------------------------------------------------------

@@ -214,8 +214,8 @@ UPPER = select_upper_profile(
 
 def profile_state(grid, profile, t, pad=0.0):
     vals = profile.evaluate(grid.center_distance2(profile.center), t) + pad
-    zeros = Field.full(grid, 0.0)
-    return StateQuad(Field(grid, np.clip(vals, 0.0, None)), zeros.copy(), zeros.copy(), zeros.copy(), t=t)
+    v, w, z = (Field.full(grid, 0.0) for _ in range(3))
+    return StateQuad(Field(grid, np.clip(vals, 0.0, None)), v, w, z, t=t)
 
 
 def test_profiles_bracket_the_seed_bump():

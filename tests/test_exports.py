@@ -99,6 +99,12 @@ PRUNED = [
     ("chemofront.solver", "max_abs_gradient"),
     ("chemofront.solver", "max_abs_laplacian"),
     ("chemofront.solver", "_divergence"),
+    # the late-stage ODE envelopes, which no command ran
+    ("chemofront.profiles", "convergence_envelopes"),
+    ("chemofront.profiles", "OdeEnvelopeParams"),
+    ("chemofront.profiles", "EnvelopeResult"),
+    ("chemofront.profiles", "_rk4_path"),
+    ("chemofront.profiles", "_envelope_rhs"),
 ]
 
 
@@ -143,6 +149,15 @@ def test_fields_are_built_from_arrays_only():
     from chemofront.model import Field
 
     assert not hasattr(Field, "from_function")
+
+
+@pytest.mark.parametrize("module, cls, attr", [
+    ("model", "Field", "copy"),
+    ("model", "StateQuad", "copy"),
+    ("profiles", "ProfileParams", "support_radius_at"),
+])
+def test_methods_no_command_called_stay_gone(module, cls, attr):
+    assert not hasattr(getattr(importlib.import_module("chemofront." + module), cls), attr)
 
 
 def test_lattice_states_have_no_particle_count():

@@ -108,13 +108,6 @@ class TestStateQuad:
         s = StateQuad(Field.full(g, 1.0), Field.full(g, 0.25), Field.full(g, 0.75), Field.full(g, 0.0))
         assert s.mass_vw() == pytest.approx(1.0)
 
-    def test_copy_is_independent(self):
-        g = Grid((8,), (1.0,), (0.0,))
-        s = StateQuad(Field.full(g, 1.0), Field.full(g, 0.0), Field.full(g, 0.0), Field.full(g, 0.0))
-        c = s.copy()
-        c.u.values[0] = 5.0
-        assert s.u.values[0] == 1.0
-
 
 # --- sensitivity rules ------------------------------------------------------
 

@@ -7,12 +7,10 @@ from hypothesis import assume, given, settings, strategies as st
 from chemofront.profiles import (
     BlowupResult,
     ConstructionError,
-    OdeEnvelopeParams,
     ProfileParams,
     barenblatt,
     barenblatt_support_radius,
     classify_blowup,
-    convergence_envelopes,
     lower_profile_branches,
     select_lower_profile,
     select_upper_profile,
@@ -71,6 +69,9 @@ def test_profile_params_validation():
         ProfileParams("lower", 1.0, 1.0, 0.6, 0.4, 1.0, (0.0,), 2.0)
     with pytest.raises(ValueError, match="rate_exp"):
         ProfileParams("lower", 1.0, 1.0, 0.3, 0.9, 1.0, (0.0,), 2.0)
+    # (1 - spread_exp)/(m - 1) = 0.7 holds to rounding, not to a margin
+    with pytest.raises(ValueError, match="rate_exp"):
+        ProfileParams("lower", 1.0, 1.0, 0.3, 0.7 + 1e-6, 1.0, (0.0,), 2.0)
     with pytest.raises(ValueError, match="time_shift"):
         ProfileParams("upper", 1.0, 1.0, 1.0, 1.0, 0.0, (0.0,), 2.0, 0.1)
 
@@ -171,17 +172,19 @@ def test_lower_selection_satisfies_every_branch(
 def test_profile_support_radii_formulas_and_growth(t1, dt):
     lo = select_lower_profile(2.0, 1, 1.0, 1.0, 1.0, 0.5, 1.0, 1.0, 1.0, (0.0,))
     up = select_upper_profile(2.0, 1.0, 1.0, 0.25, 0.75, 0.5, 1.0, 1.0, (0.0,))
-    r_lo = lo.support_radius_at(t1)
-    assert r_lo == pytest.approx(
-        math.sqrt(lo.support_scale) * (1.0 + t1) ** (lo.spread_exp / 2.0))
-    assert lo.support_radius_at(t1 + dt) > r_lo
-    r_up = up.support_radius_at(t1)
-    assert r_up == pytest.approx(
-        math.sqrt(up.support_scale) * (up.time_shift + t1) ** 0.5)
-    # edge of the support is where the evaluated profile dies
-    assert lo.evaluate((r_lo * 1.0001) ** 2, t1) == 0.0
-    assert lo.evaluate((r_lo * 0.999) ** 2, t1) > 0.0
+    # the support ball has radius sqrt(support_scale) (shift + t)^(spread_exp / 2): shift 1 and spread
+    # below 1/2 for the lower profile, spread 1 for the upper one
+    def r_lo(t):
+        return math.sqrt(lo.support_scale) * (1.0 + t) ** (lo.spread_exp / 2.0)
 
+    def r_up(t):
+        return math.sqrt(up.support_scale) * (up.time_shift + t) ** 0.5
+
+    for radius, profile in ((r_lo, lo), (r_up, up)):
+        assert radius(t1 + dt) > radius(t1)
+        # edge of the support is where the evaluated profile dies
+        assert profile.evaluate((radius(t1) * 1.0001) ** 2, t1) == 0.0
+        assert profile.evaluate((radius(t1) * 0.999) ** 2, t1) > 0.0
 
 # --- scalar comparison ODEs -------------------------------------------------
 
@@ -234,35 +237,3 @@ def test_blowup_time_closes_the_separated_integral(C, c, m, g0):
         assert res.time is None
         limit = g0 ** (1.0 - m) - (m - 1.0) * C / c
         assert limit > 0.0
-
-
-def test_envelopes_squeeze_to_one():
-    p = OdeEnvelopeParams(
-        forcing_amp=0.1, forcing_rate=1.0, t_start=0.0,
-        upper_init=2.0, lower_init=0.25, mu=1.0, delta=1.0, m=2.0,
-    )
-    res = convergence_envelopes(p, t_end=20.0, dt=0.01)
-    assert np.all(res.upper > 1.0)
-    assert np.all(res.lower < 1.0)
-    assert res.upper[-1] - 1.0 < 1e-8
-    assert 1.0 - res.lower[-1] < 1e-7
-    # once the forcing has died both envelopes approach 1 monotonically
-    late = res.t > 5.0
-    assert np.all(np.diff(res.upper[late]) <= 1e-15)
-    assert np.all(np.diff(res.lower[late]) >= -1e-15)
-
-
-def test_envelopes_refuse_blowup_risk():
-    p = OdeEnvelopeParams(
-        forcing_amp=50.0, forcing_rate=0.1, t_start=0.0,
-        upper_init=2.0, lower_init=0.25, mu=1.0, delta=1.0, m=2.0,
-    )
-    with pytest.raises(ConstructionError, match="bounded"):
-        convergence_envelopes(p, t_end=5.0, dt=0.01)
-
-
-def test_envelope_param_validation():
-    with pytest.raises(ValueError):
-        OdeEnvelopeParams(0.1, 1.0, 0.0, 0.9, 0.25, 1.0, 1.0, 2.0)
-    with pytest.raises(ValueError):
-        OdeEnvelopeParams(0.1, -1.0, 0.0, 2.0, 0.25, 1.0, 1.0, 2.0)

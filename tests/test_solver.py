@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import os
@@ -531,9 +532,9 @@ class TestDriftMomentIdentity:
     def states(dim, phi):
         """The TestChemotaxisEndToEnd bump of u under a signal peaking to its right (and above it in 2D)."""
         g = Grid((64,) * dim, (2.0,) * dim, (-1.0,) * dim)
-        zero = Field.full(g, 0.0)
         peak = (0.5,) if dim == 1 else (0.5, 0.3)
-        s = StateQuad(bump_field(g, (0.0,) * dim, 0.25, 0.5), bump_field(g, peak, 0.5, 1.0), zero, zero.copy())
+        w, z = Field.full(g, 0.0), Field.full(g, 0.0)
+        s = StateQuad(bump_field(g, (0.0,) * dim, 0.25, 0.5), bump_field(g, peak, 0.5, 1.0), w, z)
         return s, ModelParams(m=2.0, mu=0.0, phi=phi)
 
     @pytest.mark.parametrize("dim", [1, 2])
@@ -611,6 +612,18 @@ class TestKernel:
         assert res.total_clipped == total
         if case == "clips":
             assert total > 0.0  # the clipping path ran
+
+    def test_clipped_mass_is_what_the_clip_adds_to_u(self, monkeypatch):
+        # with mu = 0 the fluxes conserve the integral of u, so a step changes it by its clipped mass alone
+        initial, params, cfg = kernel_case("clips", monkeypatch)
+        params = dataclasses.replace(params, mu=0.0)
+        state, total = initial, 0.0
+        for _ in range(40):
+            nxt, _, clipped, _ = kernel_step(state, params, cfg.t_end)
+            mass = state.u.mass()
+            assert nxt.u.mass() - mass == pytest.approx(clipped, rel=1e-12, abs=1e-12 * mass)
+            state, total = nxt, total + clipped
+        assert total > 0.0
 
     @pytest.mark.parametrize("height", [6.0, 9.0])
     def test_repelled_tall_bump_loses_no_mass(self, height, monkeypatch):
@@ -737,7 +750,7 @@ class TestKernel:
         cfg = SolverConfig(t_end=1.0, output_stride=7)
         kept, copies = [], []
         run(initial, STANDARD_MODEL, cfg, emit=lambda s, row: kept.append(s), max_steps=50)
-        run(initial, STANDARD_MODEL, cfg, emit=lambda s, row: copies.append(s.copy()), max_steps=50)
+        run(initial, STANDARD_MODEL, cfg, emit=lambda s, row: copies.append(copy.deepcopy(s)), max_steps=50)
         assert len(kept) == len(copies) == 9  # steps 0, 7, ..., 49 and 50
         arrays = [getattr(s, name).values for s in kept for name in ("u", "v", "w", "z")]
         for i, a in enumerate(arrays):
