@@ -2,9 +2,11 @@
 
 Subcommands: run (integrate a config and write a run directory), verify
 (check a finished run against the analytic envelopes and the conservation
-audit), sweep (cartesian parameter grid over worker processes), fit (power
-law and exponential fits on a history CSV), lattice (stochastic ensemble,
-optionally compared against the matching continuum run).
+audit), sweep (cartesian parameter grid over worker processes; each case is
+a run directory plus fit's fits.csv, and the manifest carries each case's
+front exponent and relaxation rates), fit (power law and exponential fits
+on a history CSV), lattice (stochastic ensemble, optionally compared
+against the matching continuum run).
 
 Exit codes: 0 success, 1 bad usage or config, 2 numerical failure or out of
 memory (each a one-line message, see _FAILURES), 3 a requested check failed.
@@ -138,8 +140,11 @@ def _run_stats(result: solver.RunResult, wall_s: float) -> dict:
 
 
 def _execute_run(cfg: RunConfig, out_dir: str):
-    """Integrate cfg and write config.cfg, history.csv, snapshots and run_stats.json to out_dir."""
-    state = config_io.build_initial_state(cfg)
+    """Integrate cfg and write config.cfg, history.csv, snapshots and run_stats.json to out_dir.
+
+    Returns the run's result and its initial state.
+    """
+    initial = config_io.build_initial_state(cfg)
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.cfg"), "w", encoding="ascii") as fh:
         fh.write(config_io.serialize_config(cfg))
@@ -154,12 +159,12 @@ def _execute_run(cfg: RunConfig, out_dir: str):
 
     t0 = time.perf_counter()
     try:
-        result = solver.run(state, cfg.model, cfg.solver, emit=emit)
+        result = solver.run(initial, cfg.model, cfg.solver, emit=emit)
     finally:
         writer.close()
     wall_s = time.perf_counter() - t0
     _write_json(os.path.join(out_dir, "run_stats.json"), _run_stats(result, wall_s))
-    return result, emitted[0]
+    return result, initial
 
 
 def _config(args) -> RunConfig:
@@ -174,11 +179,10 @@ def _config(args) -> RunConfig:
 
 def cmd_run(args) -> int:
     cfg = _config(args)
-    result, n_snaps = _execute_run(cfg, cfg.out_dir)
-    print(
-        "run: %d steps to t=%.6g, %d history rows, %d snapshots in %s"
-        % (result.steps, result.final.t, len(result.history["t"]), n_snaps, cfg.out_dir)
-    )
+    result, _ = _execute_run(cfg, cfg.out_dir)
+    rows = len(result.history["t"])  # run writes one snapshot per history row
+    print("run: %d steps to t=%.6g, %d history rows, %d snapshots in %s"
+          % (result.steps, result.final.t, rows, rows, cfg.out_dir))
     if result.total_clipped > 0.0:
         print("run: clipped negative mass %.3e" % result.total_clipped)
     return EXIT_OK
@@ -346,17 +350,26 @@ def cmd_verify(args) -> int:
 
 
 def _sweep_worker(job):
-    """(final_t, steps, final_sup_u) of one case, or the message its run failed with.
+    """One case's manifest cells (final_t, steps, final_sup_u, then its fits) and fit's skip lines, or the message
+    its run failed with.
 
     A failing case returns its error instead of raising, so the other cases
-    and the manifest survive it.
+    and the manifest survive it.  A fit that is skipped leaves its cell
+    empty and does not fail the case.
     """
     cfg, out_dir = job
     try:
-        result, _ = _execute_run(cfg, out_dir)
+        result, initial = _execute_run(cfg, out_dir)
+        # the front fit stops short of the wall, where the pinned radius would flatten it
+        x0 = solver.peak_coordinate(initial.u)
+        front_cap = 0.95 * (_wall_distance(cfg.grid, x0) - cfg.grid.h)
+        lines, values, skips = _fit_history(result.history, front_cap=front_cap)
+        _write_fits(out_dir, lines)
     except _CASE_FAILURES as exc:
         return "%s: %s" % (type(exc).__name__, exc)
-    return result.final.t, result.steps, float(np.max(result.final.u.values))
+    cells = ["%.17g" % result.final.t, "%d" % result.steps, "%.17g" % float(np.max(result.final.u.values))]
+    cells += ["" if value is None else "%.17g" % value for value in values.values()]
+    return cells, ["%s: %s" % (out_dir, line) for line in skips]
 
 
 def cmd_sweep(args) -> int:
@@ -391,20 +404,21 @@ def cmd_sweep(args) -> int:
         with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("spawn")) as pool:
             results = list(pool.map(_sweep_worker, jobs))
 
+    fitted = list(_fitted(diagnostics.HISTORY_COLUMNS))
     failed = 0
     with open(os.path.join(base_out, "manifest.csv"), "w", encoding="ascii", newline="") as fh:
         rows = csv.writer(fh, lineterminator="\n")
-        rows.writerow(["case", "dir"] + keys + ["final_t", "steps", "final_sup_u", "status"])
+        rows.writerow(["case", "dir"] + keys + ["final_t", "steps", "final_sup_u"] + fitted + ["status"])
         for idx, (combo, result) in enumerate(zip(combos, results)):
             if isinstance(result, str):
                 failed += 1
-                numbers, status = ["", "", ""], "failed: " + result
+                cells, status = [""] * (3 + len(fitted)), "failed: " + result
             else:
-                final_t, steps, sup_u = result
-                numbers, status = ["%.17g" % final_t, "%d" % steps, "%.17g" % sup_u], "ok"
-            rows.writerow(
-                [idx, "case_%04d" % idx] + ["%.17g" % v for v in combo] + numbers + [status]
-            )
+                cells, skips = result
+                status = "ok"
+                for line in skips:
+                    print(line, file=sys.stderr)
+            rows.writerow([idx, "case_%04d" % idx] + ["%.17g" % v for v in combo] + cells + [status])
     print("sweep: %d cases under %s (manifest.csv written)" % (len(combos), base_out))
     if failed:
         print("sweep: %d of %d cases failed; see the status column of manifest.csv" % (failed, len(combos)),
@@ -416,6 +430,51 @@ def cmd_sweep(args) -> int:
 # --- fit --------------------------------------------------------------------
 
 
+def _fitted(names) -> dict:
+    """The fitted columns among names, each with its (kind, fitter): the front radius grows as a power law, the
+    norms relax exponentially."""
+    power_law = ("power_law", diagnostics.fit_power_law)
+    exponential = ("exponential", diagnostics.fit_exponential)
+    return {
+        name: power_law if name == "support_radius" else exponential
+        for name in names
+        if name == "support_radius" or name.startswith("norm_")
+    }
+
+
+def _fit_history(cols: dict, t_min=None, front_cap=None):
+    """fits.csv's lines for the fitted columns of cols against cols["t"], each fitted column's exponent or rate
+    (None when skipped), and fit's stderr line for each skipped column.
+
+    With front_cap, the front fit drops the rows whose support radius is at
+    or beyond it, and its skip line says how many rows that dropped.
+    """
+    lines, values, skips = ["column,kind,exponent_or_rate,prefactor,r_squared,stderr,samples"], {}, []
+    t = cols["t"]
+    for name, (kind, fitter) in _fitted(cols).items():
+        keep, at_wall = slice(None), ""
+        if name == "support_radius" and front_cap is not None:
+            keep = cols[name] < front_cap
+            at_wall = "; %d of %d rows at the wall" % (t.size - np.count_nonzero(keep), t.size)
+        try:
+            fit = fitter(t[keep], cols[name][keep], t_min=t_min)
+        except ValueError as exc:
+            values[name] = None
+            skips.append("fit: skipped %s (%s%s)" % (name, exc, at_wall))
+            continue
+        # each fit record holds (exponent or rate, prefactor, r_squared, stderr, samples), the columns after kind
+        record = dataclasses.astuple(fit)
+        values[name] = record[0]
+        lines.append("%s,%s,%.17g,%.17g,%.17g,%.17g,%d" % ((name, kind) + record))
+    return lines, values, skips
+
+
+def _write_fits(out_dir: str, lines) -> None:
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "fits.csv"), "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def cmd_fit(args) -> int:
     # t >= nan is false for every sample, so a non-finite t_min would blame the data for a bad flag
     if args.t_min is not None and not math.isfinite(args.t_min):
@@ -423,35 +482,16 @@ def cmd_fit(args) -> int:
     cols = config_io.read_csv_columns(args.csv)
     if "t" not in cols:
         raise _UsageError("CSV %s has no 't' column" % args.csv)
-    # each fitted column's (kind, fitter): the front radius grows as a power law, the norms relax exponentially
-    power_law = ("power_law", diagnostics.fit_power_law)
-    exponential = ("exponential", diagnostics.fit_exponential)
-    fits = {
-        name: power_law if name == "support_radius" else exponential
-        for name in cols
-        if name == "support_radius" or name.startswith("norm_")
-    }
-    if not fits:
+    lines, values, skips = _fit_history(cols, args.t_min)
+    if not values:
         raise _UsageError("CSV %s has no column to fit; fit reads 't' with 'support_radius' or 'norm_*'" % args.csv)
-    t = cols["t"]
-    lines = ["column,kind,exponent_or_rate,prefactor,r_squared,stderr,samples"]
-    fitted = 0
-    for name, (kind, fitter) in fits.items():
-        try:
-            fit = fitter(t, cols[name], t_min=args.t_min)
-        except ValueError as exc:
-            print("fit: skipped %s (%s)" % (name, exc), file=sys.stderr)
-            continue
-        fitted += 1
-        # each fit record holds (exponent or rate, prefactor, r_squared, stderr, samples), the columns after kind
-        lines.append("%s,%s,%.17g,%.17g,%.17g,%.17g,%d" % ((name, kind) + dataclasses.astuple(fit)))
+    for line in skips:
+        print(line, file=sys.stderr)
     for line in lines:
         print(line)
     if args.out is not None:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "fits.csv"), "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
-    if fitted == 0:
+        _write_fits(args.out, lines)
+    if all(value is None for value in values.values()):
         print("fit: no column had enough usable samples", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK

@@ -18,9 +18,8 @@ drift coefficient acted on nothing) and alpha (it scaled every rate, and so
 every leap dt, which made it a second name for t_end), the model's eps_reg,
 and check_lower and check_upper, the only keys [oracles] had.  Config files
 written before, every run directory's config.cfg among them, still carry
-them at the kept values (on, on, semi-implicit, 0.25, pushing, 0.5, 0.0,
-1.0, 0.0, on, on); such a line is read and ignored, any other value is an
-error.  The solver's dt_max, never written to a config.cfg, is an unknown
+them at the kept values that _RETIRED lists; such a line is read and
+ignored, any other value is an error.  The solver's dt_max, never written to a config.cfg, is an unknown
 key.
 
 An [initial] snapshot path is resolved against the config's directory at

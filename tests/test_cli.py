@@ -4,6 +4,7 @@ import concurrent.futures
 import csv
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -168,6 +169,34 @@ class TestRunCommand:
         assert stats["wall_s"] > 0.0
         assert stats["steps_per_s"] == pytest.approx(stats["steps"] / stats["wall_s"], rel=1e-12)
         assert stats["clipped_mass"] == 0.0
+
+    def test_run_stats_clipped_mass_is_the_sum_of_each_steps_clipped_mass(self, tmp_path, capsys, monkeypatch):
+        # a bump repelled off the top of a steep signal, stepped at twice its CFL dt at safety 1, is overdrawn
+        monkeypatch.setattr(solver, "CFL_SAFETY", 1.0)
+        real_cfl, real_step = solver.cfl_dt, solver.step
+        clipped = []
+
+        def doubled(*args):
+            dt, terms = real_cfl(*args)
+            return 2.0 * dt, terms
+
+        def recorded(*args):
+            out = real_step(*args)
+            clipped.append(out[5])
+            return out
+
+        monkeypatch.setattr(solver, "cfl_dt", doubled)
+        monkeypatch.setattr(solver, "step", recorded)
+        text = TINY_CFG.replace("cells = 16", "cells = 32").replace("delta = 1.0", "delta = 1.0\nphi = constant -1.0")
+        text = text.replace("u = bump 0.0 0.25 0.5", "u = bump 0.0 0.5 0.8\nv = bump 0.0 1.0 100.0\nz = constant 0.5")
+        cfg = tmp_path / "clips.cfg"
+        cfg.write_text(text)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        stats = json.loads((tmp_path / "out" / "run_stats.json").read_text())
+        assert len(clipped) == stats["steps"]
+        assert sum(c > 0.0 for c in clipped) >= 2
+        assert stats["clipped_mass"] == sum(clipped)
+        assert "run: clipped negative mass %.3e" % sum(clipped) in capsys.readouterr().out
 
     def test_run_stats_of_a_zero_length_run(self, tmp_path):
         cfg = tmp_path / "still.cfg"
@@ -356,6 +385,21 @@ class TestVerifyCommand:
         metrics = {ln.split(",")[0] for ln in lines[1:]}
         assert {"mass_drift", "c1", "c2", "lower_amplitude", "upper_valid_until",
                 "max_lower_violation", "violation_count"} <= metrics
+
+    def test_c1_and_c2_are_the_largest_attractant_slope_and_laplacian_plus_ten_percent(self, cli_run_dir):
+        out = cli_run_dir["out"]
+        assert main(["verify", "--out", str(out)]) == 0
+        report = dict(ln.split(",") for ln in (out / "verify_report.csv").read_text().splitlines()[1:])
+        h = RUN_GRID.h
+        slopes, laplacians = [], []
+        for path in sorted(out.glob("snap_*.bin")):
+            v = config_io.read_snapshot(str(path), RUN_GRID).v.values
+            slopes.append(np.abs(np.diff(v)).max() / h)
+            # no-flux walls: the ghost cell beyond each wall repeats the wall cell
+            laplacians.append(np.abs(np.diff(np.pad(v, 1, mode="edge"), 2)).max() / (h * h))
+        assert len(slopes) > 1 and max(slopes) > 0.0 and max(laplacians) > 0.0
+        assert float(report["c1"]) == pytest.approx(1.1 * max(slopes), rel=1e-12)
+        assert float(report["c2"]) == pytest.approx(1.1 * max(laplacians), rel=1e-12)
 
     def test_corrupted_snapshot_fails_with_exit_3(self, cli_run_dir, tmp_path, capsys):
         src = cli_run_dir["out"]
@@ -597,6 +641,9 @@ class TestFitCommand:
 
 SWEEP_CFG = TINY_CFG.replace("t_end = 0.05", "t_end = 0.02") + "\n[sweep]\nmodel.m = 2.0, 3.0\n"
 
+# the manifest columns after final_sup_u: the front exponent, then the rates of the four deviation norms
+FITTED = ["support_radius", "norm_u_minus_1", "norm_w", "norm_v_minus_target", "norm_z_minus_1"]
+
 
 class TestSweepCommand:
     def test_cases_and_manifest(self, tmp_path, capsys):
@@ -606,17 +653,19 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
         assert "2 cases" in capsys.readouterr().out
         lines = (out / "manifest.csv").read_text().splitlines()
-        assert lines[0] == "case,dir,model.m,final_t,steps,final_sup_u,status"
+        assert lines[0] == "case,dir,model.m,final_t,steps,final_sup_u,%s,status" % ",".join(FITTED)
         rows = [ln.split(",") for ln in lines[1:]]
         assert [r[1] for r in rows] == ["case_0000", "case_0001"]
         assert [float(r[2]) for r in rows] == [2.0, 3.0]
-        assert [r[6] for r in rows] == ["ok", "ok"]
+        assert [r[-1] for r in rows] == ["ok", "ok"]
         for idx, row in enumerate(rows):
             case_cfg = config_io.parse_config_file(str(out / row[1] / "config.cfg"))
             assert case_cfg.model.m == float(row[2])
             assert case_cfg.sweep == {}
             assert case_cfg.seed == 3 + idx  # base seed plus case index
             assert (out / row[1] / "history.csv").exists()
+            fits_header = (out / row[1] / "fits.csv").read_text().splitlines()[0]
+            assert fits_header == "column,kind,exponent_or_rate,prefactor,r_squared,stderr,samples"
 
     def test_parallel_workers_give_same_manifest(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
@@ -638,10 +687,11 @@ class TestSweepCommand:
         assert "1 of 3 cases failed" in capsys.readouterr().err
         with open(out / "manifest.csv", newline="") as fh:
             header, *rows = list(csv.reader(fh))
-        assert header == ["case", "dir", "model.mu", "final_t", "steps", "final_sup_u", "status"]
-        assert [r[6] for r in rows] == ["ok", rows[1][6], "ok"]
-        assert rows[1][6].startswith("failed: SimulationError: CFL dt")
-        assert rows[1][3:6] == ["", "", ""]
+        assert header == ["case", "dir", "model.mu", "final_t", "steps", "final_sup_u"] + FITTED + ["status"]
+        assert [r[-1] for r in rows] == ["ok", rows[1][-1], "ok"]
+        assert rows[1][-1].startswith("failed: SimulationError: CFL dt")
+        assert rows[1][3:-1] == [""] * (3 + len(FITTED))
+        assert not (out / rows[1][1] / "fits.csv").exists()
         for row in (rows[0], rows[2]):
             assert float(row[3]) == pytest.approx(0.02) and int(row[4]) > 0
             assert (out / row[1] / "history.csv").exists()
@@ -697,6 +747,105 @@ class TestSweepCommand:
         cfg.write_text(TINY_CFG)
         assert main(["sweep", "--config", str(cfg)]) == 1
         assert "no [sweep]" in capsys.readouterr().err
+
+
+# a bump on [-4, 4] that grows and climbs a constant-sensitivity signal: 128 cells to t = 3, a row every 20 steps
+FRONT_CFG = """\
+[model]
+m = 2.0
+delta = 1.0
+mu = 1.0
+r = 1.0
+phi = constant 1.0
+
+[grid]
+dim = 1
+cells = 128
+extent = 8.0
+origin = -4.0
+
+[solver]
+t_end = 3.0
+output_stride = 20
+
+[initial]
+u = bump 0.0 0.25 0.5
+v = constant 0.0
+w = constant 1.0
+z = constant 0.0
+
+[output]
+seed = 3
+
+[sweep]
+model.m = 2.0
+"""
+
+# the stderr line of a front fit that is skipped: its case directory, the fit's error and the wall rule's count
+FRONT_SKIP = re.compile(r"(.+): fit: skipped support_radius \(power-law fit needs >= 8 usable samples, got \d+; "
+                        r"(\d+) of (\d+) rows at the wall\)")
+
+
+def front_sweep(tmp_path, capsys, *changes):
+    """The manifest rows, as dicts, and the stderr lines of a sweep of FRONT_CFG with each (old, new) text swap."""
+    text = FRONT_CFG
+    for old, new in changes:
+        assert old in text
+        text = text.replace(old, new)
+    cfg = tmp_path / "front.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "front_out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    with open(out / "manifest.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["status"] for row in rows] == ["ok"] * len(rows)
+    return out, rows, capsys.readouterr().err.splitlines()
+
+
+SHORT_RUN = [("cells = 128", "cells = 64"), ("t_end = 3.0", "t_end = 1.0")]
+
+
+class TestSweepFits:
+    def test_every_front_exponent_lies_in_0_2(self, tmp_path, capsys):
+        _, rows, _ = front_sweep(tmp_path, capsys, *SHORT_RUN, ("output_stride = 20", "output_stride = 2"),
+                                 ("model.m = 2.0", "model.m = 2.0, 3.0"))
+        assert [row["model.m"] for row in rows] == ["2", "3"]
+        assert all(0.0 < float(row["support_radius"]) < 2.0 for row in rows)
+
+    def test_default_setup_fits_and_writes_what_fit_writes(self, tmp_path, capsys):
+        out, [row], _ = front_sweep(tmp_path, capsys)
+        assert float(row["support_radius"]) > 0.0
+        case = out / row["dir"]
+        assert main(["fit", str(case / "history.csv"), "--out", str(tmp_path / "fit")]) == 0
+        written = (case / "fits.csv").read_text()
+        assert written == (tmp_path / "fit" / "fits.csv").read_text()
+        # each manifest cell is the exponent_or_rate of its column's row in fits.csv
+        assert {ln.split(",")[0]: ln.split(",")[2] for ln in written.splitlines()[1:]} == {
+            name: row[name] for name in FITTED}
+
+    def test_too_few_rows_leave_the_front_cell_empty_with_none_at_the_wall(self, tmp_path, capsys):
+        out, [row], err = front_sweep(tmp_path, capsys, *SHORT_RUN, ("output_stride = 20", "output_stride = 50"))
+        assert row["support_radius"] == ""
+        [(case, dropped, total)] = [FRONT_SKIP.fullmatch(line).groups() for line in err if "support_radius" in line]
+        assert case == str(out / row["dir"])
+        assert int(dropped) == 0 and int(total) < 8
+
+    def test_a_front_at_the_wall_leaves_its_cell_empty_naming_the_rows_there(self, tmp_path, capsys):
+        narrow = [("cells = 128", "cells = 48"), ("extent = 8.0", "extent = 3.0"), ("origin = -4.0", "origin = -1.5")]
+        out, [row], err = front_sweep(tmp_path, capsys, *narrow)
+        assert row["support_radius"] == ""
+        [(case, dropped, total)] = [FRONT_SKIP.fullmatch(line).groups() for line in err if "support_radius" in line]
+        assert case == str(out / row["dir"])
+        assert int(dropped) > 0
+        # the rows the wall rule dropped would have made the fit: the wall is to blame, not the stride
+        assert main(["fit", str(out / row["dir"] / "history.csv")]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("support_radius,power_law,")
+
+    def test_every_relaxation_rate_is_positive(self, tmp_path, capsys):
+        unit = [("cells = 128", "cells = 16"), ("extent = 8.0", "extent = 2.0"), ("origin = -4.0", "origin = -1.0"),
+                ("t_end = 3.0", "t_end = 4.0")]
+        _, [row], _ = front_sweep(tmp_path, capsys, *unit)
+        assert all(float(row[name]) > 0.0 for name in FITTED[1:])
 
 
 # --- lattice ----------------------------------------------------------------
@@ -930,8 +1079,8 @@ class TestFailureTable:
         assert "1 of 3 cases failed" in capsys.readouterr().err
         with open(out / "manifest.csv", newline="") as fh:
             _, *rows = list(csv.reader(fh))
-        assert [r[6] for r in rows] == ["ok", "failed: %s: boom" % exc_type.__name__, "ok"]
-        assert rows[1][3:6] == ["", "", ""]
+        assert [r[-1] for r in rows] == ["ok", "failed: %s: boom" % exc_type.__name__, "ok"]
+        assert rows[1][3:-1] == [""] * (3 + len(FITTED))
 
     def test_an_unlisted_exception_escapes_with_its_traceback(self, tmp_path, monkeypatch):
         monkeypatch.setattr(config_io, "build_initial_state", raising(KeyError))

@@ -176,6 +176,20 @@ class TestFluxes:
         assert fl[1] == pytest.approx(10.0)
         assert fl[0] == 0.0 and fl[2] == 0.0
 
+    def test_quorum_switch_takes_phi_at_the_face_mean(self):
+        # phi(u) = 1 - u/u* switches sign at u* = 0.5, and every face here joins a cell below u* to one above
+        # it, so phi taken at either cell alone gives a different flux, of the other sign on some faces
+        u_star, m, h = 0.5, 2.0, 0.1
+        u = np.array([0.1, 0.8, 0.3, 0.9, 0.2, 0.6, 0.45, 0.7])
+        v = np.array([0.0, 1.0, 0.5, 2.0, 1.0, 0.2, 0.7, 0.1])
+        expected = []
+        for left, right, v_left, v_right in zip(u[:-1], u[1:], v[:-1], v[1:]):
+            phi = min(1.0, max(-1.0, 1.0 - 0.5 * (left + right) / u_star))
+            speed = phi * (v_right - v_left) / h
+            expected.append(speed * (left if speed > 0.0 else right) ** m)
+        [flux] = chemotactic_flux(u, u ** m, solver._face_diffs(v), LinearSwitchSensitivity(u_star), h)
+        np.testing.assert_allclose(flux, expected, rtol=1e-13, atol=0.0)
+
     def test_chemo_flux_vanishes_without_signal_or_sensitivity(self):
         g = Grid((6,), (0.6,), (0.0,))
         u = Field(g, np.linspace(0.1, 1.0, 6))
@@ -734,6 +748,18 @@ class TestKernel:
         expected[expected < 0.0] = 0.0
         np.testing.assert_allclose(out.u.values, expected, rtol=0.0, atol=1e-13 * u.max())
         assert np.array_equal(out.u.values == 0.0, expected == 0.0)
+
+        # then w decays exactly against the current z, v gains the mass w lost, and z relaxes toward the
+        # current u; v and z each by a dense solve of (shift I - dt Lap) x = rhs
+        v, w, z = s.v.values, s.w.values, s.z.values
+        w_new = w * np.exp(-z * dt)
+        a = np.eye(g.n_cells) - dt * dense_neumann_lap(g.cells, g.h)
+        v_new = np.linalg.solve(a, (v + (w - w_new)).ravel()).reshape(g.cells)
+        z_new = np.linalg.solve(a + dt * np.eye(g.n_cells), (z + dt * u).ravel()).reshape(g.cells)
+        np.testing.assert_array_equal(out.w.values, w_new)
+        for name, x in (("v", v_new), ("z", z_new)):
+            np.testing.assert_allclose(getattr(out, name).values, x, rtol=0.0, atol=1e-12 * np.abs(x).max(),
+                                       err_msg=name)
 
     def test_nan_attractant_solve_names_field_v(self, monkeypatch):
         monkeypatch.setattr(solver, "_helmholtz_solve", lambda grid, shift, dt, rhs: np.full(rhs.shape, np.nan))
