@@ -15,7 +15,6 @@ memory (each a one-line message, see _FAILURES), 3 a requested check failed.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import glob
 import itertools
@@ -126,6 +125,12 @@ def _write_json(path: str, record: dict) -> None:
         fh.write("\n")
 
 
+def _write_table(path: str, rows) -> None:
+    """Write rows, the header first, as the CSV file at path."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(config_io.table_text(rows))
+
+
 def _run_stats(result: solver.RunResult, wall_s: float) -> dict:
     """The run_stats.json record: why the run took the steps it did, and what they cost."""
     return {
@@ -149,20 +154,20 @@ def _execute_run(cfg: RunConfig, out_dir: str):
     with open(os.path.join(out_dir, "config.cfg"), "w", encoding="ascii") as fh:
         fh.write(config_io.serialize_config(cfg))
 
-    writer = config_io.HistoryCsvWriter(os.path.join(out_dir, "history.csv"))
-    emitted = [0]
+    with open(os.path.join(out_dir, "history.csv"), "w", encoding="ascii") as history:
+        history.write(config_io.table_text([diagnostics.HISTORY_COLUMNS]))
+        emitted = [0]
 
-    def emit(s: StateQuad, row) -> None:
-        writer(row)
-        config_io.write_snapshot(os.path.join(out_dir, SNAPSHOT_PATTERN % emitted[0]), s)
-        emitted[0] += 1
+        def emit(s: StateQuad, row) -> None:
+            # each row is on disk once it is emitted, so a run that fails keeps the rows it wrote
+            history.write(config_io.table_text([row]))
+            history.flush()
+            config_io.write_snapshot(os.path.join(out_dir, SNAPSHOT_PATTERN % emitted[0]), s)
+            emitted[0] += 1
 
-    t0 = time.perf_counter()
-    try:
+        t0 = time.perf_counter()
         result = solver.run(initial, cfg.model, cfg.solver, emit=emit)
-    finally:
-        writer.close()
-    wall_s = time.perf_counter() - t0
+        wall_s = time.perf_counter() - t0
     _write_json(os.path.join(out_dir, "run_stats.json"), _run_stats(result, wall_s))
     return result, initial
 
@@ -256,48 +261,33 @@ def cmd_verify(args) -> int:
     params = cfg.model
     front_ok = 1.0 <= params.delta < params.m
 
-    lower = None
+    lower = upper = None
     if sup0 <= 0.0:
-        notes.append("lower skipped: initial density is empty")
-    elif not (front_ok and params.mu > 0.0):
-        notes.append("lower skipped: needs growth (mu > 0) and 1 <= delta < m")
+        notes += ["lower skipped: initial density is empty", "upper skipped: initial density is empty"]
     else:
-        seed_height = min(0.5, 0.5 * sup0)
-        seed_radius = _seed_ball_radius(u0, x0, seed_height)
-        lower = profiles.select_lower_profile(
-            params.m,
-            grid.dim,
-            params.mu,
-            params.delta,
-            seed_radius,
-            seed_height,
-            grid.diameter(),
-            c1,
-            c2,
-            x0,
-        )
-        print(
-            "verify: lower profile amplitude=%.6g spread=%.6g rate=%.6g seed_r=%.4g"
-            % (lower.amplitude, lower.spread_exp, lower.rate_exp, seed_radius)
-        )
+        if not (front_ok and params.mu > 0.0):
+            notes.append("lower skipped: needs growth (mu > 0) and 1 <= delta < m")
+        else:
+            seed_height = min(0.5, 0.5 * sup0)
+            seed_radius = _seed_ball_radius(u0, x0, seed_height)
+            lower = profiles.select_lower_profile(
+                params.m, grid.dim, params.mu, params.delta, seed_radius, seed_height, grid.diameter(), c1, c2, x0
+            )
+            print(
+                "verify: lower profile amplitude=%.6g spread=%.6g rate=%.6g seed_r=%.4g"
+                % (lower.amplitude, lower.spread_exp, lower.rate_exp, seed_radius)
+            )
 
-    upper = None
-    if sup0 <= 0.0:
-        notes.append("upper skipped: initial density is empty")
-    elif not front_ok:
-        notes.append("upper skipped: needs 1 <= delta < m")
-    else:
-        r0 = diagnostics.support_radius(u0, x0)
-        wall = _wall_distance(grid, x0)
-        if not (0.0 < r0 < wall):
+        r0, wall = diagnostics.support_radius(u0, x0), _wall_distance(grid, x0)
+        if not front_ok:
+            notes.append("upper skipped: needs 1 <= delta < m")
+        elif not (0.0 < r0 < wall):
             notes.append(
-                "upper skipped: initial support (r0=%.4g) leaves no margin to the boundary (%.4g)"
-                % (r0, wall)
+                "upper skipped: initial support (r0=%.4g) leaves no margin to the boundary (%.4g)" % (r0, wall)
             )
         else:
-            r1 = 0.5 * (r0 + wall)
             upper = profiles.select_upper_profile(
-                params.m, params.mu, params.delta, r0, r1, sup0, c1, c2, x0
+                params.m, params.mu, params.delta, r0, 0.5 * (r0 + wall), sup0, c1, c2, x0
             )
             print(
                 "verify: upper profile amplitude=%.6g shift=%.6g valid for t<=%.6g"
@@ -322,6 +312,7 @@ def cmd_verify(args) -> int:
         print("verify: note: %s" % note)
 
     rows = [
+        ("metric", "value"),
         ("mass_drift", audit.drift),
         ("mass_relative", 1.0 if audit.relative else 0.0),
         ("c1", c1),
@@ -338,10 +329,7 @@ def cmd_verify(args) -> int:
         ("checked_lower", float(report.checked_lower)),
         ("checked_upper", float(report.checked_upper)),
     ]
-    with open(os.path.join(run_dir, "verify_report.csv"), "w", encoding="ascii") as fh:
-        fh.write("metric,value\n")
-        for name, value in rows:
-            fh.write("%s,%.17g\n" % (name, value))
+    _write_table(os.path.join(run_dir, "verify_report.csv"), rows)
 
     return EXIT_OK if (mass_ok and sandwich_ok) else EXIT_VIOLATION
 
@@ -350,8 +338,8 @@ def cmd_verify(args) -> int:
 
 
 def _sweep_worker(job):
-    """One case's manifest cells (final_t, steps, final_sup_u, then its fits) and fit's skip lines, or the message
-    its run failed with.
+    """One case's manifest cells (final_t, steps, final_sup_u, then its fits, None where skipped) and fit's skip
+    lines, or the message its run failed with.
 
     A failing case returns its error instead of raising, so the other cases
     and the manifest survive it.  A fit that is skipped leaves its cell
@@ -363,12 +351,11 @@ def _sweep_worker(job):
         # the front fit stops short of the wall, where the pinned radius would flatten it
         x0 = solver.peak_coordinate(initial.u)
         front_cap = 0.95 * (_wall_distance(cfg.grid, x0) - cfg.grid.h)
-        lines, values, skips = _fit_history(result.history, front_cap=front_cap)
-        _write_fits(out_dir, lines)
+        rows, values, skips = _fit_history(result.history, front_cap=front_cap)
+        _write_table(os.path.join(out_dir, "fits.csv"), rows)
     except _CASE_FAILURES as exc:
         return "%s: %s" % (type(exc).__name__, exc)
-    cells = ["%.17g" % result.final.t, "%d" % result.steps, "%.17g" % float(np.max(result.final.u.values))]
-    cells += ["" if value is None else "%.17g" % value for value in values.values()]
+    cells = [result.final.t, result.steps, float(np.max(result.final.u.values))] + list(values.values())
     return cells, ["%s: %s" % (out_dir, line) for line in skips]
 
 
@@ -406,19 +393,18 @@ def cmd_sweep(args) -> int:
 
     fitted = list(_fitted(diagnostics.HISTORY_COLUMNS))
     failed = 0
-    with open(os.path.join(base_out, "manifest.csv"), "w", encoding="ascii", newline="") as fh:
-        rows = csv.writer(fh, lineterminator="\n")
-        rows.writerow(["case", "dir"] + keys + ["final_t", "steps", "final_sup_u"] + fitted + ["status"])
-        for idx, (combo, result) in enumerate(zip(combos, results)):
-            if isinstance(result, str):
-                failed += 1
-                cells, status = [""] * (3 + len(fitted)), "failed: " + result
-            else:
-                cells, skips = result
-                status = "ok"
-                for line in skips:
-                    print(line, file=sys.stderr)
-            rows.writerow([idx, "case_%04d" % idx] + ["%.17g" % v for v in combo] + cells + [status])
+    rows = [["case", "dir"] + keys + ["final_t", "steps", "final_sup_u"] + fitted + ["status"]]
+    for idx, (combo, result) in enumerate(zip(combos, results)):
+        if isinstance(result, str):
+            failed += 1
+            cells, status = [None] * (3 + len(fitted)), "failed: " + result
+        else:
+            cells, skips = result
+            status = "ok"
+            for line in skips:
+                print(line, file=sys.stderr)
+        rows.append([idx, "case_%04d" % idx] + list(combo) + cells + [status])
+    _write_table(os.path.join(base_out, "manifest.csv"), rows)
     print("sweep: %d cases under %s (manifest.csv written)" % (len(combos), base_out))
     if failed:
         print("sweep: %d of %d cases failed; see the status column of manifest.csv" % (failed, len(combos)),
@@ -443,13 +429,14 @@ def _fitted(names) -> dict:
 
 
 def _fit_history(cols: dict, t_min=None, front_cap=None):
-    """fits.csv's lines for the fitted columns of cols against cols["t"], each fitted column's exponent or rate
-    (None when skipped), and fit's stderr line for each skipped column.
+    """fits.csv's rows, header first, for the fitted columns of cols against cols["t"], each fitted column's
+    exponent or rate (None when skipped), and fit's stderr line for each skipped column.
 
     With front_cap, the front fit drops the rows whose support radius is at
     or beyond it, and its skip line says how many rows that dropped.
     """
-    lines, values, skips = ["column,kind,exponent_or_rate,prefactor,r_squared,stderr,samples"], {}, []
+    header = ("column", "kind", "exponent_or_rate", "prefactor", "r_squared", "stderr", "samples")
+    rows, values, skips = [header], {}, []
     t = cols["t"]
     for name, (kind, fitter) in _fitted(cols).items():
         keep, at_wall = slice(None), ""
@@ -465,14 +452,8 @@ def _fit_history(cols: dict, t_min=None, front_cap=None):
         # each fit record holds (exponent or rate, prefactor, r_squared, stderr, samples), the columns after kind
         record = dataclasses.astuple(fit)
         values[name] = record[0]
-        lines.append("%s,%s,%.17g,%.17g,%.17g,%.17g,%d" % ((name, kind) + record))
-    return lines, values, skips
-
-
-def _write_fits(out_dir: str, lines) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "fits.csv"), "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        rows.append((name, kind) + record)
+    return rows, values, skips
 
 
 def cmd_fit(args) -> int:
@@ -482,15 +463,15 @@ def cmd_fit(args) -> int:
     cols = config_io.read_csv_columns(args.csv)
     if "t" not in cols:
         raise _UsageError("CSV %s has no 't' column" % args.csv)
-    lines, values, skips = _fit_history(cols, args.t_min)
+    rows, values, skips = _fit_history(cols, args.t_min)
     if not values:
         raise _UsageError("CSV %s has no column to fit; fit reads 't' with 'support_radius' or 'norm_*'" % args.csv)
     for line in skips:
         print(line, file=sys.stderr)
-    for line in lines:
-        print(line)
+    sys.stdout.write(config_io.table_text(rows))
     if args.out is not None:
-        _write_fits(args.out, lines)
+        os.makedirs(args.out, exist_ok=True)
+        _write_table(os.path.join(args.out, "fits.csv"), rows)
     if all(value is None for value in values.values()):
         print("fit: no column had enough usable samples", file=sys.stderr)
         return EXIT_NUMERIC
@@ -527,11 +508,10 @@ def cmd_lattice(args) -> int:
     centers = lat.bins().axis_centers(0)  # both CSVs write these centres
     os.makedirs(out_dir, exist_ok=True)
     run = lattice_mod.run_ensemble(lat, m, base_seed)
-    with open(os.path.join(out_dir, "ensemble.csv"), "w", encoding="ascii") as fh:
-        fh.write("seed,time,bin,center,density\n")
-        for i, row in enumerate(run.density):
-            for b, (x, val) in enumerate(zip(centers, row)):
-                fh.write("%d,%.17g,%d,%.17g,%.17g\n" % (base_seed + i, run.t, b, x, val))
+    rows = [("seed", "time", "bin", "center", "density")]
+    for i, density in enumerate(run.density):
+        rows += [(base_seed + i, run.t, b, x, val) for b, (x, val) in enumerate(zip(centers, density))]
+    _write_table(os.path.join(out_dir, "ensemble.csv"), rows)
     _write_json(os.path.join(out_dir, "lattice_stats.json"), _lattice_stats(run, base_seed))
     mean = run.density.mean(axis=0)
     print(
@@ -545,10 +525,11 @@ def cmd_lattice(args) -> int:
     twin = lattice_mod.continuum_twin(lat, m)
     diff = np.abs(mean - twin.values)
     l1 = float(np.sum(diff)) * twin.grid.cell_volume
-    with open(os.path.join(out_dir, "compare.csv"), "w", encoding="ascii") as fh:
-        fh.write("bin,center,lattice_mean,continuum,abs_diff\n")
-        for b, x in enumerate(centers):
-            fh.write("%d,%.17g,%.17g,%.17g,%.17g\n" % (b, x, mean[b], twin.values[b], diff[b]))
+    _write_table(
+        os.path.join(out_dir, "compare.csv"),
+        [("bin", "center", "lattice_mean", "continuum", "abs_diff")]
+        + [(b, x, mean[b], twin.values[b], diff[b]) for b, x in enumerate(centers)],
+    )
     print("lattice: L1 distance to continuum run %.6g (compare.csv written)" % l1)
     if args.tol_l1 is not None and l1 > args.tol_l1:
         print("lattice: L1 %.6g exceeds tolerance %.6g" % (l1, args.tol_l1), file=sys.stderr)

@@ -36,6 +36,7 @@ the header's grid.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import io
 import math
@@ -44,7 +45,6 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .diagnostics import HISTORY_COLUMNS
 from .lattice import LatticeConfig
 from .model import (
     ConstantSensitivity,
@@ -72,6 +72,7 @@ __all__ = [
     "write_snapshot",
     "read_snapshot",
     "read_csv_columns",
+    "table_text",
 ]
 
 SNAPSHOT_MAGIC = "DCSIM1"
@@ -605,19 +606,14 @@ def read_snapshot(path: str, grid: Grid) -> StateQuad:
 # --- CSV --------------------------------------------------------------------
 
 
-class HistoryCsvWriter:
-    """Streaming history CSV writer: the header, then one %.17g row per call."""
-
-    def __init__(self, path: str):
-        self._fh = open(path, "w", encoding="ascii", newline="\n")
-        self._fh.write(",".join(HISTORY_COLUMNS) + "\n")
-
-    def __call__(self, row) -> None:
-        self._fh.write(",".join("%.17g" % x for x in row) + "\n")
-        self._fh.flush()
-
-    def close(self) -> None:
-        self._fh.close()
+def table_text(rows) -> str:
+    """The CSV lines of rows, under the one cell rule of every table the CLI writes: a float cell is written %.17g,
+    an int %d, None empty, and text as it is, quoted by csv.writer when it holds a comma, a quote or a line break."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        ["%.17g" % c if isinstance(c, float) else "%d" % c if isinstance(c, int) else c for c in row] for row in rows
+    )
+    return buf.getvalue()
 
 
 def read_csv_columns(path: str) -> dict:

@@ -7,9 +7,10 @@ finite-volume solver, so it can serve as an oracle for it.  Three families:
 * compactly supported sub/super profiles
       g(x, t) = amplitude * (shift + t)**(sign * rate_exp)
                 * max(support_scale - |x - center|^2 / (shift + t)**spread_exp, 0)**shape_exp
-  whose parameters are picked so that g bounds the cell density from below
-  (all times) or from above (a short initial window); each profile carries
-  the end of its window as valid_until,
+  whose parameters are picked in closed form, each bound compared by its
+  log, so that g bounds the cell density from below (all times) or from
+  above (a short initial window); each profile carries the end of its
+  window as valid_until,
 * the scalar comparison ODE g' = C e^{-c t} g^m with an explicit blow-up
   dichotomy.
 """
@@ -17,6 +18,7 @@ finite-volume solver, so it can serve as an oracle for it.  Three families:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,12 +143,12 @@ def select_lower_profile(
 
     The density must dominate seed_height on the ball of seed_radius around
     center at t = 0; c1 and c2 bound the attractant gradient and Laplacian
-    over the run; diam is the domain diameter.  The amplitude is the minimum
-    of four closed-form branches and the spread exponent is
-    4 * amplitude^{m-1} * m/(m-1), capped just below 1/2 (the cap keeps the
-    strict-inequality hypothesis while the formula can land exactly on 1/2;
-    a smaller spread only relaxes the remaining inequalities).
-    Requires 1 <= delta < m and mu > 0.
+    over the run; diam is the domain diameter.  The amplitude is the least
+    of four closed-form branches, compared by their logs, and the spread
+    exponent is 4 * amplitude^{m-1} * m/(m-1), capped just below 1/2 (the
+    cap keeps the strict-inequality hypothesis while the formula can land
+    exactly on 1/2; a smaller spread only relaxes the remaining
+    inequalities).  Requires 1 <= delta < m and mu > 0.
     """
     if not (m > 1.0):
         raise ValueError("m must be > 1, got %g" % m)
@@ -160,21 +162,20 @@ def select_lower_profile(
         raise ValueError("seed_radius and diam must be positive")
     if not (c1 > 0.0 and c2 > 0.0):
         raise ValueError("gradient bounds c1, c2 must be positive")
-    eta = seed_radius * seed_radius
-    eps = min(lower_profile_branches(m, n, mu, delta, seed_radius, seed_height, diam, c1, c2))
-    beta = min(4.0 * eps ** (m - 1.0) * m / (m - 1.0), 0.499)
-    if not (eps > 0.0 and beta > 0.0):
-        # a large m drives a branch's 8m(m-1) past the float range, or the spread below it
+    branches = lower_profile_branches(m, n, mu, delta, seed_radius, seed_height, diam, c1, c2)
+    log_eps, amplitude = min(branches, key=lambda branch: branch[0])
+    if not _in_float_range(log_eps, (m - 1.0) * log_eps):
         raise ConstructionError(
-            "no lower profile at m=%g: amplitude %g and spread %g must both be > 0" % (m, eps, beta)
+            "no lower profile at m=%g: amplitude e^%.6g or its power m-1 leaves the float range" % (m, log_eps)
         )
-    kappa = (1.0 - beta) / (m - 1.0)
+    eps = amplitude()
+    beta = min(4.0 * eps ** (m - 1.0) * m / (m - 1.0), 0.499)
     return ProfileParams(
         kind="lower",
         amplitude=eps,
-        support_scale=eta,
+        support_scale=seed_radius * seed_radius,
         spread_exp=beta,
-        rate_exp=kappa,
+        rate_exp=(1.0 - beta) / (m - 1.0),
         time_shift=1.0,
         center=center,
         m=m,
@@ -182,13 +183,17 @@ def select_lower_profile(
 
 
 def lower_profile_branches(m, n, mu, delta, seed_radius, seed_height, diam, c1, c2):
-    """The four amplitude branches of the sub-profile; select_lower_profile takes their minimum."""
+    """The sub-profile's four amplitude branches as (natural log, function evaluating it) pairs; select_lower_profile
+    evaluates only the branch of least log, as another may leave the float range."""
     d = 1.0 / (m - 1.0)
     return (
-        (1.0 / (8.0 * n * m)) ** d,
-        (1.0 / (8.0 * m * (m - 1.0) * c1 * diam)) ** d,
-        seed_height / seed_radius ** (2.0 * d),
-        (mu / (2.0 * c2)) ** (1.0 / (m - delta)),
+        (-d * math.log(8.0 * n * m), lambda: (1.0 / (8.0 * n * m)) ** d),
+        (
+            -d * (math.log(8.0 * m * c1 * diam) + math.log(m - 1.0)),
+            lambda: (1.0 / (8.0 * m * (m - 1.0) * c1 * diam)) ** d,
+        ),
+        (math.log(seed_height) - 2.0 * d * math.log(seed_radius), lambda: seed_height / seed_radius ** (2.0 * d)),
+        ((math.log(mu) - math.log(2.0 * c2)) / (m - delta), lambda: (mu / (2.0 * c2)) ** (1.0 / (m - delta))),
     )
 
 
@@ -209,11 +214,20 @@ def select_upper_profile(
     at most sup_height, and the ball of radius r1 > r0 stays inside the
     domain.  Both spread and rate exponents equal 1; the amplitude makes the
     profile exactly sup_height on the edge of the r0 ball at t = 0.  The time
-    shift tau is found by halving from 0.5 until three sufficient
-    inequalities hold over the validity window (they are all increasing in
-    tau, so halving terminates); below 1e-8 the construction gives up.
+    shift tau is the largest power of two, at most 1/2, that meets three
+    sufficient inequalities over the validity window [0, t0], t0 being the
+    profile's valid_until.  With d = 1/(m-1), r2 = (r0+r1)/2, gap = r2^2 -
+    r0^2 and the window's far end tau + t0 = k tau, each inequality reads
+    tau <= B_i, in logs:
 
-    The end t0 of the validity window is the profile's valid_until.
+        log B1 = log((m-1) gap/(8m)) - (m-1)(log sup + log k)
+        log B2 = log(2/(3 coeff)) - (m-1) log A - m log k
+        log B3 = -log(3 mu) - (delta-1) log A - delta log k   (none when mu = 0)
+
+    where A = sup (r2^2/gap)^d is the product eps tau eta^d, the same at
+    every tau, and coeff = c2 + (m + A)^2 c1^2 m.  Below 1e-8 the
+    construction gives up, and so it does when coeff or the amplitude at
+    tau leaves the float range.
     """
     if not (m > 1.0):
         raise ValueError("m must be > 1, got %g" % m)
@@ -227,44 +241,50 @@ def select_upper_profile(
         raise ValueError("gradient bounds c1, c2 must be positive")
 
     d = 1.0 / (m - 1.0)
-    beta = 1.0
-    sigma = 1.0
     r2 = 0.5 * (r0 + r1)
     gap = r2 * r2 - r0 * r0
-
-    tau = 0.5
-    while tau >= 1e-8:
-        eta = r2 * r2 / tau ** beta
-        eps = sup_height / (tau ** (sigma - d * beta) * gap ** d)
-        t0 = min(tau, tau * ((r1 / r2) ** (2.0 / beta) - 1.0))
-        s = tau + t0  # all three bounds are monotone in tau + t, check the far end
-        try:
-            coeff = c2 + (m + eps * tau ** sigma * eta ** d) ** 2 * c1 * c1 * m
-            ok = (
-                (m - 1.0) * beta >= 8.0 * m * eps ** (m - 1.0) * s ** ((m - 1.0) * sigma - beta + 1.0)
-                and 2.0 * sigma / 3.0 >= coeff * eps ** (m - 1.0) * s ** ((m - 1.0) * sigma + 1.0) * eta
-                and sigma / 3.0
-                >= mu * eps ** (delta - 1.0) * s ** ((delta - 1.0) * sigma + 1.0) * eta ** (d * (delta - 1.0))
-            )
-        except OverflowError:  # a right-hand side past the float range is not met
-            ok = False
-        if ok:
-            return ProfileParams(
-                kind="upper",
-                amplitude=eps,
-                support_scale=eta,
-                spread_exp=beta,
-                rate_exp=sigma,
-                time_shift=tau,
-                center=center,
-                m=m,
-                valid_until=t0,
-            )
-        tau *= 0.5
-    raise ConstructionError(
-        "no admissible time shift above 1e-8 for m=%g r0=%g r1=%g sup=%g c1=%g c2=%g"
-        % (m, r0, r1, sup_height, c1, c2)
+    stretch = (r1 / r2) ** 2.0 - 1.0  # t0 = tau * min(1, stretch)
+    log_sup, log_gap, log_k = math.log(sup_height), math.log(gap), math.log1p(min(1.0, stretch))
+    log_a = log_sup + d * (2.0 * math.log(r2) - log_gap)
+    log_coeff = np.logaddexp(math.log(c2), 2.0 * np.logaddexp(math.log(m), log_a) + 2.0 * math.log(c1) + math.log(m))
+    log_bound = min(
+        math.log((m - 1.0) / (8.0 * m)) + log_gap - (m - 1.0) * (log_sup + log_k),
+        math.log(2.0 / 3.0) - log_coeff - (m - 1.0) * log_a - m * log_k,
+        -math.log(3.0 * mu) - (delta - 1.0) * log_a - delta * log_k if mu > 0.0 else math.inf,
     )
+    # tau = 2^-ceil(p), the largest power of two at or below every bound, is at least 1e-8 while p <= 26
+    p = -log_bound / math.log(2.0)
+    if not p <= 26.0:  # a nan bound admits no tau either
+        raise ConstructionError(
+            "no admissible time shift above 1e-8 for m=%g r0=%g r1=%g sup=%g c1=%g c2=%g"
+            % (m, r0, r1, sup_height, c1, c2)
+        )
+    tau = 2.0 ** -math.ceil(max(p, 1.0))
+    powers = ((1.0 - d) * math.log(tau), d * log_gap)
+    if not _in_float_range(log_coeff, *powers, sum(powers), log_sup - sum(powers)):
+        raise ConstructionError(
+            "no upper profile at m=%g: coeff or the amplitude at time shift %g leaves the float range" % (m, tau)
+        )
+    return ProfileParams(
+        kind="upper",
+        amplitude=sup_height / (tau ** (1.0 - d) * gap ** d),
+        support_scale=r2 * r2 / tau,
+        spread_exp=1.0,
+        rate_exp=1.0,
+        time_shift=tau,
+        center=center,
+        m=m,
+        valid_until=min(tau, tau * stretch),
+    )
+
+
+# the natural logs of the least positive and the largest float, each pulled in by a margin far above the rounding
+# of a computed log: a power, product or quotient whose log lies between them is a positive finite float
+_LOG_FLOATS = (math.log(math.ulp(0.0)) + 1e-9, math.log(sys.float_info.max) - 1e-9)
+
+
+def _in_float_range(*logs) -> bool:
+    return all(_LOG_FLOATS[0] < x < _LOG_FLOATS[1] for x in logs)
 
 
 # --- comparison ODE ---------------------------------------------------------

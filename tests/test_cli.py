@@ -198,6 +198,26 @@ class TestRunCommand:
         assert stats["clipped_mass"] == sum(clipped)
         assert "run: clipped negative mass %.3e" % sum(clipped) in capsys.readouterr().out
 
+    def test_a_failed_run_keeps_every_history_row_it_emitted(self, tmp_path, monkeypatch):
+        # each history row is on disk, exactly, once it is emitted: the third snapshot write fails the run
+        cfg = tmp_path / "every_step.cfg"
+        cfg.write_text(TINY_CFG.replace("output_stride = 100", "output_stride = 1"))
+        real_write = config_io.write_snapshot
+        emitted = []
+
+        def write_then_fail(path, state):
+            history = config_io.read_csv_columns(str(tmp_path / "out" / "history.csv"))
+            emitted.append(state.t)
+            assert list(history["t"]) == emitted
+            if len(emitted) == 3:
+                raise solver.SimulationError("stopped after three rows")
+            real_write(path, state)
+
+        monkeypatch.setattr(config_io, "write_snapshot", write_then_fail)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert len(emitted) == 3
+        assert len((tmp_path / "out" / "history.csv").read_text().splitlines()) == 4
+
     def test_run_stats_of_a_zero_length_run(self, tmp_path):
         cfg = tmp_path / "still.cfg"
         cfg.write_text(TINY_CFG.replace("t_end = 0.05", "t_end = 0.0"))
@@ -536,21 +556,47 @@ class TestVerifyCommand:
     def test_non_run_directory_is_usage_error(self, tmp_path):
         assert main(["verify", "--out", str(tmp_path)]) == 1
 
-    @pytest.mark.parametrize("m, mu", [("200", "1.0"), ("600", "1.0"), ("1e300", "1.0"), ("1e300", "0.0")])
-    def test_envelope_out_of_float_range_is_one_line_naming_m(self, tmp_path, capsys, m, mu):
-        # the reference bump to t = 0.25: at m = 200 the upper profile's eps^(m-1) leaves the float range
-        # before its time shift is admissible, at 600 the lower spread underflows, and at 1e300 8m(m-1) overflows
-        cfg = tmp_path / "large_m.cfg"
+    @staticmethod
+    def _large_or_small_m_run(tmp_path, capsys, m, mu):
+        # the reference bump to t = 0.25 at another m and mu
+        cfg = tmp_path / "other_m.cfg"
         cfg.write_text(
             RUN_CFG.replace("t_end = 1.0", "t_end = 0.25").replace("m = 2.0", "m = " + m).replace("mu = 1.0", "mu = " + mu)
         )
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         capsys.readouterr()
+        return out
+
+    @pytest.mark.parametrize(
+        "m, mu",
+        [
+            ("1.0001", "0.0"),
+            ("1.0001", "1.0"),
+            ("1.01", "0.0"),
+            ("1.01", "1.0"),
+            ("600", "1.0"),
+            ("1e300", "1.0"),
+            ("1e300", "0.0"),
+        ],
+    )
+    def test_envelope_out_of_float_range_is_one_line_naming_m(self, tmp_path, capsys, m, mu):
+        # near m = 1 the amplitudes' powers 1/(m-1) leave the float range, at 600 the lower spread underflows,
+        # and at 1e300 the lower spread and the upper profile's coeff, about c1^2 m^3, do
+        out = self._large_or_small_m_run(tmp_path, capsys, m, mu)
         assert main(["verify", "--out", str(out)]) == 2
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("numerical failure: ") and "m=%g" % float(m) in line
         assert "np.float64" not in line
+
+    def test_upper_envelope_at_m_200_is_built_and_holds(self, tmp_path, capsys):
+        # the three inequalities first hold together at shift 2^-9, where eps^(m-1) alone is past the float range
+        out = self._large_or_small_m_run(tmp_path, capsys, "200", "1.0")
+        assert main(["verify", "--out", str(out)]) == 0
+        assert "verify: upper profile amplitude=" in capsys.readouterr().out
+        report = dict(ln.split(",") for ln in (out / "verify_report.csv").read_text().splitlines()[1:])
+        assert float(report["upper_shift"]) == 2.0**-9
+        assert report["violation_count"] == "0"
 
 
 # --- fit --------------------------------------------------------------------

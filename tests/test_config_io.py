@@ -11,7 +11,6 @@ from chemofront.config_io import (
     BumpInit,
     ConfigError,
     ConstantInit,
-    HistoryCsvWriter,
     RunConfig,
     SnapshotError,
     SnapshotInit,
@@ -22,6 +21,7 @@ from chemofront.config_io import (
     read_csv_columns,
     read_snapshot,
     serialize_config,
+    table_text,
     write_snapshot,
 )
 from chemofront.diagnostics import HISTORY_COLUMNS
@@ -753,10 +753,8 @@ def sample_rows(rows=5):
 
 
 def write_rows(path, rows):
-    writer = HistoryCsvWriter(path)
-    for row in rows:
-        writer(row)
-    writer.close()
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(table_text([HISTORY_COLUMNS] + rows))
 
 
 class TestHistoryCsv:
@@ -801,15 +799,15 @@ class TestHistoryCsv:
         with pytest.raises(ConfigError, match=fragment):
             read_csv_columns(str(path))
 
-    def test_streaming_writer_keeps_every_row_before_close(self, tmp_path):
-        # a run that fails keeps the rows it wrote: each row is on disk, exactly, once the call returns
-        rows = sample_rows()
-        path = str(tmp_path / "stream.csv")
-        writer = HistoryCsvWriter(path)
-        try:
-            for n, row in enumerate(rows, start=1):
-                writer(row)
-                back = read_csv_columns(path)
-                assert [tuple(back[name][i] for name in HISTORY_COLUMNS) for i in range(n)] == rows[:n]
-        finally:
-            writer.close()
+    def test_table_cells_follow_one_rule(self):
+        rows = [
+            ("name", "value"),
+            (0.1, np.float64(2.0) / 3.0),
+            (7, np.float64("nan")),
+            (None, -0.0),
+            ("failed: ValueError: a, b", 'say "no"'),
+        ]
+        assert table_text(rows) == (
+            "name,value\n0.10000000000000001,0.66666666666666663\n7,nan\n,-0\n"
+            '"failed: ValueError: a, b","say ""no"""\n'
+        )

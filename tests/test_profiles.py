@@ -126,6 +126,68 @@ def test_upper_selection_gives_up_when_squeezed():
         )
 
 
+def _upper_inequality_excess(m, mu, delta, r0, r1, sup_height, c1, c2, tau):
+    """log(lhs / rhs) of each of the upper profile's three sufficient inequalities at time shift tau, from eps, eta
+    and the window's far end s written out; an inequality holds where its excess is <= 0.
+
+        (m-1) beta >= 8 m eps^(m-1) s^((m-1) sigma - beta + 1)
+        2 sigma / 3 >= coeff eps^(m-1) s^((m-1) sigma + 1) eta,  coeff = c2 + (m + eps tau^sigma eta^d)^2 c1^2 m
+        sigma / 3 >= mu eps^(delta-1) s^((delta-1) sigma + 1) eta^(d (delta-1))
+
+    with beta = sigma = 1 and d = 1/(m-1).
+    """
+    d = 1.0 / (m - 1.0)
+    r2 = 0.5 * (r0 + r1)
+    gap = r2 * r2 - r0 * r0
+    log_eps = math.log(sup_height) - (1.0 - d) * math.log(tau) - d * math.log(gap)
+    log_eta = 2.0 * math.log(r2) - math.log(tau)
+    log_s = math.log(tau + min(tau, tau * ((r1 / r2) ** 2 - 1.0)))
+    log_inner = log_eps + math.log(tau) + d * log_eta
+    log_bracket = np.logaddexp(math.log(m), log_inner)
+    log_coeff = np.logaddexp(math.log(c2), 2.0 * log_bracket + 2.0 * math.log(c1) + math.log(m))
+    return (
+        math.log(8.0 * m) + (m - 1.0) * (log_eps + log_s) - math.log(m - 1.0),
+        log_coeff + (m - 1.0) * log_eps + m * log_s + log_eta - math.log(2.0 / 3.0),
+        (
+            math.log(mu) + (delta - 1.0) * (log_eps + d * log_eta) + delta * log_s + math.log(3.0)
+            if mu > 0.0
+            else -math.inf
+        ),
+    )
+
+
+@given(
+    m=st.floats(min_value=1.0, max_value=50.0, exclude_min=True),
+    delta_frac=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    mu=st.one_of(st.just(0.0), st.floats(min_value=1e-2, max_value=1e2)),
+    r0=st.floats(min_value=0.05, max_value=2.0),
+    spread=st.floats(min_value=0.1, max_value=5.0),
+    sup_height=st.floats(min_value=1e-2, max_value=2.0),
+    c1=st.floats(min_value=1e-4, max_value=1.0),
+    c2=st.floats(min_value=1e-4, max_value=1.0),
+)
+@settings(max_examples=400, deadline=None)
+def test_upper_time_shift_is_the_largest_power_of_two_meeting_every_inequality(
+    m, delta_frac, mu, r0, spread, sup_height, c1, c2
+):
+    delta = 1.0 + delta_frac * (m - 1.0)
+    assume(delta < m)
+    r1 = r0 * (1.0 + spread)
+    args = (m, mu, delta, r0, r1, sup_height, c1, c2)
+    tol = 1e-9
+    try:
+        tau = select_upper_profile(*args, center=(0.0,)).time_shift
+    except ConstructionError as exc:
+        assert "m=%g" % m in str(exc)
+        if "time shift above 1e-8" in str(exc):
+            assert max(_upper_inequality_excess(*args, 2.0**-26)) > -tol
+        return
+    assert tau == 2.0 ** round(math.log2(tau)) and 2.0**-26 <= tau <= 0.5
+    assert max(_upper_inequality_excess(*args, tau)) <= tol
+    if tau < 0.5:
+        assert max(_upper_inequality_excess(*args, 2.0 * tau)) > -tol
+
+
 def test_selection_input_validation():
     with pytest.raises(ValueError):
         select_lower_profile(2.0, 1, 0.0, 1.0, 1.0, 0.5, 1.0, 1.0, 1.0, (0.0,))
@@ -156,8 +218,9 @@ def test_lower_selection_satisfies_every_branch(
     assume(delta < m)
     p = select_lower_profile(m, n, mu, delta, seed_radius, seed_height, diam, c1, c2, (0.0,))
     branches = lower_profile_branches(m, n, mu, delta, seed_radius, seed_height, diam, c1, c2)
-    for b in branches:
-        assert p.amplitude <= b * (1.0 + 1e-12)
+    for log_b, value in branches:
+        assert p.amplitude <= value() * (1.0 + 1e-12)
+        assert math.log(value()) == pytest.approx(log_b, rel=1e-12, abs=1e-12)
     assert 0.0 < p.spread_exp <= 0.499
     assert p.rate_exp == pytest.approx((1.0 - p.spread_exp) / (m - 1.0))
     # never taller than the seed it sits under
