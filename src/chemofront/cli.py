@@ -144,15 +144,28 @@ def _run_stats(result: solver.RunResult, wall_s: float) -> dict:
     }
 
 
+def _remove_stale(out_dir: str, *patterns) -> None:
+    """Delete the files of out_dir that match patterns: an earlier command's output that this one may not rewrite."""
+    for pattern in patterns:
+        for path in glob.glob(os.path.join(glob.escape(out_dir), pattern)):
+            os.remove(path)
+
+
 def _execute_run(cfg: RunConfig, out_dir: str):
     """Integrate cfg and write config.cfg, history.csv, snapshots and run_stats.json to out_dir.
 
+    A run directory holds one run: an earlier run's snapshots, verify report
+    and fits go first, so that verify and fit never read them with this one's.
     Returns the run's result and its initial state.
     """
     initial = config_io.build_initial_state(cfg)
+    if not cfg.out_dir.isascii():
+        # config.cfg records the directory, and it is written and read as ASCII
+        raise ConfigError("output dir %r is not ASCII, as config.cfg must be" % cfg.out_dir)
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.cfg"), "w", encoding="ascii") as fh:
         fh.write(config_io.serialize_config(cfg))
+    _remove_stale(out_dir, "snap_*.bin", "verify_report.csv", "fits.csv")
 
     with open(os.path.join(out_dir, "history.csv"), "w", encoding="ascii") as history:
         history.write(config_io.table_text([diagnostics.HISTORY_COLUMNS]))
@@ -201,7 +214,7 @@ def _load_run_dir(run_dir: str):
     if not os.path.exists(cfg_path):
         raise _UsageError("%s has no config.cfg; is it a run directory?" % run_dir)
     cfg = config_io.parse_config_file(cfg_path)
-    paths = sorted(glob.glob(os.path.join(run_dir, "snap_*.bin")))
+    paths = sorted(glob.glob(os.path.join(glob.escape(run_dir), "snap_*.bin")))
     if not paths:
         raise _UsageError("%s holds no snapshots" % run_dir)
     return cfg, [config_io.read_snapshot(p, cfg.grid) for p in paths]
@@ -417,12 +430,10 @@ def cmd_sweep(args) -> int:
 
 
 def _fitted(names) -> dict:
-    """The fitted columns among names, each with its (kind, fitter): the front radius grows as a power law, the
-    norms relax exponentially."""
-    power_law = ("power_law", diagnostics.fit_power_law)
-    exponential = ("exponential", diagnostics.fit_exponential)
+    """The fitted columns among names, each with its diagnostics.fit kind: the front radius grows as a power law,
+    the norms relax exponentially."""
     return {
-        name: power_law if name == "support_radius" else exponential
+        name: "power_law" if name == "support_radius" else "exponential"
         for name in names
         if name == "support_radius" or name.startswith("norm_")
     }
@@ -435,24 +446,22 @@ def _fit_history(cols: dict, t_min=None, front_cap=None):
     With front_cap, the front fit drops the rows whose support radius is at
     or beyond it, and its skip line says how many rows that dropped.
     """
-    header = ("column", "kind", "exponent_or_rate", "prefactor", "r_squared", "stderr", "samples")
+    header = ("column",) + tuple(field.name for field in dataclasses.fields(diagnostics.Fit))
     rows, values, skips = [header], {}, []
     t = cols["t"]
-    for name, (kind, fitter) in _fitted(cols).items():
+    for name, kind in _fitted(cols).items():
         keep, at_wall = slice(None), ""
         if name == "support_radius" and front_cap is not None:
             keep = cols[name] < front_cap
             at_wall = "; %d of %d rows at the wall" % (t.size - np.count_nonzero(keep), t.size)
         try:
-            fit = fitter(t[keep], cols[name][keep], t_min=t_min)
+            fit = diagnostics.fit(kind, t[keep], cols[name][keep], t_min=t_min)
         except ValueError as exc:
             values[name] = None
             skips.append("fit: skipped %s (%s%s)" % (name, exc, at_wall))
             continue
-        # each fit record holds (exponent or rate, prefactor, r_squared, stderr, samples), the columns after kind
-        record = dataclasses.astuple(fit)
-        values[name] = record[0]
-        rows.append((name, kind) + record)
+        values[name] = fit.exponent_or_rate
+        rows.append((name,) + dataclasses.astuple(fit))
     return rows, values, skips
 
 
@@ -507,6 +516,7 @@ def cmd_lattice(args) -> int:
         raise _UsageError("the lattice seed must be >= 0, got %d from %s" % (base_seed, source))
     centers = lat.bins().axis_centers(0)  # both CSVs write these centres
     os.makedirs(out_dir, exist_ok=True)
+    _remove_stale(out_dir, "compare.csv")  # so a run that compares nothing leaves no earlier comparison behind
     run = lattice_mod.run_ensemble(lat, m, base_seed)
     rows = [("seed", "time", "bin", "center", "density")]
     for i, density in enumerate(run.density):

@@ -365,6 +365,9 @@ def _parse_initial(value: str, line_no: int, where: str, dim: int, base_dir: str
                 raise ConfigError(
                     "line %d: snapshot path %r holds '#', which starts a comment in config.cfg" % (line_no, path)
                 )
+            if not path.isascii():
+                # config.cfg stores this path, and it is written and read as ASCII
+                raise ConfigError("line %d: snapshot path %r is not ASCII, as config.cfg must be" % (line_no, path))
             if not os.path.exists(path):
                 raise ConfigError("line %d: snapshot path %r does not exist" % (line_no, path))
             return SnapshotInit(path, parts[-1])
@@ -434,9 +437,20 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     return cfg
 
 
+def _read_ascii(path: str, what: str) -> str:
+    """The text of the file at path, its line ends read as \n; a byte outside ASCII is a ConfigError that names
+    the file and the byte's line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return io.StringIO(data.decode("ascii"), newline=None).read()
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError("%s %r line %d: byte 0x%02x is not ASCII" % (what, path, line_no, data[exc.start])) from None
+
+
 def parse_config_file(path: str) -> RunConfig:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_config(fh.read(), base_dir=os.path.dirname(os.path.abspath(path)))
+    return parse_config(_read_ascii(path, "config"), base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 # --- serialization ----------------------------------------------------------
@@ -618,8 +632,7 @@ def table_text(rows) -> str:
 
 def read_csv_columns(path: str) -> dict:
     """The columns of a numeric CSV by header name; every value must be a finite number."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [(i, ln.strip()) for i, ln in enumerate(fh, start=1) if ln.strip()]
+    lines = [(i, ln.strip()) for i, ln in enumerate(_read_ascii(path, "CSV").split("\n"), start=1) if ln.strip()]
     if not lines:
         raise ConfigError("CSV %r is empty" % path)
     names = [c.strip() for c in lines[0][1].split(",")]

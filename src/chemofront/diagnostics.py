@@ -19,10 +19,8 @@ __all__ = [
     "HISTORY_COLUMNS",
     "support_radius",
     "history_row",
-    "PowerLawFit",
-    "fit_power_law",
-    "ExponentialFit",
-    "fit_exponential",
+    "Fit",
+    "fit",
     "DriftAudit",
     "conservation_audit",
     "SandwichReport",
@@ -89,13 +87,28 @@ def history_row(state: StateQuad, x0, v_target: float, r: float):
     )
 
 
-def _fit_samples(kind: str, t, values, t_min):
-    """The (t, values) samples a fit uses.
+@dataclass(frozen=True)
+class Fit:
+    """A fit's kind and fits.csv's columns after it, in order."""
 
-    The window is t >= t_min (default: 20% into the series), and of its
-    samples only those with values > 0 enter the log; fewer than 8 of
-    them is an error.
+    kind: str
+    exponent_or_rate: float
+    prefactor: float
+    r_squared: float
+    stderr: float
+    samples: int
+
+
+def fit(kind: str, t, values, t_min=None) -> Fit:
+    """Fit a straight line to log values by least squares, with r^2 and the slope's standard error.
+
+    kind "power_law" fits values ~ prefactor * (1+t)**exponent, regressing on
+    log(1+t); kind "exponential" fits values ~ prefactor * exp(-rate t),
+    regressing on t.  Only samples with t >= t_min (default: 20% into the
+    series) and values > 0 participate; fewer than 8 such samples is an error.
     """
+    if kind not in ("power_law", "exponential"):
+        raise ValueError("fit kind must be 'power_law' or 'exponential', got %r" % (kind,))
     t = np.asarray(t, dtype=float)
     values = np.asarray(values, dtype=float)
     if t.shape != values.shape:
@@ -103,14 +116,11 @@ def _fit_samples(kind: str, t, values, t_min):
     if t_min is None:
         t_min = t.min() + 0.2 * (t.max() - t.min()) if t.size else 0.0  # an empty series keeps no sample
     keep = (t >= t_min) & (values > 0.0)
-    if int(keep.sum()) < 8:
-        raise ValueError("%s fit needs >= 8 usable samples, got %d" % (kind, int(keep.sum())))
-    return t[keep], values[keep]
-
-
-def _least_squares_line(x: np.ndarray, y: np.ndarray):
-    """Slope, intercept, r^2 and slope standard error of a straight-line fit."""
-    n = x.size
+    n = int(keep.sum())
+    if n < 8:
+        raise ValueError("%s fit needs >= 8 usable samples, got %d" % (kind.replace("_", "-"), n))
+    x = np.log1p(t[keep]) if kind == "power_law" else t[keep]
+    y = np.log(values[keep])
     xm = x.mean()
     ym = y.mean()
     sxx = float(np.sum((x - xm) ** 2))
@@ -118,53 +128,13 @@ def _least_squares_line(x: np.ndarray, y: np.ndarray):
         raise ValueError("fit abscissae are all identical")
     slope = float(np.sum((x - xm) * (y - ym)) / sxx)
     intercept = ym - slope * xm
-    resid = y - (intercept + slope * x)
-    ss_res = float(np.sum(resid ** 2))
+    ss_res = float(np.sum((y - (intercept + slope * x)) ** 2))
     ss_tot = float(np.sum((y - ym) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    stderr = math.sqrt(ss_res / (n - 2) / sxx) if n > 2 else 0.0
-    return slope, intercept, r2, stderr
-
-
-@dataclass(frozen=True)
-class PowerLawFit:
-    exponent: float
-    prefactor: float
-    r_squared: float
-    stderr: float
-    samples: int
-
-
-def fit_power_law(t, values, t_min=None) -> PowerLawFit:
-    """Fit values ~ prefactor * (1+t)**exponent by least squares in log space.
-
-    Only samples with t >= t_min (default: 20% into the series) and
-    values > 0 participate; fewer than 8 such samples is an error.
-    """
-    t, values = _fit_samples("power-law", t, values, t_min)
-    slope, intercept, r2, stderr = _least_squares_line(np.log1p(t), np.log(values))
-    return PowerLawFit(slope, math.exp(intercept), r2, stderr, t.size)
-
-
-@dataclass(frozen=True)
-class ExponentialFit:
-    rate: float
-    prefactor: float
-    r_squared: float
-    stderr: float
-    samples: int
-
-
-def fit_exponential(t, values, t_min=None) -> ExponentialFit:
-    """Fit values ~ prefactor * exp(-rate t) by least squares on log values.
-
-    Only samples with t >= t_min (default: 20% into the series) and
-    values > 0 participate; fewer than 8 such samples is an error.
-    """
-    t, values = _fit_samples("exponential", t, values, t_min)
-    slope, intercept, r2, stderr = _least_squares_line(t, np.log(values))
-    # 0.0 - slope, not -slope: a flat series has rate +0.0, never -0.0
-    return ExponentialFit(0.0 - slope, math.exp(intercept), r2, stderr, t.size)
+    stderr = math.sqrt(ss_res / (n - 2) / sxx)
+    # a rate is minus the slope: 0.0 - slope, not -slope, so a flat series has rate +0.0, never -0.0
+    exponent_or_rate = slope if kind == "power_law" else 0.0 - slope
+    return Fit(kind, exponent_or_rate, math.exp(intercept), r2, stderr, n)
 
 
 @dataclass(frozen=True)

@@ -225,9 +225,9 @@ def select_upper_profile(
         log B3 = -log(3 mu) - (delta-1) log A - delta log k   (none when mu = 0)
 
     where A = sup (r2^2/gap)^d is the product eps tau eta^d, the same at
-    every tau, and coeff = c2 + (m + A)^2 c1^2 m.  Below 1e-8 the
-    construction gives up, and so it does when coeff or the amplitude at
-    tau leaves the float range.
+    every tau, and coeff = c2 + (m + A)^2 c1^2 m, which enters only through
+    log B2.  Below 1e-8 the construction gives up, and so it does when the
+    amplitude at tau leaves the float range.
     """
     if not (m > 1.0):
         raise ValueError("m must be > 1, got %g" % m)
@@ -261,9 +261,9 @@ def select_upper_profile(
         )
     tau = 2.0 ** -math.ceil(max(p, 1.0))
     powers = ((1.0 - d) * math.log(tau), d * log_gap)
-    if not _in_float_range(log_coeff, *powers, sum(powers), log_sup - sum(powers)):
+    if not _in_float_range(*powers, sum(powers), log_sup - sum(powers)):
         raise ConstructionError(
-            "no upper profile at m=%g: coeff or the amplitude at time shift %g leaves the float range" % (m, tau)
+            "no upper profile at m=%g: the amplitude at time shift %g leaves the float range" % (m, tau)
         )
     return ProfileParams(
         kind="upper",

@@ -181,13 +181,13 @@ def test_criterion_06_front_rate_bounds(cli_run_dir):
     report = _read_report(cli_run_dir["out"])
     beta_lower = report["lower_spread"]
     history = read_csv_columns(str(cli_run_dir["out"] / "history.csv"))
-    fit = diagnostics.fit_power_law(history["t"], history["support_radius"])
+    fit = diagnostics.fit("power_law", history["t"], history["support_radius"])
     print(
         "support exponent %.5f +- %.5f (r^2 %.5f), floor beta/2 = %.5f"
-        % (fit.exponent, fit.stderr, fit.r_squared, beta_lower / 2.0)
+        % (fit.exponent_or_rate, fit.stderr, fit.r_squared, beta_lower / 2.0)
     )
-    assert 0.0 < fit.exponent <= 0.5 + 2.0 * fit.stderr
-    assert fit.exponent >= beta_lower / 2.0
+    assert 0.0 < fit.exponent_or_rate <= 0.5 + 2.0 * fit.stderr
+    assert fit.exponent_or_rate >= beta_lower / 2.0
 
 
 def test_criterion_07_late_exponential_relaxation(long_run):
@@ -199,14 +199,14 @@ def test_criterion_07_late_exponential_relaxation(long_run):
     cut = t[int(math.floor(0.4 * len(t)))] - 1e-12  # keep the final 60% of samples
     fits = {}
     for name in ("norm_u_minus_1", "norm_w", "norm_v_minus_target", "norm_z_minus_1"):
-        fits[name] = diagnostics.fit_exponential(t, result.history[name], t_min=cut)
+        fits[name] = diagnostics.fit("exponential", t, result.history[name], t_min=cut)
     print(
         "rates %s in %.1fs"
-        % ({k: "%.3f (r2 %.5f)" % (f.rate, f.r_squared) for k, f in fits.items()},
+        % ({k: "%.3f (r2 %.5f)" % (f.exponent_or_rate, f.r_squared) for k, f in fits.items()},
            long_run["seconds"])
     )
     for name, fit in fits.items():
-        assert fit.rate > 0.0, "%s does not decay (rate %.3e)" % (name, fit.rate)
+        assert fit.exponent_or_rate > 0.0, "%s does not decay (rate %.3e)" % (name, fit.exponent_or_rate)
         assert fit.r_squared >= 0.95, "%s poorly exponential (r^2 %.4f)" % (name, fit.r_squared)
     assert long_run["seconds"] < 120.0
 

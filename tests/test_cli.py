@@ -337,6 +337,71 @@ class TestRunCommand:
         assert "config error" in capsys.readouterr().err
 
 
+class TestOneRunPerDirectory:
+    def test_shorter_rerun_leaves_no_earlier_snapshot_report_or_fits(self, tmp_path, capsys):
+        # a run, verified and fitted, then a shorter one with twice the matrix, so another v + w mass, into its directory
+        text = TINY_CFG.replace("cells = 16", "cells = 32").replace("output_stride = 100", "output_stride = 1")
+        first = tmp_path / "first.cfg"
+        first.write_text(text)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(first), "--out", str(out)]) == 0
+        assert main(["verify", "--out", str(out)]) == 0
+        assert main(["fit", str(out / "history.csv"), "--out", str(out)]) == 0
+        earlier = len(list(out.glob("snap_*.bin")))
+        second = tmp_path / "second.cfg"
+        second.write_text(text.replace("t_end = 0.05", "t_end = 0.01").replace("w = constant 1.0", "w = constant 2.0"))
+        assert main(["run", "--config", str(second), "--out", str(out)]) == 0
+        rows = len(config_io.read_csv_columns(str(out / "history.csv"))["t"])
+        assert 2 <= rows < earlier
+        assert sorted(p.name for p in out.glob("snap_*.bin")) == [cli.SNAPSHOT_PATTERN % i for i in range(rows)]
+        assert not (out / "verify_report.csv").exists() and not (out / "fits.csv").exists()
+        assert main(["verify", "--out", str(out)]) == 0
+
+    def test_directory_with_glob_characters_holds_its_snapshots(self, tiny_run, tmp_path):
+        out = tmp_path / "run[1]"
+        assert main(["run", "--config", str(tiny_run["cfg"]), "--out", str(out)]) == 0
+        assert main(["verify", "--out", str(out)]) == 0
+
+
+class TestNonAsciiInput:
+    # config.cfg and every CSV fit reads are ASCII: anything else is a config error (exit 1), not a numerical failure
+
+    def test_config_is_refused_naming_its_line_before_any_directory(self, tmp_path, capsys):
+        cfg = tmp_path / "mu.cfg"
+        cfg.write_text(TINY_CFG.replace("[model]", "# growth rate \u03bc\n[model]"), encoding="utf-8")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "config error: config %r line 1: byte 0xce is not ASCII\n" % str(cfg)
+        assert not (tmp_path / "out").exists()
+
+    def test_csv_is_refused_naming_its_line(self, tmp_path, capsys):
+        path = tmp_path / "mu.csv"
+        path.write_text("t,norm_w\n" + "".join("%d,1\n" % i for i in range(20)) + "20,1 \u03bc\n", encoding="utf-8")
+        assert main(["fit", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: CSV %r line 22: byte 0xce is not ASCII\n" % str(path)
+
+    def test_snapshot_path_is_refused_before_any_directory(self, tiny_run, tmp_path, capsys):
+        folder = tmp_path / "jos\u00e9"
+        folder.mkdir()
+        shutil.copy(tiny_run["out"] / "snap_00000000.bin", folder / "start.bin")
+        cfg = folder / "from_snapshot.cfg"
+        text = TINY_CFG.replace("u = bump 0.0 0.25 0.5", "u = snapshot start.bin u")
+        cfg.write_text(text)
+        line_no = text.splitlines().index("u = snapshot start.bin u") + 1
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "config error: line %d: snapshot path %r is not ASCII, as config.cfg must be\n" % (
+            line_no, str(folder / "start.bin"))
+        assert not out.exists()
+
+    def test_run_directory_is_refused_before_it_is_made(self, tiny_run, tmp_path, capsys):
+        out = tmp_path / "jos\u00e9"
+        assert main(["run", "--config", str(tiny_run["cfg"]), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "config error: output dir %r is not ASCII, as config.cfg must be\n" % str(out)
+        assert not out.exists()
+
+
 # --- verify -----------------------------------------------------------------
 
 
@@ -577,12 +642,11 @@ class TestVerifyCommand:
             ("1.01", "1.0"),
             ("600", "1.0"),
             ("1e300", "1.0"),
-            ("1e300", "0.0"),
         ],
     )
     def test_envelope_out_of_float_range_is_one_line_naming_m(self, tmp_path, capsys, m, mu):
         # near m = 1 the amplitudes' powers 1/(m-1) leave the float range, at 600 the lower spread underflows,
-        # and at 1e300 the lower spread and the upper profile's coeff, about c1^2 m^3, do
+        # and at 1e300 the lower spread does
         out = self._large_or_small_m_run(tmp_path, capsys, m, mu)
         assert main(["verify", "--out", str(out)]) == 2
         [line] = capsys.readouterr().err.splitlines()
@@ -596,6 +660,16 @@ class TestVerifyCommand:
         assert "verify: upper profile amplitude=" in capsys.readouterr().out
         report = dict(ln.split(",") for ln in (out / "verify_report.csv").read_text().splitlines()[1:])
         assert float(report["upper_shift"]) == 2.0**-9
+        assert report["violation_count"] == "0"
+
+    def test_upper_envelope_at_m_1e300_without_growth_is_built_and_holds(self, tmp_path, capsys):
+        # sup k < 1, so (sup k)^(m-1) vanishes and shift 1/2 meets every inequality; coeff, about c1^2 m^3, is past
+        # the float range, but it enters only through log B2
+        out = self._large_or_small_m_run(tmp_path, capsys, "1e300", "0.0")
+        assert main(["verify", "--out", str(out)]) == 0
+        assert "verify: upper profile amplitude=0.999023 shift=0.5 valid for t<=0.5" in capsys.readouterr().out
+        report = dict(ln.split(",") for ln in (out / "verify_report.csv").read_text().splitlines()[1:])
+        assert report["checked_upper"] == "2"
         assert report["violation_count"] == "0"
 
 
@@ -941,6 +1015,16 @@ class TestLatticeCommand:
         assert "2 seeds, 20 sites, site-time above u_max %g, ensemble.csv in " % run.site_time.sum() in summary
         # 150 particles fill at most 2 sites above u_max = 50 at once
         assert all(0.0 < time <= 2 * stats["t_reached"] for time in stats["capacity_site_time"])
+
+    def test_run_that_compares_nothing_removes_an_earlier_comparison(self, tmp_path):
+        cfg = tmp_path / "lat.cfg"
+        out = tmp_path / "out"
+        cfg.write_text(LATTICE_CFG + "compare_pde = on\n")
+        assert main(["lattice", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "compare.csv").exists()
+        cfg.write_text(LATTICE_CFG)
+        assert main(["lattice", "--config", str(cfg), "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ["ensemble.csv", "lattice_stats.json"]
 
     def test_compare_writes_distance_table(self, tmp_path, capsys):
         cfg = tmp_path / "lat.cfg"

@@ -578,6 +578,17 @@ class TestParseConfigFile:
             parse_config(text, base_dir=str(folder))
 
 
+# config files and CSVs are read as bytes, to name the line of a byte outside ASCII; their lines still end as in text mode
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_every_line_end_reads_as_a_line(tmp_path, end):
+    path = tmp_path / "ends.csv"
+    path.write_bytes(end.join(["t,norm_w", "0,1", "", "1,0.5", ""]).encode("ascii"))
+    assert {name: list(col) for name, col in read_csv_columns(str(path)).items()} == {"t": [0.0, 1.0], "norm_w": [1.0, 0.5]}
+    cfg = tmp_path / "ends.cfg"
+    cfg.write_bytes(MINIMAL.replace("\n", end).encode("ascii"))
+    assert parse_config_file(str(cfg)) == parse_config(MINIMAL)
+
+
 # --- initial state construction ---------------------------------------------
 
 

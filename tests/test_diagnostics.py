@@ -9,11 +9,9 @@ from chemofront.diagnostics import (
     HISTORY_COLUMNS,
     SANDWICH_TOL,
     SUPPORT_THRESHOLD,
-    ExponentialFit,
-    PowerLawFit,
+    Fit,
     conservation_audit,
-    fit_exponential,
-    fit_power_law,
+    fit,
     history_row,
     sandwich_check,
     support_radius,
@@ -93,28 +91,34 @@ def test_history_row_norms():
 # --- law fitting ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("record, first", [(PowerLawFit, "exponent"), (ExponentialFit, "rate")])
-def test_fit_records_hold_the_columns_of_fits_csv_in_order(record, first):
-    # fit writes a record's fields as they stand, after the column name and kind
-    names = [f.name for f in dataclasses.fields(record)]
-    assert names == [first, "prefactor", "r_squared", "stderr", "samples"]
+@pytest.mark.parametrize("kind", ["power_law", "exponential"])
+def test_fit_records_hold_the_columns_of_fits_csv_in_order(kind):
+    # fit writes a record's fields as they stand, after the column name
+    names = [f.name for f in dataclasses.fields(Fit)]
+    assert names == ["kind", "exponent_or_rate", "prefactor", "r_squared", "stderr", "samples"]
+    assert fit(kind, np.linspace(0.0, 1.0, 10), np.ones(10)).kind == kind
+
+
+def test_fit_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match=r"^fit kind must be 'power_law' or 'exponential', got 'power-law'$"):
+        fit("power-law", np.linspace(0.0, 1.0, 10), np.ones(10))
 
 
 def test_power_law_noiseless_recovery():
     t = np.linspace(0.0, 10.0, 200)
     vals = 1.7 * (1.0 + t) ** 0.42
-    fit = fit_power_law(t, vals)
-    assert fit.exponent == pytest.approx(0.42, rel=1e-9)
-    assert fit.prefactor == pytest.approx(1.7, rel=1e-9)
-    assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
+    got = fit("power_law", t, vals)
+    assert got.exponent_or_rate == pytest.approx(0.42, rel=1e-9)
+    assert got.prefactor == pytest.approx(1.7, rel=1e-9)
+    assert got.r_squared == pytest.approx(1.0, abs=1e-12)
 
 
 def test_exponential_noiseless_recovery():
     t = np.linspace(0.0, 12.0, 150)
     vals = 0.8 * np.exp(-0.33 * t)
-    fit = fit_exponential(t, vals)
-    assert fit.rate == pytest.approx(0.33, rel=1e-9)
-    assert fit.prefactor == pytest.approx(0.8, rel=1e-9)
+    got = fit("exponential", t, vals)
+    assert got.exponent_or_rate == pytest.approx(0.33, rel=1e-9)
+    assert got.prefactor == pytest.approx(0.8, rel=1e-9)
 
 
 def test_power_law_noisy_recovery_within_three_stderr():
@@ -126,8 +130,8 @@ def test_power_law_noisy_recovery_within_three_stderr():
         rng = np.random.default_rng(2400 + seed)
         exponent = 0.1 + 1.4 * (seed / 39.0)
         vals = 2.0 * (1.0 + t) ** exponent * (1.0 + 0.01 * rng.standard_normal(300))
-        fit = fit_power_law(t, vals)
-        hits += abs(fit.exponent - exponent) <= 3.0 * fit.stderr
+        got = fit("power_law", t, vals)
+        hits += abs(got.exponent_or_rate - exponent) <= 3.0 * got.stderr
     assert hits >= 38
 
 
@@ -138,8 +142,8 @@ def test_exponential_noisy_recovery_within_three_stderr():
         rng = np.random.default_rng(5200 + seed)
         rate = 0.05 + 1.95 * (seed / 39.0)
         vals = 1.5 * np.exp(-rate * t) * (1.0 + 0.01 * rng.standard_normal(300))
-        fit = fit_exponential(t, vals)
-        hits += abs(fit.rate - rate) <= 3.0 * fit.stderr
+        got = fit("exponential", t, vals)
+        hits += abs(got.exponent_or_rate - rate) <= 3.0 * got.stderr
     assert hits >= 38
 
 
@@ -147,30 +151,30 @@ def test_fit_window_default_drops_leading_fifth():
     t = np.linspace(0.0, 10.0, 100)
     vals = np.ones(100)
     vals[t < 2.0] = 50.0  # junk in the dropped window must not matter
-    fit = fit_exponential(t, vals)
-    assert fit.rate == pytest.approx(0.0, abs=1e-12)
-    assert fit.samples == int(np.sum(t >= 2.0))
+    got = fit("exponential", t, vals)
+    assert got.exponent_or_rate == pytest.approx(0.0, abs=1e-12)
+    assert got.samples == int(np.sum(t >= 2.0))
 
 
 def test_flat_series_has_a_positive_zero_rate():
-    fit = fit_exponential(np.linspace(0.0, 10.0, 40), np.ones(40))
-    assert fit.rate == 0.0
-    assert math.copysign(1.0, fit.rate) == 1.0  # +0.0: a fits table must not print -0
+    got = fit("exponential", np.linspace(0.0, 10.0, 40), np.ones(40))
+    assert got.exponent_or_rate == 0.0
+    assert math.copysign(1.0, got.exponent_or_rate) == 1.0  # +0.0: a fits table must not print -0
 
 
 def test_fits_need_eight_samples():
     t = np.linspace(0.0, 1.0, 6)
     with pytest.raises(ValueError, match="samples"):
-        fit_power_law(t, np.ones(6), t_min=0.0)
+        fit("power_law", t, np.ones(6), t_min=0.0)
     with pytest.raises(ValueError, match="samples"):
-        fit_exponential(t, np.ones(6), t_min=0.0)
+        fit("exponential", t, np.ones(6), t_min=0.0)
 
 
 def test_empty_series_is_too_short_not_a_numpy_error():
     with pytest.raises(ValueError, match=r"^power-law fit needs >= 8 usable samples, got 0$"):
-        fit_power_law([], [])
+        fit("power_law", [], [])
     with pytest.raises(ValueError, match=r"^exponential fit needs >= 8 usable samples, got 0$"):
-        fit_exponential([], [])
+        fit("exponential", [], [])
 
 
 def test_exponential_counts_nonpositive_exclusions():
@@ -178,8 +182,8 @@ def test_exponential_counts_nonpositive_exclusions():
     vals = np.exp(-t)
     vals[30] = 0.0
     vals[35] = -1e-3
-    fit = fit_exponential(t, vals, t_min=0.0)
-    assert fit.samples == 48
+    got = fit("exponential", t, vals, t_min=0.0)
+    assert got.samples == 48
 
 
 # --- conservation audit -----------------------------------------------------

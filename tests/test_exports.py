@@ -105,6 +105,11 @@ PRUNED = [
     ("chemofront.profiles", "EnvelopeResult"),
     ("chemofront.profiles", "_rk4_path"),
     ("chemofront.profiles", "_envelope_rhs"),
+    # one least-squares fit, whose kind picks the abscissa
+    ("chemofront.diagnostics", "PowerLawFit"),
+    ("chemofront.diagnostics", "ExponentialFit"),
+    ("chemofront.diagnostics", "fit_power_law"),
+    ("chemofront.diagnostics", "fit_exponential"),
 ]
 
 

@@ -176,14 +176,17 @@ def test_upper_time_shift_is_the_largest_power_of_two_meeting_every_inequality(
     args = (m, mu, delta, r0, r1, sup_height, c1, c2)
     tol = 1e-9
     try:
-        tau = select_upper_profile(*args, center=(0.0,)).time_shift
+        profile = select_upper_profile(*args, center=(0.0,))
     except ConstructionError as exc:
         assert "m=%g" % m in str(exc)
         if "time shift above 1e-8" in str(exc):
             assert max(_upper_inequality_excess(*args, 2.0**-26)) > -tol
         return
+    tau = profile.time_shift
     assert tau == 2.0 ** round(math.log2(tau)) and 2.0**-26 <= tau <= 0.5
     assert max(_upper_inequality_excess(*args, tau)) <= tol
+    # valid_until is the t0 whose window end tau + t0 is the s at which _upper_inequality_excess checks the inequalities
+    assert profile.valid_until == tau * min(1.0, (r1 / (0.5 * (r0 + r1))) ** 2 - 1.0)
     if tau < 0.5:
         assert max(_upper_inequality_excess(*args, 2.0 * tau)) > -tol
 
