@@ -39,10 +39,6 @@ EXIT_VIOLATION = 3
 
 SNAPSHOT_PATTERN = "snap_%08d.bin"
 
-# verify fails when the v + w mass drift of diagnostics.conservation_audit exceeds MASS_TOL
-# or u crosses an envelope by more than diagnostics.SANDWICH_TOL
-MASS_TOL = 1e-10
-
 
 class _UsageError(Exception):
     pass
@@ -151,17 +147,15 @@ def _remove_stale(out_dir: str, *patterns) -> None:
             os.remove(path)
 
 
-def _execute_run(cfg: RunConfig, out_dir: str):
-    """Integrate cfg and write config.cfg, history.csv, snapshots and run_stats.json to out_dir.
+def _execute_run(cfg: RunConfig):
+    """Integrate cfg and write config.cfg, history.csv, snapshots and run_stats.json to cfg.out_dir.
 
     A run directory holds one run: an earlier run's snapshots, verify report
     and fits go first, so that verify and fit never read them with this one's.
     Returns the run's result and its initial state.
     """
     initial = config_io.build_initial_state(cfg)
-    if not cfg.out_dir.isascii():
-        # config.cfg records the directory, and it is written and read as ASCII
-        raise ConfigError("output dir %r is not ASCII, as config.cfg must be" % cfg.out_dir)
+    out_dir = cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.cfg"), "w", encoding="ascii") as fh:
         fh.write(config_io.serialize_config(cfg))
@@ -197,7 +191,7 @@ def _config(args) -> RunConfig:
 
 def cmd_run(args) -> int:
     cfg = _config(args)
-    result, _ = _execute_run(cfg, cfg.out_dir)
+    result, _ = _execute_run(cfg)
     rows = len(result.history["t"])  # run writes one snapshot per history row
     print("run: %d steps to t=%.6g, %d history rows, %d snapshots in %s"
           % (result.steps, result.final.t, rows, rows, cfg.out_dir))
@@ -223,20 +217,14 @@ def _load_run_dir(run_dir: str):
 def _seed_ball_radius(u: Field, x0, level: float) -> float:
     """Largest radius whose full ball of cells stays at or above level.
 
-    Walks cells outward from x0; stops at the first cell below level.  At
-    least the cell containing x0 counts, so the radius is at least half a
-    spacing.
+    Orders cells outward from x0, ties by index; the ball ends at the first
+    cell below level.  At least the cell containing x0 counts, so the radius
+    is at least half a spacing.
     """
-    grid = u.grid
-    d2 = grid.center_distance2(x0).ravel()
-    vals = u.values.ravel()
+    d2 = u.grid.center_distance2(x0).ravel()
     order = np.argsort(d2, kind="stable")
-    best = 0.0
-    for idx in order:
-        if vals[idx] < level:
-            break
-        best = float(d2[idx])
-    return max(np.sqrt(best), 0.5 * grid.h)
+    inside = np.logical_and.accumulate(~(u.values.ravel()[order] < level))
+    return max(np.sqrt(np.max(d2[order][inside], initial=0.0)), 0.5 * u.grid.h)
 
 
 def _wall_distance(grid: Grid, x0) -> float:
@@ -256,10 +244,10 @@ def cmd_verify(args) -> int:
 
     # run writes every history row with its snapshot, so the snapshots carry the mass_vw column
     audit = diagnostics.conservation_audit([s.mass_vw() for s in states])
-    mass_ok = audit.drift <= MASS_TOL
+    mass_ok = audit.drift <= diagnostics.MASS_TOL
     print(
         "verify: mass drift %.3e (%s, tol %.1e): %s"
-        % (audit.drift, "relative" if audit.relative else "absolute", MASS_TOL, "ok" if mass_ok else "FAIL")
+        % (audit.drift, "relative" if audit.relative else "absolute", diagnostics.MASS_TOL, "ok" if mass_ok else "FAIL")
     )
 
     grads, laps = zip(*(solver.max_abs_derivatives(s.v) for s in states))
@@ -350,26 +338,27 @@ def cmd_verify(args) -> int:
 # --- sweep ------------------------------------------------------------------
 
 
-def _sweep_worker(job):
-    """One case's manifest cells (final_t, steps, final_sup_u, then its fits, None where skipped) and fit's skip
-    lines, or the message its run failed with.
+def _sweep_worker(cfg: RunConfig):
+    """One case's manifest cells (final_t, steps, final_sup_u, then its fits, None where skipped), its status, and
+    fit's skip lines.
 
-    A failing case returns its error instead of raising, so the other cases
-    and the manifest survive it.  A fit that is skipped leaves its cell
-    empty and does not fail the case.
+    A failing case returns empty cells and the status "failed: <class>:
+    <message>" instead of raising, so the other cases and the manifest
+    survive it.  A fit that is skipped leaves its cell empty and does not
+    fail the case.
     """
-    cfg, out_dir = job
     try:
-        result, initial = _execute_run(cfg, out_dir)
+        result, initial = _execute_run(cfg)
         # the front fit stops short of the wall, where the pinned radius would flatten it
         x0 = solver.peak_coordinate(initial.u)
         front_cap = 0.95 * (_wall_distance(cfg.grid, x0) - cfg.grid.h)
         rows, values, skips = _fit_history(result.history, front_cap=front_cap)
-        _write_table(os.path.join(out_dir, "fits.csv"), rows)
+        _write_table(os.path.join(cfg.out_dir, "fits.csv"), rows)
     except _CASE_FAILURES as exc:
-        return "%s: %s" % (type(exc).__name__, exc)
+        cells = [None] * (3 + len(_fitted(diagnostics.HISTORY_COLUMNS)))
+        return cells, "failed: %s: %s" % (type(exc).__name__, exc), []
     cells = [result.final.t, result.steps, float(np.max(result.final.u.values))] + list(values.values())
-    return cells, ["%s: %s" % (out_dir, line) for line in skips]
+    return cells, "ok", ["%s: %s" % (cfg.out_dir, line) for line in skips]
 
 
 def cmd_sweep(args) -> int:
@@ -377,6 +366,8 @@ def cmd_sweep(args) -> int:
     if not cfg.sweep:
         raise _UsageError("config %s has no [sweep] section" % args.config)
     base_out, base_seed = cfg.out_dir, cfg.seed
+    # no case may vary the initial state, so one that cannot be built refuses the sweep before any directory
+    config_io.build_initial_state(cfg)
     os.makedirs(base_out, exist_ok=True)
 
     keys = list(cfg.sweep.keys())
@@ -387,9 +378,8 @@ def cmd_sweep(args) -> int:
         case = cfg
         for key, value in zip(keys, combo):
             case = case.with_value(key, value)
-        case = dataclasses.replace(case, sweep={}, out_dir=".", seed=base_seed + idx)
-        sub = os.path.join(base_out, "case_%04d" % idx)
-        jobs.append((case, sub))
+        jobs.append(dataclasses.replace(
+            case, sweep={}, out_dir=os.path.join(base_out, "case_%04d" % idx), seed=base_seed + idx))
 
     # a process pool starts all of its workers at once, so it never gets more than there are cases
     workers = min(max(1, args.workers), len(jobs))
@@ -404,19 +394,13 @@ def cmd_sweep(args) -> int:
         with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("spawn")) as pool:
             results = list(pool.map(_sweep_worker, jobs))
 
-    fitted = list(_fitted(diagnostics.HISTORY_COLUMNS))
-    failed = 0
-    rows = [["case", "dir"] + keys + ["final_t", "steps", "final_sup_u"] + fitted + ["status"]]
-    for idx, (combo, result) in enumerate(zip(combos, results)):
-        if isinstance(result, str):
-            failed += 1
-            cells, status = [None] * (3 + len(fitted)), "failed: " + result
-        else:
-            cells, skips = result
-            status = "ok"
-            for line in skips:
-                print(line, file=sys.stderr)
+    rows = [["case", "dir"] + keys + ["final_t", "steps", "final_sup_u"] + list(_fitted(diagnostics.HISTORY_COLUMNS))
+            + ["status"]]
+    for idx, (combo, (cells, status, skips)) in enumerate(zip(combos, results)):
+        for line in skips:
+            print(line, file=sys.stderr)
         rows.append([idx, "case_%04d" % idx] + list(combo) + cells + [status])
+    failed = sum(status != "ok" for _, status, _ in results)
     _write_table(os.path.join(base_out, "manifest.csv"), rows)
     print("sweep: %d cases under %s (manifest.csv written)" % (len(combos), base_out))
     if failed:

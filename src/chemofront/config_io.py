@@ -22,10 +22,11 @@ them at the kept values that _RETIRED lists; such a line is read and
 ignored, any other value is an error.  The solver's dt_max, never written to a config.cfg, is an unknown
 key.
 
-An [initial] snapshot path is resolved against the config's directory at
-parse time and written resolved into config.cfg.  A resolved path that
-holds `#` is refused on its line, because the `#` would start a comment
-when config.cfg is read back.
+config.cfg records a run's inputs, not its location: [output] dir is read,
+never written.  An [initial] snapshot path is resolved against the config's
+directory at parse time and written resolved into config.cfg; one that
+holds `#` or a byte outside ASCII is refused on its line, because
+config.cfg could not hold it.  The file is read when the state is built.
 
 Snapshots are a 6-line ASCII header (magic, dim, cells per axis, extent per
 axis, time, field order) followed by the four fields as raw little-endian
@@ -368,8 +369,6 @@ def _parse_initial(value: str, line_no: int, where: str, dim: int, base_dir: str
             if not path.isascii():
                 # config.cfg stores this path, and it is written and read as ASCII
                 raise ConfigError("line %d: snapshot path %r is not ASCII, as config.cfg must be" % (line_no, path))
-            if not os.path.exists(path):
-                raise ConfigError("line %d: snapshot path %r does not exist" % (line_no, path))
             return SnapshotInit(path, parts[-1])
     except ConfigError:
         raise
@@ -520,7 +519,6 @@ def serialize_config(cfg: RunConfig) -> str:
     for name in FIELD_ORDER:
         w("%s = %s\n" % (name, _initial_text(cfg.initial[name])))
     w("\n[output]\n")
-    w("dir = %s\n" % cfg.out_dir)
     w("seed = %d\n" % cfg.seed)
     if cfg.sweep:
         w("\n[sweep]\n")

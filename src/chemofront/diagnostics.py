@@ -1,7 +1,8 @@
 """Front tracking, rate fitting, conservation audits and the sandwich check for completed runs.
 
-Two constants, with no per-call override, make the support rule (u > SUPPORT_THRESHOLD)
-and the sandwich rule (u crosses an envelope by more than SANDWICH_TOL).
+Three constants, with no per-call override, make the support rule (u > SUPPORT_THRESHOLD),
+the sandwich rule (u crosses an envelope by more than SANDWICH_TOL) and the mass rule
+(the v + w drift of conservation_audit exceeds MASS_TOL); verify fails on either of the last two.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .model import Field, StateQuad
 __all__ = [
     "SUPPORT_THRESHOLD",
     "SANDWICH_TOL",
+    "MASS_TOL",
     "HISTORY_COLUMNS",
     "support_radius",
     "history_row",
@@ -29,6 +31,7 @@ __all__ = [
 
 SUPPORT_THRESHOLD = 1e-12
 SANDWICH_TOL = 1e-8
+MASS_TOL = 1e-10
 
 # a run's history is a dict of float64 columns under these names, in this order,
 # one entry per emitted state (solver.run, and history.csv read back by

@@ -7,7 +7,6 @@ failure line carries enough to diagnose.  Shared fixtures: `standard_run`
 envelope, front-rate and determinism checks.
 """
 
-import dataclasses
 import json
 import math
 import time
@@ -335,13 +334,8 @@ def test_criterion_10_determinism_and_round_trips(tmp_path):
         assert cli_main(["run", "--config", str(run_cfg), "--out", str(tmp_path / out)]) == 0
     names = sorted(p.name for p in (tmp_path / "r1").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "r2").iterdir())
+    assert "config.cfg" in names  # it records the run's inputs, not its directory, so the copies agree byte for byte
     for name in names:
-        if name == "config.cfg":
-            # each copy records its own output directory; everything else agrees
-            a = parse_config((tmp_path / "r1" / name).read_text())
-            b = parse_config((tmp_path / "r2" / name).read_text())
-            assert dataclasses.replace(a, out_dir="x") == dataclasses.replace(b, out_dir="x")
-            continue
         if name == "run_stats.json":
             # each copy times its own run; the step, stage, dt and binding records agree
             a, b = (json.loads((tmp_path / out / name).read_text()) for out in ("r1", "r2"))

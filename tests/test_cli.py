@@ -313,6 +313,16 @@ class TestRunCommand:
         assert main(["run", "--config", str(run_dir / "config.cfg"), "--out", str(again)]) == 0
         assert (again / "history.csv").read_bytes() == (run_dir / "history.csv").read_bytes()
 
+    def test_missing_snapshot_is_one_io_error_before_any_directory(self, tmp_path, capsys):
+        # the parser makes no filesystem call; building the initial state opens the file
+        cfg = tmp_path / "from_snapshot.cfg"
+        cfg.write_text(TINY_CFG.replace("u = bump 0.0 0.25 0.5", "u = snapshot missing.bin u"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        missing = str(tmp_path / "missing.bin")
+        assert capsys.readouterr().err == "io error: [Errno 2] No such file or directory: %r\n" % missing
+        assert not out.exists()
+
     def test_snapshot_path_holding_a_hash_is_config_error_before_any_step(self, tiny_run, tmp_path, capsys, monkeypatch):
         # config.cfg would store the path, and reading it back would cut the line at the '#'
         monkeypatch.setattr(solver, "run", lambda *args, **kwargs: pytest.fail("a step ran"))
@@ -362,6 +372,18 @@ class TestOneRunPerDirectory:
         assert main(["run", "--config", str(tiny_run["cfg"]), "--out", str(out)]) == 0
         assert main(["verify", "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("name", ["h#x", " sp", "jos\u00e9"])
+    def test_any_directory_name_runs_and_verifies_with_the_same_config(self, tiny_run, tmp_path, monkeypatch, name):
+        # config.cfg records the run's inputs, not its location, so a '#', a leading space or a non-ASCII
+        # letter in the name cannot reach it
+        monkeypatch.chdir(tmp_path)
+        for out in ("plain", name):
+            assert main(["run", "--config", str(tiny_run["cfg"]), "--out", out]) == 0
+            assert main(["verify", "--out", out]) == 0
+        text = (tmp_path / name / "config.cfg").read_text(encoding="ascii")
+        assert [line for line in text.splitlines() if line.startswith("dir")] == []
+        assert (tmp_path / name / "config.cfg").read_bytes() == (tmp_path / "plain" / "config.cfg").read_bytes()
+
 
 class TestNonAsciiInput:
     # config.cfg and every CSV fit reads are ASCII: anything else is a config error (exit 1), not a numerical failure
@@ -393,12 +415,6 @@ class TestNonAsciiInput:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err == "config error: line %d: snapshot path %r is not ASCII, as config.cfg must be\n" % (
             line_no, str(folder / "start.bin"))
-        assert not out.exists()
-
-    def test_run_directory_is_refused_before_it_is_made(self, tiny_run, tmp_path, capsys):
-        out = tmp_path / "jos\u00e9"
-        assert main(["run", "--config", str(tiny_run["cfg"]), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "config error: output dir %r is not ASCII, as config.cfg must be\n" % str(out)
         assert not out.exists()
 
 
@@ -561,6 +577,30 @@ class TestVerifyCommand:
         assert capsys.readouterr().out == printed
         assert (dropped / "verify_report.csv").read_bytes() == (kept / "verify_report.csv").read_bytes()
 
+    def test_snapshot_started_run_verifies_after_its_source_moved(self, tiny_run, tmp_path, capsys):
+        # verify checks the snapshots the run wrote and never builds the initial state, so neither a moved source
+        # nor the relative [initial] path that older versions wrote into config.cfg stops it
+        source = tmp_path / "source"
+        source.mkdir()
+        shutil.copy(sorted(tiny_run["out"].glob("snap_*.bin"))[-1], source / "late.bin")
+        cfg = source / "relax.cfg"
+        cfg.write_text(TINY_CFG.replace("u = bump 0.0 0.25 0.5", "u = snapshot late.bin u"))
+        current, old = tmp_path / "current", tmp_path / "old"
+        assert main(["run", "--config", str(cfg), "--out", str(current)]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--out", str(current)]) == 0
+        printed, report = capsys.readouterr().out, (current / "verify_report.csv").read_bytes()
+        shutil.copytree(current, old)
+        resolved = "u = snapshot %s u\n" % (source / "late.bin")
+        text = (old / "config.cfg").read_text()
+        assert resolved in text
+        (old / "config.cfg").write_text(text.replace(resolved, "u = snapshot late.bin u\n"))
+        (source / "late.bin").rename(tmp_path / "moved.bin")
+        for run_dir in (current, old):
+            assert main(["verify", "--out", str(run_dir)]) == 0
+            assert capsys.readouterr().out == printed
+            assert (run_dir / "verify_report.csv").read_bytes() == report
+
     def test_run_dir_with_retired_solver_lines_verifies_alike(self, cli_run_dir, tmp_path):
         # run directories written before the solver options were retired carry them at the kept values
         current, old = tmp_path / "current", tmp_path / "old"
@@ -671,6 +711,56 @@ class TestVerifyCommand:
         report = dict(ln.split(",") for ln in (out / "verify_report.csv").read_text().splitlines()[1:])
         assert report["checked_upper"] == "2"
         assert report["violation_count"] == "0"
+
+
+def seed_ball_radius_by_walk(u, x0, level):
+    """_seed_ball_radius written as a walk over the cells, nearest first (ties by index), to the first below level."""
+    d2 = u.grid.center_distance2(x0).ravel()
+    best = 0.0
+    for idx in np.argsort(d2, kind="stable"):
+        if u.values.ravel()[idx] < level:
+            break
+        best = float(d2[idx])
+    return max(np.sqrt(best), 0.5 * u.grid.h)
+
+
+class TestSeedBallRadius:
+    GRIDS = {1: Grid((16,), (2.0,), (-1.0,)), 2: Grid((12, 12), (3.0, 3.0), (-1.5, -1.5))}
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_the_walk_on_random_fields(self, dim, seed):
+        # a noisy bump in steps of 0.1, so that cells sit at the level, centred on a cell face or centre (where
+        # distances tie) or anywhere
+        rng = np.random.default_rng(seed)
+        grid = self.GRIDS[dim]
+        x0 = [(0.0,) * dim, tuple(grid.origin[a] + 6.5 * grid.h for a in range(dim)),
+              tuple(rng.uniform(-0.5, 0.5, dim))][seed % 3]
+        values = np.round(np.clip(1.0 - grid.center_distance2(x0), 0.0, None) + rng.uniform(0.0, 0.3, grid.cells), 1)
+        u = Field(grid, values)
+        for level in (0.2, 0.5, 0.8, 1.2):
+            assert cli._seed_ball_radius(u, x0, level) == seed_ball_radius_by_walk(u, x0, level)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_is_half_a_spacing_when_no_cell_reaches_the_level(self, dim):
+        grid = self.GRIDS[dim]
+        assert cli._seed_ball_radius(Field.full(grid, 0.25), (0.0,) * dim, 0.5) == 0.5 * grid.h
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_is_half_a_spacing_when_only_the_nearest_cell_is_inside(self, dim):
+        # x0 a quarter spacing from the nearest centre, whose distance alone is under the floor
+        grid = self.GRIDS[dim]
+        x0 = tuple(grid.origin[a] + 6.25 * grid.h for a in range(dim))
+        values = np.zeros(grid.cells)
+        values[(6,) * dim] = 1.0
+        assert cli._seed_ball_radius(Field(grid, values), x0, 0.5) == 0.5 * grid.h
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_field_wholly_above_the_level_reaches_the_farthest_cell(self, dim):
+        grid = self.GRIDS[dim]
+        x0 = (0.1,) * dim
+        expected = np.sqrt(np.max(grid.center_distance2(x0)))
+        assert cli._seed_ball_radius(Field.full(grid, 1.0), x0, 0.5) == expected
 
 
 # --- fit --------------------------------------------------------------------
@@ -822,6 +912,16 @@ class TestSweepCommand:
         out = tmp_path / "sweep_out"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
         assert "sweep.model.m value 0.5" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_snapshot_refuses_the_sweep_before_any_directory(self, tmp_path, capsys):
+        # the initial state is built once, before the first case, so the sweep fails as a whole
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_CFG.replace("u = bump 0.0 0.25 0.5", "u = snapshot missing.bin u"))
+        out = tmp_path / "sweep_out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        missing = str(tmp_path / "missing.bin")
+        assert capsys.readouterr().err == "io error: [Errno 2] No such file or directory: %r\n" % missing
         assert not out.exists()
 
     def test_pool_never_gets_more_workers_than_cases(self, tmp_path, monkeypatch):
@@ -1196,10 +1296,10 @@ class TestFailureTable:
                                                                   prefix, code):
         execute = cli._execute_run
 
-        def fail_case_1(case, out_dir):
-            if out_dir.endswith("case_0001"):
+        def fail_case_1(case):
+            if case.out_dir.endswith("case_0001"):
                 raise exc_type("boom")
-            return execute(case, out_dir)
+            return execute(case)
 
         monkeypatch.setattr(cli, "_execute_run", fail_case_1)
         cfg = tmp_path / "sweep.cfg"

@@ -285,7 +285,6 @@ class TestParseErrors:
             (lambda t: t.replace("constant 0.5", "bump 0.0 -1.0 0.5"), "radius"),
             (lambda t: t.replace("constant 0.5", "bump 0.0 1.0 -0.5"), "height"),
             (lambda t: t.replace("constant 0.5", "gaussian 1.0"), "constant/bump/snapshot"),
-            (lambda t: t.replace("constant 0.5", "snapshot missing.bin u"), "does not exist"),
             (lambda t: t.replace("m = 2.0", "m = 2.0\nphi = sigmoid 1"), "constant/linear_switch/table"),
             (lambda t: t.replace("m = 2.0", "m = 2.0\nphi = table 0-0,1-1"), "bad phi rule"),
             (lambda t: t.replace("cells = 16", "cells = nan"), r"line 7: grid\.cells must be a finite number"),
@@ -390,10 +389,12 @@ class TestSerializeRoundTrip:
         # the exact bytes of config.cfg, key order included
         assert serialize_config(self.full_config()) == FULL_CONFIG_TEXT
 
-    def test_round_trip_preserves_everything(self):
+    def test_round_trip_preserves_everything_but_the_location(self):
+        # config.cfg records a run's inputs; where it was written is --out's or [output] dir's to say
         cfg = self.full_config()
+        assert cfg.out_dir == "run_out"
         again = parse_config(serialize_config(cfg))
-        assert again == cfg
+        assert again == dataclasses.replace(cfg, out_dir="out")
 
     def test_round_trip_minimal(self):
         cfg = parse_config(MINIMAL)
@@ -445,7 +446,6 @@ w = constant 1.0
 z = constant 0.0
 
 [output]
-dir = run_out
 seed = 11
 
 [sweep]
@@ -560,6 +560,14 @@ class TestParseConfigFile:
         assert cfg.initial["u"] == SnapshotInit(str(tmp_path / "prev.bin"), "u")
         built = build_initial_state(cfg)
         assert np.all(built.u.values == 0.25)
+
+    def test_missing_snapshot_parses_and_fails_where_it_is_read(self, tmp_path):
+        # the parser resolves the path without opening it, so a run directory whose source has moved still parses
+        text = MINIMAL.replace("u = constant 0.5", "u = snapshot missing.bin u")
+        cfg = parse_config(text, base_dir=str(tmp_path))
+        assert cfg.initial["u"] == SnapshotInit(str(tmp_path / "missing.bin"), "u")
+        with pytest.raises(FileNotFoundError, match=re.escape(str(tmp_path / "missing.bin"))):
+            build_initial_state(cfg)
 
     def test_snapshot_path_holding_a_hash_is_refused_on_its_line(self, tmp_path):
         # serialize_config writes the resolved path, which the tokenizer would cut at the '#'

@@ -88,6 +88,7 @@ PRUNED = [
     ("chemofront.lattice", "Member"),
     ("chemofront.lattice", "coarse_density"),
     ("chemofront.cli", "SANDWICH_TOL"),
+    ("chemofront.cli", "MASS_TOL"),  # beside SANDWICH_TOL in diagnostics
     # each kernel took the public name the tracer times, and the wrapper that held it went
     ("chemofront.solver", "StepReport"),
     ("chemofront.solver", "_advance"),
