@@ -1,12 +1,12 @@
 """Command line driver.
 
 Subcommands: run (integrate a config and write a run directory), verify
-(check a finished run against the analytic envelopes and the conservation
-audit), sweep (cartesian parameter grid over worker processes; each case is
-a run directory plus fit's fits.csv, and the manifest carries each case's
-front exponent and relaxation rates), fit (power law and exponential fits
-on a history CSV), lattice (stochastic ensemble, optionally compared
-against the matching continuum run).
+(run _CHECKS, the mass audit and the envelope sandwich, over a finished
+run's snapshots read one file at a time), sweep (cartesian parameter grid
+over worker processes; each case is a run directory plus fit's fits.csv,
+and the manifest carries each case's front exponent and relaxation rates),
+fit (power law and exponential fits on a history CSV), lattice (stochastic
+ensemble, optionally compared against the matching continuum run).
 
 Exit codes: 0 success, 1 bad usage or config, 2 numerical failure or out of
 memory (each a one-line message, see _FAILURES), 3 a requested check failed.
@@ -203,7 +203,9 @@ def cmd_run(args) -> int:
 # --- verify -----------------------------------------------------------------
 
 
-def _load_run_dir(run_dir: str):
+def _run_dir_snapshots(run_dir: str):
+    """The run's config, and a function that returns a fresh iterator over its snapshots: each snap_*.bin file read
+    in name order, one at a time, so that a pass holds one snapshot at a time."""
     cfg_path = os.path.join(run_dir, "config.cfg")
     if not os.path.exists(cfg_path):
         raise _UsageError("%s has no config.cfg; is it a run directory?" % run_dir)
@@ -211,7 +213,7 @@ def _load_run_dir(run_dir: str):
     paths = sorted(glob.glob(os.path.join(glob.escape(run_dir), "snap_*.bin")))
     if not paths:
         raise _UsageError("%s holds no snapshots" % run_dir)
-    return cfg, [config_io.read_snapshot(p, cfg.grid) for p in paths]
+    return cfg, lambda: (config_io.read_snapshot(p, cfg.grid) for p in paths)
 
 
 def _seed_ball_radius(u: Field, x0, level: float) -> float:
@@ -236,30 +238,30 @@ def _wall_distance(grid: Grid, x0) -> float:
     return float(best)
 
 
-def cmd_verify(args) -> int:
-    run_dir = args.out
-    cfg, states = _load_run_dir(run_dir)
-    grid = cfg.grid
+def _mass_check(cfg: RunConfig, snapshots):
+    """The v + w mass audit, in one pass: run writes every history row with its snapshot, so the snapshots carry
+    the mass_vw column."""
+    audit = diagnostics.conservation_audit([s.mass_vw() for s in snapshots()])
+    ok = audit.drift <= diagnostics.MASS_TOL
+    print("verify: mass drift %.3e (%s, tol %.1e): %s"
+          % (audit.drift, "relative" if audit.relative else "absolute", diagnostics.MASS_TOL, "ok" if ok else "FAIL"))
+    return [("mass_drift", audit.drift), ("mass_relative", 1.0 if audit.relative else 0.0)], ok
+
+
+def _envelope_check(cfg: RunConfig, snapshots):
+    """The lower and upper envelopes, sized from the run's attractant bounds c1 and c2 (one pass) and from the first
+    snapshot's u, and the sandwich of every snapshot between them (a second pass)."""
+    grid, params = cfg.grid, cfg.model
     notes = []
-
-    # run writes every history row with its snapshot, so the snapshots carry the mass_vw column
-    audit = diagnostics.conservation_audit([s.mass_vw() for s in states])
-    mass_ok = audit.drift <= diagnostics.MASS_TOL
-    print(
-        "verify: mass drift %.3e (%s, tol %.1e): %s"
-        % (audit.drift, "relative" if audit.relative else "absolute", diagnostics.MASS_TOL, "ok" if mass_ok else "FAIL")
-    )
-
-    grads, laps = zip(*(solver.max_abs_derivatives(s.v) for s in states))
+    grads, laps = zip(*(solver.max_abs_derivatives(s.v) for s in snapshots()))
     # 10% headroom over the observed run, floored away from zero
     c1 = max(1.1 * max(grads), 1e-12)
     c2 = max(1.1 * max(laps), 1e-12)
     print("verify: attractant bounds c1=%.6g c2=%.6g (observed, +10%%)" % (c1, c2))
 
-    u0 = states[0].u
+    u0 = next(snapshots()).u
     sup0 = float(np.max(u0.values))
     x0 = solver.peak_coordinate(u0)
-    params = cfg.model
     front_ok = 1.0 <= params.delta < params.m
 
     lower = upper = None
@@ -271,68 +273,57 @@ def cmd_verify(args) -> int:
         else:
             seed_height = min(0.5, 0.5 * sup0)
             seed_radius = _seed_ball_radius(u0, x0, seed_height)
-            lower = profiles.select_lower_profile(
-                params.m, grid.dim, params.mu, params.delta, seed_radius, seed_height, grid.diameter(), c1, c2, x0
-            )
-            print(
-                "verify: lower profile amplitude=%.6g spread=%.6g rate=%.6g seed_r=%.4g"
-                % (lower.amplitude, lower.spread_exp, lower.rate_exp, seed_radius)
-            )
+            lower = profiles.select_lower_profile(params.m, grid.dim, params.mu, params.delta, seed_radius,
+                                                  seed_height, grid.diameter(), c1, c2, x0)
+            print("verify: lower profile amplitude=%.6g spread=%.6g rate=%.6g seed_r=%.4g"
+                  % (lower.amplitude, lower.spread_exp, lower.rate_exp, seed_radius))
 
         r0, wall = diagnostics.support_radius(u0, x0), _wall_distance(grid, x0)
         if not front_ok:
             notes.append("upper skipped: needs 1 <= delta < m")
         elif not (0.0 < r0 < wall):
-            notes.append(
-                "upper skipped: initial support (r0=%.4g) leaves no margin to the boundary (%.4g)" % (r0, wall)
-            )
+            notes.append("upper skipped: initial support (r0=%.4g) leaves no margin to the boundary (%.4g)"
+                         % (r0, wall))
         else:
-            upper = profiles.select_upper_profile(
-                params.m, params.mu, params.delta, r0, 0.5 * (r0 + wall), sup0, c1, c2, x0
-            )
-            print(
-                "verify: upper profile amplitude=%.6g shift=%.6g valid for t<=%.6g"
-                % (upper.amplitude, upper.time_shift, upper.valid_until)
-            )
+            upper = profiles.select_upper_profile(params.m, params.mu, params.delta, r0, 0.5 * (r0 + wall), sup0,
+                                                  c1, c2, x0)
+            print("verify: upper profile amplitude=%.6g shift=%.6g valid for t<=%.6g"
+                  % (upper.amplitude, upper.time_shift, upper.valid_until))
 
     envelopes = [env for env in (lower, upper) if env is not None]
-    report = diagnostics.sandwich_check(states, envelopes)
-    sandwich_ok = report.clean
-    print(
-        "verify: sandwich lower viol %.3e (%d snaps), upper viol %.3e (%d snaps), %d violations: %s"
-        % (
-            report.max_lower_violation,
-            report.checked_lower,
-            report.max_upper_violation,
-            report.checked_upper,
-            report.violation_count,
-            "ok" if sandwich_ok else "FAIL",
-        )
-    )
+    report = diagnostics.sandwich_check(snapshots(), envelopes)
+    print("verify: sandwich lower viol %.3e (%d snaps), upper viol %.3e (%d snaps), %d violations: %s"
+          % (report.max_lower_violation, report.checked_lower, report.max_upper_violation, report.checked_upper,
+             report.violation_count, "ok" if report.clean else "FAIL"))
     for note in notes:
         print("verify: note: %s" % note)
 
-    rows = [
-        ("metric", "value"),
-        ("mass_drift", audit.drift),
-        ("mass_relative", 1.0 if audit.relative else 0.0),
-        ("c1", c1),
-        ("c2", c2),
-        ("lower_amplitude", lower.amplitude if lower else float("nan")),
-        ("lower_spread", lower.spread_exp if lower else float("nan")),
-        ("lower_rate", lower.rate_exp if lower else float("nan")),
-        ("upper_amplitude", upper.amplitude if upper else float("nan")),
-        ("upper_shift", upper.time_shift if upper else float("nan")),
-        ("upper_valid_until", upper.valid_until if upper else float("nan")),
-        ("max_lower_violation", report.max_lower_violation),
-        ("max_upper_violation", report.max_upper_violation),
-        ("violation_count", float(report.violation_count)),
-        ("checked_lower", float(report.checked_lower)),
-        ("checked_upper", float(report.checked_upper)),
-    ]
-    _write_table(os.path.join(run_dir, "verify_report.csv"), rows)
+    skipped = (float("nan"),) * 3
+    rows = [("c1", c1), ("c2", c2)]
+    rows += zip(("lower_amplitude", "lower_spread", "lower_rate"),
+                (lower.amplitude, lower.spread_exp, lower.rate_exp) if lower else skipped)
+    rows += zip(("upper_amplitude", "upper_shift", "upper_valid_until"),
+                (upper.amplitude, upper.time_shift, upper.valid_until) if upper else skipped)
+    rows += [("max_lower_violation", report.max_lower_violation), ("max_upper_violation", report.max_upper_violation),
+             ("violation_count", float(report.violation_count)), ("checked_lower", float(report.checked_lower)),
+             ("checked_upper", float(report.checked_upper))]
+    return rows, report.clean
 
-    return EXIT_OK if (mass_ok and sandwich_ok) else EXIT_VIOLATION
+
+# verify's checks, in the order of their printed lines and report rows; each takes the run's config and its
+# snapshot source, prints its lines as it goes and returns its verify_report.csv rows and its verdict
+_CHECKS = (_mass_check, _envelope_check)
+
+
+def cmd_verify(args) -> int:
+    cfg, snapshots = _run_dir_snapshots(args.out)
+    rows, ok = [("metric", "value")], True
+    for check in _CHECKS:
+        check_rows, check_ok = check(cfg, snapshots)  # every check runs, whatever the earlier ones found
+        rows += check_rows
+        ok = ok and check_ok
+    _write_table(os.path.join(args.out, "verify_report.csv"), rows)
+    return EXIT_OK if ok else EXIT_VIOLATION
 
 
 # --- sweep ------------------------------------------------------------------

@@ -231,8 +231,16 @@ def _tokenize(text: str):
     return sections
 
 
+def _number(kind: str, text: str):
+    """int() or float() of `text`, which also refuses (ValueError) a '_' and a nonzero literal that reads as 0.0."""
+    value = int(text) if kind == "int" else float(text)
+    if "_" in text or (value == 0 and any(d in text.lower().partition("e")[0] for d in "123456789")):
+        raise ValueError(text)
+    return value
+
+
 def _convert(kind: str, text: str, line_no: int, where: str, expected: str | None = None):
-    """Read `text` as a value of field type `kind`; every number read must be finite.
+    """Read `text` as a value of field type `kind`, under _number's rules; every number read must be finite.
 
     `where` names the value in error messages, and `expected` overrides the
     wording of what a number that does not parse should have been.
@@ -245,7 +253,7 @@ def _convert(kind: str, text: str, line_no: int, where: str, expected: str | Non
             raise ConfigError("line %d: %s must be on/off, got %r" % (line_no, where, text))
         return _BOOL_WORDS[word]
     try:
-        value = int(text) if kind == "int" else float(text)
+        value = _number(kind, text)
     except ValueError:
         expected = expected or ("an integer" if kind == "int" else "a number")
         raise ConfigError("line %d: %s must be %s, got %r" % (line_no, where, expected, text)) from None
@@ -629,7 +637,7 @@ def table_text(rows) -> str:
 
 
 def read_csv_columns(path: str) -> dict:
-    """The columns of a numeric CSV by header name; every value must be a finite number."""
+    """The columns of a numeric CSV by header name; every value must be a finite number, under _number's rules."""
     lines = [(i, ln.strip()) for i, ln in enumerate(_read_ascii(path, "CSV").split("\n"), start=1) if ln.strip()]
     if not lines:
         raise ConfigError("CSV %r is empty" % path)
@@ -644,7 +652,7 @@ def read_csv_columns(path: str) -> dict:
             raise ConfigError("CSV %r line %d has %d fields, expected %d" % (path, i, len(parts), len(names)))
         for name, part in zip(names, parts):
             try:
-                value = float(part)
+                value = _number("float", part)
             except ValueError:
                 raise ConfigError("CSV %r line %d: %r is not a number" % (path, i, part)) from None
             if not math.isfinite(value):

@@ -108,7 +108,8 @@ def fit(kind: str, t, values, t_min=None) -> Fit:
     kind "power_law" fits values ~ prefactor * (1+t)**exponent, regressing on
     log(1+t); kind "exponential" fits values ~ prefactor * exp(-rate t),
     regressing on t.  Only samples with t >= t_min (default: 20% into the
-    series) and values > 0 participate; fewer than 8 such samples is an error.
+    series) and values > 0 participate; fewer than 8 such samples is an error,
+    and so is a constant series (all their logs equal), which has no rate.
     """
     if kind not in ("power_law", "exponential"):
         raise ValueError("fit kind must be 'power_law' or 'exponential', got %r" % (kind,))
@@ -124,6 +125,8 @@ def fit(kind: str, t, values, t_min=None) -> Fit:
         raise ValueError("%s fit needs >= 8 usable samples, got %d" % (kind.replace("_", "-"), n))
     x = np.log1p(t[keep]) if kind == "power_law" else t[keep]
     y = np.log(values[keep])
+    if np.all(y == y[0]):
+        raise ValueError("%s fit of a constant series" % kind.replace("_", "-"))
     xm = x.mean()
     ym = y.mean()
     sxx = float(np.sum((x - xm) ** 2))
@@ -133,9 +136,9 @@ def fit(kind: str, t, values, t_min=None) -> Fit:
     intercept = ym - slope * xm
     ss_res = float(np.sum((y - (intercept + slope * x)) ** 2))
     ss_tot = float(np.sum((y - ym) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    r2 = 1.0 - ss_res / ss_tot
     stderr = math.sqrt(ss_res / (n - 2) / sxx)
-    # a rate is minus the slope: 0.0 - slope, not -slope, so a flat series has rate +0.0, never -0.0
+    # a rate is minus the slope: 0.0 - slope, not -slope, so a zero slope gives rate +0.0, never -0.0
     exponent_or_rate = slope if kind == "power_law" else 0.0 - slope
     return Fit(kind, exponent_or_rate, math.exp(intercept), r2, stderr, n)
 
@@ -179,7 +182,7 @@ class SandwichReport:
 
 
 def sandwich_check(snapshots, envelopes) -> SandwichReport:
-    """Verify profile ordering against simulated states.
+    """Verify profile ordering against simulated states: any iterable of them on one grid, read in one pass.
 
     envelopes are comparison profiles (profiles.ProfileParams).  Each is
     checked on every snapshot whose time, counted from the first snapshot,
@@ -187,24 +190,26 @@ def sandwich_check(snapshots, envelopes) -> SandwichReport:
     u, an 'upper' one above it.  Every cell of a checked snapshot that
     crosses its envelope by more than SANDWICH_TOL counts as one violation.
     """
-    snapshots = list(snapshots)
-    if not snapshots:
-        raise ValueError("need at least one snapshot")
-    grid = snapshots[0].grid
-    if any(snap.grid != grid for snap in snapshots):
-        raise ValueError("snapshots must share one grid")
     worst = {"lower": 0.0, "upper": 0.0}
     checked = {"lower": 0, "upper": 0}
     count = 0
-    for env in envelopes:
-        sign = 1.0 if env.kind == "lower" else -1.0
-        d2 = grid.center_distance2(env.center)
-        for snap in snapshots:
-            rel_t = snap.t - snapshots[0].t
+    grid = t0 = None
+    for snap in snapshots:
+        if grid is None:
+            # the window starts at the first snapshot, and each envelope's distances are computed once
+            grid, t0 = snap.grid, snap.t
+            checks = [(env, 1.0 if env.kind == "lower" else -1.0, grid.center_distance2(env.center))
+                      for env in envelopes]
+        elif snap.grid != grid:
+            raise ValueError("snapshots must share one grid")
+        rel_t = snap.t - t0
+        for env, sign, d2 in checks:
             if rel_t > env.valid_until + 1e-15:
                 continue
             viol = sign * (env.evaluate(d2, rel_t) - snap.u.values)
             worst[env.kind] = max(worst[env.kind], float(viol.max()))
             checked[env.kind] += 1
             count += int(np.count_nonzero(viol > SANDWICH_TOL))
+    if grid is None:
+        raise ValueError("need at least one snapshot")
     return SandwichReport(worst["lower"], worst["upper"], count, checked["lower"], checked["upper"])

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -539,6 +540,8 @@ class TestVerifyCommand:
         assert main(["verify", "--out", str(dst)]) == code
         report = dict(ln.split(",") for ln in (dst / "verify_report.csv").read_text().splitlines()[1:])
         assert float(report["mass_drift"]) == pytest.approx(drift, rel=1e-2)
+        # a failed mass audit does not stop verify: the envelope check runs and writes its rows too
+        assert float(report["checked_lower"]) > 0
 
     def test_violation_count_is_exact_past_a_thousand(self, cli_run_dir, tmp_path):
         # the first snapshot, then `copies` copies of it at t = 0 with u emptied; each
@@ -636,12 +639,39 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("damage", sorted(SNAPSHOT_DAMAGE))
     def test_damaged_snapshot_is_snapshot_error_naming_the_file(self, cli_run_dir, tmp_path, capsys, damage):
-        dst = tmp_path / "damaged"
-        shutil.copytree(cli_run_dir["out"], dst)
-        victim = sorted(dst.glob("snap_*.bin"))[2]
-        damage_snapshot(victim, damage)
-        assert main(["verify", "--out", str(dst)]) == 1
-        assert "snapshot error: " + SNAPSHOT_DAMAGE[damage] % victim in capsys.readouterr().err
+        # the mass audit reads every snapshot before verify prints a line, so any damaged one leaves no output
+        for where in ("first", "middle", "last"):
+            dst = tmp_path / where
+            shutil.copytree(cli_run_dir["out"], dst)
+            (dst / "verify_report.csv").unlink(missing_ok=True)
+            snaps = sorted(dst.glob("snap_*.bin"))
+            victim = snaps[{"first": 0, "middle": len(snaps) // 2, "last": -1}[where]]
+            damage_snapshot(victim, damage)
+            capsys.readouterr()
+            assert main(["verify", "--out", str(dst)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "snapshot error: " + SNAPSHOT_DAMAGE[damage] % victim in captured.err
+            assert not (dst / "verify_report.csv").exists()
+
+    def test_verify_holds_at_most_two_snapshots_at_once(self, cli_run_dir, monkeypatch, capsys):
+        # each pass reads the snapshots one file at a time: the one in hand and the one being read are all it holds
+        read, live, peak = config_io.read_snapshot, [0], [0]
+
+        def dropped():
+            live[0] -= 1
+
+        def counted(path, grid):
+            state = read(path, grid)
+            live[0] += 1
+            peak[0] = max(peak[0], live[0])
+            weakref.finalize(state, dropped)
+            return state
+
+        monkeypatch.setattr(config_io, "read_snapshot", counted)
+        assert main(["verify", "--out", str(cli_run_dir["out"])]) == 0
+        assert len(list(cli_run_dir["out"].glob("snap_*.bin"))) > 2
+        assert peak[0] <= 2
 
     def test_empty_initial_density_skips_both_envelopes(self, tmp_path, capsys):
         cfg = tmp_path / "empty.cfg"
@@ -781,14 +811,24 @@ class TestFitCommand:
         written = (out / "fits.csv").read_text().strip().splitlines()
         assert written == lines
 
-    def test_flat_column_is_written_with_rate_zero_not_minus_zero(self, tmp_path, capsys):
+    def test_flat_column_is_skipped_as_a_constant_series(self, tmp_path, capsys):
+        # sup|u - 1/r| stays at 1 while any cell is empty: a series that cannot move has no rate, so it gets no row
         path = tmp_path / "flat.csv"
-        path.write_text("t,norm_u_minus_1\n" + "".join("%d,1\n" % i for i in range(20)))
+        path.write_text("t,support_radius,norm_u_minus_1\n" + "".join("%d,%d,1\n" % (i, i + 1) for i in range(20)))
         assert main(["fit", str(path), "--out", str(tmp_path)]) == 0
-        # the window t >= 3.8 keeps 16 rows; log 1 = 0 gives a zero slope, r^2 = 1 and no error
-        line = "norm_u_minus_1,exponential,0,1,1,0,16"
-        assert capsys.readouterr().out.splitlines()[1] == line
-        assert (tmp_path / "fits.csv").read_text().splitlines()[1] == line
+        captured = capsys.readouterr()
+        assert captured.err == "fit: skipped norm_u_minus_1 (exponential fit of a constant series)\n"
+        assert [line.split(",")[0] for line in captured.out.splitlines()] == ["column", "support_radius"]
+        assert (tmp_path / "fits.csv").read_text() == captured.out
+
+    @pytest.mark.parametrize("cell", ["1_5", "1e-400"])
+    def test_underscore_or_underflowing_cell_is_config_error_naming_its_line(self, tmp_path, capsys, cell):
+        path = tmp_path / "odd.csv"
+        path.write_text("t,support_radius\n" + "".join("%d,%s\n" % (i, cell if i == 3 else i + 1) for i in range(20)))
+        assert main(["fit", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: CSV %r line 5: %r is not a number\n" % (str(path), cell)
 
     def test_too_short_history_is_numeric_failure(self, tmp_path, capsys):
         path = tmp_path / "short.csv"
@@ -1033,15 +1073,18 @@ class TestSweepFits:
         assert all(0.0 < float(row["support_radius"]) < 2.0 for row in rows)
 
     def test_default_setup_fits_and_writes_what_fit_writes(self, tmp_path, capsys):
-        out, [row], _ = front_sweep(tmp_path, capsys)
+        out, [row], err = front_sweep(tmp_path, capsys)
         assert float(row["support_radius"]) > 0.0
         case = out / row["dir"]
+        # the front never fills the domain, so sup|u - 1/r| stays at 1: a constant series, skipped with an empty cell
+        assert err == ["%s: fit: skipped norm_u_minus_1 (exponential fit of a constant series)" % case]
+        assert row["norm_u_minus_1"] == ""
         assert main(["fit", str(case / "history.csv"), "--out", str(tmp_path / "fit")]) == 0
         written = (case / "fits.csv").read_text()
         assert written == (tmp_path / "fit" / "fits.csv").read_text()
-        # each manifest cell is the exponent_or_rate of its column's row in fits.csv
+        # each other manifest cell is the exponent_or_rate of its column's row in fits.csv
         assert {ln.split(",")[0]: ln.split(",")[2] for ln in written.splitlines()[1:]} == {
-            name: row[name] for name in FITTED}
+            name: row[name] for name in FITTED if name != "norm_u_minus_1"}
 
     def test_too_few_rows_leave_the_front_cell_empty_with_none_at_the_wall(self, tmp_path, capsys):
         out, [row], err = front_sweep(tmp_path, capsys, *SHORT_RUN, ("output_stride = 20", "output_stride = 50"))

@@ -310,6 +310,27 @@ class TestParseErrors:
         with pytest.raises(ConfigError, match=fragment):
             parse_config(mangle(MINIMAL))
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("t_end = 0.5", "t_end = 1_0", "solver.t_end must be a number, got '1_0'"),
+            ("cells = 16", "cells = 1_6", "grid.cells must be comma-separated numbers (e.g. '64, 64'), got '1_6'"),
+            ("m = 2.0", "m = 2.0\nmu = 1e-400", "model.mu must be a number, got '1e-400'"),
+            ("m = 2.0", "m = 2.0\nmu = -2.5E-999", "model.mu must be a number, got '-2.5E-999'"),
+            ("constant 0.5", "constant 0.5\n[output]\nseed = 1_0", "output.seed must be an integer, got '1_0'"),
+        ],
+    )
+    def test_underscore_or_nonzero_literal_read_as_zero_is_not_a_number(self, old, new, message):
+        # int() and float() read 1_0 as 10 and 1e-400 as 0.0; a config refuses both on their line
+        text = MINIMAL.replace(old, new)
+        line = next(i for i, ln in enumerate(text.splitlines(), start=1) if ln.endswith(new.rsplit(" ", 1)[1]))
+        with pytest.raises(ConfigError, match="^%s$" % re.escape("line %d: %s" % (line, message))):
+            parse_config(text)
+
+    @pytest.mark.parametrize("literal", ["0e-400", "-0.0", "0.000E5", "5e-324"])
+    def test_zero_literals_and_the_smallest_subnormal_are_numbers(self, literal):
+        assert parse_config(MINIMAL.replace("m = 2.0", "m = 2.0\nmu = " + literal)).model.mu == float(literal)
+
     def test_space_separated_grid_list_names_the_comma_form(self):
         text = MINIMAL.replace("dim = 1", "dim = 2").replace("cells = 16", "cells = 64 64")
         with pytest.raises(ConfigError, match=r"grid\.cells must be comma-separated numbers \(e\.g\. '64, 64'\), got '64 64'"):
@@ -810,6 +831,8 @@ class TestHistoryCsv:
             ("t,b\nnan,2\n", "line 2: t must be a finite number, got 'nan'"),
             ("a,b\n\n1,2\n\n3,-inf\n", "line 5: b must be a finite number, got '-inf'"),
             ("t,t,support_radius\n0,0,1\n", "repeats column 't'"),
+            ("t,b\n0,1\n1,1_5\n", "line 3: '1_5' is not a number"),
+            ("t,b\n0,1e-400\n", "line 2: '1e-400' is not a number"),
         ],
     )
     def test_csv_errors(self, tmp_path, body, fragment):

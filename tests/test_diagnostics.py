@@ -96,7 +96,7 @@ def test_fit_records_hold_the_columns_of_fits_csv_in_order(kind):
     # fit writes a record's fields as they stand, after the column name
     names = [f.name for f in dataclasses.fields(Fit)]
     assert names == ["kind", "exponent_or_rate", "prefactor", "r_squared", "stderr", "samples"]
-    assert fit(kind, np.linspace(0.0, 1.0, 10), np.ones(10)).kind == kind
+    assert fit(kind, np.linspace(0.0, 1.0, 10), np.linspace(1.0, 2.0, 10)).kind == kind
 
 
 def test_fit_refuses_an_unknown_kind():
@@ -149,15 +149,23 @@ def test_exponential_noisy_recovery_within_three_stderr():
 
 def test_fit_window_default_drops_leading_fifth():
     t = np.linspace(0.0, 10.0, 100)
-    vals = np.ones(100)
+    vals = np.exp(-0.5 * t)
     vals[t < 2.0] = 50.0  # junk in the dropped window must not matter
     got = fit("exponential", t, vals)
-    assert got.exponent_or_rate == pytest.approx(0.0, abs=1e-12)
+    assert got.exponent_or_rate == pytest.approx(0.5, rel=1e-12)
     assert got.samples == int(np.sum(t >= 2.0))
 
 
-def test_flat_series_has_a_positive_zero_rate():
-    got = fit("exponential", np.linspace(0.0, 10.0, 40), np.ones(40))
+@pytest.mark.parametrize("kind", ["power_law", "exponential"])
+def test_constant_series_is_refused(kind):
+    # a series that cannot move has no rate: it is refused, not reported as a fitted 0 with r^2 = 1
+    with pytest.raises(ValueError, match=r"^%s fit of a constant series$" % kind.replace("_", "-")):
+        fit(kind, np.linspace(0.0, 10.0, 40), np.ones(40))
+
+
+def test_zero_slope_has_a_positive_zero_rate():
+    # symmetric about the window's middle, so the slope is exactly 0
+    got = fit("exponential", np.arange(8.0), [1.0, 2.0, 2.0, 1.0, 1.0, 2.0, 2.0, 1.0], t_min=0.0)
     assert got.exponent_or_rate == 0.0
     assert math.copysign(1.0, got.exponent_or_rate) == 1.0  # +0.0: a fits table must not print -0
 
@@ -282,6 +290,13 @@ def test_sandwich_upper_respects_validity_window():
     assert report.checked_upper == 1
     assert report.checked_lower == 0
     assert report.clean
+
+
+def test_sandwich_reads_a_one_pass_stream_as_it_reads_a_list():
+    g = Grid((64,), (2.0,), (-1.0,))
+    snaps = [profile_state(g, LOWER, t, pad=0.05) for t in (0.0, 0.5, 1.0)]
+    snaps[2].u.values[30:34] = 0.0
+    assert sandwich_check(iter(snaps), [LOWER, UPPER]) == sandwich_check(snaps, [LOWER, UPPER])
 
 
 def test_sandwich_refuses_no_snapshots_and_mixed_grids():

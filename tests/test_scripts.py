@@ -1,7 +1,9 @@
-"""Smoke runs of the study driver in scripts/: main() returns 0 and prints its table."""
+"""Smoke runs of the scripts in scripts/: the study driver's main() returns 0 and prints its table, and the artifact
+comparison finds no difference between a tree and itself and one extra character in a copy."""
 
 import importlib.util
 import math
+import shutil
 from pathlib import Path
 
 import pytest
@@ -36,3 +38,23 @@ class TestLatticeVsPde:
         with pytest.raises(SystemExit):
             load("lattice_vs_pde").main(["--leap-fraction", "0.25"])
 
+
+
+class TestArtifactDiff:
+    def test_finds_nothing_in_the_checkout_and_one_extra_character_in_a_copy(self, tmp_path):
+        from test_cli import TINY_CFG
+
+        diff = load("artifact_diff")
+        case_list = [("tiny", TINY_CFG, [diff.RUN, diff.VERIFY])]
+        checkout = SCRIPTS.parent
+        base = diff.run_tree(str(checkout), case_list, str(tmp_path / "base"))
+        # run_stats.json's timings and the directory's path differ between the two runs; both are masked
+        assert diff.differences(base, diff.run_tree(str(checkout), case_list, str(tmp_path / "again"))) == []
+        copy = tmp_path / "copy"
+        shutil.copytree(checkout / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))
+        cli = copy / "src" / "chemofront" / "cli.py"
+        text = cli.read_text()
+        assert text.count('print("run: %d steps') == 1
+        cli.write_text(text.replace('print("run: %d steps', 'print("run:  %d steps'))
+        changed = diff.run_tree(str(copy), case_list, str(tmp_path / "changed"))
+        assert diff.differences(base, changed) == ["tiny: command 0 (run) stdout: differs"]
