@@ -51,6 +51,10 @@ def cases() -> list[tuple[str, str, list[list[str]]]]:
         ("front_2d", _bench_config("front_2d"), [RUN, VERIFY]),
         # the lower envelope's spread underflows: verify exits 2
         ("ref_1d_m_600", _bench_config("ref_1d", ("m = 2.0", "m = 600")), [RUN, VERIFY]),
+        # a 2 x 2 sweep: manifest.csv, each case's fits.csv and the skip lines on stderr
+        ("ref_1d_sweep", _bench_config("ref_1d", ("output_stride = 200", "output_stride = 20"))
+         + "\n[sweep]\nmodel.m = 2.0, 3.0\nmodel.mu = 0.5, 1.0\n",
+         [["sweep", "--config", "case.cfg", "--out", "out"] + SEED]),
         ("lattice_ensemble", _bench_config("lattice_ensemble"),
          [["lattice", "--config", "case.cfg", "--out", "out", "--tol-l1", "0.05"] + SEED]),
     ]

@@ -457,7 +457,7 @@ def cmd_fit(args) -> int:
         os.makedirs(args.out, exist_ok=True)
         _write_table(os.path.join(args.out, "fits.csv"), rows)
     if all(value is None for value in values.values()):
-        print("fit: no column had enough usable samples", file=sys.stderr)
+        print("fit: no column could be fitted", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK
 

@@ -23,10 +23,12 @@ member; so a site's stay probability is at least 1 - THETA/m > 0 for every
 m > 1.  The last leap is cut to land on t_end.  Every leap checks the
 overflow cap and, when a site is above u_max, adds per member the leap's
 site-time above u_max, the walk's one capacity measure; a LatticeState, with
-its full validation, is built only for the final state.  The walk stops as
-the continuum solver does, within 1e-12 * max(1, t_end) of t_end, and a
-leap dt below that tolerance raises ValueError, so a run that can never
-reach t_end stops at once.
+its full validation, is built only for the final state.  A walk has the
+continuum solver's one stopping rule: it ends at the leap that reaches
+t_end within 1e-12 * max(1, t_end).  A walk with no positive rate (empty,
+or every q underflowed) takes one leap of the whole time left, which moves
+nothing; a leap dt below the tolerance raises ValueError, so a run that
+can never reach t_end stops at once.
 
 run_ensemble and continuum_twin run a [lattice] section: the members as the
 rows of one batched run, seeded by one generator default_rng(base_seed),
@@ -135,10 +137,9 @@ class LatticeState:
     occupancy: np.ndarray
     u_max: int
     m: float
-    seed: int = 0
+    rng: np.random.Generator
     spacing: float = 1.0
     capacity_time: np.ndarray = 0.0
-    rng: np.random.Generator = None
 
     def __post_init__(self):
         self.occupancy = np.asarray(self.occupancy, dtype=np.int64)
@@ -156,8 +157,6 @@ class LatticeState:
         if not (self.spacing > 0.0):
             raise ValueError("spacing must be positive, got %r" % self.spacing)
         self.capacity_time = np.broadcast_to(self.capacity_time, self.occupancy.shape[:-1]).astype(float)
-        if self.rng is None:
-            self.rng = np.random.default_rng(self.seed)
 
     @property
     def sites(self) -> int:
@@ -215,9 +214,11 @@ def run_adaptive(s: LatticeState, t_end: float):
     Returns (state, t_reached, dts), dts the (leaps,) array of leap sizes.
     The members of an ensemble state leap together: dt is that of the
     member with the largest rate, so every member stays inside the
-    stability bound.  The last leap is cut to land on t_end.  It stops by
-    solver.run's rule: t_end counts as reached within 1e-12 * max(1, t_end),
-    and a leap dt below that tolerance raises ValueError.
+    stability bound.  The last leap is cut to land on t_end, and with no
+    positive rate the leap dt is infinite, so that one leap is the whole
+    time left.  It stops by solver.run's rule: t_end counts as reached
+    within 1e-12 * max(1, t_end), and a leap dt below that tolerance raises
+    ValueError.
     """
     table = _jump_table(s)
     tiny = solver._time_tolerance(t_end)
@@ -228,9 +229,7 @@ def run_adaptive(s: LatticeState, t_end: float):
     while t < t_end - tiny:
         rates = rate_arrays(s, occ, table)
         max_rate = float(rates.max())
-        if max_rate <= 0.0:
-            break  # frozen configuration, nothing will ever move
-        dt = THETA / (2.0 * s.m * max_rate)
+        dt = THETA / (2.0 * s.m * max_rate) if max_rate > 0.0 else math.inf
         if dt < tiny:
             raise ValueError(
                 "lattice leap dt %.3g fell below the floor %.3g = 1e-12 * max(1, t_end): "
@@ -257,7 +256,7 @@ def initial_state(config: LatticeConfig, m: float, seed: int) -> LatticeState:
         occupancy=occupancy,
         u_max=config.u_max,
         m=m,
-        seed=seed,
+        rng=np.random.default_rng(seed),
         spacing=config.spacing,
     )
 

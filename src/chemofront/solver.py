@@ -32,8 +32,8 @@ the design points that the tests lean on:
 * run() loops over step(), the kernel, on bare arrays with one finiteness
   check per step; Field/StateQuad validation sits at the edge, in the states
   run() emits.  A CFL dt below the run's time tolerance raises.
-  A run has one stopping rule: every step is capped at t_end - t, and
-  max_steps can only end it earlier.
+  A run has one stopping rule: every step is capped at t_end - t, and the
+  run ends at the step that reaches t_end within that tolerance.
 * run() has one output: every emitted state and its diagnostics row go to a
   single emit(state, row) callback, and the rows also make up the run's
   history, a dict of float64 columns keyed by diagnostics.HISTORY_COLUMNS.
@@ -351,27 +351,26 @@ def run(
     params: ModelParams,
     config: SolverConfig,
     emit=None,
-    max_steps: int | None = None,
 ) -> RunResult:
-    """Integrate from the initial state to t_end, or stop after max_steps steps.
+    """Integrate from the initial state to t_end.
 
-    Every step is capped at the time left, so a run ends at t_end unless
-    max_steps ends it first.  A state is emitted at step 0, every
-    output_stride steps, and at the final step: its diagnostics row (one
-    value per HISTORY_COLUMNS entry) joins the history, and emit, when
-    given, is called with the state and that row.  Each emitted state is
-    new, built on the loop's arrays only when it is emitted, apart from
-    step 0's, which is the initial state itself.  So a zero-length run
-    (t_end = 0 or max_steps = 0) emits the initial state once, its history
-    holds that one row, and it returns the initial state.  A CFL dt
-    below 1e-12 max(1, |t_end|) raises SimulationError naming the term that
-    binds.  The result holds every step's dt, per BINDING_TERMS entry how
-    many steps it bound, and the RKL2 stages summed over the steps.
+    Every step is capped at the time left, and the run ends at the step
+    that reaches t_end within 1e-12 max(1, |t_end|).  A state is emitted at
+    step 0, every output_stride steps, and at that final step: its
+    diagnostics row (one value per HISTORY_COLUMNS entry) joins the history,
+    and emit, when given, is called with the state and that row.  Each
+    emitted state is new, built on the loop's arrays only when it is
+    emitted, apart from step 0's, which is the initial state itself.  So a
+    zero-length run (t_end within that tolerance of 0) emits the initial
+    state once, its history holds that one row, and it returns the initial
+    state.  A CFL dt below the same tolerance raises SimulationError naming
+    the term that binds.  The result holds every step's dt, per
+    BINDING_TERMS entry how many steps it bound, and the RKL2 stages summed
+    over the steps.
     """
     columns = [array("d") for _ in diagnostics.HISTORY_COLUMNS]
     state = initial
     t_end = initial.t + config.t_end
-    budget = math.inf if max_steps is None else max_steps
 
     x0 = peak_coordinate(initial.u)
     v_target = float(np.mean(initial.v.values) + np.mean(initial.w.values))
@@ -390,7 +389,7 @@ def run(
     total_clipped = 0.0
     dts, counts = array("d"), [0] * len(BINDING_TERMS)
     tiny = _time_tolerance(t_end)
-    while steps < budget and t < t_end - tiny:
+    while t < t_end - tiny:
         u, v, w, z, dt, clipped, bound, taken = step(grid, u, v, w, z, t, params, t_end - t, tiny)
         t += dt
         steps += 1
@@ -398,8 +397,7 @@ def run(
         total_clipped += clipped
         dts.append(dt)
         counts[bound] += 1
-        done = steps >= budget or t >= t_end - tiny
-        if steps % config.output_stride == 0 or done:
+        if steps % config.output_stride == 0 or t >= t_end - tiny:
             state = StateQuad(Field(grid, u), Field(grid, v), Field(grid, w), Field(grid, z), t)
             emit_state(state)
     history = {name: np.array(col) for name, col in zip(diagnostics.HISTORY_COLUMNS, columns)}

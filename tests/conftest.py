@@ -1,5 +1,6 @@
 """Shared fixtures: one standard bump run and one CLI run directory per session."""
 
+import math
 import time
 
 import numpy as np
@@ -13,12 +14,30 @@ from chemofront.model import (
     ModelParams,
     StateQuad,
 )
+from chemofront import solver
 from chemofront.solver import SolverConfig, run
 
 
 def bump_field(grid, center, radius, height):
     d2 = grid.center_distance2(center)
     return Field(grid, height * np.clip(1.0 - d2 / radius**2, 0.0, None))
+
+
+def time_after_steps(initial, params, n, t_end=1.0):
+    """The duration of n solver.step calls toward initial.t + t_end, stepped as run() steps, plus one ulp.
+
+    A run from initial for that duration takes exactly these n steps.  The
+    ulp keeps its last step's cap, the time left, above that step's dt,
+    which rounding could otherwise cut, so the run is the one that n steps
+    toward t_end make, bit for bit.
+    """
+    g, t = initial.grid, initial.t
+    u, v, w, z = (getattr(initial, name).values for name in ("u", "v", "w", "z"))
+    tiny = solver._time_tolerance(initial.t + t_end)
+    for _ in range(n):
+        u, v, w, z, dt, *_ = solver.step(g, u, v, w, z, t, params, initial.t + t_end - t, tiny)
+        t += dt
+    return np.nextafter(t, math.inf) - initial.t
 
 
 STANDARD_MODEL = ModelParams(m=2.0, delta=1.0, mu=1.0, r=1.0, phi=ConstantSensitivity(1.0))
@@ -37,7 +56,7 @@ def make_standard_initial(cells=128):
 def standard_run():
     """Full-model bump run, 128 cells, ten thousand steps; shared read-only."""
     initial = make_standard_initial()
-    config = SolverConfig(t_end=10.0, output_stride=100)
+    config = SolverConfig(t_end=2.4173701991927756, output_stride=100)  # one ulp past step 10 000, as time_after_steps
     minima = {name: np.inf for name in ("u", "v", "w", "z")}
 
     def track_minima(state, row):
@@ -45,7 +64,7 @@ def standard_run():
             minima[name] = min(minima[name], float(getattr(state, name).values.min()))
 
     t0 = time.perf_counter()
-    result = run(initial, STANDARD_MODEL, config, max_steps=10_000, emit=track_minima)
+    result = run(initial, STANDARD_MODEL, config, emit=track_minima)
     seconds = time.perf_counter() - t0
     return {
         "initial": initial,

@@ -26,7 +26,7 @@ from chemofront.config_io import (
 )
 from chemofront.model import ConstantSensitivity, Field, Grid, ModelParams, StateQuad
 from chemofront.profiles import barenblatt, barenblatt_support_radius, classify_blowup
-from chemofront.solver import SolverConfig, run
+from chemofront.solver import SolverConfig, cfl_dt, run
 
 from conftest import RUN_CFG, STANDARD_MODEL, make_standard_initial
 
@@ -56,8 +56,10 @@ def test_criterion_01_steady_state_is_a_fixed_point():
         Field.full(grid, 1.0),
         t=0.0,
     )
+    # every step takes the CFL dt of the steady state, so 1000 of them end at 1000 dt0
+    dt0, _ = cfl_dt(grid, initial.u.values, [np.diff(initial.v.values)], STANDARD_MODEL)
     t0 = time.perf_counter()
-    result = run(initial, STANDARD_MODEL, SolverConfig(t_end=1.0, output_stride=10**9), max_steps=1000)
+    result = run(initial, STANDARD_MODEL, SolverConfig(t_end=1000 * dt0, output_stride=10**9))
     seconds = time.perf_counter() - t0
     assert result.steps == 1000
     residuals = {
@@ -72,6 +74,7 @@ def test_criterion_01_steady_state_is_a_fixed_point():
 
 def test_criterion_02_attractant_plus_matrix_mass_conserved(standard_run):
     """Sum of (v+w) cell masses drifts at most 1e-10 relative over 10^4 steps."""
+    assert standard_run["result"].steps == 10_000
     audit = diagnostics.conservation_audit(standard_run["result"].history["mass_vw"])
     print(
         "mass drift %.3e (%s) over %d steps in %.1fs"

@@ -844,8 +844,19 @@ class TestFitCommand:
         assert err == [
             "fit: skipped support_radius (power-law fit needs >= 8 usable samples, got 0)",
             "fit: skipped norm_u_minus_1 (exponential fit needs >= 8 usable samples, got 0)",
-            "fit: no column had enough usable samples",
+            "fit: no column could be fitted",
         ]
+
+    def test_constant_column_alone_is_not_fitted(self, tmp_path, capsys):
+        path = tmp_path / "flat.csv"
+        path.write_text("t,norm_w\n" + "".join("%d,0.25\n" % i for i in range(20)))
+        assert main(["fit", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "fit: skipped norm_w (exponential fit of a constant series)",
+            "fit: no column could be fitted",
+        ]
+        assert not any("samples" in line for line in err)
 
     @pytest.mark.parametrize("column, bad", [("support_radius", "inf"), ("t", "nan")])
     def test_non_finite_value_is_config_error_naming_its_line(self, tmp_path, capsys, column, bad):
@@ -1158,6 +1169,21 @@ class TestLatticeCommand:
         assert "2 seeds, 20 sites, site-time above u_max %g, ensemble.csv in " % run.site_time.sum() in summary
         # 150 particles fill at most 2 sites above u_max = 50 at once
         assert all(0.0 < time <= 2 * stats["t_reached"] for time in stats["capacity_site_time"])
+
+    def test_walk_whose_rates_all_underflow_reaches_t_end(self, tmp_path, capsys):
+        # a 40-site walk at m = 400, as on lattice_ensemble.cfg's model: q = (100 / 1000)^399 underflows to 0
+        cfg = tmp_path / "lat.cfg"
+        cfg.write_text(LATTICE_CFG.replace("m = 2.0", "m = 400").split("[lattice]")[0] + (
+            "[lattice]\nsites = 40\nu_max = 1000\nparticles = 100\nt_end = 0.5\nseeds = 2\n"
+            "cells_per_bin = 5\nextent = 2.0\norigin = -1.0\n"))
+        out = tmp_path / "out"
+        assert main(["lattice", "--config", str(cfg), "--out", str(out), "--seed", "101"]) == 0
+        stats = json.loads((out / "lattice_stats.json").read_text())
+        assert (stats["leaps"], stats["t_reached"]) == (1, 0.5)
+        # one leap that moves nothing: every member keeps its 100 particles on the centre site, in bin 4 of 8
+        rows = [ln.split(",") for ln in (out / "ensemble.csv").read_text().splitlines()[1:]]
+        assert {r[1] for r in rows} == {"0.5"}
+        assert [float(r[4]) for r in rows] == [0.1 / 5 if r[2] == "4" else 0.0 for r in rows]
 
     def test_run_that_compares_nothing_removes_an_earlier_comparison(self, tmp_path):
         cfg = tmp_path / "lat.cfg"

@@ -98,9 +98,12 @@ class TestParseConfig:
             ("constant -0.5", ConstantSensitivity(-0.5)),
             ("linear_switch 2.0", LinearSwitchSensitivity(2.0)),
             ("table 0:0,1:0.5,2:1", TabulatedSensitivity((0.0, 1.0, 2.0), (0.0, 0.5, 1.0))),
+            # nodes and slopes within [-1, 1] are all a table needs: this one rises and falls
+            ("table 0:0,0.5:0.4,1:0", TabulatedSensitivity((0.0, 0.5, 1.0), (0.0, 0.4, 0.0))),
         ]:
             text = MINIMAL.replace("m = 2.0", "m = 2.0\nphi = %s" % rule)
             assert parse_config(text).model.phi == expected
+        assert expected.eval(0.5) == 0.4
 
     def test_solver_booleans_and_stepper(self):
         # the retired switches are read at the one scheme's values and ignored

@@ -67,7 +67,7 @@ def test_history_row_targets_the_carrying_capacity():
     assert named["norm_v_minus_target"] == pytest.approx(0.5)
     assert named["norm_z_minus_1"] == pytest.approx(0.5)
     # run takes the same targets from the model and its initial state
-    first = run(s, ModelParams(m=2.0, r=2.0), SolverConfig(t_end=1.0), max_steps=1).history
+    first = run(s, ModelParams(m=2.0, r=2.0), SolverConfig(t_end=0.0)).history
     row = history_row(s, peak_coordinate(s.u), 0.7, 2.0)
     assert [first[name][0] for name in HISTORY_COLUMNS] == pytest.approx(list(row), abs=1e-15)
 

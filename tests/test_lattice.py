@@ -21,7 +21,8 @@ from chemofront.model import Grid
 
 
 def make_state(occupancy, u_max=100, m=2.0, seed=0, spacing=1.0):
-    return LatticeState(occupancy=np.asarray(occupancy, dtype=np.int64), u_max=u_max, m=m, seed=seed, spacing=spacing)
+    return LatticeState(occupancy=np.asarray(occupancy, dtype=np.int64), u_max=u_max, m=m,
+                        rng=np.random.default_rng(seed), spacing=spacing)
 
 
 def rates_of(s):
@@ -69,10 +70,11 @@ class TestValidation:
 
     def test_capacity_time_keeps_per_member_values_and_refuses_the_wrong_shape(self):
         occ = np.array([[10, 20, 30, 40], [40, 30, 20, 10]])
-        s = LatticeState(occupancy=occ, u_max=100, m=2.0, capacity_time=[0.25, 1.5])
+        rng = np.random.default_rng(0)
+        s = LatticeState(occupancy=occ, u_max=100, m=2.0, rng=rng, capacity_time=[0.25, 1.5])
         assert s.capacity_time.tolist() == [0.25, 1.5]
         with pytest.raises(ValueError):
-            LatticeState(occupancy=occ, u_max=100, m=2.0, capacity_time=np.zeros(3))
+            LatticeState(occupancy=occ, u_max=100, m=2.0, rng=rng, capacity_time=np.zeros(3))
 
 
 class TestLatticeConfig:
@@ -188,10 +190,20 @@ class TestLeaping:
             assert s.occupancy.sum() == total
 
     def test_empty_lattice_is_absorbing(self):
+        # no site has a positive rate: one leap of the whole time left moves nothing
         s = make_state([0] * 8)
         out, t, dts = run_adaptive(s, 1.0)
-        assert dts.size == 0
+        assert t == 1.0 and dts.tolist() == [1.0]
         assert np.all(out.occupancy == 0)
+
+    def test_underflowed_rates_still_reach_t_end(self):
+        # q = (1/10)^399 underflows to 0 at every site, as for lattice_ensemble.cfg at m = 400
+        s = make_state([[0, 10, 0, 0], [0, 0, 10, 0]], u_max=100, m=400.0)
+        assert rates_of(s)[0].max() == 0.0
+        out, t, dts = run_adaptive(s, 0.5)
+        assert t == 0.5 and dts.tolist() == [0.5]
+        assert np.array_equal(out.occupancy, s.occupancy)
+        assert out.capacity_time.tolist() == [0.0, 0.0]
 
     def test_same_seed_reproduces_trajectory(self):
         a = make_state([0, 0, 200, 0, 0], u_max=100, seed=42)
@@ -236,8 +248,8 @@ class TestLeaping:
 
 
 def _leap_dt(m, max_rate, time_left):
-    """The leap rule: dt * max rate = THETA / (2m), cut to land on t_end."""
-    return min(THETA / (2.0 * m * max_rate), time_left)
+    """The leap rule: dt * max rate = THETA / (2m), cut to land on t_end; with no positive rate, the time left."""
+    return min(THETA / (2.0 * m * max_rate), time_left) if max_rate > 0.0 else time_left
 
 
 def _reference_walk(s, t_end):
@@ -251,10 +263,7 @@ def _reference_walk(s, t_end):
     t, dts = 0.0, []
     while t < t_end - solver._time_tolerance(t_end):
         rate = (s.occupancy / float(s.u_max)) ** (s.m - 1.0) * (1.0 / (s.spacing * s.spacing))
-        max_rate = float(rate.max())
-        if max_rate <= 0.0:
-            break
-        dt = _leap_dt(s.m, max_rate, t_end - t)
+        dt = _leap_dt(s.m, float(rate.max()), t_end - t)
         left, right = np.zeros(rate.shape), np.zeros(rate.shape)
         left[..., 1:] = rate[..., 1:] * dt
         right[..., :-1] = rate[..., :-1] * dt
@@ -263,8 +272,8 @@ def _reference_walk(s, t_end):
         occ[..., :-1] += moves[..., 1:, 0]  # the left movers of the site to the right
         occ[..., 1:] += moves[..., :-1, 1]  # the right movers of the site to the left
         above = (occ > s.u_max).sum(axis=-1) * dt
-        s = LatticeState(occupancy=occ, u_max=s.u_max, m=s.m, seed=s.seed, spacing=s.spacing,
-                         capacity_time=s.capacity_time + above, rng=s.rng)
+        s = LatticeState(occupancy=occ, u_max=s.u_max, m=s.m, rng=s.rng, spacing=s.spacing,
+                         capacity_time=s.capacity_time + above)
         t += dt
         dts.append(dt)
     return s, t, np.array(dts)
@@ -431,7 +440,8 @@ class TestEnsemble:
         config = dataclasses.replace(self.CONFIG, seeds=1)
         start = initial_state(config, 2.0, 40)
         # one (sites,) chain, seed 40, with its one capacity value
-        chain = dataclasses.replace(start, occupancy=start.occupancy[0], capacity_time=0.0, rng=None)
+        chain = dataclasses.replace(start, occupancy=start.occupancy[0], capacity_time=0.0,
+                                    rng=np.random.default_rng(40))
         state, t, dts = run_adaptive(chain, config.t_end)
         runs = self._spy(monkeypatch, "run_adaptive")
         run = run_ensemble(config, 2.0, 40)
@@ -488,7 +498,7 @@ class TestEnsemble:
         assert len(runs) == 1
         (batch, t_end), _ = runs[0]
         assert np.array_equal(batch.occupancy, np.tile(_mound(20, 150), (3, 1)))
-        assert batch.seed == 40
+        assert batch.rng.bit_generator.seed_seq.entropy == 40  # default_rng(40)
         assert t_end == self.CONFIG.t_end
 
     def test_run_ensemble_builds_the_start_and_the_final_state_only(self, monkeypatch):

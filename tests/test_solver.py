@@ -34,7 +34,7 @@ from chemofront.solver import (
     run,
 )
 
-from conftest import STANDARD_MODEL, bump_field, make_standard_initial
+from conftest import STANDARD_MODEL, bump_field, make_standard_initial, time_after_steps
 
 
 def uniform_state(cells, u=1.0, v=0.0, w=0.0, z=0.0, h_total=2.0):
@@ -367,9 +367,9 @@ def _porous_fisher_cell_means(grid, t, x0):
 class TestRun:
     def test_emission_cadence(self):
         initial = make_standard_initial(cells=64)
-        cfg = SolverConfig(t_end=10.0, output_stride=10)
+        cfg = SolverConfig(t_end=time_after_steps(initial, STANDARD_MODEL, 25), output_stride=10)
         emitted = []
-        res = run(initial, STANDARD_MODEL, cfg, emit=lambda s, row: emitted.append((s, row)), max_steps=25)
+        res = run(initial, STANDARD_MODEL, cfg, emit=lambda s, row: emitted.append((s, row)))
         assert res.steps == 25
         assert list(res.history) == list(HISTORY_COLUMNS)
         assert len(emitted) == 4  # steps 0, 10, 20, 25
@@ -392,19 +392,6 @@ class TestRun:
         assert res.bound_by[binds] == res.steps
         assert math.fsum(res.dts) == pytest.approx(t_end, rel=1e-12)
 
-    def test_max_steps_only_ends_a_run_early(self):
-        initial = make_standard_initial(cells=32)
-        cfg = SolverConfig(t_end=0.01)
-        full = run(initial, STANDARD_MODEL, cfg)
-        assert full.final.t == pytest.approx(0.01, abs=1e-12)
-        # a budget beyond what t_end needs still stops at t_end, and one step short stops there
-        long = run(initial, STANDARD_MODEL, cfg, max_steps=10 * full.steps)
-        short = run(initial, STANDARD_MODEL, cfg, max_steps=full.steps - 1)
-        assert (long.steps, long.final.t, list(long.dts)) == (full.steps, full.final.t, list(full.dts))
-        assert short.steps == full.steps - 1 and list(short.dts) == list(full.dts)[:-1]
-        assert short.history["t"][-1] == short.final.t < full.final.t  # its last step is emitted
-        assert run(initial, STANDARD_MODEL, SolverConfig(t_end=0.0), max_steps=5).final is initial
-
     def test_zero_duration_returns_initial(self):
         # step 0 is emitted like any run's, so the history holds the initial state's row
         initial = make_standard_initial(cells=64)
@@ -417,10 +404,11 @@ class TestRun:
         assert all(res.history[name][0] == full.history[name][0] for name in HISTORY_COLUMNS)
 
     def test_zero_duration_and_zero_steps_emit_alike(self):
+        # a t_end within the time tolerance 1e-12 counts as reached before any step
         initial = make_standard_initial(cells=32)
         emitted = []
-        for cfg, max_steps in ((SolverConfig(t_end=0.0), None), (SolverConfig(t_end=0.01), 0)):
-            res = run(initial, STANDARD_MODEL, cfg, emit=lambda s, row: emitted.append((s, row)), max_steps=max_steps)
+        for t_end in (0.0, 5e-13):
+            res = run(initial, STANDARD_MODEL, SolverConfig(t_end=t_end), emit=lambda s, row: emitted.append((s, row)))
             assert res.final is initial and res.steps == 0 and len(res.dts) == 0
         (a, row_a), (b, row_b) = emitted
         assert a is b is initial and row_a == row_b
@@ -614,12 +602,16 @@ class TestKernel:
     @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
     def test_run_equals_repeated_step_bit_for_bit(self, case, monkeypatch):
         initial, params, cfg = kernel_case(case, monkeypatch)
-        res = run(initial, params, cfg, max_steps=40)
-        state, total = initial, 0.0
-        for _ in range(40):
+        cfg = dataclasses.replace(cfg, t_end=time_after_steps(initial, params, 40, cfg.t_end))
+        res = run(initial, params, cfg)
+        # the reference loop steps under run's own cap and stopping rule
+        state, total, steps = initial, 0.0, 0
+        while state.t < cfg.t_end - solver._time_tolerance(cfg.t_end):
             state, _, clipped, _ = kernel_step(state, params, cfg.t_end)
             total += clipped
+            steps += 1
             assert np.min(state.u.values) >= 0.0
+        assert res.steps == steps == 40
         for name in ("u", "v", "w", "z"):
             assert np.array_equal(getattr(res.final, name).values, getattr(state, name).values), name
         assert res.final.t == state.t
@@ -648,7 +640,7 @@ class TestKernel:
         s = StateQuad(bump_field(g, (0.0,), 0.5, height), v, Field.full(g, 1.0), Field.full(g, 0.5))
         params = dataclasses.replace(STANDARD_MODEL, phi=ConstantSensitivity(-1.0))
         monkeypatch.setattr(solver, "CFL_SAFETY", 1.0)
-        res = run(s, params, SolverConfig(t_end=1.0), max_steps=40)
+        res = run(s, params, SolverConfig(t_end=time_after_steps(s, params, 40)))
         assert res.total_clipped == 0.0
         assert res.bound_by["drift"] == 40
 
@@ -660,7 +652,7 @@ class TestKernel:
         s = StateQuad(bump_field(g, (0.0,), 0.5, 1.0), v, Field.full(g, 1.0), Field.full(g, 0.5))
         params = dataclasses.replace(STANDARD_MODEL, m=1.5, phi=ConstantSensitivity(-1.0))
         monkeypatch.setattr(solver, "CFL_SAFETY", 1.0)
-        res = run(s, params, SolverConfig(t_end=1.0), max_steps=40)
+        res = run(s, params, SolverConfig(t_end=time_after_steps(s, params, 40)))
         assert res.bound_by["drift"] == 40
         assert res.total_clipped == 0.0
 
@@ -672,13 +664,12 @@ class TestKernel:
         box = 6.0 * ((np.abs(x)[:, None] < 0.25) & (np.abs(x)[None, :] < 0.25))
         s = StateQuad(Field(g, box), Field.full(g, 0.0), Field.full(g, 0.0), Field.full(g, 0.0))
         params = ModelParams(m=1.5, mu=0.0, phi=ConstantSensitivity(0.0))
-        cfg = SolverConfig(t_end=1.0)
         monkeypatch.setattr(solver, "CFL_SAFETY", 1.0)
-        res = run(s, params, cfg, max_steps=20)
+        res = run(s, params, SolverConfig(t_end=time_after_steps(s, params, 20)))
         assert res.bound_by["diffusion"] == 20 and res.stages == 20 * solver.MAX_STAGES
         assert res.total_clipped == 0.0
         monkeypatch.setattr(solver, "MAX_STAGES", 37)
-        assert run(s, params, cfg, max_steps=20).total_clipped > 0.01
+        assert run(s, params, SolverConfig(t_end=time_after_steps(s, params, 20))).total_clipped > 0.01
 
     @pytest.mark.parametrize("stages", [2, 3, 4])
     def test_rkl2_weights_are_second_order_and_stable_over_the_stage_gain(self, stages):
@@ -705,7 +696,7 @@ class TestKernel:
         s = StateQuad(bump_field(g, (0.0,), 0.5, 6.0), Field.full(g, 0.0), Field.full(g, 1.0), Field.full(g, 0.5))
         params = ModelParams(m=2.0, delta=1.0, mu=1e4, r=10.0)
         monkeypatch.setattr(solver, "CFL_SAFETY", safety)
-        res = run(s, params, SolverConfig(t_end=1.0), max_steps=40)
+        res = run(s, params, SolverConfig(t_end=time_after_steps(s, params, 40)))
         assert res.bound_by["reaction"] == 40
         assert res.total_clipped == 0.0
 
@@ -773,10 +764,10 @@ class TestKernel:
 
     def test_emitted_states_are_distinct_and_unchanged(self):
         initial = make_standard_initial(cells=64)
-        cfg = SolverConfig(t_end=1.0, output_stride=7)
+        cfg = SolverConfig(t_end=time_after_steps(initial, STANDARD_MODEL, 50), output_stride=7)
         kept, copies = [], []
-        run(initial, STANDARD_MODEL, cfg, emit=lambda s, row: kept.append(s), max_steps=50)
-        run(initial, STANDARD_MODEL, cfg, emit=lambda s, row: copies.append(copy.deepcopy(s)), max_steps=50)
+        run(initial, STANDARD_MODEL, cfg, emit=lambda s, row: kept.append(s))
+        run(initial, STANDARD_MODEL, cfg, emit=lambda s, row: copies.append(copy.deepcopy(s)))
         assert len(kept) == len(copies) == 9  # steps 0, 7, ..., 49 and 50
         arrays = [getattr(s, name).values for s in kept for name in ("u", "v", "w", "z")]
         for i, a in enumerate(arrays):
