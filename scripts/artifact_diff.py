@@ -41,18 +41,24 @@ def _bench_config(name: str, *swaps) -> str:
 
 RUN = ["run", "--config", "case.cfg", "--out", "out"] + SEED
 VERIFY = ["verify", "--out", "out"]
+STRIDE_20 = ("output_stride = 200", "output_stride = 20")
 
 
 def cases() -> list[tuple[str, str, list[list[str]]]]:
     """(name, config text, commands) of each case; every command runs in the case's directory, beside case.cfg."""
     return [
-        ("ref_1d_stride_20", _bench_config("ref_1d", ("output_stride = 200", "output_stride = 20")),
+        ("ref_1d_stride_20", _bench_config("ref_1d", STRIDE_20),
          [RUN, VERIFY, ["fit", os.path.join("out", "history.csv"), "--out", "out"]]),
+        # the other two phi rules: run parses each from case.cfg and writes it to config.cfg, which verify parses
+        ("ref_1d_linear_switch", _bench_config("ref_1d", STRIDE_20, ("phi = constant 1.0", "phi = linear_switch 0.5")),
+         [RUN, VERIFY]),
+        ("ref_1d_table", _bench_config("ref_1d", STRIDE_20, ("phi = constant 1.0", "phi = table 0:1,0.5:0.5,1:0")),
+         [RUN, VERIFY]),
         ("front_2d", _bench_config("front_2d"), [RUN, VERIFY]),
         # the lower envelope's spread underflows: verify exits 2
         ("ref_1d_m_600", _bench_config("ref_1d", ("m = 2.0", "m = 600")), [RUN, VERIFY]),
         # a 2 x 2 sweep: manifest.csv, each case's fits.csv and the skip lines on stderr
-        ("ref_1d_sweep", _bench_config("ref_1d", ("output_stride = 200", "output_stride = 20"))
+        ("ref_1d_sweep", _bench_config("ref_1d", STRIDE_20)
          + "\n[sweep]\nmodel.m = 2.0, 3.0\nmodel.mu = 0.5, 1.0\n",
          [["sweep", "--config", "case.cfg", "--out", "out"] + SEED]),
         ("lattice_ensemble", _bench_config("lattice_ensemble"),

@@ -152,7 +152,7 @@ def _execute_run(cfg: RunConfig):
 
     A run directory holds one run: an earlier run's snapshots, verify report
     and fits go first, so that verify and fit never read them with this one's.
-    Returns the run's result and its initial state.
+    Returns the run's result, whose center is the run's one centre.
     """
     initial = config_io.build_initial_state(cfg)
     out_dir = cfg.out_dir
@@ -176,7 +176,7 @@ def _execute_run(cfg: RunConfig):
         result = solver.run(initial, cfg.model, cfg.solver, emit=emit)
         wall_s = time.perf_counter() - t0
     _write_json(os.path.join(out_dir, "run_stats.json"), _run_stats(result, wall_s))
-    return result, initial
+    return result
 
 
 def _config(args) -> RunConfig:
@@ -191,7 +191,7 @@ def _config(args) -> RunConfig:
 
 def cmd_run(args) -> int:
     cfg = _config(args)
-    result, _ = _execute_run(cfg)
+    result = _execute_run(cfg)
     rows = len(result.history["t"])  # run writes one snapshot per history row
     print("run: %d steps to t=%.6g, %d history rows, %d snapshots in %s"
           % (result.steps, result.final.t, rows, rows, cfg.out_dir))
@@ -216,26 +216,22 @@ def _run_dir_snapshots(run_dir: str):
     return cfg, lambda: (config_io.read_snapshot(p, cfg.grid) for p in paths)
 
 
-def _seed_ball_radius(u: Field, x0, level: float) -> float:
+def _seed_ball_radius(u: Field, d2, level: float) -> float:
     """Largest radius whose full ball of cells stays at or above level.
 
-    Orders cells outward from x0, ties by index; the ball ends at the first
-    cell below level.  At least the cell containing x0 counts, so the radius
-    is at least half a spacing.
+    Orders cells outward from the run's centre, d2 holding their squared
+    distances from it, ties by index; the ball ends at the first cell below
+    level.  At least the nearest cell counts, so the radius is at least half
+    a spacing.
     """
-    d2 = u.grid.center_distance2(x0).ravel()
+    d2 = d2.ravel()
     order = np.argsort(d2, kind="stable")
     inside = np.logical_and.accumulate(~(u.values.ravel()[order] < level))
     return max(np.sqrt(np.max(d2[order][inside], initial=0.0)), 0.5 * u.grid.h)
 
 
 def _wall_distance(grid: Grid, x0) -> float:
-    best = np.inf
-    for a in range(grid.dim):
-        lo = grid.origin[a]
-        hi = grid.origin[a] + grid.extent[a]
-        best = min(best, x0[a] - lo, hi - x0[a])
-    return float(best)
+    return float(min(min(x - lo, lo + size - x) for x, lo, size in zip(x0, grid.origin, grid.extent)))
 
 
 def _mass_check(cfg: RunConfig, snapshots):
@@ -250,7 +246,7 @@ def _mass_check(cfg: RunConfig, snapshots):
 
 def _envelope_check(cfg: RunConfig, snapshots):
     """The lower and upper envelopes, sized from the run's attractant bounds c1 and c2 (one pass) and from the first
-    snapshot's u, and the sandwich of every snapshot between them (a second pass)."""
+    snapshot's u, and the sandwich of every snapshot between them (a second pass), all about that snapshot's peak."""
     grid, params = cfg.grid, cfg.model
     notes = []
     grads, laps = zip(*(solver.max_abs_derivatives(s.v) for s in snapshots()))
@@ -262,6 +258,7 @@ def _envelope_check(cfg: RunConfig, snapshots):
     u0 = next(snapshots()).u
     sup0 = float(np.max(u0.values))
     x0 = solver.peak_coordinate(u0)
+    d2 = grid.center_distance2(x0)  # the run's one centre: the seed ball, r0 and the sandwich all read d2
     front_ok = 1.0 <= params.delta < params.m
 
     lower = upper = None
@@ -272,13 +269,13 @@ def _envelope_check(cfg: RunConfig, snapshots):
             notes.append("lower skipped: needs growth (mu > 0) and 1 <= delta < m")
         else:
             seed_height = min(0.5, 0.5 * sup0)
-            seed_radius = _seed_ball_radius(u0, x0, seed_height)
+            seed_radius = _seed_ball_radius(u0, d2, seed_height)
             lower = profiles.select_lower_profile(params.m, grid.dim, params.mu, params.delta, seed_radius,
-                                                  seed_height, grid.diameter(), c1, c2, x0)
+                                                  seed_height, grid.diameter(), c1, c2)
             print("verify: lower profile amplitude=%.6g spread=%.6g rate=%.6g seed_r=%.4g"
                   % (lower.amplitude, lower.spread_exp, lower.rate_exp, seed_radius))
 
-        r0, wall = diagnostics.support_radius(u0, x0), _wall_distance(grid, x0)
+        r0, wall = diagnostics.support_radius(u0, d2), _wall_distance(grid, x0)
         if not front_ok:
             notes.append("upper skipped: needs 1 <= delta < m")
         elif not (0.0 < r0 < wall):
@@ -286,12 +283,12 @@ def _envelope_check(cfg: RunConfig, snapshots):
                          % (r0, wall))
         else:
             upper = profiles.select_upper_profile(params.m, params.mu, params.delta, r0, 0.5 * (r0 + wall), sup0,
-                                                  c1, c2, x0)
+                                                  c1, c2)
             print("verify: upper profile amplitude=%.6g shift=%.6g valid for t<=%.6g"
                   % (upper.amplitude, upper.time_shift, upper.valid_until))
 
     envelopes = [env for env in (lower, upper) if env is not None]
-    report = diagnostics.sandwich_check(snapshots(), envelopes)
+    report = diagnostics.sandwich_check(snapshots(), envelopes, d2)
     print("verify: sandwich lower viol %.3e (%d snaps), upper viol %.3e (%d snaps), %d violations: %s"
           % (report.max_lower_violation, report.checked_lower, report.max_upper_violation, report.checked_upper,
              report.violation_count, "ok" if report.clean else "FAIL"))
@@ -339,10 +336,9 @@ def _sweep_worker(cfg: RunConfig):
     fail the case.
     """
     try:
-        result, initial = _execute_run(cfg)
+        result = _execute_run(cfg)
         # the front fit stops short of the wall, where the pinned radius would flatten it
-        x0 = solver.peak_coordinate(initial.u)
-        front_cap = 0.95 * (_wall_distance(cfg.grid, x0) - cfg.grid.h)
+        front_cap = 0.95 * (_wall_distance(cfg.grid, result.center) - cfg.grid.h)
         rows, values, skips = _fit_history(result.history, front_cap=front_cap)
         _write_table(os.path.join(cfg.out_dir, "fits.csv"), rows)
     except _CASE_FAILURES as exc:

@@ -324,10 +324,11 @@ def _float_list(sections, key, count):
 def _parse_phi(value: str, line_no: int):
     parts = value.split()
     try:
+        # a one-number rule converts all that follows its keyword, so a trailing token is refused, not ignored
         if parts[0] == "constant":
-            return ConstantSensitivity(_convert("float", parts[1], line_no, "model.phi"))
+            return ConstantSensitivity(_convert("float", value.split(None, 1)[1], line_no, "model.phi"))
         if parts[0] == "linear_switch":
-            return LinearSwitchSensitivity(_convert("float", parts[1], line_no, "model.phi"))
+            return LinearSwitchSensitivity(_convert("float", value.split(None, 1)[1], line_no, "model.phi"))
         if parts[0] == "table":
             pairs = "".join(parts[1:]).split(",")
             us, ps = [], []
@@ -347,7 +348,7 @@ def _parse_initial(value: str, line_no: int, where: str, dim: int, base_dir: str
     parts = value.split()
     try:
         if parts[0] == "constant":
-            return ConstantInit(_convert("float", parts[1], line_no, where))
+            return ConstantInit(_convert("float", value.split(None, 1)[1], line_no, where))
         if parts[0] == "bump":
             nums = [_convert("float", p, line_no, where) for p in parts[1:]]
             if len(nums) != dim + 2:

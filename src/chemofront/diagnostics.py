@@ -51,22 +51,21 @@ HISTORY_COLUMNS = (
 )
 
 
-def support_radius(u: Field, x0) -> float:
-    """Radius of the occupied region around x0.
+def support_radius(u: Field, d2) -> float:
+    """Radius of the occupied region about the run's one centre, d2 holding each cell's squared distance from it.
 
-    Largest distance from x0 to the center of any cell with u >
-    SUPPORT_THRESHOLD, plus half a cell so the reported ball covers the
-    whole cell; 0.0 when no cell is on the support.
+    Largest distance to the center of any cell with u > SUPPORT_THRESHOLD,
+    plus half a cell so the reported ball covers the whole cell; 0.0 when no
+    cell is on the support.
     """
     mask = u.values > SUPPORT_THRESHOLD
     if not np.any(mask):
         return 0.0
-    d2 = u.grid.center_distance2(x0)
     return float(np.sqrt(np.max(d2[mask]))) + 0.5 * u.grid.h
 
 
-def history_row(state: StateQuad, x0, v_target: float, r: float):
-    """One row of HISTORY_COLUMNS; a cell is on the support when u > SUPPORT_THRESHOLD.
+def history_row(state: StateQuad, d2, v_target: float, r: float):
+    """One row of HISTORY_COLUMNS, its support_radius measured on d2, the run's squared distances from its centre.
 
     u and z settle to the carrying capacity 1/r and v to v_target, its
     initial mean plus the matrix initial mean (the combined mean is conserved
@@ -78,7 +77,7 @@ def history_row(state: StateQuad, x0, v_target: float, r: float):
     capacity = 1.0 / r
     return (
         state.t,
-        support_radius(state.u, x0),
+        support_radius(state.u, d2),
         float(u.max()),
         inf_on,
         float(np.max(np.abs(u - capacity))),
@@ -181,14 +180,16 @@ class SandwichReport:
         return self.violation_count == 0
 
 
-def sandwich_check(snapshots, envelopes) -> SandwichReport:
+def sandwich_check(snapshots, envelopes, d2) -> SandwichReport:
     """Verify profile ordering against simulated states: any iterable of them on one grid, read in one pass.
 
-    envelopes are comparison profiles (profiles.ProfileParams).  Each is
-    checked on every snapshot whose time, counted from the first snapshot,
-    lies in its window [0, valid_until]: a 'lower' profile must stay below
-    u, an 'upper' one above it.  Every cell of a checked snapshot that
-    crosses its envelope by more than SANDWICH_TOL counts as one violation.
+    envelopes are comparison profiles (profiles.ProfileParams) about the
+    run's one centre, and d2, shaped like the snapshots' cells, holds each
+    cell's squared distance from it.  Each envelope is checked on every
+    snapshot whose time, counted from the first snapshot, lies in its window
+    [0, valid_until]: a 'lower' profile must stay below u, an 'upper' one
+    above it.  Every cell of a checked snapshot that crosses its envelope by
+    more than SANDWICH_TOL counts as one violation.
     """
     worst = {"lower": 0.0, "upper": 0.0}
     checked = {"lower": 0, "upper": 0}
@@ -196,16 +197,16 @@ def sandwich_check(snapshots, envelopes) -> SandwichReport:
     grid = t0 = None
     for snap in snapshots:
         if grid is None:
-            # the window starts at the first snapshot, and each envelope's distances are computed once
-            grid, t0 = snap.grid, snap.t
-            checks = [(env, 1.0 if env.kind == "lower" else -1.0, grid.center_distance2(env.center))
-                      for env in envelopes]
+            grid, t0 = snap.grid, snap.t  # the window starts at the first snapshot
+            if np.shape(d2) != grid.cells:
+                raise ValueError("d2 has shape %s, the snapshots' grid %s" % (np.shape(d2), grid.cells))
         elif snap.grid != grid:
             raise ValueError("snapshots must share one grid")
         rel_t = snap.t - t0
-        for env, sign, d2 in checks:
+        for env in envelopes:
             if rel_t > env.valid_until + 1e-15:
                 continue
+            sign = 1.0 if env.kind == "lower" else -1.0
             viol = sign * (env.evaluate(d2, rel_t) - snap.u.values)
             worst[env.kind] = max(worst[env.kind], float(viol.max()))
             checked[env.kind] += 1

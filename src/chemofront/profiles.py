@@ -6,11 +6,13 @@ finite-volume solver, so it can serve as an oracle for it.  Three families:
 * the Barenblatt source solution of the porous-medium equation,
 * compactly supported sub/super profiles
       g(x, t) = amplitude * (shift + t)**(sign * rate_exp)
-                * max(support_scale - |x - center|^2 / (shift + t)**spread_exp, 0)**shape_exp
+                * max(support_scale - d2 / (shift + t)**spread_exp, 0)**shape_exp
   whose parameters are picked in closed form, each bound compared by its
   log, so that g bounds the cell density from below (all times) or from
   above (a short initial window); each profile carries the end of its
-  window as valid_until,
+  window as valid_until.  d2 is the squared distance from the run's one
+  centre, which the caller fixes and computes once: a profile holds no
+  centre,
 * the scalar comparison ODE g' = C e^{-c t} g^m with an explicit blow-up
   dichotomy.
 """
@@ -74,9 +76,10 @@ class ProfileParams:
 
     kind 'lower': g = amplitude (1+t)^{-rate_exp} (support_scale - d2/(1+t)^spread_exp)_+^shape_exp
     kind 'upper': g = amplitude (shift+t)^{+rate_exp} (support_scale - d2/(shift+t)^spread_exp)_+^shape_exp
-    where d2 = |x - center|^2 and shape_exp = 1/(m-1).  valid_until ends the
-    window of t in which the profile bounds the density: infinite for a
-    lower profile, the construction's finite t0 > 0 for an upper one.
+    where d2 is the squared distance from the run's centre, which the profile
+    does not hold (evaluate takes d2), and shape_exp = 1/(m-1).  valid_until
+    ends the window of t in which the profile bounds the density: infinite
+    for a lower profile, the construction's finite t0 > 0 for an upper one.
     """
 
     kind: str
@@ -85,12 +88,10 @@ class ProfileParams:
     spread_exp: float
     rate_exp: float
     time_shift: float
-    center: tuple[float, ...]
     m: float
     valid_until: float = math.inf
 
     def __post_init__(self):
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         if self.kind not in ("lower", "upper"):
             raise ValueError("kind must be 'lower' or 'upper', got %r" % self.kind)
         if not (self.amplitude > 0 and self.support_scale > 0):
@@ -118,7 +119,7 @@ class ProfileParams:
         return 1.0 / (self.m - 1.0)
 
     def evaluate(self, d2, t: float):
-        """Profile value at squared distances d2 from center (on a grid, its center_distance2) and time t >= 0."""
+        """Profile value at squared distances d2 from the run's centre (a grid's center_distance2) and time t >= 0."""
         if t < 0.0:
             raise ValueError("t must be >= 0")
         s = self.time_shift + t
@@ -137,17 +138,16 @@ def select_lower_profile(
     diam: float,
     c1: float,
     c2: float,
-    center,
 ) -> ProfileParams:
     """Build the expanding sub-profile pinned under a seeded cell density.
 
     The density must dominate seed_height on the ball of seed_radius around
-    center at t = 0; c1 and c2 bound the attractant gradient and Laplacian
-    over the run; diam is the domain diameter.  The amplitude is the least
-    of four closed-form branches, compared by their logs, and the spread
-    exponent is 4 * amplitude^{m-1} * m/(m-1), capped just below 1/2 (the
-    cap keeps the strict-inequality hypothesis while the formula can land
-    exactly on 1/2; a smaller spread only relaxes the remaining
+    the run's centre at t = 0; c1 and c2 bound the attractant gradient and
+    Laplacian over the run; diam is the domain diameter.  The amplitude is
+    the least of four closed-form branches, compared by their logs, and the
+    spread exponent is 4 * amplitude^{m-1} * m/(m-1), capped just below 1/2
+    (the cap keeps the strict-inequality hypothesis while the formula can
+    land exactly on 1/2; a smaller spread only relaxes the remaining
     inequalities).  Requires 1 <= delta < m and mu > 0.
     """
     if not (m > 1.0):
@@ -177,7 +177,6 @@ def select_lower_profile(
         spread_exp=beta,
         rate_exp=(1.0 - beta) / (m - 1.0),
         time_shift=1.0,
-        center=center,
         m=m,
     )
 
@@ -206,19 +205,18 @@ def select_upper_profile(
     sup_height: float,
     c1: float,
     c2: float,
-    center,
 ) -> ProfileParams:
     """Build the super-profile covering the density on an initial window.
 
-    The density is supported in the ball of radius r0 around center with sup
-    at most sup_height, and the ball of radius r1 > r0 stays inside the
-    domain.  Both spread and rate exponents equal 1; the amplitude makes the
-    profile exactly sup_height on the edge of the r0 ball at t = 0.  The time
-    shift tau is the largest power of two, at most 1/2, that meets three
-    sufficient inequalities over the validity window [0, t0], t0 being the
-    profile's valid_until.  With d = 1/(m-1), r2 = (r0+r1)/2, gap = r2^2 -
-    r0^2 and the window's far end tau + t0 = k tau, each inequality reads
-    tau <= B_i, in logs:
+    The density is supported in the ball of radius r0 around the run's
+    centre with sup at most sup_height, and the ball of radius r1 > r0 stays
+    inside the domain.  Both spread and rate exponents equal 1; the amplitude
+    makes the profile exactly sup_height on the edge of the r0 ball at t = 0.
+    The time shift tau is the largest power of two, at most 1/2, that meets
+    three sufficient inequalities over the validity window [0, t0], t0 being
+    the profile's valid_until.  With d = 1/(m-1), r2 = (r0+r1)/2,
+    gap = r2^2 - r0^2 and the window's far end tau + t0 = k tau, each
+    inequality reads tau <= B_i, in logs:
 
         log B1 = log((m-1) gap/(8m)) - (m-1)(log sup + log k)
         log B2 = log(2/(3 coeff)) - (m-1) log A - m log k
@@ -272,7 +270,6 @@ def select_upper_profile(
         spread_exp=1.0,
         rate_exp=1.0,
         time_shift=tau,
-        center=center,
         m=m,
         valid_until=min(tau, tau * stretch),
     )

@@ -93,12 +93,14 @@ CFL_SAFETY = 0.25
 
 @dataclass
 class RunResult:
-    """A run's history and final state.  history maps each HISTORY_COLUMNS
-    name, in that order, to a float64 column with one entry per emitted
-    state; dts holds the dt of every step, bound_by counts, per BINDING_TERMS
-    entry, the steps whose CFL dt it set (the last step, shortened to land on
-    t_end, counts for its CFL term), and stages sums the RKL2 stages of every
-    step."""
+    """A run's history and final state.  center is the run's one centre, the
+    initial peak that every support_radius is measured about; history maps
+    each HISTORY_COLUMNS name, in that order, to a float64 column with one
+    entry per emitted state; dts holds the dt of every step, bound_by counts,
+    per BINDING_TERMS entry, the steps whose CFL dt it set (the last step,
+    shortened to land on t_end, counts for its CFL term), and stages sums the
+    RKL2 stages of every step."""
+    center: tuple
     history: dict
     final: StateQuad
     total_clipped: float
@@ -366,17 +368,19 @@ def run(
     state.  A CFL dt below the same tolerance raises SimulationError naming
     the term that binds.  The result holds every step's dt, per
     BINDING_TERMS entry how many steps it bound, and the RKL2 stages summed
-    over the steps.
+    over the steps, and its centre, the initial peak: the squared distances
+    from it are computed once, and every row's support_radius reads them.
     """
     columns = [array("d") for _ in diagnostics.HISTORY_COLUMNS]
     state = initial
     t_end = initial.t + config.t_end
 
     x0 = peak_coordinate(initial.u)
+    d2 = initial.grid.center_distance2(x0)
     v_target = float(np.mean(initial.v.values) + np.mean(initial.w.values))
 
     def emit_state(s: StateQuad):
-        row = diagnostics.history_row(s, x0, v_target, params.r)
+        row = diagnostics.history_row(s, d2, v_target, params.r)
         for col, value in zip(columns, row):
             col.append(value)
         if emit is not None:
@@ -401,4 +405,4 @@ def run(
             state = StateQuad(Field(grid, u), Field(grid, v), Field(grid, w), Field(grid, z), t)
             emit_state(state)
     history = {name: np.array(col) for name, col in zip(diagnostics.HISTORY_COLUMNS, columns)}
-    return RunResult(history, state, total_clipped, steps, dts, dict(zip(BINDING_TERMS, counts)), stages)
+    return RunResult(x0, history, state, total_clipped, steps, dts, dict(zip(BINDING_TERMS, counts)), stages)

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -743,6 +744,43 @@ class TestVerifyCommand:
         assert report["violation_count"] == "0"
 
 
+class TestOneCentrePerRun:
+    """Every radial measure of a run reads one array of squared distances from its centre: run and verify each
+    compute it once, however many rows, envelopes and seed measures read it."""
+
+    @staticmethod
+    def count_distance_arrays(monkeypatch):
+        calls = []
+        center_distance2 = Grid.center_distance2
+
+        def counted(grid, x0):
+            calls.append(tuple(x0))
+            return center_distance2(grid, x0)
+
+        monkeypatch.setattr(Grid, "center_distance2", counted)
+        return calls
+
+    @pytest.mark.parametrize("stride", [200, 7])
+    def test_run_computes_the_distances_once(self, monkeypatch, stride):
+        cfg = config_io.parse_config(RUN_CFG)
+        initial = config_io.build_initial_state(cfg)  # the bump is built on distances from its own centre
+        calls = self.count_distance_arrays(monkeypatch)
+        result = solver.run(initial, cfg.model, dataclasses.replace(cfg.solver, output_stride=stride))
+        assert len(result.history["t"]) == {200: 17, 7: 443}[stride]
+        assert calls == [solver.peak_coordinate(initial.u)]
+        assert result.center == calls[0]
+
+    def test_verify_computes_the_distances_once(self, cli_run_dir, monkeypatch, capsys):
+        out = cli_run_dir["out"]
+        first = config_io.read_snapshot(str(out / "snap_00000000.bin"), RUN_GRID)
+        calls = self.count_distance_arrays(monkeypatch)
+        assert main(["verify", "--out", str(out)]) == 0
+        # the seed ball, r0 and both envelopes were measured, all about the first snapshot's peak
+        printed = capsys.readouterr().out
+        assert "verify: lower profile" in printed and "verify: upper profile" in printed
+        assert calls == [solver.peak_coordinate(first.u)]
+
+
 def seed_ball_radius_by_walk(u, x0, level):
     """_seed_ball_radius written as a walk over the cells, nearest first (ties by index), to the first below level."""
     d2 = u.grid.center_distance2(x0).ravel()
@@ -769,12 +807,12 @@ class TestSeedBallRadius:
         values = np.round(np.clip(1.0 - grid.center_distance2(x0), 0.0, None) + rng.uniform(0.0, 0.3, grid.cells), 1)
         u = Field(grid, values)
         for level in (0.2, 0.5, 0.8, 1.2):
-            assert cli._seed_ball_radius(u, x0, level) == seed_ball_radius_by_walk(u, x0, level)
+            assert cli._seed_ball_radius(u, grid.center_distance2(x0), level) == seed_ball_radius_by_walk(u, x0, level)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_is_half_a_spacing_when_no_cell_reaches_the_level(self, dim):
         grid = self.GRIDS[dim]
-        assert cli._seed_ball_radius(Field.full(grid, 0.25), (0.0,) * dim, 0.5) == 0.5 * grid.h
+        assert cli._seed_ball_radius(Field.full(grid, 0.25), grid.center_distance2((0.0,) * dim), 0.5) == 0.5 * grid.h
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_is_half_a_spacing_when_only_the_nearest_cell_is_inside(self, dim):
@@ -783,14 +821,14 @@ class TestSeedBallRadius:
         x0 = tuple(grid.origin[a] + 6.25 * grid.h for a in range(dim))
         values = np.zeros(grid.cells)
         values[(6,) * dim] = 1.0
-        assert cli._seed_ball_radius(Field(grid, values), x0, 0.5) == 0.5 * grid.h
+        assert cli._seed_ball_radius(Field(grid, values), grid.center_distance2(x0), 0.5) == 0.5 * grid.h
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_field_wholly_above_the_level_reaches_the_farthest_cell(self, dim):
         grid = self.GRIDS[dim]
         x0 = (0.1,) * dim
         expected = np.sqrt(np.max(grid.center_distance2(x0)))
-        assert cli._seed_ball_radius(Field.full(grid, 1.0), x0, 0.5) == expected
+        assert cli._seed_ball_radius(Field.full(grid, 1.0), grid.center_distance2(x0), 0.5) == expected
 
 
 # --- fit --------------------------------------------------------------------

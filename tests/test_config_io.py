@@ -290,6 +290,12 @@ class TestParseErrors:
             (lambda t: t.replace("constant 0.5", "gaussian 1.0"), "constant/bump/snapshot"),
             (lambda t: t.replace("m = 2.0", "m = 2.0\nphi = sigmoid 1"), "constant/linear_switch/table"),
             (lambda t: t.replace("m = 2.0", "m = 2.0\nphi = table 0-0,1-1"), "bad phi rule"),
+            # a rule of one number refuses a trailing token, which it once ignored
+            (lambda t: t.replace("m = 2.0", "m = 2.0\nphi = constant 0.5 0.9"),
+             r"^line 4: model\.phi must be a number, got '0\.5 0\.9'$"),
+            (lambda t: t.replace("m = 2.0", "m = 2.0\nphi = linear_switch 2 junk"),
+             r"^line 4: model\.phi must be a number, got '2 junk'$"),
+            (lambda t: t.replace("constant 0.5", "constant 0.1 7"), r"^line 14: initial\.u must be a number, got '0\.1 7'$"),
             (lambda t: t.replace("cells = 16", "cells = nan"), r"line 7: grid\.cells must be a finite number"),
             (lambda t: t.replace("cells = 16", "cells = 1e400"), r"grid\.cells must be a finite number"),
             (lambda t: t.replace("extent = 2.0", "extent = 2.0\norigin = nan"), r"grid\.origin must be a finite"),

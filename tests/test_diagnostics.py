@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,14 +30,15 @@ from conftest import bump_field, make_standard_initial
 def test_support_radius_covers_occupied_cells():
     g = Grid((64,), (2.0,), (-1.0,))
     u = bump_field(g, (0.0,), 0.25, 0.5)
-    r = support_radius(u, (0.0,))
-    occupied = g.center_distance2((0.0,))[u.values > 0.0]
+    d2 = g.center_distance2((0.0,))
+    r = support_radius(u, d2)
+    occupied = d2[u.values > 0.0]
     assert r == pytest.approx(float(np.sqrt(occupied.max())) + 0.5 * g.h)
     assert r <= 0.25 + g.h
 
 def test_support_radius_empty_field_is_zero():
     g = Grid((16,), (1.0,), (0.0,))
-    assert support_radius(Field.full(g, 0.0), (0.5,)) == 0.0
+    assert support_radius(Field.full(g, 0.0), g.center_distance2((0.5,))) == 0.0
 
 def test_support_radius_threshold_masks_low_values():
     g = Grid((16,), (1.0,), (0.0,))
@@ -44,15 +46,15 @@ def test_support_radius_threshold_masks_low_values():
     vals[3] = SUPPORT_THRESHOLD
     vals[8] = 1.0
     u = Field(g, vals)
-    x0 = (g.axis_centers(0)[8],)
-    assert support_radius(u, x0) == pytest.approx(0.5 * g.h)
+    d2 = g.center_distance2((g.axis_centers(0)[8],))
+    assert support_radius(u, d2) == pytest.approx(0.5 * g.h)
     # the history's support column and its infimum on the support follow the same rule
     zero = Field.full(g, 0.0)
-    row = dict(zip(HISTORY_COLUMNS, history_row(StateQuad(u, zero, zero, zero), x0, 0.0, 1.0)))
-    assert row["support_radius"] == support_radius(u, x0)
+    row = dict(zip(HISTORY_COLUMNS, history_row(StateQuad(u, zero, zero, zero), d2, 0.0, 1.0)))
+    assert row["support_radius"] == support_radius(u, d2)
     assert row["inf_u_on_support"] == 1.0
     vals[3] = 2.0 * SUPPORT_THRESHOLD
-    assert support_radius(Field(g, vals), x0) == pytest.approx(5.5 * g.h)
+    assert support_radius(Field(g, vals), d2) == pytest.approx(5.5 * g.h)
 
 
 # --- steady targets and history rows ----------------------------------------
@@ -62,20 +64,20 @@ def test_history_row_targets_the_carrying_capacity():
     # u and z settle to 1/r = 0.5, v to mean v0 + mean w0 = 0.7
     g = Grid((8,), (1.0,), (0.0,))
     s = StateQuad(Field.full(g, 0.3), Field.full(g, 0.2), Field.full(g, 0.5), Field.full(g, 0.0))
-    named = dict(zip(HISTORY_COLUMNS, history_row(s, (0.5,), 0.7, 2.0)))
+    named = dict(zip(HISTORY_COLUMNS, history_row(s, g.center_distance2((0.5,)), 0.7, 2.0)))
     assert named["norm_u_minus_1"] == pytest.approx(0.2)
     assert named["norm_v_minus_target"] == pytest.approx(0.5)
     assert named["norm_z_minus_1"] == pytest.approx(0.5)
     # run takes the same targets from the model and its initial state
     first = run(s, ModelParams(m=2.0, r=2.0), SolverConfig(t_end=0.0)).history
-    row = history_row(s, peak_coordinate(s.u), 0.7, 2.0)
+    row = history_row(s, g.center_distance2(peak_coordinate(s.u)), 0.7, 2.0)
     assert [first[name][0] for name in HISTORY_COLUMNS] == pytest.approx(list(row), abs=1e-15)
 
 
 def test_history_row_norms():
     g = Grid((8,), (1.0,), (0.0,))
     s = StateQuad(Field.full(g, 0.9), Field.full(g, 0.65), Field.full(g, 0.1), Field.full(g, 1.2))
-    row = history_row(s, (0.5,), 0.75, 1.0)
+    row = history_row(s, g.center_distance2((0.5,)), 0.75, 1.0)
     named = dict(zip(HISTORY_COLUMNS, row))
     assert named["sup_u"] == pytest.approx(0.9)
     assert named["inf_u_on_support"] == pytest.approx(0.9)
@@ -216,16 +218,17 @@ def test_conservation_audit_absolute_when_starting_empty():
 
 LOWER = select_lower_profile(
     m=2.0, n=1, mu=1.0, delta=1.0, seed_radius=0.15, seed_height=0.25,
-    diam=2.0, c1=1.0, c2=1.0, center=(0.0,),
+    diam=2.0, c1=1.0, c2=1.0,
 )
 UPPER = select_upper_profile(
     m=2.0, mu=1.0, delta=1.0, r0=0.25, r1=0.75, sup_height=0.5,
-    c1=1.0, c2=1.0, center=(0.0,),
+    c1=1.0, c2=1.0,
 )
 
 
 def profile_state(grid, profile, t, pad=0.0):
-    vals = profile.evaluate(grid.center_distance2(profile.center), t) + pad
+    """A state whose u is the profile about the origin, the centre of every sandwich check below."""
+    vals = profile.evaluate(grid.center_distance2((0.0,)), t) + pad
     v, w, z = (Field.full(grid, 0.0) for _ in range(3))
     return StateQuad(Field(grid, np.clip(vals, 0.0, None)), v, w, z, t=t)
 
@@ -242,7 +245,7 @@ def test_profiles_bracket_the_seed_bump():
 def test_sandwich_clean_run_reports_no_violations():
     g = Grid((64,), (2.0,), (-1.0,))
     snaps = [profile_state(g, LOWER, t, pad=0.05) for t in (0.0, 0.5, 1.0)]
-    report = sandwich_check(snaps, [LOWER])
+    report = sandwich_check(snaps, [LOWER], g.center_distance2((0.0,)))
     assert report.clean
     assert report.violation_count == 0
     assert report.max_lower_violation == 0.0
@@ -255,8 +258,9 @@ def test_sandwich_detects_and_counts_violations():
     good = profile_state(g, LOWER, 0.0, pad=0.05)
     bad = profile_state(g, LOWER, 1.0, pad=0.05)
     bad.u.values[30:34] = 0.0  # carve a hole of four cells under the sub-profile
-    assert np.all(LOWER.evaluate(g.center_distance2((0.0,))[30:34], 1.0) > SANDWICH_TOL)
-    report = sandwich_check([good, bad], [LOWER])
+    d2 = g.center_distance2((0.0,))
+    assert np.all(LOWER.evaluate(d2[30:34], 1.0) > SANDWICH_TOL)
+    report = sandwich_check([good, bad], [LOWER], d2)
     assert not report.clean
     assert report.violation_count == 4
     assert report.max_lower_violation > 0.0
@@ -272,7 +276,7 @@ def test_sandwich_counts_only_crossings_beyond_the_tolerance():
 
     def under(depth):
         u = np.clip(LOWER.evaluate(d2, 0.0) - depth, 0.0, None)
-        return sandwich_check([StateQuad(Field(g, u), zeros(), zeros(), zeros())], [LOWER])
+        return sandwich_check([StateQuad(Field(g, u), zeros(), zeros(), zeros())], [LOWER], d2)
 
     assert under(0.5 * SANDWICH_TOL).clean
     deep = under(2.0 * SANDWICH_TOL)
@@ -286,7 +290,7 @@ def test_sandwich_upper_respects_validity_window():
     inside = StateQuad(Field(g, 0.9 * UPPER.evaluate(d2, 0.0)), zeros(), zeros(), zeros(), t=0.0)
     # far beyond t0 the density may exceed the super-profile freely
     beyond = StateQuad(Field.full(g, 3.0), zeros(), zeros(), zeros(), t=UPPER.valid_until + 5.0)
-    report = sandwich_check([inside, beyond], [UPPER])
+    report = sandwich_check([inside, beyond], [UPPER], d2)
     assert report.checked_upper == 1
     assert report.checked_lower == 0
     assert report.clean
@@ -296,16 +300,27 @@ def test_sandwich_reads_a_one_pass_stream_as_it_reads_a_list():
     g = Grid((64,), (2.0,), (-1.0,))
     snaps = [profile_state(g, LOWER, t, pad=0.05) for t in (0.0, 0.5, 1.0)]
     snaps[2].u.values[30:34] = 0.0
-    assert sandwich_check(iter(snaps), [LOWER, UPPER]) == sandwich_check(snaps, [LOWER, UPPER])
+    d2 = g.center_distance2((0.0,))
+    assert sandwich_check(iter(snaps), [LOWER, UPPER], d2) == sandwich_check(snaps, [LOWER, UPPER], d2)
 
 
 def test_sandwich_refuses_no_snapshots_and_mixed_grids():
+    d2 = Grid((64,), (2.0,), (-1.0,)).center_distance2((0.0,))
     with pytest.raises(ValueError, match="at least one snapshot"):
-        sandwich_check([], [LOWER])
+        sandwich_check([], [LOWER], d2)
     a = profile_state(Grid((64,), (2.0,), (-1.0,)), LOWER, 0.0)
     b = profile_state(Grid((32,), (2.0,), (-1.0,)), LOWER, 0.0)
     with pytest.raises(ValueError, match="one grid"):
-        sandwich_check([a, b], [])
+        sandwich_check([a, b], [], d2)
+
+
+@pytest.mark.parametrize("shape", [(32,), (64, 1)])
+def test_sandwich_refuses_distances_not_shaped_like_the_grid(shape):
+    # (64, 1) would broadcast against u's (64,) and check 4096 cells that do not exist
+    snap = profile_state(Grid((64,), (2.0,), (-1.0,)), LOWER, 0.0)
+    message = "d2 has shape %s, the snapshots' grid (64,)" % (shape,)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sandwich_check([snap], [LOWER], np.zeros(shape))
 
 
 def test_sandwich_counts_every_violating_cell_of_every_snapshot():
@@ -318,9 +333,9 @@ def test_sandwich_counts_every_violating_cell_of_every_snapshot():
     late = StateQuad(zeros(), zeros(), zeros(), zeros(), t=1.0)
     lower_tall = select_lower_profile(
         m=2.0, n=1, mu=1.0, delta=1.0, seed_radius=1.4, seed_height=0.5,
-        diam=2.0, c1=1.0, c2=1.0, center=(0.0,),
+        diam=2.0, c1=1.0, c2=1.0,
     )
-    report = sandwich_check([empty, flooded, late], [lower_tall, UPPER])
+    report = sandwich_check([empty, flooded, late], [lower_tall, UPPER], d2)
     below = sum(int(np.sum(lower_tall.evaluate(d2, s.t) - s.u.values > SANDWICH_TOL)) for s in (empty, flooded, late))
     above = sum(int(np.sum(s.u.values - UPPER.evaluate(d2, s.t) > SANDWICH_TOL)) for s in (empty, flooded))
     # the tall sub-profile covers the whole domain on both empty snapshots; 3.0 tops the super-profile everywhere
@@ -334,5 +349,5 @@ def test_lower_profile_stays_under_upper_on_shared_window():
     g = Grid((128,), (2.0,), (-1.0,))
     times = (0.0, 0.5 * UPPER.valid_until, UPPER.valid_until)
     snaps = [profile_state(g, UPPER, t) for t in times]
-    report = sandwich_check(snaps, [LOWER])
+    report = sandwich_check(snaps, [LOWER], g.center_distance2((0.0,)))
     assert report.clean

@@ -135,6 +135,10 @@ RETIRED_PARAMETERS = [
     ("config_io", "read_snapshot", "origin"),
     # step raises u to the power m once, for the drift and the first diffusion stage
     ("solver", "diffusive_flux", "m"),
+    # a run has one centre: every radial measure and profile is handed the squared distances computed once from it
+    ("profiles", "ProfileParams", "center"),
+    ("profiles", "select_lower_profile", "center"),
+    ("profiles", "select_upper_profile", "center"),
 ]
 
 

@@ -64,34 +64,34 @@ def test_barenblatt_2d_radial_symmetry():
 
 def test_profile_params_validation():
     with pytest.raises(ValueError, match="kind"):
-        ProfileParams("middle", 1.0, 1.0, 0.3, 1.4, 1.0, (0.0,), 2.0)
+        ProfileParams("middle", 1.0, 1.0, 0.3, 1.4, 1.0, 2.0)
     with pytest.raises(ValueError, match="spread_exp"):
-        ProfileParams("lower", 1.0, 1.0, 0.6, 0.4, 1.0, (0.0,), 2.0)
+        ProfileParams("lower", 1.0, 1.0, 0.6, 0.4, 1.0, 2.0)
     with pytest.raises(ValueError, match="rate_exp"):
-        ProfileParams("lower", 1.0, 1.0, 0.3, 0.9, 1.0, (0.0,), 2.0)
+        ProfileParams("lower", 1.0, 1.0, 0.3, 0.9, 1.0, 2.0)
     # (1 - spread_exp)/(m - 1) = 0.7 holds to rounding, not to a margin
     with pytest.raises(ValueError, match="rate_exp"):
-        ProfileParams("lower", 1.0, 1.0, 0.3, 0.7 + 1e-6, 1.0, (0.0,), 2.0)
+        ProfileParams("lower", 1.0, 1.0, 0.3, 0.7 + 1e-6, 1.0, 2.0)
     with pytest.raises(ValueError, match="time_shift"):
-        ProfileParams("upper", 1.0, 1.0, 1.0, 1.0, 0.0, (0.0,), 2.0, 0.1)
+        ProfileParams("upper", 1.0, 1.0, 1.0, 1.0, 0.0, 2.0, 0.1)
 
 
 def test_profile_validity_window_is_checked_per_kind():
-    lower = ProfileParams("lower", 1.0, 1.0, 0.3, 0.7, 1.0, (0.0,), 2.0)
+    lower = ProfileParams("lower", 1.0, 1.0, 0.3, 0.7, 1.0, 2.0)
     assert lower.valid_until == math.inf
     with pytest.raises(ValueError, match="lower profile holds for all t"):
-        ProfileParams("lower", 1.0, 1.0, 0.3, 0.7, 1.0, (0.0,), 2.0, 0.5)
-    assert ProfileParams("upper", 1.0, 1.0, 1.0, 1.0, 0.5, (0.0,), 2.0, 0.1).valid_until == 0.1
+        ProfileParams("lower", 1.0, 1.0, 0.3, 0.7, 1.0, 2.0, 0.5)
+    assert ProfileParams("upper", 1.0, 1.0, 1.0, 1.0, 0.5, 2.0, 0.1).valid_until == 0.1
     for window in (math.inf, 0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="finite valid_until"):
-            ProfileParams("upper", 1.0, 1.0, 1.0, 1.0, 0.5, (0.0,), 2.0, window)
+            ProfileParams("upper", 1.0, 1.0, 1.0, 1.0, 0.5, 2.0, window)
 
 
 def test_lower_selection_worked_example():
     p = select_lower_profile(
         m=2.0, n=1, mu=1.0, delta=1.0,
         seed_radius=1.0, seed_height=0.5, diam=1.0,
-        c1=1.0, c2=1.0, center=(0.0,),
+        c1=1.0, c2=1.0,
     )
     assert p.amplitude == pytest.approx(0.0625)
     assert p.spread_exp == pytest.approx(0.499)
@@ -106,7 +106,7 @@ def test_upper_selection_worked_example():
     p = select_upper_profile(
         m=2.0, mu=1.0, delta=1.0,
         r0=0.25, r1=0.75, sup_height=0.5,
-        c1=1.0, c2=1.0, center=(0.0,),
+        c1=1.0, c2=1.0,
     )
     assert p.time_shift == pytest.approx(2.0**-7)
     assert p.amplitude == pytest.approx(8.0 / 3.0)
@@ -122,7 +122,7 @@ def test_upper_selection_gives_up_when_squeezed():
         select_upper_profile(
             m=2.0, mu=1.0, delta=1.0,
             r0=0.25, r1=0.75, sup_height=1e12,
-            c1=1.0, c2=1.0, center=(0.0,),
+            c1=1.0, c2=1.0,
         )
 
 
@@ -176,7 +176,7 @@ def test_upper_time_shift_is_the_largest_power_of_two_meeting_every_inequality(
     args = (m, mu, delta, r0, r1, sup_height, c1, c2)
     tol = 1e-9
     try:
-        profile = select_upper_profile(*args, center=(0.0,))
+        profile = select_upper_profile(*args)
     except ConstructionError as exc:
         assert "m=%g" % m in str(exc)
         if "time shift above 1e-8" in str(exc):
@@ -193,13 +193,13 @@ def test_upper_time_shift_is_the_largest_power_of_two_meeting_every_inequality(
 
 def test_selection_input_validation():
     with pytest.raises(ValueError):
-        select_lower_profile(2.0, 1, 0.0, 1.0, 1.0, 0.5, 1.0, 1.0, 1.0, (0.0,))
+        select_lower_profile(2.0, 1, 0.0, 1.0, 1.0, 0.5, 1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        select_lower_profile(2.0, 1, 1.0, 2.0, 1.0, 0.5, 1.0, 1.0, 1.0, (0.0,))
+        select_lower_profile(2.0, 1, 1.0, 2.0, 1.0, 0.5, 1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        select_lower_profile(2.0, 1, 1.0, 1.0, 1.0, 0.7, 1.0, 1.0, 1.0, (0.0,))
+        select_lower_profile(2.0, 1, 1.0, 1.0, 1.0, 0.7, 1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        select_upper_profile(2.0, 1.0, 1.0, 0.75, 0.25, 0.5, 1.0, 1.0, (0.0,))
+        select_upper_profile(2.0, 1.0, 1.0, 0.75, 0.25, 0.5, 1.0, 1.0)
 
 
 @given(
@@ -219,7 +219,7 @@ def test_lower_selection_satisfies_every_branch(
 ):
     delta = 1.0 + delta_frac * (m - 1.0)
     assume(delta < m)
-    p = select_lower_profile(m, n, mu, delta, seed_radius, seed_height, diam, c1, c2, (0.0,))
+    p = select_lower_profile(m, n, mu, delta, seed_radius, seed_height, diam, c1, c2)
     branches = lower_profile_branches(m, n, mu, delta, seed_radius, seed_height, diam, c1, c2)
     for log_b, value in branches:
         assert p.amplitude <= value() * (1.0 + 1e-12)
@@ -236,8 +236,8 @@ def test_lower_selection_satisfies_every_branch(
 )
 @settings(max_examples=60, deadline=None)
 def test_profile_support_radii_formulas_and_growth(t1, dt):
-    lo = select_lower_profile(2.0, 1, 1.0, 1.0, 1.0, 0.5, 1.0, 1.0, 1.0, (0.0,))
-    up = select_upper_profile(2.0, 1.0, 1.0, 0.25, 0.75, 0.5, 1.0, 1.0, (0.0,))
+    lo = select_lower_profile(2.0, 1, 1.0, 1.0, 1.0, 0.5, 1.0, 1.0, 1.0)
+    up = select_upper_profile(2.0, 1.0, 1.0, 0.25, 0.75, 0.5, 1.0, 1.0)
     # the support ball has radius sqrt(support_scale) (shift + t)^(spread_exp / 2): shift 1 and spread
     # below 1/2 for the lower profile, spread 1 for the upper one
     def r_lo(t):

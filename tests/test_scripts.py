@@ -58,3 +58,8 @@ class TestArtifactDiff:
         cli.write_text(text.replace('print("run: %d steps', 'print("run:  %d steps'))
         changed = diff.run_tree(str(copy), case_list, str(tmp_path / "changed"))
         assert diff.differences(base, changed) == ["tiny: command 0 (run) stdout: differs"]
+
+    def test_cases_cover_every_phi_rule(self):
+        configs = [config for _, config, _ in load("artifact_diff").cases()]
+        rules = {line.split()[2] for config in configs for line in config.splitlines() if line.startswith("phi = ")}
+        assert rules == {"constant", "linear_switch", "table"}
