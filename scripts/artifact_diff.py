@@ -54,6 +54,10 @@ def cases() -> list[tuple[str, str, list[list[str]]]]:
          [RUN, VERIFY]),
         ("ref_1d_table", _bench_config("ref_1d", STRIDE_20, ("phi = constant 1.0", "phi = table 0:1,0.5:0.5,1:0")),
          [RUN, VERIFY]),
+        # the snapshot rule: the bench run's last snapshot, at a path with a space, is u's start for run and verify
+        ("ref_1d_snapshot",
+         _bench_config("ref_1d", ("u = bump 0.0 0.25 0.5", "u = snapshot seed run/snap_00000005.bin u")),
+         [["run", "--config", os.path.join(CONFIGS, "ref_1d.cfg"), "--out", "seed run"] + SEED, RUN, VERIFY]),
         ("front_2d", _bench_config("front_2d"), [RUN, VERIFY]),
         # the lower envelope's spread underflows: verify exits 2
         ("ref_1d_m_600", _bench_config("ref_1d", ("m = 2.0", "m = 600")), [RUN, VERIFY]),

@@ -8,8 +8,9 @@ number must be finite.
 The keys of [model], [solver] and [lattice] are the fields of
 ModelParams, SolverConfig and LatticeConfig, with those records' defaults;
 a field's type (float, int, bool, str) says how its value is read and
-written.  [grid], [initial], [output], [sweep] and the phi rule of [model]
-are parsed and written by hand.
+written.  The phi of [model] and each field of [initial] is a rule, a
+keyword and its arguments, read and written through its slot's table
+(_RULES).  [grid], [output] and [sweep] are parsed and written by hand.
 
 Options that only ever held one value were removed (_RETIRED): the solver's
 clip_negative, chemo_upwind, v_z_stepper and cfl_safety, the lattice's
@@ -24,9 +25,9 @@ key.
 
 config.cfg records a run's inputs, not its location: [output] dir is read,
 never written.  An [initial] snapshot path is resolved against the config's
-directory at parse time and written resolved into config.cfg; one that
-holds `#` or a byte outside ASCII is refused on its line, because
-config.cfg could not hold it.  The file is read when the state is built.
+directory at parse time and written resolved into config.cfg; SnapshotInit
+refuses one that holds `#` or a byte outside ASCII, because config.cfg
+could not hold it.  The file is read when the state is built.
 
 Snapshots are a 6-line ASCII header (magic, dim, cells per axis, extent per
 axis, time, field order) followed by the four fields as raw little-endian
@@ -103,6 +104,12 @@ class BumpInit:
     radius: float
     height: float
 
+    def __post_init__(self):
+        if not (self.radius > 0):
+            raise ValueError("bump radius must be positive, got %r" % self.radius)
+        if not (self.height >= 0):
+            raise ValueError("bump height must be >= 0, got %r" % self.height)
+
     def build(self, grid: Grid) -> np.ndarray:
         if len(self.center) != grid.dim:
             raise ConfigError("bump center needs %d coordinates" % grid.dim)
@@ -122,6 +129,15 @@ class ConstantInit:
 class SnapshotInit:
     path: str  # resolved at parse time, so a run's config.cfg names the file the run read
     field_name: str
+
+    def __post_init__(self):
+        if self.field_name not in FIELD_ORDER:
+            raise ValueError("snapshot field must be %s, got %r" % ("/".join(FIELD_ORDER), self.field_name))
+        # config.cfg stores the path: _tokenize would cut it at a '#', and the file is written and read as ASCII
+        if "#" in self.path:
+            raise ValueError("snapshot path %r holds '#', which starts a comment in config.cfg" % self.path)
+        if not self.path.isascii():
+            raise ValueError("snapshot path %r is not ASCII, as config.cfg must be" % self.path)
 
     def build(self, grid: Grid) -> np.ndarray:
         return getattr(read_snapshot(self.path, grid), self.field_name).values
@@ -155,7 +171,7 @@ _RECORDS = {
     "lattice": LatticeConfig,
 }
 
-# field types a config value converts to; a field of any other type (phi) is parsed by hand
+# field types a config value converts to; a field of any other type (phi) is a rule
 _SCALAR_TYPES = ("float", "int", "bool", "str")
 
 
@@ -321,69 +337,77 @@ def _float_list(sections, key, count):
     return nums
 
 
-def _parse_phi(value: str, line_no: int):
-    parts = value.split()
-    try:
-        # a one-number rule converts all that follows its keyword, so a trailing token is refused, not ignored
-        if parts[0] == "constant":
-            return ConstantSensitivity(_convert("float", value.split(None, 1)[1], line_no, "model.phi"))
-        if parts[0] == "linear_switch":
-            return LinearSwitchSensitivity(_convert("float", value.split(None, 1)[1], line_no, "model.phi"))
-        if parts[0] == "table":
-            pairs = "".join(parts[1:]).split(",")
-            us, ps = [], []
-            for pair in pairs:
-                a, b = pair.split(":")
-                us.append(_convert("float", a, line_no, "model.phi"))
-                ps.append(_convert("float", b, line_no, "model.phi"))
-            return TabulatedSensitivity(tuple(us), tuple(ps))
-    except ConfigError:
-        raise
-    except (IndexError, ValueError) as exc:
-        raise ConfigError("line %d: bad phi rule %r (%s)" % (line_no, value, exc)) from None
-    raise ConfigError("line %d: phi must be constant/linear_switch/table, got %r" % (line_no, value))
+# --- rules: phi and the fields of [initial] ----------------------------------
+#
+# A rule is a keyword and its arguments (`bump 0.0 0.25 0.5`).  _RULES has one table per slot, {keyword: (record,
+# form)}: the reader dispatches on it and lists its keywords, and the writer takes a record's keyword from it.  A
+# form is (what the arguments must be, for the arity error, {n} standing for the grid's dim + 2; a reader of (args,
+# number, dim, base_dir) to the record's fields, or None when args do not fit; a writer of the record's arguments).
+# The record checks the values (ValueError).
 
 
-def _parse_initial(value: str, line_no: int, where: str, dim: int, base_dir: str):
-    parts = value.split()
+def _one_number(args, number, dim, base_dir):
+    return (number(args),) if args else None  # all the rest is the number, so a trailing token is refused
+
+
+def _bump(args, number, dim, base_dir):
+    nums = [number(p) for p in args.split()]
+    return (tuple(nums[:dim]), nums[dim], nums[dim + 1]) if len(nums) == dim + 2 else None
+
+
+def _pairs(args, number, dim, base_dir):
+    pairs = [pair.split(":") for pair in "".join(args.split()).split(",")]
+    return None if any(len(pair) != 2 for pair in pairs) else tuple(tuple(map(number, axis)) for axis in zip(*pairs))
+
+
+def _path_and_field(args, number, dim, base_dir):
+    words = args.rsplit(None, 1)  # the path runs from the keyword to the field name, spaces included
+    return (os.path.abspath(os.path.join(base_dir, words[0])), words[1]) if len(words) == 2 else None
+
+
+_ONE_NUMBER = ("one number", _one_number, lambda rule: _fmt(*vars(rule).values()))
+_RULES = {
+    "phi": {
+        "constant": (ConstantSensitivity, _ONE_NUMBER),
+        "linear_switch": (LinearSwitchSensitivity, _ONE_NUMBER),
+        "table": (TabulatedSensitivity, ("u:phi pairs, e.g. 0:1,1:0", _pairs, lambda rule: ",".join(
+            "%s:%s" % (_fmt(u), _fmt(p)) for u, p in zip(rule.nodes_u, rule.nodes_phi)))),
+    },
+    "initial": {
+        "constant": (ConstantInit, _ONE_NUMBER),
+        "bump": (BumpInit, ("{n} numbers: center, radius, height", _bump, lambda rule: " ".join(
+            _fmt(x) for x in (*rule.center, rule.radius, rule.height)))),
+        "snapshot": (SnapshotInit, ("a path and a field name", _path_and_field,
+                                   lambda rule: "%s %s" % (rule.path, rule.field_name))),
+    },
+}
+
+
+def _parse_rule(slot: str, value: str, line_no: int, where: str, dim: int = 1, base_dir: str = "."):
+    """The record of rule text `value`, the value `where` on line line_no, under _RULES[slot]; every error it
+    raises is a ConfigError that names the line."""
+    rules = _RULES[slot]
+    keyword, args = (value.split(None, 1) + ["", ""])[:2]
+    if keyword not in rules:
+        raise ConfigError("line %d: %s must be %s, got %r" % (line_no, where, "/".join(rules), value))
+    record, (needs, read, _) = rules[keyword]
+    fields = read(args, lambda text: _convert("float", text, line_no, where), dim, base_dir)
+    if fields is None:
+        raise ConfigError(
+            "line %d: bad %s rule %r (%s needs %s)" % (line_no, slot, value, keyword, needs.format(n=dim + 2))
+        )
     try:
-        if parts[0] == "constant":
-            return ConstantInit(_convert("float", value.split(None, 1)[1], line_no, where))
-        if parts[0] == "bump":
-            nums = [_convert("float", p, line_no, where) for p in parts[1:]]
-            if len(nums) != dim + 2:
-                raise ConfigError(
-                    "line %d: bump needs %d numbers (center, radius, height), got %d"
-                    % (line_no, dim + 2, len(nums))
-                )
-            center, radius, height = tuple(nums[:dim]), nums[dim], nums[dim + 1]
-            if radius <= 0:
-                raise ConfigError("line %d: bump radius must be positive" % line_no)
-            if height < 0:
-                raise ConfigError("line %d: bump height must be >= 0" % line_no)
-            return BumpInit(center, radius, height)
-        if parts[0] == "snapshot":
-            # the path is everything between the keyword and the field name, spaces included
-            if len(parts) < 3 or parts[-1] not in FIELD_ORDER:
-                raise ConfigError(
-                    "line %d: snapshot initial takes a path and a field name (u/v/w/z)" % line_no
-                )
-            name = value.split(None, 1)[1].rsplit(None, 1)[0]
-            path = os.path.abspath(os.path.join(base_dir, name))
-            if "#" in path:
-                # config.cfg stores this path, and _tokenize would cut it at the '#' when verify reads it back
-                raise ConfigError(
-                    "line %d: snapshot path %r holds '#', which starts a comment in config.cfg" % (line_no, path)
-                )
-            if not path.isascii():
-                # config.cfg stores this path, and it is written and read as ASCII
-                raise ConfigError("line %d: snapshot path %r is not ASCII, as config.cfg must be" % (line_no, path))
-            return SnapshotInit(path, parts[-1])
-    except ConfigError:
-        raise
-    except (IndexError, ValueError) as exc:
-        raise ConfigError("line %d: bad initial condition %r (%s)" % (line_no, value, exc)) from None
-    raise ConfigError("line %d: initial must be constant/bump/snapshot, got %r" % (line_no, value))
+        return record(*fields)
+    except ValueError as exc:
+        raise ConfigError("line %d: %s" % (line_no, exc)) from None
+
+
+def _rule_text(slot: str, rule) -> str:
+    """The `keyword arguments` text of a rule record, under _RULES[slot]."""
+    for keyword, (record, (_, _, write)) in _RULES[slot].items():
+        if isinstance(rule, record):
+            return "%s %s" % (keyword, write(rule))
+    raise ConfigError("cannot serialize %s rule %r" % (slot, rule))
 
 
 def parse_config(text: str, base_dir: str = ".") -> RunConfig:
@@ -406,19 +430,14 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    given = {"phi": _parse_phi(*sections["model"]["phi"])} if "phi" in sections["model"] else {}
+    given = {"phi": _parse_rule("phi", *sections["model"]["phi"], "model.phi")} if "phi" in sections["model"] else {}
     model = _record(sections, "model", **given)
     solver = _record(sections, "solver")
 
-    initial = {}
-    for name in FIELD_ORDER:
-        item = sections.get("initial", {}).get(name)
-        if item is None:
-            if name == "u":
-                raise ConfigError("missing required key 'u' in section [initial]")
-            initial[name] = ConstantInit(0.0)
-        else:
-            initial[name] = _parse_initial(item[0], item[1], "initial." + name, dim, base_dir)
+    _entry(sections, "initial", "u")  # v, w and z start at 0 when left out
+    initial = {name: ConstantInit(0.0) for name in FIELD_ORDER}
+    for name, item in sections["initial"].items():
+        initial[name] = _parse_rule("initial", *item, "initial." + name, dim, base_dir)
 
     cfg = RunConfig(model=model, grid=grid, solver=solver, initial=initial)
     # each sweep value must make a valid record, so that no case fails on it later
@@ -490,34 +509,11 @@ def _record_text(name: str, record) -> str:
     return "".join(lines)
 
 
-def _phi_text(phi) -> str:
-    if isinstance(phi, ConstantSensitivity):
-        return "constant %s" % _fmt(phi.value)
-    if isinstance(phi, LinearSwitchSensitivity):
-        return "linear_switch %s" % _fmt(phi.u_star)
-    if isinstance(phi, TabulatedSensitivity):
-        return "table " + ",".join(
-            "%s:%s" % (_fmt(u), _fmt(p)) for u, p in zip(phi.nodes_u, phi.nodes_phi)
-        )
-    raise ConfigError("cannot serialize phi rule %r" % (phi,))
-
-
-def _initial_text(init) -> str:
-    if isinstance(init, ConstantInit):
-        return "constant %s" % _fmt(init.value)
-    if isinstance(init, BumpInit):
-        nums = list(init.center) + [init.radius, init.height]
-        return "bump " + " ".join(_fmt(x) for x in nums)
-    if isinstance(init, SnapshotInit):
-        return "snapshot %s %s" % (init.path, init.field_name)
-    raise ConfigError("cannot serialize initial condition %r" % (init,))
-
-
 def serialize_config(cfg: RunConfig) -> str:
     out = io.StringIO()
     w = out.write
     w(_record_text("model", cfg.model))
-    w("phi = %s\n" % _phi_text(cfg.model.phi))
+    w("phi = %s\n" % _rule_text("phi", cfg.model.phi))
     w("\n[grid]\n")
     w("dim = %d\n" % cfg.grid.dim)
     w("cells = %s\n" % ", ".join(str(c) for c in cfg.grid.cells))
@@ -526,7 +522,7 @@ def serialize_config(cfg: RunConfig) -> str:
     w("\n" + _record_text("solver", cfg.solver))
     w("\n[initial]\n")
     for name in FIELD_ORDER:
-        w("%s = %s\n" % (name, _initial_text(cfg.initial[name])))
+        w("%s = %s\n" % (name, _rule_text("initial", cfg.initial[name])))
     w("\n[output]\n")
     w("seed = %d\n" % cfg.seed)
     if cfg.sweep:

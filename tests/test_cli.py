@@ -348,6 +348,14 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg)]) == 1
         assert "config error" in capsys.readouterr().err
 
+    def test_a_rule_short_of_its_arguments_is_one_config_error_line_and_makes_no_directory(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TINY_CFG.replace("delta = 1.0", "delta = 1.0\nphi = table"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "config error: line 5: bad phi rule 'table' (table needs u:phi pairs, e.g. 0:1,1:0)\n"
+        assert not out.exists()
+
 
 class TestOneRunPerDirectory:
     def test_shorter_rerun_leaves_no_earlier_snapshot_report_or_fits(self, tmp_path, capsys):

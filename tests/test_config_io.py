@@ -5,8 +5,9 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from chemofront import config_io
 from chemofront.config_io import (
     BumpInit,
     ConfigError,
@@ -401,6 +402,39 @@ class TestParseErrors:
         assert parse_config(text.replace(kernel, "pushing")).lattice.compare_pde is True
 
 
+class TestRuleErrors:
+    # each of these once escaped with Python's own text: "list index out of range" or "... values to unpack ..."
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("m = 2.0", "m = 2.0\nphi = constant", "line 4: bad phi rule 'constant' (constant needs one number)"),
+            ("m = 2.0", "m = 2.0\nphi = linear_switch",
+             "line 4: bad phi rule 'linear_switch' (linear_switch needs one number)"),
+            ("m = 2.0", "m = 2.0\nphi =", "line 4: model.phi must be constant/linear_switch/table, got ''"),
+            ("m = 2.0", "m = 2.0\nphi = table", "line 4: bad phi rule 'table' (table needs u:phi pairs, e.g. 0:1,1:0)"),
+            ("m = 2.0", "m = 2.0\nphi = table 0:0,1:1:2",
+             "line 4: bad phi rule 'table 0:0,1:1:2' (table needs u:phi pairs, e.g. 0:1,1:0)"),
+            ("u = constant 0.5", "u = constant", "line 14: bad initial rule 'constant' (constant needs one number)"),
+            ("u = constant 0.5", "u =", "line 14: initial.u must be constant/bump/snapshot, got ''"),
+        ],
+        ids=["phi-constant", "phi-linear_switch", "phi-empty", "phi-table", "phi-table-triple", "u-constant", "u-empty"],
+    )
+    def test_a_rule_short_of_its_arguments_is_one_config_error_on_its_line(self, old, new, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(MINIMAL.replace(old, new))
+        assert str(info.value) == message
+
+    def test_the_arity_error_counts_a_2d_bump_center(self):
+        text = MINIMAL.replace("dim = 1", "dim = 2").replace("cells = 16", "cells = 8, 8")
+        with pytest.raises(ConfigError, match=r"^line 14: bad initial rule 'bump 0 0 1' \(bump needs 4 numbers: center, "
+                                              r"radius, height\)$"):
+            parse_config(text.replace("constant 0.5", "bump 0 0 1"))
+
+    def test_a_record_the_writer_does_not_know_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="cannot serialize phi rule"):
+            config_io._rule_text("phi", ConstantInit(0.5))
+
+
 # --- serialize / parse round trip -------------------------------------------
 
 
@@ -572,6 +606,78 @@ def test_record_sections_round_trip(model, solver, lattice):
     again = parse_config(text)
     assert again == cfg
     assert serialize_config(again) == text
+
+
+@st.composite
+def _tables(draw):
+    us = [draw(_finite(-10.0, 10.0))]
+    for _ in range(draw(st.integers(1, 4))):
+        us.append(us[-1] + draw(_finite(1e-3, 5.0)))
+    phis = [draw(_finite(-1.0, 1.0))]
+    for lo, hi in zip(us, us[1:]):  # every node within [-1, 1] and every slope within [-1, 1]
+        phis.append(draw(_finite(max(-1.0, phis[-1] - (hi - lo)), min(1.0, phis[-1] + (hi - lo)))))
+    return TabulatedSensitivity(tuple(us), tuple(phis))
+
+
+@st.composite
+def _bumps(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    center = tuple(draw(_finite()) for _ in range(dim))
+    return dim, BumpInit(center, draw(_finite(0.0, 1e6, exclude_min=True)), draw(_finite(0.0, 1e6)))
+
+
+# an absolute path, as the parser stores it, with a space in one directory's name
+_names = st.text("abz09_-", min_size=1, max_size=5)
+_snapshot_paths = st.builds(
+    lambda dirs, spaced, name: "/".join(["", *dirs, " ".join(spaced), name + ".bin"]),
+    st.lists(_names, max_size=2), st.lists(_names, min_size=2, max_size=3), _names,
+)
+
+# (slot, grid dim, record) of every rule in config_io's tables
+_rules = st.one_of(
+    st.tuples(st.just("phi"), st.just(1), st.builds(ConstantSensitivity, _finite(-1.0, 1.0))),
+    st.tuples(st.just("phi"), st.just(1), st.builds(LinearSwitchSensitivity, _finite(0.0, 1e6, exclude_min=True))),
+    st.tuples(st.just("phi"), st.just(1), _tables()),
+    st.tuples(st.just("initial"), st.just(1), st.builds(ConstantInit, _finite())),
+    _bumps().map(lambda bump: ("initial", *bump)),
+    st.tuples(st.just("initial"), st.just(1), st.builds(SnapshotInit, _snapshot_paths, st.sampled_from("uvwz"))),
+)
+
+
+@given(rule=_rules)
+@example(rule=("initial", 2, BumpInit((-0.5, 0.25), 0.5, 1.0)))
+@example(rule=("initial", 1, SnapshotInit("/runs/late state/snap_00000005.bin", "u")))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_every_rule_round_trips_through_its_text(rule):
+    slot, dim, record = rule
+    text = config_io._rule_text(slot, record)
+    again = config_io._parse_rule(slot, text, 1, slot, dim, "/elsewhere")
+    assert again == record
+    assert config_io._rule_text(slot, again) == text
+
+
+_JUNK = ["", "nan", "inf", "1e400", "x", "a:b:c", "0:1:2"]
+
+
+@given(rule=_rules, data=st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_junk_in_a_rule_is_one_config_error_on_its_line(rule, data):
+    slot, dim, record = rule
+    words = config_io._rule_text(slot, record).split(" ")
+    how = data.draw(st.sampled_from(["replace", "extra", "missing"]))
+    if how == "replace":
+        # any word but a snapshot path's, which may be any text
+        where = [0, len(words) - 1] if isinstance(record, SnapshotInit) else range(len(words))
+        words[data.draw(st.sampled_from(where))] = data.draw(st.sampled_from(_JUNK))
+    elif how == "extra":
+        words.append(data.draw(st.sampled_from(_JUNK[1:])))
+    else:
+        words.pop()
+    with pytest.raises(ConfigError) as info:
+        config_io._parse_rule(slot, " ".join(words), 7, slot, dim, "/elsewhere")
+    message = str(info.value)
+    assert message.startswith("line 7: ")
+    assert "list index" not in message and "unpack" not in message
 
 
 class TestParseConfigFile:

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from chemofront import config_io
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -59,7 +61,14 @@ class TestArtifactDiff:
         changed = diff.run_tree(str(copy), case_list, str(tmp_path / "changed"))
         assert diff.differences(base, changed) == ["tiny: command 0 (run) stdout: differs"]
 
-    def test_cases_cover_every_phi_rule(self):
+    @staticmethod
+    def keywords(keys):
+        """The rule keywords that the cases' configs give the keys in `keys`."""
         configs = [config for _, config, _ in load("artifact_diff").cases()]
-        rules = {line.split()[2] for config in configs for line in config.splitlines() if line.startswith("phi = ")}
-        assert rules == {"constant", "linear_switch", "table"}
+        return {line.split()[2] for config in configs for line in config.splitlines() if line.split(" ", 1)[0] in keys}
+
+    def test_cases_cover_every_phi_rule(self):
+        assert self.keywords({"phi"}) == set(config_io._RULES["phi"])
+
+    def test_cases_cover_every_initial_rule(self):
+        assert self.keywords(set(config_io.FIELD_ORDER)) == set(config_io._RULES["initial"])
